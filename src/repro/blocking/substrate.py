@@ -23,8 +23,8 @@ single sweep, deriving every downstream structure from it lazily:
   operate on every distinct profile token).
 
 This module is the python backend's implementation; the array-native
-equivalent lives in :mod:`repro.engine.substrate` and the sharded build
-in :mod:`repro.parallel.substrate`.  All three satisfy
+equivalent lives in :mod:`repro.engine.substrate`, whose one sweep
+kernel the ``numpy-parallel`` backend runs sharded.  Both satisfy
 :class:`repro.contracts.BlockingSubstrate` and their structures are
 bit-identical (parity-tested).
 """

@@ -161,8 +161,8 @@ ParallelBackend` with a live pool) override it.  Idempotent.
     # -- core factories (vectorized backends only) -------------------------
     #
     # The array methods build their execution cores through these seams,
-    # so a backend can swap in a differently-executed core (the parallel
-    # backend shards the builds across workers) without the methods
+    # and the backend hands each core its fan-out (the parallel backend's
+    # cuts the same kernels into shards over workers) without the methods
     # changing.  The python backend never reaches them: methods check
     # ``vectorized`` first.
 
@@ -260,6 +260,13 @@ class NumpyBackend(Backend):
             self._array_store = ArrayStore(dir=self.storage_dir)
         return self._array_store
 
+    def fanout(self) -> Any:
+        """Which ranges each engine pass is cut into, and who runs them
+        (see :mod:`repro.engine.fanout`): here one inline range."""
+        from repro.engine.fanout import INLINE
+
+        return INLINE
+
     def close(self) -> None:
         store, self._array_store = self._array_store, None
         if store is not None:
@@ -269,7 +276,9 @@ class NumpyBackend(Backend):
         self.require()
         from repro.engine.substrate import ArraySubstrate
 
-        return ArraySubstrate(store, spec, storage=self.array_store())
+        return ArraySubstrate(
+            store, spec, storage=self.array_store(), fanout=self.fanout()
+        )
 
     def profile_index(self, collection: Any) -> Any:
         self.require()
@@ -302,38 +311,41 @@ class NumpyBackend(Backend):
         self.require()
         from repro.engine.weights import ArrayBlockingGraph
 
-        return ArrayBlockingGraph(index, weighting, storage=self.array_store())
+        return ArrayBlockingGraph(
+            index, weighting, storage=self.array_store(), fanout=self.fanout()
+        )
 
     def pps_core(self, scheduled: Any, weighting: str, k_max: int | None) -> Any:
         self.require()
         from repro.engine.equality import ArrayPPSCore
 
         index = self.profile_index(scheduled)
-        return ArrayPPSCore(index, self.blocking_graph(index, weighting), k_max)
+        graph = self.blocking_graph(index, weighting)
+        return ArrayPPSCore(index, graph, k_max, fanout=self.fanout())
 
     def pbs_core(self, index: Any, graph: Any) -> Any:
         self.require()
         from repro.engine.equality import ArrayPBSCore
 
-        return ArrayPBSCore(index, graph)
+        return ArrayPBSCore(index, graph, fanout=self.fanout())
 
     def psn_core(self, neighbor_list: Any, store: Any, weighting: Any) -> Any:
         self.require()
         from repro.engine.similarity import ArrayPSNCore
 
-        return ArrayPSNCore(neighbor_list, store, weighting)
+        return ArrayPSNCore(neighbor_list, store, weighting, fanout=self.fanout())
 
     def ranked_edges(self, graph: Any) -> Any:
         self.require()
         from repro.engine.topk import ranked_edges
 
-        return ranked_edges(graph)
+        return ranked_edges(graph, self.fanout())
 
     def pruned_edges(self, graph: Any, algorithm: str, k: int | None) -> Any:
         self.require()
         from repro.engine.pruning import prune_array_graph
 
-        return prune_array_graph(graph, algorithm, k)
+        return prune_array_graph(graph, algorithm, k, self.fanout())
 
 
 # Register instances (not classes): a backend is stateless configuration,

@@ -130,6 +130,7 @@ class ArrayProfileIndex:
         "bp_indptr",
         "bp_indices",
         "sources",
+        "__weakref__",
     )
 
     def __init__(self, collection: "BlockCollection") -> None:

@@ -20,12 +20,14 @@ reference emission streams bit for bit (see the module docstring of
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from repro.core.comparisons import Comparison, ComparisonList
-from repro.core.profiles import ERType
 from repro.engine import require_numpy
 from repro.engine.csr import ArrayProfileIndex, multi_arange
+from repro.engine.fanout import INLINE, Fanout
+from repro.engine.segments import first_k_per_run, run_heads, stable_groups
+from repro.engine.storage import collector
 from repro.engine.topk import (
     iter_comparisons,
     sort_pairs_descending,
@@ -38,6 +40,122 @@ require_numpy("repro.engine.equality")
 import numpy as np  # noqa: E402  (guarded optional dependency)
 
 
+def pps_schedule(
+    payload: dict[str, Any], shard: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Range kernel: the Algorithm 6 emissions owned by profiles ``[lo, hi)``.
+
+    Processing the Sorted Profile List in order with a persistent
+    ``checkedEntities`` set means edge (i, j) is considered exactly
+    once, from whichever endpoint is scheduled *earlier* - i.e. keep
+    the edge iff ``rank[neighbor] > rank[owner]``.  Sorting the kept
+    edges by ``(rank[owner], -weight, neighbor)`` and truncating each
+    owner segment at K_max reproduces the per-profile SortedStack
+    drains end to end, without any per-profile Python work.
+
+    Returns ``(i, j, weight, owner rank)`` in that order.  An owner
+    lives in exactly one range, so over the whole axis this *is* the
+    emission, and over several ranges one stable sort of the outputs by
+    owner rank interleaves them into it.
+    """
+    lo, hi = shard
+    indptr = payload["indptr"]
+    rank = payload["rank"]
+    start, stop = int(indptr[lo]), int(indptr[hi])
+    neighbors = np.asarray(payload["neighbors"][start:stop])
+    weights = np.asarray(payload["weights"][start:stop])
+    owners = np.repeat(
+        np.arange(lo, hi, dtype=np.int64), np.diff(indptr[lo : hi + 1])
+    )
+    keep = rank[neighbors] > rank[owners]
+    owner = owners[keep]
+    neighbor = neighbors[keep]
+    weight = weights[keep]
+
+    owner_rank = rank[owner]
+    # For a fixed owner, ordering by bare neighbor id equals ordering
+    # by the canonical (i, j) pair, so three sort keys suffice.
+    emission_order = np.lexsort((neighbor, -weight, owner_rank))
+    segment_rank = owner_rank[emission_order]
+    kept = first_k_per_run(segment_rank, payload["k"])
+    selected = emission_order[kept]
+    return (
+        np.minimum(owner[selected], neighbor[selected]),
+        np.maximum(owner[selected], neighbor[selected]),
+        weight[selected],
+        segment_rank[kept],
+    )
+
+
+def block_pairs(
+    payload: dict[str, Any], shard: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Range kernel: canonical comparison pairs of blocks ``[blo, bhi)``.
+
+    Blocks are batched by shape (size for Dirty ER, left x right split
+    for Clean-clean) so pair generation is a handful of 2-D array
+    operations per *distinct* shape instead of one call per block; each
+    batch scatters into its blocks' slots of the block-major event
+    arrays.  Block-major order is what makes a stable argsort over
+    canonical pair keys equal the paper's LeCoBI condition ("first
+    event of each key" = least common block id).  Pair order inside a
+    block depends on that block alone, so a block range's output is the
+    contiguous slice of the whole-axis event arrays its blocks own.
+    """
+    blo, bhi = shard
+    bp_indptr = payload["bp_indptr"]
+    bp_indices = payload["bp_indices"]
+    cardinalities = np.asarray(payload["cardinalities"][blo:bhi])
+    sources = payload["sources"]
+    clean_clean = payload["clean_clean"]
+
+    sizes = np.diff(bp_indptr[blo : bhi + 1])
+    indptr = np.zeros(bhi - blo + 1, dtype=np.int64)
+    np.cumsum(cardinalities, out=indptr[1:])
+    total = int(indptr[-1])
+    pair_i = np.empty(total, dtype=np.int64)
+    pair_j = np.empty(total, dtype=np.int64)
+    if total == 0:
+        return pair_i, pair_j
+
+    if clean_clean:
+        left_sizes = np.zeros(bhi - blo, dtype=np.int64)
+        entry_owners = np.repeat(np.arange(bhi - blo, dtype=np.int64), sizes)
+        members_all = np.asarray(bp_indices[bp_indptr[blo] : bp_indptr[bhi]])
+        np.add.at(left_sizes, entry_owners, sources[members_all] == 0)  # repro-analyze: ignore[determinism] integer count scatter, order-independent
+        shapes = left_sizes * (int(sizes.max()) + 1) + sizes
+    else:
+        shapes = sizes
+
+    for shape in np.unique(shapes):
+        batch = np.nonzero((shapes == shape) & (cardinalities > 0))[0]
+        if batch.size == 0:
+            continue
+        size = int(sizes[batch[0]])
+        members = bp_indices[
+            multi_arange(bp_indptr[blo + batch], np.full(batch.size, size))
+        ].reshape(batch.size, size)
+        if clean_clean:
+            # Stable sort by source keeps each side's in-block order,
+            # then every row is [left..., right...].
+            split = int(left_sizes[batch[0]])
+            order = np.argsort(sources[members], axis=1, kind="stable")
+            members = np.take_along_axis(members, order, axis=1)
+            left, right = members[:, :split], members[:, split:]
+            raw_i = np.repeat(left, size - split, axis=1).ravel()
+            raw_j = np.tile(right, (1, split)).ravel()
+        else:
+            a, b = np.triu_indices(size, 1)
+            raw_i = members[:, a].ravel()
+            raw_j = members[:, b].ravel()
+        slots = multi_arange(
+            indptr[batch], np.full(batch.size, int(cardinalities[batch[0]]))
+        )
+        pair_i[slots] = np.minimum(raw_i, raw_j)
+        pair_j[slots] = np.maximum(raw_i, raw_j)
+    return pair_i, pair_j
+
+
 class ArrayPPSCore:
     """Vectorized initialization + emission state for PPS.
 
@@ -46,24 +164,26 @@ class ArrayPPSCore:
     index:
         The CSR profile index over the scheduled block collection.
     graph:
-        The materialized, weighted Blocking Graph over ``index`` - built
-        through the backend seam, so the sequential and sharded builds
-        both land here.
+        The materialized, weighted Blocking Graph over ``index``.
     k_max:
         Emission batch bound per scheduled profile; ``None`` applies the
         same adaptive rule as the reference implementation.
+    fanout:
+        The ranges :func:`pps_schedule` runs over, and who runs them.
     """
 
-    __slots__ = ("index", "graph", "k_max", "_checked")
+    __slots__ = ("index", "graph", "k_max", "fanout", "_checked")
 
     def __init__(
         self,
         index: ArrayProfileIndex,
         graph: ArrayBlockingGraph,
         k_max: int | None,
+        fanout: Fanout = INLINE,
     ) -> None:
         self.index = index
         self.graph = graph
+        self.fanout = fanout
         if k_max is None:
             # Same adaptive rule (and Python arithmetic) as the reference:
             # average block comparisons per profile, clamped to [10, 50].
@@ -111,11 +231,7 @@ class ArrayPPSCore:
         dense_max[present] = row_max
         ties = np.nonzero(graph.weights == dense_max[owners])[0]
         ties = ties[np.argsort(graph.first_event_index[ties])]
-        tie_owners = owners[ties]
-        heads = np.empty(ties.size, dtype=bool)
-        heads[0] = True
-        np.not_equal(tie_owners[1:], tie_owners[:-1], out=heads[1:])
-        best = ties[heads]  # one entry per present profile, ascending
+        best = ties[run_heads(owners[ties])]  # one entry per present profile, ascending
         best_neighbors = graph.neighbors[best]
         best_weights = graph.weights[best]
         pair_i = np.minimum(present, best_neighbors)
@@ -170,45 +286,31 @@ class ArrayPPSCore:
     def emit_schedule(
         self, schedule: Sequence[int], k: int
     ) -> Iterator[Comparison]:
-        """The entire Algorithm 6 emission, precomputed in one array pass.
-
-        Processing the Sorted Profile List in order with a persistent
-        ``checkedEntities`` set means edge (i, j) is considered exactly
-        once, from whichever endpoint is scheduled *earlier* - i.e. keep
-        the edge iff ``rank[neighbor] > rank[owner]``.  Sorting the kept
-        edges by ``(rank[owner], -weight, neighbor)`` and truncating each
-        owner segment at K_max reproduces the per-profile SortedStack
-        drains end to end, without any per-profile Python work.
-        """
+        """The entire Algorithm 6 emission, precomputed by
+        :func:`pps_schedule` over the fan-out's owner ranges."""
         graph = self.graph
         n = self.index.n_profiles
         order_pids = np.asarray(schedule, dtype=np.int64)
         rank = np.full(n, n, dtype=np.int64)
         rank[order_pids] = np.arange(order_pids.size, dtype=np.int64)
-
-        owners = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
-        keep = rank[graph.neighbors] > rank[owners]
-        owner = owners[keep]
-        neighbor = graph.neighbors[keep]
-        weight = graph.weights[keep]
-        if owner.size == 0:
-            return iter(())
-
-        owner_rank = rank[owner]
-        # For a fixed owner, ordering by bare neighbor id equals ordering
-        # by the canonical (i, j) pair, so three sort keys suffice.
-        emission_order = np.lexsort((neighbor, -weight, owner_rank))
-        segment_rank = owner_rank[emission_order]
-        heads = np.empty(segment_rank.size, dtype=bool)
-        heads[0] = True
-        np.not_equal(segment_rank[1:], segment_rank[:-1], out=heads[1:])
-        positions = np.arange(segment_rank.size, dtype=np.int64)
-        segment_starts = np.maximum.accumulate(np.where(heads, positions, 0))
-        selected = emission_order[positions - segment_starts < k]
-
-        i = np.minimum(owner[selected], neighbor[selected])
-        j = np.maximum(owner[selected], neighbor[selected])
-        return iter_comparisons(i, j, weight[selected])
+        payload = {
+            "indptr": graph.indptr,
+            "neighbors": graph.neighbors,
+            "weights": graph.weights,
+            "rank": rank,
+            "k": k,
+        }
+        ranges = self.fanout.ranges(n, np.diff(graph.indptr))
+        parts = list(self.fanout.run(pps_schedule, payload, ranges))
+        if len(parts) == 1:
+            i, j, weight, _ = parts[0]
+        else:
+            i, j, weight, owner_rank = (
+                np.concatenate(column) for column in zip(*parts)
+            )
+            by_rank = np.argsort(owner_rank, kind="stable")
+            i, j, weight = i[by_rank], j[by_rank], weight[by_rank]
+        return iter_comparisons(i, j, weight)
 
 
 class ArrayPBSCore:
@@ -224,101 +326,40 @@ class ArrayPBSCore:
         "pair_weights",
     )
 
-    def __init__(self, index: ArrayProfileIndex, graph: ArrayBlockingGraph) -> None:
+    def __init__(
+        self,
+        index: ArrayProfileIndex,
+        graph: ArrayBlockingGraph,
+        fanout: Fanout = INLINE,
+    ) -> None:
         self.index = index
         self.graph = graph
-        self._build_block_indptr()
-        self.pair_i, self.pair_j = self._enumerate_pairs()
+        # Block-major slots: block b owns event range indptr[b]:indptr[b+1].
+        self.block_indptr = np.zeros(index.block_count() + 1, dtype=np.int64)
+        np.cumsum(index.block_cardinalities, out=self.block_indptr[1:])
+        self._enumerate_pairs(fanout)
         self._finalize_events()
 
-    def _build_block_indptr(self) -> None:
-        """Block-major slots: block b owns event range indptr[b]:indptr[b+1]."""
-        cardinalities = self.index.block_cardinalities
-        indptr = np.zeros(self.index.block_count() + 1, dtype=np.int64)
-        np.cumsum(cardinalities, out=indptr[1:])
-        self.block_indptr = indptr
-
-    def _enumerate_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Enumerate every block comparison once, as flat arrays.
-
-        Blocks are batched by shape (size for Dirty ER, left x right
-        split for Clean-clean) so pair generation is a handful of 2-D
-        array operations per *distinct* shape instead of one call per
-        block; each batch scatters into its blocks' slots of the
-        block-major event arrays.  Block-major order is what makes a
-        stable argsort over canonical pair keys equal the paper's
-        LeCoBI condition ("first event of each key" = least common
-        block id).
-
-        Overridable seam: the parallel backend's core regenerates these
-        two arrays from contiguous block shards instead (pair order
-        inside a block is deterministic per block, so concatenation is
-        exact); everything else is shared.
-        """
-        index = self.index
-        clean_clean = index.store.er_type is ERType.CLEAN_CLEAN
-        sources = index.sources
-        block_count = index.block_count()
-        bp_indptr, bp_indices = index.bp_indptr, index.bp_indices
-
-        cardinalities = index.block_cardinalities
-        indptr = self.block_indptr
-        total = int(indptr[-1])
-        pair_i = np.empty(total, dtype=np.int64)
-        pair_j = np.empty(total, dtype=np.int64)
-
-        sizes = np.diff(bp_indptr)
-        if clean_clean:
-            left_sizes = np.zeros(block_count, dtype=np.int64)
-            entry_owners = np.repeat(np.arange(block_count, dtype=np.int64), sizes)
-            np.add.at(left_sizes, entry_owners, sources[bp_indices] == 0)  # repro-analyze: ignore[determinism] integer count scatter, order-independent
-            shapes = left_sizes * (sizes.max() + 1 if block_count else 1) + sizes
-        else:
-            shapes = sizes
-
-        for shape in np.unique(shapes):
-            batch = np.nonzero((shapes == shape) & (cardinalities > 0))[0]
-            if batch.size == 0:
-                continue
-            size = int(sizes[batch[0]])
-            members = bp_indices[
-                multi_arange(bp_indptr[batch], np.full(batch.size, size))
-            ].reshape(batch.size, size)
-            if clean_clean:
-                # Stable sort by source keeps each side's in-block order,
-                # then every row is [left..., right...].
-                split = int(left_sizes[batch[0]])
-                order = np.argsort(
-                    sources[members], axis=1, kind="stable"
-                )
-                members = np.take_along_axis(members, order, axis=1)
-                left, right = members[:, :split], members[:, split:]
-                raw_i = np.repeat(left, size - split, axis=1).ravel()
-                raw_j = np.tile(right, (1, split)).ravel()
-            else:
-                a, b = np.triu_indices(size, 1)
-                raw_i = members[:, a].ravel()
-                raw_j = members[:, b].ravel()
-            slots = multi_arange(
-                indptr[batch], np.full(batch.size, int(cardinalities[batch[0]]))
-            )
-            pair_i[slots] = np.minimum(raw_i, raw_j)
-            pair_j[slots] = np.maximum(raw_i, raw_j)
-        return pair_i, pair_j
+    def _enumerate_pairs(self, fanout: Fanout) -> None:
+        """Every block comparison once, as flat block-major arrays:
+        :func:`block_pairs` over block ranges balanced on cardinality
+        (each block's comparison count - the exact generation mass)."""
+        ranges = fanout.ranges(
+            self.index.block_count(), self.index.block_cardinalities
+        )
+        pair_i = collector(None, np.int64)
+        pair_j = collector(None, np.int64)
+        for part_i, part_j in fanout.run(block_pairs, self.graph.payload, ranges):
+            pair_i.append(part_i)
+            pair_j.append(part_j)
+        self.pair_i, self.pair_j = pair_i.finish(), pair_j.finish()
 
     def _finalize_events(self) -> None:
         """LeCoBI repeat detection + pair weights over the event arrays."""
-        n = self.index.n_profiles
-        keys = self.pair_i * n + self.pair_j
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        head = np.empty(sorted_keys.size, dtype=bool)
-        if sorted_keys.size:
-            head[0] = True
-            np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
-        first = np.zeros(keys.size, dtype=bool)
-        first[order[head]] = True
-        self.first_encounter = first
+        keys = self.pair_i * self.index.n_profiles + self.pair_j
+        order, _sorted_keys, heads = stable_groups(keys)
+        self.first_encounter = np.zeros(keys.size, dtype=bool)
+        self.first_encounter[order[heads]] = True
         self.pair_weights = self.graph.edge_weights_for(keys)
 
     def block_comparisons(self, block_id: int) -> list[Comparison]:

@@ -22,9 +22,9 @@ bit, and decisions are identical to the pure-Python loop by
 construction.  Tier counters are bulk-updated with the same semantics
 the loop would produce (tier 1 only ever *sees* tier 0's residue).
 
-Fan-out: :func:`repro.parallel.tasks.cascade_pairs_task` runs the same
-overlap kernel on pair shards over the worker pool; the token-row CSR
-ships once per pool as the resident payload.
+Fan-out: :func:`pair_overlap` is a range kernel over the batch's pairs
+(independent events, so the ranges' outputs concatenate exactly); the
+token-row CSR is its payload, which a pooled fan-out ships once.
 """
 
 from __future__ import annotations
@@ -42,25 +42,26 @@ from repro.core.comparisons import Comparison  # noqa: E402
 from repro.core.profiles import ProfileStore  # noqa: E402
 from repro.core.tokenization import DEFAULT_TOKENIZER  # noqa: E402
 from repro.engine.csr import multi_arange  # noqa: E402
+from repro.engine.storage import collector  # noqa: E402
 from repro.matching.cascade import MatcherCascade, TierDecision  # noqa: E402
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.substrate import ArraySubstrate
-    from repro.parallel.pool import WorkerPool
 
 
 def pair_overlap(
-    indptr: np.ndarray,
-    tokens: np.ndarray,
-    left: np.ndarray,
-    right: np.ndarray,
+    payload: dict[str, Any], shard: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(equal, jaccard)`` of each ``(left[k], right[k])`` profile pair.
+    """Range kernel: ``(equal, jaccard)`` of each ``(left[k], right[k])``
+    profile pair of one slice of the batch.
 
-    ``indptr``/``tokens`` is the per-profile distinct token-id CSR of
-    :meth:`ArraySubstrate.token_rows`.  Returns a bool array (normalized
+    The payload's ``indptr``/``tokens`` is the per-profile distinct
+    token-id CSR of :meth:`ArraySubstrate.token_rows`; the shard carries
+    its own slices of the pair arrays.  Returns a bool array (normalized
     equality) and a float64 array (Jaccard; both-empty pairs score 1.0).
     """
+    indptr, tokens = payload["indptr"], payload["tokens"]
+    left, right = shard
     count = int(left.size)
     if count == 0:
         return (
@@ -116,9 +117,8 @@ class CascadeBatchMatcher:
     decisions, similarities and tier counters all match the pure-Python
     reference exactly.
 
-    ``pool``/``shards``: an optional :class:`WorkerPool` fans the
-    overlap kernel over uniform pair shards (the token-row CSR ships
-    once as the resident payload); without one the kernel runs inline.
+    The substrate's fan-out (the session backend's) decides the pair
+    ranges :func:`pair_overlap` runs over and who runs them.
     """
 
     def __init__(
@@ -126,14 +126,10 @@ class CascadeBatchMatcher:
         substrate: "ArraySubstrate",
         cascade: MatcherCascade,
         store: ProfileStore,
-        pool: "WorkerPool | None" = None,
-        shards: int | None = None,
     ) -> None:
         self.substrate = substrate
         self.cascade = cascade
         self.store = store
-        self.pool = pool
-        self.shards = shards
         self.prefix = cascade.batchable_prefix()
         if substrate.spec.tokenizer is not DEFAULT_TOKENIZER:
             # The substrate's rows intern a different token view; the
@@ -152,27 +148,19 @@ class CascadeBatchMatcher:
         if self._payload is None:
             indptr, tokens = self.substrate.token_rows()
             self._payload = {"indptr": indptr, "tokens": tokens}
-        payload = self._payload
-        pool = self.pool
-        if pool is None or not pool.parallel or left.size == 0:
-            return pair_overlap(
-                payload["indptr"], payload["tokens"], left, right
-            )
-        from repro.parallel.plan import ShardPlan
-        from repro.parallel.tasks import cascade_pairs_task
-
-        shard_count = self.shards or pool.workers or 1
-        plan = ShardPlan.uniform(int(left.size), shard_count)
-        chunks = [
+        fanout = self.substrate.fanout
+        shards = [
             (left[lo:hi], right[lo:hi])
-            for lo, hi in plan.ranges()
-            if hi > lo
+            for lo, hi in fanout.ranges(int(left.size))
         ]
-        results = pool.run(cascade_pairs_task, payload, chunks)
-        return (
-            np.concatenate([equal for equal, _ in results]),
-            np.concatenate([jaccard for _, jaccard in results]),
-        )
+        equal = collector(None, bool)
+        jaccard = collector(None, np.float64)
+        for part_equal, part_jaccard in fanout.run(
+            pair_overlap, self._payload, shards
+        ):
+            equal.append(part_equal)
+            jaccard.append(part_jaccard)
+        return equal.finish(), jaccard.finish()
 
     def decide_batch(
         self, comparisons: Sequence[Comparison]

@@ -30,10 +30,13 @@ hoped for:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.engine import require_numpy
-from repro.engine.topk import sort_pairs_descending, top_k_pairs
+from repro.engine.fanout import INLINE, Fanout
+from repro.engine.segments import first_k_per_run
+from repro.engine.storage import collector
+from repro.engine.topk import rank_pairs, top_k_pairs
 
 require_numpy("repro.engine.pruning")
 
@@ -46,78 +49,75 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 EdgeArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def directed_entries(
-    i: np.ndarray, j: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def directed_payload(
+    i: np.ndarray, j: np.ndarray, weights: np.ndarray, n: int
+) -> dict[str, Any]:
     """Both directions of every edge, sorted by ``(owner, other)``.
 
-    Returns ``(owners, others, weights, edge_ids)`` where ``edge_ids``
-    index back into the input arrays.  Each owner's entries are
-    contiguous with others ascending - the canonical accumulation order
-    of the node-pruning kernels, and the axis the sharded versions
-    partition by owner.
+    What the node kernels read: ``owners`` with their canonical
+    ``doubled_weights``, ``edge_ids`` indexing back into the input
+    arrays, and the ``owner_indptr`` delimiting each owner's entries.
+    Each owner's entries are contiguous with others ascending - the
+    canonical accumulation order of the node kernels, and the axis
+    their ranges cut.
     """
-    m = i.size
-    edge_ids = np.arange(m, dtype=np.int64)
+    edge_ids = np.arange(i.size, dtype=np.int64)
     owners = np.concatenate([i, j])
-    others = np.concatenate([j, i])
-    doubled = np.concatenate([weights, weights])
-    ids = np.concatenate([edge_ids, edge_ids])
-    n = int(max(int(i.max()), int(j.max()))) + 1 if m else 0
-    order = np.argsort(owners * n + others, kind="stable")
-    return owners[order], others[order], doubled[order], ids[order]
+    order = np.argsort(owners * n + np.concatenate([j, i]), kind="stable")
+    owners = owners[order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owners, minlength=n), out=indptr[1:])
+    return {
+        "owners": owners,
+        "doubled_weights": np.concatenate([weights, weights])[order],
+        "edge_ids": np.concatenate([edge_ids, edge_ids])[order],
+        "owner_indptr": indptr,
+    }
 
 
-def node_thresholds(
-    owners: np.ndarray, weights: np.ndarray, n: int
-) -> np.ndarray:
-    """Per-node local mean weight (0.0 for isolated nodes).
+def node_weight_sums(payload: dict[str, Any], shard: tuple[int, int]) -> np.ndarray:
+    """Range kernel: summed edge weight of each owner node in ``[lo, hi)``.
 
-    ``owners``/``weights`` must be the ``(owner, other)``-sorted directed
-    entries: ``np.bincount`` then accumulates each node's weights
-    sequentially in ascending-neighbor order, bit-identical to the
-    reference loop.
+    Every owner's entries are contiguous and ``(owner, other)``-sorted,
+    so ``np.bincount`` accumulates each node's weights sequentially in
+    ascending-neighbor order, bit-identical to the reference loop.
     """
-    counts = np.bincount(owners, minlength=n)
-    sums = np.bincount(owners, weights=weights, minlength=n)
-    thresholds = np.zeros(n, dtype=np.float64)
-    populated = counts > 0
-    np.divide(sums, counts, out=thresholds, where=populated)
-    return thresholds
+    lo, hi = shard
+    indptr = payload["owner_indptr"]
+    start, stop = int(indptr[lo]), int(indptr[hi])
+    return np.bincount(
+        np.asarray(payload["owners"][start:stop]),
+        weights=np.asarray(payload["doubled_weights"][start:stop]),
+        minlength=hi,
+    )[lo:]
 
 
-def node_topk_votes(
-    owners: np.ndarray,
-    weights: np.ndarray,
-    edge_ids: np.ndarray,
-    tie_i: np.ndarray,
-    tie_j: np.ndarray,
-    k: int,
-    edge_count: int,
-) -> np.ndarray:
-    """How many endpoints retain each edge in their local top-k (0..2).
+def node_topk(payload: dict[str, Any], shard: tuple[int, int]) -> np.ndarray:
+    """Range kernel: the edges (ids) in the local top-k of each owner
+    node in ``[lo, hi)``.
 
     ``tie_i``/``tie_j`` are the canonical pair coordinates of each
     directed entry, so ties at equal weight break by ascending
     ``(i, j)`` - the exact order of the reference's
-    ``heapq.nlargest(k, ..., key=(weight, -i, -j))``.  Selection uses
-    the segment-rank trick of the PPS emission kernel: sort by
-    ``(owner, -weight, i, j)``, keep ranks below ``k`` per owner
-    segment.
+    ``heapq.nlargest(k, ..., key=(weight, -i, -j))``.  The sort by
+    ``(owner, -weight, i, j)`` and the truncation of each owner's run at
+    ``k`` only ever compare entries of one owner, and an owner lives in
+    exactly one range.
     """
-    votes = np.zeros(edge_count, dtype=np.int64)
-    if owners.size == 0 or k <= 0:
-        return votes
-    order = np.lexsort((tie_j, tie_i, -weights, owners))
-    segment_owner = owners[order]
-    heads = np.empty(segment_owner.size, dtype=bool)
-    heads[0] = True
-    np.not_equal(segment_owner[1:], segment_owner[:-1], out=heads[1:])
-    positions = np.arange(segment_owner.size, dtype=np.int64)
-    segment_starts = np.maximum.accumulate(np.where(heads, positions, 0))
-    selected = order[positions - segment_starts < k]
-    np.add.at(votes, edge_ids[selected], 1)  # repro-analyze: ignore[determinism] integer vote count, order-independent
-    return votes
+    lo, hi = shard
+    indptr = payload["owner_indptr"]
+    start, stop = int(indptr[lo]), int(indptr[hi])
+    owners = np.asarray(payload["owners"][start:stop])
+    order = np.lexsort(
+        (
+            np.asarray(payload["tie_j"][start:stop]),
+            np.asarray(payload["tie_i"][start:stop]),
+            -np.asarray(payload["doubled_weights"][start:stop]),
+            owners,
+        )
+    )
+    selected = order[first_k_per_run(owners[order], payload["k"])]
+    return np.asarray(payload["edge_ids"][start:stop])[selected]
 
 
 def wep_threshold(weights: np.ndarray) -> float:
@@ -131,55 +131,75 @@ def wep_threshold(weights: np.ndarray) -> float:
 
 
 def pruned_mask(
-    graph: "ArrayBlockingGraph", algorithm: str, k: int | None = None
+    graph: "ArrayBlockingGraph",
+    algorithm: str,
+    k: int | None = None,
+    fanout: Fanout = INLINE,
 ) -> np.ndarray:
     """Boolean retention mask over ``graph.edges()`` for ``algorithm``.
 
     ``algorithm`` must be a canonical name (``WEP``/``CEP``/``WNP``/
     ``CNP``/``RWNP``/``RCNP`` - resolve spellings through
     :data:`repro.registry.pruning_algorithms` first); the cardinality
-    algorithms require an explicit ``k``.
+    algorithms require an explicit ``k``.  Node statistics run per owner
+    range of ``fanout``; the global scalar aggregates (the WEP mean, the
+    CEP budget threshold) are one sequential pass either way.
     """
     i, j, weights = graph.edges()
-    m = i.size
+    m = int(i.size)
     if m == 0:
         return np.zeros(0, dtype=bool)
     if algorithm == "WEP":
         return weights >= wep_threshold(weights)
     if algorithm == "CEP":
-        require_k(algorithm, k)
         mask = np.zeros(m, dtype=bool)
-        mask[top_k_pairs(i, j, weights, int(k))] = True
+        mask[top_k_pairs(i, j, weights, require_k(algorithm, k))] = True
         return mask
+    if algorithm not in ("WNP", "RWNP", "CNP", "RCNP"):
+        raise ValueError(
+            f"no array kernel for pruning algorithm {algorithm!r}; "
+            "expected one of WEP, CEP, WNP, CNP, RWNP, RCNP"
+        )
     n = graph.index.n_profiles
-    owners, others, doubled, edge_ids = directed_entries(i, j, weights)
+    payload = directed_payload(i, j, weights, n)
+    counts = np.diff(payload["owner_indptr"])
+    ranges = fanout.ranges(n, counts)
     if algorithm in ("WNP", "RWNP"):
-        thresholds = node_thresholds(owners, doubled, n)
+        sums = collector(None, np.float64)
+        for part in fanout.run(node_weight_sums, payload, ranges):
+            sums.append(part)
+        thresholds = np.zeros(n, dtype=np.float64)
+        np.divide(sums.finish(), counts, out=thresholds, where=counts > 0)
         clears_i = weights >= thresholds[i]
         clears_j = weights >= thresholds[j]
         return clears_i | clears_j if algorithm == "WNP" else clears_i & clears_j
-    if algorithm in ("CNP", "RCNP"):
-        require_k(algorithm, k)
-        votes = node_topk_votes(
-            owners, doubled, edge_ids, i[edge_ids], j[edge_ids], int(k), m
-        )
-        return votes >= 1 if algorithm == "CNP" else votes == 2
-    raise ValueError(
-        f"no array kernel for pruning algorithm {algorithm!r}; "
-        "expected one of WEP, CEP, WNP, CNP, RWNP, RCNP"
+    payload.update(
+        tie_i=i[payload["edge_ids"]],
+        tie_j=j[payload["edge_ids"]],
+        k=require_k(algorithm, k),
     )
+    selected = collector(None, np.int64)
+    for part in fanout.run(node_topk, payload, ranges):
+        selected.append(part)
+    votes = np.zeros(m, dtype=np.int64)
+    np.add.at(votes, selected.finish(), 1)  # repro-analyze: ignore[determinism] integer vote count, order-independent
+    return votes >= 1 if algorithm == "CNP" else votes == 2
 
 
-def require_k(algorithm: str, k: int | None) -> None:
+def require_k(algorithm: str, k: int | None) -> int:
     if k is None:
         raise ValueError(
             f"{algorithm} needs an explicit cardinality budget k "
             "(the dispatcher computes the literature default)"
         )
+    return int(k)
 
 
 def prune_array_graph(
-    graph: "ArrayBlockingGraph", algorithm: str, k: int | None = None
+    graph: "ArrayBlockingGraph",
+    algorithm: str,
+    k: int | None = None,
+    fanout: Fanout = INLINE,
 ) -> EdgeArrays:
     """Retained edges of ``graph`` under ``algorithm``, ranked.
 
@@ -190,13 +210,10 @@ def prune_array_graph(
     i, j, weights = graph.edges()
     if algorithm == "CEP":
         # top_k_pairs already returns the ranked selection directly.
-        require_k(algorithm, k)
-        selected = top_k_pairs(i, j, weights, int(k))
+        selected = top_k_pairs(i, j, weights, require_k(algorithm, k))
         return i[selected], j[selected], weights[selected]
-    mask = pruned_mask(graph, algorithm, k)
-    i, j, weights = i[mask], j[mask], weights[mask]
-    order = sort_pairs_descending(i, j, weights)
-    return i[order], j[order], weights[order]
+    mask = pruned_mask(graph, algorithm, k, fanout)
+    return rank_pairs(i[mask], j[mask], weights[mask], fanout)
 
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

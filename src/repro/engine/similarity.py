@@ -22,13 +22,14 @@ applied pair-by-pair against an :class:`ArrayPositionIndex`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from repro.core.comparisons import Comparison
 from repro.core.profiles import ERType, ProfileStore
 from repro.engine import require_numpy
 from repro.engine.csr import ArrayPositionIndex
-from repro.engine.topk import iter_comparisons
+from repro.engine.fanout import INLINE, Fanout
+from repro.engine.topk import iter_comparisons, rank_pairs
 from repro.neighborlist.rcf import CFWeighting, NeighborWeighting, RCFWeighting
 
 require_numpy("repro.engine.similarity")
@@ -37,6 +38,45 @@ import numpy as np  # noqa: E402  (guarded optional dependency)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.neighborlist.neighbor_list import NeighborList
+
+
+def window_counts(
+    payload: dict[str, Any], shard: tuple[int, int, tuple[int, ...]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Range kernel: grouped co-occurrence counts of positions ``[lo, hi)``.
+
+    For window distance ``d`` the events are the aligned pairs
+    ``(entries[p], entries[p + d])``; the range owns positions ``p`` in
+    ``[lo, hi)``, across every requested distance.  Returns the valid
+    pairs' canonical keys (sorted, unique) with their counts.  Counts
+    are integers over per-pair disjoint events, so summing the ranges'
+    groupings equals one ``np.unique`` over the whole list.
+    """
+    lo, hi, distances = shard
+    entries = payload["entries"]
+    sources = payload["sources"]
+    size = entries.shape[0]
+    key_chunks: list[np.ndarray] = []
+    for distance in distances:
+        if distance < 1 or distance >= size:
+            continue
+        stop = min(hi, size - distance)
+        if lo >= stop:
+            continue
+        a = np.asarray(entries[lo:stop])
+        b = np.asarray(entries[lo + distance : stop + distance])
+        if payload["clean_clean"]:
+            valid = sources[a] != sources[b]
+        else:
+            valid = a != b
+        low = np.minimum(a[valid], b[valid])
+        high = np.maximum(a[valid], b[valid])
+        key_chunks.append(low * payload["n_profiles"] + high)
+    if not key_chunks:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    keys = key_chunks[0] if len(key_chunks) == 1 else np.concatenate(key_chunks)
+    return np.unique(keys, return_counts=True)
 
 
 class ArrayPSNCore:
@@ -52,16 +92,19 @@ class ArrayPSNCore:
         A :class:`NeighborWeighting` strategy instance.  RCF and CF run
         fully vectorized; any other strategy gets vectorized frequencies
         and a per-pair Python fallback for the weights.
+    fanout:
+        The ranges the counting and ranking kernels run over, and who
+        runs them.
     """
 
     __slots__ = (
         "entries",
         "store",
         "weighting",
+        "fanout",
         "position_index",
         "n_profiles",
-        "_sources",
-        "_clean_clean",
+        "_payload",
         "_appearances",
     )
 
@@ -70,18 +113,26 @@ class ArrayPSNCore:
         neighbor_list: "NeighborList",
         store: ProfileStore,
         weighting: NeighborWeighting,
+        fanout: Fanout = INLINE,
     ) -> None:
         self.entries = np.asarray(neighbor_list.entries, dtype=np.int64)
         self.store = store
         self.weighting = weighting
+        self.fanout = fanout
         self.position_index = ArrayPositionIndex(neighbor_list)
         self.n_profiles = len(store)
-        self._sources = np.fromiter(
-            (profile.source for profile in store),
-            dtype=np.int64,
-            count=self.n_profiles,
-        )
-        self._clean_clean = store.er_type is ERType.CLEAN_CLEAN
+        # One payload object for the whole core: a pooled fan-out ships
+        # it once and every window of an LS-PSN run reuses it.
+        self._payload: dict[str, Any] = {
+            "entries": self.entries,
+            "sources": np.fromiter(
+                (profile.source for profile in store),
+                dtype=np.int64,
+                count=self.n_profiles,
+            ),
+            "clean_clean": store.er_type is ERType.CLEAN_CLEAN,
+            "n_profiles": self.n_profiles,
+        }
         self._appearances = np.bincount(self.entries, minlength=self.n_profiles)
 
     # -- frequency counting --------------------------------------------------
@@ -95,31 +146,15 @@ class ArrayPSNCore:
         Pairs come back canonical (i < j) and key-sorted; the caller
         re-sorts by weight for emission anyway.
         """
-        entries = self.entries
-        size = entries.size
-        key_chunks: list[np.ndarray] = []
-        for distance in distances:
-            if distance < 1 or distance >= size:
-                continue
-            a = entries[:-distance]
-            b = entries[distance:]
-            if self._clean_clean:
-                valid = self._sources[a] != self._sources[b]
-            else:
-                valid = a != b
-            low = np.minimum(a[valid], b[valid])
-            high = np.maximum(a[valid], b[valid])
-            key_chunks.append(low * self.n_profiles + high)
-        if not key_chunks:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty
-        keys = key_chunks[0] if len(key_chunks) == 1 else np.concatenate(key_chunks)
-        unique_keys, frequencies = np.unique(keys, return_counts=True)
-        return (
-            unique_keys // self.n_profiles,
-            unique_keys % self.n_profiles,
-            frequencies,
+        windows = tuple(int(distance) for distance in distances)
+        shards = [
+            (lo, hi, windows)
+            for lo, hi in self.fanout.ranges(int(self.entries.size))
+        ]
+        keys, frequencies = self.fanout.merge_counts(
+            list(self.fanout.run(window_counts, self._payload, shards))
         )
+        return keys // self.n_profiles, keys % self.n_profiles, frequencies
 
     # -- weighting -----------------------------------------------------------
 
@@ -155,12 +190,7 @@ class ArrayPSNCore:
         """(i, j, weight) of one window range, in emission order."""
         i, j, frequencies = self.pair_frequencies(distances)
         weights = self._vector_weights(i, j, frequencies)
-        # Pairs come key-sorted from the grouped count, so one stable
-        # sort on descending weight leaves weight ties in ascending
-        # (i, j) order - the full ``(-weight, i, j)`` emission order at
-        # a third of the lexsort passes.
-        order = np.argsort(-weights, kind="stable")
-        return i[order], j[order], weights[order]
+        return rank_pairs(i, j, weights, self.fanout)
 
     def window_comparisons(self, distances: Sequence[int]) -> list[Comparison]:
         """Weighted comparisons of one window range, best first."""

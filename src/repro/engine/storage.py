@@ -13,7 +13,8 @@ bounded-RAM as well:
 
 * :class:`SpillWriter` - append-only chunk spilling for streams whose
   length is unknown up front (the tokenization sweep), finished into a
-  single memmap array;
+  single memmap array - :func:`collector` hands a pass assembled range
+  by range either one of these or its in-RAM twin;
 * :func:`stable_group_scatter` - an out-of-core counting sort that
   groups values by integer key while preserving input order within each
   group.  It is bit-identical to the in-RAM idiom used throughout the
@@ -40,6 +41,8 @@ from repro.engine import require_numpy
 require_numpy("disk-backed storage (repro.engine.storage)")
 
 import numpy as np  # noqa: E402  (guarded optional dependency)
+
+from repro.engine.segments import run_heads  # noqa: E402
 
 #: Elements per chunk for the out-of-core passes: 1M int64 keys is an
 #: 8 MB resident slice - small enough to keep peak RSS flat, large
@@ -190,6 +193,33 @@ class SpillWriter:
         return np.memmap(self._path, dtype=self.dtype, mode="r+")
 
 
+class ChunkList:
+    """The in-RAM twin of :class:`SpillWriter`: chunks, concatenated.
+
+    A stream of one chunk finishes into that chunk itself - the
+    whole-axis pass pays no concatenation copy.
+    """
+
+    def __init__(self, dtype: Any) -> None:
+        self.dtype = np.dtype(dtype)
+        self._chunks: list[np.ndarray] = []
+
+    def append(self, chunk: Any) -> None:
+        self._chunks.append(np.asarray(chunk, dtype=self.dtype))
+
+    def finish(self) -> np.ndarray:
+        if not self._chunks:
+            return np.empty(0, dtype=self.dtype)
+        if len(self._chunks) == 1:
+            return self._chunks[0]
+        return np.concatenate(self._chunks)
+
+
+def collector(storage: ArrayStore | None, dtype: Any) -> "SpillWriter | ChunkList":
+    """The RAM-or-spill sink of a pass assembled range by range."""
+    return ChunkList(dtype) if storage is None else storage.writer(dtype)
+
+
 def _slice(source: Any, lo: int, hi: int) -> np.ndarray:
     """One chunk of an array-like or of a ``(lo, hi) -> chunk`` callable.
 
@@ -258,10 +288,7 @@ def stable_group_scatter(
         chunk_keys = _slice(keys, lo, hi)
         order = np.argsort(chunk_keys, kind="stable")
         sorted_keys = chunk_keys[order]
-        heads = np.empty(sorted_keys.size, dtype=bool)
-        heads[0] = True
-        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=heads[1:])
-        starts = np.flatnonzero(heads)
+        starts = np.flatnonzero(run_heads(sorted_keys))
         run_lengths = np.diff(np.append(starts, sorted_keys.size))
         run_keys = sorted_keys[starts]
         offsets = np.arange(sorted_keys.size, dtype=np.int64) - np.repeat(

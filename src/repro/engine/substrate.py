@@ -28,14 +28,15 @@ the same Python float product compared against exactly-representable
 int64 sizes, and the filter quota uses ``np.ceil`` on the same float64
 products ``math.ceil`` sees.
 
-:mod:`repro.parallel.substrate` subclasses this to shard the
-tokenization sweep across the worker pool.
+The sweep itself is the range kernel :func:`tokenize_range`; the
+owning backend's fan-out decides whether it runs once over the whole
+store, in bounded inline ranges (storage) or sharded over a worker pool.
 """
 
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.blocking.substrate import SubstrateSpec, check_order
 from repro.core.profiles import ERType, ProfileStore
@@ -46,15 +47,51 @@ require_numpy("repro.engine.substrate")
 import numpy as np  # noqa: E402  (guarded optional dependency)
 
 from repro.engine.csr import ArrayProfileIndex, gather_rows  # noqa: E402
-from repro.engine.storage import ArrayStore, stable_group_scatter  # noqa: E402
+from repro.engine.fanout import INLINE, Fanout  # noqa: E402
+from repro.engine.storage import (  # noqa: E402
+    ArrayStore,
+    collector,
+    stable_group_scatter,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.blocking.base import BlockCollection
     from repro.neighborlist.neighbor_list import NeighborList
 
 
+def tokenize_range(
+    payload: dict[str, Any], shard: tuple[int, int]
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Range kernel: tokenize profiles ``[lo, hi)``.
+
+    Returns the range's token names in first-appearance order, the
+    local token id of every ``(profile, token)`` pair (profile-major,
+    each profile's distinct tokens in first-appearance order - the exact
+    order of :func:`repro.core.tokenization.token_stream`) and the
+    per-profile token counts.
+    """
+    lo, hi = shard
+    store = payload["store"]
+    tokenizer = payload["tokenizer"]
+    intern: dict[str, int] = {}
+    setdefault = intern.setdefault
+    token_ids: list[int] = []
+    append = token_ids.append
+    counts: list[int] = []
+    for profile_id in range(lo, hi):
+        tokens = tokenizer.distinct_profile_tokens(store[profile_id])
+        counts.append(len(tokens))
+        for token in tokens:
+            append(setdefault(token, len(intern)))
+    return (
+        list(intern),
+        np.asarray(token_ids, dtype=np.int64),
+        np.asarray(counts, dtype=np.int64),
+    )
+
+
 class ArraySubstrate:
-    """CSR blocking substrate of the sequential numpy backend.
+    """CSR blocking substrate of the array backends.
 
     Satisfies :class:`repro.contracts.BlockingSubstrate`.  All derived
     structures are cached; ``sweeps`` counts actual tokenization sweeps
@@ -65,7 +102,7 @@ class ArraySubstrate:
     #: directly from the postings.
     vectorized = True
 
-    #: Profiles tokenized per spill flush when storage is active - large
+    #: Profiles tokenized per inline range when storage is active - large
     #: enough to amortize array conversion, small enough that the
     #: resident token-id buffers stay in the tens of megabytes.
     TOKENIZE_FLUSH_PROFILES = 65536
@@ -75,9 +112,11 @@ class ArraySubstrate:
         store: ProfileStore,
         spec: SubstrateSpec,
         storage: ArrayStore | None = None,
+        fanout: Fanout = INLINE,
     ) -> None:
         self.store = store
         self.spec = spec
+        self.fanout = fanout
         #: Scratch ArrayStore of the owning backend instance; ``None``
         #: keeps the original all-RAM behavior byte for byte.  With a
         #: store, the sweep's pair arrays, the postings and the final
@@ -105,59 +144,45 @@ class ArraySubstrate:
     # -- the single sweep --------------------------------------------------
 
     def _tokenize(self) -> tuple[list[str], np.ndarray, np.ndarray]:
-        """One sequential sweep: interned names + (token, profile) arrays.
+        """The sweep: interned names + (token, profile) pair arrays.
 
-        Token ids are interned in first-appearance order; pairs are
-        profile-major with each profile's distinct tokens in
-        first-appearance order - the exact order of
-        :func:`repro.core.tokenization.token_stream`.
+        :func:`tokenize_range` interns each range locally; folding the
+        range vocabularies into the global intern map in range order
+        reproduces first-appearance intern order over the whole store
+        (a token's first appearance lives in the earliest range that
+        contains it), and ranges are contiguous and ascending, so the
+        collected pair arrays are profile-major.  The first range's
+        local ids already are the global ones, so a one-range sweep
+        never builds the map at all.
         """
-        tokenizer = self.spec.tokenizer
-        storage = self.storage
-        token_writer = (
-            storage.writer(np.int64) if storage is not None else None
+        ranges = self.fanout.ranges(
+            len(self.store),
+            budget=None if self.storage is None else self.TOKENIZE_FLUSH_PROFILES,
         )
-        profile_writer = (
-            storage.writer(np.int64) if storage is not None else None
-        )
+        payload = {"store": self.store, "tokenizer": self.spec.tokenizer}
+        first: list[str] | None = None
         intern: dict[str, int] = {}
-        setdefault = intern.setdefault
-        token_ids: list[int] = []
-        append = token_ids.append
-        profile_ids: list[int] = []
-        counts: list[int] = []
-        flush_every = self.TOKENIZE_FLUSH_PROFILES
-
-        def flush() -> None:
-            assert token_writer is not None and profile_writer is not None
-            token_writer.append(np.asarray(token_ids, dtype=np.int64))
-            profile_writer.append(
-                np.repeat(
-                    np.asarray(profile_ids, dtype=np.int64),
-                    np.asarray(counts, dtype=np.int64),
+        pair_tokens = collector(self.storage, np.int64)
+        pair_profiles = collector(self.storage, np.int64)
+        swept = self.fanout.run(tokenize_range, payload, ranges)
+        for (lo, hi), (names, tokens, counts) in zip(ranges, swept):
+            if first is None:
+                first = names
+            else:
+                if not intern:
+                    intern = dict(zip(first, range(len(first))))
+                mapping = np.fromiter(
+                    (intern.setdefault(name, len(intern)) for name in names),
+                    dtype=np.int64,
+                    count=len(names),
                 )
+                tokens = mapping[tokens]
+            pair_tokens.append(tokens)
+            pair_profiles.append(
+                np.repeat(np.arange(lo, hi, dtype=np.int64), counts)
             )
-            token_ids.clear()
-            profile_ids.clear()
-            counts.clear()
-
-        for profile in self.store:
-            tokens = tokenizer.distinct_profile_tokens(profile)
-            profile_ids.append(profile.profile_id)
-            counts.append(len(tokens))
-            for token in tokens:
-                append(setdefault(token, len(intern)))
-            if token_writer is not None and len(profile_ids) >= flush_every:
-                flush()
-        if token_writer is not None and profile_writer is not None:
-            flush()
-            return list(intern), token_writer.finish(), profile_writer.finish()
-        pair_tokens = np.asarray(token_ids, dtype=np.int64)
-        pair_profiles = np.repeat(
-            np.asarray(profile_ids, dtype=np.int64),
-            np.asarray(counts, dtype=np.int64),
-        )
-        return list(intern), pair_tokens, pair_profiles
+        vocabulary = list(intern) if intern else first or []
+        return vocabulary, pair_tokens.finish(), pair_profiles.finish()
 
     def _sweep(self) -> None:
         if self._pair_tokens is not None:

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro.core.comparisons import Comparison
 from repro.engine import require_numpy
+from repro.engine.fanout import INLINE, Fanout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.weights import ArrayBlockingGraph
@@ -48,20 +49,45 @@ def sort_pairs_descending(
     return np.lexsort((j, i, -weights))
 
 
+def rank_slice(
+    _payload: None, shard: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Range kernel: one slice of key-sorted pairs, ranked.
+
+    The shard carries its own ``(i, j, weight)`` slices (nothing is
+    resident between calls).  The slices ascend by canonical pair, so
+    one stable sort on descending weight leaves weight ties in ascending
+    ``(i, j)`` order - the full ``(-weight, i, j)`` emission order at a
+    third of the lexsort passes.
+    """
+    i, j, weights = shard
+    order = np.argsort(-weights, kind="stable")
+    return i[order], j[order], weights[order]
+
+
+def rank_pairs(
+    i: np.ndarray, j: np.ndarray, weights: np.ndarray, fanout: Fanout = INLINE
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Key-sorted scored pairs in emission order ``(-weight, i, j)``:
+    :func:`rank_slice` per range, the ranges' rankings merged."""
+    shards = [
+        (i[lo:hi], j[lo:hi], weights[lo:hi])
+        for lo, hi in fanout.ranges(int(i.size))
+    ]
+    return fanout.merge_ranked(list(fanout.run(rank_slice, None, shards)))
+
+
 def ranked_edges(
-    graph: "ArrayBlockingGraph",
+    graph: "ArrayBlockingGraph", fanout: Fanout = INLINE
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every distinct edge of an ``ArrayBlockingGraph``, ranked.
 
     The graph's upper-triangle edge set (each valid pair once, owned by
-    its smaller id - matching the reference enumeration) ordered by
-    ``(-weight, i, j)``.  This is the whole emission of the ONLINE
-    method on the numpy backend: the graph's cached edge extraction
-    plus one ``lexsort``.
+    its smaller id - matching the reference enumeration, and key-sorted
+    by construction) ordered by ``(-weight, i, j)``.  This is the whole
+    emission of the ONLINE method on the array backends.
     """
-    i, j, weights = graph.edges()
-    order = sort_pairs_descending(i, j, weights)
-    return i[order], j[order], weights[order]
+    return rank_pairs(*graph.edges(), fanout)
 
 
 def top_k_pairs(

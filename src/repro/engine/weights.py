@@ -32,10 +32,14 @@ the reference, weight for weight.
 from __future__ import annotations
 
 import math
+from typing import Any
 
+from repro.core.profiles import ERType
 from repro.engine import require_numpy
-from repro.engine.csr import ArrayProfileIndex, _mass_cuts, multi_arange
-from repro.engine.storage import DEFAULT_CHUNK, ArrayStore
+from repro.engine.csr import ArrayProfileIndex, multi_arange
+from repro.engine.fanout import INLINE, Fanout
+from repro.engine.segments import stable_groups
+from repro.engine.storage import DEFAULT_CHUNK, ArrayStore, collector
 from repro.registry import weighting_schemes
 
 require_numpy("repro.engine.weights")
@@ -230,6 +234,63 @@ def make_array_scheme(name: str, index: ArrayProfileIndex) -> ArrayWeighting:
     return cls(index)
 
 
+def graph_rows(payload: dict[str, Any], shard: tuple[int, int]) -> dict[str, Any]:
+    """Range kernel: the Blocking-Graph rows of the owners in ``[lo, hi)``.
+
+    Every block incidence of every owner expands into its co-member
+    events; grouping by the canonical ``owner * n + nbr`` key yields the
+    range's graph rows at once.  The expansion is generated owner-major
+    with blocks ascending, so the range owns a contiguous slice of the
+    global event stream, an edge's owner lives in exactly one range, and
+    ``np.bincount`` over the grouped ranks accumulates each edge's
+    contributions in exactly the reference dict order (bit-identical
+    sums).  ``first`` holds first-encounter positions local to the
+    range's valid-event stream; the assembly offsets them by the
+    preceding ranges' ``valid_count`` to recover the global indexes.
+    """
+    lo, hi = shard
+    n = payload["n"]
+    pb_indptr = payload["pb_indptr"]
+    pb_indices = payload["pb_indices"]
+    bp_indptr = payload["bp_indptr"]
+    bp_indices = payload["bp_indices"]
+    sources = payload["sources"]
+    block_sizes = np.diff(bp_indptr)
+
+    # Expand every (owner, block) incidence to its block members.
+    row_ptr = np.asarray(pb_indptr[lo : hi + 1])
+    incidence = np.asarray(pb_indices[row_ptr[0] : row_ptr[-1]])
+    incidence_counts = block_sizes[incidence]
+    owners = np.repeat(
+        np.repeat(np.arange(lo, hi, dtype=np.int64), np.diff(row_ptr)),
+        incidence_counts,
+    )
+    neighbors = bp_indices[multi_arange(bp_indptr[incidence], incidence_counts)]
+    contribution = np.repeat(payload["contributions"][incidence], incidence_counts)
+
+    valid = neighbors != owners
+    if payload["clean_clean"]:
+        valid &= sources[neighbors] != sources[owners]
+    owners = owners[valid]
+    neighbors = neighbors[valid]
+    contribution = contribution[valid]
+
+    # The scattered group ids feed one bincount whose C loop walks the
+    # *original* event order left to right - sequential accumulation.
+    keys = owners * n + neighbors
+    order, sorted_keys, heads = stable_groups(keys)
+    unique_keys = sorted_keys[heads]
+    ranks = np.empty(keys.size, dtype=np.int64)
+    ranks[order] = np.cumsum(heads) - 1
+    return {
+        "row_lengths": np.bincount(unique_keys // n, minlength=hi)[lo:],
+        "neighbors": unique_keys % n,
+        "raw": np.bincount(ranks, weights=contribution, minlength=unique_keys.size),
+        "first": order[heads],
+        "valid_count": int(owners.size),
+    }
+
+
 class ArrayBlockingGraph:
     """The full weighted Blocking Graph in per-profile CSR form.
 
@@ -241,12 +302,18 @@ class ArrayBlockingGraph:
     reference implementation iterates - so sorting a profile's edges by
     ``first_event_index`` replays that order, which PPS's likelihood
     sums and tie-breaks rely on.
+
+    ``payload`` is what the CSR-reading range kernels
+    (:func:`graph_rows`, :func:`repro.engine.equality.block_pairs`)
+    read; it lives on the graph so that a method running both (PBS)
+    hands a pooled fan-out the same object twice and ships it once.
     """
 
     __slots__ = (
         "index",
         "scheme",
         "storage",
+        "payload",
         "indptr",
         "neighbors",
         "raw",
@@ -256,8 +323,9 @@ class ArrayBlockingGraph:
         "_edge_weights",
     )
 
-    #: Co-occurrence events expanded per range in the spilled build; caps
-    #: the transient expansion arrays at a few tens of MB regardless of n.
+    #: Co-occurrence events expanded per range when the rows spill to
+    #: disk; caps the transient expansion arrays at a few tens of MB
+    #: regardless of n.
     EVENT_BUDGET = 1 << 21
 
     def __init__(
@@ -265,6 +333,7 @@ class ArrayBlockingGraph:
         index: ArrayProfileIndex,
         scheme: ArrayWeighting | str,
         storage: ArrayStore | None = None,
+        fanout: Fanout = INLINE,
     ) -> None:
         self.index = index
         self.scheme = (
@@ -273,211 +342,87 @@ class ArrayBlockingGraph:
             else scheme
         )
         self.storage = storage
-        if storage is None:
-            self._build_rows()
-        else:
-            self._build_rows_spilled(storage)
-        self.scheme.prepare(self)
-        self._finalize_rows()
-        self._edge_keys: np.ndarray | None = None
-        self._edge_weights: np.ndarray | None = None
-
-    @classmethod
-    def from_rows(
-        cls,
-        index: ArrayProfileIndex,
-        scheme: ArrayWeighting | str,
-        indptr: np.ndarray,
-        neighbors: np.ndarray,
-        raw: np.ndarray,
-        first_event_index: np.ndarray,
-        storage: ArrayStore | None = None,
-    ) -> "ArrayBlockingGraph":
-        """Assemble a graph whose raw rows were built elsewhere.
-
-        The seam for the sharded build (:mod:`repro.parallel.graph`):
-        workers produce contiguous row ranges that concatenate into
-        exactly the arrays :meth:`_build_rows` would have produced, and
-        preparation/finalization - which need the *whole* graph (EJS
-        degrees) - run here as usual.  ``storage`` marks row arrays that
-        already live in an :class:`ArrayStore`, so finalization runs
-        chunked and allocates its weights there too.
-        """
-        graph = cls.__new__(cls)
-        graph.index = index
-        graph.scheme = (
-            make_array_scheme(scheme, index) if isinstance(scheme, str) else scheme
-        )
-        graph.storage = storage
-        graph.indptr = indptr
-        graph.neighbors = neighbors
-        graph.raw = raw
-        graph.first_event_index = first_event_index
-        graph.scheme.prepare(graph)
-        graph._finalize_rows()
-        graph._edge_keys = None
-        graph._edge_weights = None
-        return graph
-
-    # -- construction --------------------------------------------------------
-
-    def _build_rows(self) -> None:
-        """One global array pass over all (profile, block, member) events.
-
-        Every block incidence of every profile expands into its
-        co-member events; grouping by the canonical ``owner * n + nbr``
-        key yields all graph rows at once.  The expansion is generated
-        profile-major with blocks ascending, so ``np.bincount`` over the
-        grouped ranks accumulates each edge's contributions in exactly
-        the reference dict order (bit-identical sums), and per-row
-        first-encounter positions fall out of ``np.unique``'s
-        first-occurrence indexes.
-        """
-        from repro.core.profiles import ERType
-
-        index = self.index
-        n = index.n_profiles
-        contributions = self.scheme.block_contributions()
-        clean_clean = index.store.er_type is ERType.CLEAN_CLEAN
-        sources = index.sources
-
-        pb_indptr, pb_indices = index.pb_indptr, index.pb_indices
-        bp_indptr, bp_indices = index.bp_indptr, index.bp_indices
-        block_sizes = np.diff(bp_indptr)
-
-        # Expand every (profile, block) incidence to its block members.
-        incidence_counts = block_sizes[pb_indices]
-        owners = np.repeat(
-            np.repeat(np.arange(n, dtype=np.int64), np.diff(pb_indptr)),
-            incidence_counts,
-        )
-        neighbors = bp_indices[multi_arange(bp_indptr[pb_indices], incidence_counts)]
-        contribution = np.repeat(contributions[pb_indices], incidence_counts)
-
-        valid = neighbors != owners
-        if clean_clean:
-            valid &= sources[neighbors] != sources[owners]
-        owners = owners[valid]
-        neighbors = neighbors[valid]
-        contribution = contribution[valid]
-
-        if owners.size == 0:
-            self.indptr = np.zeros(n + 1, dtype=np.int64)
-            self.neighbors = np.empty(0, dtype=np.int64)
-            self.raw = np.empty(0, dtype=np.float64)
-            self.first_event_index = np.empty(0, dtype=np.int64)
-            return
-
-        keys = owners * n + neighbors
-        # Group events by canonical edge key.  The stable argsort keeps
-        # each group's events in stream order, so the group head is the
-        # first encounter; the scattered group ids feed one bincount
-        # whose C loop walks the *original* event order left to right -
-        # sequential accumulation, bit-identical to the reference dict.
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        group_heads = np.empty(sorted_keys.size, dtype=bool)
-        group_heads[0] = True
-        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=group_heads[1:])
-        unique_keys = sorted_keys[group_heads]
-        first_index = order[group_heads]
-        ranks = np.empty(keys.size, dtype=np.int64)
-        ranks[order] = np.cumsum(group_heads) - 1
-        raw = np.bincount(ranks, weights=contribution, minlength=unique_keys.size)
-
-        row_owners = unique_keys // n
-        self.neighbors = unique_keys % n
-        self.raw = raw
-        row_lengths = np.bincount(row_owners, minlength=n)
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(row_lengths, out=self.indptr[1:])
-        self.first_event_index = first_index
-
-    def _build_rows_spilled(self, storage: ArrayStore) -> None:
-        """Bounded-RAM row build: sequential owner ranges spilled to disk.
-
-        The same restriction argument that makes the sharded build exact
-        (:mod:`repro.parallel.graph`) makes this one exact: owner ranges
-        own contiguous slices of the global event stream, each edge's
-        contributions accumulate inside one range in stream order, and
-        per-range first-encounter indexes globalize by adding the
-        preceding ranges' valid-event counts.  Here the ranges run
-        sequentially - sized so the per-range expansion stays a few tens
-        of MB - and the merged rows land in memmaps instead of RAM.
-        """
-        from repro.core.profiles import ERType
-
-        # Engine -> parallel is normally an inverted dependency; the task
-        # module is deliberately engine-only (kernels + numpy), and a
-        # lazy import keeps the layering violation out of import time.
-        from repro.parallel.tasks import graph_rows_task
-
-        index = self.index
-        n = index.n_profiles
-        payload = {
-            "n": n,
+        self.payload: dict[str, Any] = {
+            "n": index.n_profiles,
             "clean_clean": index.store.er_type is ERType.CLEAN_CLEAN,
             "sources": index.sources,
             "pb_indptr": index.pb_indptr,
             "pb_indices": index.pb_indices,
             "bp_indptr": index.bp_indptr,
             "bp_indices": index.bp_indices,
+            "cardinalities": index.block_cardinalities,
             "contributions": self.scheme.block_contributions(),
         }
+        self._build_rows(fanout)
+        self.scheme.prepare(self)
+        self._finalize_rows()
+        self._edge_keys: np.ndarray | None = None
+        self._edge_weights: np.ndarray | None = None
 
-        # Cut owner ranges by event mass: each (owner, block) incidence
-        # expands into that block's size worth of co-occurrence events.
-        block_sizes = np.diff(payload["bp_indptr"])
-        incidence_events = block_sizes[np.asarray(index.pb_indices)]
+    # -- construction --------------------------------------------------------
+
+    def _owner_event_mass(self) -> np.ndarray:
+        """Co-occurrence events each owner expands into: every (owner,
+        block) incidence contributes that block's size."""
+        index = self.index
+        incidence_events = np.diff(index.bp_indptr)[np.asarray(index.pb_indices)]
         cumulative = np.zeros(incidence_events.size + 1, dtype=np.int64)
         np.cumsum(incidence_events, out=cumulative[1:])
-        owner_mass = cumulative[index.pb_indptr[1:]] - cumulative[index.pb_indptr[:-1]]
-        cuts = _mass_cuts(owner_mass, self.EVENT_BUDGET)
+        return cumulative[index.pb_indptr[1:]] - cumulative[index.pb_indptr[:-1]]
 
-        neighbor_writer = storage.writer(np.int64)
-        raw_writer = storage.writer(np.float64)
-        first_writer = storage.writer(np.int64)
-        row_lengths = np.zeros(n, dtype=np.int64)
-        offset = 0
-        lo = 0
-        for hi in cuts:
-            result = graph_rows_task(payload, (lo, hi))
-            row_lengths[lo:hi] = result["row_lengths"]
-            neighbor_writer.append(result["neighbors"])
-            raw_writer.append(result["raw"])
-            first_writer.append(result["first"] + offset)
-            offset += result["valid_count"]
-            lo = hi
+    def _build_rows(self, fanout: Fanout) -> None:
+        """Assemble the raw rows from :func:`graph_rows` over owner ranges.
 
+        In RAM the fan-out's ranges are balanced on incidence counts
+        (the inline fan-out returns the whole axis); with storage they
+        are cut by event mass - sized so one range's expansion stays a
+        few tens of MB - and each range's rows spill before the next is
+        built.  Preparation (EJS degrees) and finalization need the
+        *whole* graph and run afterwards, elementwise over the
+        assembled rows.
+        """
+        index = self.index
+        n = index.n_profiles
+        if self.storage is None:
+            ranges = fanout.ranges(n, np.diff(index.pb_indptr))
+        else:
+            ranges = fanout.ranges(n, self._owner_event_mass(), self.EVENT_BUDGET)
+        neighbors = collector(self.storage, np.int64)
+        raw = collector(self.storage, np.float64)
+        first = collector(self.storage, np.int64)
         self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(row_lengths, out=self.indptr[1:])
-        self.neighbors = neighbor_writer.finish()
-        self.raw = raw_writer.finish()
-        self.first_event_index = first_writer.finish()
+        offset = 0
+        rows = fanout.run(graph_rows, self.payload, ranges)
+        for (lo, hi), result in zip(ranges, rows):
+            self.indptr[lo + 1 : hi + 1] = result["row_lengths"]
+            neighbors.append(result["neighbors"])
+            raw.append(result["raw"])
+            first.append(result["first"] + offset if offset else result["first"])
+            offset += result["valid_count"]
+        np.cumsum(self.indptr, out=self.indptr)
+        self.neighbors = neighbors.finish()
+        self.raw = raw.finish()
+        self.first_event_index = first.finish()
 
     def _finalize_rows(self) -> None:
-        if self.storage is not None:
-            edge_count = int(self.indptr[-1])
-            self.weights = self.storage.empty((edge_count,), np.float64)
-            for lo in range(0, edge_count, DEFAULT_CHUNK):
-                hi = min(lo + DEFAULT_CHUNK, edge_count)
-                owners = (
-                    np.searchsorted(
-                        self.indptr, np.arange(lo, hi, dtype=np.int64), side="right"
-                    )
-                    - 1
-                )
-                self.weights[lo:hi] = self.scheme.finalize_all(
+        """Elementwise normalization of the raw rows, owner range by
+        owner range (one range in RAM, ~``DEFAULT_CHUNK`` edges each
+        when the weights spill).  Always inline: the scheme's state
+        (log factors, EJS degrees) lives in this process."""
+        row_lengths = np.diff(self.indptr)
+        budget = None if self.storage is None else DEFAULT_CHUNK
+        weights = collector(self.storage, np.float64)
+        for lo, hi in INLINE.ranges(self.index.n_profiles, row_lengths, budget):
+            start, stop = int(self.indptr[lo]), int(self.indptr[hi])
+            owners = np.repeat(np.arange(lo, hi, dtype=np.int64), row_lengths[lo:hi])
+            weights.append(
+                self.scheme.finalize_all(
                     owners,
-                    np.asarray(self.neighbors[lo:hi]),
-                    np.asarray(self.raw[lo:hi]),
+                    np.asarray(self.neighbors[start:stop]),
+                    np.asarray(self.raw[start:stop]),
                 )
-            return
-        owners = np.repeat(
-            np.arange(self.index.n_profiles, dtype=np.int64),
-            np.diff(self.indptr),
-        )
-        self.weights = self.scheme.finalize_all(owners, self.neighbors, self.raw)
+            )
+        self.weights = weights.finish()
 
     # -- row access ----------------------------------------------------------
 

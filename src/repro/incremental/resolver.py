@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.core.comparisons import Comparison
 from repro.core.ground_truth import GroundTruth
@@ -78,6 +78,24 @@ def score_probe(
         index.probe_exit(probe, journal)
         weighter.invalidate()  # ...and forget it afterwards
         weighter.size_offset = 0
+
+
+def score_probes(
+    payload: dict[str, Any], chunk: list[EntityProfile]
+) -> list[list[Comparison]]:
+    """Pool task: score a chunk of read-only probes against a shipped
+    live index.
+
+    The payload carries a pickled snapshot of the session's token index
+    and weighter (listener-free copies); each worker probes its own
+    copy - enter, score, roll back - so chunks are independent and
+    results line up with a sequential ``resolve_one(ingest=False)`` per
+    item.
+    """
+    return [
+        score_probe(payload["index"], payload["weighter"], probe)
+        for probe in chunk
+    ]
 
 
 class IncrementalResolver(Resolver):
@@ -369,9 +387,9 @@ class IncrementalResolver(Resolver):
             if spec is None or self.config.backend != "numpy-parallel":
                 workers = 0
             elif spec.workers is None:
-                import os
+                from repro.parallel.pool import default_worker_count
 
-                workers = os.cpu_count() or 1
+                workers = default_worker_count()
             else:
                 workers = spec.workers
         source_list = None if sources is None else list(sources)
@@ -399,7 +417,6 @@ class IncrementalResolver(Resolver):
             else:
                 from repro.parallel.plan import ShardPlan
                 from repro.parallel.pool import WorkerPool
-                from repro.parallel.tasks import probe_score_task
 
                 pool = WorkerPool(workers)
                 try:
@@ -411,7 +428,7 @@ class IncrementalResolver(Resolver):
                         "index": self._index,
                         "weighter": self._weighter,
                     }
-                    results = pool.run(probe_score_task, payload, chunks)
+                    results = pool.run(score_probes, payload, chunks)
                 finally:
                     pool.close()
                 scored_lists = [

@@ -27,11 +27,11 @@ as one comparison per block.
 Accumulation orders are part of the contract: the global WEP mean sums
 edge weights in ascending canonical ``(i, j)`` order, and a node's WNP
 threshold sums its incident edge weights in ascending neighbor order -
-both sequentially, left to right.  The vectorized
-(:mod:`repro.engine.pruning`) and sharded
-(:mod:`repro.parallel.pruning`) kernels reproduce exactly these sums
-(``np.cumsum``/``np.bincount`` accumulate sequentially), which is what
-makes the three backends *bit-identical*, not approximately equal.
+both sequentially, left to right.  The vectorized kernels
+(:mod:`repro.engine.pruning`) reproduce exactly these sums - over the
+whole graph or sharded per owner range (``np.cumsum``/``np.bincount``
+accumulate sequentially) - which is what makes the three backends
+*bit-identical*, not approximately equal.
 
 :func:`prune` is the backend-dispatching entry point the pipeline's
 ``.meta(pruning=...)`` stage consumes; the per-algorithm functions
@@ -259,7 +259,7 @@ for _name, _aliases, _takes_k, _fn in _REFERENCE_IMPLEMENTATIONS:
 del _name, _aliases, _takes_k, _fn
 
 
-#: The six algorithms with vectorized and sharded kernels.
+#: The six algorithms with vectorized kernels.
 _STOCK_ALGORITHMS = frozenset(
     name for name, _aliases, _takes_k, _fn in _REFERENCE_IMPLEMENTATIONS
 )
@@ -283,8 +283,8 @@ def prune(
     :data:`repro.registry.pruning_algorithms`) to the configured
     execution backend: ``"python"`` runs the reference implementation in
     this module, ``"numpy"`` the CSR kernels of
-    :mod:`repro.engine.pruning`, ``"numpy-parallel"`` the sharded
-    kernels of :mod:`repro.parallel.pruning`.  All three emit the
+    :mod:`repro.engine.pruning`, ``"numpy-parallel"`` the same kernels
+    sharded over its worker pool.  All three emit the
     *bit-identical* retained stream, ranked by ``(-weight, i, j)``.
 
     ``k`` overrides the cardinality budget of CEP/CNP/RCNP (the

@@ -1,9 +1,12 @@
 """Sharded multi-core execution: the ``numpy-parallel`` backend.
 
 The array engine (:mod:`repro.engine`) made every hot path a handful of
-global numpy passes - but a single process caps them at one core.  This
-package shards that work across worker processes and re-merges a
-*globally correct* progressive stream:
+numpy passes, each written once as a *range kernel* over a contiguous
+slice of its row axis - but a single process caps them at one core.
+This package is the other answer to "which ranges, and who runs them":
+it cuts each pass into shards, runs them across worker processes and
+re-merges a *globally correct* progressive stream.  It holds no kernel
+of its own:
 
 * :mod:`repro.parallel.plan` - :class:`ShardPlan`: partitions profiles
   (or blocks, or positions) into contiguous ranges, size-balanced by
@@ -16,16 +19,15 @@ package shards that work across worker processes and re-merges a
 * :mod:`repro.parallel.merge` - :class:`ShardMerger`: k-way merges
   per-shard ranked outputs preserving the exact system-wide
   ``(-weight, i, j)`` total order, plus the grouped-count merge the
-  window kernels use;
-* :mod:`repro.parallel.graph` / :mod:`repro.parallel.equality` /
-  :mod:`repro.parallel.similarity` - sharded builds of the Blocking
-  Graph, the PBS event arrays, the PPS emission schedule and the PSN
-  window counts, each engineered to reproduce the sequential ``numpy``
-  backend *bit-identically* (shards are contiguous slices of the exact
-  event streams the sequential kernels walk, so per-key accumulation
-  order is preserved);
+  window kernel uses;
+* :mod:`repro.parallel.fanout` - :class:`PoolFanout`: the three above
+  as the :class:`~repro.engine.fanout.Fanout` the engine's structures
+  are handed (shards are contiguous slices of the exact event streams
+  the kernels walk, so per-key accumulation order is preserved and the
+  streams are *bit-identical* to ``numpy``'s);
 * :mod:`repro.parallel.backend` - :class:`ParallelBackend`, registered
-  as ``"numpy-parallel"`` in :data:`repro.registry.backends`.
+  as ``"numpy-parallel"`` in :data:`repro.registry.backends`: the
+  ``numpy`` backend with that fan-out.
 
 Select it like any other backend - ``resolve(data, method="PPS",
 backend="numpy-parallel")``, ``ERPipeline().parallel(workers=4)``,
@@ -48,6 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     # Give type checkers the real symbols behind the lazy __getattr__
     # below (which they cannot see through).
     from repro.parallel.backend import ParallelBackend
+    from repro.parallel.fanout import PoolFanout
     from repro.parallel.merge import ShardMerger, merge_grouped_counts
     from repro.parallel.plan import Shard, ShardPlan
     from repro.parallel.pool import WorkerPool
@@ -57,6 +60,7 @@ __all__ = [
     "ShardPlan",
     "ShardMerger",
     "WorkerPool",
+    "PoolFanout",
     "ParallelBackend",
     "merge_grouped_counts",
 ]
@@ -72,6 +76,7 @@ _EXPORTS = {
     "ShardMerger": "repro.parallel.merge",
     "merge_grouped_counts": "repro.parallel.merge",
     "WorkerPool": "repro.parallel.pool",
+    "PoolFanout": "repro.parallel.fanout",
     "ParallelBackend": "repro.parallel.backend",
 }
 

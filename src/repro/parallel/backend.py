@@ -1,11 +1,13 @@
 """The ``"numpy-parallel"`` backend: the CSR engine, sharded.
 
-:class:`ParallelBackend` extends the ``numpy`` backend's factory seam:
-structures are the same CSR arrays, but the expensive builds fan out
-over a :class:`~repro.parallel.pool.WorkerPool` according to a
-:class:`~repro.parallel.plan.ShardPlan`, and ranked outputs re-merge
+:class:`ParallelBackend` is the ``numpy`` backend with a different
+fan-out: every structure, kernel and assembly is
+:mod:`repro.engine`'s, but each pass is cut into a
+:class:`~repro.parallel.plan.ShardPlan`'s ranges, run over a
+:class:`~repro.parallel.pool.WorkerPool`, and ranked outputs re-merge
 through :class:`~repro.parallel.merge.ShardMerger` - bit-identical
-streams, more cores.
+streams, more cores.  The class itself only validates the knobs and
+owns the pool.
 
 Configuration travels as a *backend instance*: the registry entry
 builds an unconfigured backend (``workers=None`` - one per visible
@@ -16,7 +18,7 @@ instance as well as a name).
 
 This module must import cleanly without numpy - the backends registry
 loads it eagerly - so all array machinery is imported lazily inside the
-factory methods, mirroring :mod:`repro.engine`.
+methods, mirroring :mod:`repro.engine`.
 """
 
 from __future__ import annotations
@@ -78,13 +80,10 @@ class ParallelBackend(NumpyBackend):
         self.shards = shards if shards is not None else max(workers, 1)
         self.ship = ship
         self._pool: Any = None
-        self._payloads: dict[tuple[int, int], tuple[Any, dict[str, Any]]] = {}
 
     def require(self) -> "ParallelBackend":
         require_numpy("backend='numpy-parallel'")
         return self
-
-    # -- execution machinery -------------------------------------------------
 
     def pool(self) -> Any:
         """The backend's (lazily created) worker pool."""
@@ -94,126 +93,19 @@ class ParallelBackend(NumpyBackend):
             self._pool = WorkerPool(self.workers, ship=self.ship)
         return self._pool
 
+    def fanout(self) -> Any:
+        """``shards`` ranges per engine pass, run over :meth:`pool`."""
+        from repro.parallel.fanout import PoolFanout
+
+        return PoolFanout(self.shards, self.pool())
+
     def close(self) -> None:
         """Tear down the pool and scratch store (both also die with
         the backend)."""
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-        self._payloads.clear()
         super().close()
-
-    def _payload_for(self, index: Any, scheme: Any) -> dict[str, Any]:
-        """One shared worker payload per (index, scheme) pair.
-
-        Sharing the dict *object* matters: the pool re-ships only when
-        the payload identity changes, so a method whose build runs
-        several fan-outs over the same index (PBS: graph rows, then
-        block pairs) forks and ships exactly once.
-
-        The cache entry keeps a strong reference to the index and
-        verifies it on every hit: ``id()`` alone is not a safe key,
-        because a garbage-collected index's address can be recycled by
-        a different dataset's index on a backend reused across fits.
-        """
-        from repro.parallel.graph import graph_payload
-
-        key = (id(index), id(type(scheme)))
-        entry = self._payloads.get(key)
-        if entry is not None and entry[0] is index:
-            return entry[1]
-        payload = graph_payload(index, scheme)
-        self._payloads[key] = (index, payload)
-        return payload
-
-    # -- core factories (the seam the methods consume) -----------------------
-
-    def blocking_substrate(self, store: Any, spec: Any) -> Any:
-        """The array substrate with its tokenization sweep sharded over
-        the pool (bit-identical to the sequential build)."""
-        self.require()
-        from repro.parallel.substrate import ShardedSubstrate
-
-        return ShardedSubstrate(
-            store,
-            spec,
-            shards=self.shards,
-            pool=self.pool(),
-            storage=self.array_store(),
-        )
-
-    def blocking_graph(self, index: Any, weighting: str) -> Any:
-        self.require()
-        from repro.engine.weights import make_array_scheme
-        from repro.parallel.graph import sharded_blocking_graph
-
-        scheme = make_array_scheme(weighting, index)
-        return sharded_blocking_graph(
-            index,
-            scheme,
-            shards=self.shards,
-            pool=self.pool(),
-            payload=self._payload_for(index, scheme),
-            storage=self.array_store(),
-        )
-
-    def pps_core(self, scheduled: Any, weighting: str, k_max: int | None) -> Any:
-        self.require()
-        from repro.parallel.equality import ParallelPPSCore
-
-        index = self.profile_index(scheduled)
-        graph = self.blocking_graph(index, weighting)
-        return ParallelPPSCore(
-            index, graph, k_max, shards=self.shards, pool=self.pool()
-        )
-
-    def pbs_core(self, index: Any, graph: Any) -> Any:
-        self.require()
-        from repro.parallel.equality import ParallelPBSCore
-
-        return ParallelPBSCore(
-            index,
-            graph,
-            shards=self.shards,
-            pool=self.pool(),
-            payload=self._payload_for(index, graph.scheme),
-        )
-
-    def psn_core(self, neighbor_list: Any, store: Any, weighting: Any) -> Any:
-        self.require()
-        from repro.parallel.similarity import ParallelPSNCore
-
-        return ParallelPSNCore(
-            neighbor_list, store, weighting, shards=self.shards, pool=self.pool()
-        )
-
-    def ranked_edges(self, graph: Any) -> Any:
-        """Graph edges ranked ``(-weight, i, j)``: per-shard stable sorts
-        k-way merged - the ONLINE method's whole emission."""
-        self.require()
-        from repro.parallel.merge import ShardMerger
-        from repro.parallel.plan import ShardPlan
-        from repro.parallel.tasks import ranked_sort_task
-
-        i, j, weights = graph.edges()
-        if i.size == 0:
-            return i, j, weights
-        plan = ShardPlan.uniform(int(i.size), self.shards)
-        chunks = [
-            (i[lo:hi], j[lo:hi], weights[lo:hi]) for lo, hi in plan.ranges()
-        ]
-        ranked = self.pool().run_transient(ranked_sort_task, chunks)
-        return ShardMerger.merge(ranked)
-
-    def pruned_edges(self, graph: Any, algorithm: str, k: int | None) -> Any:
-        """Meta-blocking pruning with node statistics computed per owner
-        shard and survivors re-ranked through the exact k-way merge."""
-        self.require()
-        from repro.parallel.pruning import sharded_pruned_edges
-
-        return sharded_pruned_edges(
-            graph, algorithm, k, shards=self.shards, pool=self.pool()
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -232,5 +124,5 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro import contracts
 
     # mypy --strict proves the sharded backend satisfies the typed seam
-    # (inherited structure factories included).
+    # (every structure factory is inherited).
     _SEAM_CONFORMANCE: tuple[contracts.Backend, ...] = (ParallelBackend(),)

@@ -26,6 +26,8 @@ require_numpy("repro.parallel.merge")
 
 import numpy as np  # noqa: E402  (guarded optional dependency)
 
+from repro.engine.segments import run_heads  # noqa: E402
+
 #: One shard's ranked output: parallel (i, j, weight) arrays, already
 #: ordered by ``(-weight, i, j)``.
 RankedArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -93,21 +95,6 @@ class ShardMerger:
         )
         return i, j, weights
 
-    @staticmethod
-    def concat(shards: Sequence[RankedArrays]) -> RankedArrays:
-        """Ordered concatenation, for shards over a *disjoint, ordered*
-        primary key (block ranges, schedule-rank ranges): the merged
-        stream is just the shards in plan order."""
-        live = [shard for shard in shards if shard[0].size]
-        if not live:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, np.empty(0, dtype=np.float64)
-        return (
-            np.concatenate([shard[0] for shard in live]),
-            np.concatenate([shard[1] for shard in live]),
-            np.concatenate([shard[2] for shard in live]),
-        )
-
 
 def merge_grouped_counts(
     grouped: Iterable[tuple[np.ndarray, np.ndarray]],
@@ -131,9 +118,7 @@ def merge_grouped_counts(
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     sorted_counts = counts[order]
-    heads = np.empty(sorted_keys.size, dtype=bool)
-    heads[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=heads[1:])
+    heads = run_heads(sorted_keys)
     group_ids = np.cumsum(heads) - 1
     totals = np.bincount(group_ids, weights=sorted_counts).astype(np.int64)
     return sorted_keys[heads], totals

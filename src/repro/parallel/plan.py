@@ -6,8 +6,8 @@ into *contiguous* index ranges.  Contiguity is what makes the sharded
 kernels provably exact: every sequential engine pass walks its event
 stream row-major, so a contiguous row range owns a contiguous slice of
 that event stream, and concatenating per-shard outputs in plan order
-reproduces the sequential arrays bit for bit (see
-:mod:`repro.parallel.graph`).
+reproduces the whole-axis arrays bit for bit (see
+:mod:`repro.engine.fanout`).
 
 Balance comes from the ``indptr`` array itself: ``diff(indptr)`` is each
 row's postings mass - a faithful proxy for its scoring cost - and the

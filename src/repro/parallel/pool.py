@@ -1,7 +1,7 @@
 """The worker pool: process fan-out with one-shot payload shipping.
 
 A :class:`WorkerPool` runs *shard tasks* - module-level functions
-``task(payload, shard_arg)`` from :mod:`repro.parallel.tasks` - over a
+``task(payload, shard_arg)``, the engine's range kernels - over a
 shared read-only payload of numpy arrays:
 
 * ``workers=0`` (and any single-shard run) executes inline in the
@@ -23,8 +23,10 @@ Payload shipping is pluggable:
   copy across every worker, which is the right call when the CSR
   payload is large relative to the per-shard compute.
 
-The pool re-ships lazily: consecutive :meth:`run` calls with the same
-payload object reuse the live pool, a new payload recreates it.
+The pool re-ships lazily: consecutive :meth:`~WorkerPool.run` calls
+with the same payload object reuse the live pool, a new payload
+recreates it, and a ``None`` payload (shard arguments that carry their
+own data) runs on whatever pool is live.
 """
 
 from __future__ import annotations
@@ -72,23 +74,27 @@ def _worker_init(shipped: dict[str, Any]) -> None:
     _PAYLOAD = _resolve_payload(shipped)
 
 
-def _worker_run(call: tuple[Callable[..., Any], Any]) -> Any:
-    task, shard_arg = call
+def _worker_run(call: tuple[Callable[..., Any], Any, bool]) -> Any:
+    task, shard_arg, resident = call
+    if not resident:
+        return task(None, shard_arg)
     assert _PAYLOAD is not None, "worker used before initialization"
     return task(_PAYLOAD, shard_arg)
 
 
-def _worker_run_transient(call: tuple[Callable[..., Any], Any]) -> Any:
-    task, shard_arg = call
-    return task(shard_arg)
-
-
-#: Initializer payload for pools that only ever run transient tasks.
+#: Initializer payload for pools that have only run payload-free tasks.
 _NO_PAYLOAD: dict[str, Any] = {}
 
 
 def default_worker_count() -> int:
-    """The ``workers=None`` resolution: one worker per visible core."""
+    """The ``workers=None`` resolution: one worker per *visible* core.
+
+    Visible means the process's CPU affinity mask where the platform
+    has one (a container or ``taskset`` may expose fewer cores than the
+    machine owns); ``os.cpu_count()`` elsewhere.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
 
 
@@ -186,8 +192,8 @@ class WorkerPool:
 
     def run(
         self,
-        task: Callable[[dict[str, Any], Any], Any],
-        payload: dict[str, Any],
+        task: Callable[[Any, Any], Any],
+        payload: dict[str, Any] | None,
         shard_args: Sequence[Any],
     ) -> list[Any]:
         """``[task(payload, arg) for arg in shard_args]``, maybe in parallel.
@@ -195,49 +201,26 @@ class WorkerPool:
         Results come back in shard order regardless of execution order.
         Falls back to inline execution when the pool has no workers or
         there is at most one shard to run.
+
+        ``payload=None`` is for tasks whose arguments carry their own
+        (per-shard) data - a slice of scored pairs to rank, say -
+        instead of reading a resident payload: it reuses whatever pool
+        is live, so interleaving resident and payload-free runs never
+        re-ships anything; only if no pool exists yet is one started.
         """
         if not self.parallel or len(shard_args) <= 1:
             return [task(payload, arg) for arg in shard_args]
-        pool = self._ensure_pool(payload)
+        if payload is None and self._pool is not None:
+            pool = self._pool
+        else:
+            pool = self._ensure_pool(_NO_PAYLOAD if payload is None else payload)
+        calls = [(task, arg, payload is not None) for arg in shard_args]
         try:
-            return pool.map(
-                _worker_run, [(task, arg) for arg in shard_args], chunksize=1
-            )
+            return pool.map(_worker_run, calls, chunksize=1)
         except BaseException:
             # A worker crash (or parent interrupt) leaves the pool - and
             # any memmap-shipped payload files - unusable; tear both down
             # now instead of waiting for garbage collection.
-            self.close()
-            raise
-
-    def run_transient(
-        self,
-        task: Callable[[Any], Any],
-        shard_args: Sequence[Any],
-    ) -> list[Any]:
-        """``[task(arg) for arg in shard_args]`` with self-contained args.
-
-        For tasks whose arguments carry their own (per-shard) data - a
-        slice of scored pairs to rank, say - instead of reading the
-        resident payload.  Reuses whatever pool is live (the resident
-        payload is simply ignored), so interleaving resident and
-        transient runs never re-ships anything; only if no pool exists
-        yet is one started, payload-free.
-        """
-        if not self.parallel or len(shard_args) <= 1:
-            return [task(arg) for arg in shard_args]
-        pool = (
-            self._pool
-            if self._pool is not None
-            else self._ensure_pool(_NO_PAYLOAD)
-        )
-        try:
-            return pool.map(
-                _worker_run_transient,
-                [(task, arg) for arg in shard_args],
-                chunksize=1,
-            )
-        except BaseException:
             self.close()
             raise
 

@@ -591,8 +591,8 @@ class Resolver:
         Requires a vectorized session substrate (the numpy /
         numpy-parallel token workflow) and a cascade whose leading tiers
         are the stock batchable implementations; everything else decides
-        through the pure-Python tier loop.  The batch path reuses the
-        session backend's worker pool, so fan-out follows the
+        through the pure-Python tier loop.  The batch path runs over the
+        substrate's fan-out - the session backend's - so it follows the
         ``.parallel(...)`` stage.
         """
         if self._batcher_built:
@@ -604,17 +604,12 @@ class Resolver:
         substrate = self._session_substrate()
         if substrate is None or not getattr(substrate, "vectorized", False):
             return None
-        from repro.engine import get_backend
         from repro.engine.matching import CascadeBatchMatcher
 
-        backend = get_backend(self._method_backend())
-        pool = backend.pool() if hasattr(backend, "pool") else None
         batcher = CascadeBatchMatcher(
             substrate,
             cascade,
             self.store,  # type: ignore[arg-type]
-            pool=pool,
-            shards=getattr(backend, "shards", None),
         )
         self._batcher = batcher if batcher.eligible else None
         return self._batcher

@@ -233,10 +233,10 @@ class PPS(ProgressiveMethod):
         """Initialization on the CSR engine (same phases, array passes).
 
         The core comes through the backend seam - which accepts either a
-        scheduled block collection or a blocking substrate - so the
-        sequential ``numpy`` backend and the sharded ``numpy-parallel``
-        backend both land in the same emission machinery over
-        bit-identical structures.
+        scheduled block collection or a blocking substrate - and hands
+        it the backend's fan-out, so ``numpy`` (one inline range) and
+        ``numpy-parallel`` (shards over workers) run the same kernels
+        and the same emission machinery.
         """
         core = self.backend.pps_core(scheduled, self.weighting_name, self.k_max)
         self._core = core

@@ -86,11 +86,27 @@ def test_imported_task_is_clean_even_when_imported_locally(run_rule):
         run_rule,
         """
         def fan_out(pool, payload, ranges):
-            from repro.parallel.tasks import ranked_sort_task
+            from repro.engine.topk import rank_slice
 
-            return pool.run_transient(ranked_sort_task, payload, ranges)
+            return pool.run(rank_slice, None, ranges)
         """,
     )
+
+
+def test_fanout_call_sites_are_checked_like_pool_ones(run_rule):
+    violations = check(
+        run_rule,
+        """
+        def graph_rows(payload, shard):
+            return shard
+
+        def build(self, fanout, payload, ranges):
+            self.fanout.run(lambda payload, shard: shard, payload, ranges)
+            return fanout.run(graph_rows, payload, ranges)
+        """,
+    )
+    assert len(violations) == 1
+    assert "lambda" in violations[0].message
 
 
 def test_non_pool_receivers_are_ignored(run_rule):

@@ -29,7 +29,8 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 SUBSTRATE_SOURCES = {
     "src/repro/blocking/substrate.py": "repro.blocking.substrate",
     "src/repro/engine/substrate.py": "repro.engine.substrate",
-    "src/repro/parallel/substrate.py": "repro.parallel.substrate",
+    # The sharded sweep is engine/substrate.py's kernel over this fan-out.
+    "src/repro/parallel/fanout.py": "repro.parallel.fanout",
 }
 
 
@@ -70,7 +71,7 @@ class TestHazardShapesAreCaught:
         assert "hash order" in violations[0].message
 
     def test_unordered_scatter_in_postings_build_is_flagged(self, run_rule):
-        for module in ("repro.engine.substrate", "repro.parallel.substrate"):
+        for module in ("repro.engine.substrate", "repro.parallel.fanout"):
             violations = self.run(
                 run_rule,
                 determinism,

@@ -45,10 +45,10 @@ class TestGracefulDegradation:
         import repro.engine as engine
 
         monkeypatch.setattr(engine, "HAS_NUMPY", False)
-        from repro.progressive.base import build_method
+        from repro.progressive import PPS
 
         with pytest.raises(ModuleNotFoundError, match="backend='numpy'"):
-            build_method("PPS", paper_profiles, backend="numpy")
+            PPS(paper_profiles, backend="numpy")
 
     def test_available_backends_reports_python_only(self, monkeypatch):
         import repro.engine as engine
@@ -69,10 +69,9 @@ class TestGracefulDegradation:
 
 class TestMethodBackendPlumbing:
     def test_default_backend_is_python(self, paper_profiles):
-        from repro.progressive.base import build_method
+        from repro.progressive import PPS
 
-        method = build_method("PPS", paper_profiles)
-        assert method.backend.name == "python"
+        assert PPS(paper_profiles).backend.name == "python"
 
     def test_resolver_injects_configured_backend(self, paper_profiles):
         numpy = pytest.importorskip("numpy")  # noqa: F841

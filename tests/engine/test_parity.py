@@ -14,7 +14,9 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.pipeline import ERPipeline, resolve  # noqa: E402
-from repro.progressive.base import build_method  # noqa: E402
+from repro.registry import progressive_methods  # noqa: E402
+
+build = progressive_methods.build
 
 GRAPH_SCHEMES = ("ARCS", "CBS", "ECBS", "JS", "EJS")
 PSN_SCHEMES = ("RCF", "CF")
@@ -25,8 +27,8 @@ PREFIX = 30_000
 
 
 def both_streams(method: str, store, **kwargs):
-    python = build_method(method, store, backend="python", **kwargs)
-    numpy_ = build_method(method, store, backend="numpy", **kwargs)
+    python = build(method, store, backend="python", **kwargs)
+    numpy_ = build(method, store, backend="numpy", **kwargs)
     import itertools
 
     a = list(itertools.islice(iter(python), PREFIX))
@@ -81,7 +83,7 @@ class TestEqualityMethodParity:
         mutations of the checked set, including same-size swaps
         (regression: the numpy mask used to cache on set identity+size)."""
         methods = {
-            backend: build_method("PPS", dirty_dataset.store, backend=backend)
+            backend: build("PPS", dirty_dataset.store, backend=backend)
             for backend in ("python", "numpy")
         }
         for method in methods.values():
@@ -154,7 +156,7 @@ class TestSimilarityMethodParity:
         of a GS-PSN method yields nothing (the python path drains its
         ComparisonList; the numpy path consumes its arrays)."""
         for backend in ("python", "numpy"):
-            method = build_method("GS-PSN", clean_clean_store, backend=backend)
+            method = build("GS-PSN", clean_clean_store, backend=backend)
             first = list(iter(method))
             assert first, backend
             assert list(iter(method)) == [], backend
@@ -170,10 +172,10 @@ class TestSimilarityMethodParity:
             def weight(self, frequency, i, j, index):
                 return frequency / 2.0
 
-        python_m = build_method(
+        python_m = build(
             "GS-PSN", clean_clean_store, backend="python", weighting=Halved()
         )
-        numpy_m = build_method(
+        numpy_m = build(
             "GS-PSN", clean_clean_store, backend="numpy", weighting=Halved()
         )
         assert_streams_match(list(iter(python_m)), list(iter(numpy_m)))

@@ -9,8 +9,8 @@ from repro.core.ground_truth import GroundTruth
 from repro.core.profiles import ProfileStore
 from repro.evaluation.progressive_recall import (
     RecallCurve,
+    _drive_progressive,
     ideal_auc,
-    run_progressive,
 )
 from repro.progressive.base import ProgressiveMethod
 
@@ -91,6 +91,9 @@ class TestIdealAuc:
 
 
 class TestRunProgressive:
+    """The protocol driver behind ``Resolver.evaluate()`` (and the
+    deprecated ``run_progressive`` shim, which only adds a warning)."""
+
     def test_counts_first_detection_only(self):
         store = make_store()
         truth = GroundTruth([(0, 1)])
@@ -99,7 +102,7 @@ class TestRunProgressive:
             Comparison(0, 1, 0.9),  # repeated emission
             Comparison(2, 3, 0.8),
         ]
-        curve = run_progressive(
+        curve = _drive_progressive(
             Scripted(store, script), truth, stop_at_full_recall=False
         )
         assert curve.hit_positions == [1]
@@ -109,7 +112,7 @@ class TestRunProgressive:
         store = make_store()
         truth = GroundTruth([(0, 1), (2, 3)], closed=False)
         script = [Comparison(4, 5, 1.0)] * 10 + [Comparison(0, 1, 0.5)]
-        curve = run_progressive(Scripted(store, script), truth, max_ec_star=2.0)
+        curve = _drive_progressive(Scripted(store, script), truth, max_ec_star=2.0)
         assert curve.emitted == 4  # 2 * |DP|
         assert curve.final_recall() == 0.0
         assert not curve.exhausted
@@ -118,13 +121,13 @@ class TestRunProgressive:
         store = make_store()
         truth = GroundTruth([(0, 1)])
         script = [Comparison(0, 1, 1.0)] + [Comparison(2, 3, 0.5)] * 100
-        curve = run_progressive(Scripted(store, script), truth, max_ec_star=500)
+        curve = _drive_progressive(Scripted(store, script), truth, max_ec_star=500)
         assert curve.emitted == 1
 
     def test_dataset_label_recorded(self):
         store = make_store()
         truth = GroundTruth([(0, 1)])
-        curve = run_progressive(
+        curve = _drive_progressive(
             Scripted(store, [Comparison(0, 1, 1.0)]), truth, dataset="census"
         )
         assert curve.dataset == "census"

@@ -21,7 +21,7 @@ np = pytest.importorskip("numpy")
 
 from repro.core.profiles import ProfileStore  # noqa: E402
 from repro.datasets.registry import load_dataset  # noqa: E402
-from repro.progressive.base import build_method  # noqa: E402
+from repro.registry import progressive_methods  # noqa: E402
 
 # Emission prefix compared per combination (long enough to cover every
 # method's initialization output plus several refills).
@@ -60,7 +60,7 @@ def clean_clean_store() -> ProfileStore:
 
 def stream_prefix(method: str, store, backend, **kwargs):
     """The first PREFIX (i, j, weight) triples a method emits."""
-    instance = build_method(method, store, backend=backend, **kwargs)
+    instance = progressive_methods.build(method, store, backend=backend, **kwargs)
     return [
         (c.i, c.j, c.weight)
         for c in itertools.islice(iter(instance), PREFIX)

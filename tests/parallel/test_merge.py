@@ -70,13 +70,6 @@ def test_merge_handles_empty_shards():
     assert i.size == j.size == weights.size == 0
 
 
-def test_concat_in_plan_order():
-    a = (np.array([1]), np.array([2]), np.array([9.0]))
-    b = (np.array([0]), np.array([5]), np.array([7.0]))
-    i, j, weights = ShardMerger.concat([a, b])
-    assert i.tolist() == [1, 0] and weights.tolist() == [9.0, 7.0]
-
-
 @pytest.mark.parametrize("shards", [1, 2, 3, 7])
 def test_grouped_counts_equal_global_unique(shards):
     rng = np.random.default_rng(shards)

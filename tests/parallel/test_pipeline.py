@@ -166,6 +166,22 @@ class TestResolveMany:
         pooled = self.session(workers=2).resolve_many(self.probes)
         assert pooled == sequential
 
+    def test_default_workers_come_from_the_one_function(self, monkeypatch):
+        """``workers=None`` resolves through ``default_worker_count`` -
+        the affinity-aware one - not a private ``os.cpu_count()``."""
+        import repro.parallel.pool as pool_module
+
+        session = self.session(workers=None)
+        asked = []
+        monkeypatch.setattr(
+            pool_module, "default_worker_count", lambda: asked.append(1) or 1
+        )
+        expected = [
+            session.resolve_one(probe, ingest=False) for probe in self.probes
+        ]
+        assert session.resolve_many(self.probes) == expected
+        assert asked == [1]
+
     def test_empty_batch(self):
         assert self.session().resolve_many([]) == []
 

@@ -8,8 +8,8 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.parallel.pool import WorkerPool  # noqa: E402
-from repro.parallel.tasks import ranked_sort_task  # noqa: E402
+from repro.engine.topk import rank_slice  # noqa: E402
+from repro.parallel.pool import WorkerPool, default_worker_count  # noqa: E402
 
 from .conftest import stream_prefix  # noqa: E402
 
@@ -42,6 +42,25 @@ class TestInlineMode:
             WorkerPool(2, ship="carrier-pigeon")
 
 
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="platform has no CPU affinity"
+)
+def test_default_worker_count_is_the_affinity_mask():
+    """One worker per *visible* core: a restricted affinity mask (a
+    container, ``taskset``) shrinks the default, whatever the machine
+    owns."""
+    from repro.parallel.backend import ParallelBackend
+
+    allowed = os.sched_getaffinity(0)
+    try:
+        os.sched_setaffinity(0, {min(allowed)})
+        assert default_worker_count() == 1
+        assert ParallelBackend().workers == 1
+    finally:
+        os.sched_setaffinity(0, allowed)
+    assert default_worker_count() == len(allowed)
+
+
 class TestProcessMode:
     @pytest.mark.parametrize("ship", ["pickle", "memmap"])
     def test_results_in_shard_order_from_other_pids(self, ship):
@@ -66,14 +85,16 @@ class TestProcessMode:
         np.testing.assert_array_equal(first[0][0], again[0][0])
         assert switched[0][0][0] == 200
 
-    def test_transient_runs_reuse_live_pool(self):
+    def test_payload_free_runs_reuse_live_pool(self):
         chunks = [
             (np.array([1, 0]), np.array([2, 3]), np.array([1.0, 5.0])),
             (np.array([4]), np.array([5]), np.array([2.0])),
         ]
         with WorkerPool(2) as pool:
             pool.run(doubler, {"values": np.arange(4)}, [(0, 2), (2, 4)])
-            ranked = pool.run_transient(ranked_sort_task, chunks)
+            live = pool._pool
+            ranked = pool.run(rank_slice, None, chunks)
+            assert pool._pool is live
         assert ranked[0][2].tolist() == [5.0, 1.0]
         assert ranked[1][0].tolist() == [4]
 
@@ -92,6 +113,30 @@ class TestMethodsOverProcesses:
         finally:
             backend.close()
         assert parallel == stream_prefix("PPS", dirty_dataset.store, "numpy")
+
+    def test_reused_backend_does_not_pin_past_indexes(self, dirty_dataset):
+        """One backend instance across two fits keeps nothing of the
+        first fit alive: no index, no shipped payload."""
+        import gc
+        import weakref
+
+        from repro.parallel.backend import ParallelBackend
+        from repro.progressive import PBS
+
+        backend = ParallelBackend(workers=2, shards=2)
+        try:
+            first = PBS(dirty_dataset.store, backend=backend)
+            first.initialize()
+            index = weakref.ref(first._core.index)
+            payload = weakref.ref(first._core.graph.neighbors)
+            second = PBS(dirty_dataset.store, backend=backend)
+            second.initialize()
+            del first
+            gc.collect()
+            assert index() is None and payload() is None
+            assert second._core.index is not None
+        finally:
+            backend.close()
 
     def test_gs_psn_stream_over_pool(self, dirty_dataset):
         from repro.parallel.backend import ParallelBackend

@@ -24,7 +24,7 @@ np = pytest.importorskip("numpy")
 
 from repro.engine import NumpyBackend  # noqa: E402
 from repro.parallel.backend import ParallelBackend  # noqa: E402
-from repro.progressive.base import build_method  # noqa: E402
+from repro.progressive import PPS  # noqa: E402
 
 from .conftest import PREFIX  # noqa: E402
 
@@ -34,7 +34,7 @@ SHARD_COUNTS = (1, 2, 3)
 
 def stream_digest(store, backend, scheme) -> tuple[int, str]:
     """(count, blake2b) over the first PREFIX emitted pairs."""
-    method = build_method("PPS", store, backend=backend, weighting=scheme)
+    method = PPS(store, backend=backend, weighting=scheme)
     digest = hashlib.blake2b(digest_size=16)
     count = 0
     for comparison in itertools.islice(iter(method), PREFIX):

@@ -1,9 +1,9 @@
-"""ShardedSubstrate parity: the fanned-out sweep is bit-identical.
+"""Sharded-sweep parity: the fanned-out tokenization is bit-identical.
 
-The sharded tokenization sweep must reproduce the sequential
-ArraySubstrate exactly - same intern order, same pair arrays, same
-blocks, indexes and Neighbor List - for every shard count, through both
-the inline path (``pool=None``) and the WorkerPool transport.
+An ArraySubstrate handed a pooled fan-out must reproduce the one-range
+sweep exactly - same intern order, same pair arrays, same blocks,
+indexes and Neighbor List - for every shard count, through both the
+inline (``workers=0``) and the process transport.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ np = pytest.importorskip("numpy")
 from repro.blocking.substrate import SubstrateSpec  # noqa: E402
 from repro.engine.substrate import ArraySubstrate  # noqa: E402
 from repro.parallel.backend import ParallelBackend  # noqa: E402
+from repro.parallel.fanout import PoolFanout  # noqa: E402
 from repro.parallel.pool import WorkerPool  # noqa: E402
-from repro.parallel.substrate import ShardedSubstrate  # noqa: E402
 
 SHARD_COUNTS = (1, 2, 3, 7)
 
@@ -43,8 +43,8 @@ class TestShardedParity:
         spec = SubstrateSpec()
         base = ArraySubstrate(store, spec)
         base.blocks()
-        sharded = ShardedSubstrate(
-            store, spec, shards=shards, pool=inline_pool
+        sharded = ArraySubstrate(
+            store, spec, fanout=PoolFanout(shards, inline_pool)
         )
         sharded.blocks()
         # The merged sweep reproduces the sequential one exactly: same
@@ -58,23 +58,17 @@ class TestShardedParity:
     def test_blocks_match_sequential(self, store, inline_pool, shards):
         spec = SubstrateSpec()
         expected = block_signature(ArraySubstrate(store, spec).blocks())
-        sharded = ShardedSubstrate(
-            store, spec, shards=shards, pool=inline_pool
+        sharded = ArraySubstrate(
+            store, spec, fanout=PoolFanout(shards, inline_pool)
         )
-        assert block_signature(sharded.blocks()) == expected
-
-    def test_inline_path_without_pool(self, store):
-        spec = SubstrateSpec()
-        expected = block_signature(ArraySubstrate(store, spec).blocks())
-        sharded = ShardedSubstrate(store, spec, shards=3, pool=None)
         assert block_signature(sharded.blocks()) == expected
 
     @pytest.mark.parametrize("shards", (2, 7))
     def test_indexes_and_neighbor_list_match(self, store, inline_pool, shards):
         spec = SubstrateSpec()
         base = ArraySubstrate(store, spec)
-        sharded = ShardedSubstrate(
-            store, spec, shards=shards, pool=inline_pool
+        sharded = ArraySubstrate(
+            store, spec, fanout=PoolFanout(shards, inline_pool)
         )
         for order in ("schedule", "alpha"):
             expected = base.profile_index(order)
@@ -90,9 +84,11 @@ class TestShardedParity:
             assert built.entries == expected.entries
             assert built.keys == expected.keys
 
-    def test_rejects_bad_shard_count(self, store):
+    def test_rejects_bad_shard_count(self, store, inline_pool):
         with pytest.raises(ValueError, match="shards must be >= 1"):
-            ShardedSubstrate(store, SubstrateSpec(), shards=0)
+            ParallelBackend(workers=0, shards=0)
+        with pytest.raises(ValueError, match="shard count must be >= 1"):
+            PoolFanout(0, inline_pool).ranges(len(store))
 
 
 class TestProcessTransport:
@@ -102,7 +98,7 @@ class TestProcessTransport:
         expected = block_signature(ArraySubstrate(store, spec).blocks())
         pool = WorkerPool(2)
         try:
-            sharded = ShardedSubstrate(store, spec, shards=2, pool=pool)
+            sharded = ArraySubstrate(store, spec, fanout=PoolFanout(2, pool))
             assert block_signature(sharded.blocks()) == expected
         finally:
             pool.close()
@@ -113,8 +109,8 @@ class TestBackendSeam:
         backend = ParallelBackend(workers=0, shards=3)
         try:
             substrate = backend.blocking_substrate(store, SubstrateSpec())
-            assert isinstance(substrate, ShardedSubstrate)
-            assert substrate.shards == 3
+            assert isinstance(substrate, ArraySubstrate)
+            assert substrate.fanout.shards == 3
             expected = block_signature(
                 ArraySubstrate(store, SubstrateSpec()).blocks()
             )

@@ -23,11 +23,12 @@ class TestLegacyPathIdentical:
     def test_build_method_plus_run_progressive_matches_pipeline(
         self, toy_dataset, name
     ):
-        old = run_progressive(
-            build_method(name, toy_dataset.store),
-            toy_dataset.ground_truth,
-            max_ec_star=10.0,
-        )
+        with pytest.warns(DeprecationWarning, match="deprecated"):
+            old = run_progressive(
+                build_method(name, toy_dataset.store),
+                toy_dataset.ground_truth,
+                max_ec_star=10.0,
+            )
         new = (
             ERPipeline()
             .method(name)
@@ -38,13 +39,14 @@ class TestLegacyPathIdentical:
         assert dataclasses.asdict(old) == dataclasses.asdict(new)
 
     def test_psn_baseline_matches(self, toy_dataset):
-        old = run_progressive(
-            build_method(
-                "PSN", toy_dataset.store, key_function=toy_dataset.psn_key
-            ),
-            toy_dataset.ground_truth,
-            max_ec_star=10.0,
-        )
+        with pytest.warns(DeprecationWarning, match="deprecated"):
+            old = run_progressive(
+                build_method(
+                    "PSN", toy_dataset.store, key_function=toy_dataset.psn_key
+                ),
+                toy_dataset.ground_truth,
+                max_ec_star=10.0,
+            )
         new = (
             ERPipeline().method("PSN").fit(toy_dataset).evaluate(max_ec_star=10.0)
         )
@@ -52,21 +54,21 @@ class TestLegacyPathIdentical:
         assert dataclasses.asdict(old) == dataclasses.asdict(new)
 
     def test_stream_order_matches_legacy_iteration(self, toy_dataset):
-        legacy = [
-            c.pair
-            for _, c in zip(range(50), build_method("PPS", toy_dataset.store), strict=False)
-        ]
+        with pytest.warns(DeprecationWarning, match="deprecated"):
+            method = build_method("PPS", toy_dataset.store)
+        legacy = [c.pair for _, c in zip(range(50), method, strict=False)]
         resolver = ERPipeline().budget(comparisons=50).fit(toy_dataset)
         assert [c.pair for c in resolver.stream()] == legacy
 
     def test_resolve_facade_matches_legacy_curve(self, toy_dataset):
         result = resolve(toy_dataset, method="PPS")
-        legacy = run_progressive(
-            build_method("PPS", toy_dataset.store),
-            toy_dataset.ground_truth,
-            max_ec_star=1e6,  # effectively unbounded: run to exhaustion
-            stop_at_full_recall=False,
-        )
+        with pytest.warns(DeprecationWarning, match="deprecated"):
+            legacy = run_progressive(
+                build_method("PPS", toy_dataset.store),
+                toy_dataset.ground_truth,
+                max_ec_star=1e6,  # effectively unbounded: run to exhaustion
+                stop_at_full_recall=False,
+            )
         assert result.curve.hit_positions == legacy.hit_positions
 
 

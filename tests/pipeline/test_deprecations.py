@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import warnings
 
+import pytest
+
 from repro.core.profiles import ProfileStore
 from repro.evaluation.progressive_recall import run_progressive
 from repro.pipeline import ERPipeline
@@ -21,15 +23,10 @@ def store() -> ProfileStore:
 
 
 def test_build_method_warns_and_stays_identical():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with pytest.warns(
+        DeprecationWarning, match=r"build_method\(\) is deprecated.*docs/migration\.md"
+    ):
         legacy = build_method("PPS", store(), purge_ratio=None)
-    assert any(
-        issubclass(w.category, DeprecationWarning)
-        and "build_method" in str(w.message)
-        and "docs/migration.md" in str(w.message)
-        for w in caught
-    )
     modern = (
         ERPipeline()
         .blocking("token", purge=None)
@@ -43,15 +40,10 @@ def test_build_method_warns_and_stays_identical():
 def test_run_progressive_warns_and_stays_identical(
     paper_profiles, paper_ground_truth
 ):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with pytest.warns(DeprecationWarning, match=r"build_method\(\) is deprecated"):
         method = build_method("PPS", paper_profiles)
+    with pytest.warns(DeprecationWarning, match=r"run_progressive\(\) is deprecated"):
         legacy = run_progressive(method, paper_ground_truth)
-    assert any(
-        issubclass(w.category, DeprecationWarning)
-        and "run_progressive" in str(w.message)
-        for w in caught
-    )
     modern = (
         ERPipeline()
         .method("PPS")

@@ -9,8 +9,8 @@ from repro.core.profiles import ProfileStore
 from repro.progressive.base import (
     ProgressiveMethod,
     available_methods,
-    build_method,
 )
+from repro.registry import progressive_methods
 
 
 class Dummy(ProgressiveMethod):
@@ -66,28 +66,27 @@ class TestRegistry:
         assert expected <= set(available_methods())
 
     def test_build_by_acronym_with_dash(self, store):
-        method = build_method("sa-psn", store)
+        method = progressive_methods.build("sa-psn", store)
         assert method.name == "SA-PSN"
 
     def test_build_accepts_any_spelling(self, store):
         for spelling in ("SAPSN", "sa_psn", "Sa-Psn"):
-            assert build_method(spelling, store).name == "SA-PSN"
+            assert progressive_methods.build(spelling, store).name == "SA-PSN"
 
     def test_unknown_method(self, store):
         with pytest.raises(ValueError, match="unknown progressive method"):
-            build_method("XYZ", store)
+            progressive_methods.build("XYZ", store)
 
     def test_subclass_without_name_cannot_hijack_parent(self, store):
         from repro.progressive import PPS
         from repro.progressive.base import register_method
-        from repro.registry import progressive_methods
 
         @register_method("MyPPS")
         class MyPPS(PPS):  # inherits name = "PPS"; must register as MyPPS
             pass
 
         try:
-            assert type(build_method("PPS", store)) is PPS
-            assert type(build_method("MyPPS", store)) is MyPPS
+            assert type(progressive_methods.build("PPS", store)) is PPS
+            assert type(progressive_methods.build("MyPPS", store)) is MyPPS
         finally:
             progressive_methods.unregister("MyPPS")

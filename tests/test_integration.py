@@ -12,10 +12,9 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets.registry import list_datasets, load_dataset
-from repro.evaluation.progressive_recall import run_progressive
 from repro.evaluation.timing import timed_run
 from repro.matching.match_functions import JaccardMatcher, OracleMatcher
-from repro.progressive.base import build_method
+from repro.pipeline import ERPipeline
 
 INTEGRATION_SCALES = {
     "census": 0.4,
@@ -31,11 +30,9 @@ INTEGRATION_SCALES = {
 ALL_METHODS = ["SAPSN", "SAPSAB", "LSPSN", "GSPSN", "PBS", "PPS"]
 
 
-def run(dataset, method_name, max_ec_star=20.0, **kwargs):
-    method = build_method(method_name, dataset.store, **kwargs)
-    return run_progressive(
-        method, dataset.ground_truth, max_ec_star=max_ec_star, dataset=dataset.name
-    )
+def run(dataset, method_name, max_ec_star=20.0):
+    resolver = ERPipeline().method(method_name).fit(dataset)
+    return resolver.evaluate(max_ec_star=max_ec_star)
 
 
 @pytest.mark.parametrize("dataset_name", list_datasets())
@@ -56,7 +53,7 @@ class TestPSNOnStructuredDatasets:
     )
     def test_psn_with_shipped_keys(self, dataset_name):
         dataset = load_dataset(dataset_name, scale=INTEGRATION_SCALES[dataset_name])
-        curve = run(dataset, "PSN", key_function=dataset.psn_key)
+        curve = run(dataset, "PSN")  # fit() injects the dataset's psn_key
         assert curve.final_recall() > 0.1
 
 
@@ -93,7 +90,8 @@ class TestHeadlineFindings:
 class TestTimingPipeline:
     def test_timed_run_with_real_matcher(self):
         dataset = load_dataset("restaurant", scale=0.3)
-        method = build_method("PPS", dataset.store)
+        # timed_run measures initialization: hand it an uninitialized method
+        method = ERPipeline().method("PPS").fit(dataset).build_method()
         matcher = OracleMatcher(
             dataset.ground_truth, cost_model=JaccardMatcher()
         )

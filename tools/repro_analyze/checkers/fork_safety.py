@@ -7,10 +7,12 @@ A lambda, a nested function, a ``functools.partial`` or a bound method
 either fails to pickle outright or (worse, under fork) captures state
 the worker should have received through the broadcast payload.
 
-The rule inspects every ``<pool>.run(...)`` / ``<pool>.run_transient(...)``
-call site (any receiver whose spelling mentions ``pool``) and requires
-the task argument to resolve to a module-level function: a local
-``def``, an imported name, or a ``module.function`` attribute.
+The rule inspects every ``<pool>.run(...)`` / ``<fanout>.run(...)`` call
+site (any receiver whose spelling mentions ``pool`` or ``fanout`` - the
+engine names its range kernels at ``fanout.run`` sites, and a pooled
+fan-out forwards them to its pool) and requires the task argument to
+resolve to a module-level function: a local ``def``, an imported name,
+or a ``module.function`` attribute.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from tools.repro_analyze.core import SourceFile, Violation
 
 RULE = "fork-safety"
 
-_POOL_METHODS = {"run", "run_transient"}
+_POOL_METHODS = {"run"}
 
 
 def _collect_bindings(tree: ast.Module) -> tuple[set[str], set[str]]:
@@ -31,7 +33,7 @@ def _collect_bindings(tree: ast.Module) -> tuple[set[str], set[str]]:
     forbidden: set[str] = set()
 
     # Imports bind picklable references wherever they appear - a
-    # function-local ``from repro.parallel.tasks import ranked_sort_task``
+    # function-local ``from repro.engine.topk import rank_slice``
     # still names a module-level function - so imports are collected from
     # the whole file, not just the module body.
     for node in ast.walk(tree):
@@ -79,7 +81,8 @@ def _is_method(tree: ast.Module, func: ast.AST) -> bool:
 
 
 def _mentions_pool(node: ast.expr) -> bool:
-    return "pool" in ast.unparse(node).lower()
+    spelling = ast.unparse(node).lower()
+    return "pool" in spelling or "fanout" in spelling
 
 
 def check(source: SourceFile) -> Iterator[Violation]:
