@@ -10,9 +10,8 @@ floods the early stream with weak comparisons.
 from __future__ import annotations
 
 from benchmarks._shared import dataset, emit
-from repro.evaluation.progressive_recall import run_progressive
 from repro.evaluation.report import format_table
-from repro.progressive.pps import PPS
+from repro.pipeline import ERPipeline
 
 K_VALUES = (1, 10, 25, 50, 100, None)  # None = adaptive default
 
@@ -21,8 +20,9 @@ def compute_rows() -> list[list[object]]:
     data = dataset("cora")
     rows = []
     for k_max in K_VALUES:
-        method = PPS(data.store, k_max=k_max)
-        curve = run_progressive(method, data.ground_truth, max_ec_star=10.0)
+        resolver = ERPipeline().method("PPS", k_max=k_max).fit(data)
+        curve = resolver.evaluate(max_ec_star=10.0)
+        method = resolver.initialize().method  # the effective K_max
         label = "adaptive" if k_max is None else str(k_max)
         rows.append(
             [

@@ -11,9 +11,8 @@ from __future__ import annotations
 import pytest
 
 from benchmarks._shared import dataset, emit
-from repro.evaluation.progressive_recall import run_progressive
 from repro.evaluation.report import format_table
-from repro.progressive.base import build_method
+from repro.pipeline import ERPipeline
 
 SCHEMES = ("ARCS", "CBS", "ECBS", "JS")
 MAX_EC = 10.0
@@ -23,8 +22,8 @@ def compute_rows(method_name: str) -> list[list[object]]:
     data = dataset("movies")
     rows = []
     for scheme in SCHEMES:
-        method = build_method(method_name, data.store, weighting=scheme)
-        curve = run_progressive(method, data.ground_truth, max_ec_star=MAX_EC)
+        resolver = ERPipeline().meta(scheme).method(method_name).fit(data)
+        curve = resolver.evaluate(max_ec_star=MAX_EC)
         rows.append(
             [
                 scheme,

@@ -9,9 +9,8 @@ size of the precomputed Comparison List (the memory driver).
 from __future__ import annotations
 
 from benchmarks._shared import dataset, emit
-from repro.evaluation.progressive_recall import run_progressive
 from repro.evaluation.report import format_table
-from repro.progressive.gs_psn import GSPSN
+from repro.pipeline import ERPipeline
 
 WINDOWS = (5, 10, 20, 50)
 
@@ -20,10 +19,9 @@ def compute_rows() -> list[list[object]]:
     data = dataset("census")
     rows = []
     for w_max in WINDOWS:
-        method = GSPSN(data.store, max_window=w_max)
-        method.initialize()
-        comparisons = len(method._comparisons)
-        curve = run_progressive(method, data.ground_truth, max_ec_star=10.0)
+        resolver = ERPipeline().method("GS-PSN", max_window=w_max).fit(data)
+        comparisons = len(resolver.initialize().method._comparisons)
+        curve = resolver.evaluate(max_ec_star=10.0)
         rows.append(
             [
                 w_max,

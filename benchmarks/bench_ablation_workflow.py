@@ -11,9 +11,8 @@ from __future__ import annotations
 from benchmarks._shared import dataset, emit
 from repro.blocking.workflow import token_blocking_workflow
 from repro.evaluation.metrics import evaluate_blocking
-from repro.evaluation.progressive_recall import run_progressive
 from repro.evaluation.report import format_table
-from repro.progressive.pps import PPS
+from repro.pipeline import ERPipeline
 
 CONFIGS = (
     ("full workflow", 0.1, 0.8),
@@ -31,8 +30,8 @@ def compute_rows() -> list[list[object]]:
             data.store, purge_ratio=purge, filter_ratio=filter_ratio
         )
         quality = evaluate_blocking(blocks, data.ground_truth)
-        method = PPS(data.store, blocks=blocks)
-        curve = run_progressive(method, data.ground_truth, max_ec_star=10.0)
+        resolver = ERPipeline().method("PPS", blocks=blocks).fit(data)
+        curve = resolver.evaluate(max_ec_star=10.0)
         rows.append(
             [
                 label,

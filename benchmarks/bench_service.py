@@ -196,8 +196,6 @@ async def run(params: dict, snapshot_dir: str, host: str, port: int) -> dict:
                     "probe_latency_p95",
                     "queue_depth",
                     "rejected",
-                    "scorer_rebuilds",
-                    "scorer_delta_updates",
                 )
             },
             "snapshot": {

@@ -14,7 +14,7 @@ from repro.datasets.registry import load_dataset
 from repro.evaluation.report import format_table
 from repro.evaluation.timing import measure_initialization
 from repro.neighborlist.neighbor_list import NeighborList
-from repro.progressive.base import build_method
+from repro.pipeline import ERPipeline
 
 SCALES = (0.01, 0.02, 0.04)
 METHODS = ("SA-PSN", "LS-PSN", "GS-PSN", "PBS", "PPS")
@@ -27,9 +27,9 @@ def compute_rows() -> list[list[object]]:
         nl_size = len(NeighborList.schema_agnostic(data.store))
         row: list[object] = [f"{scale:g}", len(data.store), nl_size]
         for method_name in METHODS:
-            method = build_method(
-                method_name.replace("-", ""), data.store
-            )
+            # build_method() hands back the method un-initialized: block
+            # building stays inside the timed initialization phase.
+            method = ERPipeline().method(method_name).fit(data).build_method()
             row.append(f"{measure_initialization(method):.3f}s")
         rows.append(row)
     return rows

@@ -33,9 +33,7 @@ Full control - the composable pipeline::
 
 Components (methods, blocking schemes, weighting schemes, matchers) are
 addressed by name through a shared registry that accepts any spelling
-("SA-PSN" == "sapsn"); register your own via ``repro.registry``.  The
-legacy entrypoints (``build_method`` + ``run_progressive``) keep working
-and produce identical results.
+("SA-PSN" == "sapsn"); register your own via ``repro.registry``.
 
 Speed - the array engine (optional ``repro[speed]`` extra)::
 
@@ -93,7 +91,6 @@ from repro.evaluation import (
     RecallCurve,
     evaluate_blocking,
     measure_initialization,
-    run_progressive,
     timed_run,
 )
 from repro.incremental import (
@@ -146,11 +143,10 @@ from repro.progressive import (
     SAPSN,
     ProgressiveMethod,
     available_methods,
-    build_method,
 )
 from repro.registry import ComponentRegistry, get_registry
 
-__version__ = "1.5.0"
+__version__ = "2.0.0"
 
 __all__ = [
     # pipeline API
@@ -216,7 +212,6 @@ __all__ = [
     # progressive methods
     "ProgressiveMethod",
     "available_methods",
-    "build_method",
     "PSN",
     "SAPSN",
     "SAPSAB",
@@ -245,7 +240,6 @@ __all__ = [
     "RecallCurve",
     "evaluate_blocking",
     "measure_initialization",
-    "run_progressive",
     "timed_run",
     "__version__",
 ]

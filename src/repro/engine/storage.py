@@ -67,25 +67,6 @@ class ArrayStore:
         self._tempdir: str | None = None
         self._counter = 0
         self._finalizer: weakref.finalize | None = None
-        self._persistent = False
-
-    @classmethod
-    def persistent(cls, path: str) -> "ArrayStore":
-        """A store rooted at a *fixed* directory that outlives the session.
-
-        Unlike the scratch default, the directory is ``path`` itself
-        (created if missing, existing files left in place), and
-        :meth:`close` flushes without deleting - the snapshot writer's
-        mode (see :mod:`repro.service.snapshot`): arrays written through
-        the same memmap machinery, but meant to be read back after the
-        process exits.  Use :meth:`empty`/:meth:`materialize` with
-        ``name=`` so files land under stable, content-addressed names.
-        """
-        store = cls()
-        os.makedirs(path, exist_ok=True)
-        store._tempdir = path
-        store._persistent = True
-        return store
 
     @property
     def path(self) -> str | None:
@@ -98,9 +79,7 @@ class ArrayStore:
             return 0
         return len(os.listdir(self._tempdir))
 
-    def _new_path(
-        self, stem: str, suffix: str, name: str | None = None
-    ) -> str:
+    def _new_path(self, stem: str, suffix: str) -> str:
         if self._tempdir is None:
             self._tempdir = tempfile.mkdtemp(
                 prefix="repro-storage-", dir=self._parent
@@ -108,39 +87,26 @@ class ArrayStore:
             self._finalizer = weakref.finalize(
                 self, shutil.rmtree, self._tempdir, True
             )
-        if name is not None:
-            if os.path.basename(name) != name or not name:
-                raise ValueError(
-                    f"array name must be a bare filename, got {name!r}"
-                )
-            return os.path.join(self._tempdir, f"{name}{suffix}")
         self._counter += 1
         return os.path.join(
             self._tempdir, f"{stem}-{self._counter:05d}{suffix}"
         )
 
-    def empty(
-        self, shape: Any, dtype: Any, *, name: str | None = None
-    ) -> np.ndarray:
-        """A writable, uninitialized memmap array (``.npy`` format).
-
-        ``name`` pins the file to ``<name>.npy`` inside the store's
-        directory instead of a generated counter name - the persistent
-        stores use it so snapshot layouts are stable across runs.
-        """
+    def empty(self, shape: Any, dtype: Any) -> np.ndarray:
+        """A writable, uninitialized memmap array (``.npy`` format)."""
         if not isinstance(shape, tuple):
             shape = (int(shape),)
         return np.lib.format.open_memmap(
-            self._new_path("array", ".npy", name=name),
+            self._new_path("array", ".npy"),
             mode="w+",
             dtype=np.dtype(dtype),
             shape=shape,
         )
 
-    def materialize(self, array: Any, *, name: str | None = None) -> np.ndarray:
+    def materialize(self, array: Any) -> np.ndarray:
         """A memmap copy of ``array`` (same shape, dtype and contents)."""
         source = np.asarray(array)
-        out = self.empty(source.shape, source.dtype, name=name)
+        out = self.empty(source.shape, source.dtype)
         out[...] = source
         return out
 
@@ -149,14 +115,11 @@ class ArrayStore:
         return SpillWriter(self, dtype)
 
     def close(self) -> None:
-        """Finish the store; idempotent.
+        """Remove the scratch directory; idempotent.
 
-        Scratch stores remove their directory - arrays handed out
-        earlier become invalid (on POSIX the pages already mapped stay
-        readable until the last reference dies, but callers must treat
-        the owning session as finished).  Persistent stores only detach:
-        the directory and every named array in it stay on disk for a
-        later :func:`~repro.service.snapshot.load_session`.
+        Arrays handed out earlier become invalid (on POSIX the pages
+        already mapped stay readable until the last reference dies, but
+        callers must treat the owning session as finished).
         """
         finalizer, self._finalizer = self._finalizer, None
         self._tempdir = None

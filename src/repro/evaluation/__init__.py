@@ -9,7 +9,6 @@ from repro.evaluation.metrics import (
 from repro.evaluation.progressive_recall import (
     RecallCurve,
     ideal_auc,
-    run_progressive,
 )
 from repro.evaluation.report import format_curve, format_table, sparkline
 from repro.evaluation.timing import (
@@ -26,7 +25,6 @@ __all__ = [
     "evaluate_blocking",
     "RecallCurve",
     "ideal_auc",
-    "run_progressive",
     "format_curve",
     "format_table",
     "sparkline",

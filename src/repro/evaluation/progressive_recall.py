@@ -112,7 +112,7 @@ def ideal_auc(total_matches: int, ec_star: float) -> float:
     return total / (total_matches**2)
 
 
-def run_progressive(
+def _drive_progressive(
     method: ProgressiveMethod,
     ground_truth: GroundTruth,
     max_ec_star: float = 30.0,
@@ -121,53 +121,14 @@ def run_progressive(
 ) -> RecallCurve:
     """Drive a progressive method and record its recall curve.
 
-    The method is (lazily) initialized, then emissions are consumed up to
-    a budget of ``max_ec_star * |D(P)|`` comparisons.  Match decisions come
+    The protocol body of :meth:`repro.pipeline.Resolver.evaluate`.  The
+    method is (lazily) initialized, then emissions are consumed up to a
+    budget of ``max_ec_star * |D(P)|`` comparisons.  Match decisions come
     from the ground truth - the paper's protocol for the progressiveness
     experiments, which isolates emission order from match-function quality.
 
     With ``stop_at_full_recall`` the run ends as soon as every match is
     found (the curve is flat afterwards, so no information is lost).
-
-    .. deprecated:: 1.4
-        Part of the PR-1 legacy surface.  Prefer
-        :meth:`repro.pipeline.Resolver.evaluate` (or the one-call
-        :func:`repro.resolve`), which runs byte-for-byte the same
-        protocol with blocking/weighting/budget configuration around
-        it; see docs/migration.md for the removal timeline.  The shim
-        emits a :class:`DeprecationWarning` and produces identical
-        curves.
-    """
-    import warnings
-
-    warnings.warn(
-        "run_progressive() is deprecated; use "
-        "ERPipeline().fit(...).evaluate() or resolve(...) instead "
-        "(identical curves - see docs/migration.md)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _drive_progressive(
-        method,
-        ground_truth,
-        max_ec_star=max_ec_star,
-        stop_at_full_recall=stop_at_full_recall,
-        dataset=dataset,
-    )
-
-
-def _drive_progressive(
-    method: ProgressiveMethod,
-    ground_truth: GroundTruth,
-    max_ec_star: float = 30.0,
-    stop_at_full_recall: bool = True,
-    dataset: str = "",
-) -> RecallCurve:
-    """The protocol body behind :func:`run_progressive` (no warning).
-
-    Internal callers - :meth:`repro.pipeline.Resolver.evaluate`, the
-    benchmark harness - drive the protocol through this function so the
-    deprecation of the public shim never fires on supported paths.
     """
     total_matches = len(ground_truth)
     budget = int(math.ceil(max_ec_star * total_matches))

@@ -10,14 +10,10 @@ structure instead of rebuilds:
 * :class:`IncrementalTokenIndex` - the Token Blocking substrate under
   ingestion: postings, block qualification, per-profile block counts,
   all maintained by deltas (:mod:`repro.incremental.index`);
-* :class:`IncrementalWeighter` - the five Meta-blocking weighting
-  schemes over live statistics (:mod:`repro.incremental.weights`);
-* ``ArrayDeltaScorer`` - the numpy scoring twin with an explicit
-  rebuild threshold for its arrays (:mod:`repro.incremental.engine`,
-  requires the ``repro[speed]`` extra);
-* :class:`IncrementalNeighborIndex` - Neighbor List / Position Index
-  maintenance for similarity workloads
-  (:mod:`repro.incremental.neighbors`);
+* :class:`IncrementalWeighter` - the live statistics view the shared
+  Meta-blocking weighting schemes are evaluated against; the one scorer
+  of arrivals and probes on every backend
+  (:mod:`repro.incremental.weights`);
 * :class:`OnlineRanked` - the ``"ONLINE"`` progressive method: global
   best-first ranking, the batch anchor of the parity property
   (:mod:`repro.incremental.online`);
@@ -32,7 +28,6 @@ the batch emission order bit-identically.
 """
 
 from repro.incremental.index import IncrementalTokenIndex
-from repro.incremental.neighbors import IncrementalNeighborIndex
 from repro.incremental.online import OnlineRanked
 from repro.incremental.resolver import IncrementalResolver
 from repro.incremental.store import MutableProfileStore
@@ -42,7 +37,6 @@ __all__ = [
     "MutableProfileStore",
     "IncrementalTokenIndex",
     "IncrementalWeighter",
-    "IncrementalNeighborIndex",
     "OnlineRanked",
     "IncrementalResolver",
 ]

@@ -38,18 +38,6 @@ from repro.core.profiles import EntityProfile, ERType, ProfileStore
 from repro.core.tokenization import DEFAULT_TOKENIZER, Tokenizer
 
 
-def check_rebuild_threshold(value: float) -> float:
-    """Validate a delta-structure rebuild threshold (shared rule).
-
-    Used by every consumer of the knob - the pipeline config, the numpy
-    delta scorer and the incremental Neighbor List - so the accepted
-    range and the error message cannot drift apart.
-    """
-    if not 0.0 < value <= 1.0:
-        raise ValueError(f"rebuild_threshold must be in (0, 1], got {value!r}")
-    return value
-
-
 class IncrementalTokenIndex:
     """Token postings plus blocking statistics under profile ingestion.
 
@@ -297,8 +285,8 @@ class IncrementalTokenIndex:
 
         ``generation`` is deliberately *not* bumped: a probe leaves the
         net state untouched, and bumping would make generation-keyed
-        consumers (the streaming emitter, the numpy arrays) treat
-        unchanged state as stale.  Statistics caches that may be read
+        consumers (the streaming emitter) treat unchanged state as
+        stale.  Statistics caches that may be read
         *during* the probe must be invalidated explicitly (the resolver
         handles its weighter).
         """

@@ -17,6 +17,12 @@ working; on top of it profiles can be *ingested* after ``fit``:
   a previous ingestion made the last build stale - on the numpy backend
   this is where the CSR arrays are re-materialized.
 
+Arrivals and probes are scored by the pure-Python
+:class:`~repro.incremental.weights.IncrementalWeighter` on every
+backend (a per-arrival candidate list never amortized an array refresh;
+measurements in docs/incremental.md); only the full re-ranking runs on
+the configured engine.
+
 The parity contract with batch resolution (property-tested per backend
 and ER type): ingesting a dataset in any chunking emits exactly the
 pair set of one batch ONLINE fit over the union, and a final
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from repro.core.comparisons import Comparison
 from repro.core.ground_truth import GroundTruth
@@ -45,10 +51,8 @@ from repro.incremental.store import MutableProfileStore
 from repro.incremental.weights import IncrementalWeighter
 from repro.pipeline.resolver import DecisionRecord, Resolver
 from repro.progressive.base import ProgressiveMethod
-from repro.registry import backends
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.incremental.neighbors import IncrementalNeighborIndex
     from repro.pipeline.config import PipelineConfig
 
 
@@ -60,11 +64,11 @@ def score_probe(
     """Score one read-only probe with exact as-if-ingested statistics.
 
     The shared body of :meth:`IncrementalResolver.resolve_one`
-    (``ingest=False``) and the fan-out of
-    :meth:`IncrementalResolver.resolve_many`: the index is temporarily
-    updated and rolled back, so corpus statistics see the probe while it
-    is scored and forget it afterwards.  Mutates (and restores) the
-    given index/weighter - callers hand workers their own copies.
+    (``ingest=False``) and :meth:`IncrementalResolver.resolve_many`: the
+    index is temporarily updated and rolled back, so corpus statistics
+    see the probe while it is scored and forget it afterwards.  Mutates
+    (and restores) the given index/weighter - callers hold the session
+    lock.
     """
     weighter.size_offset = 1  # as-if corpus size for purging
     journal = index.probe_enter(probe)
@@ -78,24 +82,6 @@ def score_probe(
         index.probe_exit(probe, journal)
         weighter.invalidate()  # ...and forget it afterwards
         weighter.size_offset = 0
-
-
-def score_probes(
-    payload: dict[str, Any], chunk: list[EntityProfile]
-) -> list[list[Comparison]]:
-    """Pool task: score a chunk of read-only probes against a shipped
-    live index.
-
-    The payload carries a pickled snapshot of the session's token index
-    and weighter (listener-free copies); each worker probes its own
-    copy - enter, score, roll back - so chunks are independent and
-    results line up with a sequential ``resolve_one(ingest=False)`` per
-    item.
-    """
-    return [
-        score_probe(payload["index"], payload["weighter"], probe)
-        for probe in chunk
-    ]
 
 
 class IncrementalResolver(Resolver):
@@ -181,8 +167,8 @@ class IncrementalResolver(Resolver):
             if spec.purge_ratio is not None
             else blocking.purge_ratio
         )
-        #: Serializes index mutation - ingest, sequential probes (which
-        #: temporarily mutate and roll back the shared index) and close.
+        #: Serializes index mutation - ingest, probes (which temporarily
+        #: mutate and roll back the shared index) and close.
         #: An RLock because resolve_one(ingest=True) nests add_profiles.
         self._lock = threading.RLock()
         self._index = (
@@ -195,18 +181,6 @@ class IncrementalResolver(Resolver):
             weighting=config.meta.weighting,
             purge_ratio=purge_ratio,
         )
-        if backends.build(config.backend).require().vectorized:
-            from repro.incremental.engine import ArrayDeltaScorer
-
-            self._scorer = ArrayDeltaScorer(
-                self._index,
-                weighting=config.meta.weighting,
-                purge_ratio=purge_ratio,
-                rebuild_threshold=spec.rebuild_threshold,
-            )
-        else:
-            self._scorer = self._weighter
-        self._neighbors: "IncrementalNeighborIndex | None" = None
         self._stream_generation = -1
         store.subscribe(self._on_ingest)
 
@@ -218,14 +192,6 @@ class IncrementalResolver(Resolver):
         # A drained stream is no longer drained: the arrivals add
         # comparisons, and the next stream()/next_batch() re-ranks.
         self._exhausted = False
-        if self._scorer is not self._weighter:
-            self._scorer.notify(
-                token
-                for profile in profiles
-                for token in self._index.tokens_of(profile.profile_id)
-            )
-        if self._neighbors is not None:
-            self._neighbors.add_profiles(profiles)
 
     # -- online resolution ----------------------------------------------------
 
@@ -254,7 +220,7 @@ class IncrementalResolver(Resolver):
                 [profile.profile_id for profile in profiles],
                 self._weighter.purge_limit(),
             )
-            return self._emit_ranked(self._scorer.score(candidates))
+            return self._emit_ranked(self._weighter.score(candidates))
 
     def resolve_one(
         self,
@@ -291,11 +257,7 @@ class IncrementalResolver(Resolver):
             if not decide:
                 return emitted
             with self._lock:
-                return self._decide_emitted(emitted, cascade)
-        # The pure-Python weighter scores probes on every backend: a
-        # single profile's candidates do not amortize an array refresh
-        # that would be rolled back right after (weights are
-        # bit-identical across scorers by construction).
+                return self._decide(emitted, cascade)
         with self._lock:
             self._check_open()
             probe = self._coerce_probe(item, source)
@@ -304,51 +266,17 @@ class IncrementalResolver(Resolver):
                 return scored
             return self._decide_probe(scored, probe, cascade)
 
-    def _decide_emitted(
-        self, emitted: list[Comparison], cascade
-    ) -> list[DecisionRecord]:
-        """Decide ingested emissions; matches join the session state."""
-        records: list[DecisionRecord] = []
-        for comparison in emitted:
-            verdict = cascade.decide(
-                self.store[comparison.i], self.store[comparison.j]
-            )
-            self._decided += 1
-            if verdict.is_match:
-                self._matched_pairs.add(comparison.pair)
-            records.append(
-                DecisionRecord(
-                    comparison, verdict.is_match, verdict.tier,
-                    verdict.similarity,
-                )
-            )
-        return records
-
     def _decide_probe(
         self, scored: list[Comparison], probe: EntityProfile, cascade
     ) -> list[DecisionRecord]:
         """Decide probe pairs read-only (the probe is not in the store)."""
-        records: list[DecisionRecord] = []
         probe_id = probe.profile_id
-        for comparison in scored:
-            a = (
-                probe
-                if comparison.i == probe_id
-                else self.store[comparison.i]
-            )
-            b = (
-                probe
-                if comparison.j == probe_id
-                else self.store[comparison.j]
-            )
-            verdict = cascade.decide(a, b)
-            records.append(
-                DecisionRecord(
-                    comparison, verdict.is_match, verdict.tier,
-                    verdict.similarity,
-                )
-            )
-        return records
+        return self._decide(
+            scored,
+            cascade,
+            profile_of=lambda pid: probe if pid == probe_id else self.store[pid],
+            record=False,
+        )
 
     def resolve_many(
         self,
@@ -356,42 +284,21 @@ class IncrementalResolver(Resolver):
             "EntityProfile | Mapping[str, object] | Iterable[tuple[str, object]]"
         ],
         sources: Iterable[int] | None = None,
-        workers: int | None = None,
         decide: bool = False,
     ) -> "list[list[Comparison]] | list[list[DecisionRecord]]":
-        """Read-only probes for a whole batch, optionally fanned across
-        a worker pool.
+        """Read-only probes for a whole batch, under one lock hold.
 
         Equivalent to ``[resolve_one(item, ingest=False) for item in
         items]``: every item is scored against the *current* corpus with
         exact as-if-ingested statistics, nothing is stored, emitted or
         counted against budgets - the bulk query path for serving
-        lookups against a live index.
-
-        ``workers=None`` inherits the pipeline's ``.parallel(...)``
-        stage when the session runs on the ``numpy-parallel`` backend
-        (else it stays sequential); an explicit count forces the pool
-        size (``0`` - sequential).  Workers receive a pickled,
-        listener-free snapshot of the live token index once per call
-        and score chunks of probes independently - probes never mutate
-        the session's own index.
+        lookups against a live index.  The whole batch is validated
+        before the first probe is scored, and no ingest can interleave.
 
         ``decide=True`` routes every scored pair through the session's
-        matching cascade (scoring still fans out; decisions run
-        sequentially in-process, so the cascade's tier counters and any
-        expensive-tier call budget stay exact) and returns lists of
+        matching cascade and returns lists of
         :class:`~repro.pipeline.resolver.DecisionRecord`.
         """
-        if workers is None:
-            spec = self.config.parallel
-            if spec is None or self.config.backend != "numpy-parallel":
-                workers = 0
-            elif spec.workers is None:
-                from repro.parallel.pool import default_worker_count
-
-                workers = default_worker_count()
-            else:
-                workers = spec.workers
         source_list = None if sources is None else list(sources)
         item_list = list(items)
         if source_list is not None and len(source_list) != len(item_list):
@@ -408,32 +315,10 @@ class IncrementalResolver(Resolver):
                 )
                 for position, item in enumerate(item_list)
             ]
-            if workers < 2 or len(probes) <= 1:
-                # Sequential (and numpy-free) fast path.
-                scored_lists = [
-                    score_probe(self._index, self._weighter, probe)
-                    for probe in probes
-                ]
-            else:
-                from repro.parallel.plan import ShardPlan
-                from repro.parallel.pool import WorkerPool
-
-                pool = WorkerPool(workers)
-                try:
-                    plan = ShardPlan.uniform(
-                        len(probes), min(workers, len(probes))
-                    )
-                    chunks = [probes[lo:hi] for lo, hi in plan.ranges()]
-                    payload = {
-                        "index": self._index,
-                        "weighter": self._weighter,
-                    }
-                    results = pool.run(score_probes, payload, chunks)
-                finally:
-                    pool.close()
-                scored_lists = [
-                    scored for chunk in results for scored in chunk
-                ]
+            scored_lists = [
+                score_probe(self._index, self._weighter, probe)
+                for probe in probes
+            ]
             if not decide:
                 return scored_lists
             return [
@@ -549,10 +434,8 @@ class IncrementalResolver(Resolver):
         """Persist the session state under the directory ``path``.
 
         Writes profiles, config and the delta-maintained token index
-        (as ``.npy`` CSR arrays, through the persistent
-        :class:`~repro.engine.storage.ArrayStore` machinery when numpy
-        is available) so that :meth:`load` rebuilds a session that
-        streams bit-identically without re-tokenizing the corpus.
+        (as ``.npy`` CSR arrays) so that :meth:`load` rebuilds a session
+        that streams bit-identically without re-tokenizing the corpus.
         Emission-side state (budgets consumed, the position of a
         half-drained stream) is deliberately *not* captured: a restored
         session starts a fresh stream over the saved corpus, exactly
@@ -583,26 +466,6 @@ class IncrementalResolver(Resolver):
     def index(self) -> IncrementalTokenIndex:
         """The live delta-maintained token index."""
         return self._index
-
-    @property
-    def neighbor_index(self) -> "IncrementalNeighborIndex":
-        """Delta-maintained Neighbor List / Position Index (lazy).
-
-        Built from the current corpus on first access, then kept in sync
-        with every subsequent ingestion - the substrate for similarity-
-        based (sorted-neighborhood) workloads over a live corpus.
-        """
-        if self._neighbors is None:
-            from repro.incremental.neighbors import IncrementalNeighborIndex
-
-            spec = self.config.incremental
-            assert spec is not None
-            self._neighbors = IncrementalNeighborIndex(
-                self.store,
-                backend=self.config.backend,
-                rebuild_threshold=spec.rebuild_threshold,
-            )
-        return self._neighbors
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

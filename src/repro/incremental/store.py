@@ -16,9 +16,12 @@ dense ``store[i].profile_id == i`` invariant the flat indexes rely on.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from repro.core.profiles import EntityProfile, ERType, ProfileStore
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.datasets.base import ChunkedProfileStore
 
 #: A store listener: called with the freshly appended profiles.
 IngestListener = Callable[[Sequence[EntityProfile]], None]
@@ -58,11 +61,18 @@ class MutableProfileStore(ProfileStore):
     # -- construction ---------------------------------------------------------
 
     @classmethod
-    def from_store(cls, store: ProfileStore) -> "MutableProfileStore":
-        """A mutable copy of an existing store (profiles are shared)."""
+    def from_store(
+        cls, store: "ProfileStore | ChunkedProfileStore"
+    ) -> "MutableProfileStore":
+        """A mutable copy of an existing store (profiles are shared).
+
+        Reads the source through iteration only, so a streamed
+        :class:`~repro.datasets.base.ChunkedProfileStore` is accepted
+        like a resident one.
+        """
         if isinstance(store, cls):
             return store
-        return cls(store.profiles, store.er_type)
+        return cls(list(store), store.er_type)
 
     # -- subscriptions --------------------------------------------------------
 
@@ -90,10 +100,11 @@ class MutableProfileStore(ProfileStore):
         """Pickle without listeners.
 
         Listeners are session-local callbacks (typically bound methods
-        of a live resolver holding emitters and budgets); a shipped
-        copy - e.g. the probe snapshot ``resolve_many`` sends to worker
-        processes - starts with none, so mutating the copy can never
-        reach back into the originating session.
+        of a live resolver holding a lock, emitters and budgets); a
+        shipped copy - e.g. the store a ``numpy-parallel`` tokenization
+        sweep sends to spawned workers - starts with none, so it
+        pickles at all and can never reach back into the originating
+        session.
         """
         return {
             "profiles": self.profiles,

@@ -1,43 +1,42 @@
-"""Incremental Blocking Graph weighting over live token statistics.
+"""Blocking Graph weighting over live token statistics.
 
-The five Meta-blocking schemes (ARCS/CBS/ECBS/JS/EJS) are defined purely
-by block statistics - cardinalities, per-profile block counts, |B|, node
-degrees - all of which the :class:`IncrementalTokenIndex` maintains (or
-can derive) under ingestion.  :class:`IncrementalWeighter` evaluates the
-same formulas as :mod:`repro.metablocking.weights` against those live
-statistics.
+The Meta-blocking weighting schemes are defined purely by block
+statistics - cardinalities, per-profile block counts, |B|, node degrees
+- all of which the :class:`IncrementalTokenIndex` maintains (or can
+derive) under ingestion.  :class:`IncrementalWeighter` is the live
+:class:`~repro.metablocking.weights.BlockStatistics` provider: blocks
+are keyed by token, every count honors the query-time purge bound, and
+the two whole-corpus statistics are cached per index generation.  The
+formulas themselves are the registered scheme classes of
+:mod:`repro.metablocking.weights`, built over this view - there is no
+second statement of them here.
 
-Bit-exactness with the batch path is a design constraint, exactly as in
-:mod:`repro.engine.weights`: per-pair contributions are accumulated in
-alphabetical token order - the ascending-block-id order of the
-alphabetically ordered collection the ONLINE batch method indexes - and
-the finalize steps evaluate the identical ``math.log`` ratios in the
-identical left-to-right order.  The incremental parity suite asserts
-equality comparison for comparison.
+Bit-exactness with the batch path is a design constraint: per-pair
+contributions are accumulated in alphabetical token order - the
+ascending-block-id order of the alphabetically ordered collection the
+ONLINE batch method indexes - and finalized by the very same code.  The
+incremental parity suite asserts equality comparison for comparison.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
 from repro.core.comparisons import Comparison
 from repro.incremental.index import IncrementalTokenIndex
+from repro.metablocking.weights import WeightingScheme
 from repro.registry import weighting_schemes
-
-#: Schemes with an incremental evaluation (the five stock schemes).
-INCREMENTAL_SCHEMES = ("ARCS", "CBS", "ECBS", "JS", "EJS")
 
 
 class IncrementalWeighter:
-    """Evaluates a weighting scheme against a live incremental index.
+    """A weighting scheme evaluated against a live incremental index.
 
     Parameters
     ----------
     index:
         The delta-maintained token index (the statistics source).
     weighting:
-        Scheme name, any spelling; one of the five stock schemes.
+        Registered scheme name, any spelling.
     purge_ratio:
         Optional query-time Block Purging bound: tokens whose posting
         exceeds ``ratio * |P|`` (evaluated against the *current* corpus
@@ -47,39 +46,30 @@ class IncrementalWeighter:
 
     __slots__ = (
         "index",
-        "weighting",
+        "scheme",
         "purge_ratio",
         "size_offset",
         "_cached_generation",
         "_block_count",
         "_degrees",
-        "_edge_count",
     )
 
     def __init__(
         self,
         index: IncrementalTokenIndex,
-        weighting: str = "ARCS",
+        weighting: str,
         purge_ratio: float | None = None,
     ) -> None:
         self.index = index
-        self.weighting = weighting_schemes.canonical(weighting)
-        if self.weighting not in INCREMENTAL_SCHEMES:
-            raise NotImplementedError(
-                f"weighting scheme {self.weighting!r} has no incremental "
-                f"evaluation (supported: {list(INCREMENTAL_SCHEMES)}); "
-                "resolve in batch mode instead"
-            )
         self.purge_ratio = purge_ratio
         #: Added to the corpus size when evaluating the purge bound -
         #: lets a read-only probe use exact as-if-ingested statistics.
         self.size_offset = 0
         self._cached_generation = -1
-        self._block_count = 0
-        self._degrees: dict[int, int] | None = None
-        self._edge_count = 0
-
-    # -- live statistics ------------------------------------------------------
+        self._block_count: int | None = None
+        self._degrees: tuple[dict[int, int], int] | None = None
+        #: The shared formula, reading its statistics through this view.
+        self.scheme: WeightingScheme = weighting_schemes.build(weighting, self)
 
     def purge_limit(self) -> float | None:
         """The current Block Purging size bound (None when disabled)."""
@@ -93,23 +83,44 @@ class IncrementalWeighter:
         self._cached_generation = -1
 
     def _refresh_cache(self) -> None:
-        if self._cached_generation == self.index.generation:
-            return
-        self._cached_generation = self.index.generation
-        self._block_count = self.index.block_count(self.purge_limit())
-        self._degrees = None  # recomputed lazily, EJS only
-        self._edge_count = 0
+        """Forget the whole-corpus statistics of a past generation.
 
-    def _ensure_degrees(self) -> None:
+        Both are recomputed lazily, by the first formula that reads them
+        - most schemes read neither, and must not pay an O(|B|) scan per
+        ingest or probe.
+        """
+        if self._cached_generation != self.index.generation:
+            self._cached_generation = self.index.generation
+            self._block_count = None
+            self._degrees = None
+
+    # -- BlockStatistics over the live index ----------------------------------
+
+    def cardinality(self, token: str) -> int:
+        """||b|| of the token's current block."""
+        return self.index.cardinality(token)
+
+    def blocks_of_count(self, profile_id: int) -> int:
+        """|B_i| under the current purge bound."""
+        return self.index.blocks_of_count(profile_id, self.purge_limit())
+
+    def block_count(self) -> int:
+        """|B| under the current purge bound (cached per generation)."""
+        self._refresh_cache()
+        if self._block_count is None:
+            self._block_count = self.index.block_count(self.purge_limit())
+        return self._block_count
+
+    def degrees(self) -> tuple[dict[int, int], int]:
         """Blocking Graph node degrees and |E| of the *current* state.
 
-        Same quantities the reference EJS pre-pass computes (distinct
-        valid co-occurring profiles per node); O(graph) per generation,
-        cached - the documented cost of EJS under ingestion.
+        Same quantities the batch pre-pass computes (distinct valid
+        co-occurring profiles per node); O(graph) per generation, cached
+        - the documented cost of degree-based schemes under ingestion.
         """
         self._refresh_cache()
         if self._degrees is not None:
-            return
+            return self._degrees
         index = self.index
         limit = self.purge_limit()
         degrees: dict[int, int] = {}
@@ -134,67 +145,18 @@ class IncrementalWeighter:
             if count:
                 degrees[profile_id] = count
                 total += count
-        self._degrees = degrees
-        self._edge_count = total // 2
+        self._degrees = (degrees, total // 2)
+        return self._degrees
 
-    # -- the scheme formulas (mirroring repro.metablocking.weights) -----------
-
-    def contribution(self, token: str) -> float:
-        """Weight contributed by one shared block (current statistics)."""
-        if self.weighting == "ARCS":
-            cardinality = self.index.cardinality(token)
-            if cardinality <= 0:
-                return 0.0
-            return 1.0 / cardinality
-        return 1.0
-
-    def finalize(self, i: int, j: int, raw: float) -> float:
-        """Normalize an accumulated raw weight for the pair (i, j)."""
-        if self.weighting in ("ARCS", "CBS"):
-            return raw
-        self._refresh_cache()
-        limit = self.purge_limit()
-        bi = self.index.blocks_of_count(i, limit)
-        bj = self.index.blocks_of_count(j, limit)
-        if self.weighting == "ECBS":
-            total = self._block_count
-            if not bi or not bj or total == 0:
-                return 0.0
-            return raw * math.log(total / bi) * math.log(total / bj)
-        # JS and EJS share the Jaccard step.
-        union = bi + bj - raw
-        jaccard = raw / union if union > 0 else 0.0
-        if self.weighting == "JS":
-            return jaccard
-        if jaccard == 0.0:
-            return 0.0
-        self._ensure_degrees()
-        assert self._degrees is not None
-        di = self._degrees.get(i, 0)
-        dj = self._degrees.get(j, 0)
-        if not di or not dj or not self._edge_count:
-            return 0.0
-        return (
-            jaccard
-            * math.log(self._edge_count / di)
-            * math.log(self._edge_count / dj)
-        )
+    def common_blocks(self, i: int, j: int) -> list[str]:
+        """Qualifying tokens two indexed profiles share, alphabetically."""
+        return self.index.pair_tokens(i, j, self.purge_limit())
 
     # -- scoring --------------------------------------------------------------
 
-    def weigh(self, i: int, j: int, tokens: Sequence[str]) -> float:
-        """Weight of one pair given its shared tokens (alphabetical)."""
-        raw = 0.0
-        for token in tokens:
-            raw += self.contribution(token)
-        return self.finalize(i, j, raw)
-
     def pair_weight(self, i: int, j: int) -> float:
         """Current edge weight of two indexed profiles (0.0 if disjoint)."""
-        tokens = self.index.pair_tokens(i, j, self.purge_limit())
-        if not tokens:
-            return 0.0
-        return self.weigh(i, j, tokens)
+        return self.scheme.weight(i, j)
 
     def score(
         self, items: Iterable[tuple[int, int, Sequence[str]]]
@@ -202,11 +164,16 @@ class IncrementalWeighter:
         """Weigh candidate pairs and rank them best-first.
 
         ``items`` are ``(i, j, shared_tokens)`` triples (the candidate
-        generator's output); the result is sorted by the system-wide
-        emission order ``(-weight, i, j)``.
+        generator's output, tokens alphabetical); the result is sorted
+        by the system-wide emission order ``(-weight, i, j)``.
         """
-        out = [
-            Comparison(i, j, self.weigh(i, j, tokens)) for i, j, tokens in items
-        ]
+        contribution = self.scheme.contribution
+        finalize = self.scheme.finalize
+        out = []
+        for i, j, tokens in items:
+            raw = 0.0
+            for token in tokens:
+                raw += contribution(token)
+            out.append(Comparison(i, j, finalize(i, j, raw)))
         out.sort(key=lambda c: (-c.weight, c.i, c.j))
         return out

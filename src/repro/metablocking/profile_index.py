@@ -42,7 +42,13 @@ class ProfileIndex:
         If ids were never assigned, positional ids are stamped here.
     """
 
-    __slots__ = ("collection", "_blocks_of", "block_cardinalities", "store")
+    __slots__ = (
+        "collection",
+        "_blocks_of",
+        "block_cardinalities",
+        "store",
+        "_degrees",
+    )
 
     def __init__(self, collection: BlockCollection) -> None:
         if any(block.block_id < 0 for block in collection.blocks):
@@ -60,6 +66,7 @@ class ProfileIndex:
         for ids in blocks_of.values():
             ids.sort()
         self._blocks_of = blocks_of
+        self._degrees: tuple[dict[int, int], int] | None = None
 
     # -- lookups -----------------------------------------------------------
 
@@ -70,6 +77,37 @@ class ProfileIndex:
     def block_count(self) -> int:
         """|B| - number of blocks in the indexed collection."""
         return len(self.collection.blocks)
+
+    def blocks_of_count(self, profile_id: int) -> int:
+        """|B_i| - number of blocks containing ``profile_id``."""
+        return len(self._blocks_of.get(profile_id, ()))
+
+    def cardinality(self, block_id: int) -> int:
+        """||b|| - comparisons entailed by the block."""
+        return self.block_cardinalities[block_id]
+
+    def degrees(self) -> tuple[dict[int, int], int]:
+        """Blocking Graph node degrees and the edge count |E|.
+
+        Degrees (distinct co-occurring profiles per node) are computed
+        once, lazily, with a full pass over the blocks - the pre-pass
+        any streaming EJS implementation needs.
+        """
+        if self._degrees is None:
+            degrees: dict[int, int] = {}
+            edges = 0
+            er_type = self.store.er_type
+            for block in self.collection.blocks:
+                for comparison in block.comparisons(er_type):
+                    if not self.is_first_encounter(
+                        comparison.i, comparison.j, block.block_id
+                    ):
+                        continue
+                    degrees[comparison.i] = degrees.get(comparison.i, 0) + 1
+                    degrees[comparison.j] = degrees.get(comparison.j, 0) + 1
+                    edges += 1
+            self._degrees = (degrees, edges)
+        return self._degrees
 
     def indexed_profiles(self) -> list[int]:
         """Profile ids that appear in at least one block."""

@@ -6,7 +6,11 @@ principle).  All schemes decompose into
 
 * a per-common-block ``contribution`` (so PBS/PPS can accumulate weights
   while streaming over a block's or a profile's neighborhood), and
-* a ``finalize`` step normalizing the accumulated raw value.
+* a ``finalize`` step normalizing the accumulated raw value,
+
+both reading nothing but :class:`BlockStatistics`.  This module is the
+one scalar statement of the formulas (batch and live sessions alike);
+:mod:`repro.engine.weights` is the one vectorized statement.
 
 Implemented schemes:
 
@@ -23,23 +27,50 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from typing import Any, Mapping, Protocol, Sequence
 
-from repro.metablocking.profile_index import ProfileIndex
 from repro.registry import weighting_schemes
 
 
+class BlockStatistics(Protocol):
+    """What a weighting scheme reads: four statistics and a pair lookup.
+
+    Two providers implement it: the batch
+    :class:`~repro.metablocking.profile_index.ProfileIndex` (blocks keyed
+    by scheduled id) and the live
+    :class:`~repro.incremental.weights.IncrementalWeighter` (blocks keyed
+    by token, purge-aware).  The formulas below are written once against
+    it, so the batch and the incremental path cannot drift apart.
+    """
+
+    def cardinality(self, block: Any) -> int:
+        """||b|| - comparisons entailed by one block."""
+
+    def blocks_of_count(self, profile_id: int) -> int:
+        """|B_i| - number of blocks containing the profile."""
+
+    def block_count(self) -> int:
+        """|B| - number of blocks."""
+
+    def degrees(self) -> tuple[Mapping[int, int], int]:
+        """Blocking Graph node degrees and the edge count |E|."""
+
+    def common_blocks(self, i: int, j: int) -> Sequence[Any]:
+        """The blocks two profiles share, in accumulation order."""
+
+
 class WeightingScheme(ABC):
-    """Edge weighting over a Profile Index."""
+    """Edge weighting over block statistics."""
 
     name: str = "abstract"
 
-    def __init__(self, index: ProfileIndex) -> None:
+    def __init__(self, index: BlockStatistics) -> None:
         self.index = index
 
     # -- streaming interface (used inside the progressive methods) ----------
 
     @abstractmethod
-    def contribution(self, block_id: int) -> float:
+    def contribution(self, block: Any) -> float:
         """Weight contributed by one shared block."""
 
     def finalize(self, i: int, j: int, raw: float) -> float:
@@ -53,7 +84,7 @@ class WeightingScheme(ABC):
         common = self.index.common_blocks(i, j)
         if not common:
             return 0.0
-        raw = sum(self.contribution(block_id) for block_id in common)
+        raw = sum(self.contribution(block) for block in common)
         return self.finalize(i, j, raw)
 
 
@@ -66,8 +97,8 @@ class ARCS(WeightingScheme):
 
     name = "ARCS"
 
-    def contribution(self, block_id: int) -> float:
-        cardinality = self.index.block_cardinalities[block_id]
+    def contribution(self, block: Any) -> float:
+        cardinality = self.index.cardinality(block)
         if cardinality <= 0:
             return 0.0
         return 1.0 / cardinality
@@ -78,7 +109,7 @@ class CBS(WeightingScheme):
 
     name = "CBS"
 
-    def contribution(self, block_id: int) -> float:
+    def contribution(self, block: Any) -> float:
         return 1.0
 
 
@@ -89,21 +120,21 @@ class ECBS(CBS):
 
     def finalize(self, i: int, j: int, raw: float) -> float:
         total = self.index.block_count()
-        bi = len(self.index.blocks_of(i))
-        bj = len(self.index.blocks_of(j))
+        bi = self.index.blocks_of_count(i)
+        bj = self.index.blocks_of_count(j)
         if not bi or not bj or total == 0:
             return 0.0
         return raw * math.log(total / bi) * math.log(total / bj)
 
 
 class JS(CBS):
-    """Jaccard Scheme over the two profiles' block-id lists."""
+    """Jaccard Scheme over the two profiles' block lists."""
 
     name = "JS"
 
     def finalize(self, i: int, j: int, raw: float) -> float:
-        bi = len(self.index.blocks_of(i))
-        bj = len(self.index.blocks_of(j))
+        bi = self.index.blocks_of_count(i)
+        bj = self.index.blocks_of_count(j)
         union = bi + bj - raw
         if union <= 0:
             return 0.0
@@ -113,51 +144,22 @@ class JS(CBS):
 class EJS(JS):
     """Enhanced JS: JS discounted by node degrees in the Blocking Graph.
 
-    Degrees (distinct co-occurring profiles per node) and the total edge
-    count |E| are computed once, lazily, with a full pass over the blocks -
-    the same pre-pass any streaming EJS implementation needs.
+    Degrees and the total edge count |E| come from the statistics
+    provider, which computes them once per state with a full pass.
     """
 
     name = "EJS"
-
-    def __init__(self, index: ProfileIndex) -> None:
-        super().__init__(index)
-        self._degrees: dict[int, int] | None = None
-        self._edge_count: int = 0
-
-    def _ensure_degrees(self) -> None:
-        if self._degrees is not None:
-            return
-        degrees: dict[int, int] = {}
-        edges = 0
-        er_type = self.index.store.er_type
-        for block in self.index.collection.blocks:
-            for comparison in block.comparisons(er_type):
-                if not self.index.is_first_encounter(
-                    comparison.i, comparison.j, block.block_id
-                ):
-                    continue
-                degrees[comparison.i] = degrees.get(comparison.i, 0) + 1
-                degrees[comparison.j] = degrees.get(comparison.j, 0) + 1
-                edges += 1
-        self._degrees = degrees
-        self._edge_count = edges
 
     def finalize(self, i: int, j: int, raw: float) -> float:
         jaccard = super().finalize(i, j, raw)
         if jaccard == 0.0:
             return 0.0
-        self._ensure_degrees()
-        assert self._degrees is not None
-        di = self._degrees.get(i, 0)
-        dj = self._degrees.get(j, 0)
-        if not di or not dj or not self._edge_count:
+        degrees, edge_count = self.index.degrees()
+        di = degrees.get(i, 0)
+        dj = degrees.get(j, 0)
+        if not di or not dj or not edge_count:
             return 0.0
-        return (
-            jaccard
-            * math.log(self._edge_count / di)
-            * math.log(self._edge_count / dj)
-        )
+        return jaccard * math.log(edge_count / di) * math.log(edge_count / dj)
 
 
 for _scheme in (ARCS, CBS, ECBS, JS, EJS):
@@ -170,6 +172,6 @@ def available_schemes() -> list[str]:
     return weighting_schemes.names()
 
 
-def make_scheme(name: str, index: ProfileIndex) -> WeightingScheme:
+def make_scheme(name: str, index: BlockStatistics) -> WeightingScheme:
     """Instantiate a scheme by name (spelling-insensitive)."""
     return weighting_schemes.build(name, index)

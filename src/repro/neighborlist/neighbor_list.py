@@ -91,36 +91,6 @@ class NeighborList:
             token_stream(store, tokenizer), tie_order=tie_order, seed=seed
         )
 
-    # -- incremental maintenance ---------------------------------------------
-
-    def merged_with(
-        self, pairs: Iterable[tuple[str, int]]
-    ) -> "NeighborList":
-        """A new list with extra (key, profile_id) pairs merged in order.
-
-        One linear pass (plus a sort of just the incoming pairs) instead
-        of re-sorting the whole list - the delta path of the incremental
-        Neighbor List.  Existing entries keep their relative order; on
-        equal keys the incoming entries follow the existing run in
-        ascending id order, i.e. insertion tie order for ids assigned
-        after the current ones.
-        """
-        incoming = sorted(pairs)
-        entries: list[int] = []
-        keys: list[str] = []
-        position = 0
-        n = len(self.entries)
-        for key, profile_id in incoming:
-            while position < n and self.keys[position] <= key:
-                keys.append(self.keys[position])
-                entries.append(self.entries[position])
-                position += 1
-            keys.append(key)
-            entries.append(profile_id)
-        keys.extend(self.keys[position:])
-        entries.extend(self.entries[position:])
-        return NeighborList(entries, keys)
-
     # -- inspection ----------------------------------------------------------
 
     def runs(self) -> list[tuple[str, list[int]]]:

@@ -36,10 +36,8 @@ the same stream ``"numpy"`` produces, comparison for comparison
 (property-tested under ``tests/parallel/``).
 
 Parallelism pays off when candidate scoring dominates: large block
-collections (graph build), wide window ranges (GS-PSN), big probe
-batches (:meth:`~repro.incremental.resolver.IncrementalResolver.resolve_many`).
-See ``docs/parallel.md`` for the sharding model and worker-count
-guidance.
+collections (graph build) and wide window ranges (GS-PSN).  See
+``docs/parallel.md`` for the sharding model and worker-count guidance.
 """
 
 from __future__ import annotations

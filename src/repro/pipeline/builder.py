@@ -364,7 +364,6 @@ class ERPipeline:
         self,
         enabled: bool = True,
         *,
-        rebuild_threshold: float = 0.25,
         purge: float | None = None,
     ) -> "ERPipeline":
         """Make ``fit`` return a live, ingestible session.
@@ -377,11 +376,9 @@ class ERPipeline:
         weighting scheme.  Works on both backends; see
         :mod:`repro.incremental` for the batch-parity contract.
 
-        ``rebuild_threshold`` tunes when the lazy refresh of delta
-        structures (numpy arrays, Neighbor List) re-materializes instead
-        of patching; ``purge`` is the query-time Block Purging ratio -
-        ``None`` (default) inherits the ``.blocking(...)`` stage's
-        ``purge`` ratio.  ``enabled=False`` removes the stage.
+        ``purge`` is the query-time Block Purging ratio - ``None``
+        (default) inherits the ``.blocking(...)`` stage's ``purge``
+        ratio.  ``enabled=False`` removes the stage.
 
         Incremental candidate generation is the live Token Blocking
         index and emission is the ONLINE (globally ranked) model:
@@ -391,9 +388,7 @@ class ERPipeline:
         apply to incremental sessions.
         """
         self._config.incremental = (
-            IncrementalConfig(rebuild_threshold=rebuild_threshold, purge_ratio=purge)
-            if enabled
-            else None
+            IncrementalConfig(purge_ratio=purge) if enabled else None
         )
         return self
 

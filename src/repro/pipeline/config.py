@@ -349,30 +349,21 @@ class IncrementalConfig:
     :meth:`add_profiles` / :meth:`resolve_one` emit the comparisons each
     arrival introduces (see :mod:`repro.incremental`).
 
-    ``rebuild_threshold`` governs the delta structures (numpy arrays,
-    the incremental Neighbor List): above this changed fraction a lazy
-    refresh re-materializes instead of patching.  ``purge_ratio`` is the
-    query-time Block Purging bound evaluated against the current corpus
-    size; ``None`` inherits the blocking stage's ``purge_ratio`` (so
-    disable purging via ``.blocking("token", purge=None)``).  Block
-    Filtering is batch-global and does not apply to incremental
-    sessions.
+    ``purge_ratio`` is the query-time Block Purging bound evaluated
+    against the current corpus size; ``None`` inherits the blocking
+    stage's ``purge_ratio`` (so disable purging via
+    ``.blocking("token", purge=None)``).  Block Filtering is
+    batch-global and does not apply to incremental sessions.
     """
 
-    rebuild_threshold: float = 0.25
     purge_ratio: float | None = None
 
     def __post_init__(self) -> None:
-        from repro.incremental.index import check_rebuild_threshold
-
-        check_rebuild_threshold(self.rebuild_threshold)
         _check_ratio("purge_ratio", self.purge_ratio)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "IncrementalConfig":
-        _reject_unknown_keys(
-            "incremental", data, ("rebuild_threshold", "purge_ratio")
-        )
+        _reject_unknown_keys("incremental", data, ("purge_ratio",))
         return cls(**dict(data))
 
 

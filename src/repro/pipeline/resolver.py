@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple
 
 from repro.blocking.base import BlockCollection
 from repro.blocking.workflow import blocking_workflow
 from repro.core.comparisons import Comparison
 from repro.core.ground_truth import GroundTruth
-from repro.core.profiles import ProfileStore
+from repro.core.profiles import EntityProfile, ProfileStore
 from repro.errors import ConfigError, SessionClosed
 from repro.evaluation.metrics import DecisionQuality, decision_quality
 from repro.evaluation.progressive_recall import RecallCurve, _drive_progressive
@@ -614,26 +614,49 @@ class Resolver:
         self._batcher = batcher if batcher.eligible else None
         return self._batcher
 
-    def _decide_buffer(
+    def _decide(
         self,
-        buffer: list[Comparison],
+        comparisons: list[Comparison],
         cascade: MatcherCascade,
-        batcher: "Any | None",
-    ) -> Iterator[DecisionRecord]:
+        *,
+        profile_of: "Callable[[int], EntityProfile] | None" = None,
+        record: bool = True,
+        batcher: "Any | None" = None,
+    ) -> list[DecisionRecord]:
+        """Decide each comparison - the one decide loop of every session.
+
+        ``profile_of`` resolves a pair's ids to profiles (default: the
+        store; a read-only probe substitutes its unstored profile).
+        With ``record`` the decisions count towards the session and
+        matches join its confirmed pairs; without it only the cascade's
+        own tier counters advance.  A ``batcher`` evaluates the cheap
+        tiers of the whole list at once.
+        """
+        verdicts: Iterable[TierDecision]
         if batcher is not None:
-            verdicts: list[TierDecision] = batcher.decide_batch(buffer)
+            verdicts = batcher.decide_batch(comparisons)
         else:
-            verdicts = [
-                cascade.decide(self.store[c.i], self.store[c.j])
-                for c in buffer
-            ]
-        for comparison, verdict in zip(buffer, verdicts):
-            self._decided += 1
-            if verdict.is_match:
-                self._matched_pairs.add(comparison.pair)
-            yield DecisionRecord(
-                comparison, verdict.is_match, verdict.tier, verdict.similarity
+            if profile_of is None:
+                profile_of = self.store.__getitem__
+            # Lazy: a cascade that raises mid-list (a spent expensive-tier
+            # budget in a served session) keeps the decisions before it.
+            verdicts = (
+                cascade.decide(profile_of(c.i), profile_of(c.j))
+                for c in comparisons
             )
+        records: list[DecisionRecord] = []
+        for comparison, verdict in zip(comparisons, verdicts):
+            if record:
+                self._decided += 1
+                if verdict.is_match:
+                    self._matched_pairs.add(comparison.pair)
+            records.append(
+                DecisionRecord(
+                    comparison, verdict.is_match, verdict.tier,
+                    verdict.similarity,
+                )
+            )
+        return records
 
     def resolve_stream(
         self, decide: bool = False, batch_size: int = DECISION_BATCH
@@ -660,10 +683,10 @@ class Resolver:
         for comparison in self.stream():
             buffer.append(comparison)
             if len(buffer) >= batch_size:
-                yield from self._decide_buffer(buffer, cascade, batcher)
+                yield from self._decide(buffer, cascade, batcher=batcher)
                 buffer = []
         if buffer:
-            yield from self._decide_buffer(buffer, cascade, batcher)
+            yield from self._decide(buffer, cascade, batcher=batcher)
 
     def decisions(self) -> Iterator[DecisionRecord]:
         """Decided comparisons, best-first (see :meth:`resolve_stream`)."""
@@ -835,9 +858,8 @@ class Resolver:
 
         A new method instance is built from the same config (emission in
         several methods consumes internal structures, so reusing the
-        session's stream would bias the curve), then driven by
-        :func:`run_progressive` with ground-truth decisions - byte-for-byte
-        the legacy ``build_method`` + ``run_progressive`` path.
+        session's stream would bias the curve), then driven with
+        ground-truth decisions up to ``max_ec_star * |D(P)|`` emissions.
 
         ``decisions=True`` additionally runs the decision protocol
         (:meth:`evaluate_decisions`) and returns an
@@ -876,8 +898,7 @@ class Resolver:
 
 class _PrunedMethodView:
     """A method stream restricted to the pruned graph, for the
-    :func:`run_progressive` protocol (which only reads ``name`` and
-    iterates)."""
+    evaluation protocol (which only reads ``name`` and iterates)."""
 
     def __init__(
         self, method: ProgressiveMethod, emitter: Iterator[Comparison]

@@ -16,7 +16,6 @@ PPS       equality     Progressive Profile Scheduling (Section 5.2.2)
 from repro.progressive.base import (
     ProgressiveMethod,
     available_methods,
-    build_method,
     register_method,
 )
 from repro.progressive.gs_psn import GSPSN
@@ -30,7 +29,6 @@ from repro.progressive.sa_psn import SAPSN
 __all__ = [
     "ProgressiveMethod",
     "available_methods",
-    "build_method",
     "register_method",
     "PSN",
     "SAPSN",

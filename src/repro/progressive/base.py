@@ -107,33 +107,3 @@ def register_method(name: str) -> Callable[[type], type]:
 def available_methods() -> list[str]:
     """Canonical (paper-spelling) acronyms of all registered methods."""
     return progressive_methods.names()
-
-
-def build_method(name: str, store: ProfileStore, **kwargs) -> ProgressiveMethod:
-    """Instantiate a progressive method by its paper acronym.
-
-    Name matching is schema-agnostic about spelling: ``"SA-PSN"``,
-    ``"sapsn"`` and ``"sa_psn"`` all resolve to the same method.
-
-    .. deprecated:: 1.4
-        Prefer :class:`repro.pipeline.ERPipeline` / :func:`repro.resolve`,
-        which add blocking/weighting configuration, budgets and
-        evaluation around the same registry.  The shim emits a
-        :class:`DeprecationWarning` and produces identical methods; see
-        docs/migration.md for the removal timeline.
-
-    Examples
-    --------
-    >>> from repro.progressive import build_method
-    >>> method = build_method("PPS", store, weighting="ARCS")  # doctest: +SKIP
-    """
-    import warnings
-
-    warnings.warn(
-        "build_method() is deprecated; use "
-        "ERPipeline().method(name).fit(store) or resolve(...) instead "
-        "(identical methods - see docs/migration.md)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return progressive_methods.build(name, store, **kwargs)

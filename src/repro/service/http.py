@@ -16,7 +16,7 @@ GET    ``/sessions/{name}``               one session's metrics
 DELETE ``/sessions/{name}``               close and forget the session
 POST   ``/sessions/{name}/ingest``        ``{"records", "sources"?}``
 POST   ``/sessions/{name}/probe``         ``{"records", "sources"?,
-                                          "workers"?, "decide"?}``
+                                          "decide"?}``
 POST   ``/sessions/{name}/stream``        ``{"limit"}`` - next batch of the
                                           globally ranked stream
 POST   ``/sessions/{name}/snapshot``      ``{"path"?}``
@@ -225,7 +225,6 @@ class ServiceApp:
             scored = await session.probe(
                 _records(body),
                 sources=body.get("sources"),
-                workers=body.get("workers"),
                 decide=decide,
             )
             if decide:

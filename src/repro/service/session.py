@@ -6,9 +6,9 @@ the in-process client both talk to: it owns named
 exposes their operations as coroutines.  Resolver calls are blocking
 CPU work, so every operation is off-loaded to a shared thread pool;
 *within* a session the resolver's own lock serializes ingests and
-sequential probes (probes mutate and roll back the shared index), while
-:meth:`ServiceSession.probe` fans batches across the ``resolve_many``
-worker-pool seam.
+probes (probes mutate and roll back the shared index);
+:meth:`ServiceSession.probe` scores a whole batch under one lock hold
+through ``resolve_many``.
 
 Admission control reuses the pipeline's
 :class:`~repro.pipeline.config.BudgetConfig` semantics (``None`` means
@@ -224,10 +224,9 @@ class ServiceSession:
         self,
         records: Iterable[Record],
         sources: Iterable[int] | None = None,
-        workers: int | None = None,
         decide: bool = False,
     ) -> "list[list[Any]]":
-        """Read-only probes for a batch (the ``resolve_many`` fan-out).
+        """Read-only probes for a batch (``resolve_many``).
 
         ``decide=True`` runs the session's matching cascade over every
         scored pair and returns
@@ -243,7 +242,7 @@ class ServiceSession:
             started = time.monotonic()
             try:
                 scored = self.resolver.resolve_many(
-                    items, sources=sources, workers=workers, decide=decide
+                    items, sources=sources, decide=decide
                 )
             except BudgetExceeded:
                 # The cascade's expensive-tier admission: counted with
@@ -300,7 +299,6 @@ class ServiceSession:
 
     def metrics(self) -> dict[str, Any]:
         """A JSON-able point-in-time view of the session's counters."""
-        scorer = getattr(self.resolver, "_scorer", None)
         with self._stats_lock:
             stats = self._metrics
             latencies = list(stats.probe_latencies)
@@ -322,8 +320,6 @@ class ServiceSession:
                 "comparisons_served": stats.comparisons_served,
                 "probe_latency_p50": _percentile(latencies, 0.50),
                 "probe_latency_p95": _percentile(latencies, 0.95),
-                "scorer_rebuilds": getattr(scorer, "rebuilds", None),
-                "scorer_delta_updates": getattr(scorer, "delta_updates", None),
                 "cascade": self.resolver.cascade_stats(),
                 "snapshots": stats.snapshots,
                 "snapshot_age_seconds": snapshot_age,

@@ -11,12 +11,10 @@ A snapshot is a plain directory:
   form (int64): token ``t``'s posting is
   ``ids[indptr[t]:indptr[t + 1]]``, profile ids in ingestion order.
 
-The arrays are standard ``.npy`` (format version 1) files.  With numpy
-installed they are written and read through the persistent
-:class:`~repro.engine.storage.ArrayStore` memmap machinery; without it a
-small stdlib writer/reader produces and parses byte-identical files - a
-snapshot taken on a numpy host restores on a python-only host and vice
-versa.
+The arrays are standard ``.npy`` (format version 1) files, written and
+parsed by one small stdlib codec on every host - byte-identical to what
+``numpy.save`` produces, so other tools can open them, and a snapshot
+taken on a numpy host restores on a python-only host and vice versa.
 
 Restoring never re-tokenizes: the postings come straight from the
 arrays and every derived statistic is recomputed in one pass
@@ -39,15 +37,11 @@ import struct
 import sys
 import time
 from array import array
+from dataclasses import fields
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.comparisons import Comparison
 from repro.core.profiles import EntityProfile, ERType
-
-try:  # numpy is optional (the repro[speed] extra)
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on python-only hosts
-    np = None  # type: ignore[assignment]
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.incremental.resolver import IncrementalResolver
@@ -82,7 +76,7 @@ def stream_digest(comparisons: Iterable[Comparison]) -> str:
     return digest.hexdigest()
 
 
-# -- int64 .npy files, with and without numpy ---------------------------------
+# -- int64 .npy files ---------------------------------------------------------
 
 
 def _npy_header(count: int) -> bytes:
@@ -104,7 +98,7 @@ def _npy_header(count: int) -> bytes:
 
 def _write_npy_int64(path: str, values: Sequence[int]) -> None:
     """Write a 1-D int64 ``.npy`` (format v1) with the stdlib only."""
-    data = array("q", (int(v) for v in values))
+    data = array("q", values)
     if sys.byteorder == "big":  # pragma: no cover - little-endian CI
         data.byteswap()
     with open(path, "wb") as handle:
@@ -113,23 +107,34 @@ def _write_npy_int64(path: str, values: Sequence[int]) -> None:
 
 
 def _read_npy_int64(path: str) -> Sequence[int]:
-    """Read a 1-D little-endian int64 ``.npy`` with the stdlib only."""
+    """Read a 1-D little-endian int64 ``.npy`` with the stdlib only.
+
+    Anything else - foreign magic, another dtype or memory order, more
+    than one dimension, fewer bytes than the header promises - raises
+    :class:`ValueError`.
+    """
     with open(path, "rb") as handle:
-        magic = handle.read(len(_NPY_MAGIC))
-        if magic != _NPY_MAGIC:
+        if handle.read(len(_NPY_MAGIC)) != _NPY_MAGIC:
             raise ValueError(f"{path} is not a .npy file")
-        major = handle.read(2)[0]
-        length = struct.unpack(
-            "<H" if major == 1 else "<I", handle.read(2 if major == 1 else 4)
-        )[0]
-        header = ast.literal_eval(handle.read(length).decode("latin1"))
-        if header.get("descr") != "<i8" or header.get("fortran_order"):
+        try:
+            major = handle.read(2)[0]
+            length = struct.unpack(
+                "<H" if major == 1 else "<I",
+                handle.read(2 if major == 1 else 4),
+            )[0]
+            header = ast.literal_eval(handle.read(length).decode("latin1"))
+            descr, fortran = header["descr"], header["fortran_order"]
+            shape = tuple(header["shape"])
+        except (IndexError, KeyError, SyntaxError, TypeError, struct.error):
+            raise ValueError(f"{path}: malformed .npy header") from None
+        if descr != "<i8" or fortran or len(shape) != 1:
             raise ValueError(
-                f"{path}: expected a C-order '<i8' array, got {header!r}"
+                f"{path}: expected a C-order '<i8' array of one dimension, "
+                f"got {header!r}"
             )
-        (count,) = header["shape"]
+        (count,) = shape
         data = array("q")
-        data.frombytes(handle.read(8 * count))
+        data.frombytes(handle.read(8 * count))  # ValueError on a torn item
         if len(data) != count:
             raise ValueError(f"{path}: truncated array ({len(data)}/{count})")
         if sys.byteorder == "big":  # pragma: no cover - little-endian CI
@@ -138,43 +143,9 @@ def _read_npy_int64(path: str) -> Sequence[int]:
 
 
 def _write_arrays(path: str, indptr: Sequence[int], flat: Sequence[int]) -> None:
-    if np is None:
-        _write_npy_int64(os.path.join(path, f"{INDPTR}.npy"), indptr)
-        _write_npy_int64(os.path.join(path, f"{IDS}.npy"), flat)
-        return
-    # The ArrayStore persistent mode: the same memmap machinery the
-    # storage="memmap" substrate uses, rooted at the snapshot directory
-    # and left on disk by close().
-    from repro.engine.storage import ArrayStore
-
-    store = ArrayStore.persistent(path)
-    try:
-        # indptr always has at least one entry (the leading 0).
-        out = store.empty(len(indptr), np.int64, name=INDPTR)
-        out[:] = np.asarray(indptr, dtype=np.int64)
-        del out  # flush the memmap before detaching the store
-        if flat:
-            ids = store.empty(len(flat), np.int64, name=IDS)
-            ids[:] = np.asarray(flat, dtype=np.int64)
-            del ids
-        else:
-            # np.memmap rejects zero-length maps; write the empty array
-            # through the stdlib path (byte-identical header).
-            _write_npy_int64(os.path.join(path, f"{IDS}.npy"), [])
-    finally:
-        store.close()
-
-
-def _read_array(path: str) -> Sequence[int]:
-    if np is not None:
-        loaded = np.load(path, mmap_mode="r")
-        if loaded.dtype != np.int64 or loaded.ndim != 1:
-            raise ValueError(
-                f"{path}: expected a 1-D int64 array, got "
-                f"{loaded.dtype}/{loaded.ndim}-D"
-            )
-        return loaded
-    return _read_npy_int64(path)
+    """Write the postings CSR (the step a torn save dies in)."""
+    _write_npy_int64(os.path.join(path, f"{INDPTR}.npy"), indptr)
+    _write_npy_int64(os.path.join(path, f"{IDS}.npy"), flat)
 
 
 # -- save / load --------------------------------------------------------------
@@ -260,10 +231,21 @@ def load_session(path: str) -> "IncrementalResolver":
     from repro.incremental.index import IncrementalTokenIndex
     from repro.incremental.resolver import IncrementalResolver
     from repro.incremental.store import MutableProfileStore
-    from repro.pipeline.config import PipelineConfig
+    from repro.pipeline.config import IncrementalConfig, PipelineConfig
 
     manifest = read_manifest(path)
-    config = PipelineConfig.from_dict(manifest["config"])
+    spec = dict(manifest["config"])
+    if spec.get("incremental"):
+        # A manifest written by 1.x carries a stage knob retired since;
+        # a saved session must keep restoring, so only the fields the
+        # stage still has are read (user specs reject unknown keys).
+        known = {field.name for field in fields(IncrementalConfig)}
+        spec["incremental"] = {
+            key: value
+            for key, value in spec["incremental"].items()
+            if key in known
+        }
+    config = PipelineConfig.from_dict(spec)
     profiles = []
     with open(os.path.join(path, PROFILES)) as handle:
         for line_number, line in enumerate(handle):
@@ -277,8 +259,8 @@ def load_session(path: str) -> "IncrementalResolver":
     store = MutableProfileStore(profiles, ERType[manifest["er_type"]])
     with open(os.path.join(path, TOKENS)) as handle:
         tokens = json.load(handle)
-    indptr = _read_array(os.path.join(path, f"{INDPTR}.npy"))
-    flat = _read_array(os.path.join(path, f"{IDS}.npy"))
+    indptr = _read_npy_int64(os.path.join(path, f"{INDPTR}.npy"))
+    flat = _read_npy_int64(os.path.join(path, f"{IDS}.npy"))
     index = IncrementalTokenIndex.restore(
         store,
         tokens,

@@ -91,8 +91,7 @@ class TestIdealAuc:
 
 
 class TestRunProgressive:
-    """The protocol driver behind ``Resolver.evaluate()`` (and the
-    deprecated ``run_progressive`` shim, which only adds a warning)."""
+    """The protocol driver behind ``Resolver.evaluate()``."""
 
     def test_counts_first_detection_only(self):
         store = make_store()

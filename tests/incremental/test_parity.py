@@ -100,11 +100,17 @@ def test_parity_holds_for_every_weighting_scheme(
 
 @pytest.mark.skipif(len(BACKENDS) < 2, reason="needs both backends")
 @pytest.mark.parametrize("er_type", ["dirty", "clean_clean"])
-def test_backends_agree_bit_for_bit(request, er_type):
-    """python and numpy incremental paths emit identical streams."""
+@pytest.mark.parametrize("weighting", ["ARCS", "CBS", "ECBS", "JS", "EJS"])
+@pytest.mark.parametrize("chunk", [1, 5, 100])
+def test_backends_agree_bit_for_bit(request, er_type, weighting, chunk):
+    """python and numpy sessions fed the same chunks emit identical
+    ``add_profiles`` lists - every scheme, both tasks, from
+    one-at-a-time arrivals to bulk loads."""
     store = request.getfixturevalue(f"{er_type}_store")
-    reference, _ = chunked_ingestion(store, 3, "ARCS", "python")
-    vectorized, _ = chunked_ingestion(store, 3, "ARCS", "numpy")
+    k = -(-len(store) // chunk)
+    reference, _ = chunked_ingestion(store, k, weighting, "python")
+    vectorized, _ = chunked_ingestion(store, k, weighting, "numpy")
+    assert reference
     assert emission_key(reference) == emission_key(vectorized)
 
 

@@ -37,6 +37,25 @@ def test_fit_returns_incremental_resolver_and_upgrades_store():
     assert len(resolver.store) == 2
 
 
+def test_fit_accepts_a_streamed_store():
+    """Regression: a ChunkedProfileStore (what the synthetic generator
+    hands out) has no ``.profiles`` list; the mutable copy must be built
+    by iteration.  Same records, same stream."""
+    from repro.datasets.synthetic import generate_synthetic
+    from repro.service.snapshot import stream_digest
+
+    dataset = generate_synthetic(n_profiles=200, seed=0)
+    streamed = ERPipeline().incremental().fit(dataset)
+    assert isinstance(streamed.store, MutableProfileStore)
+    assert len(streamed.store) == 200
+    listed = ERPipeline().incremental().fit(
+        [dict(profile.pairs) for profile in dataset.store]
+    )
+    assert stream_digest(streamed.stream()) == stream_digest(listed.stream())
+    served = ERPipeline().serve().fit(dataset.store)
+    assert len(served.store) == 200
+
+
 def test_online_method_is_registered_under_aliases():
     for spelling in ("ONLINE", "online", "incremental", "ranked"):
         assert progressive_methods.canonical(spelling) == "ONLINE"
@@ -118,11 +137,6 @@ def test_ejs_probe_works_on_clean_clean():
     assert [(c.i, c.j, c.weight) for c in probed] == [
         (c.i, c.j, c.weight) for c in ingested
     ]
-
-
-def test_neighbor_index_receives_the_configured_threshold():
-    resolver = incremental_pipeline(rebuild_threshold=0.75).fit(RECORDS[:3])
-    assert resolver.neighbor_index.rebuild_threshold == 0.75
 
 
 def test_probe_validates_clean_clean_sources_like_ingestion():
@@ -243,14 +257,11 @@ def test_duplicate_id_ingestion_is_safe():
 
 
 def test_spec_round_trip_preserves_incremental_stage():
-    pipeline = incremental_pipeline(rebuild_threshold=0.5, purge=0.3)
+    pipeline = incremental_pipeline(purge=0.3)
     spec = pipeline.to_dict()
-    assert spec["incremental"] == {
-        "rebuild_threshold": 0.5,
-        "purge_ratio": 0.3,
-    }
+    assert spec["incremental"] == {"purge_ratio": 0.3}
     rebuilt = ERPipeline.from_dict(spec)
-    assert rebuilt.config.incremental == IncrementalConfig(0.5, 0.3)
+    assert rebuilt.config.incremental == IncrementalConfig(0.3)
     assert isinstance(rebuilt.fit([]), IncrementalResolver)
 
 
@@ -261,14 +272,15 @@ def test_incremental_stage_can_be_disabled_again():
 
 
 def test_bad_incremental_config_fails_fast():
-    with pytest.raises(ValueError, match="rebuild_threshold"):
-        ERPipeline().incremental(rebuild_threshold=0.0)
     with pytest.raises(ValueError, match="purge_ratio"):
         PipelineConfig.from_dict(
             {"incremental": {"purge_ratio": 1.5}}
         )
     with pytest.raises(ValueError, match="unknown incremental"):
         IncrementalConfig.from_dict({"bogus": 1})
+    # the knob retired in 2.0 is an unknown key like any other
+    with pytest.raises(ValueError, match="unknown incremental"):
+        IncrementalConfig.from_dict({"rebuild_threshold": 0.25})
 
 
 def test_clean_clean_ingestion_emits_cross_source_only():
@@ -281,17 +293,3 @@ def test_clean_clean_ingestion_emits_cross_source_only():
     assert resolver.progress().emitted == 0  # same source: nothing valid
     emitted = resolver.add_profiles([{"n": "alpha beta"}], sources=[1])
     assert {c.pair for c in emitted} == {(0, 2), (1, 2)}
-
-
-def test_neighbor_index_stays_fresh_under_ingestion():
-    from repro.neighborlist.neighbor_list import NeighborList
-
-    resolver = incremental_pipeline().fit(RECORDS[:3])
-    neighbors = resolver.neighbor_index
-    before = len(neighbors.neighbor_list())
-    resolver.add_profiles(RECORDS[3:])
-    merged = neighbors.neighbor_list()
-    assert len(merged) > before
-    batch = NeighborList.schema_agnostic(resolver.store)
-    assert merged.entries == batch.entries
-    assert merged.keys == batch.keys

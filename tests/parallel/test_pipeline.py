@@ -1,5 +1,5 @@
 """The pipeline surface of the parallel layer: registry entry, spec
-round-trip, facade knobs and the batch probe fan-out."""
+round-trip, facade knobs and batch probes on a pooled session."""
 
 from __future__ import annotations
 
@@ -149,38 +149,19 @@ class TestResolveMany:
         ]
         assert session.resolve_many(self.probes) == expected
 
-    def test_worker_pool_matches_sequential(self):
-        session = self.session()
-        expected = session.resolve_many(self.probes)
-        assert session.resolve_many(self.probes, workers=2) == expected
-
     def test_probes_do_not_mutate_the_session(self):
         session = self.session()
         before = len(session.store)
-        session.resolve_many(self.probes, workers=2)
+        session.resolve_many(self.probes)
         assert len(session.store) == before
         assert session.progress().emitted == 0
 
-    def test_inherits_pipeline_workers_and_stays_correct(self):
-        sequential = self.session(workers=0).resolve_many(self.probes)
+    def test_pooled_session_probes_like_an_inline_one(self):
+        """Probes are scored in-process whatever the ``.parallel(...)``
+        stage says; only ``stream()`` fans out."""
+        inline = self.session(workers=0).resolve_many(self.probes)
         pooled = self.session(workers=2).resolve_many(self.probes)
-        assert pooled == sequential
-
-    def test_default_workers_come_from_the_one_function(self, monkeypatch):
-        """``workers=None`` resolves through ``default_worker_count`` -
-        the affinity-aware one - not a private ``os.cpu_count()``."""
-        import repro.parallel.pool as pool_module
-
-        session = self.session(workers=None)
-        asked = []
-        monkeypatch.setattr(
-            pool_module, "default_worker_count", lambda: asked.append(1) or 1
-        )
-        expected = [
-            session.resolve_one(probe, ingest=False) for probe in self.probes
-        ]
-        assert session.resolve_many(self.probes) == expected
-        assert asked == [1]
+        assert pooled == inline
 
     def test_empty_batch(self):
         assert self.session().resolve_many([]) == []

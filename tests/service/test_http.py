@@ -106,6 +106,28 @@ def test_malformed_operation_bodies_are_400(manager):
     run(exercise())
 
 
+def test_probe_ignores_the_retired_workers_key(manager):
+    """1.x clients may still send ``"workers"``; it selects nothing any
+    more - whatever its value, the probe answers as if it were absent."""
+    app = ServiceApp(manager)
+
+    async def exercise():
+        await app.handle("POST", "/sessions", {"name": "s", "records": RECORDS})
+        plain = await app.handle(
+            "POST", "/sessions/s/probe", {"records": [PROBE]}
+        )
+        assert plain[0] == 200 and plain[1]["results"][0]
+        for workers in (0, 2, -7, "many", None):
+            answer = await app.handle(
+                "POST",
+                "/sessions/s/probe",
+                {"records": [PROBE], "workers": workers},
+            )
+            assert answer == plain
+
+    run(exercise())
+
+
 # -- the in-process client -----------------------------------------------------
 
 

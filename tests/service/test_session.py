@@ -230,16 +230,6 @@ def test_metrics_shape(pipeline, tmp_path):
         assert totals["comparisons_served"] == view["comparisons_served"]
 
 
-def test_scorer_counters_surface_on_numpy_backend():
-    pytest.importorskip("numpy")
-    with SessionManager(service_pipeline("numpy")) as manager:
-        session = manager.create("s", RECORDS[:4])
-        run(session.ingest(RECORDS[4:]))
-        view = session.metrics()
-        assert view["scorer_delta_updates"] is not None
-        assert view["scorer_rebuilds"] is not None
-
-
 def test_percentile_nearest_rank():
     assert _percentile([], 0.5) is None
     assert _percentile([7.0], 0.95) == 7.0

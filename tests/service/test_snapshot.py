@@ -88,6 +88,20 @@ def test_emission_progress_is_not_snapshotted(tmp_path):
     assert [c.pair for c in restored.stream()] == full
 
 
+def test_a_snapshot_written_by_1x_still_restores():
+    """``fixtures/session-1.5`` is what release 1.5.0 saved for
+    ``fitted("python")`` (its numpy writer, its manifest - carrying the
+    ``rebuild_threshold`` key retired in 2.0); the digest is the one it
+    streamed."""
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "session-1.5")
+    assert "rebuild_threshold" in read_manifest(path)["config"]["incremental"]
+    restored = IncrementalResolver.load(path)
+    assert stream_digest(restored.stream()) == "ff40c28097d4f328cf9df0b791bf5e82"
+    assert stream_digest(fitted("python").stream()) == stream_digest(
+        restored.reset().stream()
+    )
+
+
 def test_manifest_contents(tmp_path):
     session = fitted("python")
     path = session.save(str(tmp_path / "s"))
@@ -168,10 +182,10 @@ def test_stdlib_npy_round_trip(tmp_path, values):
     assert list(_read_npy_int64(path)) == values
 
 
-def test_stdlib_npy_files_are_numpy_compatible(tmp_path):
+@pytest.mark.parametrize("values", [[3, 1, 4, 1, 5, 9, 2**50], []])
+def test_stdlib_npy_files_are_numpy_compatible(tmp_path, values):
     """Both writers produce byte-identical files; both readers agree."""
     np = pytest.importorskip("numpy")
-    values = [3, 1, 4, 1, 5, 9, 2**50]
     ours = tmp_path / "ours.npy"
     theirs = tmp_path / "theirs.npy"
     _write_npy_int64(str(ours), values)
@@ -188,6 +202,23 @@ def test_stdlib_npy_reader_rejects_other_dtypes(tmp_path):
     path.write_bytes(_npy_header(0).replace(b"<i8", b"<f8"))
     with pytest.raises(ValueError, match="expected a C-order"):
         _read_npy_int64(str(path))
+
+
+def test_stdlib_npy_reader_rejects_other_shapes_and_short_files(tmp_path):
+    from repro.service.snapshot import _npy_header
+
+    matrix = tmp_path / "matrix.npy"
+    matrix.write_bytes(_npy_header(4).replace(b"(4,), ", b"(2,2),"))
+    with pytest.raises(ValueError, match="one dimension"):
+        _read_npy_int64(str(matrix))
+    whole = tmp_path / "whole.npy"
+    _write_npy_int64(str(whole), [1, 2, 3])
+    data = whole.read_bytes()
+    for cut in (len(data) - 3, len(data) - 8, 70, 9, 7):
+        torn = tmp_path / f"torn{cut}.npy"
+        torn.write_bytes(data[:cut])
+        with pytest.raises(ValueError):
+            _read_npy_int64(str(torn))
 
 
 def test_stdlib_npy_reader_rejects_non_npy_files(tmp_path):
