@@ -124,13 +124,14 @@ class Backend(Protocol):
     # -- core factories (vectorized backends) ------------------------------
 
     def blocking_graph(self, index: Any, weighting: str) -> Any:
-        """The materialized, weighted Blocking Graph over ``index``."""
+        """The weighted Blocking Graph over ``index`` (rows on demand)."""
 
     def pps_core(self, scheduled: Any, weighting: str, k_max: int | None) -> Any:
         """The PPS initialization/emission core over scheduled blocks."""
 
     def pbs_core(self, index: Any, graph: Any) -> Any:
-        """The PBS block-event enumeration/emission core."""
+        """The PBS core: weights and emits a range of scheduled blocks
+        at a time; ``graph`` is its weight authority, never its rows."""
 
     def psn_core(self, neighbor_list: Any, store: Any, weighting: Any) -> Any:
         """The LS/GS-PSN window-scoring core over one Neighbor List."""

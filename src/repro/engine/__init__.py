@@ -10,8 +10,9 @@ re-implements the hot paths as contiguous numpy arrays:
   the dict-of-lists indexes;
 * :mod:`repro.engine.weights` - vectorized implementations of all five
   Blocking Graph weighting schemes (ARCS/CBS/ECBS/JS/EJS) that score an
-  entire neighborhood in one array pass, materialized as an
-  ``ArrayBlockingGraph``;
+  entire neighborhood in one array pass - the rows of an
+  ``ArrayBlockingGraph``, built on first use - or a batch of pairs
+  straight off the Profile Index (PBS);
 * :mod:`repro.engine.topk` - exact top-k emission via ``argpartition``
   instead of per-pair heap pushes;
 * :mod:`repro.engine.equality` / :mod:`repro.engine.similarity` -
@@ -167,7 +168,7 @@ ParallelBackend` with a live pool) override it.  Idempotent.
     # ``vectorized`` first.
 
     def blocking_graph(self, index: Any, weighting: str) -> Any:
-        """The materialized, weighted Blocking Graph over ``index``."""
+        """The weighted Blocking Graph over ``index`` (rows on demand)."""
         raise NotImplementedError(
             f"backend {self.name!r} has no vectorized blocking graph"
         )
@@ -179,7 +180,8 @@ ParallelBackend` with a live pool) override it.  Idempotent.
         )
 
     def pbs_core(self, index: Any, graph: Any) -> Any:
-        """The PBS block-event enumeration/emission core."""
+        """The PBS core: weights and emits a range of scheduled blocks
+        at a time; ``graph`` is its weight authority, never its rows."""
         raise NotImplementedError(
             f"backend {self.name!r} has no vectorized PBS core"
         )

@@ -1,39 +1,37 @@
 """Array emission cores for the equality-based methods (PPS and PBS).
 
 Both cores consume the same two structures - an
-:class:`~repro.engine.csr.ArrayProfileIndex` and a materialized
+:class:`~repro.engine.csr.ArrayProfileIndex` and an
 :class:`~repro.engine.weights.ArrayBlockingGraph` - and reproduce the
 reference emission streams bit for bit (see the module docstring of
 :mod:`repro.engine.weights` for how exactness is engineered).
 
 * :class:`ArrayPPSCore` - Algorithms 5-6 (Section 5.2.2): duplication
   likelihoods and per-profile best comparisons fall out of per-row array
-  reductions over the graph; the emission phase replaces the
+  reductions over the graph's rows; the emission phase replaces the
   SortedStack with :func:`repro.engine.topk.top_k_pairs`.
-* :class:`ArrayPBSCore` - Algorithms 3-4 (Section 5.2.1): all block
-  comparisons are enumerated as flat arrays once, the LeCoBI
-  repeated-comparison test becomes one stable argsort over canonical
-  pair keys (the first event of each key *is* the least common block),
-  and pair weights resolve with one ``searchsorted`` into the graph's
-  edge arrays.
+* :class:`ArrayPBSCore` - Algorithms 3-4 (Section 5.2.1): a block's
+  comparisons are weighted when the block is scheduled.  The block axis
+  is walked in ranges of about ``RANGE_BUDGET`` comparisons;
+  :func:`new_block_pairs` enumerates one range, finds every pair's
+  common blocks by probing the Profile Index (the first *is* the least
+  common block of the LeCoBI test, their contributions sum to the raw
+  weight) and keeps the new pairs.  No graph row is built and nothing
+  the core holds grows with |E|.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from repro.core.comparisons import Comparison, ComparisonList
 from repro.engine import require_numpy
 from repro.engine.csr import ArrayProfileIndex, multi_arange
 from repro.engine.fanout import INLINE, Fanout
-from repro.engine.segments import first_k_per_run, run_heads, stable_groups
-from repro.engine.storage import collector
-from repro.engine.topk import (
-    iter_comparisons,
-    sort_pairs_descending,
-    top_k_pairs,
-)
-from repro.engine.weights import ArrayBlockingGraph
+from repro.engine.segments import first_k_per_run, run_heads
+from repro.engine.topk import iter_comparisons, top_k_pairs
+from repro.engine.weights import ArrayBlockingGraph, common_block_weights
 
 require_numpy("repro.engine.equality")
 
@@ -96,11 +94,9 @@ def block_pairs(
     for Clean-clean) so pair generation is a handful of 2-D array
     operations per *distinct* shape instead of one call per block; each
     batch scatters into its blocks' slots of the block-major event
-    arrays.  Block-major order is what makes a stable argsort over
-    canonical pair keys equal the paper's LeCoBI condition ("first
-    event of each key" = least common block id).  Pair order inside a
-    block depends on that block alone, so a block range's output is the
-    contiguous slice of the whole-axis event arrays its blocks own.
+    arrays.  Pair order inside a block depends on that block alone, so
+    a block range's output is the contiguous slice of the whole-axis
+    event arrays its blocks own.
     """
     blo, bhi = shard
     bp_indptr = payload["bp_indptr"]
@@ -154,6 +150,30 @@ def block_pairs(
         pair_i[slots] = np.minimum(raw_i, raw_j)
         pair_j[slots] = np.maximum(raw_i, raw_j)
     return pair_i, pair_j
+
+
+def new_block_pairs(
+    payload: dict[str, Any], shard: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Range kernel: the new comparisons of blocks ``[blo, bhi)``.
+
+    Algorithm 3 lines 4-12 for a run of scheduled blocks: enumerate
+    their pairs (:func:`block_pairs`), keep a pair in the block that is
+    its least common one (the LeCoBI condition - every other occurrence
+    is a repeat) and return ``(block, i, j, raw weight)`` block-major.
+    Both the test and the weight read the Profile Index alone, so a
+    range depends on nothing outside itself and any cut of the block
+    axis concatenates to the whole-axis output.
+    """
+    blo, bhi = shard
+    pair_i, pair_j = block_pairs(payload, shard)
+    block = np.repeat(
+        np.arange(blo, bhi, dtype=np.int64),
+        np.asarray(payload["cardinalities"][blo:bhi]),
+    )
+    least, raw = common_block_weights(payload, pair_i, pair_j)
+    new = least == block
+    return block[new], pair_i[new], pair_j[new], raw[new]
 
 
 class ArrayPPSCore:
@@ -314,17 +334,30 @@ class ArrayPPSCore:
 
 
 class ArrayPBSCore:
-    """Vectorized block enumeration + emission for PBS."""
+    """Block-range enumeration + emission for PBS, one range at a time.
 
-    __slots__ = (
-        "index",
-        "graph",
-        "block_indptr",
-        "pair_i",
-        "pair_j",
-        "first_encounter",
-        "pair_weights",
-    )
+    Parameters
+    ----------
+    index:
+        The CSR profile index over the scheduled block collection.
+    graph:
+        The Blocking Graph over ``index``: the weight authority (its
+        ``payload`` feeds the kernel, its scheme finalizes the raw
+        weights); its rows are never read.
+    fanout:
+        The ranges :func:`new_block_pairs` runs over, and who runs them.
+    """
+
+    __slots__ = ("index", "graph", "fanout")
+
+    #: Block comparisons enumerated per range.  The ranges *are* the
+    #: progressive schedule: the pull that crosses into a new range pays
+    #: for weighting it, and nothing beyond it exists yet.  A few pulls'
+    #: worth keeps that pull short and the range's arrays in cache: on
+    #: ``hetero-movies`` the p99 of a 1,000-comparison pull is 4 ms here
+    #: and 36 ms at 65,536, at slightly better throughput.  A block
+    #: larger than the budget is a range of its own (rows never split).
+    RANGE_BUDGET = 1 << 12
 
     def __init__(
         self,
@@ -334,49 +367,38 @@ class ArrayPBSCore:
     ) -> None:
         self.index = index
         self.graph = graph
-        # Block-major slots: block b owns event range indptr[b]:indptr[b+1].
-        self.block_indptr = np.zeros(index.block_count() + 1, dtype=np.int64)
-        np.cumsum(index.block_cardinalities, out=self.block_indptr[1:])
-        self._enumerate_pairs(fanout)
-        self._finalize_events()
+        self.fanout = fanout
 
-    def _enumerate_pairs(self, fanout: Fanout) -> None:
-        """Every block comparison once, as flat block-major arrays:
-        :func:`block_pairs` over block ranges balanced on cardinality
-        (each block's comparison count - the exact generation mass)."""
-        ranges = fanout.ranges(
-            self.index.block_count(), self.index.block_cardinalities
-        )
-        pair_i = collector(None, np.int64)
-        pair_j = collector(None, np.int64)
-        for part_i, part_j in fanout.run(block_pairs, self.graph.payload, ranges):
-            pair_i.append(part_i)
-            pair_j.append(part_j)
-        self.pair_i, self.pair_j = pair_i.finish(), pair_j.finish()
+    def _stream(self, ranges: Sequence[tuple[int, int]]) -> Iterator[Comparison]:
+        """The new comparisons of ``ranges``: blocks in scheduling
+        order, best-first inside each.  A range is weighted by the pull
+        that reaches it (``chain`` asks for the next one only then)."""
+        parts = self.fanout.run(new_block_pairs, self.graph.payload, ranges)
+        return itertools.chain.from_iterable(map(self._ranked, parts))
 
-    def _finalize_events(self) -> None:
-        """LeCoBI repeat detection + pair weights over the event arrays."""
-        keys = self.pair_i * self.index.n_profiles + self.pair_j
-        order, _sorted_keys, heads = stable_groups(keys)
-        self.first_encounter = np.zeros(keys.size, dtype=bool)
-        self.first_encounter[order[heads]] = True
-        self.pair_weights = self.graph.edge_weights_for(keys)
+    def _ranked(
+        self, part: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    ) -> Iterator[Comparison]:
+        """One range's kernel output, finalized and ordered once by
+        ``(block, -weight, i, j)``."""
+        block, i, j, raw = part
+        weights = self.graph.finalize(i, j, raw)
+        order = np.lexsort((j, i, -weights, block))
+        return iter_comparisons(i[order], j[order], weights[order])
 
     def block_comparisons(self, block_id: int) -> list[Comparison]:
         """New (non-repeated) weighted comparisons of one block, in
-        emission order."""
-        start, end = self.block_indptr[block_id], self.block_indptr[block_id + 1]
-        keep = self.first_encounter[start:end]
-        i = self.pair_i[start:end][keep]
-        j = self.pair_j[start:end][keep]
-        weights = self.pair_weights[start:end][keep]
-        order = sort_pairs_descending(i, j, weights)
-        return list(iter_comparisons(i[order], j[order], weights[order]))
+        emission order: the one-block range of the same kernel."""
+        return list(self._stream([(block_id, block_id + 1)]))
 
     def emit(self) -> Iterator[Comparison]:
         """All blocks in scheduling order, best-first inside each."""
-        for block_id in range(self.index.block_count()):
-            yield from self.block_comparisons(block_id)
+        index = self.index
+        return self._stream(
+            self.fanout.ranges(
+                index.block_count(), index.block_cardinalities, self.RANGE_BUDGET
+            )
+        )
 
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

@@ -12,10 +12,11 @@ the one-range case.
 
 A :class:`Fanout` decides the rest - *which* ranges and *who* runs
 them.  This one is the engine's own: one inline range, or - when the
-caller names a ``budget`` because its outputs spill to disk - inline
-mass cuts of about that size, consumed one at a time so resident memory
-stays bounded.  :mod:`repro.parallel` supplies the other: a shard plan
-over a worker pool.
+caller names a ``budget`` because its outputs spill to disk, or because
+the ranges are PBS's progressive schedule - inline mass cuts of about
+that size, consumed one at a time so resident memory stays bounded and
+no range is computed before it is asked for.  :mod:`repro.parallel`
+supplies the other: a shard plan over a worker pool.
 """
 
 from __future__ import annotations

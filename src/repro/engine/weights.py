@@ -8,19 +8,25 @@ step.  Here both are arrays:
 * ``finalize_all(i, j, raw)`` - element-wise normalization of a whole
   batch of accumulated raw weights.
 
-:class:`ArrayBlockingGraph` materializes the entire weighted Blocking
-Graph as a per-profile CSR: for every profile, the ascending array of its
-valid co-occurring neighbors and their finalized edge weights.  One
-build pays for the whole run - PPS reads rows for its duplication
-likelihoods, its Sorted-Profile-List emission and its K_max top-k; PBS
-resolves every block's pair weights with one ``searchsorted``.
+:class:`ArrayBlockingGraph` holds the weighted Blocking Graph as a
+per-profile CSR: for every profile, the ascending array of its valid
+co-occurring neighbors and their finalized edge weights.  The rows are
+a cache built on first use, by whoever reads them first: PPS (its
+duplication likelihoods, Sorted-Profile-List emission and K_max top-k),
+ONLINE and the pruning kernels are whole-graph consumers and read them
+in the statement after construction; EJS reads their lengths (its
+degrees) before it finalizes anything.  PBS reads none: it weights the
+pairs of the blocks it schedules with :func:`common_block_weights`,
+which probes the Profile Index directly, so under the other four
+schemes a PBS run never builds the graph.
 
 Bit-exactness with the reference implementation is a design constraint,
 not an accident:
 
 * raw accumulation uses ``np.bincount``, whose C loop adds contributions
   sequentially in input order - the same ascending-block-id order the
-  Python dict accumulation follows;
+  Python dict accumulation follows, in the rows and in the pair probes
+  alike;
 * logarithm factors (ECBS/EJS) are precomputed per profile with
   :func:`math.log` on the identical integer ratios Python evaluates;
 * finalize multiplications run in Python's left-to-right order.
@@ -38,7 +44,7 @@ from repro.core.profiles import ERType
 from repro.engine import require_numpy
 from repro.engine.csr import ArrayProfileIndex, multi_arange
 from repro.engine.fanout import INLINE, Fanout
-from repro.engine.segments import stable_groups
+from repro.engine.segments import run_heads, stable_groups
 from repro.engine.storage import DEFAULT_CHUNK, ArrayStore, collector
 from repro.registry import weighting_schemes
 
@@ -73,19 +79,12 @@ class ArrayWeighting:
     # -- scalar compatibility (mirrors WeightingScheme.weight) ---------------
 
     def weight(self, i: int, j: int) -> float:
-        """Edge weight of one pair, 0.0 when no block is shared."""
-        common = np.intersect1d(
-            self.index.blocks_of(i), self.index.blocks_of(j), assume_unique=True
-        )
-        if common.size == 0:
-            return 0.0
-        contributions = self.block_contributions()[common]
-        # Sequential left-to-right sum, matching the reference sum().
-        raw = np.cumsum(contributions)[-1:]
-        out = self.finalize_all(
-            np.asarray([i], dtype=np.int64), np.asarray([j], dtype=np.int64), raw
-        )
-        return float(out[0])
+        """Edge weight of one pair, 0.0 when no block is shared.
+
+        O(postings) a call - the probe arrays of a throwaway graph; hold
+        an :class:`ArrayBlockingGraph` to ask more than a few times.
+        """
+        return ArrayBlockingGraph(self.index, self).weight(i, j)
 
 
 class ArrayARCS(ArrayWeighting):
@@ -156,9 +155,11 @@ class ArrayJS(ArrayCBS):
 class ArrayEJS(ArrayJS):
     """Enhanced JS: JS discounted by Blocking Graph node degrees.
 
-    Degrees and |E| come for free from the materialized graph: a
+    Degrees and |E| are whole-graph quantities (in the paper too): a
     profile's degree is its row length, and every distinct valid pair
-    appears in exactly two rows.
+    appears in exactly two rows.  They depend on the index alone, so the
+    first graph that finalizes with this scheme supplies them - through
+    its own storage and fan-out - for the scheme's lifetime.
     """
 
     name = "EJS"
@@ -170,6 +171,8 @@ class ArrayEJS(ArrayJS):
         self._log_degree: np.ndarray | None = None
 
     def prepare(self, graph: "ArrayBlockingGraph") -> None:
+        if self._log_degree is not None:
+            return
         degrees = np.diff(graph.indptr)
         self._degrees = degrees
         self._edge_count = int(degrees.sum()) // 2
@@ -183,22 +186,14 @@ class ArrayEJS(ArrayJS):
             count=len(degrees),
         )
 
-    def _ensure_prepared(self) -> None:
-        """Self-prepare when used standalone (via the backend seam).
-
-        Degrees depend only on the graph's row *structure*, which is the
-        same for every contribution scheme, so a throwaway CBS-weighted
-        graph over the same index supplies them.  A graph built *with*
-        this instance calls :meth:`prepare` explicitly instead.
-        """
-        if self._log_degree is None:
-            self.prepare(ArrayBlockingGraph(self.index, ArrayCBS(self.index)))
-
     def finalize_all(
         self, i: np.ndarray, j: np.ndarray, raw: np.ndarray
     ) -> np.ndarray:
         jaccard = super().finalize_all(i, j, raw)
-        self._ensure_prepared()
+        if self._log_degree is None:
+            # Standalone use (the backend's ``weighting`` seam): no graph
+            # prepared this scheme, so the rows of one over its index do.
+            self.prepare(ArrayBlockingGraph(self.index, self))
         assert self._log_degree is not None and self._degrees is not None
         out = jaccard * self._log_degree[i] * self._log_degree[j]
         defined = (
@@ -291,8 +286,56 @@ def graph_rows(payload: dict[str, Any], shard: tuple[int, int]) -> dict[str, Any
     }
 
 
+def common_block_weights(
+    payload: dict[str, Any], i: np.ndarray, j: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(least common block, raw weight)`` of every pair ``(i[k], j[k])``.
+
+    The one statement of "common blocks of a pair -> raw weight" in the
+    engine.  Each pair expands the (ascending) block row of whichever
+    endpoint sits in fewer blocks and probes the other endpoint's row
+    for every one of those blocks: ``pb_keys`` holds
+    ``profile * |B| + block`` over the owner-major profile -> blocks
+    CSR, ascending by construction, so membership is one
+    ``searchsorted``.  Most probes miss, and a binary search is the
+    expensive way to learn that: ``pb_filter`` (a boolean table with
+    at least ``FILTER_SLOTS`` slots per key) rejects about nine misses
+    in ten first, and the exact search confirms the rest.  The hits of a pair are its
+    common blocks in ascending order: the first is the least common
+    block (``-1`` when no block is shared - the LeCoBI test of PBS is
+    ``least == current block``), and ``np.bincount`` adds their
+    contributions left to right, the very sequence :func:`graph_rows`
+    sums for the same edge (bit-identical raw weights).  No graph row
+    is read.
+    """
+    pb_indptr = payload["pb_indptr"]
+    pb_keys = payload["pb_keys"]
+    pb_filter = payload["pb_filter"]
+    count_i = pb_indptr[i + 1] - pb_indptr[i]
+    count_j = pb_indptr[j + 1] - pb_indptr[j]
+    expanded = np.where(count_j < count_i, j, i)
+    counts = np.minimum(count_i, count_j)
+    blocks = payload["pb_indices"][multi_arange(pb_indptr[expanded], counts)]
+    block_count = payload["cardinalities"].size
+    probes = np.repeat((i + j - expanded) * block_count, counts)
+    probes += blocks
+    maybe = np.nonzero(pb_filter[probes & (pb_filter.size - 1)])[0]
+    probes = probes[maybe]
+    # The trailing sentinel of pb_keys keeps every slot in bounds.
+    hits = maybe[pb_keys[np.searchsorted(pb_keys, probes)] == probes]
+    common = blocks[hits]
+    owner = np.searchsorted(np.cumsum(counts), hits, side="right")
+    least = np.full(i.size, -1, dtype=np.int64)
+    heads = run_heads(owner)
+    least[owner[heads]] = common[heads]
+    raw = np.bincount(
+        owner, weights=payload["contributions"][common], minlength=i.size
+    )
+    return least, raw
+
+
 class ArrayBlockingGraph:
-    """The full weighted Blocking Graph in per-profile CSR form.
+    """The weighted Blocking Graph in per-profile CSR form, rows on demand.
 
     ``indptr``/``neighbors`` give each profile's valid co-occurring
     neighbors ascending; ``raw``/``weights`` the accumulated and
@@ -303,16 +346,25 @@ class ArrayBlockingGraph:
     ``first_event_index`` replays that order, which PPS's likelihood
     sums and tie-breaks rely on.
 
+    Construction only records what the rows are built from.  The rows
+    are a cache filled by the first read of any of those attributes
+    (``weights`` on top of the other four): the whole-graph consumers -
+    PPS, ONLINE, the pruning kernels, EJS's degrees - read them in
+    their next statement, while PBS weights the pairs of the blocks it
+    schedules through :meth:`finalize` and never builds a row.
+
     ``payload`` is what the CSR-reading range kernels
-    (:func:`graph_rows`, :func:`repro.engine.equality.block_pairs`)
-    read; it lives on the graph so that a method running both (PBS)
-    hands a pooled fan-out the same object twice and ships it once.
+    (:func:`graph_rows`, :func:`repro.engine.equality.new_block_pairs`)
+    read; it lives on the graph so that a method running both (PBS
+    under EJS) hands a pooled fan-out the same object twice and ships
+    it once.
     """
 
     __slots__ = (
         "index",
         "scheme",
         "storage",
+        "fanout",
         "payload",
         "indptr",
         "neighbors",
@@ -328,6 +380,11 @@ class ArrayBlockingGraph:
     #: regardless of n.
     EVENT_BUDGET = 1 << 21
 
+    #: Slots of the membership pre-filter per profile -> block incidence
+    #: (rounded up to a power of two in total): at most one missed probe
+    #: in this many passes it, for a byte per slot.
+    FILTER_SLOTS = 8
+
     def __init__(
         self,
         index: ArrayProfileIndex,
@@ -342,24 +399,65 @@ class ArrayBlockingGraph:
             else scheme
         )
         self.storage = storage
+        self.fanout = fanout
+        pb_keys, pb_filter = self._incidence_keys()
         self.payload: dict[str, Any] = {
             "n": index.n_profiles,
             "clean_clean": index.store.er_type is ERType.CLEAN_CLEAN,
             "sources": index.sources,
             "pb_indptr": index.pb_indptr,
             "pb_indices": index.pb_indices,
+            "pb_keys": pb_keys,
+            "pb_filter": pb_filter,
             "bp_indptr": index.bp_indptr,
             "bp_indices": index.bp_indices,
             "cardinalities": index.block_cardinalities,
             "contributions": self.scheme.block_contributions(),
         }
-        self._build_rows(fanout)
-        self.scheme.prepare(self)
-        self._finalize_rows()
         self._edge_keys: np.ndarray | None = None
         self._edge_weights: np.ndarray | None = None
 
+    def __getattr__(self, name: str) -> Any:
+        # Reached only while a slot is still empty: the first read of a
+        # row attribute builds the rows.
+        if name == "weights":
+            self._finalize_rows()
+        elif name in ("indptr", "neighbors", "raw", "first_event_index"):
+            self._build_rows()
+        else:
+            raise AttributeError(name)
+        return getattr(self, name)
+
     # -- construction --------------------------------------------------------
+
+    def _incidence_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """What :func:`common_block_weights` probes: ``(pb_keys, pb_filter)``.
+
+        ``profile * |B| + block`` of every profile -> block incidence -
+        the CSR is owner-major with ascending rows, so the keys ascend -
+        closed by a sentinel above every possible probe, and the boolean
+        table marking each key's slot.
+        """
+        index = self.index
+        block_count = index.block_count()
+        counts = np.diff(index.pb_indptr)
+        budget = None if self.storage is None else DEFAULT_CHUNK
+        keys = collector(self.storage, np.int64)
+        # A power-of-two size: the slot of a key is its low bits.
+        slots = 1 << (self.FILTER_SLOTS * int(index.pb_indptr[-1])).bit_length()
+        if self.storage is None:
+            table = np.zeros(slots, dtype=bool)
+        else:
+            table = self.storage.empty(slots, bool)
+            table[:] = False
+        for lo, hi in INLINE.ranges(index.n_profiles, counts, budget):
+            start, stop = int(index.pb_indptr[lo]), int(index.pb_indptr[hi])
+            owners = np.repeat(np.arange(lo, hi, dtype=np.int64), counts[lo:hi])
+            chunk = owners * block_count + np.asarray(index.pb_indices[start:stop])
+            table[chunk & (table.size - 1)] = True
+            keys.append(chunk)
+        keys.append(np.asarray([index.n_profiles * block_count]))
+        return keys.finish(), table
 
     def _owner_event_mass(self) -> np.ndarray:
         """Co-occurrence events each owner expands into: every (owner,
@@ -370,18 +468,18 @@ class ArrayBlockingGraph:
         np.cumsum(incidence_events, out=cumulative[1:])
         return cumulative[index.pb_indptr[1:]] - cumulative[index.pb_indptr[:-1]]
 
-    def _build_rows(self, fanout: Fanout) -> None:
+    def _build_rows(self) -> None:
         """Assemble the raw rows from :func:`graph_rows` over owner ranges.
 
         In RAM the fan-out's ranges are balanced on incidence counts
         (the inline fan-out returns the whole axis); with storage they
         are cut by event mass - sized so one range's expansion stays a
         few tens of MB - and each range's rows spill before the next is
-        built.  Preparation (EJS degrees) and finalization need the
-        *whole* graph and run afterwards, elementwise over the
-        assembled rows.
+        built.  Finalization needs the *whole* graph (EJS degrees) and
+        runs afterwards, elementwise over the assembled rows.
         """
         index = self.index
+        fanout = self.fanout
         n = index.n_profiles
         if self.storage is None:
             ranges = fanout.ranges(n, np.diff(index.pb_indptr))
@@ -390,16 +488,17 @@ class ArrayBlockingGraph:
         neighbors = collector(self.storage, np.int64)
         raw = collector(self.storage, np.float64)
         first = collector(self.storage, np.int64)
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        indptr = np.zeros(n + 1, dtype=np.int64)
         offset = 0
         rows = fanout.run(graph_rows, self.payload, ranges)
         for (lo, hi), result in zip(ranges, rows):
-            self.indptr[lo + 1 : hi + 1] = result["row_lengths"]
+            indptr[lo + 1 : hi + 1] = result["row_lengths"]
             neighbors.append(result["neighbors"])
             raw.append(result["raw"])
             first.append(result["first"] + offset if offset else result["first"])
             offset += result["valid_count"]
-        np.cumsum(self.indptr, out=self.indptr)
+        np.cumsum(indptr, out=indptr)
+        self.indptr = indptr
         self.neighbors = neighbors.finish()
         self.raw = raw.finish()
         self.first_event_index = first.finish()
@@ -407,8 +506,7 @@ class ArrayBlockingGraph:
     def _finalize_rows(self) -> None:
         """Elementwise normalization of the raw rows, owner range by
         owner range (one range in RAM, ~``DEFAULT_CHUNK`` edges each
-        when the weights spill).  Always inline: the scheme's state
-        (log factors, EJS degrees) lives in this process."""
+        when the weights spill)."""
         row_lengths = np.diff(self.indptr)
         budget = None if self.storage is None else DEFAULT_CHUNK
         weights = collector(self.storage, np.float64)
@@ -416,13 +514,23 @@ class ArrayBlockingGraph:
             start, stop = int(self.indptr[lo]), int(self.indptr[hi])
             owners = np.repeat(np.arange(lo, hi, dtype=np.int64), row_lengths[lo:hi])
             weights.append(
-                self.scheme.finalize_all(
+                self.finalize(
                     owners,
                     np.asarray(self.neighbors[start:stop]),
                     np.asarray(self.raw[start:stop]),
                 )
             )
         self.weights = weights.finish()
+
+    def finalize(self, i: np.ndarray, j: np.ndarray, raw: np.ndarray) -> np.ndarray:
+        """Finalized weights of the pairs ``(i, j)`` with raw weights ``raw``.
+
+        Always inline: the scheme's state (log factors, EJS degrees)
+        lives in this process.  The scheme is prepared first, so under
+        EJS - and only under EJS - the first call builds the rows.
+        """
+        self.scheme.prepare(self)
+        return self.scheme.finalize_all(i, j, raw)
 
     # -- row access ----------------------------------------------------------
 
@@ -458,26 +566,12 @@ class ArrayBlockingGraph:
         n = self.index.n_profiles
         return self._edge_keys // n, self._edge_keys % n, self._edge_weights
 
-    def edge_weights_for(self, pair_keys: np.ndarray) -> np.ndarray:
-        """Weights for canonical pair keys ``i * n + j`` (0.0 if absent).
-
-        Keys built row-major from ascending rows are already sorted, so
-        the lookup is a single ``searchsorted``.
-        """
-        self._ensure_edge_lookup()
-        assert self._edge_keys is not None and self._edge_weights is not None
-        positions = np.searchsorted(self._edge_keys, pair_keys)
-        out = np.zeros(pair_keys.shape, dtype=np.float64)
-        in_range = positions < self._edge_keys.size
-        hit = np.zeros(pair_keys.shape, dtype=bool)
-        hit[in_range] = self._edge_keys[positions[in_range]] == pair_keys[in_range]
-        out[hit] = self._edge_weights[positions[hit]]
-        return out
-
     def weight(self, i: int, j: int) -> float:
-        """Edge weight of one pair (scalar compatibility shim)."""
-        neighbors, weights = self.row(i)
-        position = int(np.searchsorted(neighbors, j))
-        if position < neighbors.size and neighbors[position] == j:
-            return float(weights[position])
-        return 0.0
+        """Edge weight of one pair, 0.0 when no block is shared (scalar
+        compatibility: a one-pair :func:`common_block_weights`)."""
+        pair_i = np.asarray([i], dtype=np.int64)
+        pair_j = np.asarray([j], dtype=np.int64)
+        least, raw = common_block_weights(self.payload, pair_i, pair_j)
+        if least[0] < 0:
+            return 0.0
+        return float(self.finalize(pair_i, pair_j, raw)[0])

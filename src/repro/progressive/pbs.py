@@ -8,11 +8,13 @@ condition on the Profile Index: a comparison is new in block b_k iff k is
 the least common block id of its two profiles.
 
 Backends: ``backend="python"`` (default) runs the reference per-pair
-merges; ``backend="numpy"`` enumerates all block comparisons as flat
-arrays once, turns LeCoBI into one stable argsort over canonical pair
-keys and resolves pair weights with a single ``searchsorted`` into the
-materialized Blocking Graph (:mod:`repro.engine.equality`) - same
-stream, measured multiples faster.
+merges; ``backend="numpy"`` does the same thing a range of scheduled
+blocks at a time - enumerate the range's pairs, probe the Profile Index
+for each pair's common blocks (the first is the LeCoBI test, their
+contributions the weight), order, stream (:mod:`repro.engine.equality`).
+Both weight a block when it is scheduled: neither builds the Blocking
+Graph, and a run that stops early never pays for the blocks it did not
+reach.  Same stream, measured multiples faster.
 """
 
 from __future__ import annotations
@@ -109,11 +111,7 @@ class PBS(ProgressiveMethod):
                 # straight from the substrate's postings; the scheduled
                 # collection is never materialized (``self.scheduled``
                 # stays None - the emission runs off the core).
-                index = self.backend.profile_index(substrate)
-                graph = self.backend.blocking_graph(index, self.weighting_name)
-                self._core = self.backend.pbs_core(index, graph)
-                self.profile_index = index  # type: ignore[assignment]
-                self.scheme = graph  # type: ignore[assignment]
+                self._setup_core(substrate)
                 return
             if not substrate.vectorized:
                 # Scheduled index served (and cached) by the substrate -
@@ -127,25 +125,42 @@ class PBS(ProgressiveMethod):
             blocks = substrate.blocks()
         self.scheduled = block_scheduling(blocks)
         if self.backend.vectorized:
-            index = self.backend.profile_index(self.scheduled)
-            graph = self.backend.blocking_graph(index, self.weighting_name)
-            self._core = self.backend.pbs_core(index, graph)
-            self.profile_index = index  # type: ignore[assignment]
-            self.scheme = graph  # type: ignore[assignment]
+            self._setup_core(self.scheduled)
             return
         self.profile_index = ProfileIndex(self.scheduled)
         self.scheme = make_scheme(self.weighting_name, self.profile_index)
+
+    def _setup_core(self, scheduled: "BlockCollection | BlockingSubstrate") -> None:
+        """The vectorized structures over scheduled blocks or a substrate.
+
+        The graph is obtained through ``backend.blocking_graph`` - the
+        seam is the weight authority - but the core never reads its
+        rows, so none are built (EJS's degrees excepted).
+        """
+        index = self.backend.profile_index(scheduled)
+        graph = self.backend.blocking_graph(index, self.weighting_name)
+        self._core = self.backend.pbs_core(index, graph)
+        self.profile_index = index
+        self.scheme = graph
 
     def block_comparisons(self, block_id: int) -> ComparisonList:
         """New (non-repeated) weighted comparisons of one block.
 
         Algorithm 3 lines 4-12: LeCoBI filters repeats; survivors get the
-        Blocking Graph edge weight of their pair.
+        Blocking Graph edge weight of their pair.  ``block_id`` is a
+        position in the schedule; anything outside it raises
+        ``IndexError`` on every backend.
         """
+        assert self.profile_index is not None and self.scheme is not None
+        block_count = self.profile_index.block_count()
+        if not 0 <= block_id < block_count:
+            raise IndexError(
+                f"block id {block_id} out of range: the schedule holds "
+                f"blocks 0 <= id < {block_count}"
+            )
         if self._core is not None:
             return ComparisonList(self._core.block_comparisons(block_id))
         assert self.scheduled is not None
-        assert self.profile_index is not None and self.scheme is not None
         block = self.scheduled[block_id]
         er_type = self.store.er_type
         comparisons = ComparisonList()
@@ -160,8 +175,12 @@ class PBS(ProgressiveMethod):
 
     def _emit(self) -> Iterator[Comparison]:
         if self._core is not None:
-            yield from self._core.emit()
-            return
+            # The core's own iterator, not a generator delegating to it:
+            # one Python frame less under every comparison.
+            return self._core.emit()
+        return self._emit_scheduled()
+
+    def _emit_scheduled(self) -> Iterator[Comparison]:
         assert self.scheduled is not None
         for block_id in range(len(self.scheduled)):
             yield from self.block_comparisons(block_id).drain()

@@ -125,12 +125,16 @@ class TestMethodsOverProcesses:
 
         backend = ParallelBackend(workers=2, shards=2)
         try:
+            # PBS runs its first kernel when the first comparison is
+            # pulled: that is when the pool is handed the payload.
             first = PBS(dirty_dataset.store, backend=backend)
-            first.initialize()
+            assert next(iter(first)) is not None
             index = weakref.ref(first._core.index)
-            payload = weakref.ref(first._core.graph.neighbors)
+            # A dict takes no weak reference; the array in it that only
+            # this fit made does.
+            payload = weakref.ref(first._core.graph.payload["pb_keys"])
             second = PBS(dirty_dataset.store, backend=backend)
-            second.initialize()
+            assert next(iter(second)) is not None
             del first
             gc.collect()
             assert index() is None and payload() is None

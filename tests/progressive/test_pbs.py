@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.blocking.token_blocking import TokenBlocking
 from repro.core.profiles import ProfileStore
 from repro.progressive.pbs import PBS
@@ -37,6 +39,29 @@ class TestPBS:
             c.weight for c in method.block_comparisons(last_block_id).drain()
         ]
         assert weights == sorted(weights, reverse=True)
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize(
+        "block_id",
+        [lambda count: -1, lambda count: count, lambda count: 10**6],
+        ids=["-1", "block_count", "10**6"],
+    )
+    def test_block_id_outside_the_schedule_raises(
+        self, paper_profiles, backend, block_id
+    ):
+        """Both backends refuse the same ids with the same message (the
+        python path used to wrap -1 around to the last block, the numpy
+        path to return an empty list)."""
+        if backend == "numpy":
+            pytest.importorskip("numpy")
+        blocks = TokenBlocking().build(paper_profiles)
+        method = PBS(paper_profiles, blocks=blocks, backend=backend)
+        method.initialize()
+        count = method.profile_index.block_count()
+        assert count == len(blocks) > 0
+        with pytest.raises(IndexError, match=rf"0 <= id < {count}\b"):
+            method.block_comparisons(block_id(count))
+        assert len(method.block_comparisons(count - 1)) > 0
 
     def test_workflow_defaults_applied_when_no_blocks_given(self, paper_profiles):
         method = PBS(paper_profiles)
