@@ -146,7 +146,7 @@ from repro.progressive import (
 )
 from repro.registry import ComponentRegistry, get_registry
 
-__version__ = "2.0.0"
+__version__ = "2.1.0"
 
 __all__ = [
     # pipeline API

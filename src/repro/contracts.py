@@ -201,6 +201,10 @@ class PPSCore(EmissionCore, Protocol):
     def emit_schedule(self, *args: Any, **kwargs: Any) -> Any:
         """The full ranked emission schedule (arrays)."""
 
+    def exhaustive_tail(self, emitted: Any) -> Iterator[Any]:
+        """Every block comparison not yet emitted, weighted (the
+        optional tail that makes PPS's output equal batch ER's)."""
+
 
 @runtime_checkable
 class PBSCore(EmissionCore, Protocol):

@@ -244,7 +244,7 @@ class NumpyBackend(Backend):
         return True
 
     def require(self) -> "NumpyBackend":
-        require_numpy("backend='numpy'")
+        require_numpy(f"backend={self.name!r}")
         return self
 
     def array_store(self) -> Any:
@@ -341,7 +341,7 @@ class NumpyBackend(Backend):
         self.require()
         from repro.engine.topk import ranked_edges
 
-        return ranked_edges(graph, self.fanout())
+        return ranked_edges(graph)
 
     def pruned_edges(self, graph: Any, algorithm: str, k: int | None) -> Any:
         self.require()

@@ -332,6 +332,38 @@ class ArrayPPSCore:
             i, j, weight = i[by_rank], j[by_rank], weight[by_rank]
         return iter_comparisons(i, j, weight)
 
+    def exhaustive_tail(
+        self, emitted: set[tuple[int, int]]
+    ) -> Iterator[Comparison]:
+        """Every comparison of the blocks that is not in ``emitted``.
+
+        The optional tail of :class:`~repro.progressive.pps.PPS`: blocks
+        in processing order, a pair in the block where it is first
+        encountered, in the block's own pair order - what
+        :func:`new_block_pairs` returns - weighted a range of blocks at
+        a time (its raw weights are the very sums the scalar
+        ``graph.weight`` makes pair by pair).
+        """
+        index = self.index
+        n = index.n_profiles
+        # Ascending keys plus a sentinel, so membership is one in-bounds
+        # searchsorted per range.
+        keys = (i * n + j for i, j in emitted)  # repro-analyze: ignore[determinism] sorted on the next line
+        seen = np.sort(np.fromiter(keys, np.int64, len(emitted)))
+        seen = np.append(seen, np.iinfo(np.int64).max)
+        ranges = self.fanout.ranges(
+            index.block_count(),
+            index.block_cardinalities,
+            ArrayPBSCore.RANGE_BUDGET,
+        )
+        for _block, i, j, raw in self.fanout.run(
+            new_block_pairs, self.graph.payload, ranges
+        ):
+            pairs = i * n + j
+            fresh = seen[np.searchsorted(seen, pairs)] != pairs
+            i, j, raw = i[fresh], j[fresh], raw[fresh]
+            yield from iter_comparisons(i, j, self.graph.finalize(i, j, raw))
+
 
 class ArrayPBSCore:
     """Block-range enumeration + emission for PBS, one range at a time.

@@ -3,7 +3,7 @@
 Every vectorized pass of the engine is one *range kernel*: a
 module-level ``kernel(payload, shard)`` whose ``shard`` names a
 contiguous slice ``[lo, hi)`` of the pass's row axis (profiles, blocks,
-Neighbor-List positions, scored pairs).  The sequential engine walks
+Neighbor-List positions, pairs to decide).  The sequential engine walks
 each event stream row-major, so a contiguous row range owns a contiguous
 slice of that stream: per-key accumulation order is preserved inside a
 range, and putting the per-range outputs back together in range order
@@ -16,7 +16,11 @@ caller names a ``budget`` because its outputs spill to disk, or because
 the ranges are PBS's progressive schedule - inline mass cuts of about
 that size, consumed one at a time so resident memory stays bounded and
 no range is computed before it is asked for.  :mod:`repro.parallel`
-supplies the other: a shard plan over a worker pool.
+supplies the other: mass-balanced ranges over a worker pool.
+
+Ranking scored pairs is deliberately *not* a pass here
+(:func:`repro.engine.topk.rank_pairs` is one stable sort in the caller):
+a sharded ranking needs a merge that costs more than the sort.
 """
 
 from __future__ import annotations
@@ -67,13 +71,6 @@ class Fanout:
         next holds one range's output at a time.
         """
         return (kernel(payload, shard) for shard in shards)
-
-    def merge_ranked(
-        self, parts: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-range ``(-weight, i, j)``-ranked triples as one ranking."""
-        (whole,) = parts
-        return whole
 
     def merge_counts(
         self, parts: Sequence[tuple[np.ndarray, np.ndarray]]

@@ -213,7 +213,7 @@ def prune_array_graph(
         selected = top_k_pairs(i, j, weights, require_k(algorithm, k))
         return i[selected], j[selected], weights[selected]
     mask = pruned_mask(graph, algorithm, k, fanout)
-    return rank_pairs(i[mask], j[mask], weights[mask], fanout)
+    return rank_pairs(i[mask], j[mask], weights[mask])
 
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

@@ -190,7 +190,7 @@ class ArrayPSNCore:
         """(i, j, weight) of one window range, in emission order."""
         i, j, frequencies = self.pair_frequencies(distances)
         weights = self._vector_weights(i, j, frequencies)
-        return rank_pairs(i, j, weights, self.fanout)
+        return rank_pairs(i, j, weights)
 
     def window_comparisons(self, distances: Sequence[int]) -> list[Comparison]:
         """Weighted comparisons of one window range, best first."""

@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro.core.comparisons import Comparison
 from repro.engine import require_numpy
-from repro.engine.fanout import INLINE, Fanout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.weights import ArrayBlockingGraph
@@ -52,13 +51,14 @@ def sort_pairs_descending(
 def rank_slice(
     _payload: None, shard: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Range kernel: one slice of key-sorted pairs, ranked.
+    """Key-sorted pairs ranked, in range-kernel form (the body of
+    :func:`rank_pairs`; also the payload-free kernel the pool's
+    transport tests borrow).
 
-    The shard carries its own ``(i, j, weight)`` slices (nothing is
-    resident between calls).  The slices ascend by canonical pair, so
-    one stable sort on descending weight leaves weight ties in ascending
-    ``(i, j)`` order - the full ``(-weight, i, j)`` emission order at a
-    third of the lexsort passes.
+    The shard carries its own ``(i, j, weight)`` arrays.  They ascend by
+    canonical pair, so one stable sort on descending weight leaves
+    weight ties in ascending ``(i, j)`` order - the full
+    ``(-weight, i, j)`` emission order at a third of the lexsort passes.
     """
     i, j, weights = shard
     order = np.argsort(-weights, kind="stable")
@@ -66,19 +66,20 @@ def rank_slice(
 
 
 def rank_pairs(
-    i: np.ndarray, j: np.ndarray, weights: np.ndarray, fanout: Fanout = INLINE
+    i: np.ndarray, j: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Key-sorted scored pairs in emission order ``(-weight, i, j)``:
-    :func:`rank_slice` per range, the ranges' rankings merged."""
-    shards = [
-        (i[lo:hi], j[lo:hi], weights[lo:hi])
-        for lo, hi in fanout.ranges(int(i.size))
-    ]
-    return fanout.merge_ranked(list(fanout.run(rank_slice, None, shards)))
+    """Key-sorted scored pairs in emission order ``(-weight, i, j)``.
+
+    Always the whole axis, in the caller: ranking is one stable sort,
+    and cutting it into shards only to merge the rankings back costs
+    several times the sort itself (docs/parallel.md) - so it is not a
+    fan-out pass.
+    """
+    return rank_slice(None, (i, j, weights))
 
 
 def ranked_edges(
-    graph: "ArrayBlockingGraph", fanout: Fanout = INLINE
+    graph: "ArrayBlockingGraph",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every distinct edge of an ``ArrayBlockingGraph``, ranked.
 
@@ -87,7 +88,7 @@ def ranked_edges(
     by construction) ordered by ``(-weight, i, j)``.  This is the whole
     emission of the ONLINE method on the array backends.
     """
-    return rank_pairs(*graph.edges(), fanout)
+    return rank_pairs(*graph.edges())
 
 
 def top_k_pairs(

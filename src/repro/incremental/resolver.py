@@ -45,7 +45,6 @@ from repro.core.comparisons import Comparison
 from repro.core.ground_truth import GroundTruth
 from repro.core.profiles import EntityProfile, ProfileStore
 from repro.core.tokenization import DEFAULT_TOKENIZER
-from repro.errors import ConfigError
 from repro.incremental.index import IncrementalTokenIndex
 from repro.incremental.store import MutableProfileStore
 from repro.incremental.weights import IncrementalWeighter
@@ -119,53 +118,16 @@ class IncrementalResolver(Resolver):
         )
         spec = config.incremental
         assert spec is not None, "IncrementalResolver requires .incremental()"
-        from repro.registry import normalize
-
-        blocking = config.blocking
-        if normalize(blocking.scheme) != "TOKEN" or blocking.params:
-            # Candidate generation in an incremental session is the live
-            # token index; silently discarding a configured scheme would
-            # replace the user's blocking strategy without notice.
-            raise ConfigError(
-                "incremental sessions use the live Token Blocking index; "
-                f"the configured blocking scheme {blocking.scheme!r} "
-                f"(params {blocking.params!r}) has no incremental "
-                "counterpart - drop the .blocking(...) stage or resolve "
-                "in batch mode"
-            )
-        if normalize(config.method.name) not in ("PPS", "ONLINE") or (
-            config.method.params
-        ):
-            # Same rationale for the emission model: ONLINE is the only
-            # incremental one, and it takes no per-method params here
-            # (blocks/weighting/backend come from the live session).
-            # The default method spec ("PPS" with no params, i.e. no
-            # .method() call) is accepted as "unconfigured".
-            raise ConfigError(
-                "incremental sessions emit in the ONLINE (globally "
-                f"ranked) model; the configured method "
-                f"{config.method.name!r} (params "
-                f"{config.method.params!r}) only applies to batch "
-                "sessions - drop the .method(...) stage or resolve in "
-                "batch mode"
-            )
-        if config.meta.pruning is not None:
-            # Graph pruning is batch-global (thresholds over the whole
-            # edge population); per-arrival emissions have no exact
-            # incremental counterpart, so refuse rather than half-apply.
-            raise ConfigError(
-                "incremental sessions do not support Meta-blocking "
-                f"pruning; the configured {config.meta.pruning!r} stage "
-                "only applies to batch sessions - drop "
-                ".meta(pruning=...) or resolve in batch mode"
-            )
+        # What a live session refuses (other blocking schemes, methods,
+        # pruning) was settled when the spec was constructed:
+        # repro.pipeline.config.check_live_stage.
         # Purging precedence: the session knob, else the blocking
         # stage's ratio (applied query-time against the live corpus
         # size).  Filtering is batch-global and has no counterpart.
         purge_ratio = (
             spec.purge_ratio
             if spec.purge_ratio is not None
-            else blocking.purge_ratio
+            else config.blocking.purge_ratio
         )
         #: Serializes index mutation - ingest, probes (which temporarily
         #: mutate and roll back the shared index) and close.

@@ -125,19 +125,6 @@ class CascadeTier:
         return (self.reject, self.accept)
 
 
-def _check_band(name: str, reject: float, accept: float) -> None:
-    for label, value in (("reject", reject), ("accept", accept)):
-        if not 0.0 <= value <= 1.0:
-            raise ConfigError(
-                f"tier {name!r} {label} bound must be in [0, 1], got {value!r}"
-            )
-    if reject > accept:
-        raise ConfigError(
-            f"tier {name!r} band has reject {reject!r} above accept "
-            f"{accept!r}; use (reject, accept) with reject <= accept"
-        )
-
-
 def _default_band(
     matcher: MatchFunction, final: bool
 ) -> tuple[float, float]:
@@ -157,8 +144,9 @@ def _default_band(
     return (threshold / 2.0, (1.0 + threshold) / 2.0)
 
 
-def _coerce_threshold(name: str, value: Any) -> tuple[float, float]:
-    """A configured threshold: a float collapses the band, a pair is one."""
+def _as_band(name: str, value: Any) -> tuple[float, float]:
+    """A threshold as a checked ``(reject, accept)`` band: a float
+    collapses it, a pair is one."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         band = (float(value), float(value))
     elif isinstance(value, (tuple, list)) and len(value) == 2:
@@ -168,8 +156,119 @@ def _coerce_threshold(name: str, value: Any) -> tuple[float, float]:
             f"threshold for tier {name!r} must be a float or a "
             f"(reject, accept) pair, got {value!r}"
         )
-    _check_band(name, *band)
+    for label, bound in zip(("reject", "accept"), band):
+        if not 0.0 <= bound <= 1.0:
+            raise ConfigError(
+                f"tier {name!r} {label} bound must be in [0, 1], got {bound!r}"
+            )
+    if band[0] > band[1]:
+        raise ConfigError(
+            f"tier {name!r} band has reject {band[0]!r} above accept "
+            f"{band[1]!r}; use (reject, accept) with reject <= accept"
+        )
     return band
+
+
+def check_cascade_spec(
+    tiers: Sequence[Any],
+    thresholds: Mapping[str, Any] | None = None,
+    expensive: Any = None,
+    expensive_budget: int | None = None,
+    params: Mapping[str, Mapping[str, Any]] | None = None,
+    exhausted: str = "fallback",
+) -> tuple[tuple[Any, ...], dict[str, Any], Any, dict[str, dict[str, Any]]]:
+    """What a valid cascade spec is - every rule, and no matcher built.
+
+    The one statement :class:`~repro.pipeline.config.MatchConfig` (when
+    the spec is written) and :class:`MatcherCascade` (when it is built)
+    both call, so a spec the config accepts is a cascade that
+    constructs.  Returns the spec normalized, ``(tiers, thresholds,
+    expensive, params)``: registry names canonical, ``thresholds`` and
+    ``params`` keyed by the tier's display name, a band a ``(reject,
+    accept)`` tuple of floats (a single float stays one).
+    """
+    if exhausted not in EXHAUSTED_MODES:
+        raise ConfigError(
+            f"exhausted must be one of {EXHAUSTED_MODES}, got {exhausted!r}"
+        )
+    resolved: list[Any] = []
+    for tier in tiers:
+        if isinstance(tier, str):
+            tier = matchers.canonical(tier)
+        elif isinstance(tier, CascadeTier):
+            _as_band(tier.name, tier.band())
+        elif not isinstance(tier, MatchFunction):
+            raise ConfigError(
+                "cascade tiers must be matcher registry names, MatchFunction "
+                f"instances or CascadeTier objects, got {tier!r}"
+            )
+        resolved.append(tier)
+    names = [tier if isinstance(tier, str) else tier.name for tier in resolved]
+    # A pre-built CascadeTier carries its own band, so thresholds address
+    # the other tiers; only a tier given by name is constructed here, so
+    # only it takes params.
+    banded = {
+        normalize(name): name
+        for name, tier in zip(names, resolved)
+        if not isinstance(tier, CascadeTier)
+    }
+    by_name = {normalize(tier): tier for tier in resolved if isinstance(tier, str)}
+    if isinstance(expensive, str):
+        expensive = matchers.canonical(expensive)
+    elif expensive is not None and not callable(expensive):
+        raise ConfigError(
+            "expensive must be a matcher registry name, a MatchFunction or "
+            f"a (a, b) -> float callable, got {expensive!r}"
+        )
+    if expensive is not None:
+        names.append("expensive")
+        banded[normalize("expensive")] = "expensive"
+    if not names:
+        raise ConfigError("a cascade needs at least one tier")
+    if len({normalize(name) for name in names}) != len(names):
+        raise ConfigError(
+            f"duplicate cascade tiers in {names}; each tier may appear once"
+        )
+    if expensive_budget is not None:
+        if expensive is None:
+            raise ConfigError("expensive_budget given without an expensive hook")
+        if (
+            not isinstance(expensive_budget, int)
+            or isinstance(expensive_budget, bool)
+            or expensive_budget < 0
+        ):
+            raise ConfigError(
+                f"expensive_budget must be an int >= 0, got {expensive_budget!r}"
+            )
+    bands: dict[str, Any] = {}
+    for key, value in (thresholds or {}).items():
+        name = banded.get(normalize(key))
+        if name is None:
+            raise ConfigError(
+                f"threshold given for unknown tier {key!r}; tiers: {names}"
+            )
+        band = _as_band(name, value)
+        if name == names[-1] and band[0] != band[1]:
+            raise ConfigError(
+                f"the final tier {name!r} must decide every comparison; use "
+                f"a single float threshold, not the band {band!r}"
+            )
+        bands[name] = band if isinstance(value, (tuple, list)) else value
+    tier_params: dict[str, dict[str, Any]] = {}
+    for key, value in (params or {}).items():
+        name = by_name.get(normalize(key))
+        if name is None:
+            raise ConfigError(
+                f"params given for unknown tier {key!r}; tiers given by "
+                f"name: {sorted(by_name.values())}"
+            )
+        if not isinstance(value, Mapping):
+            raise ConfigError(
+                f"params for tier {key!r} must be a mapping of constructor "
+                f"kwargs, got {value!r}"
+            )
+        tier_params[name] = dict(value)
+    return tuple(resolved), bands, expensive, tier_params
 
 
 class MatcherCascade(MatchFunction):
@@ -220,138 +319,60 @@ class MatcherCascade(MatchFunction):
         exhausted: str = "fallback",
         params: Mapping[str, Mapping[str, Any]] | None = None,
     ) -> None:
-        if exhausted not in EXHAUSTED_MODES:
-            raise ConfigError(
-                f"exhausted must be one of {EXHAUSTED_MODES}, got {exhausted!r}"
-            )
-        if expensive_budget is not None:
-            if expensive is None:
-                raise ConfigError(
-                    "expensive_budget given without an expensive hook"
-                )
-            if not isinstance(expensive_budget, int) or expensive_budget < 0:
-                raise ConfigError(
-                    "expensive_budget must be an int >= 0, got "
-                    f"{expensive_budget!r}"
-                )
+        specs, bands, expensive, tier_params = check_cascade_spec(
+            DEFAULT_TIERS if tiers is None else tiers,
+            thresholds,
+            expensive,
+            expensive_budget,
+            params,
+            exhausted,
+        )
         self.expensive_budget = expensive_budget
         self.exhausted = exhausted
         self.expensive_calls = 0
         self.budget_fallbacks = 0
-
-        bands = dict(thresholds or {})
-        tier_params = {
-            normalize(key): dict(value) for key, value in (params or {}).items()
-        }
-        specs = list(tiers) if tiers is not None else list(DEFAULT_TIERS)
-        if not specs and expensive is None:
-            raise ConfigError("a cascade needs at least one tier")
         resolved: list[CascadeTier] = []
         for position, spec in enumerate(specs):
+            if isinstance(spec, CascadeTier):
+                resolved.append(spec)
+                continue
+            if isinstance(spec, str):
+                name = spec
+                matcher = matchers.build(spec, **tier_params.get(spec, {}))
+            else:
+                name, matcher = spec.name, spec
             final = position == len(specs) - 1 and expensive is None
-            resolved.append(
-                self._resolve_tier(spec, final, bands, tier_params)
+            band = (
+                _as_band(name, bands[name])
+                if name in bands
+                else _default_band(matcher, final)
             )
+            resolved.append(CascadeTier(name, matcher, *band))
         if expensive is not None:
-            resolved.append(self._resolve_expensive(expensive, bands))
-        if tier_params:
-            raise ConfigError(
-                f"params given for unknown tiers {sorted(tier_params)}; "
-                f"tiers: {[tier.name for tier in resolved]}"
+            threshold = (
+                _as_band("expensive", bands["expensive"])[1]
+                if "expensive" in bands
+                else None
             )
-        if bands:
-            raise ConfigError(
-                f"thresholds given for unknown tiers {sorted(bands)}; "
-                f"tiers: {[tier.name for tier in resolved]}"
-            )
-        seen: set[str] = set()
-        for tier in resolved:
-            key = normalize(tier.name)
-            if key in seen:
-                raise ConfigError(
-                    f"duplicate cascade tier {tier.name!r}; each tier may "
-                    "appear once"
+            if isinstance(expensive, str):
+                matcher = matchers.build(expensive)
+            elif isinstance(expensive, MatchFunction):
+                matcher = expensive
+            else:
+                matcher = _ExpensiveHookTier(
+                    expensive, 0.5 if threshold is None else threshold
                 )
-            seen.add(key)
+            if threshold is None:
+                threshold = float(getattr(matcher, "threshold", 0.5))
+            resolved.append(
+                CascadeTier(
+                    "expensive", matcher, threshold, threshold, expensive=True
+                )
+            )
         self.tiers: list[CascadeTier] = resolved
         self._stats: list[TierStats] = [
             TierStats(tier.name) for tier in resolved
         ]
-
-    # -- construction -------------------------------------------------------
-
-    def _resolve_tier(
-        self,
-        spec: str | MatchFunction | CascadeTier,
-        final: bool,
-        bands: dict[str, Any],
-        tier_params: dict[str, dict[str, Any]],
-    ) -> CascadeTier:
-        if isinstance(spec, CascadeTier):
-            _check_band(spec.name, spec.reject, spec.accept)
-            return spec
-        if isinstance(spec, str):
-            display = matchers.canonical(spec)
-            matcher = matchers.build(
-                spec, **tier_params.pop(normalize(spec), {})
-            )
-        elif isinstance(spec, MatchFunction):
-            display = spec.name
-            matcher = spec
-        else:
-            raise ConfigError(
-                "cascade tiers must be registry names, MatchFunction "
-                f"instances or CascadeTier objects, got {spec!r}"
-            )
-        band = self._pop_band(bands, display)
-        if band is None:
-            band = _default_band(matcher, final)
-        elif final and band[0] != band[1]:
-            raise ConfigError(
-                f"the final tier {display!r} must decide every comparison; "
-                f"use a single float threshold, not the band {band!r}"
-            )
-        return CascadeTier(display, matcher, band[0], band[1])
-
-    def _resolve_expensive(
-        self,
-        expensive: str | MatchFunction | ExpensiveHook,
-        bands: dict[str, Any],
-    ) -> CascadeTier:
-        band = self._pop_band(bands, "expensive")
-        threshold = band[1] if band is not None else None
-        if band is not None and band[0] != band[1]:
-            raise ConfigError(
-                "the expensive tier is final and must decide every "
-                f"comparison; use a single float threshold, not {band!r}"
-            )
-        if isinstance(expensive, str):
-            matcher = matchers.build(expensive)
-        elif isinstance(expensive, MatchFunction):
-            matcher = expensive
-        elif callable(expensive):
-            matcher = _ExpensiveHookTier(
-                expensive, 0.5 if threshold is None else threshold
-            )
-        else:
-            raise ConfigError(
-                "expensive must be a registry name, a MatchFunction or a "
-                f"(a, b) -> float callable, got {expensive!r}"
-            )
-        if threshold is None:
-            threshold = float(getattr(matcher, "threshold", 0.5))
-        return CascadeTier(
-            "expensive", matcher, threshold, threshold, expensive=True
-        )
-
-    @staticmethod
-    def _pop_band(
-        bands: dict[str, Any], display: str
-    ) -> tuple[float, float] | None:
-        for key in list(bands):
-            if normalize(key) == normalize(display):
-                return _coerce_threshold(display, bands.pop(key))
-        return None
 
     @classmethod
     def from_matcher(cls, matcher: MatchFunction) -> "MatcherCascade":

@@ -5,26 +5,23 @@ numpy passes, each written once as a *range kernel* over a contiguous
 slice of its row axis - but a single process caps them at one core.
 This package is the other answer to "which ranges, and who runs them":
 it cuts each pass into shards, runs them across worker processes and
-re-merges a *globally correct* progressive stream.  It holds no kernel
-of its own:
+puts the outputs back together in range order - the *globally correct*
+progressive stream.  It holds no kernel of its own:
 
-* :mod:`repro.parallel.plan` - :class:`ShardPlan`: partitions profiles
-  (or blocks, or positions) into contiguous ranges, size-balanced by
-  postings mass read off a CSR ``indptr``;
 * :mod:`repro.parallel.pool` - :class:`WorkerPool`: a fork-based process
   pool that ships a payload of CSR arrays once per pool (pickled, or via
   a shared ``np.memmap``) and fans shard tasks over it; ``workers=0``
   runs the identical shard code inline, which is what the parity suite
   exercises exhaustively;
-* :mod:`repro.parallel.merge` - :class:`ShardMerger`: k-way merges
-  per-shard ranked outputs preserving the exact system-wide
-  ``(-weight, i, j)`` total order, plus the grouped-count merge the
-  window kernel uses;
-* :mod:`repro.parallel.fanout` - :class:`PoolFanout`: the three above
-  as the :class:`~repro.engine.fanout.Fanout` the engine's structures
-  are handed (shards are contiguous slices of the exact event streams
-  the kernels walk, so per-key accumulation order is preserved and the
-  streams are *bit-identical* to ``numpy``'s);
+* :mod:`repro.parallel.fanout` - :func:`balanced_ranges` partitions
+  profiles (or blocks, or positions) into contiguous ranges,
+  size-balanced by postings mass read off a CSR ``indptr``, and
+  :class:`PoolFanout` is those ranges over the pool as the
+  :class:`~repro.engine.fanout.Fanout` the engine's structures are
+  handed (shards are contiguous slices of the exact event streams the
+  kernels walk, so per-key accumulation order is preserved and the
+  streams are *bit-identical* to ``numpy``'s; rankings are never
+  sharded);
 * :mod:`repro.parallel.backend` - :class:`ParallelBackend`, registered
   as ``"numpy-parallel"`` in :data:`repro.registry.backends`: the
   ``numpy`` backend with that fan-out.
@@ -48,20 +45,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     # Give type checkers the real symbols behind the lazy __getattr__
     # below (which they cannot see through).
     from repro.parallel.backend import ParallelBackend
-    from repro.parallel.fanout import PoolFanout
-    from repro.parallel.merge import ShardMerger, merge_grouped_counts
-    from repro.parallel.plan import Shard, ShardPlan
+    from repro.parallel.fanout import PoolFanout, balanced_ranges
     from repro.parallel.pool import WorkerPool
 
-__all__ = [
-    "Shard",
-    "ShardPlan",
-    "ShardMerger",
-    "WorkerPool",
-    "PoolFanout",
-    "ParallelBackend",
-    "merge_grouped_counts",
-]
+__all__ = ["WorkerPool", "PoolFanout", "ParallelBackend", "balanced_ranges"]
 
 # Submodules import numpy at module level (they are array code through
 # and through); the package itself stays importable without it - like
@@ -69,12 +56,9 @@ __all__ = [
 # repro.parallel.backend to register "numpy-parallel" on machines that
 # may only ever use backend="python".
 _EXPORTS = {
-    "Shard": "repro.parallel.plan",
-    "ShardPlan": "repro.parallel.plan",
-    "ShardMerger": "repro.parallel.merge",
-    "merge_grouped_counts": "repro.parallel.merge",
     "WorkerPool": "repro.parallel.pool",
     "PoolFanout": "repro.parallel.fanout",
+    "balanced_ranges": "repro.parallel.fanout",
     "ParallelBackend": "repro.parallel.backend",
 }
 

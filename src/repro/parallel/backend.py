@@ -2,12 +2,11 @@
 
 :class:`ParallelBackend` is the ``numpy`` backend with a different
 fan-out: every structure, kernel and assembly is
-:mod:`repro.engine`'s, but each pass is cut into a
-:class:`~repro.parallel.plan.ShardPlan`'s ranges, run over a
-:class:`~repro.parallel.pool.WorkerPool`, and ranked outputs re-merge
-through :class:`~repro.parallel.merge.ShardMerger` - bit-identical
-streams, more cores.  The class itself only validates the knobs and
-owns the pool.
+:mod:`repro.engine`'s, but each range-kernel pass is cut into
+:func:`~repro.parallel.fanout.balanced_ranges` and run over a
+:class:`~repro.parallel.pool.WorkerPool` - bit-identical streams, more
+cores.  The class itself only owns the pool; the bounds of its knobs
+have one statement, :func:`check_pool_knobs`.
 
 Configuration travels as a *backend instance*: the registry entry
 builds an unconfigured backend (``workers=None`` - one per visible
@@ -23,10 +22,39 @@ methods, mirroring :mod:`repro.engine`.
 
 from __future__ import annotations
 
+import os
 from typing import TYPE_CHECKING, Any
 
-from repro.engine import NumpyBackend, require_numpy
+from repro.engine import NumpyBackend
+from repro.errors import ConfigError
 from repro.registry import backends
+
+
+def check_pool_knobs(
+    workers: int | None, shards: int | None = None, ship: str = "pickle"
+) -> None:
+    """The bounds of the fan-out knobs - their one statement, reached by
+    the ``parallel`` config stage, :class:`ParallelBackend` and
+    :class:`~repro.parallel.pool.WorkerPool` alike (``None`` means
+    "resolve later" and is always in bounds)."""
+    if workers is not None and workers < 0:
+        raise ConfigError(f"workers must be >= 0, got {workers!r}")
+    if shards is not None and shards < 1:
+        raise ConfigError(f"shards must be >= 1, got {shards!r}")
+    if ship not in ("pickle", "memmap"):
+        raise ConfigError(f"ship must be 'pickle' or 'memmap', got {ship!r}")
+
+
+def default_worker_count() -> int:
+    """The ``workers=None`` resolution: one worker per *visible* core.
+
+    Visible means the process's CPU affinity mask where the platform
+    has one (a container or ``taskset`` may expose fewer cores than the
+    machine owns); ``os.cpu_count()`` elsewhere.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
 
 
 class ParallelBackend(NumpyBackend):
@@ -64,26 +92,13 @@ class ParallelBackend(NumpyBackend):
         storage_dir: str | None = None,
     ) -> None:
         super().__init__(storage=storage, storage_dir=storage_dir)
+        check_pool_knobs(workers, shards, ship)
         if workers is None:
-            from repro.parallel.pool import default_worker_count
-
             workers = default_worker_count()
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
-        if shards is not None and shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        if ship not in ("pickle", "memmap"):
-            raise ValueError(
-                f"ship must be 'pickle' or 'memmap', got {ship!r}"
-            )
         self.workers = workers
         self.shards = shards if shards is not None else max(workers, 1)
         self.ship = ship
         self._pool: Any = None
-
-    def require(self) -> "ParallelBackend":
-        require_numpy("backend='numpy-parallel'")
-        return self
 
     def pool(self) -> Any:
         """The backend's (lazily created) worker pool."""

@@ -45,7 +45,7 @@ require_numpy("repro.parallel.pool")
 
 import numpy as np  # noqa: E402  (guarded optional dependency)
 
-SHIP_MODES = ("pickle", "memmap")
+from repro.parallel.backend import check_pool_knobs, default_worker_count  # noqa: E402
 
 #: Worker-process global holding the resolved payload (set by the pool
 #: initializer, read by :func:`_worker_run`).
@@ -86,18 +86,6 @@ def _worker_run(call: tuple[Callable[..., Any], Any, bool]) -> Any:
 _NO_PAYLOAD: dict[str, Any] = {}
 
 
-def default_worker_count() -> int:
-    """The ``workers=None`` resolution: one worker per *visible* core.
-
-    Visible means the process's CPU affinity mask where the platform
-    has one (a container or ``taskset`` may expose fewer cores than the
-    machine owns); ``os.cpu_count()`` elsewhere.
-    """
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) or 1
-    return os.cpu_count() or 1
-
-
 class WorkerPool:
     """Fan shard tasks over a payload, inline or across processes.
 
@@ -112,12 +100,8 @@ class WorkerPool:
     """
 
     def __init__(self, workers: int | None = 0, ship: str = "pickle") -> None:
-        if ship not in SHIP_MODES:
-            raise ValueError(f"ship must be one of {SHIP_MODES}, got {ship!r}")
-        workers = default_worker_count() if workers is None else int(workers)
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
-        self.workers = workers
+        check_pool_knobs(workers, ship=ship)
+        self.workers = default_worker_count() if workers is None else int(workers)
         self.ship = ship
         self._pool: Any = None
         self._payload: dict[str, Any] | None = None  # identity for reuse
@@ -203,10 +187,10 @@ class WorkerPool:
         there is at most one shard to run.
 
         ``payload=None`` is for tasks whose arguments carry their own
-        (per-shard) data - a slice of scored pairs to rank, say -
-        instead of reading a resident payload: it reuses whatever pool
-        is live, so interleaving resident and payload-free runs never
-        re-ships anything; only if no pool exists yet is one started.
+        (per-shard) data instead of reading a resident payload: it
+        reuses whatever pool is live, so interleaving resident and
+        payload-free runs never re-ships anything; only if no pool
+        exists yet is one started.
         """
         if not self.parallel or len(shard_args) <= 1:
             return [task(payload, arg) for arg in shard_args]

@@ -15,15 +15,19 @@ progressive emission -> matching -> evaluation stack::
 
 Every stage call validates its component name against the shared
 registry immediately, so typos fail at build time with the list of
-available components.  ``to_dict()`` / ``from_dict()`` round-trip the
-whole spec for reproducible experiment configs.
+available components - and re-validates the *whole* spec
+(:meth:`PipelineConfig.__post_init__`, the one home of every rule that
+spans stages), so two stages that cannot coexist are refused at the
+offending call, in whichever order they were made.  ``to_dict()`` /
+``from_dict()`` round-trip the whole spec for reproducible experiment
+configs.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections.abc import Iterable, Mapping
-from typing import TYPE_CHECKING, Any, Callable, TypeVar
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.ground_truth import GroundTruth
 from repro.core.profiles import ProfileStore
@@ -32,6 +36,7 @@ from repro.pipeline.config import (
     BlockingConfig,
     BudgetConfig,
     IncrementalConfig,
+    MatchConfig,
     MatcherConfig,
     MetaBlockingConfig,
     MethodConfig,
@@ -39,7 +44,6 @@ from repro.pipeline.config import (
     PipelineConfig,
     ServiceConfig,
     StorageConfig,
-    check_service_stage,
 )
 from repro.pipeline.resolver import Resolver
 
@@ -60,7 +64,7 @@ def _ratio(flag: bool | float | None, default: float) -> float | None:
 class ERPipeline:
     """Fluent, registry-backed spec of a progressive ER run.
 
-    Stage methods mutate the pipeline and return it, so calls chain;
+    Stage methods update the pipeline and return it, so calls chain;
     :meth:`clone` forks a spec for parameter sweeps.  :meth:`fit` binds
     the spec to data and returns a live :class:`Resolver` session.
 
@@ -95,6 +99,16 @@ class ERPipeline:
 
     # -- stage configuration -------------------------------------------------
 
+    def _set(self, **stages: Any) -> "ERPipeline":
+        """Replace stages and re-validate the whole spec.
+
+        Every stage method ends here: the new :class:`PipelineConfig`
+        is constructed, so its cross-stage rules run on every call and
+        a refused call leaves the pipeline as it was.
+        """
+        self._config = dataclasses.replace(self._config, **stages)
+        return self
+
     def blocking(
         self,
         scheme: str = "token",
@@ -110,13 +124,14 @@ class ERPipeline:
         ratio.  Extra ``params`` go to the scheme's constructor (e.g.
         ``min_length=3`` for "suffix").
         """
-        self._config.blocking = BlockingConfig(
-            scheme=scheme,
-            purge_ratio=_ratio(purge, 0.1),
-            filter_ratio=_ratio(filter_ratio, 0.8),
-            params=params,
+        return self._set(
+            blocking=BlockingConfig(
+                scheme=scheme,
+                purge_ratio=_ratio(purge, 0.1),
+                filter_ratio=_ratio(filter_ratio, 0.8),
+                params=params,
+            )
         )
-        return self
 
     def meta(
         self,
@@ -142,31 +157,27 @@ class ERPipeline:
         >>> spec["meta"]
         {'weighting': 'ARCS', 'pruning': 'CNP', 'params': {'k': 3}}
         """
-        self._config.meta = MetaBlockingConfig(
-            weighting=weighting, pruning=pruning, params=params
+        return self._set(
+            meta=MetaBlockingConfig(
+                weighting=weighting, pruning=pruning, params=params
+            )
         )
-        return self
 
     def method(self, name: str = "PPS", **params: Any) -> "ERPipeline":
         """Choose the progressive method; ``params`` go to its constructor."""
-        self._config.method = MethodConfig(name=name, params=params)
-        return self
+        return self._set(method=MethodConfig(name=name, params=params))
 
     def matcher(self, name: str = "jaccard", **params: Any) -> "ERPipeline":
-        """Attach a match function applied to every streamed pair."""
-        if self._config.match is not None:
-            raise ConfigError(
-                "a .match(...) cascade stage is already configured; it owns "
-                "the match decision - drop one of the two (.no_match() "
-                "removes the cascade stage)"
-            )
-        self._config.matcher = MatcherConfig(name=name, params=params)
-        return self
+        """Attach a match function applied to every streamed pair.
+
+        Owns the match decision, so it is mutually exclusive with the
+        :meth:`match` cascade stage (``.no_match()`` removes that one).
+        """
+        return self._set(matcher=MatcherConfig(name=name, params=params))
 
     def no_matcher(self) -> "ERPipeline":
         """Drop the matcher stage (stream pairs without deciding them)."""
-        self._config.matcher = None
-        return self
+        return self._set(matcher=None)
 
     def match(
         self,
@@ -202,13 +213,11 @@ class ERPipeline:
         ['exact', 'jaccard', 'edit-distance']
         """
         from repro.matching.match_functions import MatchFunction
-        from repro.pipeline.config import MatchConfig
 
         if not enabled:
-            self._config.match = None
-            return self
+            return self._set(match=None)
         if cascade is None:
-            tiers: tuple[Any, ...] = ("exact", "jaccard", "edit-distance")
+            tiers: tuple[Any, ...] = MatchConfig.tiers
         elif isinstance(cascade, (str, MatchFunction)):
             tiers = (cascade,)
         elif isinstance(cascade, Iterable):
@@ -218,27 +227,19 @@ class ERPipeline:
                 "cascade must be None, a matcher name, a MatchFunction or "
                 f"a sequence of tiers, got {cascade!r}"
             )
-        if self._config.matcher is not None:
-            raise ConfigError(
-                "a .matcher(...) stage is already configured; the cascade "
-                "stage owns the match decision - drop one of the two "
-                "(.no_matcher() removes the matcher stage)"
+        return self._set(
+            match=MatchConfig(
+                tiers=tiers,
+                thresholds=dict(thresholds or {}),
+                expensive=expensive,
+                expensive_budget=expensive_budget,
+                params=dict(params or {}),
             )
-        self._config.match = MatchConfig(
-            tiers=tiers,
-            thresholds=dict(thresholds or {}),
-            expensive=expensive,
-            expensive_budget=expensive_budget,
-            params={
-                name: dict(value) for name, value in (params or {}).items()
-            },
         )
-        return self
 
     def no_match(self) -> "ERPipeline":
         """Drop the cascade stage (stream pairs without deciding them)."""
-        self._config.match = None
-        return self
+        return self._set(match=None)
 
     def budget(
         self,
@@ -247,12 +248,13 @@ class ERPipeline:
         target_recall: float | None = None,
     ) -> "ERPipeline":
         """Set emission budgets; the first one hit stops the stream."""
-        self._config.budget = BudgetConfig(
-            comparisons=comparisons,
-            seconds=seconds,
-            target_recall=target_recall,
+        return self._set(
+            budget=BudgetConfig(
+                comparisons=comparisons,
+                seconds=seconds,
+                target_recall=target_recall,
+            )
         )
-        return self
 
     def backend(self, name: str = "python") -> "ERPipeline":
         """Choose the execution backend for backend-aware methods.
@@ -277,7 +279,7 @@ class ERPipeline:
                 ".parallel(...) stage; choose backend('numpy-parallel') or "
                 "remove the parallel stage with .parallel(enabled=False)"
             )
-        self._config.backend = canonical
+        self._set(backend=canonical)
         self._backend_explicit = True
         return self
 
@@ -312,10 +314,11 @@ class ERPipeline:
         ('numpy-parallel', 2)
         """
         if not enabled:
-            self._config.parallel = None
-            if self._config.backend == "numpy-parallel":
-                self._config.backend = "numpy"
-            return self
+            backend = self._config.backend
+            return self._set(
+                parallel=None,
+                backend="numpy" if backend == "numpy-parallel" else backend,
+            )
         if self._backend_explicit and self._config.backend != "numpy-parallel":
             raise ConfigError(
                 f"explicit backend {self._config.backend!r} conflicts with "
@@ -323,11 +326,10 @@ class ERPipeline:
                 "backend call, or disable the stage with "
                 ".parallel(enabled=False)"
             )
-        self._config.parallel = ParallelConfig(
-            workers=workers, shards=shards, ship=ship
+        return self._set(
+            parallel=ParallelConfig(workers=workers, shards=shards, ship=ship),
+            backend="numpy-parallel",
         )
-        self._config.backend = "numpy-parallel"
-        return self
 
     def storage(
         self,
@@ -355,10 +357,8 @@ class ERPipeline:
             from repro.engine import check_storage_mode
 
             check_storage_mode(mode)
-            self._config.storage = None
-            return self
-        self._config.storage = StorageConfig(mode=mode, dir=dir)
-        return self
+            return self._set(storage=None)
+        return self._set(storage=StorageConfig(mode=mode, dir=dir))
 
     def incremental(
         self,
@@ -381,16 +381,17 @@ class ERPipeline:
         ratio.  ``enabled=False`` removes the stage.
 
         Incremental candidate generation is the live Token Blocking
-        index and emission is the ONLINE (globally ranked) model:
-        ``fit`` rejects a ``.blocking(...)`` stage configuring a
-        different scheme and a ``.method(...)`` stage other than ONLINE.
+        index and emission is the ONLINE (globally ranked) model: a
+        ``.blocking(...)`` stage configuring a different scheme, a
+        ``.method(...)`` stage other than ONLINE and Meta-blocking
+        pruning are refused at config time, here or at the later call
+        that adds them (:func:`~repro.pipeline.config.check_live_stage`).
         Block Filtering (``filter_ratio``) is batch-global and does not
         apply to incremental sessions.
         """
-        self._config.incremental = (
-            IncrementalConfig(purge_ratio=purge) if enabled else None
+        return self._set(
+            incremental=IncrementalConfig(purge_ratio=purge) if enabled else None
         )
-        return self
 
     def serve(
         self,
@@ -415,9 +416,9 @@ class ERPipeline:
         with :class:`~repro.errors.BudgetExceeded`, never queued.
 
         A served session is an incremental session: the stage implies
-        ``.incremental()`` (added automatically when absent) and the
-        incompatible batch-only stages - a non-token blocking scheme, a
-        non-ONLINE method, Meta-blocking pruning - are refused here at
+        ``.incremental()`` (added automatically when absent), so the
+        batch-only stages it refuses - a non-token blocking scheme, a
+        non-ONLINE method, Meta-blocking pruning - are refused at
         config time, not at the first probe.  ``enabled=False`` removes
         the stage (the implied incremental stage stays).
 
@@ -429,22 +430,19 @@ class ERPipeline:
         True
         """
         if not enabled:
-            self._config.service = None
-            return self
-        self._config.service = ServiceConfig(
-            session_budget=BudgetConfig(
-                comparisons=session_comparisons, seconds=session_seconds
-            ),
-            request_budget=BudgetConfig(
-                comparisons=request_comparisons, seconds=request_seconds
-            ),
-            max_pending=max_pending,
-            snapshot_dir=snapshot_dir,
+            return self._set(service=None)
+        return self._set(
+            service=ServiceConfig(
+                session_budget=BudgetConfig(
+                    comparisons=session_comparisons, seconds=session_seconds
+                ),
+                request_budget=BudgetConfig(
+                    comparisons=request_comparisons, seconds=request_seconds
+                ),
+                max_pending=max_pending,
+                snapshot_dir=snapshot_dir,
+            )
         )
-        if self._config.incremental is None:
-            self._config.incremental = IncrementalConfig()
-        check_service_stage(self._config)
-        return self
 
     # -- spec round-trip ------------------------------------------------------
 
@@ -473,7 +471,7 @@ class ERPipeline:
 
     def clone(self) -> "ERPipeline":
         """An independent copy (for sweeps over one base spec)."""
-        fork = ERPipeline(_snapshot(self._config))
+        fork = ERPipeline(self._config.copy())
         fork._backend_explicit = self._backend_explicit
         return fork
 
@@ -493,18 +491,13 @@ class ERPipeline:
         records).
         """
         store, truth, name, psn_key = _coerce_data(data, ground_truth)
+        session: type[Resolver] = Resolver
         if self._config.incremental is not None:
             from repro.incremental.resolver import IncrementalResolver
 
-            return IncrementalResolver(
-                _snapshot(self._config),
-                store,
-                ground_truth=truth,
-                dataset_name=name,
-                psn_key=psn_key,
-            )
-        return Resolver(
-            _snapshot(self._config),
+            session = IncrementalResolver
+        return session(
+            self._config.copy(),
             store,
             ground_truth=truth,
             dataset_name=name,
@@ -519,71 +512,6 @@ class ERPipeline:
             f"meta={spec.meta.weighting!r}, method={spec.method.name!r}, "
             f"matcher={matcher!r})"
         )
-
-
-#: One of the per-stage config dataclasses (they share the ``params`` slot).
-_StageT = TypeVar(
-    "_StageT", BlockingConfig, MetaBlockingConfig, MethodConfig, MatcherConfig
-)
-
-
-def _snapshot(config: PipelineConfig) -> PipelineConfig:
-    """An independent copy of the spec that later builder calls cannot
-    mutate.
-
-    Stage dataclasses and their ``params`` dicts are copied, but the
-    param *values* are shared - deliberately, so heavy runtime objects
-    passed as params (a pre-built ``blocks`` collection, a tokenizer)
-    are reused rather than deep-copied.
-    """
-
-    def _copy_params(stage: _StageT) -> _StageT:
-        return dataclasses.replace(stage, params=dict(stage.params))
-
-    return PipelineConfig(
-        blocking=_copy_params(config.blocking),
-        meta=_copy_params(config.meta),
-        method=_copy_params(config.method),
-        matcher=None if config.matcher is None else _copy_params(config.matcher),
-        match=(
-            None
-            if config.match is None
-            else dataclasses.replace(
-                config.match,
-                thresholds=dict(config.match.thresholds),
-                params={
-                    name: dict(value)
-                    for name, value in config.match.params.items()
-                },
-            )
-        ),
-        budget=dataclasses.replace(config.budget),
-        backend=config.backend,
-        incremental=(
-            None
-            if config.incremental is None
-            else dataclasses.replace(config.incremental)
-        ),
-        parallel=(
-            None
-            if config.parallel is None
-            else dataclasses.replace(config.parallel)
-        ),
-        storage=(
-            None
-            if config.storage is None
-            else dataclasses.replace(config.storage)
-        ),
-        service=(
-            None
-            if config.service is None
-            else dataclasses.replace(
-                config.service,
-                session_budget=dataclasses.replace(config.service.session_budget),
-                request_budget=dataclasses.replace(config.service.request_budget),
-            )
-        ),
-    )
 
 
 def _coerce_data(

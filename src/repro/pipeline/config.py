@@ -8,6 +8,16 @@ method, matching, budgets) is described by a small dataclass that
 * round-trips through plain dicts (``to_dict`` / ``from_dict``), so a
   whole experiment is a JSON-able spec that reproduces the run.
 
+Every decision has one home here.  A stage's *fields* are its dataclass
+fields and nothing else: :class:`Stage` derives the dict codec and the
+copy from :func:`dataclasses.fields`, so adding a field to a stage is a
+one-line change (give it a default, and a line in ``__post_init__`` if
+it has a rule).  A stage's *own* rules live in its ``__post_init__``;
+rules that span stages - who owns the match decision, what a parallel
+stage needs, what a live session refuses - live in
+:meth:`PipelineConfig.__post_init__` only, and the builder re-runs them
+on every stage call.
+
 Component ``params`` are passed verbatim to the component constructor;
 keeping them JSON-able keeps the spec serializable (callables such as a
 PSN ``key_function`` are injected at ``fit`` time instead, from the
@@ -16,8 +26,8 @@ dataset's metadata).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Any, Mapping
+from dataclasses import dataclass, field, fields
+from typing import Any, Mapping, TypeVar, get_args, get_type_hints
 
 from repro.errors import ConfigError
 from repro.registry import (
@@ -30,24 +40,95 @@ from repro.registry import (
     weighting_schemes,
 )
 
+_StageT = TypeVar("_StageT", bound="Stage")
+
+
+def _rebuilt(value: Any, plain: bool) -> Any:
+    """``value`` with every container under it rebuilt and every leaf
+    shared: ``plain`` flattens stages to dicts and tuples to lists (the
+    JSON form), otherwise the types are kept (an independent copy)."""
+    if isinstance(value, Stage):
+        return value.to_dict() if plain else value.copy()
+    if isinstance(value, dict):
+        return {key: _rebuilt(item, plain) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        kind = list if plain else type(value)
+        return kind(_rebuilt(item, plain) for item in value)
+    return value
+
+
+def _stage_type(hint: Any) -> "type[Stage] | None":
+    """The stage class a field annotated ``hint`` (``X`` or ``X | None``)
+    holds, if it holds one."""
+    for option in (hint, *get_args(hint)):
+        if isinstance(option, type) and issubclass(option, Stage):
+            return option
+    return None
+
+
+@dataclass
+class Stage:
+    """Base of every stage dataclass: its fields, read once.
+
+    The dict codec and the copy are derived from
+    :func:`dataclasses.fields`, so no stage (and nobody else) re-types a
+    stage's field list.
+    """
+
+    @classmethod
+    def from_dict(cls: type[_StageT], data: Mapping[str, Any]) -> _StageT:
+        """Rebuild a stage from its ``to_dict`` form.
+
+        Absent keys take the field defaults; unknown keys are refused,
+        naming the stage that owns them; a field typed as a stage is
+        decoded by that stage's ``from_dict``.
+        """
+        label = cls.__name__.removesuffix("Config").lower()
+        known = sorted(f.name for f in fields(cls))
+        unknown = sorted(set(data) - set(known))
+        if unknown:
+            raise ConfigError(
+                f"unknown {label} config keys {unknown}; allowed: {known}"
+            )
+        hints = get_type_hints(cls)
+        payload = dict(data)
+        for key, value in data.items():
+            nested = _stage_type(hints[key])
+            if nested is None:
+                continue
+            if value is not None:
+                payload[key] = nested.from_dict(value)
+            elif type(None) not in get_args(hints[key]):
+                raise ConfigError(
+                    f"{label} config key {key!r} is a stage and cannot be null"
+                )
+        return cls(**payload)
+
+    def to_dict(self) -> dict[str, Any]:
+        """A plain nested dict reproducing this stage via ``from_dict``
+        (tuples as lists, so it survives a JSON round trip)."""
+        return {f.name: _rebuilt(getattr(self, f.name), True) for f in fields(self)}
+
+    def copy(self: _StageT) -> _StageT:
+        """An independent copy that later edits cannot reach.
+
+        Stages and containers (``params`` dicts, tier tuples) are
+        copied; leaf values are shared - deliberately, so a heavy
+        runtime object passed as a param (a pre-built ``blocks``
+        collection, a tokenizer) is reused rather than deep-copied.
+        """
+        return type(self)(
+            **{f.name: _rebuilt(getattr(self, f.name), False) for f in fields(self)}
+        )
+
 
 def _check_ratio(name: str, value: float | None) -> None:
     if value is not None and not 0.0 < value <= 1.0:
         raise ConfigError(f"{name} must be in (0, 1] or None, got {value!r}")
 
 
-def _reject_unknown_keys(
-    stage: str, data: Mapping[str, Any], allowed: tuple[str, ...]
-) -> None:
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise ConfigError(
-            f"unknown {stage} config keys {unknown}; allowed: {sorted(allowed)}"
-        )
-
-
 @dataclass
-class BlockingConfig:
+class BlockingConfig(Stage):
     """Stage 1: block building plus the paper's purge/filter steps."""
 
     scheme: str = "token"
@@ -60,16 +141,9 @@ class BlockingConfig:
         _check_ratio("purge_ratio", self.purge_ratio)
         _check_ratio("filter_ratio", self.filter_ratio)
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "BlockingConfig":
-        _reject_unknown_keys(
-            "blocking", data, ("scheme", "purge_ratio", "filter_ratio", "params")
-        )
-        return cls(**dict(data))
-
 
 @dataclass
-class MetaBlockingConfig:
+class MetaBlockingConfig(Stage):
     """Stage 2: Blocking Graph edge weighting plus optional graph pruning.
 
     ``weighting`` is used by the equality-based methods
@@ -111,16 +185,9 @@ class MetaBlockingConfig:
             if k is not None and (not isinstance(k, int) or k < 1):
                 raise ConfigError(f"pruning budget k must be an int >= 1, got {k!r}")
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "MetaBlockingConfig":
-        _reject_unknown_keys(
-            "meta-blocking", data, ("weighting", "pruning", "params")
-        )
-        return cls(**dict(data))
-
 
 @dataclass
-class MethodConfig:
+class MethodConfig(Stage):
     """Stage 3: the progressive emission method and its parameters."""
 
     name: str = "PPS"
@@ -129,14 +196,9 @@ class MethodConfig:
     def __post_init__(self) -> None:
         self.name = progressive_methods.canonical(self.name)
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "MethodConfig":
-        _reject_unknown_keys("method", data, ("name", "params"))
-        return cls(**dict(data))
-
 
 @dataclass
-class MatcherConfig:
+class MatcherConfig(Stage):
     """Stage 4 (optional): the match function applied to emitted pairs."""
 
     name: str = "jaccard"
@@ -145,14 +207,9 @@ class MatcherConfig:
     def __post_init__(self) -> None:
         self.name = matchers.canonical(self.name)
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "MatcherConfig":
-        _reject_unknown_keys("matcher", data, ("name", "params"))
-        return cls(**dict(data))
-
 
 @dataclass
-class MatchConfig:
+class MatchConfig(Stage):
     """Stage 5 (optional): the decision cascade applied to emitted pairs.
 
     Describes a :class:`~repro.matching.cascade.MatcherCascade`: the
@@ -176,76 +233,20 @@ class MatchConfig:
     params: dict[str, dict[str, Any]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        from repro.matching.cascade import _coerce_threshold
-        from repro.matching.match_functions import MatchFunction
+        from repro.matching.cascade import check_cascade_spec
 
-        resolved: list[Any] = []
-        names: list[str] = []
-        for tier in tuple(self.tiers):
-            if isinstance(tier, str):
-                canonical = matchers.canonical(tier)
-                resolved.append(canonical)
-                names.append(canonical)
-            elif isinstance(tier, MatchFunction):
-                resolved.append(tier)
-                names.append(tier.name)
-            else:
-                raise ConfigError(
-                    "cascade tiers must be matcher registry names or "
-                    f"MatchFunction instances, got {tier!r}"
-                )
-        self.tiers = tuple(resolved)
-        if not self.tiers and self.expensive is None:
-            raise ConfigError("a match stage needs at least one tier")
-        normalized = [normalize(name) for name in names]
-        if len(set(normalized)) != len(normalized):
-            raise ConfigError(
-                f"duplicate cascade tiers in {names}; each tier may "
-                "appear once"
+        # The rules are the cascade's own (one statement, shared with
+        # MatcherCascade); the spec keeps the normalized form, so a band
+        # that went through JSON as a list is a tuple again.
+        self.tiers, self.thresholds, self.expensive, self.params = (
+            check_cascade_spec(
+                self.tiers,
+                self.thresholds,
+                self.expensive,
+                self.expensive_budget,
+                self.params,
             )
-        if self.expensive is not None:
-            if isinstance(self.expensive, str):
-                self.expensive = matchers.canonical(self.expensive)
-            elif not callable(self.expensive):
-                raise ConfigError(
-                    "expensive must be a matcher registry name, a "
-                    "MatchFunction or a (a, b) -> float callable, got "
-                    f"{self.expensive!r}"
-                )
-        if self.expensive_budget is not None:
-            if self.expensive is None:
-                raise ConfigError(
-                    "expensive_budget given without an expensive hook"
-                )
-            if (
-                not isinstance(self.expensive_budget, int)
-                or isinstance(self.expensive_budget, bool)
-                or self.expensive_budget < 0
-            ):
-                raise ConfigError(
-                    "expensive_budget must be an int >= 0, got "
-                    f"{self.expensive_budget!r}"
-                )
-        known = set(normalized)
-        if self.expensive is not None:
-            known.add(normalize("expensive"))
-        for key, value in dict(self.thresholds).items():
-            if normalize(key) not in known:
-                raise ConfigError(
-                    f"threshold given for unknown tier {key!r}; tiers: "
-                    f"{names + (['expensive'] if self.expensive is not None else [])}"
-                )
-            _coerce_threshold(key, value)
-        for key, value in dict(self.params).items():
-            if normalize(key) not in set(normalized):
-                raise ConfigError(
-                    f"params given for unknown tier {key!r}; tiers: {names}"
-                )
-            if not isinstance(value, Mapping):
-                raise ConfigError(
-                    f"params for tier {key!r} must be a mapping of "
-                    f"constructor kwargs, got {value!r}"
-                )
+        )
 
     def build(
         self, ground_truth: Any = None, exhausted: str = "fallback"
@@ -260,38 +261,22 @@ class MatchConfig:
         from repro.matching.cascade import MatcherCascade
 
         params = {name: dict(value) for name, value in self.params.items()}
-        if ground_truth is not None:
-            for tier in self.tiers:
-                if isinstance(tier, str) and normalize(tier) == normalize(
-                    "oracle"
-                ):
-                    params.setdefault(tier, {}).setdefault(
-                        "ground_truth", ground_truth
-                    )
+        if ground_truth is not None and "oracle" in self.tiers:
+            params.setdefault("oracle", {}).setdefault(
+                "ground_truth", ground_truth
+            )
         return MatcherCascade(
-            list(self.tiers),
-            thresholds=dict(self.thresholds),
+            self.tiers,
+            thresholds=self.thresholds,
             expensive=self.expensive,
             expensive_budget=self.expensive_budget,
             exhausted=exhausted,
             params=params,
         )
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "MatchConfig":
-        _reject_unknown_keys(
-            "match",
-            data,
-            ("tiers", "thresholds", "expensive", "expensive_budget", "params"),
-        )
-        payload = dict(data)
-        if "tiers" in payload:
-            payload["tiers"] = tuple(payload["tiers"])
-        return cls(**payload)
-
 
 @dataclass
-class BudgetConfig:
+class BudgetConfig(Stage):
     """Emission budgets; any combination, first one hit stops the stream.
 
     ``comparisons`` caps total emissions exactly; ``seconds`` is a
@@ -332,16 +317,9 @@ class BudgetConfig:
             and self.target_recall is None
         )
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "BudgetConfig":
-        _reject_unknown_keys(
-            "budget", data, ("comparisons", "seconds", "target_recall")
-        )
-        return cls(**dict(data))
-
 
 @dataclass
-class IncrementalConfig:
+class IncrementalConfig(Stage):
     """Optional stage: resolve online, ingesting profiles after ``fit``.
 
     When present, ``fit`` returns an
@@ -361,14 +339,9 @@ class IncrementalConfig:
     def __post_init__(self) -> None:
         _check_ratio("purge_ratio", self.purge_ratio)
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "IncrementalConfig":
-        _reject_unknown_keys("incremental", data, ("purge_ratio",))
-        return cls(**dict(data))
-
 
 @dataclass
-class ParallelConfig:
+class ParallelConfig(Stage):
     """Optional stage: shard the array engine across worker processes.
 
     Applies when ``backend`` is ``"numpy-parallel"`` (the
@@ -391,23 +364,13 @@ class ParallelConfig:
     ship: str = "pickle"
 
     def __post_init__(self) -> None:
-        if self.workers is not None and self.workers < 0:
-            raise ConfigError(f"workers must be >= 0, got {self.workers!r}")
-        if self.shards is not None and self.shards < 1:
-            raise ConfigError(f"shards must be >= 1, got {self.shards!r}")
-        if self.ship not in ("pickle", "memmap"):
-            raise ConfigError(
-                f"ship must be 'pickle' or 'memmap', got {self.ship!r}"
-            )
+        from repro.parallel.backend import check_pool_knobs
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ParallelConfig":
-        _reject_unknown_keys("parallel", data, ("workers", "shards", "ship"))
-        return cls(**dict(data))
+        check_pool_knobs(self.workers, self.shards, self.ship)
 
 
 @dataclass
-class StorageConfig:
+class StorageConfig(Stage):
     """Optional stage: serve the CSR index structures from disk.
 
     ``mode="memmap"`` makes the numpy backends allocate every session
@@ -432,14 +395,9 @@ class StorageConfig:
 
         check_storage_mode(self.mode)
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StorageConfig":
-        _reject_unknown_keys("storage", data, ("mode", "dir"))
-        return cls(**dict(data))
-
 
 @dataclass
-class ServiceConfig:
+class ServiceConfig(Stage):
     """Optional stage: serve the session behind the asyncio service layer.
 
     When present, the pipeline describes a *served* incremental session
@@ -486,59 +444,45 @@ class ServiceConfig:
                 f"max_pending must be an int >= 1, got {self.max_pending!r}"
             )
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ServiceConfig":
-        _reject_unknown_keys(
-            "service",
-            data,
-            ("session_budget", "request_budget", "max_pending", "snapshot_dir"),
-        )
-        return cls(
-            session_budget=BudgetConfig.from_dict(data.get("session_budget", {})),
-            request_budget=BudgetConfig.from_dict(data.get("request_budget", {})),
-            max_pending=data.get("max_pending", 32),
-            snapshot_dir=data.get("snapshot_dir"),
-        )
 
+def check_live_stage(config: "PipelineConfig") -> None:
+    """What a live (incremental, hence also served) session refuses.
 
-def check_service_stage(config: "PipelineConfig") -> None:
-    """Config-time cross-checks of a ``service`` stage.
-
-    A served session *is* an incremental session, so every fit-time
-    refusal of :class:`~repro.incremental.resolver.IncrementalResolver`
-    is mirrored here - the spec fails when it is written, not when the
-    first probe arrives.  Shared by the :class:`PipelineConfig`
-    constructor and :meth:`repro.pipeline.ERPipeline.serve`.
+    Candidate generation in a live session is the delta-maintained
+    Token Blocking index and emission is the ONLINE (globally ranked)
+    model, so a stage configuring anything else would be silently
+    discarded - it is refused instead, when the spec is written.  The
+    default method spec (``"PPS"`` with no params, i.e. no
+    ``.method()`` call) counts as unconfigured.  Graph pruning is
+    batch-global (thresholds over the whole edge population) and has no
+    per-arrival counterpart.
     """
-    if config.service is None:
-        return
-    blocking = config.blocking
+    blocking, method = config.blocking, config.method
     if normalize(blocking.scheme) != "TOKEN" or blocking.params:
         raise ConfigError(
-            "a service stage implies an incremental session, which uses "
-            f"the live Token Blocking index; the blocking scheme "
-            f"{blocking.scheme!r} (params {blocking.params!r}) has no "
-            "incremental counterpart - drop the .blocking(...) stage"
+            "incremental and served sessions use the live Token Blocking "
+            f"index; the configured blocking scheme {blocking.scheme!r} "
+            f"(params {blocking.params!r}) has no incremental counterpart "
+            "- drop the .blocking(...) stage or resolve in batch mode"
         )
-    if normalize(config.method.name) not in ("PPS", "ONLINE") or (
-        config.method.params
-    ):
+    if normalize(method.name) not in ("PPS", "ONLINE") or method.params:
         raise ConfigError(
-            "served sessions emit in the ONLINE (globally ranked) model; "
-            f"the configured method {config.method.name!r} (params "
-            f"{config.method.params!r}) only applies to batch sessions - "
-            "drop the .method(...) stage"
+            "incremental and served sessions emit in the ONLINE (globally "
+            f"ranked) model; the configured method {method.name!r} (params "
+            f"{method.params!r}) only applies to batch sessions - drop the "
+            ".method(...) stage or resolve in batch mode"
         )
     if config.meta.pruning is not None:
         raise ConfigError(
-            "served sessions do not support Meta-blocking pruning; the "
-            f"configured {config.meta.pruning!r} stage only applies to "
-            "batch sessions - drop .meta(pruning=...)"
+            "incremental and served sessions do not support Meta-blocking "
+            f"pruning; the configured {config.meta.pruning!r} stage only "
+            "applies to batch sessions - drop .meta(pruning=...) or resolve "
+            "in batch mode"
         )
 
 
 @dataclass
-class PipelineConfig:
+class PipelineConfig(Stage):
     """The full pipeline spec: one dataclass per stage, dict round-trip.
 
     ``backend`` selects the execution engine for methods that support
@@ -548,6 +492,10 @@ class PipelineConfig:
     processes (configured by the ``parallel`` stage).  Validation only
     canonicalizes the name; availability is checked when the method is
     built, so specs stay portable to machines without numpy.
+
+    Every rule that spans stages is stated here and nowhere else; the
+    builder re-runs them on each stage call (see
+    :class:`~repro.pipeline.ERPipeline`).
     """
 
     blocking: BlockingConfig = field(default_factory=BlockingConfig)
@@ -568,8 +516,8 @@ class PipelineConfig:
             raise ConfigError(
                 "a .matcher(...) stage and a .match(...) cascade stage "
                 "both own the match decision; configure exactly one "
-                "(a single matcher is the one-tier cascade "
-                ".match(cascade='<name>'))"
+                "(.no_matcher() / .no_match() drops the other; a single "
+                "matcher is the one-tier cascade .match(cascade='<name>'))"
             )
         if self.parallel is not None and self.backend != "numpy-parallel":
             raise ConfigError(
@@ -577,86 +525,9 @@ class PipelineConfig:
                 f"{self.backend!r}; drop the parallel config or switch the "
                 "backend"
             )
-        if self.service is not None:
+        if self.service is not None and self.incremental is None:
             # A served session is an incremental session: the stage is
             # implied rather than required twice in every spec.
-            if self.incremental is None:
-                self.incremental = IncrementalConfig()
-            check_service_stage(self)
-
-    def to_dict(self) -> dict[str, Any]:
-        """A plain nested dict reproducing this config via ``from_dict``."""
-        return {
-            "blocking": asdict(self.blocking),
-            "meta": asdict(self.meta),
-            "method": asdict(self.method),
-            "matcher": None if self.matcher is None else asdict(self.matcher),
-            "match": (
-                None
-                if self.match is None
-                else {**asdict(self.match), "tiers": list(self.match.tiers)}
-            ),
-            "budget": asdict(self.budget),
-            "backend": self.backend,
-            "incremental": (
-                None if self.incremental is None else asdict(self.incremental)
-            ),
-            "parallel": (
-                None if self.parallel is None else asdict(self.parallel)
-            ),
-            "storage": (
-                None if self.storage is None else asdict(self.storage)
-            ),
-            "service": (
-                None if self.service is None else asdict(self.service)
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PipelineConfig":
-        _reject_unknown_keys(
-            "pipeline",
-            data,
-            (
-                "blocking",
-                "meta",
-                "method",
-                "matcher",
-                "match",
-                "budget",
-                "backend",
-                "incremental",
-                "parallel",
-                "storage",
-                "service",
-            ),
-        )
-        matcher = data.get("matcher")
-        match = data.get("match")
-        incremental = data.get("incremental")
-        parallel = data.get("parallel")
-        storage = data.get("storage")
-        service = data.get("service")
-        return cls(
-            blocking=BlockingConfig.from_dict(data.get("blocking", {})),
-            meta=MetaBlockingConfig.from_dict(data.get("meta", {})),
-            method=MethodConfig.from_dict(data.get("method", {})),
-            matcher=None if matcher is None else MatcherConfig.from_dict(matcher),
-            match=None if match is None else MatchConfig.from_dict(match),
-            budget=BudgetConfig.from_dict(data.get("budget", {})),
-            backend=data.get("backend", "python"),
-            incremental=(
-                None
-                if incremental is None
-                else IncrementalConfig.from_dict(incremental)
-            ),
-            parallel=(
-                None if parallel is None else ParallelConfig.from_dict(parallel)
-            ),
-            storage=(
-                None if storage is None else StorageConfig.from_dict(storage)
-            ),
-            service=(
-                None if service is None else ServiceConfig.from_dict(service)
-            ),
-        )
+            self.incremental = IncrementalConfig()
+        if self.incremental is not None:
+            check_live_stage(self)

@@ -15,6 +15,7 @@ recall) are enforced across all consumers of the session, not per call.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple
@@ -203,15 +204,8 @@ class Resolver:
         ):
             from repro.parallel.backend import ParallelBackend
 
-            knobs = (
-                {}
-                if spec is None
-                else {
-                    "workers": spec.workers,
-                    "shards": spec.shards,
-                    "ship": spec.ship,
-                }
-            )
+            # The stage's fields are the backend's knobs, name for name.
+            knobs = {} if spec is None else spec.to_dict()
             self._backend_instance = ParallelBackend(**knobs, **storage_kwargs)
             return self._backend_instance
         if self.config.backend == "numpy" and storage_kwargs:
@@ -750,16 +744,8 @@ class Resolver:
             self._matched_pairs,
             truth,
             decided=self._decided if self._decided else None,
-            by_tier=self._by_tier(),
+            by_tier=_by_tier(self.cascade),
         )
-
-    def _by_tier(self) -> dict[str, int]:
-        if self.cascade is None:
-            return {}
-        return {
-            stats["name"]: stats["decided"]
-            for stats in self.cascade.stats()["tiers"]
-        }
 
     def evaluate_decisions(
         self, ground_truth: GroundTruth | None = None
@@ -786,24 +772,15 @@ class Resolver:
             cascade = MatcherCascade.from_matcher(matcher)
         method = self.build_method()
         method.initialize()
-        budget = self.config.budget.comparisons
-        positives: set[tuple[int, int]] = set()
-        decided = 0
-        for comparison in self._emitter_for(method):
-            if budget is not None and decided >= budget:
-                break
-            verdict = cascade.decide(
-                self.store[comparison.i], self.store[comparison.j]
-            )
-            decided += 1
-            if verdict.is_match:
-                positives.add(comparison.pair)
-        by_tier = {
-            stats["name"]: stats["decided"]
-            for stats in cascade.stats()["tiers"]
-        }
+        stream = itertools.islice(
+            self._emitter_for(method), self.config.budget.comparisons
+        )
+        records = self._decide(list(stream), cascade, record=False)
         return decision_quality(
-            positives, truth, decided=decided, by_tier=by_tier
+            {record.comparison.pair for record in records if record.decision},
+            truth,
+            decided=len(records),
+            by_tier=_by_tier(cascade),
         )
 
     # -- results ------------------------------------------------------------
@@ -894,6 +871,13 @@ class Resolver:
             f"Resolver({self.config.method.name}, {state}, "
             f"|P|={len(self.store)}, emitted={self._emitted})"
         )
+
+
+def _by_tier(cascade: MatcherCascade | None) -> dict[str, int]:
+    """Comparisons decided per tier, from a cascade's counters."""
+    if cascade is None:
+        return {}
+    return {stats["name"]: stats["decided"] for stats in cascade.stats()["tiers"]}
 
 
 class _PrunedMethodView:

@@ -300,6 +300,11 @@ class PPS(ProgressiveMethod):
         self, emitted: set[tuple[int, int]]
     ) -> Iterator[Comparison]:
         """Drain every remaining distinct comparison of the blocks."""
+        if self._core is not None:
+            # Same stream, weighted a range of blocks at a time instead
+            # of through one scalar weight() call per pair.
+            yield from self._core.exhaustive_tail(emitted)
+            return
         assert self.profile_index is not None and self.scheme is not None
         index = self.profile_index
         er_type = self.store.er_type

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import contextlib
+import ctypes
 import json
 import signal
 import sys
@@ -88,8 +89,19 @@ async def serve(args: argparse.Namespace) -> None:
         print("service stopped", flush=True)
 
 
+def share_one_malloc_arena() -> None:
+    """Keep this process on one glibc malloc arena (a no-op elsewhere).
+    The pool threads run pure Python under the GIL and never allocate at
+    once; an arena each only splits the heap by which thread ran which
+    request, and peak RSS differed run to run (docs/service.md, Memory)."""
+    if sys.platform == "linux":
+        with contextlib.suppress(OSError, AttributeError):
+            ctypes.CDLL(None).mallopt(-8, 1)  # M_ARENA_MAX
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    share_one_malloc_arena()
     try:
         asyncio.run(serve(args))
     except KeyboardInterrupt:  # pragma: no cover - signal-handler fallback

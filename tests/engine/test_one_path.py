@@ -6,10 +6,12 @@ and the engine resolves end to end (RAM and memmap) with the package
 blocked.  *One kernel per pass*: the ``numpy`` RAM backend calls every
 range kernel with exactly one range, the whole axis, while ``shards=4``
 calls the very same kernels, in the same sequence, with four ranges
-that partition it - and both emit the same stream.  The one exception
-is PBS's block axis, which the inline fan-out cuts by budget because
-those ranges *are* the progressive schedule: the last section counts
-that a PBS pull weights a prefix of the blocks and builds no graph.
+that partition it - and both emit the same stream.  (Ranking scored
+pairs is not such a pass: it is one stable sort in the caller on every
+backend.)  The one exception is PBS's block axis, which the inline
+fan-out cuts by budget because those ranges *are* the progressive
+schedule: the last section counts that a PBS pull weights a prefix of
+the blocks and builds no graph.
 """
 
 from __future__ import annotations
@@ -129,9 +131,6 @@ class Recording(Fanout):
 
         return self.inner.run(noting, payload, shards)
 
-    def merge_ranked(self, parts):
-        return self.inner.merge_ranked(parts)
-
     def merge_counts(self, parts):
         return self.inner.merge_counts(parts)
 
@@ -144,7 +143,7 @@ def recorded(backend):
 
 def extent(shard):
     """``(lo, hi)`` of a range shard, or ``(0, len)`` of a shard that
-    carries its own slices (ranking, cascade pairs)."""
+    carries its own slices (cascade pairs)."""
     if isinstance(shard[0], np.ndarray):
         return 0, len(shard[0])
     return int(shard[0]), int(shard[1])
@@ -192,11 +191,11 @@ CASES = {
 EXPECTED_KERNELS = {
     "PPS": {"tokenize_range", "graph_rows", "pps_schedule"},
     "PBS": {"tokenize_range", "new_block_pairs"},
-    "ONLINE": {"tokenize_range", "graph_rows", "rank_slice"},
-    "GS-PSN": {"tokenize_range", "window_counts", "rank_slice"},
-    "LS-PSN": {"tokenize_range", "window_counts", "rank_slice"},
-    "WNP": {"graph_rows", "node_weight_sums", "rank_slice"},
-    "CNP": {"graph_rows", "node_topk", "rank_slice"},
+    "ONLINE": {"tokenize_range", "graph_rows"},
+    "GS-PSN": {"tokenize_range", "window_counts"},
+    "LS-PSN": {"tokenize_range", "window_counts"},
+    "WNP": {"graph_rows", "node_weight_sums"},
+    "CNP": {"graph_rows", "node_topk"},
     "cascade": {"tokenize_range", "graph_rows", "pps_schedule", "pair_overlap"},
 }
 

@@ -69,11 +69,33 @@ class TestEqualityMethodParity:
             *both_streams("PBS", clean_clean_store, weighting=scheme)
         )
 
-    def test_pps_exhaustive_tail(self, clean_clean_store):
-        """The optional exhaustive tail drains identically too."""
-        assert_streams_match(
-            *both_streams("PPS", clean_clean_store, exhaustive=True)
+    @pytest.mark.parametrize("fixture", ["clean_clean_store", "dirty_dataset"])
+    def test_pps_exhaustive_tail(self, fixture, request, monkeypatch):
+        """The optional exhaustive tail drains identically too - and the
+        engine weighs it a range of blocks at a time, never through the
+        scalar ``weight`` (about 60 us a pair: regression, it made the
+        numpy tail 3-4x slower than the reference it accelerates)."""
+        from repro.engine.weights import ArrayBlockingGraph
+
+        store = request.getfixturevalue(fixture)
+        store = getattr(store, "store", store)
+        scalar_calls = []
+        monkeypatch.setattr(
+            ArrayBlockingGraph,
+            "weight",
+            lambda self, i, j: scalar_calls.append((i, j)),
         )
+        # k_max=1 leaves comparisons to the tail (asserted below).
+        python, numpy_ = both_streams("PPS", store, exhaustive=True, k_max=1)
+        assert_streams_match(python, numpy_)
+        assert not scalar_calls
+        # The tail was reached and drained (the prefix did not cut it).
+        scheduled = build("PPS", store, k_max=1)
+        scheduled.initialize()
+        blocks = scheduled.profile_index.collection
+        assert len(numpy_) < PREFIX
+        assert {c.pair for c in numpy_} == blocks.distinct_pairs()
+        assert {c.pair for c in scheduled} < blocks.distinct_pairs()
 
     def test_pps_fixed_k_max(self, dirty_dataset):
         assert_streams_match(*both_streams("PPS", dirty_dataset.store, k_max=3))

@@ -148,15 +148,15 @@ def test_probe_validates_clean_clean_sources_like_ingestion():
 
 
 def test_non_token_blocking_scheme_is_rejected_with_incremental():
-    pipeline = ERPipeline().blocking("suffix", min_length=3).incremental()
+    pipeline = ERPipeline().blocking("suffix", min_length=3)
     with pytest.raises(ValueError, match="no incremental counterpart"):
-        pipeline.fit(RECORDS[:2])
+        pipeline.incremental()
 
 
 def test_non_online_method_is_rejected_with_incremental():
-    pipeline = ERPipeline().method("PBS").incremental()
+    pipeline = ERPipeline().method("PBS")
     with pytest.raises(ValueError, match="batch sessions"):
-        pipeline.fit(RECORDS[:2])
+        pipeline.incremental()
     # an explicitly parameterized method is configuration, not a default
     with pytest.raises(ValueError, match="batch sessions"):
         ERPipeline().method("PPS", k_max=5).incremental().fit(RECORDS[:2])

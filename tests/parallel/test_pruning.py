@@ -3,8 +3,8 @@
 The full algorithm x scheme x ER-type x shard-count parity matrix lives
 in ``tests/metablocking/test_pruning.py`` (inline shards); this module
 proves the process transport (real workers, both ship modes) and the
-degenerate plans the :class:`~repro.parallel.plan.ShardPlan`
-constructors can produce.
+degenerate cuts :func:`~repro.parallel.fanout.balanced_ranges` can
+produce.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Regression tests for two pipeline config bugs.
+"""Regression tests for pipeline config bugs.
 
 1. ``ERPipeline().backend("python").parallel(workers=2)`` used to
    silently flip the backend to ``"numpy-parallel"``, discarding the
@@ -10,14 +10,24 @@
 2. Budget validation was inconsistent: ``budget(seconds=0)`` raised
    while ``budget(comparisons=0)`` was accepted.  Zero budgets are now
    uniformly valid and mean "emit nothing" end-to-end.
+
+3. Four holes left by rules that had several partial homes: a
+   final-tier confidence band passed the config and ``fit()`` and
+   failed at the first decision; a builder call made *after*
+   ``.serve()`` was never checked against it; ``.incremental()``
+   refused at ``fit`` what ``.serve()`` refused at config time; a spec
+   with a band was not equal to itself after a JSON round trip.
 """
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro.errors import ConfigError
 from repro.pipeline import ERPipeline, resolve
-from repro.pipeline.config import PipelineConfig
+from repro.pipeline.config import MatchConfig, PipelineConfig
 
 
 @pytest.fixture()
@@ -156,3 +166,67 @@ class TestZeroBudgets:
         )
         assert session.add_profiles(records[1:]) == []
         assert session.progress().emitted == 0
+
+
+#: (what the live session refuses, the builder call that configures it)
+BATCH_ONLY = {
+    "no incremental counterpart": lambda p: p.blocking("standard"),
+    "batch sessions": lambda p: p.method("SA-PSN"),
+    "do not support Meta-blocking": lambda p: p.meta(pruning="WEP"),
+}
+
+
+class TestSpecValidationHoles:
+    def test_final_tier_band_is_refused_at_config_time(self):
+        """Regression: this passed the config *and* fit() and raised
+        when the first comparison was decided."""
+        band = {"jaccard": (0.2, 0.8)}
+        with pytest.raises(ConfigError, match="final tier"):
+            ERPipeline().match("jaccard", thresholds=band)
+        with pytest.raises(ConfigError, match="final tier"):
+            MatchConfig(tiers=("exact", "jaccard"), thresholds=band)
+        with pytest.raises(ConfigError, match="final tier"):
+            PipelineConfig.from_dict(
+                {"match": {"tiers": ["jaccard"], "thresholds": {"jaccard": [0.2, 1]}}}
+            )
+        # The expensive hook is the final tier when there is one ...
+        with pytest.raises(ConfigError, match="final tier"):
+            ERPipeline().match(
+                expensive="jaccard", thresholds={"expensive": (0.2, 0.8)}
+            )
+        # ... and then the last named tier may keep its band.
+        ERPipeline().match("jaccard", thresholds=band, expensive="edit-distance")
+
+    @pytest.mark.parametrize("live", ["serve", "incremental"])
+    @pytest.mark.parametrize("text", sorted(BATCH_ONLY))
+    def test_live_stages_refuse_batch_only_stages_in_either_order(self, live, text):
+        """Regression: after .serve() nothing was checked (and the spec
+        written was one its own from_dict rejected); .incremental()
+        refused only at fit()."""
+        configure = BATCH_ONLY[text]
+        pipeline = getattr(ERPipeline(), live)()
+        before = pipeline.to_dict()
+        with pytest.raises(ConfigError, match=text):
+            configure(pipeline)
+        assert pipeline.to_dict() == before  # a refused call changes nothing
+        with pytest.raises(ConfigError, match=text):
+            getattr(configure(ERPipeline()), live)()
+
+    def test_both_live_stages_refuse_with_the_same_words(self):
+        def refusal(live):
+            with pytest.raises(ConfigError) as caught:
+                getattr(ERPipeline().method("PBS"), live)()
+            return str(caught.value)
+
+        assert refusal("serve") == refusal("incremental")
+
+    def test_spec_with_bands_survives_a_real_json_round_trip(self):
+        """Regression: (0.2, 0.9) came back [0.2, 0.9] and the rebuilt
+        spec was not equal to the one that wrote it."""
+        spec = ERPipeline().match(
+            thresholds={"jaccard": (0.2, 0.9), "edit-distance": 0.7}
+        ).config
+        rebuilt = PipelineConfig.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert rebuilt == spec
+        assert rebuilt.match.thresholds["jaccard"] == (0.2, 0.9)
+        assert rebuilt.to_dict() == spec.to_dict()

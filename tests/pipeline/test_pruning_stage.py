@@ -148,10 +148,9 @@ class TestPrunedEmission:
             .blocking("token", purge=None)
             .meta("ARCS", pruning="WEP")
             .method("ONLINE")
-            .incremental()
         )
         with pytest.raises(ValueError, match="do not support Meta-blocking"):
-            pipeline.fit(records)
+            pipeline.incremental()
 
     def test_resolve_pruning_params(self, records):
         result = resolve(

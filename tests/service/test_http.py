@@ -387,3 +387,53 @@ def test_main_module_boots_and_stops():
         finally:
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=15) == 0
+
+
+def test_main_module_keeps_one_malloc_arena():
+    """Threads that allocate after share_one_malloc_arena() get no arena
+    of their own (glibc only: counted in malloc_info's report)."""
+    import os
+    import subprocess
+    import sys
+
+    code = """
+import ctypes, sys, threading
+libc = ctypes.CDLL(None)
+if not hasattr(libc, "malloc_info"):
+    sys.exit(77)
+if sys.argv[1] == "shared":
+    from repro.service.__main__ import share_one_malloc_arena
+    share_one_malloc_arena()
+hold = threading.Barrier(5)
+def allocate():
+    block = bytearray(1 << 16)  # past pymalloc: a malloc on this thread
+    hold.wait(timeout=30)
+threads = [threading.Thread(target=allocate) for _ in range(4)]
+for thread in threads:
+    thread.start()
+hold.wait(timeout=30)
+libc.fdopen.restype = ctypes.c_void_p
+out = ctypes.c_void_p(libc.fdopen(1, b"w"))
+libc.malloc_info(0, out)
+libc.fflush(out)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("MALLOC_ARENA_MAX", None)
+    env.pop("GLIBC_TUNABLES", None)
+    arenas = {}
+    for mode in ("default", "shared"):
+        done = subprocess.run(
+            [sys.executable, "-c", code, mode],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        if done.returncode == 77:
+            pytest.skip("the C library has no malloc_info (not glibc)")
+        assert done.returncode == 0, done.stderr
+        arenas[mode] = done.stdout.count("<heap nr=")
+    if arenas["default"] == 1:
+        pytest.skip("this C library is already held to one arena")
+    assert arenas["shared"] == 1
