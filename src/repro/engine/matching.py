@@ -9,8 +9,9 @@ with **zero re-tokenization**, escalating only the residue the bands
 leave undecided into the cascade's pure-Python tier loop.
 
 The batch algorithm (:func:`pair_overlap`): gather both sides' token
-rows labeled by pair index, one ``lexsort`` by ``(pair, token)``, count
-adjacent duplicates - the per-pair intersection size.  Then::
+rows as one composite int64 key ``pair * V + token`` (``V`` the
+vocabulary size), sort it in place, count adjacent equal keys - the
+per-pair intersection size.  Then::
 
     union    = |a| + |b| - intersection          (0 -> both empty)
     jaccard  = intersection / union              (both empty -> 1.0)
@@ -56,11 +57,13 @@ def pair_overlap(
     profile pair of one slice of the batch.
 
     The payload's ``indptr``/``tokens`` is the per-profile distinct
-    token-id CSR of :meth:`ArraySubstrate.token_rows`; the shard carries
-    its own slices of the pair arrays.  Returns a bool array (normalized
+    token-id CSR of :meth:`ArraySubstrate.token_rows` and ``vocabulary``
+    a bound above every token id; the shard carries its own slices of
+    the pair arrays.  Returns a bool array (normalized
     equality) and a float64 array (Jaccard; both-empty pairs score 1.0).
     """
     indptr, tokens = payload["indptr"], payload["tokens"]
+    vocabulary = payload["vocabulary"]
     left, right = shard
     count = int(left.size)
     if count == 0:
@@ -72,28 +75,15 @@ def pair_overlap(
     len_right = indptr[right + 1] - indptr[right]
     starts = np.concatenate([indptr[left], indptr[right]])
     counts = np.concatenate([len_left, len_right])
-    labels = np.repeat(
-        np.concatenate(
-            [
-                np.arange(count, dtype=np.int64),
-                np.arange(count, dtype=np.int64),
-            ]
-        ),
-        counts,
-    )
-    gathered = tokens[multi_arange(starts, counts)]
-    order = np.lexsort((gathered, labels))
-    sorted_tokens = gathered[order]
-    sorted_labels = labels[order]
-    duplicate = np.empty(sorted_tokens.size, dtype=bool)
-    if sorted_tokens.size:
-        duplicate[0] = False
-        np.logical_and(
-            sorted_tokens[1:] == sorted_tokens[:-1],
-            sorted_labels[1:] == sorted_labels[:-1],
-            out=duplicate[1:],
-        )
-    intersection = np.bincount(sorted_labels[duplicate], minlength=count)
+    # pair * V + token: pair < batch size and V < 2**31, so no overflow.
+    pair_base = np.arange(count, dtype=np.int64) * vocabulary
+    keys = np.repeat(np.concatenate([pair_base, pair_base]), counts)
+    keys += tokens[multi_arange(starts, counts)]
+    keys.sort()
+    # A row's tokens are distinct, so a key repeats exactly when both
+    # sides of its pair hold the token.
+    shared = keys[1:][keys[1:] == keys[:-1]]
+    intersection = np.bincount(shared // vocabulary, minlength=count)
     union = len_left + len_right - intersection
     jaccard = np.ones(count, dtype=np.float64)
     np.divide(
@@ -147,7 +137,11 @@ class CascadeBatchMatcher:
     ) -> tuple[np.ndarray, np.ndarray]:
         if self._payload is None:
             indptr, tokens = self.substrate.token_rows()
-            self._payload = {"indptr": indptr, "tokens": tokens}
+            self._payload = {
+                "indptr": indptr,
+                "tokens": tokens,
+                "vocabulary": int(tokens.max()) + 1 if tokens.size else 1,
+            }
         fanout = self.substrate.fanout
         shards = [
             (left[lo:hi], right[lo:hi])
@@ -165,7 +159,12 @@ class CascadeBatchMatcher:
     def decide_batch(
         self, comparisons: Sequence[Comparison]
     ) -> list[TierDecision]:
-        """Decide a batch; order matches ``comparisons`` element-wise."""
+        """Decide a batch; order matches ``comparisons`` element-wise.
+
+        Each batched tier books its own band masks and verdicts on its
+        ``cost_seconds``; the shared :func:`pair_overlap` pass, which
+        computes both tiers' algebra, is booked on tier 0.
+        """
         cascade = self.cascade
         count = len(comparisons)
         if count == 0:
@@ -179,68 +178,41 @@ class CascadeBatchMatcher:
         right = np.fromiter((c.j for c in comparisons), np.int64, count)
         began = time.perf_counter()
         equal, jaccard = self._overlap(left, right)
-        elapsed = time.perf_counter() - began
+        similarities = (equal.astype(np.float64), jaccard)[: self.prefix]
 
         decisions: list[TierDecision | None] = [None] * count
         tiers = cascade.tiers
-        tier0 = tiers[0]
-        sim0 = equal.astype(np.float64)
-        matched = sim0 >= tier0.accept
-        rejected = sim0 < tier0.reject
-        if len(tiers) == 1:
-            rejected = ~matched
-        undecided = ~(matched | rejected)
-        stats0 = cascade.tier_stats(0)
-        stats0.evaluated += count
-        # The one vectorized pass computes both tiers' algebra; its
-        # wall-clock is booked on tier 0 (tier 1's marginal cost is the
-        # band masks below, effectively free).
-        stats0.cost_seconds += elapsed
-        stats0.matched += int(matched.sum())
-        stats0.decided += int(matched.sum() + rejected.sum())
-        stats0.escalated += int(undecided.sum())
-        for index in np.nonzero(matched)[0]:
-            decisions[index] = TierDecision(True, tier0.name, float(sim0[index]))
-        for index in np.nonzero(rejected)[0]:
-            decisions[index] = TierDecision(
-                False, tier0.name, float(sim0[index])
-            )
+        residue = np.ones(count, dtype=bool)
+        for position, similarity in enumerate(similarities):
+            tier = tiers[position]
+            matched = residue & (similarity >= tier.accept)
+            if position == len(tiers) - 1:  # the last tier always decides
+                rejected = residue & ~matched
+            else:
+                rejected = residue & (similarity < tier.reject)
+            stats = cascade.tier_stats(position)
+            stats.evaluated += int(residue.sum())
+            residue = residue & ~(matched | rejected)
+            stats.escalated += int(residue.sum())
+            matched_count = int(matched.sum())
+            stats.matched += matched_count
+            stats.decided += matched_count + int(rejected.sum())
+            for is_match, mask in ((True, matched), (False, rejected)):
+                indices = np.nonzero(mask)[0]
+                for index, value in zip(
+                    indices.tolist(), similarity[indices].tolist()
+                ):
+                    decisions[index] = TierDecision(is_match, tier.name, value)
+            now = time.perf_counter()
+            stats.cost_seconds += now - began
+            began = now
 
-        start = 1
-        if self.prefix >= 2 and len(tiers) >= 2 and bool(undecided.any()):
-            tier1 = tiers[1]
-            stats1 = cascade.tier_stats(1)
-            residue = undecided
-            matched1 = residue & (jaccard >= tier1.accept)
-            rejected1 = residue & (jaccard < tier1.reject)
-            if len(tiers) == 2:
-                rejected1 = residue & ~matched1
-            undecided = residue & ~(matched1 | rejected1)
-            stats1.evaluated += int(residue.sum())
-            stats1.matched += int(matched1.sum())
-            stats1.decided += int(matched1.sum() + rejected1.sum())
-            stats1.escalated += int(undecided.sum())
-            for index in np.nonzero(matched1)[0]:
-                decisions[index] = TierDecision(
-                    True, tier1.name, float(jaccard[index])
-                )
-            for index in np.nonzero(rejected1)[0]:
-                decisions[index] = TierDecision(
-                    False, tier1.name, float(jaccard[index])
-                )
-            start = 2
-
-        for index in np.nonzero(undecided)[0]:
-            presimilarities = (
-                (float(sim0[index]), float(jaccard[index]))
-                if start == 2
-                else (float(sim0[index]),)
-            )
+        for index in np.nonzero(residue)[0]:
             comparison = comparisons[index]
             decisions[index] = cascade._decide(
                 self.store[comparison.i],
                 self.store[comparison.j],
-                start=start,
-                presimilarities=presimilarities,
+                start=len(similarities),
+                presimilarities=[float(s[index]) for s in similarities],
             )
         return [decision for decision in decisions if decision is not None]

@@ -66,7 +66,10 @@ class ExactMatcher(MatchFunction):
 class EditDistanceMatcher(MatchFunction):
     """Thresholded normalized edit distance over the profile text.
 
-    The expensive O(s*t) function of Section 7.3.
+    The expensive match function of Section 7.3.  The similarity is
+    always ``1 - d / longest`` with ``d`` the exact distance (no bound
+    is passed down): it is part of every decided record.  See
+    :mod:`repro.matching.edit_distance` for what a pair costs.
     """
 
     name = "ED"

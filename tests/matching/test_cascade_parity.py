@@ -19,6 +19,7 @@ Three contracts from the decision-layer refactor:
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -144,6 +145,22 @@ class TestDecisionParity:
             ]
 
         assert counters("numpy") == counters("python")
+
+    def test_numpy_books_each_batched_tier(self, corpus):
+        """The jaccard tier's cost used to read a constant 0.0 on the
+        vectorised path: only the shared overlap pass was booked, on
+        tier 0."""
+        if not HAS_NUMPY:
+            pytest.skip("numpy backends unavailable")
+        resolver = decide_pipeline("numpy").fit(corpus)
+        began = time.perf_counter()
+        records = list(resolver.resolve_stream(decide=True))
+        elapsed = time.perf_counter() - began
+        tiers = resolver.cascade_stats()["tiers"]
+        assert any(record.tier == "jaccard" for record in records)
+        assert tiers[0]["cost_seconds"] > 0
+        assert tiers[1]["cost_seconds"] > 0
+        assert sum(tier["cost_seconds"] for tier in tiers) <= elapsed
 
 
 class TestZeroRetokenization:
