@@ -1,13 +1,15 @@
-"""Shared infrastructure for the benchmark harness.
+"""Shared scaffolding for the paper-reproduction scripts in ``benchmarks/``.
 
-Each ``bench_*`` file regenerates one table or figure of the paper: it
-computes the experiment, prints the same rows/series the paper reports
-(run pytest with ``-s`` to see them live; they are also attached to the
-pytest-benchmark JSON via ``extra_info``), and times one representative
-unit of work through the ``benchmark`` fixture.
+The figure, table and ablation modules (``bench_fig*``, ``bench_table*``,
+``bench_ablation_*``) each recompute one experiment of the paper and
+print its rows with :func:`emit`; they are collected by pytest
+(docs/benchmarks.md has the command).  ``bench_scale.py`` is a plain
+script and records its table with :func:`write_bench_json`.  The
+repository's benchmark - the one changes are judged by - is
+``benchmarks/e2e`` and does not use this module.
 
 Datasets and recall curves are cached at module level so that, e.g., the
-Figure 9 and Figure 10 benches (which aggregate the same runs) do not
+Figure 9 and Figure 10 scripts (which aggregate the same runs) do not
 recompute everything within a single pytest session.
 """
 
@@ -90,16 +92,7 @@ def emit(text: str) -> None:
     print(f"\n{text}\n", flush=True)
 
 
-# -- engine benchmark artifacts ------------------------------------------------
-#
-# The perf trajectory of the array engine is tracked across PRs through
-# BENCH_engine.json (gitignored; regenerate with
-# ``python benchmarks/bench_engine.py``).
-
-BENCH_ENGINE_PATH = "BENCH_engine.json"
-
-
-def write_bench_json(payload: dict, path: str = BENCH_ENGINE_PATH) -> str:
+def write_bench_json(payload: dict, path: str) -> str:
     """Write one benchmark artifact as indented JSON; returns the path."""
     import json
 
@@ -107,150 +100,3 @@ def write_bench_json(payload: dict, path: str = BENCH_ENGINE_PATH) -> str:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return path
-
-
-@lru_cache(maxsize=None)
-def pruning_blocks(dataset_name: str):
-    """The blocking-workflow output for the pruning cells (cached: the
-    pure-Python substrate is identical for every backend, so it is
-    excluded from the timed region)."""
-    from repro.blocking.workflow import token_blocking_workflow
-
-    return token_blocking_workflow(dataset(dataset_name).store)
-
-
-def timed_pruning_run(
-    algorithm: str,
-    dataset_name: str,
-    backend: str,
-    workers: int | None = None,
-):
-    """One (pruning algorithm, backend) measurement on one dataset.
-
-    Times :func:`repro.metablocking.prune` end to end on pre-built
-    blocks - scheduling, graph build/weighting, thresholding and the
-    final ranking - and digests the retained stream (order-sensitive),
-    so backend runs can be checked pair-for-pair like the engine cells.
-
-    Returns a dict shaped like :func:`timed_engine_run`'s, with the
-    method recorded as ``prune-<ALGORITHM>``.
-    """
-    import hashlib
-    import time
-
-    from repro.metablocking.pruning import prune
-
-    blocks = pruning_blocks(dataset_name)
-    if backend == "numpy-parallel":
-        from repro.parallel.backend import ParallelBackend
-
-        resolved = ParallelBackend(workers=workers)
-    else:
-        resolved = backend
-
-    started = time.perf_counter()
-    retained = prune(blocks, algorithm, "ARCS", backend=resolved)
-    elapsed = time.perf_counter() - started
-
-    digest = hashlib.blake2b(digest_size=16)
-    for comparison in retained:
-        digest.update(b"%d,%d;" % comparison.pair)
-    return {
-        "method": f"prune-{algorithm}",
-        "backend": backend,
-        "dataset": dataset_name,
-        "profiles": len(blocks.store),
-        "emitted": len(retained),
-        "stream_digest": digest.hexdigest(),
-        "init_seconds": 0.0,
-        "emission_seconds": elapsed,
-        "total_seconds": elapsed,
-    }
-
-
-def timed_engine_run(
-    method_name: str,
-    data: Dataset,
-    backend: str,
-    checkpoints: int = 20,
-    workers: int | None = None,
-    **method_params,
-):
-    """One (method, backend) engine measurement.
-
-    Initializes the method, drains its full emission stream with a
-    C-speed consumer (so the measurement is the stream's production
-    cost, not the driver's), and computes the PC (recall) / PQ
-    (precision) curves at ``checkpoints`` evenly spaced positions from
-    the ground truth.
-
-    ``workers`` configures the pool when ``backend`` is
-    ``"numpy-parallel"`` (ignored otherwise).
-
-    Returns a dict ready for BENCH_engine.json.
-    """
-    import time
-    from collections import deque
-
-    from repro.pipeline import ERPipeline
-
-    pipeline = ERPipeline().method(method_name, **method_params).backend(backend)
-    if pipeline.config.backend == "numpy-parallel":
-        pipeline.parallel(workers=workers)
-    method = pipeline.fit(data).build_method()
-
-    started = time.perf_counter()
-    method.initialize()
-    initialized = time.perf_counter()
-    deque(iter(method), maxlen=0)
-    drained = time.perf_counter()
-
-    # Curves (and an order-sensitive stream digest, so backend runs can
-    # be checked pair-for-pair) from a second, untimed emission of a
-    # fresh method: several methods consume their structures while
-    # emitting.
-    import hashlib
-
-    truth = data.ground_truth
-    fresh = pipeline.fit(data).build_method()
-    emitted = 0
-    hits = 0
-    hit_positions: list[int] = []
-    seen: set[tuple[int, int]] = set()
-    digest = hashlib.blake2b(digest_size=16)
-    update_digest = digest.update
-    for comparison in iter(fresh):
-        emitted += 1
-        pair = comparison.pair
-        update_digest(b"%d,%d;" % pair)
-        if pair not in seen and truth.is_match(*pair):
-            seen.add(pair)
-            hits += 1
-            hit_positions.append(emitted)
-    total_matches = len(truth)
-    step = max(1, emitted // checkpoints)
-    pc_curve = []
-    pq_curve = []
-    for position in range(step, emitted + 1, step):
-        found = sum(1 for hit in hit_positions if hit <= position)
-        pc_curve.append(
-            {"comparisons": position, "pc": found / total_matches if total_matches else 0.0}
-        )
-        pq_curve.append(
-            {"comparisons": position, "pq": found / position}
-        )
-
-    return {
-        "method": method_name,
-        "backend": backend,
-        "dataset": data.name,
-        "profiles": len(data.store),
-        "emitted": emitted,
-        "stream_digest": digest.hexdigest(),
-        "init_seconds": initialized - started,
-        "emission_seconds": drained - initialized,
-        "total_seconds": drained - started,
-        "recall": (hits / total_matches) if total_matches else 0.0,
-        "pc_curve": pc_curve,
-        "pq_curve": pq_curve,
-    }

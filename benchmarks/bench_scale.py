@@ -17,9 +17,9 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_scale.py            # full table
     PYTHONPATH=src python benchmarks/bench_scale.py --smoke    # 10k cells
 
-The full run writes ``BENCH_scale.json`` (committed, like
-BENCH_engine.json); ``--smoke`` writes ``BENCH_scale_smoke.json`` so a
-CI smoke never clobbers the committed full table.
+The full run writes ``BENCH_scale.json`` (committed: the only
+100k/1M capacity table); ``--smoke`` writes ``BENCH_scale_smoke.json``
+so a CI smoke never clobbers the committed full table.
 """
 
 from __future__ import annotations

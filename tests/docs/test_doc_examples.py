@@ -2,10 +2,10 @@
 
 The documentation is executable by contract: every ``>>>`` block in the
 markdown pages must run and produce the printed output, so examples can
-never silently rot.  CI additionally runs the same files through
-``pytest --doctest-glob`` in the docs job; this tier-1 runner keeps the
-guarantee on environments without the docs job (and without numpy - the
-documented examples deliberately use the dependency-free backend).
+never silently rot.  This tier-1 runner is the only place the pages are
+doctested.  Pages whose examples need numpy are listed in
+``NUMPY_DOCUMENTS`` and skip without it; every other page runs on the
+dependency-free backend.
 """
 
 from __future__ import annotations
@@ -40,14 +40,14 @@ def test_documentation_is_present():
 
 # Pages whose examples need the repro[speed] extra; they skip on
 # dependency-free environments (tier-1 stays runnable without numpy).
-NUMPY_DOCUMENTS = {"parallel.md"}
+NUMPY_DOCUMENTS = {"parallel.md", "scale.md"}
 
 
 @pytest.mark.parametrize("path", DOCUMENTS, ids=lambda path: path.name)
 def test_documentation_examples_run(path: pathlib.Path, monkeypatch):
     if path.name in NUMPY_DOCUMENTS:
         pytest.importorskip("numpy")
-    # Examples reference repo-root files (e.g. BENCH_engine.json)
+    # Examples reference repo-root files (e.g. BENCHMARK.json)
     # relatively, so anchor the working directory.
     monkeypatch.chdir(REPO_ROOT)
     result = doctest.testfile(str(path), module_relative=False)
