@@ -8,7 +8,7 @@ Before this module each consumer re-tokenized on its own - the dominant
 cost of the fast path once emission was vectorized.
 
 A *substrate* is built once per session through the backend seam
-(:meth:`repro.contracts.Backend.blocking_substrate`) and caches that
+(:meth:`repro.engine.Backend.blocking_substrate`) and caches that
 single sweep, deriving every downstream structure from it lazily:
 
 * :meth:`ReferenceSubstrate.blocks` - Token Blocking -> Block Purging ->

@@ -41,7 +41,7 @@ numpy backend without it raises a clear, actionable error.
 from __future__ import annotations
 
 import importlib.util
-from typing import TYPE_CHECKING, Any, cast
+from typing import Any, cast
 
 from repro.registry import backends
 
@@ -84,13 +84,14 @@ def require_numpy(feature: str = "the numpy backend") -> None:
 
 
 class Backend:
-    """One execution backend: a named factory for the core structures.
+    """One execution backend: the seam the progressive methods call.
 
-    The seam the progressive methods consume: a backend knows how to
-    build a profile index over scheduled blocks, a weighting scheme over
-    that index, and a position index over a Neighbor List.  The python
-    backend returns the reference structures; the numpy backend returns
-    the CSR/array versions with the same public API.
+    This class is the seam's one statement: every backend subclasses
+    it, and ``mypy --strict`` holds each override to these signatures.
+    It has eight factories, each with a caller in :mod:`repro`.  The
+    python backend provides only :meth:`blocking_substrate` (the methods
+    build the reference structures themselves); the vectorized backends
+    provide all eight.
     """
 
     name: str = "abstract"
@@ -133,39 +134,20 @@ ParallelBackend` with a live pool) override it.  Idempotent.
 
         return ReferenceSubstrate(store, spec)
 
-    def profile_index(self, collection: Any) -> Any:
-        """A profile -> block-ids inverted index over scheduled blocks.
-
-        Also accepts a :class:`~repro.contracts.BlockingSubstrate`, in
-        which case the index covers the substrate's final blocks in
-        schedule order.
-        """
-        from repro import contracts
-        from repro.metablocking.profile_index import ProfileIndex
-
-        if isinstance(collection, contracts.BlockingSubstrate):
-            return collection.profile_index("schedule")
-        return ProfileIndex(collection)
-
-    def weighting(self, name: str, index: Any) -> Any:
-        """A weighting scheme instance bound to a profile index."""
-        from repro.metablocking.weights import make_scheme
-
-        return make_scheme(name, index)
-
-    def position_index(self, neighbor_list: Any) -> Any:
-        """A profile -> Neighbor List positions inverted index."""
-        from repro.neighborlist.position_index import PositionIndex
-
-        return PositionIndex(neighbor_list)
-
-    # -- core factories (vectorized backends only) -------------------------
+    # -- array factories (vectorized backends only) ------------------------
     #
-    # The array methods build their execution cores through these seams,
-    # and the backend hands each core its fan-out (the parallel backend's
-    # cuts the same kernels into shards over workers) without the methods
-    # changing.  The python backend never reaches them: methods check
-    # ``vectorized`` first.
+    # The array methods build their structures and execution cores
+    # through these seams, and the backend hands each core its fan-out
+    # (the parallel backend's cuts the same kernels into shards over
+    # workers) without the methods changing.  The python backend never
+    # reaches them: methods check ``vectorized`` first.
+
+    def profile_index(self, collection: Any) -> Any:
+        """The CSR profile index over scheduled blocks or a
+        :class:`~repro.contracts.BlockingSubstrate` (schedule order)."""
+        raise NotImplementedError(
+            f"backend {self.name!r} has no vectorized profile index"
+        )
 
     def blocking_graph(self, index: Any, weighting: str) -> Any:
         """The weighted Blocking Graph over ``index`` (rows on demand)."""
@@ -220,8 +202,7 @@ class NumpyBackend(Backend):
     arrays in a private temp directory, removed on :meth:`close` or
     garbage collection).  Storage is *backend-instance* configuration -
     it rides on the constructed backend object rather than widening the
-    factory seam, so :data:`repro.contracts.BACKEND_SEAM_ARITY` is
-    unchanged.  The registry's shared ``"numpy"`` singleton always runs
+    factory seam.  The registry's shared ``"numpy"`` singleton always runs
     ``storage="ram"``; the pipeline builds a private configured instance
     when ``storage="memmap"`` is requested.
     """
@@ -297,18 +278,6 @@ class NumpyBackend(Backend):
             return ArrayProfileIndex(block_scheduling(collection.blocks()))
         return ArrayProfileIndex(collection)
 
-    def weighting(self, name: str, index: Any) -> Any:
-        self.require()
-        from repro.engine.weights import make_array_scheme
-
-        return make_array_scheme(name, index)
-
-    def position_index(self, neighbor_list: Any) -> Any:
-        self.require()
-        from repro.engine.csr import ArrayPositionIndex
-
-        return ArrayPositionIndex(neighbor_list, storage=self.array_store())
-
     def blocking_graph(self, index: Any, weighting: str) -> Any:
         self.require()
         from repro.engine.weights import ArrayBlockingGraph
@@ -356,14 +325,6 @@ _PYTHON = PythonBackend()
 _NUMPY = NumpyBackend()
 backends.register("python", lambda: _PYTHON, aliases=("py", "pure-python"))
 backends.register("numpy", lambda: _NUMPY, aliases=("np", "array", "csr"))
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro import contracts
-
-    # mypy --strict proves the stock backends structurally satisfy the
-    # typed seam; the backend-contract lint rule re-checks the *live*
-    # registry (which may hold user extensions) against the same seam.
-    _SEAM_CONFORMANCE: tuple[contracts.Backend, ...] = (_PYTHON, _NUMPY)
 
 
 def get_backend(name: "str | Backend") -> Backend:

@@ -324,29 +324,12 @@ class ArrayPositionIndex:
 
     __slots__ = ("neighbor_list", "entries", "n_profiles", "indptr", "positions")
 
-    def __init__(
-        self,
-        neighbor_list: "NeighborList",
-        storage: ArrayStore | None = None,
-    ) -> None:
+    def __init__(self, neighbor_list: "NeighborList") -> None:
         self.neighbor_list = neighbor_list
         entries = np.asarray(neighbor_list.entries, dtype=np.int64)
-        if storage is not None:
-            entries = storage.materialize(entries)
         self.entries = entries
         n = int(entries.max()) + 1 if entries.size else 0
         self.n_profiles = n
-        if storage is not None:
-            # Out-of-core stable grouping: identical positions array,
-            # built and served from memmap scratch.
-            self.indptr, (self.positions,) = stable_group_scatter(
-                entries,
-                [lambda lo, hi: np.arange(lo, hi, dtype=np.int64)],
-                n,
-                int(entries.size),
-                store=storage,
-            )
-            return
         counts = np.bincount(entries, minlength=n)
         self.indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=self.indptr[1:])

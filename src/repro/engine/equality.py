@@ -23,7 +23,7 @@ reference emission streams bit for bit (see the module docstring of
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.core.comparisons import Comparison, ComparisonList
 from repro.engine import require_numpy
@@ -431,14 +431,3 @@ class ArrayPBSCore:
                 index.block_count(), index.block_cardinalities, self.RANGE_BUDGET
             )
         )
-
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro import contracts
-
-    def _core_conformance(
-        pps: ArrayPPSCore, pbs: ArrayPBSCore
-    ) -> "tuple[contracts.PPSCore, contracts.PBSCore]":
-        # mypy --strict proves the array cores satisfy the typed
-        # emission-core contracts the progressive methods consume.
-        return pps, pbs

@@ -214,12 +214,3 @@ def prune_array_graph(
         return i[selected], j[selected], weights[selected]
     mask = pruned_mask(graph, algorithm, k, fanout)
     return rank_pairs(i[mask], j[mask], weights[mask])
-
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro import contracts
-
-    def _kernel_conformance() -> "contracts.PruningKernel":
-        # mypy --strict proves the array pruning entry point satisfies
-        # the typed kernel contract (signature and return triple).
-        return prune_array_graph

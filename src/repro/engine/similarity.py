@@ -199,12 +199,3 @@ class ArrayPSNCore:
     def emit_window(self, distances: Sequence[int]) -> Iterator[Comparison]:
         """Yield one window range's comparisons, best first."""
         return iter_comparisons(*self.window_arrays(distances))
-
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro import contracts
-
-    def _core_conformance(core: ArrayPSNCore) -> "contracts.PSNCore":
-        # mypy --strict proves the window core satisfies the typed
-        # emission-core contract the sorted-neighborhood methods use.
-        return core

@@ -76,16 +76,6 @@ class ArrayWeighting:
         """Element-wise normalization of accumulated raw weights."""
         return raw
 
-    # -- scalar compatibility (mirrors WeightingScheme.weight) ---------------
-
-    def weight(self, i: int, j: int) -> float:
-        """Edge weight of one pair, 0.0 when no block is shared.
-
-        O(postings) a call - the probe arrays of a throwaway graph; hold
-        an :class:`ArrayBlockingGraph` to ask more than a few times.
-        """
-        return ArrayBlockingGraph(self.index, self).weight(i, j)
-
 
 class ArrayARCS(ArrayWeighting):
     """Aggregate Reciprocal Comparisons Scheme: sum of 1/||b_k||."""
@@ -190,10 +180,6 @@ class ArrayEJS(ArrayJS):
         self, i: np.ndarray, j: np.ndarray, raw: np.ndarray
     ) -> np.ndarray:
         jaccard = super().finalize_all(i, j, raw)
-        if self._log_degree is None:
-            # Standalone use (the backend's ``weighting`` seam): no graph
-            # prepared this scheme, so the rows of one over its index do.
-            self.prepare(ArrayBlockingGraph(self.index, self))
         assert self._log_degree is not None and self._degrees is not None
         out = jaccard * self._log_degree[i] * self._log_degree[j]
         defined = (

@@ -5,7 +5,7 @@ from repro.metablocking.blocking_graph import (
     edge_count,
     iter_edges,
 )
-from repro.metablocking.profile_index import ProfileIndex, build_profile_index
+from repro.metablocking.profile_index import ProfileIndex
 from repro.metablocking.pruning import (
     available_pruning_algorithms,
     cardinality_edge_pruning,
@@ -32,7 +32,6 @@ __all__ = [
     "edge_count",
     "iter_edges",
     "ProfileIndex",
-    "build_profile_index",
     "available_pruning_algorithms",
     "cardinality_edge_pruning",
     "cardinality_node_pruning",

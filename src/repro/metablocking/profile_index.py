@@ -18,19 +18,6 @@ from typing import Sequence
 from repro.blocking.base import BlockCollection
 
 
-def build_profile_index(collection: BlockCollection, backend: str = "python"):
-    """Backend seam: a Profile Index for ``collection``.
-
-    ``backend="python"`` returns the reference :class:`ProfileIndex`;
-    ``backend="numpy"`` returns the API-compatible CSR
-    :class:`repro.engine.csr.ArrayProfileIndex` (requires the
-    ``repro[speed]`` extra).
-    """
-    from repro.engine import get_backend
-
-    return get_backend(backend).require().profile_index(collection)
-
-
 class ProfileIndex:
     """Inverted index over a scheduled block collection.
 

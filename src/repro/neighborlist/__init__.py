@@ -1,7 +1,7 @@
 """Neighbor List substrate for the similarity-based progressive methods."""
 
 from repro.neighborlist.neighbor_list import NeighborList
-from repro.neighborlist.position_index import PositionIndex, build_position_index
+from repro.neighborlist.position_index import PositionIndex
 from repro.neighborlist.rcf import (
     CFWeighting,
     NeighborWeighting,
@@ -12,7 +12,6 @@ from repro.neighborlist.rcf import (
 __all__ = [
     "NeighborList",
     "PositionIndex",
-    "build_position_index",
     "CFWeighting",
     "NeighborWeighting",
     "RCFWeighting",

@@ -14,19 +14,6 @@ from typing import Sequence
 from repro.neighborlist.neighbor_list import NeighborList
 
 
-def build_position_index(neighbor_list: NeighborList, backend: str = "python"):
-    """Backend seam: a Position Index over ``neighbor_list``.
-
-    ``backend="python"`` returns the reference :class:`PositionIndex`;
-    ``backend="numpy"`` returns the API-compatible CSR
-    :class:`repro.engine.csr.ArrayPositionIndex` (requires the
-    ``repro[speed]`` extra).
-    """
-    from repro.engine import get_backend
-
-    return get_backend(backend).require().position_index(neighbor_list)
-
-
 class PositionIndex:
     """Inverted index from profile ids to Neighbor List positions."""
 

@@ -23,16 +23,14 @@ methods, mirroring :mod:`repro.engine`.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.engine import NumpyBackend
 from repro.errors import ConfigError
 from repro.registry import backends
 
 
-def check_pool_knobs(
-    workers: int | None, shards: int | None = None, ship: str = "pickle"
-) -> None:
+def check_pool_knobs(workers: int | None, shards: int | None = None) -> None:
     """The bounds of the fan-out knobs - their one statement, reached by
     the ``parallel`` config stage, :class:`ParallelBackend` and
     :class:`~repro.parallel.pool.WorkerPool` alike (``None`` means
@@ -41,8 +39,6 @@ def check_pool_knobs(
         raise ConfigError(f"workers must be >= 0, got {workers!r}")
     if shards is not None and shards < 1:
         raise ConfigError(f"shards must be >= 1, got {shards!r}")
-    if ship not in ("pickle", "memmap"):
-        raise ConfigError(f"ship must be 'pickle' or 'memmap', got {ship!r}")
 
 
 def default_worker_count() -> int:
@@ -71,10 +67,6 @@ class ParallelBackend(NumpyBackend):
         Shard count per fan-out; ``None`` matches the resolved worker
         count (at least 1).  More shards than workers smooths
         imbalance at the cost of per-shard overhead.
-    ship:
-        Payload transport: ``"pickle"`` (default) or ``"memmap"``
-        (arrays shared through the page cache; see
-        :mod:`repro.parallel.pool`).
     storage, storage_dir:
         As :class:`~repro.engine.NumpyBackend`: ``storage="memmap"``
         serves the merged CSR structures from disk-backed scratch
@@ -87,17 +79,15 @@ class ParallelBackend(NumpyBackend):
         self,
         workers: int | None = None,
         shards: int | None = None,
-        ship: str = "pickle",
         storage: str = "ram",
         storage_dir: str | None = None,
     ) -> None:
         super().__init__(storage=storage, storage_dir=storage_dir)
-        check_pool_knobs(workers, shards, ship)
+        check_pool_knobs(workers, shards)
         if workers is None:
             workers = default_worker_count()
         self.workers = workers
         self.shards = shards if shards is not None else max(workers, 1)
-        self.ship = ship
         self._pool: Any = None
 
     def pool(self) -> Any:
@@ -105,7 +95,7 @@ class ParallelBackend(NumpyBackend):
         if self._pool is None:
             from repro.parallel.pool import WorkerPool
 
-            self._pool = WorkerPool(self.workers, ship=self.ship)
+            self._pool = WorkerPool(self.workers)
         return self._pool
 
     def fanout(self) -> Any:
@@ -125,7 +115,7 @@ class ParallelBackend(NumpyBackend):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ParallelBackend(workers={self.workers}, "
-            f"shards={self.shards}, ship={self.ship!r})"
+            f"shards={self.shards})"
         )
 
 
@@ -134,10 +124,3 @@ backends.register(
     ParallelBackend,
     aliases=("parallel", "np-parallel", "sharded"),
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro import contracts
-
-    # mypy --strict proves the sharded backend satisfies the typed seam
-    # (every structure factory is inherited).
-    _SEAM_CONFORMANCE: tuple[contracts.Backend, ...] = (ParallelBackend(),)

@@ -11,17 +11,9 @@ shared read-only payload of numpy arrays:
 * ``workers>=2`` spawns a ``multiprocessing`` pool (fork start method
   when the platform offers it) and ships the payload **once per pool**
   through the initializer, not once per task - shard tasks then carry
-  only their ``(lo, hi)`` ranges.
-
-Payload shipping is pluggable:
-
-* ``ship="pickle"`` (default) - arrays travel through the initializer's
-  pickle; simple, always works.
-* ``ship="memmap"`` - arrays are written once to ``.npy`` files in a
-  private temp directory and workers open them with
-  ``np.load(mmap_mode="r")``: the OS page cache shares one physical
-  copy across every worker, which is the right call when the CSR
-  payload is large relative to the per-shard compute.
+  only their ``(lo, hi)`` ranges.  Under fork the workers inherit the
+  initializer's arguments, so the payload is not even pickled; where
+  fork is unavailable it travels through the initializer's pickle.
 
 The pool re-ships lazily: consecutive :meth:`~WorkerPool.run` calls
 with the same payload object reuse the live pool, a new payload
@@ -32,46 +24,23 @@ own data) runs on whatever pool is live.
 from __future__ import annotations
 
 import multiprocessing
-import os
-import shutil
-import tempfile
 import weakref
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.engine import require_numpy
 
 require_numpy("repro.parallel.pool")
 
-import numpy as np  # noqa: E402  (guarded optional dependency)
-
 from repro.parallel.backend import check_pool_knobs, default_worker_count  # noqa: E402
 
-#: Worker-process global holding the resolved payload (set by the pool
+#: Worker-process global holding the payload (set by the pool
 #: initializer, read by :func:`_worker_run`).
 _PAYLOAD: dict[str, Any] | None = None
 
 
-@dataclass(frozen=True)
-class _ArrayRef:
-    """A memmap-shipped array: enough metadata to reopen it read-only."""
-
-    path: str
-
-    def resolve(self) -> np.ndarray:
-        return np.load(self.path, mmap_mode="r")
-
-
-def _resolve_payload(shipped: dict[str, Any]) -> dict[str, Any]:
-    return {
-        key: value.resolve() if isinstance(value, _ArrayRef) else value
-        for key, value in shipped.items()
-    }
-
-
-def _worker_init(shipped: dict[str, Any]) -> None:
+def _worker_init(payload: dict[str, Any]) -> None:
     global _PAYLOAD
-    _PAYLOAD = _resolve_payload(shipped)
+    _PAYLOAD = payload
 
 
 def _worker_run(call: tuple[Callable[..., Any], Any, bool]) -> Any:
@@ -94,19 +63,14 @@ class WorkerPool:
     workers:
         ``0``/``1`` - inline execution (no processes); ``>= 2`` - a
         process pool of that size; ``None`` - one per visible core.
-    ship:
-        Payload transport for process mode: ``"pickle"`` or
-        ``"memmap"`` (see module docstring).  Ignored inline.
     """
 
-    def __init__(self, workers: int | None = 0, ship: str = "pickle") -> None:
-        check_pool_knobs(workers, ship=ship)
+    def __init__(self, workers: int | None = 0) -> None:
+        check_pool_knobs(workers)
         self.workers = default_worker_count() if workers is None else int(workers)
-        self.ship = ship
         self._pool: Any = None
         self._payload: dict[str, Any] | None = None  # identity for reuse
-        self._tempdir: str | None = None
-        self._finalizer = weakref.finalize(self, WorkerPool._cleanup, None, None)
+        self._finalizer = weakref.finalize(self, WorkerPool._cleanup, None)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -114,20 +78,6 @@ class WorkerPool:
     def parallel(self) -> bool:
         """Whether this pool actually uses worker processes."""
         return self.workers >= 2
-
-    def _ship_payload(self, payload: dict[str, Any]) -> dict[str, Any]:
-        if self.ship != "memmap":
-            return payload
-        self._tempdir = tempfile.mkdtemp(prefix="repro-parallel-")
-        shipped: dict[str, Any] = {}
-        for key, value in payload.items():
-            if isinstance(value, np.ndarray):
-                path = os.path.join(self._tempdir, f"{key}.npy")
-                np.save(path, value)
-                shipped[key] = _ArrayRef(path)
-            else:
-                shipped[key] = value
-        return shipped
 
     def _ensure_pool(self, payload: dict[str, Any]) -> Any:
         if self._pool is not None and self._payload is payload:
@@ -140,31 +90,25 @@ class WorkerPool:
         pool = context.Pool(
             processes=self.workers,
             initializer=_worker_init,
-            initargs=(self._ship_payload(payload),),
+            initargs=(payload,),
         )
         self._pool = pool
         self._payload = payload
-        tempdir = self._tempdir
         self._finalizer.detach()
-        self._finalizer = weakref.finalize(
-            self, WorkerPool._cleanup, pool, tempdir
-        )
+        self._finalizer = weakref.finalize(self, WorkerPool._cleanup, pool)
         return pool
 
     @staticmethod
-    def _cleanup(pool: Any, tempdir: str | None) -> None:
+    def _cleanup(pool: Any) -> None:
         if pool is not None:
             pool.terminate()
             pool.join()
-        if tempdir is not None:
-            shutil.rmtree(tempdir, ignore_errors=True)
 
     def close(self) -> None:
-        """Tear down the live pool (and any memmap files) now."""
-        WorkerPool._cleanup(self._pool, self._tempdir)
+        """Tear down the live pool now."""
+        WorkerPool._cleanup(self._pool)
         self._pool = None
         self._payload = None
-        self._tempdir = None
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -202,12 +146,12 @@ class WorkerPool:
         try:
             return pool.map(_worker_run, calls, chunksize=1)
         except BaseException:
-            # A worker crash (or parent interrupt) leaves the pool - and
-            # any memmap-shipped payload files - unusable; tear both down
-            # now instead of waiting for garbage collection.
+            # A worker crash (or parent interrupt) leaves the pool
+            # unusable; tear it down now instead of waiting for garbage
+            # collection.
             self.close()
             raise
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "live" if self._pool is not None else "idle"
-        return f"WorkerPool(workers={self.workers}, ship={self.ship!r}, {state})"
+        return f"WorkerPool(workers={self.workers}, {state})"

@@ -288,7 +288,6 @@ class ERPipeline:
         workers: int | None = None,
         shards: int | None = None,
         *,
-        ship: str = "pickle",
         enabled: bool = True,
     ) -> "ERPipeline":
         """Shard backend-aware methods across worker processes.
@@ -297,7 +296,7 @@ class ERPipeline:
         fan-out knobs: ``workers`` processes (``None`` - one per
         visible core at build time; ``0`` - run the shard code inline),
         ``shards`` ranges per fan-out (``None`` - match the worker
-        count), ``ship`` payload transport (``"pickle"``/``"memmap"``).
+        count).
         The emission stream is bit-identical to ``backend("numpy")`` -
         only the wall clock changes.  ``enabled=False`` removes the
         stage and falls back to the sequential numpy backend.
@@ -327,7 +326,7 @@ class ERPipeline:
                 ".parallel(enabled=False)"
             )
         return self._set(
-            parallel=ParallelConfig(workers=workers, shards=shards, ship=ship),
+            parallel=ParallelConfig(workers=workers, shards=shards),
             backend="numpy-parallel",
         )
 

@@ -354,29 +354,28 @@ class ParallelConfig(Stage):
     time (kept as ``None`` in the spec, so a config written on a
     16-core box does the right thing on a 4-core one);
     ``workers=0`` runs the shard code inline, single-process.
-    ``shards=None`` matches the resolved worker count.  ``ship``
-    selects the payload transport (``"pickle"`` or ``"memmap"``; see
-    :mod:`repro.parallel.pool`).
+    ``shards=None`` matches the resolved worker count.
     """
 
     workers: int | None = None
     shards: int | None = None
-    ship: str = "pickle"
 
     def __post_init__(self) -> None:
         from repro.parallel.backend import check_pool_knobs
 
-        check_pool_knobs(self.workers, self.shards, self.ship)
+        check_pool_knobs(self.workers, self.shards)
 
 
 @dataclass
 class StorageConfig(Stage):
     """Optional stage: serve the CSR index structures from disk.
 
-    ``mode="memmap"`` makes the numpy backends allocate every session
-    structure (postings, profile/position indexes, the Blocking Graph)
-    as ``np.memmap`` scratch arrays in a private temp directory instead
-    of RAM, with the builds themselves running in bounded-RAM chunks -
+    ``mode="memmap"`` makes the numpy backends allocate the
+    equality-based session structures (postings, the profile index, the
+    Blocking Graph) as ``np.memmap`` scratch arrays in a private temp
+    directory instead of RAM, with the builds themselves running in
+    bounded-RAM chunks - the O(L) Neighbor List arrays of LS-PSN and
+    GS-PSN stay resident -
     the same bit-identical streams, sized by disk instead of memory
     (see docs/scale.md).  ``dir`` overrides where the scratch directory
     is created (default: the system temp dir).  The python reference

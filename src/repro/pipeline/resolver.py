@@ -184,7 +184,7 @@ class Resolver:
         a configured parallel and/or storage stage - a live
         :class:`~repro.engine.NumpyBackend` /
         :class:`~repro.parallel.backend.ParallelBackend` carrying the
-        ``workers``/``shards``/``ship``/``storage`` knobs (methods accept
+        ``workers``/``shards``/``storage`` knobs (methods accept
         backend instances as well as registry names).
 
         The instance is built once per session and cached, so every

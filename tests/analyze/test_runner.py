@@ -7,7 +7,6 @@ import textwrap
 from tools.repro_analyze import main, rule_names, run_paths
 
 EXPECTED_RULES = [
-    "backend-contract",
     "budget-semantics",
     "determinism",
     "fork-safety",
@@ -16,7 +15,7 @@ EXPECTED_RULES = [
 ]
 
 
-def test_all_six_rules_are_registered():
+def test_all_five_rules_are_registered():
     assert rule_names() == EXPECTED_RULES
 
 

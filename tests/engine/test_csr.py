@@ -13,15 +13,11 @@ from repro.engine.csr import (  # noqa: E402
     ArrayProfileIndex,
     multi_arange,
 )
-from repro.metablocking.profile_index import (  # noqa: E402
-    ProfileIndex,
-    build_profile_index,
-)
+from repro.engine import get_backend  # noqa: E402
+from repro.metablocking.profile_index import ProfileIndex  # noqa: E402
 from repro.neighborlist.neighbor_list import NeighborList  # noqa: E402
-from repro.neighborlist.position_index import (  # noqa: E402
-    PositionIndex,
-    build_position_index,
-)
+from repro.neighborlist.position_index import PositionIndex  # noqa: E402
+from repro.neighborlist.rcf import RCFWeighting  # noqa: E402
 
 
 def test_multi_arange_concatenates_ranges():
@@ -63,8 +59,10 @@ class TestArrayProfileIndex:
                     assert array.is_first_encounter(i, j, least)
 
     def test_backend_seam(self, scheduled):
-        assert isinstance(build_profile_index(scheduled, "python"), ProfileIndex)
-        assert isinstance(build_profile_index(scheduled, "numpy"), ArrayProfileIndex)
+        index = get_backend("numpy").profile_index(scheduled)
+        assert isinstance(index, ArrayProfileIndex)
+        with pytest.raises(NotImplementedError):
+            get_backend("python").profile_index(scheduled)
 
 
 class TestArrayPositionIndex:
@@ -92,6 +90,17 @@ class TestArrayPositionIndex:
                             i, j, window, cumulative
                         ) == reference.cooccurrence_frequency(i, j, window, cumulative)
 
-    def test_backend_seam(self, neighbor_list):
-        assert isinstance(build_position_index(neighbor_list, "python"), PositionIndex)
-        assert isinstance(build_position_index(neighbor_list, "numpy"), ArrayPositionIndex)
+    def test_backend_seam(self, neighbor_list, paper_profiles):
+        core = get_backend("numpy").psn_core(
+            neighbor_list, paper_profiles, RCFWeighting()
+        )
+        assert isinstance(core.position_index, ArrayPositionIndex)
+        reference = PositionIndex(neighbor_list)
+        for pid in reference.indexed_profiles():
+            assert core.position_index.positions_of(pid).tolist() == list(
+                reference.positions_of(pid)
+            )
+        with pytest.raises(NotImplementedError):
+            get_backend("python").psn_core(
+                neighbor_list, paper_profiles, RCFWeighting()
+            )

@@ -128,22 +128,25 @@ class TestEqualityMethodParity:
         )
 
     def test_standalone_ejs_scheme_via_backend_seam(self, dirty_dataset):
-        """make_array_scheme('EJS') must be usable without a pre-built
-        graph (regression: it used to raise until prepare() was called)."""
+        """An EJS graph must weigh a pair before any of its rows exist
+        (regression: it used to raise until prepare() was called)."""
         from repro.blocking.scheduling import block_scheduling
         from repro.blocking.workflow import token_blocking_workflow
         from repro.engine import get_backend
+        from repro.engine.weights import ArrayBlockingGraph
         from repro.metablocking.profile_index import ProfileIndex
         from repro.metablocking.weights import make_scheme
 
         scheduled = block_scheduling(
             token_blocking_workflow(dirty_dataset.store)
         )
-        array_scheme = get_backend("numpy").weighting("EJS", get_backend("numpy").profile_index(scheduled))
+        graph = ArrayBlockingGraph(
+            get_backend("numpy").profile_index(scheduled), "EJS"
+        )
         reference = make_scheme("EJS", ProfileIndex(scheduled))
         pairs = [(0, 1), (2, 9), (5, 40)]
         for i, j in pairs:
-            assert array_scheme.weight(i, j) == pytest.approx(
+            assert graph.weight(i, j) == pytest.approx(
                 reference.weight(i, j), rel=1e-12
             )
 

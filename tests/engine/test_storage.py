@@ -23,7 +23,6 @@ np = pytest.importorskip("numpy")
 
 from repro.blocking.substrate import SubstrateSpec  # noqa: E402
 from repro.engine import NumpyBackend  # noqa: E402
-from repro.engine.csr import ArrayPositionIndex  # noqa: E402
 from repro.engine.storage import (  # noqa: E402
     ArrayStore,
     group_sizes,
@@ -253,19 +252,23 @@ class TestMemmapParity:
         )
         scratch.close()
 
-    def test_position_index_matches_ram(self, store, tmp_path):
+    def test_position_index_stays_resident(self, store, tmp_path):
+        # memmap storage covers the Profile Index and Blocking Graph
+        # only: the PSN core's O(L) arrays are plain in-RAM ndarrays.
+        from repro.engine.csr import ArrayPositionIndex
+        from repro.neighborlist.rcf import RCFWeighting
+
         spec = SubstrateSpec(purge_ratio=None, filter_ratio=None)
-        neighbor_list = ArraySubstrate(store, spec).neighbor_list()
+        backend = NumpyBackend(storage="memmap", storage_dir=str(tmp_path))
+        neighbor_list = backend.blocking_substrate(store, spec).neighbor_list()
+        core = backend.psn_core(neighbor_list, store, RCFWeighting())
         ram = ArrayPositionIndex(neighbor_list)
-        scratch = ArrayStore(dir=str(tmp_path))
-        disk = ArrayPositionIndex(neighbor_list, storage=scratch)
         for name in ("entries", "indptr", "positions"):
-            np.testing.assert_array_equal(
-                np.asarray(getattr(disk, name)),
-                np.asarray(getattr(ram, name)),
-                err_msg=name,
-            )
-        scratch.close()
+            array = getattr(core.position_index, name)
+            assert not isinstance(array, np.memmap), name
+            np.testing.assert_array_equal(array, getattr(ram, name), err_msg=name)
+        assert not isinstance(core.entries, np.memmap)
+        backend.close()
 
 
 def scratch_dirs(root) -> list[str]:
@@ -333,21 +336,11 @@ def _crashing_task(payload, shard_arg):
 
 
 class TestWorkerCrashCleanup:
-    def test_pool_and_payload_files_are_torn_down(self, tmp_path, monkeypatch):
-        import tempfile
-
+    def test_pool_is_torn_down(self):
         from repro.parallel.pool import WorkerPool
 
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        pool = WorkerPool(workers=2, ship="memmap")
+        pool = WorkerPool(workers=2)
         payload = {"x": np.arange(10, dtype=np.int64)}
         with pytest.raises(RuntimeError, match="crashed"):
             pool.run(_crashing_task, payload, [(0, 5), (5, 10)])
         assert pool._pool is None
-        assert pool._tempdir is None
-        leaked = [
-            entry
-            for entry in os.listdir(tmp_path)
-            if entry.startswith("repro-parallel-")
-        ]
-        assert leaked == []

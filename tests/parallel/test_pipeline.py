@@ -39,17 +39,13 @@ class TestSpecRoundTrip:
         spec = (
             ERPipeline()
             .method("PPS")
-            .parallel(workers=3, shards=5, ship="memmap")
+            .parallel(workers=3, shards=5)
             .to_dict()
         )
         assert spec["backend"] == "numpy-parallel"
-        assert spec["parallel"] == {
-            "workers": 3,
-            "shards": 5,
-            "ship": "memmap",
-        }
+        assert spec["parallel"] == {"workers": 3, "shards": 5}
         rebuilt = ERPipeline.from_dict(spec)
-        assert rebuilt.config.parallel == ParallelConfig(3, 5, "memmap")
+        assert rebuilt.config.parallel == ParallelConfig(3, 5)
 
     def test_disable_falls_back_to_sequential_numpy(self):
         pipeline = ERPipeline().parallel(workers=2).parallel(enabled=False)
@@ -66,8 +62,8 @@ class TestSpecRoundTrip:
             ParallelConfig(workers=-1)
         with pytest.raises(ValueError):
             ParallelConfig(shards=0)
-        with pytest.raises(ValueError):
-            ParallelConfig(ship="fax")
+        with pytest.raises(ValueError, match="unknown parallel config keys"):
+            ERPipeline.from_dict({"parallel": {"workers": 2, "ship": "pickle"}})
         with pytest.raises(ValueError):
             ParallelBackend(workers=-2)
 

@@ -1,4 +1,4 @@
-"""WorkerPool transport: real processes, both ship modes, reuse rules."""
+"""WorkerPool transport: real processes, inline mode, reuse rules."""
 
 from __future__ import annotations
 
@@ -38,8 +38,6 @@ class TestInlineMode:
     def test_invalid_configuration(self):
         with pytest.raises(ValueError):
             WorkerPool(-1)
-        with pytest.raises(ValueError):
-            WorkerPool(2, ship="carrier-pigeon")
 
 
 @pytest.mark.skipif(
@@ -62,10 +60,9 @@ def test_default_worker_count_is_the_affinity_mask():
 
 
 class TestProcessMode:
-    @pytest.mark.parametrize("ship", ["pickle", "memmap"])
-    def test_results_in_shard_order_from_other_pids(self, ship):
+    def test_results_in_shard_order_from_other_pids(self):
         payload = {"values": np.arange(100)}
-        with WorkerPool(2, ship=ship) as pool:
+        with WorkerPool(2) as pool:
             results = pool.run(
                 doubler, payload, [(0, 50), (50, 100), (20, 30)]
             )
@@ -103,11 +100,10 @@ class TestMethodsOverProcesses:
     """End-to-end parity through a real pool (the transport proof; the
     exhaustive matrix runs inline in test_parity.py)."""
 
-    @pytest.mark.parametrize("ship", ["pickle", "memmap"])
-    def test_pps_stream_over_pool(self, dirty_dataset, ship):
+    def test_pps_stream_over_pool(self, dirty_dataset):
         from repro.parallel.backend import ParallelBackend
 
-        backend = ParallelBackend(workers=2, shards=2, ship=ship)
+        backend = ParallelBackend(workers=2, shards=2)
         try:
             parallel = stream_prefix("PPS", dirty_dataset.store, backend)
         finally:

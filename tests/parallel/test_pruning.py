@@ -2,7 +2,7 @@
 
 The full algorithm x scheme x ER-type x shard-count parity matrix lives
 in ``tests/metablocking/test_pruning.py`` (inline shards); this module
-proves the process transport (real workers, both ship modes) and the
+proves the process transport (real workers) and the
 degenerate cuts :func:`~repro.parallel.fanout.balanced_ranges` can
 produce.
 """
@@ -24,10 +24,9 @@ def dirty_blocks(dirty_dataset):
     return token_blocking_workflow(dirty_dataset.store)
 
 
-@pytest.mark.parametrize("ship", ["pickle", "memmap"])
-def test_real_worker_pool_matches_sequential(dirty_blocks, ship):
+def test_real_worker_pool_matches_sequential(dirty_blocks):
     baseline = prune(dirty_blocks, "CNP", "ARCS", backend="numpy")
-    backend = ParallelBackend(workers=2, shards=4, ship=ship)
+    backend = ParallelBackend(workers=2, shards=4)
     try:
         sharded = prune(dirty_blocks, "CNP", "ARCS", backend=backend)
     finally:

@@ -136,7 +136,6 @@ def spec_dicts(draw):
         spec["parallel"] = {
             "workers": draw(st.sampled_from([None, 0, 4])),
             "shards": draw(st.sampled_from([None, 1, 7])),
-            "ship": draw(st.sampled_from(["pickle", "memmap"])),
         }
     if draw(st.booleans()):
         spec["storage"] = {

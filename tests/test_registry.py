@@ -133,6 +133,14 @@ class TestStockRegistries:
         assert pruning_algorithms.entry("cnp").metadata["takes_k"] is True
         assert pruning_algorithms.entry("wep").metadata["takes_k"] is False
 
+    def test_every_backend_builds_the_seam_base_class(self):
+        from repro.engine import Backend
+        from repro.registry import backends
+
+        assert {"python", "numpy", "numpy-parallel"} <= set(backends.names())
+        for name in backends.names():
+            assert isinstance(backends.build(name), Backend), name
+
     def test_get_registry(self):
         assert get_registry("method") is progressive_methods
         assert get_registry("weighting") is weighting_schemes

@@ -4,12 +4,12 @@ Run from the repo root::
 
     python -m tools.repro_analyze src tests benchmarks
 
-Six rules enforce the invariants the generic linters cannot express -
+Five rules enforce the invariants the generic linters cannot express -
 ``guarded-numpy``, ``determinism``, ``fork-safety``,
 ``budget-semantics`` (AST rules over the scanned files) plus
-``backend-contract`` and ``registry-metadata`` (contract rules over the
-live registries).  The catalogue, the suppression syntax and the
-recipe for adding a rule live in ``docs/static-analysis.md``.
+``registry-metadata`` (a rule over the live registries).  The
+catalogue, the suppression syntax and the recipe for adding a rule live
+in ``docs/static-analysis.md``.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ module here and listing it in the matching tuple - the runner, the
 from __future__ import annotations
 
 from tools.repro_analyze.checkers import (
-    backend_contract,
     budget_semantics,
     determinism,
     fork_safety,
@@ -20,8 +19,8 @@ from tools.repro_analyze.checkers import (
 #: Rules that scan parsed source files.
 FILE_RULES = (guarded_numpy, determinism, fork_safety, budget_semantics)
 
-#: Rules that validate the live registries against the contracts.
-PROJECT_RULES = (backend_contract, registry_metadata)
+#: Rules that validate the live registries.
+PROJECT_RULES = (registry_metadata,)
 
 ALL_RULES = FILE_RULES + PROJECT_RULES
 

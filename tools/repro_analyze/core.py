@@ -7,8 +7,8 @@ Two checker shapes plug into the runner:
   ``.py`` file once and feeds the same :class:`SourceFile` to each rule.
 * **project rules** - a module with a ``RULE`` name and a
   ``check_project()`` generator; these import the live registries and
-  validate them against the contracts in :mod:`repro.contracts`
-  (structural checks an AST cannot see through lazy registration).
+  validate their entries (structural checks an AST cannot see through
+  lazy registration).
 
 Violations are suppressed line-by-line with::
 
