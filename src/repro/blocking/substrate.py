@@ -41,9 +41,12 @@ from repro.blocking.scheduling import block_scheduling
 from repro.blocking.token_blocking import TokenBlocking
 from repro.core.profiles import ProfileStore
 from repro.core.tokenization import DEFAULT_TOKENIZER, Tokenizer, token_stream
+from repro.errors import ConfigError
 from repro.neighborlist.neighbor_list import NeighborList
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.contracts import BlockingSubstrate
+    from repro.engine import Backend
     from repro.metablocking.profile_index import ProfileIndex
 
 #: The two processing orders a substrate serves indexes in.
@@ -55,13 +58,50 @@ class SubstrateSpec:
     """The workflow knobs one substrate is built for.
 
     Mirrors :func:`~repro.blocking.workflow.token_blocking_workflow`:
-    ``purge_ratio``/``filter_ratio`` of ``None`` skip that step.  The
-    Neighbor List ignores both ratios by construction.
+    ``purge_ratio``/``filter_ratio`` of ``None`` skip that step, any
+    other value must lie in (0, 1] - checked here, once, for both
+    substrates.  The Neighbor List ignores both ratios by construction.
     """
 
     tokenizer: Tokenizer = DEFAULT_TOKENIZER
     purge_ratio: float | None = 0.1
     filter_ratio: float | None = 0.8
+
+    def __post_init__(self) -> None:
+        for name in ("purge_ratio", "filter_ratio"):
+            ratio = getattr(self, name)
+            if ratio is not None and not 0.0 < ratio <= 1.0:
+                raise ConfigError(f"{name} must be in (0, 1], got {ratio!r}")
+
+
+def method_substrate(
+    backend: "Backend",
+    store: ProfileStore,
+    substrate: "BlockingSubstrate | None",
+    tokenizer: Tokenizer = DEFAULT_TOKENIZER,
+    purge_ratio: float | None = 0.1,
+    filter_ratio: float | None = 0.8,
+) -> "BlockingSubstrate":
+    """The substrate a progressive method reads.
+
+    The injected ``substrate`` when there is one, else a new one the
+    ``backend`` builds from the workflow knobs.  An injected substrate
+    must be the backend's own kind: the array methods read CSR postings
+    and the reference methods read ``Block`` objects, and neither
+    converts the other's.
+    """
+    if substrate is None:
+        built: "BlockingSubstrate" = backend.blocking_substrate(
+            store, SubstrateSpec(tokenizer, purge_ratio, filter_ratio)
+        )
+        return built
+    if substrate.vectorized != backend.vectorized:
+        raise ConfigError(
+            f"a {type(substrate).__name__} cannot feed backend "
+            f"{backend.name!r}: build the substrate with that backend's "
+            "blocking_substrate()"
+        )
+    return substrate
 
 
 def check_order(order: str) -> str:
@@ -83,8 +123,8 @@ class ReferenceSubstrate:
     single-build regression test asserts it never exceeds 1 per session.
     """
 
-    #: Reference structures, not CSR arrays: vectorized backends that
-    #: receive this substrate fall back to materialized blocks.
+    #: Reference structures, not CSR arrays: only the python backend's
+    #: methods read this substrate.
     vectorized = False
 
     def __init__(self, store: ProfileStore, spec: SubstrateSpec) -> None:

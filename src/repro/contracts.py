@@ -3,8 +3,8 @@
 The backend seam itself is :class:`repro.engine.Backend`, the base
 class every backend subclasses.  A substrate is the one structure two
 unrelated classes serve (the reference and the array front end), so it
-is stated here as a :class:`typing.Protocol` the methods can check at
-runtime.
+is stated here as a :class:`typing.Protocol` the methods are typed
+against.
 
 The module is dependency-free by design (no numpy import, no repro
 imports outside :mod:`typing`), so it stays importable on every
@@ -13,10 +13,9 @@ environment the reference backend supports.
 
 from __future__ import annotations
 
-from typing import Any, Protocol, runtime_checkable
+from typing import Any, Protocol
 
 
-@runtime_checkable
 class BlockingSubstrate(Protocol):
     """Structural type of a backend's blocking front end.
 
@@ -29,9 +28,9 @@ class BlockingSubstrate(Protocol):
     """
 
     sweeps: int
-    #: Whether the served structures are the CSR/array versions (a
-    #: vectorized backend may consume them directly) or the reference
-    #: ones (vectorized consumers fall back to materialized blocks).
+    #: Whether the served structures are the CSR/array versions or the
+    #: reference ones; a method accepts only a substrate whose flag
+    #: equals its backend's.
     vectorized: bool
 
     def blocks(self) -> Any:

@@ -5,9 +5,10 @@ structures: the Profile Index (PPS/PBS, Section 5.2) and the Position
 Index over the Neighbor List (LS-PSN/GS-PSN, Section 5.1).  This package
 re-implements the hot paths as contiguous numpy arrays:
 
-* :mod:`repro.engine.csr` - ``ArrayProfileIndex`` and
-  ``ArrayPositionIndex``: CSR ``(indptr, indices)`` int arrays replacing
-  the dict-of-lists indexes;
+* :mod:`repro.engine.substrate` - ``ArraySubstrate``: one tokenization
+  sweep to CSR postings, vectorized purge/filter, the Neighbor List;
+* :mod:`repro.engine.csr` - ``ArrayProfileIndex``: the Profile Index as
+  CSR ``(indptr, indices)`` int arrays, holding what the kernels read;
 * :mod:`repro.engine.weights` - vectorized implementations of all five
   Blocking Graph weighting schemes (ARCS/CBS/ECBS/JS/EJS) that score an
   entire neighborhood in one array pass - the rows of an
@@ -15,8 +16,12 @@ re-implements the hot paths as contiguous numpy arrays:
   straight off the Profile Index (PBS);
 * :mod:`repro.engine.topk` - exact top-k emission via ``argpartition``
   instead of per-pair heap pushes;
-* :mod:`repro.engine.equality` / :mod:`repro.engine.similarity` -
-  drop-in emission cores for PPS, PBS, LS-PSN and GS-PSN.
+* :mod:`repro.engine.equality` / :mod:`repro.engine.similarity` - the
+  emission cores of PPS, PBS, LS-PSN and GS-PSN (the PSN core slides
+  the Neighbor List's ``entries`` directly - no position index).
+
+A method on this backend reads only these structures: an injected
+reference substrate is refused, never converted.
 
 Every kernel is engineered to reproduce the pure-Python reference
 *bit-identically*: accumulations run in the same left-to-right order the
@@ -143,8 +148,8 @@ ParallelBackend` with a live pool) override it.  Idempotent.
     # reaches them: methods check ``vectorized`` first.
 
     def profile_index(self, collection: Any) -> Any:
-        """The CSR profile index over scheduled blocks or a
-        :class:`~repro.contracts.BlockingSubstrate` (schedule order)."""
+        """The CSR profile index over scheduled blocks or the backend's
+        own array substrate (schedule order)."""
         raise NotImplementedError(
             f"backend {self.name!r} has no vectorized profile index"
         )
@@ -265,17 +270,13 @@ class NumpyBackend(Backend):
 
     def profile_index(self, collection: Any) -> Any:
         self.require()
-        from repro import contracts
         from repro.engine.csr import ArrayProfileIndex
+        from repro.engine.substrate import ArraySubstrate
 
-        if isinstance(collection, contracts.BlockingSubstrate):
-            if collection.vectorized:
-                # Array substrates build the CSR index straight from the
-                # postings - no Block objects, no re-scheduling.
-                return collection.profile_index("schedule")
-            from repro.blocking.scheduling import block_scheduling
-
-            return ArrayProfileIndex(block_scheduling(collection.blocks()))
+        if isinstance(collection, ArraySubstrate):
+            # Straight from the postings - no Block objects, no
+            # re-scheduling.
+            return collection.profile_index("schedule")
         return ArrayProfileIndex(collection)
 
     def blocking_graph(self, index: Any, weighting: str) -> Any:

@@ -1,20 +1,16 @@
-"""CSR (compressed sparse row) indexes over contiguous int arrays.
+"""CSR (compressed sparse row) index over contiguous int arrays.
 
-Drop-in array replacements for the dict-of-lists indexes of the
-reference implementation:
+:class:`ArrayProfileIndex` is the array engine's Profile Index of
+PPS/PBS (Section 5.2): the profile -> sorted block-ids CSR plus the
+reverse block -> profile-ids CSR the vectorized kernels gather
+neighborhoods from.  It holds the arrays and the per-profile statistics
+the kernels read, not the reference
+:class:`~repro.metablocking.profile_index.ProfileIndex`'s per-pair API:
+the array methods never ask one pair at a time.  (The LS/GS-PSN window
+kernels need no position index at all - they slide the Neighbor List's
+``entries`` array, see :mod:`repro.engine.similarity`.)
 
-* :class:`ArrayProfileIndex` mirrors
-  :class:`repro.metablocking.profile_index.ProfileIndex` - the
-  profile -> sorted block-ids index of PPS/PBS (Section 5.2) - and adds
-  the reverse block -> profile-ids CSR the vectorized kernels gather
-  neighborhoods from;
-* :class:`ArrayPositionIndex` mirrors
-  :class:`repro.neighborlist.position_index.PositionIndex` - the
-  profile -> Neighbor List positions index of LS-PSN/GS-PSN
-  (Section 5.1).
-
-Both expose the same public API as their reference counterparts, so the
-backend seam can hand either to existing call sites.
+Also home to the CSR row helpers the substrate and kernels share.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ from repro.engine.storage import (  # noqa: E402
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.blocking.base import BlockCollection
-    from repro.neighborlist.neighbor_list import NeighborList
 
 
 def multi_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -111,17 +106,15 @@ def gather_rows(
 class ArrayProfileIndex:
     """CSR inverted index over a scheduled block collection.
 
-    Same contract as :class:`~repro.metablocking.profile_index.ProfileIndex`
+    Same layout as :class:`~repro.metablocking.profile_index.ProfileIndex`
     (block ids are positions in the processing order; per-profile block
-    lists are ascending), stored as two CSR pairs:
+    lists are ascending), stored as two CSR pairs the kernels slice:
 
     * ``pb_indptr``/``pb_indices`` - profile -> block ids (ascending);
     * ``bp_indptr``/``bp_indices`` - block -> profile ids (block order).
     """
 
     __slots__ = (
-        "_collection",
-        "_block_keys",
         "store",
         "n_profiles",
         "block_cardinalities",
@@ -136,8 +129,6 @@ class ArrayProfileIndex:
     def __init__(self, collection: "BlockCollection") -> None:
         if any(block.block_id < 0 for block in collection.blocks):
             collection.assign_block_ids()
-        self._collection: "BlockCollection | None" = collection
-        self._block_keys: list[str] | None = None
         self.store = collection.store
         store = collection.store
         er_type = store.er_type
@@ -174,22 +165,17 @@ class ArrayProfileIndex:
         bp_indptr: np.ndarray,
         bp_indices: np.ndarray,
         block_cardinalities: np.ndarray,
-        block_keys: list[str],
         sources: np.ndarray,
         storage: ArrayStore | None = None,
     ) -> "ArrayProfileIndex":
         """Build straight from block -> profile CSR arrays.
 
         The array-native substrate's entry point: no ``Block`` objects
-        are touched.  ``block_keys`` (one per block, processing order)
-        are kept so :attr:`collection` can materialize reference blocks
-        lazily if a consumer asks for them.  With ``storage``, the
+        are touched.  With ``storage``, the
         profile -> blocks transpose is built out-of-core into memmap
         arrays (the inputs are expected to be memmap-backed already).
         """
         self = cls.__new__(cls)
-        self._collection = None
-        self._block_keys = list(block_keys)
         self.store = store  # type: ignore[assignment]
         self.n_profiles = len(store)  # type: ignore[arg-type]
         self.block_cardinalities = np.asarray(block_cardinalities, dtype=np.int64)
@@ -232,53 +218,7 @@ class ArrayProfileIndex:
         self.pb_indptr = np.zeros(self.n_profiles + 1, dtype=np.int64)
         np.cumsum(counts, out=self.pb_indptr[1:])
 
-    @property
-    def collection(self) -> "BlockCollection":
-        """The indexed blocks as reference ``Block`` objects.
-
-        On the substrate path no ``Block`` objects exist up front; the
-        first access materializes them from the CSR arrays (ids stamped
-        to the processing order this index was built in).  Hot paths
-        never touch this - it serves introspection and the exhaustive
-        PPS tail.
-        """
-        if self._collection is None:
-            from repro.blocking.base import Block, BlockCollection
-
-            assert self._block_keys is not None
-            blocks = [
-                Block(
-                    key,
-                    self.bp_indices[start:end].tolist(),
-                    self.store,  # type: ignore[arg-type]
-                    block_id=block_id,
-                )
-                for block_id, (key, start, end) in enumerate(
-                    zip(
-                        self._block_keys,
-                        self.bp_indptr[:-1].tolist(),
-                        self.bp_indptr[1:].tolist(),
-                    )
-                )
-            ]
-            self._collection = BlockCollection(blocks, self.store)  # type: ignore[arg-type]
-        return self._collection
-
-    # -- lookups (ProfileIndex API) -----------------------------------------
-
-    def blocks_of(self, profile_id: int) -> np.ndarray:
-        """Ascending ids of the blocks containing ``profile_id``."""
-        if not 0 <= profile_id < self.n_profiles:
-            return np.empty(0, dtype=np.int64)
-        return self.pb_indices[
-            self.pb_indptr[profile_id] : self.pb_indptr[profile_id + 1]
-        ]
-
-    def profiles_of(self, block_id: int) -> np.ndarray:
-        """Profile ids of one block, in block order."""
-        return self.bp_indices[
-            self.bp_indptr[block_id] : self.bp_indptr[block_id + 1]
-        ]
+    # -- statistics ----------------------------------------------------------
 
     def block_count(self) -> int:
         """|B| - number of blocks in the indexed collection."""
@@ -291,97 +231,3 @@ class ArrayProfileIndex:
     def indexed_profiles(self) -> list[int]:
         """Profile ids that appear in at least one block, ascending."""
         return np.nonzero(np.diff(self.pb_indptr))[0].tolist()
-
-    # -- merge-based pair operations (Section 5.2.1) -------------------------
-
-    def common_blocks(self, i: int, j: int) -> list[int]:
-        """Ids of the blocks shared by profiles ``i`` and ``j`` (sorted)."""
-        return np.intersect1d(
-            self.blocks_of(i), self.blocks_of(j), assume_unique=True
-        ).tolist()
-
-    def least_common_block(self, i: int, j: int) -> int | None:
-        """The smallest shared block id, or None when none is shared."""
-        common = np.intersect1d(
-            self.blocks_of(i), self.blocks_of(j), assume_unique=True
-        )
-        if common.size == 0:
-            return None
-        return int(common[0])
-
-    def is_first_encounter(self, i: int, j: int, block_id: int) -> bool:
-        """The LeCoBI condition: is ``block_id`` where (i, j) first co-occur?"""
-        return self.least_common_block(i, j) == block_id
-
-
-class ArrayPositionIndex:
-    """CSR inverted index from profile ids to Neighbor List positions.
-
-    Mirrors :class:`~repro.neighborlist.position_index.PositionIndex`;
-    additionally exposes the Neighbor List itself as the contiguous
-    ``entries`` int array the vectorized window kernels slide over.
-    """
-
-    __slots__ = ("neighbor_list", "entries", "n_profiles", "indptr", "positions")
-
-    def __init__(self, neighbor_list: "NeighborList") -> None:
-        self.neighbor_list = neighbor_list
-        entries = np.asarray(neighbor_list.entries, dtype=np.int64)
-        self.entries = entries
-        n = int(entries.max()) + 1 if entries.size else 0
-        self.n_profiles = n
-        counts = np.bincount(entries, minlength=n)
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.indptr[1:])
-        # Stable sort by profile id keeps positions ascending per profile.
-        self.positions = np.argsort(entries, kind="stable")
-
-    def positions_of(self, profile_id: int) -> np.ndarray:
-        """Ascending positions of ``profile_id`` in the Neighbor List."""
-        if not 0 <= profile_id < self.n_profiles:
-            return np.empty(0, dtype=np.int64)
-        return self.positions[
-            self.indptr[profile_id] : self.indptr[profile_id + 1]
-        ]
-
-    def appearance_count(self, profile_id: int) -> int:
-        """|PI[i]| - how many blocking keys the profile contributed."""
-        if not 0 <= profile_id < self.n_profiles:
-            return 0
-        return int(self.indptr[profile_id + 1] - self.indptr[profile_id])
-
-    def appearance_counts(self) -> np.ndarray:
-        """|PI[i]| for every profile id, as one array."""
-        return np.diff(self.indptr)
-
-    def indexed_profiles(self) -> list[int]:
-        """Profile ids with at least one position, ascending."""
-        return np.nonzero(np.diff(self.indptr))[0].tolist()
-
-    def cooccurrence_frequency(
-        self, i: int, j: int, window_size: int, cumulative: bool = False
-    ) -> int:
-        """Number of position pairs of (i, j) at distance ``window_size``.
-
-        Vectorized counterpart of the reference implementation: counts
-        membership of ``positions(i) +- d`` in ``positions(j)`` for each
-        distance d in the window range.
-        """
-        if window_size < 1:
-            raise ValueError("window_size must be positive")
-        a = self.positions_of(i)
-        b = self.positions_of(j)
-        if a.size == 0 or b.size == 0:
-            return 0
-        distances = (
-            np.arange(1, window_size + 1, dtype=np.int64)
-            if cumulative
-            else np.asarray([window_size], dtype=np.int64)
-        )
-        shifted = a[:, None] + distances[None, :]
-        count = int(np.isin(shifted, b).sum())
-        count += int(np.isin(a[:, None] - distances[None, :], b).sum())
-        return count
-
-    def __len__(self) -> int:
-        return int((np.diff(self.indptr) > 0).sum())

@@ -17,17 +17,17 @@ reference bit for bit; emission order is the shared ``(-weight, i, j)``.
 
 Custom :class:`~repro.neighborlist.rcf.NeighborWeighting` strategies
 still work: frequencies are computed vectorized, then the strategy is
-applied pair-by-pair against an :class:`ArrayPositionIndex`.
+applied pair-by-pair with the core itself as its index (it answers
+``appearance_count`` from the counts RCF reads).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.comparisons import Comparison
 from repro.core.profiles import ERType, ProfileStore
 from repro.engine import require_numpy
-from repro.engine.csr import ArrayPositionIndex
 from repro.engine.fanout import INLINE, Fanout
 from repro.engine.topk import iter_comparisons, rank_pairs
 from repro.neighborlist.rcf import CFWeighting, NeighborWeighting, RCFWeighting
@@ -99,10 +99,8 @@ class ArrayPSNCore:
 
     __slots__ = (
         "entries",
-        "store",
         "weighting",
         "fanout",
-        "position_index",
         "n_profiles",
         "_payload",
         "_appearances",
@@ -116,10 +114,8 @@ class ArrayPSNCore:
         fanout: Fanout = INLINE,
     ) -> None:
         self.entries = np.asarray(neighbor_list.entries, dtype=np.int64)
-        self.store = store
         self.weighting = weighting
         self.fanout = fanout
-        self.position_index = ArrayPositionIndex(neighbor_list)
         self.n_profiles = len(store)
         # One payload object for the whole core: a pooled fan-out ships
         # it once and every window of an LS-PSN run reuses it.
@@ -134,6 +130,10 @@ class ArrayPSNCore:
             "n_profiles": self.n_profiles,
         }
         self._appearances = np.bincount(self.entries, minlength=self.n_profiles)
+
+    def appearance_count(self, profile_id: int) -> int:
+        """|PI[i]| - how many blocking keys the profile contributed."""
+        return int(self._appearances[profile_id])
 
     # -- frequency counting --------------------------------------------------
 
@@ -173,9 +173,7 @@ class ArrayPSNCore:
         # Custom strategy: vectorized counting, per-pair weighting.
         return np.fromiter(
             (
-                self.weighting.weight(
-                    int(freq), int(pi), int(pj), self.position_index
-                )
+                self.weighting.weight(int(freq), int(pi), int(pj), self)
                 for pi, pj, freq in zip(i, j, frequencies, strict=True)
             ),
             dtype=np.float64,
@@ -194,8 +192,4 @@ class ArrayPSNCore:
 
     def window_comparisons(self, distances: Sequence[int]) -> list[Comparison]:
         """Weighted comparisons of one window range, best first."""
-        return list(self.emit_window(distances))
-
-    def emit_window(self, distances: Sequence[int]) -> Iterator[Comparison]:
-        """Yield one window range's comparisons, best first."""
-        return iter_comparisons(*self.window_arrays(distances))
+        return list(iter_comparisons(*self.window_arrays(distances)))

@@ -424,7 +424,7 @@ class ArraySubstrate:
         check_order(order)
         index = self._indexes.get(order)
         if index is None:
-            indptr, profiles, keys, cardinalities = self._final_blocks()
+            indptr, profiles, _keys, cardinalities = self._final_blocks()
             if order == "schedule":
                 perm = np.argsort(cardinalities, kind="stable")
             else:
@@ -435,13 +435,11 @@ class ArraySubstrate:
             ordered_profiles = gather_rows(
                 profiles, indptr[:-1][perm], sizes, self.storage
             )
-            ordered_keys = [keys[i] for i in perm.tolist()]
             index = ArrayProfileIndex.from_csr(
                 self.store,
                 ordered_indptr,
                 ordered_profiles,
                 cardinalities[perm],
-                ordered_keys,
                 self._sources(),
                 storage=self.storage,
             )
@@ -451,9 +449,9 @@ class ArraySubstrate:
     def blocks(self) -> "BlockCollection":
         """The final blocks as reference ``Block`` objects (workflow order).
 
-        Materialized lazily for consumers that introspect blocks (the
-        python-path fallback, Meta-blocking's reference pruning); the
-        vectorized paths never call this.
+        Materialized lazily for consumers that introspect blocks
+        (``Resolver.blocks``, Meta-blocking pruning); the progressive
+        methods never call this.
         """
         if self._blocks is None:
             from repro.blocking.base import Block, BlockCollection

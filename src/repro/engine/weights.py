@@ -525,10 +525,6 @@ class ArrayBlockingGraph:
         start, end = self.indptr[profile_id], self.indptr[profile_id + 1]
         return self.neighbors[start:end], self.weights[start:end]
 
-    def degree(self, profile_id: int) -> int:
-        """Number of distinct valid co-occurring neighbors."""
-        return int(self.indptr[profile_id + 1] - self.indptr[profile_id])
-
     # -- pair lookup ---------------------------------------------------------
 
     def _ensure_edge_lookup(self) -> None:

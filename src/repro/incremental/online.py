@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator
 
 from repro.blocking.base import BlockCollection
-from repro.blocking.substrate import SubstrateSpec
+from repro.blocking.substrate import method_substrate
 from repro.core.comparisons import Comparison
 from repro.core.profiles import ProfileStore
 from repro.core.tokenization import DEFAULT_TOKENIZER, Tokenizer
@@ -63,8 +63,9 @@ class OnlineRanked(ProgressiveMethod):
     substrate:
         A pre-built session :class:`~repro.contracts.BlockingSubstrate`
         (the Resolver injects its shared one so the whole session
-        tokenizes the store exactly once).  Ignored when ``blocks`` is
-        given.
+        tokenizes the store exactly once); it must come from the same
+        kind of backend (``ConfigError`` otherwise).  Ignored when
+        ``blocks`` is given.
     backend:
         ``"python"`` (reference) or ``"numpy"`` (CSR engine: one
         :class:`~repro.engine.weights.ArrayBlockingGraph` build plus one
@@ -88,7 +89,13 @@ class OnlineRanked(ProgressiveMethod):
         self.weighting_name = weighting
         self.backend = get_backend(backend).require()
         self._input_blocks = blocks
-        self._substrate = substrate
+        self._substrate = (
+            None
+            if blocks is not None
+            else method_substrate(
+                self.backend, store, substrate, tokenizer, purge_ratio, filter_ratio
+            )
+        )
         self.tokenizer = tokenizer
         self.purge_ratio = purge_ratio
         self.filter_ratio = filter_ratio
@@ -99,50 +106,31 @@ class OnlineRanked(ProgressiveMethod):
     # -- initialization phase -------------------------------------------------
 
     def _setup(self) -> None:
-        blocks = self._input_blocks
-        if blocks is None:
-            substrate = self._substrate
-            if substrate is None:
-                substrate = self.backend.blocking_substrate(
-                    self.store,
-                    SubstrateSpec(
-                        tokenizer=self.tokenizer,
-                        purge_ratio=self.purge_ratio,
-                        filter_ratio=self.filter_ratio,
-                    ),
-                )
-                self._substrate = substrate
-            if self.backend.vectorized == substrate.vectorized:
-                # Alphabetical-order index served (and cached) by the
-                # substrate; the postings are already in key order, so
-                # the array path never materializes Block objects.
-                index = substrate.profile_index("alpha")
-                self.profile_index = index  # type: ignore[assignment]
-                if self.backend.vectorized:
-                    self._graph = self.backend.blocking_graph(
-                        index, self.weighting_name
-                    )
-                    self.scheme = self._graph  # type: ignore[assignment]
-                else:
-                    self.scheme = make_scheme(self.weighting_name, index)
-                return
-            # Backend/substrate mismatch (explicit injection): fall back
-            # to materialized blocks and the generic path below.
-            blocks = substrate.blocks()
         # Alphabetical key order, not cardinality scheduling: block ids
         # must match the incremental weighter's accumulation order.
-        ordered = BlockCollection(
-            sorted(blocks.blocks, key=lambda block: block.key), self.store
-        )
-        ordered.assign_block_ids()
+        if self._substrate is not None:
+            # Served (and cached) by the substrate; the postings are
+            # already in key order, so the array path never materializes
+            # Block objects.
+            index = self._substrate.profile_index("alpha")
+        else:
+            assert self._input_blocks is not None
+            ordered = BlockCollection(
+                sorted(self._input_blocks.blocks, key=lambda block: block.key),
+                self.store,
+            )
+            ordered.assign_block_ids()
+            index = (
+                self.backend.profile_index(ordered)
+                if self.backend.vectorized
+                else ProfileIndex(ordered)
+            )
+        self.profile_index = index
         if self.backend.vectorized:
-            index = self.backend.profile_index(ordered)
-            self.profile_index = index  # type: ignore[assignment]
             self._graph = self.backend.blocking_graph(index, self.weighting_name)
             self.scheme = self._graph  # type: ignore[assignment]
         else:
-            self.profile_index = ProfileIndex(ordered)
-            self.scheme = make_scheme(self.weighting_name, self.profile_index)
+            self.scheme = make_scheme(self.weighting_name, index)
 
     # -- emission phase -------------------------------------------------------
 

@@ -17,8 +17,14 @@ ablation benches.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Protocol
 
-from repro.neighborlist.position_index import PositionIndex
+
+class AppearanceCounts(Protocol):
+    """What a weighting reads of its index: the reference ``PositionIndex``
+    or the array engine's PSN core."""
+
+    def appearance_count(self, profile_id: int) -> int: ...
 
 
 class NeighborWeighting(ABC):
@@ -27,7 +33,7 @@ class NeighborWeighting(ABC):
     name: str = "abstract"
 
     @abstractmethod
-    def weight(self, frequency: int, i: int, j: int, index: PositionIndex) -> float:
+    def weight(self, frequency: int, i: int, j: int, index: AppearanceCounts) -> float:
         """Weight of pair (i, j) given its window co-occurrence count."""
 
 
@@ -36,7 +42,7 @@ class RCFWeighting(NeighborWeighting):
 
     name = "RCF"
 
-    def weight(self, frequency: int, i: int, j: int, index: PositionIndex) -> float:
+    def weight(self, frequency: int, i: int, j: int, index: AppearanceCounts) -> float:
         if frequency <= 0:
             return 0.0
         appearances = index.appearance_count(i) + index.appearance_count(j)
@@ -52,7 +58,7 @@ class CFWeighting(NeighborWeighting):
 
     name = "CF"
 
-    def weight(self, frequency: int, i: int, j: int, index: PositionIndex) -> float:
+    def weight(self, frequency: int, i: int, j: int, index: AppearanceCounts) -> float:
         return float(frequency)
 
 

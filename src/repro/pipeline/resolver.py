@@ -388,10 +388,10 @@ class Resolver:
                 kwargs.setdefault("weighting", self.config.meta.weighting)
         # the session substrate: methods that accept one share this
         # session's single tokenization sweep.  User-supplied workflow
-        # knobs in the method params opt the method out - its private
-        # build must honor them, and the shared substrate would not.
+        # knobs or backend in the method params opt the method out - its
+        # private build must honor them, and the shared substrate would not.
         if progressive_methods.accepts(name, "substrate") and not (
-            {"substrate", "blocks", "tokenizer", "purge_ratio", "filter_ratio"}
+            {"substrate", "blocks", "backend", "tokenizer", "purge_ratio", "filter_ratio"}
             & set(self.config.method.params)
         ):
             substrate = self._session_substrate()

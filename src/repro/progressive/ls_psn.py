@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Sequence
 
+from repro.blocking.substrate import method_substrate
 from repro.core.comparisons import Comparison, ComparisonList
 from repro.core.profiles import ERType, ProfileStore
 from repro.core.tokenization import DEFAULT_TOKENIZER, Tokenizer
@@ -58,31 +59,21 @@ class _SimilarityBase(ProgressiveMethod):
         self.backend = get_backend(backend).require()
         self.tie_order = tie_order
         self.seed = seed
-        self._substrate = substrate
+        # The Neighbor List comes from the substrate's cached tokenization
+        # sweep (by design it sees the unpurged, unfiltered pair stream -
+        # the substrate's ratios never apply to it).
+        self._substrate = method_substrate(self.backend, store, substrate, tokenizer)
         self.neighbor_list: NeighborList | None = None
         self.position_index: PositionIndex | None = None
         self._scan_ids: list[int] = []
         self._core: "ArrayPSNCore | None" = None
 
     def _build_structures(self) -> None:
-        # The Neighbor List comes from the session substrate's cached
-        # tokenization sweep (by design it sees the unpurged, unfiltered
-        # pair stream - the substrate's ratios never apply to it).
-        substrate = self._substrate
-        if substrate is None:
-            from repro.blocking.substrate import SubstrateSpec
-
-            substrate = self.backend.blocking_substrate(
-                self.store, SubstrateSpec(tokenizer=self.tokenizer)
-            )
-            self._substrate = substrate
-        self.neighbor_list = substrate.neighbor_list(self.tie_order, self.seed)
+        self.neighbor_list = self._substrate.neighbor_list(self.tie_order, self.seed)
         if self.backend.vectorized:
-            core = self.backend.psn_core(
+            self._core = self.backend.psn_core(
                 self.neighbor_list, self.store, self.weighting
             )
-            self._core = core
-            self.position_index = core.position_index  # type: ignore[assignment]
             return
         self.position_index = PositionIndex(self.neighbor_list)
         # Dirty ER counts each pair from the larger id's side (the paper's
@@ -154,8 +145,8 @@ class LSPSN(_SimilarityBase):
     tie_order, seed:
         Order inside equal-token runs.
     max_window:
-        Optional window cap; None grows the window to the list size
-        (Algorithm 2's termination condition).
+        Optional window cap (positive); None grows the window to the
+        list size (Algorithm 2's termination condition).
     backend:
         Execution backend: ``"python"`` (reference) or ``"numpy"``
         (array window kernels, requires the ``repro[speed]`` extra).
@@ -177,6 +168,8 @@ class LSPSN(_SimilarityBase):
         backend: str = "python",
         substrate: "BlockingSubstrate | None" = None,
     ) -> None:
+        if max_window is not None and max_window < 1:
+            raise ValueError("max_window must be positive")
         super().__init__(
             store, tokenizer, weighting, tie_order, seed, backend, substrate
         )

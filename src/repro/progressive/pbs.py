@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro.blocking.base import BlockCollection
 from repro.blocking.scheduling import block_scheduling
-from repro.blocking.substrate import SubstrateSpec
+from repro.blocking.substrate import method_substrate
 from repro.core.comparisons import Comparison, ComparisonList
 from repro.core.profiles import ProfileStore
 from repro.core.tokenization import DEFAULT_TOKENIZER, Tokenizer
@@ -58,8 +58,9 @@ class PBS(ProgressiveMethod):
     substrate:
         A pre-built session :class:`~repro.contracts.BlockingSubstrate`
         (the Resolver injects its shared one so the whole session
-        tokenizes the store exactly once).  Ignored when ``blocks`` is
-        given.
+        tokenizes the store exactly once); it must come from the same
+        kind of backend (``ConfigError`` otherwise).  Ignored when
+        ``blocks`` is given.
     backend:
         Execution backend: ``"python"`` (reference) or ``"numpy"`` (CSR
         engine, requires the ``repro[speed]`` extra); same stream either
@@ -83,7 +84,13 @@ class PBS(ProgressiveMethod):
         self.weighting_name = weighting
         self.backend = get_backend(backend).require()
         self._input_blocks = blocks
-        self._substrate = substrate
+        self._substrate = (
+            None
+            if blocks is not None
+            else method_substrate(
+                self.backend, store, substrate, tokenizer, purge_ratio, filter_ratio
+            )
+        )
         self.tokenizer = tokenizer
         self.purge_ratio = purge_ratio
         self.filter_ratio = filter_ratio
@@ -93,41 +100,23 @@ class PBS(ProgressiveMethod):
         self._core: "ArrayPBSCore | None" = None
 
     def _setup(self) -> None:
-        blocks = self._input_blocks
-        if blocks is None:
-            substrate = self._substrate
-            if substrate is None:
-                substrate = self.backend.blocking_substrate(
-                    self.store,
-                    SubstrateSpec(
-                        tokenizer=self.tokenizer,
-                        purge_ratio=self.purge_ratio,
-                        filter_ratio=self.filter_ratio,
-                    ),
-                )
-                self._substrate = substrate
-            if self.backend.vectorized:
-                # No Block objects on this path: the CSR index comes
-                # straight from the substrate's postings; the scheduled
-                # collection is never materialized (``self.scheduled``
-                # stays None - the emission runs off the core).
-                self._setup_core(substrate)
-                return
-            if not substrate.vectorized:
-                # Scheduled index served (and cached) by the substrate -
-                # shared with every other consumer of the session.
-                self.profile_index = substrate.profile_index("schedule")
-                self.scheduled = self.profile_index.collection
-                self.scheme = make_scheme(
-                    self.weighting_name, self.profile_index
-                )
-                return
-            blocks = substrate.blocks()
-        self.scheduled = block_scheduling(blocks)
+        substrate = self._substrate
+        if substrate is None:
+            assert self._input_blocks is not None
+            self.scheduled = block_scheduling(self._input_blocks)
         if self.backend.vectorized:
-            self._setup_core(self.scheduled)
+            # From a substrate the CSR index comes straight from its
+            # postings: no Block objects, and ``self.scheduled`` stays
+            # None (the emission runs off the core).
+            self._setup_core(self.scheduled if substrate is None else substrate)
             return
-        self.profile_index = ProfileIndex(self.scheduled)
+        if substrate is not None:
+            # Scheduled index served (and cached) by the substrate -
+            # shared with every other consumer of the session.
+            self.profile_index = substrate.profile_index("schedule")
+            self.scheduled = self.profile_index.collection
+        else:
+            self.profile_index = ProfileIndex(self.scheduled)
         self.scheme = make_scheme(self.weighting_name, self.profile_index)
 
     def _setup_core(self, scheduled: "BlockCollection | BlockingSubstrate") -> None:

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro.blocking.base import BlockCollection
 from repro.blocking.scheduling import block_scheduling
-from repro.blocking.substrate import SubstrateSpec
+from repro.blocking.substrate import method_substrate
 from repro.core.comparisons import Comparison, ComparisonList, SortedStack
 from repro.core.profiles import ProfileStore
 from repro.core.tokenization import DEFAULT_TOKENIZER, Tokenizer
@@ -76,7 +76,8 @@ class PPS(ProgressiveMethod):
         A pre-built session :class:`~repro.contracts.BlockingSubstrate`
         (the :class:`~repro.pipeline.resolver.Resolver` injects its
         shared one so the whole session tokenizes the store exactly
-        once).  Ignored when ``blocks`` is given.
+        once); it must come from the same kind of backend
+        (``ConfigError`` otherwise).  Ignored when ``blocks`` is given.
     exhaustive:
         Append a tail draining all remaining distinct comparisons, making
         the eventual output identical to batch ER on the same blocks.
@@ -111,7 +112,13 @@ class PPS(ProgressiveMethod):
         self.backend = get_backend(backend).require()
         self.k_max = k_max
         self._input_blocks = blocks
-        self._substrate = substrate
+        self._substrate = (
+            None
+            if blocks is not None
+            else method_substrate(
+                self.backend, store, substrate, tokenizer, purge_ratio, filter_ratio
+            )
+        )
         self.tokenizer = tokenizer
         self.purge_ratio = purge_ratio
         self.filter_ratio = filter_ratio
@@ -147,39 +154,22 @@ class PPS(ProgressiveMethod):
     # -- initialization phase (Algorithm 5) --------------------------------------
 
     def _setup(self) -> None:
-        blocks = self._input_blocks
-        if blocks is None:
-            substrate = self._substrate
-            if substrate is None:
-                substrate = self.backend.blocking_substrate(
-                    self.store,
-                    SubstrateSpec(
-                        tokenizer=self.tokenizer,
-                        purge_ratio=self.purge_ratio,
-                        filter_ratio=self.filter_ratio,
-                    ),
-                )
-                self._substrate = substrate
+        substrate = self._substrate
+        if substrate is not None:
             if self.backend.vectorized:
-                # The seam consumes the substrate directly: an array
-                # substrate serves the CSR index straight from its
-                # postings (no Block objects), a reference substrate
-                # falls back to materialized blocks inside the seam.
+                # The seam builds the CSR index straight from the array
+                # substrate's postings: no Block objects.
                 self._setup_array(substrate)
                 return
-            if substrate.vectorized:
-                self.profile_index = ProfileIndex(
-                    block_scheduling(substrate.blocks())
-                )
-            else:
-                # Scheduled index served (and cached) by the substrate -
-                # shared with every other consumer of the session.
-                self.profile_index = substrate.profile_index("schedule")
+            # Scheduled index served (and cached) by the substrate -
+            # shared with every other consumer of the session.
+            self.profile_index = substrate.profile_index("schedule")
         else:
             # Scheduling keeps block ids aligned with PBS (and LeCoBI
             # usable by the exhaustive tail); PPS itself only needs
             # cardinalities.
-            scheduled = block_scheduling(blocks)
+            assert self._input_blocks is not None
+            scheduled = block_scheduling(self._input_blocks)
             if self.backend.vectorized:
                 self._setup_array(scheduled)
                 return
@@ -233,7 +223,7 @@ class PPS(ProgressiveMethod):
         """Initialization on the CSR engine (same phases, array passes).
 
         The core comes through the backend seam - which accepts either a
-        scheduled block collection or a blocking substrate - and hands
+        scheduled block collection or an array substrate - and hands
         it the backend's fan-out, so ``numpy`` (one inline range) and
         ``numpy-parallel`` (shards over workers) run the same kernels
         and the same emission machinery.
@@ -241,8 +231,8 @@ class PPS(ProgressiveMethod):
         core = self.backend.pps_core(scheduled, self.weighting_name, self.k_max)
         self._core = core
         self.k_max = core.k_max
-        # API-compatible introspection: the CSR index and a scalar-capable
-        # weighting view (the graph) take the reference structures' slots.
+        # Introspection: the CSR index and the graph (whose scalar
+        # ``weight`` stays) take the reference structures' slots.
         self.profile_index = core.index  # type: ignore[assignment]
         self.scheme = core.graph  # type: ignore[assignment]
         self.sorted_profile_list, self._initial_comparisons = core.init_lists()

@@ -45,3 +45,11 @@ def clean_clean_store() -> ProfileStore:
         dict(item, extra=words[k % 10]) for k, item in enumerate(left[:40])
     ] + [record(k + 100) for k in range(20)]
     return ProfileStore.clean_clean(left, right)
+
+
+def csr_rows(indptr, indices) -> list[list[int]]:
+    """Every row of a CSR ``(indptr, indices)`` pair, as lists."""
+    return [
+        np.asarray(indices[start:end]).tolist()
+        for start, end in zip(indptr[:-1].tolist(), indptr[1:].tolist())
+    ]

@@ -254,20 +254,15 @@ class TestMemmapParity:
 
     def test_position_index_stays_resident(self, store, tmp_path):
         # memmap storage covers the Profile Index and Blocking Graph
-        # only: the PSN core's O(L) arrays are plain in-RAM ndarrays.
-        from repro.engine.csr import ArrayPositionIndex
+        # only: the PSN core's O(L) entries are a plain in-RAM ndarray.
         from repro.neighborlist.rcf import RCFWeighting
 
         spec = SubstrateSpec(purge_ratio=None, filter_ratio=None)
         backend = NumpyBackend(storage="memmap", storage_dir=str(tmp_path))
         neighbor_list = backend.blocking_substrate(store, spec).neighbor_list()
         core = backend.psn_core(neighbor_list, store, RCFWeighting())
-        ram = ArrayPositionIndex(neighbor_list)
-        for name in ("entries", "indptr", "positions"):
-            array = getattr(core.position_index, name)
-            assert not isinstance(array, np.memmap), name
-            np.testing.assert_array_equal(array, getattr(ram, name), err_msg=name)
         assert not isinstance(core.entries, np.memmap)
+        assert core.entries.tolist() == neighbor_list.entries
         backend.close()
 
 

@@ -26,6 +26,8 @@ from repro.engine.substrate import ArraySubstrate  # noqa: E402
 from repro.metablocking.profile_index import ProfileIndex  # noqa: E402
 from repro.neighborlist.neighbor_list import NeighborList  # noqa: E402
 
+from .conftest import csr_rows  # noqa: E402
+
 RATIO_COMBOS = [
     (0.1, 0.8),
     (None, 0.8),
@@ -83,12 +85,12 @@ class TestIndexParity:
             index.block_cardinalities.tolist()
             == reference.block_cardinalities
         )
-        for block_id, block in enumerate(scheduled.blocks):
-            assert index.profiles_of(block_id).tolist() == list(block.ids)
-        for profile_id in reference.indexed_profiles():
-            assert index.blocks_of(profile_id).tolist() == list(
-                reference.blocks_of(profile_id)
-            )
+        assert csr_rows(index.bp_indptr, index.bp_indices) == [
+            list(block.ids) for block in scheduled.blocks
+        ]
+        assert csr_rows(index.pb_indptr, index.pb_indices) == [
+            list(reference.blocks_of(pid)) for pid in range(len(store))
+        ]
 
     def test_alpha_index_matches_key_order(self, store):
         substrate = ArraySubstrate(store, SubstrateSpec())
@@ -96,22 +98,9 @@ class TestIndexParity:
         final = token_blocking_workflow(store)
         ordered = sorted(final.blocks, key=lambda block: block.key)
         assert index.block_count() == len(ordered)
-        for block_id, block in enumerate(ordered):
-            assert index.profiles_of(block_id).tolist() == list(block.ids)
-
-    def test_lazy_collection_materializes_reference_blocks(self, store):
-        substrate = ArraySubstrate(store, SubstrateSpec())
-        index = substrate.profile_index("schedule")
-        scheduled = block_scheduling(token_blocking_workflow(store))
-        materialized = index.collection
-        assert block_signature(materialized) == block_signature(scheduled)
-        assert [b.block_id for b in materialized.blocks] == list(
-            range(len(scheduled))
-        )
-        # Clean-clean source partitions must round-trip too.
-        for built, expected in zip(materialized.blocks, scheduled.blocks):
-            assert built.left_ids == expected.left_ids
-            assert built.right_ids == expected.right_ids
+        assert csr_rows(index.bp_indptr, index.bp_indices) == [
+            list(block.ids) for block in ordered
+        ]
 
     def test_indexes_are_cached_per_order(self, store):
         substrate = ArraySubstrate(store, SubstrateSpec())
