@@ -30,11 +30,6 @@ import os
 import subprocess
 import sys
 
-try:  # package import (pytest) vs direct script execution
-    from benchmarks._shared import emit, write_bench_json
-except ImportError:  # pragma: no cover - script mode
-    from _shared import emit, write_bench_json
-
 #: Anonymous-memory budget (MB) for the 1M acceptance contrast,
 #: enforced as a hard ``RLIMIT_DATA`` (heap + anonymous mmap - numpy's
 #: in-RAM arrays - but *not* file-backed memmaps): the 1M memmap cell
@@ -77,6 +72,19 @@ SMOKE_CELLS = tuple(c for c in FULL_CELLS if c["profiles"] == 10_000)
 #: 4 shards keeps the cells comparable across machines instead of
 #: scaling with whatever core count the bench host has.
 PARALLEL_KNOBS = {"workers": 2, "shards": 4}
+
+
+def emit(text: str) -> None:
+    """Print one report block, flushed so progress shows during a run."""
+    print(f"\n{text}\n", flush=True)
+
+
+def write_bench_json(payload: dict, path: str) -> str:
+    """Write the results table as indented JSON; returns the path."""
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    return path
 
 
 def run_cell(spec: dict) -> dict:

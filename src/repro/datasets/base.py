@@ -24,8 +24,8 @@ class Dataset:
     """A benchmark dataset: profiles, ground truth and provenance.
 
     ``paper_stats`` records the Table 2 characteristics of the real dataset
-    this synthetic one substitutes for (at scale 1.0), so the Table 2 bench
-    can print generated-vs-paper side by side.  ``psn_key`` carries the
+    this synthetic one substitutes for (at scale 1.0), which the table2-*
+    rows of tests/test_paper_claims.py check against.  ``psn_key`` carries the
     schema-based blocking key for the PSN baseline where the literature
     defines one (the structured datasets only).
     """

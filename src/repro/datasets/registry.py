@@ -3,7 +3,7 @@
 ``load_dataset(name)`` builds the synthetic stand-in at its default scale;
 the large heterogeneous datasets default to laptop-scale fractions of the
 originals (the scale is recorded on the returned :class:`Dataset` and
-reported by the Table 2 bench).
+read by the table2-* rows of tests/test_paper_claims.py).
 """
 
 from __future__ import annotations

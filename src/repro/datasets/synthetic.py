@@ -349,7 +349,7 @@ def generate_synthetic(
         paper_stats={
             # "paper" here is the generator's own design point: the
             # characteristics at scale 1.0, so the linear-scaling test
-            # and the Table 2 bench have a reference row.
+            # has a reference row.
             "profiles": FULL_SCALE_PROFILES,
             "matches": full.match_count(),
             "attributes": 3,

@@ -137,10 +137,8 @@ def _drive_progressive(
     )
     found: set[tuple[int, int]] = set()
     emitted = 0
-    exhausted = True
     for comparison in method:
         if emitted >= budget:
-            exhausted = False
             break
         emitted += 1
         pair = comparison.pair
@@ -149,6 +147,7 @@ def _drive_progressive(
             curve.hit_positions.append(emitted)
             if stop_at_full_recall and len(found) == total_matches:
                 break
+    else:  # the stream ran dry before the budget or full recall ended the run
+        curve.exhausted = True
     curve.emitted = emitted
-    curve.exhausted = exhausted and emitted <= budget
     return curve

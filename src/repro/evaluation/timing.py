@@ -119,6 +119,9 @@ def timed_run(
             if len(found) == total_matches:
                 break
     elapsed_total = time.perf_counter() - emission_start
+    if emitted % checkpoint_every and len(found) < total_matches:
+        # the run ended off a checkpoint: record where it got to
+        timeline.append((elapsed_total, len(found) / total_matches))
     comparison_seconds = elapsed_total / emitted if emitted else 0.0
     return TimedRun(
         method=method.name,

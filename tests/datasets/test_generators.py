@@ -163,8 +163,3 @@ class TestAddressableByName:
         assert result.resolver.store.er_type is ERType.CLEAN_CLEAN
         tiers = [tier["name"] for tier in result.cascade_stats["tiers"]]
         assert tiers == ["exact", "jaccard", "edit-distance"]
-
-    def test_bench_suite_scales_cover_every_registered_dataset(self):
-        from benchmarks._shared import BENCH_SCALES
-
-        assert set(BENCH_SCALES) | {"synthetic"} == set(list_datasets())

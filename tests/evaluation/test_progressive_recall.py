@@ -122,6 +122,15 @@ class TestRunProgressive:
         script = [Comparison(0, 1, 1.0)] + [Comparison(2, 3, 0.5)] * 100
         curve = _drive_progressive(Scripted(store, script), truth, max_ec_star=500)
         assert curve.emitted == 1
+        assert not curve.exhausted
+
+    def test_stream_ending_before_the_budget_is_exhausted(self):
+        store = make_store()
+        truth = GroundTruth([(0, 1), (2, 3)], closed=False)
+        script = [Comparison(0, 1, 1.0), Comparison(4, 5, 0.5)]
+        curve = _drive_progressive(Scripted(store, script), truth, max_ec_star=5.0)
+        assert curve.emitted == 2
+        assert curve.exhausted
 
     def test_dataset_label_recorded(self):
         store = make_store()

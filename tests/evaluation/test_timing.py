@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from repro.evaluation.timing import TimedRun, measure_initialization, timed_run
 from repro.matching.match_functions import JaccardMatcher, OracleMatcher
 from repro.progressive.pps import PPS
@@ -59,6 +61,19 @@ class TestTimedRun:
         recalls = [r for _, r in run.recall_timeline]
         assert times == sorted(times)
         assert recalls == sorted(recalls)
+
+    def test_timeline_ends_where_the_run_ends(self, paper_profiles, paper_ground_truth):
+        # the budget ends the run off the checkpoint grid
+        run = timed_run(
+            PPS(paper_profiles, purge_ratio=None),
+            paper_ground_truth,
+            paper_profiles,
+            OracleMatcher(paper_ground_truth),
+            max_comparisons=3,
+            checkpoint_every=50,
+        )
+        assert 0 < run.matches_found < run.total_matches
+        assert run.recall_at_time(math.inf) == run.matches_found / run.total_matches
 
 
 class TestRecallAtTime:

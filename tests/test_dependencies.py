@@ -4,7 +4,7 @@ A test module that imports an undeclared package at module level does
 not fail - it stops collection on any host that lacks the package, so
 the whole run reports nothing.  The ``test`` extra in pyproject.toml is
 what a host installs to run tier-1; this test holds the module-level
-imports of ``tests/`` and ``benchmarks/e2e/test_*.py`` to it.  Optional
+imports of ``tests/`` and of every ``benchmarks/`` module to it.  Optional
 dependencies (numpy) are imported with ``pytest.importorskip`` instead,
 inside the tests that need them.
 """
@@ -48,7 +48,7 @@ def declared_test_requirements() -> set[str]:
 
 def test_module_level_test_imports_are_declared():
     modules = sorted(REPO_ROOT.glob("tests/**/*.py")) + sorted(
-        REPO_ROOT.glob("benchmarks/e2e/test_*.py")
+        REPO_ROOT.glob("benchmarks/**/*.py")
     )
     third_party: dict[str, list[str]] = {}
     for path in modules:
