@@ -9,7 +9,9 @@ runs empty.
 
 from __future__ import annotations
 
+import gc
 import heapq
+from contextlib import contextmanager
 from itertools import islice, repeat
 from typing import Any, Iterable, Iterator, NamedTuple
 
@@ -17,6 +19,9 @@ from repro.core.ground_truth import normalize_pair
 
 #: The most comparisons a method hands its consumer at a time (a chunk,
 #: in emission order); also how far a ``seconds`` budget can overshoot.
+#: A chunk is built with the cyclic collector paused, so this also sets
+#: how many comparisons one collection is deferred over: shrinking it
+#: brings collections back.
 CHUNK_SIZE = 1 << 12
 
 
@@ -43,18 +48,50 @@ class Comparison(NamedTuple):
         return (self.i, self.j)
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Build a batch of comparisons with the cyclic collector off.
+
+    CPython never untracks a tuple subclass, so a burst of ``Comparison``
+    objects fires young collections, and the ones a consumer keeps are
+    promoted until full collections walk the whole heap, again and
+    again.  Paused, a burst fires one young collection after it ends;
+    refcounting still frees all else, so only cyclic garbage waits.
+
+    A caller that disabled the collector keeps it disabled.  Pauses that
+    overlap in several threads end with it enabled (a thread finding it
+    re-enabled partway only builds slower).  The one case not honoured
+    is another thread calling ``gc.disable()`` during a pause: the
+    pause's end enables the collector again.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def chunked(comparisons: Iterable[Comparison]) -> Iterator[list[Comparison]]:
-    """``comparisons`` in consecutive chunks of at most :data:`CHUNK_SIZE`."""
+    """``comparisons`` in consecutive chunks of at most :data:`CHUNK_SIZE`,
+    each built with the collector paused."""
     iterator = iter(comparisons)
-    while chunk := list(islice(iterator, CHUNK_SIZE)):
+    while True:
+        with _collector_paused():
+            chunk = list(islice(iterator, CHUNK_SIZE))
+        if not chunk:
+            return
         yield chunk
 
 
 def to_comparisons(i: Any, j: Any, weights: Any) -> list[Comparison]:
     """Comparisons from parallel ``(i, j, weight)`` arrays, in one
-    C-level pass (``tuple.__new__`` skips the class's Python ``__new__``)."""
-    rows = zip(i.tolist(), j.tolist(), weights.tolist())
-    return list(map(tuple.__new__, repeat(Comparison), rows))
+    C-level pass (``tuple.__new__`` skips the class's Python ``__new__``)
+    with the collector paused."""
+    with _collector_paused():
+        rows = zip(i.tolist(), j.tolist(), weights.tolist())
+        return list(map(tuple.__new__, repeat(Comparison), rows))
 
 
 def comparison_chunks(i: Any, j: Any, weights: Any) -> Iterator[list[Comparison]]:
@@ -141,11 +178,10 @@ class SortedStack:
     "sorted" structure amounts to in practice.
     """
 
-    __slots__ = ("_heap", "_counter")
+    __slots__ = ("_heap",)
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, int, Comparison]] = []
-        self._counter = 0
 
     def push(self, comparison: Comparison) -> None:
         """Insert a comparison, keeping the lowest weight on top."""
@@ -155,7 +191,6 @@ class SortedStack:
             self._heap,
             (comparison.weight, -comparison.i, -comparison.j, comparison),
         )
-        self._counter += 1
 
     def pop(self) -> Comparison:
         """Remove and return the lowest-weighted comparison."""

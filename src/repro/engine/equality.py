@@ -71,9 +71,12 @@ def pps_schedule(
     weight = weights[keep]
 
     owner_rank = rank[owner]
-    # For a fixed owner, ordering by bare neighbor id equals ordering
-    # by the canonical (i, j) pair, so three sort keys suffice.
-    emission_order = np.lexsort((neighbor, -weight, owner_rank))
+    # The kept edges are owner-major with each row's neighbors ascending
+    # (for a fixed owner that is the canonical (i, j) order), so two
+    # stable passes - by -weight, then by owner rank - give the
+    # (owner rank, -weight, neighbor) order.
+    by_weight = np.argsort(-weight, kind="stable")
+    emission_order = by_weight[np.argsort(owner_rank[by_weight], kind="stable")]
     segment_rank = owner_rank[emission_order]
     kept = first_k_per_run(segment_rank, payload["k"])
     selected = emission_order[kept]

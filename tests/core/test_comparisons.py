@@ -1,10 +1,22 @@
-"""Unit tests for Comparison, ComparisonList and SortedStack."""
+"""Unit tests for Comparison, the chunk builders, ComparisonList and
+SortedStack."""
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
-from repro.core.comparisons import Comparison, ComparisonList, SortedStack
+from repro.core.comparisons import (
+    CHUNK_SIZE,
+    Comparison,
+    ComparisonList,
+    SortedStack,
+    chunked,
+    comparison_chunks,
+)
+
+BUILT = 200_000
 
 
 class TestComparison:
@@ -17,6 +29,46 @@ class TestComparison:
     def test_make_rejects_self_comparison(self):
         with pytest.raises(ValueError):
             Comparison.make(3, 3)
+
+
+@pytest.fixture()
+def default_collector():
+    """The collector on, at CPython's default thresholds, restored after."""
+    enabled, thresholds = gc.isenabled(), gc.get_threshold()
+    gc.enable()
+    gc.set_threshold(700, 10, 10)
+    try:
+        yield
+    finally:
+        gc.set_threshold(*thresholds)
+        if not enabled:
+            gc.disable()
+
+
+def full_collections(build):
+    """Full (gen2) collections run while ``build()``'s chunks are kept."""
+    gc.collect()
+    before = gc.get_stats()[2]["collections"]
+    chunks = list(build())
+    after = gc.get_stats()[2]["collections"]
+    assert sum(map(len, chunks)) == BUILT
+    assert max(map(len, chunks)) == CHUNK_SIZE
+    return after - before
+
+
+class TestChunkBuilders:
+    """A kept stream of tuple-subclass comparisons must not feed full
+    collections: every chunk is built with the collector paused."""
+
+    def test_chunked_runs_no_full_collection(self, default_collector):
+        stream = (Comparison(i, i + 1, 0.5) for i in range(BUILT))
+        assert full_collections(lambda: chunked(stream)) == 0
+
+    def test_comparison_chunks_run_no_full_collection(self, default_collector):
+        np = pytest.importorskip("numpy")
+        i = np.arange(BUILT, dtype=np.int64)
+        weights = np.full(BUILT, 0.5)
+        assert full_collections(lambda: comparison_chunks(i, i + 1, weights)) == 0
 
 
 class TestComparisonList:
