@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gc
 import heapq
+import threading
 from contextlib import contextmanager
 from itertools import islice, repeat
 from typing import Any, Iterable, Iterator, NamedTuple
@@ -23,6 +24,9 @@ from repro.core.ground_truth import normalize_pair
 #: how many comparisons one collection is deferred over: shrinking it
 #: brings collections back.
 CHUNK_SIZE = 1 << 12
+
+#: Makes reading and setting the collector's state one step across threads.
+_PAUSES = threading.RLock()
 
 
 class Comparison(NamedTuple):
@@ -64,13 +68,15 @@ def _collector_paused() -> Iterator[None]:
     is another thread calling ``gc.disable()`` during a pause: the
     pause's end enables the collector again.
     """
-    enabled = gc.isenabled()
-    gc.disable()
+    with _PAUSES:
+        enabled = gc.isenabled()
+        gc.disable()
     try:
         yield
     finally:
         if enabled:
-            gc.enable()
+            with _PAUSES:
+                gc.enable()
 
 
 def chunked(comparisons: Iterable[Comparison]) -> Iterator[list[Comparison]]:

@@ -56,6 +56,17 @@ def multi_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.cumsum(deltas)
 
 
+def packed_sort(major: np.ndarray, minor: np.ndarray, factor: int) -> np.ndarray:
+    """``minor`` in ``(major, minor)`` order, from one sort of the packed
+    keys ``major * factor + minor`` (``0 <= minor < factor``, keys below
+    2**63): where each major's minors come ascending, what a stable sort
+    by ``major`` returns, at a fraction of its cost."""
+    packed = major * factor
+    packed += minor
+    packed.sort()
+    return packed % factor
+
+
 def _mass_cuts(sizes: np.ndarray, budget: int) -> list[int]:
     """Row-range boundaries of ~``budget`` total elements each.
 
@@ -74,8 +85,8 @@ def _mass_cuts(sizes: np.ndarray, budget: int) -> list[int]:
         np.searchsorted(ends, np.arange(budget, total, budget), side="left")
         + 1
     )
-    bounds = np.unique(np.concatenate([cuts, np.asarray([row_count])]))
-    return [0] + bounds.tolist()
+    # Not np.unique: its first call imports numpy.ma (1.4 MB resident).
+    return [0, *sorted({*cuts.tolist(), row_count})]
 
 
 def gather_rows(
@@ -186,12 +197,11 @@ class ArrayProfileIndex:
         return self
 
     def _build_pb(self, storage: ArrayStore | None = None) -> None:
-        # Transpose to the profile -> blocks CSR.  Entries are generated
-        # in ascending block-id order, so a stable sort by profile keeps
-        # each profile's block list ascending - the property the LeCoBI
-        # merge and the weighting accumulation order both rely on.
+        # Transpose to the profile -> blocks CSR, each profile's block
+        # list ascending - the property the LeCoBI merge and the
+        # weighting accumulation order both rely on.
         if storage is not None:
-            # Out-of-core: the same stable grouping via counting sort,
+            # Out-of-core: the same grouping via a stable counting sort,
             # with the entry -> block-id map derived chunk by chunk from
             # the indptr instead of one O(entries) np.repeat.
             bp_indptr = self.bp_indptr
@@ -212,8 +222,7 @@ class ArrayProfileIndex:
             return
         sizes = np.diff(self.bp_indptr)
         owners = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-        order = np.argsort(self.bp_indices, kind="stable")
-        self.pb_indices = owners[order]
+        self.pb_indices = packed_sort(self.bp_indices, owners, len(sizes))
         counts = np.bincount(self.bp_indices, minlength=self.n_profiles)
         self.pb_indptr = np.zeros(self.n_profiles + 1, dtype=np.int64)
         np.cumsum(counts, out=self.pb_indptr[1:])

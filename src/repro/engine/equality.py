@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Iterable, Iterator, Sequence
 
+from repro.core import comparisons
 from repro.core.comparisons import Comparison, comparison_chunks, to_comparisons
 from repro.engine import require_numpy
 from repro.engine.csr import ArrayProfileIndex, multi_arange
@@ -40,8 +41,9 @@ import numpy as np  # noqa: E402  (guarded optional dependency)
 
 def pps_schedule(
     payload: dict[str, Any], shard: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Range kernel: the Algorithm 6 emissions owned by profiles ``[lo, hi)``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Range kernel: the Algorithm 6 emissions of Sorted Profile List
+    positions ``[lo, hi)``.
 
     Processing the Sorted Profile List in order with a persistent
     ``checkedEntities`` set means edge (i, j) is considered exactly
@@ -51,40 +53,36 @@ def pps_schedule(
     owner segment at K_max reproduces the per-profile SortedStack
     drains end to end, without any per-profile Python work.
 
-    Returns ``(i, j, weight, owner rank)`` in that order.  An owner
-    lives in exactly one range, so over the whole axis this *is* the
-    emission, and over several ranges one stable sort of the outputs by
-    owner rank interleaves them into it.
+    Returns ``(i, j, weight)``.  Ranges are consecutive in rank, so
+    their outputs concatenated in range order *are* the emission.
     """
     lo, hi = shard
     indptr = payload["indptr"]
-    rank = payload["rank"]
-    start, stop = int(indptr[lo]), int(indptr[hi])
-    neighbors = np.asarray(payload["neighbors"][start:stop])
-    weights = np.asarray(payload["weights"][start:stop])
-    owners = np.repeat(
-        np.arange(lo, hi, dtype=np.int64), np.diff(indptr[lo : hi + 1])
-    )
-    keep = rank[neighbors] > rank[owners]
-    owner = owners[keep]
+    owners = payload["schedule"][lo:hi]
+    lengths = indptr[owners + 1] - indptr[owners]
+    entries = multi_arange(indptr[owners], lengths)
+    neighbors = np.asarray(payload["neighbors"][entries])
+    weights = np.asarray(payload["weights"][entries])
+    owner_rank = np.repeat(np.arange(lo, hi, dtype=np.int64), lengths)
+    keep = payload["rank"][neighbors] > owner_rank
+    owner_rank = owner_rank[keep]
     neighbor = neighbors[keep]
     weight = weights[keep]
 
-    owner_rank = rank[owner]
-    # The kept edges are owner-major with each row's neighbors ascending
+    # The kept edges are rank-major with each row's neighbors ascending
     # (for a fixed owner that is the canonical (i, j) order), so two
     # stable passes - by -weight, then by owner rank - give the
     # (owner rank, -weight, neighbor) order.
     by_weight = np.argsort(-weight, kind="stable")
     emission_order = by_weight[np.argsort(owner_rank[by_weight], kind="stable")]
-    segment_rank = owner_rank[emission_order]
-    kept = first_k_per_run(segment_rank, payload["k"])
-    selected = emission_order[kept]
+    selected = emission_order[
+        first_k_per_run(owner_rank[emission_order], payload["k"])
+    ]
+    owner = payload["schedule"][owner_rank[selected]]
     return (
-        np.minimum(owner[selected], neighbor[selected]),
-        np.maximum(owner[selected], neighbor[selected]),
+        np.minimum(owner, neighbor[selected]),
+        np.maximum(owner, neighbor[selected]),
         weight[selected],
-        segment_rank[kept],
     )
 
 
@@ -197,6 +195,11 @@ class ArrayPPSCore:
 
     __slots__ = ("index", "graph", "k_max", "fanout", "_checked", "_schedule", "_top")
 
+    #: Graph-row entries per range of the Sorted Profile List, ranked
+    #: when a pull reaches it: a budget that ends early never ranks the
+    #: rest (on ``decide-cddb`` the first range is 454 of 4,882 profiles).
+    RANGE_BUDGET = 1 << 16
+
     def __init__(
         self,
         index: ArrayProfileIndex,
@@ -281,8 +284,8 @@ class ArrayPPSCore:
     def sync_checked(self, checked: Iterable[int]) -> None:
         """Mirror a ``checkedEntities`` set into the boolean mask.
 
-        Always rebuilt from scratch: the hot emission path precomputes
-        the whole schedule in :meth:`schedule_arrays` and never passes
+        Always rebuilt from scratch: the hot emission path ranks the
+        schedule a range at a time in :meth:`chunks` and never passes
         through here, so per-call O(|checked|) is only paid by direct
         :meth:`PPS.profile_comparisons` API use - and rebuilding keeps
         arbitrary in-place set mutations (add/discard between calls)
@@ -308,48 +311,51 @@ class ArrayPPSCore:
 
     def chunks(self, k: int, exhaustive: bool) -> Iterator[list[Comparison]]:
         """Algorithm 6 as ranked chunks: the initial Comparison List
-        (consumed, like the reference's drain), the whole schedule once
-        that is spent, then with ``exhaustive`` the tail."""
+        (consumed, like the reference's drain), then the schedule, a
+        range of the Sorted Profile List ranked when a pull reaches it,
+        then with ``exhaustive`` the tail.
+
+        A range's short last chunk is topped up from the next range, so
+        every schedule chunk but the last holds ``CHUNK_SIZE``."""
         initial, self._top = self._top, None
-        emitted: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        n = self.index.n_profiles
+        emitted = [np.empty(0, dtype=np.int64)]
         if initial is not None:
             yield from comparison_chunks(*initial)
-            emitted.append(initial)
-        schedule = self.schedule_arrays(k)
-        yield from comparison_chunks(*schedule)
+            if exhaustive:
+                emitted.append(initial[0] * n + initial[1])
+        del initial  # nothing of it is resident while the schedule runs
+        none = np.empty(0, dtype=np.int64)
+        short = (none, none, np.empty(0))  # (i, j, weight) not yet handed over
+        for part in self._schedule_ranges(k):
+            if exhaustive:
+                emitted.append(part[0] * n + part[1])
+            i, j, weight = (np.concatenate(pair) for pair in zip(short, part))
+            whole = weight.size - weight.size % comparisons.CHUNK_SIZE
+            yield from comparison_chunks(i[:whole], j[:whole], weight[:whole])
+            short = (i[whole:], j[whole:], weight[whole:])
+        yield from comparison_chunks(*short)
         if exhaustive:
-            n = self.index.n_profiles
-            emitted.append(schedule)
-            yield from self.exhaustive_tail(
-                np.concatenate([i * n + j for i, j, _ in emitted])
-            )
+            yield from self.exhaustive_tail(np.concatenate(emitted))
 
-    def schedule_arrays(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The ranked ``(i, j, weight)`` of the entire Algorithm 6
-        schedule, precomputed by :func:`pps_schedule` over the fan-out's
-        owner ranges."""
-        graph = self.graph
-        n = self.index.n_profiles
+    def _schedule_ranges(
+        self, k: int
+    ) -> Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """:func:`pps_schedule` over ranges of ~``RANGE_BUDGET`` entries."""
+        graph, schedule, n = self.graph, self._schedule, self.index.n_profiles
         rank = np.full(n, n, dtype=np.int64)
-        rank[self._schedule] = np.arange(self._schedule.size, dtype=np.int64)
+        rank[schedule] = np.arange(schedule.size, dtype=np.int64)
         payload = {
             "indptr": graph.indptr,
             "neighbors": graph.neighbors,
             "weights": graph.weights,
             "rank": rank,
+            "schedule": schedule,
             "k": k,
         }
-        ranges = self.fanout.ranges(n, np.diff(graph.indptr))
-        parts = list(self.fanout.run(pps_schedule, payload, ranges))
-        if len(parts) == 1:
-            i, j, weight, _ = parts[0]
-        else:
-            i, j, weight, owner_rank = (
-                np.concatenate(column) for column in zip(*parts)
-            )
-            by_rank = np.argsort(owner_rank, kind="stable")
-            i, j, weight = i[by_rank], j[by_rank], weight[by_rank]
-        return i, j, weight
+        row_lengths = np.diff(graph.indptr)[schedule]
+        ranges = self.fanout.ranges(schedule.size, row_lengths, self.RANGE_BUDGET)
+        return self.fanout.run(pps_schedule, payload, ranges)
 
     def exhaustive_tail(self, emitted: np.ndarray) -> Iterator[list[Comparison]]:
         """Every comparison of the blocks whose key ``i * n + j`` is not

@@ -13,10 +13,11 @@ the one-range case.
 A :class:`Fanout` decides the rest - *which* ranges and *who* runs
 them.  This one is the engine's own: one inline range, or - when the
 caller names a ``budget`` because its outputs spill to disk, or because
-the ranges are PBS's progressive schedule - inline mass cuts of about
-that size, consumed one at a time so resident memory stays bounded and
-no range is computed before it is asked for.  :mod:`repro.parallel`
-supplies the other: mass-balanced ranges over a worker pool.
+the ranges are a progressive schedule (PBS's blocks, PPS's Sorted
+Profile List) - inline mass cuts of about that size, consumed one at a
+time so resident memory stays bounded and no range is computed before
+it is asked for.  :mod:`repro.parallel` supplies the other:
+mass-balanced ranges over a worker pool.
 
 Ranking scored pairs is deliberately *not* a pass here
 (:func:`repro.engine.topk.rank_pairs` is one stable sort in the caller):

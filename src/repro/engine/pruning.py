@@ -63,7 +63,7 @@ def directed_payload(
     """
     edge_ids = np.arange(i.size, dtype=np.int64)
     owners = np.concatenate([i, j])
-    order = np.argsort(owners * n + np.concatenate([j, i]), kind="stable")
+    order = np.argsort(owners * n + np.concatenate([j, i]))  # keys are unique
     owners = owners[order]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(owners, minlength=n), out=indptr[1:])

@@ -46,7 +46,11 @@ require_numpy("repro.engine.substrate")
 
 import numpy as np  # noqa: E402  (guarded optional dependency)
 
-from repro.engine.csr import ArrayProfileIndex, gather_rows  # noqa: E402
+from repro.engine.csr import (  # noqa: E402
+    ArrayProfileIndex,
+    gather_rows,
+    packed_sort,
+)
 from repro.engine.fanout import INLINE, Fanout  # noqa: E402
 from repro.engine.storage import (  # noqa: E402
     ArrayStore,
@@ -214,7 +218,8 @@ class ArraySubstrate:
         if self._token_rows is None:
             self._sweep()
             assert (
-                self._pair_tokens is not None
+                self._token_names is not None
+                and self._pair_tokens is not None
                 and self._pair_profiles is not None
             )
             n = len(self.store)
@@ -223,10 +228,12 @@ class ArraySubstrate:
             )
             indptr = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(counts, out=indptr[1:])
-            order = np.lexsort(
-                (np.asarray(self._pair_tokens), np.asarray(self._pair_profiles))
+            tokens = packed_sort(
+                np.asarray(self._pair_profiles),
+                np.asarray(self._pair_tokens),
+                len(self._token_names),
             )
-            self._token_rows = (indptr, np.asarray(self._pair_tokens)[order])
+            self._token_rows = (indptr, tokens)
         return self._token_rows
 
     # -- CSR postings over all tokens --------------------------------------
@@ -234,10 +241,10 @@ class ArraySubstrate:
     def _all_postings(self) -> tuple[np.ndarray, np.ndarray, list[str]]:
         """Alphabetical CSR postings over every interned token.
 
-        One stable sort of the pair arrays by alphabetical token rank:
+        One sort of the pairs' packed ``(token rank, profile)`` keys:
         tokens come out in sorted-key order (the reference's
-        ``sorted(buckets)``), profiles within a token in pair order
-        (the reference's bucket append order).
+        ``sorted(buckets)``), profiles within a token ascending - the
+        pair order, which is the reference's bucket append order.
         """
         if self._postings is None:
             self._sweep()
@@ -273,8 +280,7 @@ class ArraySubstrate:
                 self._postings = (indptr, profiles, keys)
                 return self._postings
             pair_rank = rank[self._pair_tokens]
-            order = np.argsort(pair_rank, kind="stable")
-            profiles = self._pair_profiles[order]
+            profiles = packed_sort(pair_rank, self._pair_profiles, len(self.store))
             sizes = np.bincount(pair_rank, minlength=token_count)
             indptr = np.zeros(token_count + 1, dtype=np.int64)
             np.cumsum(sizes, out=indptr[1:])
@@ -372,7 +378,8 @@ class ArraySubstrate:
         owner = np.repeat(np.arange(block_count, dtype=np.int64), b_sizes)
         # Per-profile assignment lists sorted by block rank - the
         # reference's ``block_indexes.sort(key=rank_of_block.__getitem__)``.
-        by_profile = np.lexsort((rank[owner], b_profiles))
+        # A profile is in a block once, so the packed keys are unique.
+        by_profile = np.argsort(b_profiles * block_count + rank[owner])
         sorted_profiles = b_profiles[by_profile]
         n = len(self.store)
         profile_counts = np.bincount(b_profiles, minlength=n)

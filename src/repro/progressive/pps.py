@@ -260,8 +260,9 @@ class PPS(ProgressiveMethod):
     def _chunks(self) -> Iterator[list[Comparison]]:
         if self._core is None:
             return super()._chunks()
-        # The whole schedule precomputed in one array pass; identical
-        # stream to the per-profile loop of _emit (parity-tested).
+        # The schedule ranked a range of the Sorted Profile List at a
+        # time, when a pull reaches it; identical stream to the
+        # per-profile loop of _emit (parity-tested).
         assert self.k_max is not None
         return self._core.chunks(self.k_max, self.exhaustive)
 

@@ -8,10 +8,10 @@ range kernel with exactly one range, the whole axis, while ``shards=4``
 calls the very same kernels, in the same sequence, with four ranges
 that partition it - and both emit the same stream.  (Ranking scored
 pairs is not such a pass: it is one stable sort in the caller on every
-backend.)  The one exception is PBS's block axis, which the inline
-fan-out cuts by budget because those ranges *are* the progressive
-schedule: the last section counts that a PBS pull weights a prefix of
-the blocks and builds no graph.
+backend.)  The two exceptions are PBS's block axis and PPS's Sorted
+Profile List, which the inline fan-out cuts by budget because those
+ranges *are* the progressive schedule: the last section counts that a
+PBS pull weights a prefix of the blocks and builds no graph.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.blocking.substrate import SubstrateSpec  # noqa: E402
 from repro.blocking.workflow import token_blocking_workflow  # noqa: E402
 from repro.datasets.registry import load_dataset  # noqa: E402
 from repro.engine import NumpyBackend  # noqa: E402
-from repro.engine.equality import ArrayPBSCore  # noqa: E402
+from repro.engine.equality import ArrayPBSCore, ArrayPPSCore  # noqa: E402
 from repro.engine.fanout import Fanout  # noqa: E402
 from repro.engine.matching import CascadeBatchMatcher  # noqa: E402
 from repro.matching.cascade import MatcherCascade  # noqa: E402
@@ -201,8 +201,9 @@ EXPECTED_KERNELS = {
 
 
 #: Kernels whose axis the inline fan-out cuts by budget: the ranges of
-#: PBS's block axis are the progressive schedule, not a memory bound.
-BUDGET_CUT = {"new_block_pairs"}
+#: PBS's block axis and of PPS's Sorted Profile List are the progressive
+#: schedule, not a memory bound.
+BUDGET_CUT = {"new_block_pairs", "pps_schedule"}
 
 
 def tiles(shards, hi):
@@ -219,8 +220,9 @@ def tiles(shards, hi):
 def test_numpy_is_the_one_range_case(
     case, dirty_dataset, clean_clean_store, monkeypatch
 ):
-    # Small enough that the fixtures' block axes span several ranges.
+    # Small enough that the fixtures' scheduled axes span several ranges.
     monkeypatch.setattr(ArrayPBSCore, "RANGE_BUDGET", 100)
+    monkeypatch.setattr(ArrayPPSCore, "RANGE_BUDGET", 100)
     for store in (dirty_dataset.store, clean_clean_store):
         whole_backend = NumpyBackend()
         whole = recorded(whole_backend)
