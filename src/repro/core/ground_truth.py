@@ -67,10 +67,10 @@ class GroundTruth:
         seed_pairs = {normalize_pair(i, j) for i, j in pairs}
         if closed:
             uf = _UnionFind()
-            for i, j in seed_pairs:  # repro-analyze: ignore[determinism] union-find closure is order-independent; clusters are sorted below
+            for i, j in seed_pairs:  # the closure is order-independent; clusters are sorted below
                 uf.union(i, j)
             members: dict[int, list[int]] = {}
-            for node in {p for pair in seed_pairs for p in pair}:  # repro-analyze: ignore[determinism] membership grouping is order-independent; groups are sorted below
+            for node in {p for pair in seed_pairs for p in pair}:  # groups are sorted below
                 members.setdefault(uf.find(node), []).append(node)
             clusters = [tuple(sorted(group)) for group in members.values()]
             closed_pairs: set[tuple[int, int]] = set()
@@ -89,10 +89,10 @@ class GroundTruth:
         pairs: set[tuple[int, int]],
     ) -> tuple[tuple[int, ...], ...]:
         uf = _UnionFind()
-        for i, j in pairs:  # repro-analyze: ignore[determinism] union-find closure is order-independent; clusters are sorted below
+        for i, j in pairs:  # the closure is order-independent; clusters are sorted below
             uf.union(i, j)
         members: dict[int, list[int]] = {}
-        for node in {p for pair in pairs for p in pair}:  # repro-analyze: ignore[determinism] membership grouping is order-independent; groups are sorted below
+        for node in {p for pair in pairs for p in pair}:  # groups are sorted below
             members.setdefault(uf.find(node), []).append(node)
         return tuple(sorted(tuple(sorted(group)) for group in members.values()))
 

@@ -27,9 +27,9 @@ harness depends on:
 
 Duplicates are corrupted with :class:`~repro.datasets.corruption.
 Corruptor` (keyboard typos, dropped tokens, digit errors) at a
-configurable rate.  Everything here is pure Python by design - the
-guarded-numpy rule keeps numpy out of ``repro.datasets`` - and the
-module is annotated for the ``mypy --strict`` gate.
+configurable rate.  Everything here is pure Python by design
+(``tests/test_optional_numpy.py`` keeps numpy out of the reference
+path), and the module is annotated for the ``mypy --strict`` gate.
 """
 
 from __future__ import annotations

@@ -119,7 +119,7 @@ def block_pairs(
         left_sizes = np.zeros(bhi - blo, dtype=np.int64)
         entry_owners = np.repeat(np.arange(bhi - blo, dtype=np.int64), sizes)
         members_all = np.asarray(bp_indices[bp_indptr[blo] : bp_indptr[bhi]])
-        np.add.at(left_sizes, entry_owners, sources[members_all] == 0)  # repro-analyze: ignore[determinism] integer count scatter, order-independent
+        np.add.at(left_sizes, entry_owners, sources[members_all] == 0)  # integer counts: any scatter order gives the same sums
         shapes = left_sizes * (int(sizes.max()) + 1) + sizes
     else:
         shapes = sizes

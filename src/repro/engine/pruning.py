@@ -182,7 +182,7 @@ def pruned_mask(
     for part in fanout.run(node_topk, payload, ranges):
         selected.append(part)
     votes = np.zeros(m, dtype=np.int64)
-    np.add.at(votes, selected.finish(), 1)  # repro-analyze: ignore[determinism] integer vote count, order-independent
+    np.add.at(votes, selected.finish(), 1)  # integer votes: any scatter order gives the same sums
     return votes >= 1 if algorithm == "CNP" else votes == 2
 
 

@@ -80,9 +80,7 @@ def decision_quality(
     predictions, precision is 0.0 by convention.
     """
     pairs = set(predicted)
-    true_positives = sum(
-        1 for pair in pairs if ground_truth.is_match(*pair)  # repro-analyze: ignore[determinism] pure count, order-independent
-    )
+    true_positives = sum(1 for pair in pairs if ground_truth.is_match(*pair))
     total = len(ground_truth)
     precision = true_positives / len(pairs) if pairs else 0.0
     recall = true_positives / total if total else 0.0

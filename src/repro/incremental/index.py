@@ -140,7 +140,7 @@ class IncrementalTokenIndex:
         if purge_limit is None:
             return len(self._blocks)
         return sum(
-            1 for token in self._blocks if len(self.postings[token]) <= purge_limit  # repro-analyze: ignore[determinism] pure count, order-independent
+            1 for token in self._blocks if len(self.postings[token]) <= purge_limit
         )
 
     def blocks_of_count(

@@ -138,9 +138,7 @@ class IncrementalWeighter:
             # index.valid_pair (not store.valid_comparison): an active
             # probe is indexed but not stored.
             count = sum(
-                1
-                for neighbor in neighbors  # repro-analyze: ignore[determinism] pure count, order-independent
-                if index.valid_pair(profile_id, neighbor)
+                1 for neighbor in neighbors if index.valid_pair(profile_id, neighbor)
             )
             if count:
                 degrees[profile_id] = count

@@ -77,7 +77,7 @@ class PoolFanout(Fanout):
         return balanced_ranges(int(n) if masses is None else masses, self.shards)
 
     def run(self, kernel: Kernel, payload: Any, shards: Sequence[Any]) -> list[Any]:
-        return self.pool.run(kernel, payload, shards)  # repro-analyze: ignore[fork-safety] kernel checked at the caller's fanout.run site
+        return self.pool.run(kernel, payload, shards)
 
     def merge_counts(
         self, parts: Sequence[tuple[np.ndarray, np.ndarray]]

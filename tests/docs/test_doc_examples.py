@@ -34,7 +34,6 @@ def test_documentation_is_present():
         "migration.md",
         "parallel.md",
         "service.md",
-        "static-analysis.md",
     } <= names
 
 

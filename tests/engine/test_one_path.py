@@ -6,9 +6,10 @@ and the engine resolves end to end (RAM and memmap) with the package
 blocked.  *One kernel per pass*: the ``numpy`` RAM backend calls every
 range kernel with exactly one range, the whole axis, while ``shards=4``
 calls the very same kernels, in the same sequence, with four ranges
-that partition it - and both emit the same stream.  (Ranking scored
-pairs is not such a pass: it is one stable sort in the caller on every
-backend.)  The two exceptions are PBS's block axis and PPS's Sorted
+that partition it - and both emit the same stream; every kernel a pool
+can be sent pickles by reference, as a worker unpickles it.  (Ranking
+scored pairs is not such a pass: it is one stable sort in the caller on
+every backend.)  The two exceptions are PBS's block axis and PPS's Sorted
 Profile List, which the inline fan-out cuts by budget because those
 ranges *are* the progressive schedule: the last section counts that a
 PBS pull weights a prefix of the blocks and builds no graph.
@@ -20,6 +21,7 @@ import ast
 import itertools
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -111,12 +113,13 @@ def test_engine_runs_with_parallel_blocked():
 
 
 class Recording(Fanout):
-    """A fan-out that notes each ``run`` before delegating it, and each
-    shard when its kernel actually executes."""
+    """A fan-out that notes each ``run`` (and its kernel) before
+    delegating it, and each shard when its kernel actually executes."""
 
     def __init__(self, inner):
         self.inner = inner
         self.calls: list[tuple[str, list]] = []
+        self.kernels: list = []
         self.executed: list[tuple[str, tuple]] = []
 
     def ranges(self, n, masses=None, budget=None):
@@ -124,6 +127,7 @@ class Recording(Fanout):
 
     def run(self, kernel, payload, shards):
         self.calls.append((kernel.__name__, list(shards)))
+        self.kernels.append(kernel)
 
         def noting(payload, shard):
             self.executed.append((kernel.__name__, shard))
@@ -235,6 +239,10 @@ def test_numpy_is_the_one_range_case(
         finally:
             sharded_backend.close()
         assert {name for name, _ in whole.calls} == EXPECTED_KERNELS[case]
+        # A pool worker gets each kernel by module path: a lambda, closure
+        # or bound method would not survive the trip.
+        for kernel in whole.kernels + sharded.kernels:
+            assert pickle.loads(pickle.dumps(kernel)) is kernel
         # Same kernels, same sequence - only the ranges differ.
         assert [name for name, _ in whole.calls] == [
             name for name, _ in sharded.calls

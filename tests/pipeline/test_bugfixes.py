@@ -38,6 +38,13 @@ from repro.errors import ConfigError, SessionClosed
 from repro.pipeline import ERPipeline, resolve
 from repro.pipeline.config import MatchConfig, PipelineConfig
 
+BACKENDS = [
+    "python",
+    pytest.param(
+        "numpy", marks=pytest.mark.skipif(not HAS_NUMPY, reason="needs numpy")
+    ),
+]
+
 
 @pytest.fixture()
 def records():
@@ -153,6 +160,12 @@ class TestZeroBudgets:
         single = resolve(records, method="ONLINE", purge=None, budget=1)
         assert len(single.pairs) == 1 and single.emitted == 1
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("kind", ["budget", "seconds"])
+    def test_resolve_zero_budget_on_each_backend(self, records, kind, backend):
+        result = resolve(records, purge=None, backend=backend, **{kind: 0})
+        assert result.pairs == [] and result.emitted == 0
+
     def test_zero_seconds_emits_nothing(self, records):
         """Regression: budget(seconds=0) used to raise at config time."""
         resolver = (
@@ -242,16 +255,7 @@ class TestSpecValidationHoles:
 
 
 class TestSessionProtocol:
-    @pytest.mark.parametrize(
-        "backend",
-        [
-            "python",
-            pytest.param(
-                "numpy",
-                marks=pytest.mark.skipif(not HAS_NUMPY, reason="needs numpy"),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_resumed_decision_stream_delivers_the_rest_of_the_batch(self, backend):
         data = load_dataset("cddb", scale=0.05, seed=0)
         pipeline = (

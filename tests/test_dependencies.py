@@ -22,7 +22,7 @@ tomllib = pytest.importorskip("tomllib")
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-FIRST_PARTY = {"repro", "tests", "benchmarks", "tools"}
+FIRST_PARTY = {"repro", "tests", "benchmarks"}
 
 
 def module_level_imports(path: pathlib.Path) -> set[str]:

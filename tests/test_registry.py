@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.registry import (
+    _REGISTRIES,
     ComponentRegistry,
     blocking_schemes,
     get_registry,
@@ -158,3 +159,48 @@ class TestStockRegistries:
             assert matchers.build("MYM", threshold=0.9).threshold == 0.9
         finally:
             matchers.unregister("my-matcher")
+
+
+def registration_drift(registry: ComponentRegistry) -> list[str]:
+    """Where ``registry``'s records disagree with themselves or a factory.
+
+    An alias onto the entry's own name is dead weight; one onto another
+    entry's name is unreachable (exact entries win), and one onto
+    another entry's alias hides the first registration.  The pruning
+    dispatcher forwards ``k`` exactly when ``takes_k`` is set, so the
+    flag must match the factory's parameters.
+    """
+    names = {normalize(name): name for name in registry.names()}
+    owners: dict[str, str] = {}
+    drift = []
+    for name in registry.names():
+        entry = registry.entry(name)
+        for alias in entry.aliases:
+            key = normalize(alias)
+            if names.get(key) == name:
+                drift.append(f"{name}: alias {alias!r} is its own name")
+            elif key in names:
+                drift.append(f"{name}: alias {alias!r} is the name of {names[key]!r}")
+            elif owners.setdefault(key, name) != name:
+                drift.append(f"{name}: alias {alias!r} is an alias of {owners[key]!r}")
+        if bool(entry.metadata.get("takes_k")) != registry.accepts(name, "k"):
+            drift.append(f"{name}: takes_k does not match {entry.signature()}")
+    return drift
+
+
+@pytest.mark.parametrize("kind", sorted(_REGISTRIES))
+def test_registration_records_match_their_factories(kind):
+    assert registration_drift(_REGISTRIES[kind]) == []
+
+
+def test_registration_drift_is_caught():
+    registry = ComponentRegistry("widget")
+    registry.register("one", lambda k=1: k, aliases=("ONE", "two", "uno"))
+    registry.register("two", lambda: 2, aliases=("uno",), takes_k=True)
+    assert registration_drift(registry) == [
+        "one: alias 'ONE' is its own name",
+        "one: alias 'two' is the name of 'two'",
+        "one: takes_k does not match (k=1)",
+        "two: alias 'uno' is an alias of 'one'",
+        "two: takes_k does not match ()",
+    ]
