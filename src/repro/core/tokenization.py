@@ -47,7 +47,13 @@ class Tokenizer:
     keep_numeric: bool = True
 
     def tokens(self, value: str) -> list[str]:
-        """Tokens of a single attribute value, in order of appearance."""
+        """Tokens of a single attribute value, in order of appearance.
+
+        The array engine's sweep (``repro.engine.substrate``) reproduces
+        this from the values' UTF-8 bytes, reading only the three
+        fields: the pattern's class is ASCII, so its matches are the
+        byte runs of that class.
+        """
         if self.lowercase and value.isascii():
             # Lowercasing an ASCII value first yields the same tokens
             # (ASCII lower() never moves characters in or out of the

@@ -8,8 +8,17 @@ with no ``Block``-object intermediate:
 
 1. **Token-id interning** - a single tokenization sweep emits parallel
    ``(token_id, profile_id)`` arrays (ids interned in first-appearance
-   order), grouped into CSR postings by one stable sort over the
-   alphabetical token ranks - never a dict-of-lists.
+   order), grouped into CSR postings by one sort of packed
+   ``(token rank, profile)`` keys - never a dict-of-lists.  The sweep
+   works on the UTF-8 bytes of a range's values joined by spaces: an
+   ``[A-Za-z0-9]`` byte table marks the token runs, byte tables and
+   masks apply the Tokenizer's lowercase, ``min_length`` and
+   ``keep_numeric``, and tokens packed into zero-padded 64-bit words
+   are interned by sorting, with no Python object per token.  This is
+   exactly ``Tokenizer.tokens`` for every ``str``: the pattern's class
+   is ASCII and every byte of a non-ASCII character is >= 0x80, so the
+   byte runs are the pattern's matches.  A Tokenizer subclass is
+   refused, as the sweep would not run its overrides.
 2. **Vectorized Block Purging / Block Filtering** - the paper's two
    pruning steps (drop blocks with more than ``purge_ratio`` of the
    profiles; keep each profile in ``ceil(filter_ratio * |B_i|)`` of its
@@ -36,11 +45,15 @@ store, in bounded inline ranges (storage) or sharded over a worker pool.
 from __future__ import annotations
 
 import random
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Any
 
 from repro.blocking.substrate import SubstrateSpec, check_order
 from repro.core.profiles import ERType, ProfileStore
+from repro.core.tokenization import Tokenizer
 from repro.engine import require_numpy
+from repro.errors import ConfigError
 
 require_numpy("repro.engine.substrate")
 
@@ -63,6 +76,46 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.neighborlist.neighbor_list import NeighborList
 
 
+_BYTE = np.arange(256, dtype=np.uint8)
+#: UTF-8 byte classes of the token pattern ``[A-Za-z0-9]`` (item 1 above
+#: says why its byte runs are the pattern's matches).
+_ALPHA = ((_BYTE | 0x20) >= ord("a")) & ((_BYTE | 0x20) <= ord("z"))
+_ALNUM = _ALPHA | ((_BYTE >= ord("0")) & (_BYTE <= ord("9")))
+#: ASCII ``str.lower`` of a byte: A-Z -> a-z, every other byte as is.
+_LOWER = np.where((_BYTE >= ord("A")) & (_BYTE <= ord("Z")), _BYTE | 0x20, _BYTE)
+#: Little-endian masks of a word's first 0..8 bytes.
+_PREFIX = np.array([(1 << 8 * size) - 1 for size in range(9)], dtype=np.uint64)
+
+
+def _token_word(
+    words: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    members: np.ndarray,
+    k: int,
+) -> np.ndarray:
+    """Bytes ``8k .. 8k + 7`` of the member tokens as zero-padded words:
+    two aligned little-endian words of the text shifted together."""
+    at = starts[members]
+    at += 8 * k
+    shift = at.astype(np.uint8) & 7
+    shift <<= 3
+    at >>= 3
+    word = words[at]
+    word >>= shift
+    at += 1
+    high = words[at]
+    del at
+    # ``(x << 1) << (63 - s)`` is ``x << (64 - s)``, and 0 for s == 0.
+    high <<= 1
+    np.subtract(63, shift, out=shift)
+    high <<= shift
+    word |= high
+    del high
+    word &= _PREFIX[np.minimum(lengths[members] - 8 * k, 8)]
+    return word
+
+
 def tokenize_range(
     payload: dict[str, Any], shard: tuple[int, int]
 ) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -72,26 +125,117 @@ def tokenize_range(
     local token id of every ``(profile, token)`` pair (profile-major,
     each profile's distinct tokens in first-appearance order - the exact
     order of :func:`repro.core.tokenization.token_stream`) and the
-    per-profile token counts.
+    per-profile token counts.  Array passes over the UTF-8 bytes of the
+    range's values joined by spaces (see the module docstring); only the
+    distinct tokens become ``str``.
     """
     lo, hi = shard
     store = payload["store"]
     tokenizer = payload["tokenizer"]
-    intern: dict[str, int] = {}
-    setdefault = intern.setdefault
-    token_ids: list[int] = []
-    append = token_ids.append
-    counts: list[int] = []
-    for profile_id in range(lo, hi):
-        tokens = tokenizer.distinct_profile_tokens(store[profile_id])
-        counts.append(len(tokens))
-        for token in tokens:
-            append(setdefault(token, len(intern)))
-    return (
-        list(intern),
-        np.asarray(token_ids, dtype=np.int64),
-        np.asarray(counts, dtype=np.int64),
-    )
+    pairs = list(map(attrgetter("pairs"), map(store.__getitem__, range(lo, hi))))
+    values = list(map(itemgetter(1), chain.from_iterable(pairs)))
+    # Character offset of each profile's end: a space follows each value.
+    value_ends = np.zeros(len(values) + 1, dtype=np.int64)
+    sizes = np.fromiter(map(len, values), dtype=np.int64, count=len(values))
+    np.cumsum(sizes + 1, out=value_ends[1:])
+    counts = np.fromiter(map(len, pairs), dtype=np.int64, count=hi - lo)
+    profile_ends = value_ends[np.cumsum(counts)]
+    encoded = " ".join(values).encode("utf-8", "surrogatepass")
+    del pairs, values, value_ends, sizes, counts
+    # The bytes after one guard byte, zero-padded to whole little-endian
+    # words and one spare: a zero is no token byte.
+    text = np.zeros(8 * (len(encoded) // 8 + 2), dtype=np.uint8)
+    text[1 : len(encoded) + 1] = np.frombuffer(encoded, dtype=np.uint8)
+    del encoded
+    if tokenizer.lowercase:
+        text = _LOWER[text]
+
+    # Token runs, then the Tokenizer's min_length and keep_numeric.
+    alnum = _ALNUM[text]
+    edges = np.flatnonzero(alnum[1:] != alnum[:-1])
+    del alnum
+    starts = edges[0::2] + 1
+    lengths = edges[1::2] - edges[0::2]
+    del edges
+    keep = lengths >= tokenizer.min_length
+    if not tokenizer.keep_numeric:
+        # Runs are apart, so each reduction sees one run's letters.
+        keep &= np.logical_or.reduceat(_ALPHA[text], starts)
+    starts, lengths = starts[keep], lengths[keep]
+    del keep
+    # Owners: the tokens' character offsets (a UTF-8 continuation byte
+    # starts no character) against the profile ends.
+    continuation = np.flatnonzero((text & 0xC0) == 0x80)
+    offsets = starts - 1 - np.searchsorted(continuation, starts)
+    per_profile = np.diff(np.searchsorted(offsets, profile_ends), prepend=0)
+    owners = np.repeat(np.arange(hi - lo, dtype=np.int64), per_profile)
+    del continuation, offsets, per_profile
+
+    # Exact interning, no hashing: tokens of one word count compare as
+    # rows of zero-padded words (no token holds a NUL), so one sort per
+    # word count gives dense ids ...
+    words = text.view("<u8")
+    token_count = len(starts)
+    widths = (lengths + 7) >> 3
+    local = np.empty(token_count, dtype=np.int64)
+    distinct = 0
+    for width in np.flatnonzero(np.bincount(widths)).tolist():
+        members = np.flatnonzero(widths == width)
+        keys = [
+            _token_word(words, starts, lengths, members, k) for k in range(width)
+        ]
+        order = np.lexsort(keys[::-1]) if width > 1 else np.argsort(keys[0])
+        same = np.zeros(len(order), dtype=bool)
+        same[1:] = True
+        for key in keys:
+            key = key[order]
+            same[1:] &= key[1:] == key[:-1]
+        del keys
+        dense = (~same).astype(np.int64)
+        np.cumsum(dense, out=dense)
+        dense += distinct - 1
+        local[members[order]] = dense
+        distinct = int(dense[-1]) + 1
+        del members, order, same, dense
+    del widths
+    # ... and one sort of packed (id, position) keys lists each id's
+    # occurrences in order: the first is its first appearance, and one
+    # in the same profile as the occurrence before it is a repeat.
+    by_id = packed_sort(local, np.arange(token_count, dtype=np.int64), token_count)
+    ids, holders = local[by_id], owners[by_id]
+    kept = np.ones(token_count, dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=kept[1:])
+    first = by_id[kept]
+    kept[1:] |= holders[1:] != holders[:-1]
+    unique = np.empty(token_count, dtype=bool)
+    unique[by_id] = kept
+    del by_id, ids, holders, kept
+
+    # Ids by first appearance.
+    by_appearance = np.argsort(first)
+    rank = np.empty(distinct, dtype=np.int64)
+    rank[by_appearance] = np.arange(distinct, dtype=np.int64)
+    token_ids = rank[local[unique]]
+    counts = np.bincount(owners[unique], minlength=hi - lo)
+    first = first[by_appearance]
+    del by_appearance, rank, local, owners, unique
+    # Names, decoded for the distinct tokens only: each one's first run
+    # and the byte after it (made a space), in id order.  The source of
+    # each byte is a cumulative sum of steps through the text: 1 inside
+    # a run, a jump to the next run's start between runs.
+    name_starts = starts[first]
+    sizes = lengths[first] + 1
+    ends = np.cumsum(sizes)
+    at = np.ones(int(sizes.sum()), dtype=np.int64)
+    at[:1] = name_starts[:1]
+    at[ends[:-1]] = name_starts[1:] - (name_starts[:-1] + sizes[:-1] - 1)
+    np.cumsum(at, out=at)
+    joined = text[at]
+    del at, text, words
+    joined[ends - 1] = ord(" ")
+    names = joined.tobytes().decode("ascii").split(" ")
+    names.pop()
+    return names, token_ids, counts
 
 
 class ArraySubstrate:
@@ -118,6 +262,14 @@ class ArraySubstrate:
         storage: ArrayStore | None = None,
         fanout: Fanout = INLINE,
     ) -> None:
+        if type(spec.tokenizer) is not Tokenizer:
+            # The sweep reads the three Tokenizer fields and never calls
+            # a method: an override would be silently ignored.
+            raise ConfigError(
+                f"the array backends tokenize with Tokenizer's fields only"
+                f" and cannot run a {type(spec.tokenizer).__name__}: use "
+                'backend="python" for a custom tokenizer'
+            )
         self.store = store
         self.spec = spec
         self.fanout = fanout

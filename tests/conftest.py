@@ -14,6 +14,55 @@ import pytest
 
 from repro.core.ground_truth import GroundTruth
 from repro.core.profiles import EntityProfile, ERType, ProfileStore
+from repro.core.tokenization import Tokenizer
+from repro.engine import HAS_NUMPY
+
+
+class SweepCounter:
+    """Profiles tokenized, per path: ``tokenizer`` counts
+    ``Tokenizer.distinct_profile_tokens`` calls (the python backend's
+    sweep), ``kernel`` the profiles that
+    ``repro.engine.substrate.tokenize_range`` calls covered (the sum of
+    ``hi - lo``: the array backends' sweep)."""
+
+    def __init__(self) -> None:
+        self.tokenizer = 0
+        self.kernel = 0
+
+    def profiles(self, backend: str) -> int:
+        """Profiles ``backend``'s sweep tokenized; the other path must
+        not have run at all."""
+        if backend == "python":
+            ours, other = self.tokenizer, self.kernel
+        else:
+            ours, other = self.kernel, self.tokenizer
+        assert other == 0
+        return ours
+
+
+@pytest.fixture()
+def sweep_counter(monkeypatch) -> SweepCounter:
+    """Counts tokenized profiles on every backend (see SweepCounter)."""
+    counter = SweepCounter()
+    original = Tokenizer.distinct_profile_tokens
+
+    def counting(self, profile):
+        counter.tokenizer += 1
+        return original(self, profile)
+
+    monkeypatch.setattr(Tokenizer, "distinct_profile_tokens", counting)
+    if HAS_NUMPY:
+        from repro.engine import substrate
+
+        kernel = substrate.tokenize_range
+
+        def counting_kernel(payload, shard):
+            lo, hi = shard
+            counter.kernel += hi - lo
+            return kernel(payload, shard)
+
+        monkeypatch.setattr(substrate, "tokenize_range", counting_kernel)
+    return counter
 
 
 @pytest.fixture()

@@ -12,8 +12,8 @@ Three contracts from the decision-layer refactor:
   tier-0/tier-1 fast path is a bit-identical replica of the pure
   loop.
 * **Zero re-tokenization**: the engine batch path serves both cheap
-  tiers from the substrate's single sweep (the PR 7 tokenizer-call
-  counter stays at one call per profile).
+  tiers from the substrate's single sweep (the ``sweep_counter``
+  fixture counts each profile once, and no tokenizer call besides).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import time
 import pytest
 
 from repro.core.profiles import ProfileStore
-from repro.core.tokenization import Tokenizer
 from repro.engine import HAS_NUMPY
 from repro.pipeline import ERPipeline
 from repro.service.snapshot import stream_digest
@@ -164,18 +163,6 @@ class TestDecisionParity:
 
 
 class TestZeroRetokenization:
-    @pytest.fixture
-    def sweep_counter(self, monkeypatch):
-        calls = {"count": 0}
-        original = Tokenizer.distinct_profile_tokens
-
-        def counting(self, profile):
-            calls["count"] += 1
-            return original(self, profile)
-
-        monkeypatch.setattr(Tokenizer, "distinct_profile_tokens", counting)
-        return calls
-
     def test_batch_path_decides_off_the_single_sweep(self, sweep_counter):
         if not HAS_NUMPY:
             pytest.skip("numpy backends unavailable")
@@ -186,7 +173,7 @@ class TestZeroRetokenization:
         # The batched tier-0/tier-1 path engaged and decided every
         # emitted comparison without re-tokenizing a single profile.
         assert resolver._batcher is not None and resolver._batcher.eligible
-        assert sweep_counter["count"] == len(resolver.store)
+        assert sweep_counter.profiles("numpy") == len(resolver.store)
 
     def test_python_reference_also_stays_single_sweep(self, sweep_counter):
         # The pure loop tokenizes through the matchers' own tokenizer

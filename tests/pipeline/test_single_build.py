@@ -3,8 +3,10 @@
 The session substrate is the only component allowed to touch the store's
 attribute values; every consumer (method initialization, graph pruning,
 block introspection) derives from its cached sweep.  The regression
-tests count actual ``Tokenizer.distinct_profile_tokens`` calls - exactly
-one per profile means exactly one sweep.
+tests count the profiles each backend's sweep tokenizes (the shared
+``sweep_counter`` fixture: ``Tokenizer.distinct_profile_tokens`` calls
+on python, profiles covered by ``tokenize_range`` calls on the array
+backends) - exactly ``len(store)`` means exactly one sweep.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import random
 
 import pytest
 
-from repro.core.tokenization import Tokenizer
 from repro.engine import HAS_NUMPY
 from repro.pipeline import ERPipeline
 
@@ -35,20 +36,6 @@ def make_data(n: int = 40, seed: int = 13) -> list[dict[str, str]]:
     ]
 
 
-@pytest.fixture
-def sweep_counter(monkeypatch):
-    """Counts per-profile tokenizations across every Tokenizer instance."""
-    calls = {"count": 0}
-    original = Tokenizer.distinct_profile_tokens
-
-    def counting(self, profile):
-        calls["count"] += 1
-        return original(self, profile)
-
-    monkeypatch.setattr(Tokenizer, "distinct_profile_tokens", counting)
-    return calls
-
-
 def pipeline_for(method: str, backend: str) -> ERPipeline:
     pipeline = ERPipeline().method(method).backend(backend)
     if backend == "numpy-parallel":
@@ -67,7 +54,7 @@ class TestOneSweepPerResolve:
         resolver = pipeline_for(method, backend).fit(make_data())
         emitted = sum(1 for _ in resolver.stream())
         assert emitted > 0
-        assert sweep_counter["count"] == len(resolver.store)
+        assert sweep_counter.profiles(backend) == len(resolver.store)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_pruning_stage_shares_the_sweep(self, sweep_counter, backend):
@@ -76,7 +63,7 @@ class TestOneSweepPerResolve:
         )
         emitted = sum(1 for _ in resolver.stream())
         assert emitted > 0
-        assert sweep_counter["count"] == len(resolver.store)
+        assert sweep_counter.profiles(backend) == len(resolver.store)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_blocks_property_costs_no_extra_sweep(self, sweep_counter, backend):
@@ -84,7 +71,7 @@ class TestOneSweepPerResolve:
         list(resolver.stream())
         assert resolver.blocks is not None
         assert len(resolver.blocks) > 0
-        assert sweep_counter["count"] == len(resolver.store)
+        assert sweep_counter.profiles(backend) == len(resolver.store)
 
     def test_substrate_is_shared_between_resolver_and_method(self):
         resolver = pipeline_for("PPS", "python").fit(make_data())
@@ -100,7 +87,7 @@ class TestOneSweepPerResolve:
         resolver.reset()
         list(resolver.stream())
         # reset() rebuilds the method but reuses the session substrate.
-        assert sweep_counter["count"] == len(resolver.store)
+        assert sweep_counter.profiles("python") == len(resolver.store)
 
 
 class TestSubstrateOptOut:
