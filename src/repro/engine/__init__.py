@@ -173,8 +173,9 @@ ParallelBackend` with a live pool) override it.  Idempotent.
             f"backend {self.name!r} has no vectorized PBS core"
         )
 
-    def psn_core(self, neighbor_list: Any, store: Any, weighting: Any) -> Any:
-        """The LS/GS-PSN window-scoring core over one Neighbor List."""
+    def psn_core(self, neighbor_list: Any, substrate: Any, weighting: Any) -> Any:
+        """The LS/GS-PSN window-scoring core over one Neighbor List of
+        the backend's own array ``substrate``."""
         raise NotImplementedError(
             f"backend {self.name!r} has no vectorized PSN core"
         )
@@ -301,11 +302,11 @@ class NumpyBackend(Backend):
 
         return ArrayPBSCore(index, graph, fanout=self.fanout())
 
-    def psn_core(self, neighbor_list: Any, store: Any, weighting: Any) -> Any:
+    def psn_core(self, neighbor_list: Any, substrate: Any, weighting: Any) -> Any:
         self.require()
         from repro.engine.similarity import ArrayPSNCore
 
-        return ArrayPSNCore(neighbor_list, store, weighting, fanout=self.fanout())
+        return ArrayPSNCore(neighbor_list, substrate, weighting, fanout=self.fanout())
 
     def ranked_edges(self, graph: Any) -> Any:
         self.require()

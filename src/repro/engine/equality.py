@@ -243,11 +243,16 @@ class ArrayPPSCore:
             return []
         owners = np.repeat(np.arange(n, dtype=np.int64), row_lengths)
 
-        # Likelihoods: reorder each row into encounter order (one int
-        # argsort - the global first-event index is owner-major already),
-        # then one bincount accumulates every row left-to-right
-        # (bit-identical to the reference's dict-iteration sum).
-        encounter = np.argsort(graph.first_event_index)
+        # Likelihoods: reorder each row into encounter order, then one
+        # bincount accumulates every row left-to-right (bit-identical to
+        # the reference's dict-iteration sum).  The first-event indexes
+        # are distinct and owner-major, so scattering each entry to its
+        # index and reading the slots in order is that order.
+        first_events = np.asarray(graph.first_event_index)
+        slot = np.full(int(first_events.max()) + 1, -1, dtype=np.int64)
+        slot[first_events] = np.arange(first_events.size, dtype=np.int64)
+        encounter = slot[slot >= 0]
+        del slot
         sums = np.bincount(
             owners[encounter], weights=graph.weights[encounter], minlength=n
         )
@@ -260,8 +265,8 @@ class ArrayPPSCore:
         row_max = np.maximum.reduceat(graph.weights, graph.indptr[present])
         dense_max = np.empty(n, dtype=np.float64)
         dense_max[present] = row_max
-        ties = np.nonzero(graph.weights == dense_max[owners])[0]
-        ties = ties[np.argsort(graph.first_event_index[ties])]
+        is_tie = graph.weights == dense_max[owners]
+        ties = encounter[is_tie[encounter]]
         best = ties[run_heads(owners[ties])]  # one entry per present profile, ascending
         best_neighbors = graph.neighbors[best]
         best_weights = graph.weights[best]

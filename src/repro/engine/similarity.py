@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.comparisons import Comparison, to_comparisons
-from repro.core.profiles import ERType, ProfileStore
+from repro.core.profiles import ERType
 from repro.engine import require_numpy
 from repro.engine.fanout import INLINE, Fanout
 from repro.engine.topk import rank_pairs
@@ -37,6 +37,7 @@ require_numpy("repro.engine.similarity")
 import numpy as np  # noqa: E402  (guarded optional dependency)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.substrate import ArraySubstrate
     from repro.neighborlist.neighbor_list import NeighborList
 
 
@@ -86,8 +87,10 @@ class ArrayPSNCore:
     ----------
     neighbor_list:
         The (already built) Neighbor List; only ``entries`` is read.
-    store:
-        Task shape provider (Dirty vs Clean-clean validity).
+    substrate:
+        The array substrate the list came from: its store gives the
+        task shape (Dirty vs Clean-clean validity), its sweep the
+        profiles' sources.
     weighting:
         A :class:`NeighborWeighting` strategy instance.  RCF and CF run
         fully vectorized; any other strategy gets vectorized frequencies
@@ -109,24 +112,20 @@ class ArrayPSNCore:
     def __init__(
         self,
         neighbor_list: "NeighborList",
-        store: ProfileStore,
+        substrate: "ArraySubstrate",
         weighting: NeighborWeighting,
         fanout: Fanout = INLINE,
     ) -> None:
         self.entries = np.asarray(neighbor_list.entries, dtype=np.int64)
         self.weighting = weighting
         self.fanout = fanout
-        self.n_profiles = len(store)
+        self.n_profiles = len(substrate.store)
         # One payload object for the whole core: a pooled fan-out ships
         # it once and every window of an LS-PSN run reuses it.
         self._payload: dict[str, Any] = {
             "entries": self.entries,
-            "sources": np.fromiter(
-                (profile.source for profile in store),
-                dtype=np.int64,
-                count=self.n_profiles,
-            ),
-            "clean_clean": store.er_type is ERType.CLEAN_CLEAN,
+            "sources": substrate.sources(),
+            "clean_clean": substrate.store.er_type is ERType.CLEAN_CLEAN,
             "n_profiles": self.n_profiles,
         }
         self._appearances = np.bincount(self.entries, minlength=self.n_profiles)

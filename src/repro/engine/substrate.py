@@ -6,19 +6,21 @@ Filtering as Python loops over them.  This module takes a
 ``ProfileStore`` straight to :class:`~repro.engine.csr.ArrayProfileIndex`
 with no ``Block``-object intermediate:
 
-1. **Token-id interning** - a single tokenization sweep emits parallel
-   ``(token_id, profile_id)`` arrays (ids interned in first-appearance
-   order), grouped into CSR postings by one sort of packed
-   ``(token rank, profile)`` keys - never a dict-of-lists.  The sweep
-   works on the UTF-8 bytes of a range's values joined by spaces: an
-   ``[A-Za-z0-9]`` byte table marks the token runs, byte tables and
-   masks apply the Tokenizer's lowercase, ``min_length`` and
-   ``keep_numeric``, and tokens packed into zero-padded 64-bit words
-   are interned by sorting, with no Python object per token.  This is
+1. **Token ids are alphabetical ranks** - a single tokenization sweep
+   emits parallel ``(token_id, profile_id)`` arrays in which a token's
+   id is its rank in the sorted vocabulary, so the CSR postings are one
+   sort of packed ``(token id, profile)`` keys - never a dict-of-lists,
+   never a sort of names.  The sweep works on the UTF-8 bytes of a
+   range's values joined by spaces: the ``[A-Za-z0-9]`` byte class
+   marks the token runs, uint8 arithmetic and masks apply the
+   Tokenizer's lowercase, ``min_length`` and ``keep_numeric``, and
+   tokens packed into zero-padded 64-bit words are interned by sorting
+   the words read big-endian, with no Python object per token.  This is
    exactly ``Tokenizer.tokens`` for every ``str``: the pattern's class
    is ASCII and every byte of a non-ASCII character is >= 0x80, so the
-   byte runs are the pattern's matches.  A Tokenizer subclass is
-   refused, as the sweep would not run its overrides.
+   byte runs are the pattern's matches, and on ``[A-Za-z0-9]+`` tokens
+   byte order is ``str`` order.  A Tokenizer subclass is refused, as
+   the sweep would not run its overrides.
 2. **Vectorized Block Purging / Block Filtering** - the paper's two
    pruning steps (drop blocks with more than ``purge_ratio`` of the
    profiles; keep each profile in ``ceil(filter_ratio * |B_i|)`` of its
@@ -30,7 +32,9 @@ with no ``Block``-object intermediate:
 3. **Lazy views** - the profile index in schedule or alphabetical
    order, the final blocks as reference objects (only when a consumer
    insists), and the schema-agnostic Neighbor List - all served from
-   the one cached sweep.
+   the one cached sweep.  Purge and filter carry token ids; the
+   vocabulary stays a byte buffer, and names are decoded, once, only
+   for the two views that show block keys.
 
 The float comparisons match the reference exactly: the purge limit is
 the same Python float product compared against exactly-representable
@@ -65,6 +69,7 @@ from repro.engine.csr import (  # noqa: E402
     packed_sort,
 )
 from repro.engine.fanout import INLINE, Fanout  # noqa: E402
+from repro.engine.segments import run_heads  # noqa: E402
 from repro.engine.storage import (  # noqa: E402
     ArrayStore,
     collector,
@@ -76,13 +81,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.neighborlist.neighbor_list import NeighborList
 
 
-_BYTE = np.arange(256, dtype=np.uint8)
-#: UTF-8 byte classes of the token pattern ``[A-Za-z0-9]`` (item 1 above
-#: says why its byte runs are the pattern's matches).
-_ALPHA = ((_BYTE | 0x20) >= ord("a")) & ((_BYTE | 0x20) <= ord("z"))
-_ALNUM = _ALPHA | ((_BYTE >= ord("0")) & (_BYTE <= ord("9")))
-#: ASCII ``str.lower`` of a byte: A-Z -> a-z, every other byte as is.
-_LOWER = np.where((_BYTE >= ord("A")) & (_BYTE <= ord("Z")), _BYTE | 0x20, _BYTE)
 #: Little-endian masks of a word's first 0..8 bytes.
 _PREFIX = np.array([(1 << 8 * size) - 1 for size in range(9)], dtype=np.uint64)
 
@@ -116,23 +114,116 @@ def _token_word(
     return word
 
 
+def _alpha(text: np.ndarray) -> np.ndarray:
+    """Which bytes are ``[A-Za-z]``.  In uint8 arithmetic ``b - lo``
+    wraps below ``lo``, so ``b - lo < size`` is ``lo <= b < lo + size``."""
+    return (text | np.uint8(0x20)) - np.uint8(ord("a")) < 26
+
+
+def _alnum(text: np.ndarray) -> np.ndarray:
+    """Which bytes are ``[A-Za-z0-9]``, the token pattern's class (item 1
+    above says why its byte runs are the pattern's matches)."""
+    return _alpha(text) | (text - np.uint8(ord("0")) < 10)
+
+
+def _lower(text: np.ndarray) -> np.ndarray:
+    """ASCII ``str.lower`` of each byte: A-Z -> a-z, every other as is."""
+    upper = text - np.uint8(ord("A")) < 26
+    return text | (upper.view(np.uint8) << 5)
+
+
+def _byte_order(
+    words: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, heads)``: the tokens at ``starts`` in byte order, and
+    where a new distinct token begins in it.
+
+    Zero-padded words read big-endian compare as their bytes do, and
+    with no NUL in a token a shorter prefix sorts first, as in ``str``
+    order.  Word ``k > 0`` is read only for tokens still tied on words
+    ``0 .. k - 1``, so memory stays O(token bytes).
+    """
+    everyone = np.arange(len(starts), dtype=np.int64)
+    key = _token_word(words, starts, lengths, everyone, 0).byteswap()
+    order = np.argsort(key)
+    heads = run_heads(key[order])
+    tied = everyone
+    k = 1
+    while tied.size:
+        # Keep the runs of two or more tokens, one longer than 8k bytes,
+        # and sort each by word k.
+        group = np.cumsum(heads[tied]) - 1
+        longer = lengths[order[tied]] > 8 * k
+        group_count = int(group[-1]) + 1
+        open_runs = (np.bincount(group, minlength=group_count) > 1) & (
+            np.bincount(group[longer], minlength=group_count) > 0
+        )
+        keep = open_runs[group]
+        tied, group, longer = tied[keep], group[keep], longer[keep]
+        members = order[tied]
+        key = np.zeros(len(members), dtype=np.uint64)
+        key[longer] = _token_word(words, starts, lengths, members[longer], k).byteswap()
+        by_word = np.lexsort((key, group))
+        order[tied] = members[by_word]
+        key = key[by_word]
+        heads[tied[1:]] |= key[1:] != key[:-1]
+        k += 1
+    return order, heads
+
+
+def _pack(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """A vocabulary buffer of the tokens at byte offsets ``starts``: each
+    token's zero-padded words and at least one NUL, ``lengths // 8 + 1``
+    words, so its bytes are the tokens in order, NUL-separated."""
+    widths = lengths // 8 + 1
+    at = np.cumsum(widths) - widths
+    packed = np.zeros(int(widths.sum()), dtype="<u8")
+    members = np.arange(len(starts), dtype=np.int64)
+    k = 0
+    while members.size:
+        packed[at[members] + k] = _token_word(words, starts, lengths, members, k)
+        k += 1
+        members = members[lengths[members] > 8 * k]
+    return packed
+
+
+def _intern(
+    words: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Intern the tokens at byte offsets ``starts`` in byte order: the
+    vocabulary ``(packed, lengths)`` of the distinct tokens ascending,
+    and every token's id, its rank in that vocabulary."""
+    order, heads = _byte_order(words, starts, lengths)
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = np.cumsum(heads) - 1
+    first = order[heads]
+    return (_pack(words, starts[first], lengths[first]), lengths[first]), ids
+
+
+def decode_names(packed: np.ndarray) -> list[str]:
+    """The token names of a vocabulary buffer, in id order."""
+    return list(filter(None, packed.tobytes().decode("ascii").split("\0")))
+
+
 def tokenize_range(
     payload: dict[str, Any], shard: tuple[int, int]
-) -> tuple[list[str], np.ndarray, np.ndarray]:
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
     """Range kernel: tokenize profiles ``[lo, hi)``.
 
-    Returns the range's token names in first-appearance order, the
-    local token id of every ``(profile, token)`` pair (profile-major,
-    each profile's distinct tokens in first-appearance order - the exact
-    order of :func:`repro.core.tokenization.token_stream`) and the
-    per-profile token counts.  Array passes over the UTF-8 bytes of the
-    range's values joined by spaces (see the module docstring); only the
-    distinct tokens become ``str``.
+    Returns the range's vocabulary (see :func:`_intern`: its distinct
+    tokens in alphabetical order), the id - the vocabulary rank - of
+    every ``(profile, token)`` pair (profile-major, each profile's
+    distinct tokens ascending), the per-profile token counts and the
+    profiles' sources.  Array passes over the UTF-8 bytes of the range's
+    values joined by spaces (see the module docstring); no token becomes
+    a ``str``.
     """
     lo, hi = shard
     store = payload["store"]
     tokenizer = payload["tokenizer"]
-    pairs = list(map(attrgetter("pairs"), map(store.__getitem__, range(lo, hi))))
+    profiles = list(map(store.__getitem__, range(lo, hi)))
+    sources = np.fromiter(map(attrgetter("source"), profiles), np.int64, hi - lo)
+    pairs = list(map(attrgetter("pairs"), profiles))
     values = list(map(itemgetter(1), chain.from_iterable(pairs)))
     # Character offset of each profile's end: a space follows each value.
     value_ends = np.zeros(len(values) + 1, dtype=np.int64)
@@ -148,10 +239,10 @@ def tokenize_range(
     text[1 : len(encoded) + 1] = np.frombuffer(encoded, dtype=np.uint8)
     del encoded
     if tokenizer.lowercase:
-        text = _LOWER[text]
+        text = _lower(text)
 
     # Token runs, then the Tokenizer's min_length and keep_numeric.
-    alnum = _ALNUM[text]
+    alnum = _alnum(text)
     edges = np.flatnonzero(alnum[1:] != alnum[:-1])
     del alnum
     starts = edges[0::2] + 1
@@ -160,7 +251,7 @@ def tokenize_range(
     keep = lengths >= tokenizer.min_length
     if not tokenizer.keep_numeric:
         # Runs are apart, so each reduction sees one run's letters.
-        keep &= np.logical_or.reduceat(_ALPHA[text], starts)
+        keep &= np.logical_or.reduceat(_alpha(text), starts)
     starts, lengths = starts[keep], lengths[keep]
     del keep
     # Owners: the tokens' character offsets (a UTF-8 continuation byte
@@ -171,71 +262,18 @@ def tokenize_range(
     owners = np.repeat(np.arange(hi - lo, dtype=np.int64), per_profile)
     del continuation, offsets, per_profile
 
-    # Exact interning, no hashing: tokens of one word count compare as
-    # rows of zero-padded words (no token holds a NUL), so one sort per
-    # word count gives dense ids ...
-    words = text.view("<u8")
-    token_count = len(starts)
-    widths = (lengths + 7) >> 3
-    local = np.empty(token_count, dtype=np.int64)
-    distinct = 0
-    for width in np.flatnonzero(np.bincount(widths)).tolist():
-        members = np.flatnonzero(widths == width)
-        keys = [
-            _token_word(words, starts, lengths, members, k) for k in range(width)
-        ]
-        order = np.lexsort(keys[::-1]) if width > 1 else np.argsort(keys[0])
-        same = np.zeros(len(order), dtype=bool)
-        same[1:] = True
-        for key in keys:
-            key = key[order]
-            same[1:] &= key[1:] == key[:-1]
-        del keys
-        dense = (~same).astype(np.int64)
-        np.cumsum(dense, out=dense)
-        dense += distinct - 1
-        local[members[order]] = dense
-        distinct = int(dense[-1]) + 1
-        del members, order, same, dense
-    del widths
-    # ... and one sort of packed (id, position) keys lists each id's
-    # occurrences in order: the first is its first appearance, and one
-    # in the same profile as the occurrence before it is a repeat.
-    by_id = packed_sort(local, np.arange(token_count, dtype=np.int64), token_count)
-    ids, holders = local[by_id], owners[by_id]
-    kept = np.ones(token_count, dtype=bool)
-    np.not_equal(ids[1:], ids[:-1], out=kept[1:])
-    first = by_id[kept]
-    kept[1:] |= holders[1:] != holders[:-1]
-    unique = np.empty(token_count, dtype=bool)
-    unique[by_id] = kept
-    del by_id, ids, holders, kept
-
-    # Ids by first appearance.
-    by_appearance = np.argsort(first)
-    rank = np.empty(distinct, dtype=np.int64)
-    rank[by_appearance] = np.arange(distinct, dtype=np.int64)
-    token_ids = rank[local[unique]]
-    counts = np.bincount(owners[unique], minlength=hi - lo)
-    first = first[by_appearance]
-    del by_appearance, rank, local, owners, unique
-    # Names, decoded for the distinct tokens only: each one's first run
-    # and the byte after it (made a space), in id order.  The source of
-    # each byte is a cumulative sum of steps through the text: 1 inside
-    # a run, a jump to the next run's start between runs.
-    name_starts = starts[first]
-    sizes = lengths[first] + 1
-    ends = np.cumsum(sizes)
-    at = np.ones(int(sizes.sum()), dtype=np.int64)
-    at[:1] = name_starts[:1]
-    at[ends[:-1]] = name_starts[1:] - (name_starts[:-1] + sizes[:-1] - 1)
-    np.cumsum(at, out=at)
-    joined = text[at]
-    del at, text, words
-    joined[ends - 1] = ord(" ")
-    names = joined.tobytes().decode("ascii").split(" ")
-    names.pop()
-    return names, token_ids, counts
+    vocabulary, ids = _intern(text.view("<u8"), starts, lengths)
+    del text, starts, lengths
+    # One sort of packed (owner, id) keys drops each profile's repeats
+    # and leaves the pairs profile-major with ids ascending.
+    distinct = max(len(vocabulary[1]), 1)
+    keys = owners * distinct
+    keys += ids
+    del owners, ids
+    keys.sort()
+    keys = keys[run_heads(keys)]
+    counts = np.bincount(keys // distinct, minlength=hi - lo)
+    return vocabulary, keys % distinct, counts, sources
 
 
 class ArraySubstrate:
@@ -280,18 +318,22 @@ class ArraySubstrate:
         #: the grouping sorts run out-of-core.
         self.storage = storage
         self.sweeps = 0
-        # (token_id, profile_id) pair arrays of the single sweep.
-        self._token_names: list[str] | None = None
+        # The single sweep: the vocabulary (packed, lengths), each pair
+        # slot's alphabetical id, the (slot, profile) pair arrays and
+        # every profile's source.
+        self._vocabulary: tuple[np.ndarray, np.ndarray] | None = None
+        self._rank: np.ndarray | None = None
         self._pair_tokens: np.ndarray | None = None
         self._pair_profiles: np.ndarray | None = None
+        self._sources: np.ndarray | None = None
+        self._names: list[str] | None = None
         # Alphabetical CSR postings over ALL tokens (Neighbor List view).
-        self._postings: tuple[np.ndarray, np.ndarray, list[str]] | None = None
+        self._postings: tuple[np.ndarray, np.ndarray] | None = None
         # Final blocks after purge/filter, workflow (alphabetical) order:
-        # (indptr, profile ids, keys, cardinalities).
+        # (indptr, profile ids, token ids, cardinalities).
         self._final: (
-            tuple[np.ndarray, np.ndarray, list[str], np.ndarray] | None
+            tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
         ) = None
-        self._sources_arr: np.ndarray | None = None
         self._token_rows: tuple[np.ndarray, np.ndarray] | None = None
         self._indexes: dict[str, ArrayProfileIndex] = {}
         self._neighbor_lists: dict[tuple[str, int | None], "NeighborList"] = {}
@@ -299,101 +341,97 @@ class ArraySubstrate:
 
     # -- the single sweep --------------------------------------------------
 
-    def _tokenize(self) -> tuple[list[str], np.ndarray, np.ndarray]:
-        """The sweep: interned names + (token, profile) pair arrays.
+    def _sweep(self) -> None:
+        """The sweep: vocabulary, ``rank``, (slot, profile) pair arrays
+        and sources, once.
 
-        :func:`tokenize_range` interns each range locally; folding the
-        range vocabularies into the global intern map in range order
-        reproduces first-appearance intern order over the whole store
-        (a token's first appearance lives in the earliest range that
-        contains it), and ranges are contiguous and ascending, so the
-        collected pair arrays are profile-major.  The first range's
-        local ids already are the global ones, so a one-range sweep
-        never builds the map at all.
+        :func:`tokenize_range` interns each range alphabetically; a
+        pair's slot is its range-local id offset by the earlier ranges'
+        vocabulary sizes.  Sorting the concatenated range vocabularies
+        gives the store's vocabulary and ``rank``, slot -> global id.
+        ``rank`` keeps each range's order, so ``rank[pair slots]`` still
+        ascends within every profile, and ranges are contiguous and
+        ascending, so the collected pair arrays are profile-major.
         """
+        if self._pair_tokens is not None:
+            return
+        self.sweeps += 1
         ranges = self.fanout.ranges(
             len(self.store),
             budget=None if self.storage is None else self.TOKENIZE_FLUSH_PROFILES,
         )
         payload = {"store": self.store, "tokenizer": self.spec.tokenizer}
-        first: list[str] | None = None
-        intern: dict[str, int] = {}
         pair_tokens = collector(self.storage, np.int64)
         pair_profiles = collector(self.storage, np.int64)
+        packed = [np.empty(0, dtype="<u8")]
+        lengths = [np.empty(0, dtype=np.int64)]
+        sources = [np.empty(0, dtype=np.int64)]
+        slots = 0
         swept = self.fanout.run(tokenize_range, payload, ranges)
-        for (lo, hi), (names, tokens, counts) in zip(ranges, swept):
-            if first is None:
-                first = names
-            else:
-                if not intern:
-                    intern = dict(zip(first, range(len(first))))
-                mapping = np.fromiter(
-                    (intern.setdefault(name, len(intern)) for name in names),
-                    dtype=np.int64,
-                    count=len(names),
-                )
-                tokens = mapping[tokens]
+        for (lo, hi), ((words, sizes), tokens, counts, range_sources) in zip(
+            ranges, swept
+        ):
+            tokens += slots
             pair_tokens.append(tokens)
             pair_profiles.append(
                 np.repeat(np.arange(lo, hi, dtype=np.int64), counts)
             )
-        vocabulary = list(intern) if intern else first or []
-        return vocabulary, pair_tokens.finish(), pair_profiles.finish()
+            packed.append(words)
+            lengths.append(sizes)
+            sources.append(range_sources)
+            slots += len(sizes)
+        # One spare zero word: _token_word reads the word after a token.
+        packed.append(np.zeros(1, dtype="<u8"))
+        words = np.concatenate(packed)
+        del packed
+        sizes = np.concatenate(lengths)
+        widths = sizes // 8 + 1
+        self._vocabulary, self._rank = _intern(
+            words, 8 * (np.cumsum(widths) - widths), sizes
+        )
+        self._pair_tokens = pair_tokens.finish()
+        self._pair_profiles = pair_profiles.finish()
+        self._sources = np.concatenate(sources)
 
-    def _sweep(self) -> None:
-        if self._pair_tokens is not None:
-            return
-        self.sweeps += 1
-        names, pair_tokens, pair_profiles = self._tokenize()
-        self._token_names = names
-        self._pair_tokens = pair_tokens
-        self._pair_profiles = pair_profiles
+    def sources(self) -> np.ndarray:
+        """Every profile's source, read by the sweep."""
+        self._sweep()
+        assert self._sources is not None
+        return self._sources
 
-    def _sources(self) -> np.ndarray:
-        if self._sources_arr is None:
-            self._sources_arr = np.fromiter(
-                (profile.source for profile in self.store),
-                dtype=np.int64,
-                count=len(self.store),
-            )
-        return self._sources_arr
+    def _token_names(self) -> list[str]:
+        """Every token's name, by id: decoded on the first request."""
+        if self._names is None:
+            self._sweep()
+            assert self._vocabulary is not None
+            self._names = decode_names(self._vocabulary[0])
+        return self._names
 
     def token_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-profile distinct token ids as a CSR, rows id-sorted.
 
         Served from the cached sweep - no re-tokenization: row ``p``
-        holds profile ``p``'s distinct interned token ids in ascending
-        id order.  Same string set <=> same id set, so this is exactly
-        the set view the batched cascade tiers (normalized equality,
-        Jaccard) compare.
+        holds profile ``p``'s distinct token ids (alphabetical ranks) in
+        ascending order, which is the order the sweep left them in.
+        Same string set <=> same id set, so this is exactly the set view
+        the batched cascade tiers (normalized equality, Jaccard) compare.
         """
         if self._token_rows is None:
             self._sweep()
-            assert (
-                self._token_names is not None
-                and self._pair_tokens is not None
-                and self._pair_profiles is not None
-            )
+            assert self._rank is not None and self._pair_profiles is not None
             n = len(self.store)
-            counts = np.bincount(
-                np.asarray(self._pair_profiles), minlength=n
-            )
+            counts = np.bincount(np.asarray(self._pair_profiles), minlength=n)
             indptr = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(counts, out=indptr[1:])
-            tokens = packed_sort(
-                np.asarray(self._pair_profiles),
-                np.asarray(self._pair_tokens),
-                len(self._token_names),
-            )
-            self._token_rows = (indptr, tokens)
+            self._token_rows = (indptr, self._rank[np.asarray(self._pair_tokens)])
         return self._token_rows
 
     # -- CSR postings over all tokens --------------------------------------
 
-    def _all_postings(self) -> tuple[np.ndarray, np.ndarray, list[str]]:
-        """Alphabetical CSR postings over every interned token.
+    def _all_postings(self) -> tuple[np.ndarray, np.ndarray]:
+        """Alphabetical CSR postings over every token, row ``t`` for id ``t``.
 
-        One sort of the pairs' packed ``(token rank, profile)`` keys:
+        One sort of the pairs' packed ``(token id, profile)`` keys:
         tokens come out in sorted-key order (the reference's
         ``sorted(buckets)``), profiles within a token ascending - the
         pair order, which is the reference's bucket append order.
@@ -401,18 +439,13 @@ class ArraySubstrate:
         if self._postings is None:
             self._sweep()
             assert (
-                self._token_names is not None
+                self._vocabulary is not None
+                and self._rank is not None
                 and self._pair_tokens is not None
                 and self._pair_profiles is not None
             )
-            names = self._token_names
-            token_count = len(names)
-            alpha_order = sorted(range(token_count), key=names.__getitem__)
-            keys = [names[i] for i in alpha_order]
-            rank = np.empty(token_count, dtype=np.int64)
-            rank[np.asarray(alpha_order, dtype=np.int64)] = np.arange(
-                token_count, dtype=np.int64
-            )
+            rank = self._rank
+            token_count = len(self._vocabulary[1])
             if self.storage is not None:
                 # Spill-to-disk postings argsort: the stable grouping
                 # runs as an out-of-core counting sort over chunk-wise
@@ -429,22 +462,22 @@ class ArraySubstrate:
                     int(self._pair_tokens.size),
                     store=self.storage,
                 )
-                self._postings = (indptr, profiles, keys)
-                return self._postings
-            pair_rank = rank[self._pair_tokens]
-            profiles = packed_sort(pair_rank, self._pair_profiles, len(self.store))
-            sizes = np.bincount(pair_rank, minlength=token_count)
-            indptr = np.zeros(token_count + 1, dtype=np.int64)
-            np.cumsum(sizes, out=indptr[1:])
-            self._postings = (indptr, profiles, keys)
+            else:
+                pair_rank = rank[self._pair_tokens]
+                profiles = packed_sort(pair_rank, self._pair_profiles, len(self.store))
+                sizes = np.bincount(pair_rank, minlength=token_count)
+                indptr = np.zeros(token_count + 1, dtype=np.int64)
+                np.cumsum(sizes, out=indptr[1:])
+            self._postings = (indptr, profiles)
         return self._postings
 
     # -- vectorized purge / filter ------------------------------------------
 
     def _final_blocks(
         self,
-    ) -> tuple[np.ndarray, np.ndarray, list[str], np.ndarray]:
-        """The final blocked CSR in workflow (alphabetical) order.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The final blocked CSR in workflow (alphabetical) order, with
+        each block's token id.
 
         Applies, as array masks over the postings: the builder's
         validity rule (>= 2 profiles, both sources for Clean-clean),
@@ -453,7 +486,7 @@ class ArraySubstrate:
         guarantees positive cardinality.
         """
         if self._final is None:
-            indptr, profiles, keys = self._all_postings()
+            indptr, profiles = self._all_postings()
             n = len(self.store)
             sizes = np.diff(indptr)
             cross_source = self.store.er_type is ERType.CLEAN_CLEAN
@@ -463,7 +496,7 @@ class ArraySubstrate:
                     np.arange(len(sizes), dtype=np.int64), sizes
                 )
                 left = np.bincount(
-                    token_of[self._sources()[profiles] == 0],
+                    token_of[self.sources()[profiles] == 0],
                     minlength=len(sizes),
                 )
                 valid = (sizes >= 2) & (left > 0) & (sizes - left > 0)
@@ -474,17 +507,16 @@ class ArraySubstrate:
                 # int64 sizes are exactly representable in float64.
                 valid &= sizes <= self.spec.purge_ratio * n
 
-            keep_idx = np.nonzero(valid)[0]
-            b_sizes = sizes[keep_idx]
+            b_tokens = np.nonzero(valid)[0]
+            b_sizes = sizes[b_tokens]
             b_profiles = gather_rows(
-                profiles, indptr[keep_idx], b_sizes, self.storage
+                profiles, indptr[b_tokens], b_sizes, self.storage
             )
-            b_keys = [keys[i] for i in keep_idx.tolist()]
-            b_left = left[keep_idx] if left is not None else None
+            b_left = left[b_tokens] if left is not None else None
 
             if self.spec.filter_ratio is not None:
-                b_profiles, b_keys, b_sizes, b_left = self._filter(
-                    b_profiles, b_keys, b_sizes, b_left
+                b_profiles, b_tokens, b_sizes, b_left = self._filter(
+                    b_profiles, b_tokens, b_sizes, b_left
                 )
                 if self.storage is not None:
                     # The filter's masked rebuild produced a RAM array;
@@ -498,16 +530,16 @@ class ArraySubstrate:
                 cardinalities = b_sizes * (b_sizes - 1) // 2
             final_indptr = np.zeros(len(b_sizes) + 1, dtype=np.int64)
             np.cumsum(b_sizes, out=final_indptr[1:])
-            self._final = (final_indptr, b_profiles, b_keys, cardinalities)
+            self._final = (final_indptr, b_profiles, b_tokens, cardinalities)
         return self._final
 
     def _filter(
         self,
         b_profiles: np.ndarray,
-        b_keys: list[str],
+        b_tokens: np.ndarray,
         b_sizes: np.ndarray,
         b_left: np.ndarray | None,
-    ) -> tuple[np.ndarray, list[str], np.ndarray, np.ndarray | None]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
         """Vectorized Block Filtering over post-purge blocks.
 
         Mirrors :class:`repro.blocking.filtering.BlockFiltering`: blocks
@@ -552,7 +584,7 @@ class ArraySubstrate:
         new_sizes = np.bincount(owner[kept], minlength=block_count)
         if b_left is not None:
             new_left = np.bincount(
-                owner[kept & (self._sources()[b_profiles] == 0)],
+                owner[kept & (self.sources()[b_profiles] == 0)],
                 minlength=block_count,
             )
             keep_block = (
@@ -566,9 +598,8 @@ class ArraySubstrate:
         f_profiles = b_profiles[survivor_mask]
         block_idx = np.nonzero(keep_block)[0]
         f_sizes = new_sizes[block_idx]
-        f_keys = [b_keys[i] for i in block_idx.tolist()]
         f_left = new_left[block_idx] if new_left is not None else None
-        return f_profiles, f_keys, f_sizes, f_left
+        return f_profiles, b_tokens[block_idx], f_sizes, f_left
 
     # -- substrate API ------------------------------------------------------
 
@@ -583,7 +614,7 @@ class ArraySubstrate:
         check_order(order)
         index = self._indexes.get(order)
         if index is None:
-            indptr, profiles, _keys, cardinalities = self._final_blocks()
+            indptr, profiles, _tokens, cardinalities = self._final_blocks()
             if order == "schedule":
                 perm = np.argsort(cardinalities, kind="stable")
             else:
@@ -599,7 +630,7 @@ class ArraySubstrate:
                 ordered_indptr,
                 ordered_profiles,
                 cardinalities[perm],
-                self._sources(),
+                self.sources(),
                 storage=self.storage,
             )
             self._indexes[order] = index
@@ -615,11 +646,12 @@ class ArraySubstrate:
         if self._blocks is None:
             from repro.blocking.base import Block, BlockCollection
 
-            indptr, profiles, keys, _cardinalities = self._final_blocks()
+            indptr, profiles, tokens, _cardinalities = self._final_blocks()
+            names = self._token_names()
             blocks = [
-                Block(key, profiles[start:end].tolist(), self.store)
-                for key, start, end in zip(
-                    keys, indptr[:-1].tolist(), indptr[1:].tolist()
+                Block(names[token], profiles[start:end].tolist(), self.store)
+                for token, start, end in zip(
+                    tokens.tolist(), indptr[:-1].tolist(), indptr[1:].tolist()
                 )
             ]
             self._blocks = BlockCollection(blocks, self.store)
@@ -646,7 +678,8 @@ class ArraySubstrate:
         cache_key = (tie_order, seed)
         cached = self._neighbor_lists.get(cache_key)
         if cached is None:
-            indptr, profiles, keys = self._all_postings()
+            indptr, profiles = self._all_postings()
+            keys = self._token_names()
             run_sizes = np.diff(indptr).tolist()
             key_column: list[str] = []
             if tie_order == "insertion":

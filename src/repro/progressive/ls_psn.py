@@ -72,7 +72,7 @@ class _SimilarityBase(ProgressiveMethod):
         self.neighbor_list = self._substrate.neighbor_list(self.tie_order, self.seed)
         if self.backend.vectorized:
             self._core = self.backend.psn_core(
-                self.neighbor_list, self.store, self.weighting
+                self.neighbor_list, self._substrate, self.weighting
             )
             return
         self.position_index = PositionIndex(self.neighbor_list)

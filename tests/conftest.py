@@ -10,6 +10,8 @@ c12 = 1/1 + 1/3 + 1/6 + 1/15 = 1.57 and c45 = 1 + 1 + 1/15 = 2.07.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.core.ground_truth import GroundTruth
@@ -63,6 +65,35 @@ def sweep_counter(monkeypatch) -> SweepCounter:
 
         monkeypatch.setattr(substrate, "tokenize_range", counting_kernel)
     return counter
+
+
+class CountingStore(ProfileStore):
+    """A ProfileStore that counts how often each profile is read, by
+    ``store[i]`` or by iteration: ``reads[i]`` for profile ``i``."""
+
+    def __init__(self, profiles, er_type: ERType = ERType.DIRTY) -> None:
+        super().__init__(profiles, er_type)
+        self.reads: Counter[int] = Counter()
+
+    def __getitem__(self, profile_id: int) -> EntityProfile:
+        self.reads[profile_id] += 1
+        return super().__getitem__(profile_id)
+
+    def __iter__(self):
+        for profile in super().__iter__():
+            self.reads[profile.profile_id] += 1
+            yield profile
+
+
+@pytest.fixture()
+def counting_store():
+    """Builds a :class:`CountingStore` from attribute maps."""
+
+    def build(records) -> CountingStore:
+        plain = ProfileStore.from_attribute_maps(records)
+        return CountingStore(plain.profiles, plain.er_type)
+
+    return build
 
 
 @pytest.fixture()

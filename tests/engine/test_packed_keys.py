@@ -35,18 +35,24 @@ BENCH_SCALE = pathlib.Path(__file__).parents[2] / "BENCH_scale.json"
 # -- the stable formulations the packed keys replaced -------------------------
 
 
+def pair_ids(substrate):
+    """Every ``(profile, token)`` pair's token id."""
+    return substrate._rank[substrate._pair_tokens]
+
+
 def stable_postings(substrate):
-    """Profiles grouped by alphabetical token rank, pair order kept."""
-    names = substrate._token_names
+    """Profiles grouped by token name, in ``sorted(names)`` order, pair
+    order kept."""
+    names = substrate._token_names()
     rank = np.empty(len(names), dtype=np.int64)
     rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
-    order = np.argsort(rank[substrate._pair_tokens], kind="stable")
+    order = np.argsort(rank[pair_ids(substrate)], kind="stable")
     return substrate._pair_profiles[order]
 
 
 def stable_token_rows(substrate):
     """Each profile's token ids, ascending: the ``(profile, token)`` lexsort."""
-    tokens, profiles = substrate._pair_tokens, substrate._pair_profiles
+    tokens, profiles = pair_ids(substrate), substrate._pair_profiles
     return tokens[np.lexsort((tokens, profiles))]
 
 
@@ -80,13 +86,15 @@ def stable_transpose(index):
 
 def assert_sites_match_the_stable_sorts(store):
     substrate = ArraySubstrate(store, SubstrateSpec())
-    indptr, profiles, keys = substrate._all_postings()
+    indptr, profiles = substrate._all_postings()
     np.testing.assert_array_equal(profiles, stable_postings(substrate))
     np.testing.assert_array_equal(
         substrate.token_rows()[1], stable_token_rows(substrate)
     )
     sizes = np.diff(indptr)
-    survivors, _, survivor_sizes, _ = substrate._filter(profiles, keys, sizes, None)
+    survivors, _, survivor_sizes, _ = substrate._filter(
+        profiles, np.arange(len(sizes)), sizes, None
+    )
     expected, expected_sizes = stable_filter(substrate, profiles, sizes, 0.8)
     np.testing.assert_array_equal(survivors, expected)
     np.testing.assert_array_equal(survivor_sizes, expected_sizes)

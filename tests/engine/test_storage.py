@@ -259,8 +259,9 @@ class TestMemmapParity:
 
         spec = SubstrateSpec(purge_ratio=None, filter_ratio=None)
         backend = NumpyBackend(storage="memmap", storage_dir=str(tmp_path))
-        neighbor_list = backend.blocking_substrate(store, spec).neighbor_list()
-        core = backend.psn_core(neighbor_list, store, RCFWeighting())
+        substrate = backend.blocking_substrate(store, spec)
+        neighbor_list = substrate.neighbor_list()
+        core = backend.psn_core(neighbor_list, substrate, RCFWeighting())
         assert not isinstance(core.entries, np.memmap)
         assert core.entries.tolist() == neighbor_list.entries
         backend.close()

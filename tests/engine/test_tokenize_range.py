@@ -1,11 +1,12 @@
 """The array sweep's range kernel against the reference tokenizer.
 
 ``tokenize_range`` finds, lowercases and interns tokens from the UTF-8
-bytes of a range's values; ``Tokenizer.distinct_profile_tokens`` is the
+bytes of a range's values, a token's id being its rank in the range's
+alphabetical vocabulary; ``Tokenizer.distinct_profile_tokens`` is the
 reference it must equal for every ``str``: non-ASCII characters whose
 lowercase is ASCII (the Kelvin sign, dotted capital I), combining marks,
-lone surrogates, NULs, empty values, tokens around the 8-byte word
-boundaries and repeats within and across values.
+lone surrogates, NULs, empty values, tokens sharing prefixes and around
+the 8-byte word boundaries, and repeats within and across values.
 """
 
 from __future__ import annotations
@@ -24,7 +25,11 @@ from repro.core.profiles import EntityProfile, ERType, ProfileStore  # noqa: E40
 from repro.core.tokenization import Tokenizer  # noqa: E402
 from repro.engine.fanout import Fanout  # noqa: E402
 from repro.engine.storage import ArrayStore  # noqa: E402
-from repro.engine.substrate import ArraySubstrate, tokenize_range  # noqa: E402
+from repro.engine.substrate import (  # noqa: E402
+    ArraySubstrate,
+    decode_names,
+    tokenize_range,
+)
 from repro.errors import ConfigError  # noqa: E402
 
 TOKENIZERS = [
@@ -34,11 +39,15 @@ TOKENIZERS = [
     )
 ]
 
-#: Whole tokens: 8, 9, 16, 17 and 40+ bytes, digit-only, mixed case.
+#: Whole tokens: shared prefixes; an 8-byte token beside 9-, 16- and
+#: 17-byte tokens with the same first word; 41 and 500 bytes (two that
+#: differ in their last byte only); digit-only; mixed case.
 TOKENS = [
-    "Ab", "ab", "x", "Q7", "2024", "007", "8", "abcdefgh", "ABCDEFGHI",
+    "Ab", "ab", "abc", "x", "Q7", "2024", "007", "8", "abcdefg", "abcdefgh",
+    "abcdefghi", "ABCDEFGHI", "abcdefghijklmnop", "abcdefghijklmnopq",
     "0123456789abcdef", "0123456789ABCDEFg", "12345678", "123456789",
     "WordsWordsWordsWordsWordsWordsWordsWords42", "9" * 41,
+    "abcdefgh" * 62 + "abcd", "abcdefgh" * 62 + "abcD",
 ]  # fmt: skip
 
 #: Separators and characters the byte pass must treat as the regex does:
@@ -72,16 +81,33 @@ stores = st.lists(st.lists(values, max_size=4), max_size=9).map(
 
 def reference(
     store: ProfileStore, tokenizer: Tokenizer, lo: int, hi: int
-) -> tuple[list[str], list[int], list[int]]:
-    """First-appearance interning of the reference's distinct tokens."""
-    intern: dict[str, int] = {}
-    ids: list[int] = []
-    counts: list[int] = []
-    for profile_id in range(lo, hi):
-        tokens = tokenizer.distinct_profile_tokens(store[profile_id])
-        counts.append(len(tokens))
-        ids.extend(intern.setdefault(token, len(intern)) for token in tokens)
-    return list(intern), ids, counts
+) -> tuple[list[str], list[list[int]]]:
+    """The reference's distinct tokens of profiles ``[lo, hi)``: the
+    sorted vocabulary and each profile's sorted ids into it."""
+    rows = [
+        tokenizer.distinct_profile_tokens(store[profile_id])
+        for profile_id in range(lo, hi)
+    ]
+    vocabulary = sorted(set(itertools.chain.from_iterable(rows)))
+    ids = {token: token_id for token_id, token in enumerate(vocabulary)}
+    return vocabulary, [sorted(ids[token] for token in row) for row in rows]
+
+
+def kernel(
+    store: ProfileStore, tokenizer: Tokenizer, lo: int, hi: int
+) -> tuple[list[str], list[list[int]]]:
+    """The kernel's output in the reference's terms, after checking
+    its shape: lengths, dtypes, ids inside the vocabulary, sources."""
+    (packed, lengths), ids, counts, sources = tokenize_range(
+        {"store": store, "tokenizer": tokenizer}, (lo, hi)
+    )
+    assert ids.dtype == counts.dtype == sources.dtype == np.int64
+    names = decode_names(packed)
+    assert lengths.tolist() == list(map(len, names))
+    assert ids.size == 0 or 0 <= ids.min() <= ids.max() < len(names)
+    assert sources.tolist() == [store[p].source for p in range(lo, hi)]
+    rows = np.split(ids, np.cumsum(counts)[:-1]) if hi > lo else []
+    return names, [row.tolist() for row in rows]
 
 
 class Cut(Fanout):
@@ -95,8 +121,13 @@ class Cut(Fanout):
 
 
 def sweep(substrate: ArraySubstrate) -> tuple[list[str], list[int], list[int]]:
-    names, tokens, profiles = substrate._tokenize()
-    return names, np.asarray(tokens).tolist(), np.asarray(profiles).tolist()
+    """Decoded vocabulary, ranked pair ids and pair profiles of a sweep."""
+    substrate._sweep()
+    return (
+        decode_names(substrate._vocabulary[0]),
+        substrate._rank[np.asarray(substrate._pair_tokens)].tolist(),
+        np.asarray(substrate._pair_profiles).tolist(),
+    )
 
 
 @given(stores, st.data())
@@ -105,13 +136,15 @@ def test_kernel_equals_the_reference_tokenizer(store, data):
     lo = data.draw(st.integers(0, len(store)))
     hi = data.draw(st.integers(lo, len(store)))
     for tokenizer in TOKENIZERS:
-        names, ids, counts = tokenize_range(
-            {"store": store, "tokenizer": tokenizer}, (lo, hi)
-        )
-        assert ids.dtype == counts.dtype == np.int64
-        assert (names, ids.tolist(), counts.tolist()) == reference(
+        assert kernel(store, tokenizer, lo, hi) == reference(
             store, tokenizer, lo, hi
         )
+
+
+def test_an_empty_range_has_an_empty_vocabulary():
+    store = ProfileStore.from_attribute_maps([{"a": "Carl White"}])
+    for lo in (0, 1):
+        assert kernel(store, Tokenizer(), lo, lo) == ([], [])
 
 
 @given(stores)
@@ -120,11 +153,11 @@ def test_multi_range_sweeps_equal_the_one_range_sweep(store):
     for tokenizer in (Tokenizer(), Tokenizer(3, False, False)):
         spec = SubstrateSpec(tokenizer)
         whole = sweep(ArraySubstrate(store, spec))
-        names, ids, counts = reference(store, tokenizer, 0, len(store))
+        names, rows = reference(store, tokenizer, 0, len(store))
         assert whole == (
             names,
-            ids,
-            np.repeat(np.arange(len(store)), counts).tolist(),
+            list(itertools.chain.from_iterable(rows)),
+            np.repeat(np.arange(len(store)), list(map(len, rows))).tolist(),
         )
         for size in (1, 2, 7):
             assert sweep(ArraySubstrate(store, spec, fanout=Cut(size))) == whole
@@ -140,10 +173,7 @@ def test_multi_range_sweeps_equal_the_one_range_sweep(store):
 def test_fixture_stores_sweep_like_the_reference(dirty_dataset, clean_clean_store):
     for store in (dirty_dataset.store, clean_clean_store):
         for tokenizer in TOKENIZERS:
-            names, ids, counts = tokenize_range(
-                {"store": store, "tokenizer": tokenizer}, (0, len(store))
-            )
-            assert (names, ids.tolist(), counts.tolist()) == reference(
+            assert kernel(store, tokenizer, 0, len(store)) == reference(
                 store, tokenizer, 0, len(store)
             )
 

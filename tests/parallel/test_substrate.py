@@ -1,7 +1,7 @@
 """Sharded-sweep parity: the fanned-out tokenization is bit-identical.
 
 An ArraySubstrate handed a pooled fan-out must reproduce the one-range
-sweep exactly - same intern order, same pair arrays, same blocks,
+sweep exactly - same vocabulary, same ranked pair arrays, same blocks,
 indexes and Neighbor List - for every shard count, through both the
 inline (``workers=0``) and the process transport.
 """
@@ -47,10 +47,11 @@ class TestShardedParity:
             store, spec, fanout=PoolFanout(shards, inline_pool)
         )
         sharded.blocks()
-        # The merged sweep reproduces the sequential one exactly: same
-        # first-appearance intern order, same profile-major pair arrays.
-        assert sharded._token_names == base._token_names
-        assert np.array_equal(sharded._pair_tokens, base._pair_tokens)
+        # The merged sweep reproduces the sequential one exactly: the
+        # same decoded vocabulary and, once each pair slot is ranked, the
+        # same profile-major pair arrays.
+        assert sharded._token_names() == base._token_names()
+        assert np.array_equal(sharded.token_rows()[1], base.token_rows()[1])
         assert np.array_equal(sharded._pair_profiles, base._pair_profiles)
         assert sharded.sweeps == 1
 

@@ -12,6 +12,7 @@ backends) - exactly ``len(store)`` means exactly one sweep.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -88,6 +89,78 @@ class TestOneSweepPerResolve:
         list(resolver.stream())
         # reset() rebuilds the method but reuses the session substrate.
         assert sweep_counter.profiles("python") == len(resolver.store)
+
+
+#: Every backend's sweep; the array one in RAM, into memmap storage and
+#: sharded.
+WALK_CELLS = ["python"] + (
+    ["numpy", "numpy-memmap", "numpy-parallel"] if HAS_NUMPY else []
+)
+
+
+class TestOneStoreWalkPerResolve:
+    """The sweep reads every profile once - its values and its source -
+    and nothing else in a resolve reads the store again."""
+
+    @pytest.mark.parametrize("cell", WALK_CELLS)
+    @pytest.mark.parametrize("method", SUBSTRATE_METHODS)
+    def test_each_profile_is_read_once(self, counting_store, method, cell):
+        store = counting_store(make_data())
+        pipeline = pipeline_for(method, cell.removesuffix("-memmap"))
+        if cell.endswith("-memmap"):
+            pipeline = pipeline.storage("memmap")
+        resolver = pipeline.fit(store)
+        try:
+            assert sum(1 for _ in resolver.stream()) > 0
+        finally:
+            resolver.close()
+        assert store.reads == Counter(range(len(store)))
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="the array substrate needs numpy")
+class TestNamesOnDemand:
+    """Token ids are alphabetical ranks: a token's name is decoded only
+    when a consumer asks for block keys or the Neighbor List."""
+
+    @pytest.fixture()
+    def decodes(self, monkeypatch) -> list[int]:
+        """Names decoded, one entry per ``decode_names`` call."""
+        from repro.engine import substrate
+
+        calls: list[int] = []
+        decode = substrate.decode_names
+
+        def counting(packed):
+            names = decode(packed)
+            calls.append(len(names))
+            return names
+
+        monkeypatch.setattr(substrate, "decode_names", counting)
+        return calls
+
+    @pytest.mark.parametrize("method", ["PPS", "PBS"])
+    def test_progressive_resolves_decode_no_name(self, decodes, method):
+        resolver = pipeline_for(method, "numpy").fit(make_data())
+        assert sum(1 for _ in resolver.stream()) > 0
+        assert decodes == []
+
+    def test_decided_resolve_decodes_no_name(self, decodes):
+        resolver = pipeline_for("PPS", "numpy").match().fit(make_data())
+        assert sum(1 for _ in resolver.resolve_stream(decide=True)) > 0
+        assert decodes == []
+
+    def test_blocks_and_neighbor_list_decode_once(self, decodes):
+        data = make_data()
+        resolver = pipeline_for("PBS", "numpy").fit(data)
+        reference = pipeline_for("PBS", "python").fit(data)
+        assert [(block.key, block.ids) for block in resolver.blocks] == [
+            (block.key, block.ids) for block in reference.blocks
+        ]
+        built = resolver._session_substrate().neighbor_list("insertion", 0)
+        expected = reference._session_substrate().neighbor_list("insertion", 0)
+        assert built.keys == expected.keys
+        assert built.entries == expected.entries
+        assert len(decodes) == 1
 
 
 class TestSubstrateOptOut:
