@@ -28,7 +28,7 @@ def main() -> None:
     resolver = (
         ERPipeline()
         .method("PPS")
-        .matcher("jaccard", threshold=MATCH_THRESHOLD)
+        .match("jaccard", params={"jaccard": {"threshold": MATCH_THRESHOLD}})
         .budget(seconds=TIME_BUDGET_SECONDS)
         .fit(dataset)
     )
@@ -37,8 +37,8 @@ def main() -> None:
     resolver.initialize()
     print(f"initialization: {time.perf_counter() - t0:.2f}s")
 
-    for _comparison in resolver.stream():
-        pass  # the matcher runs on every emission; the budget stops us
+    for _record in resolver.decisions():
+        pass  # the matcher decides every emission; the budget stops us
 
     progress = resolver.progress()
     confirmed = resolver.matches

@@ -45,7 +45,7 @@ TRUTH = GroundTruth([(0, 1), (2, 3), (4, 5)], closed=False)
 class TokenOverlapMatcher(MatchFunction):
     """Custom match function: Jaccard over 3+ character tokens only.
 
-    Registering it makes ``.matcher("token-overlap", ...)`` work anywhere
+    Registering it makes ``.match("token-overlap", ...)`` work anywhere
     a built-in matcher name does - the entry-point style of extension.
     """
 
@@ -77,18 +77,17 @@ def main() -> None:
     resolver = (
         ERPipeline()
         .method("PPS", exhaustive=True, blocks=blocks)
-        .matcher("token-overlap", threshold=0.4)
+        .match("token-overlap", params={"token-overlap": {"threshold": 0.4}})
         .fit(store, ground_truth=TRUTH)
     )
-    print("\nprogressive emissions (PPS + custom matcher):")
-    for rank, comparison in enumerate(resolver.stream(), start=1):
-        a, b = store[comparison.i], store[comparison.j]
-        # resolver.matcher is the registered TokenOverlapMatcher instance
-        similarity = resolver.matcher.similarity(a, b)
-        marker = "MATCH" if similarity >= resolver.matcher.threshold else ""
+    print("\nprogressive decisions (PPS + custom matcher):")
+    for rank, record in enumerate(resolver.decisions(), start=1):
+        # the one-tier cascade decided the pair with TokenOverlapMatcher
+        comparison = record.comparison
+        marker = "MATCH" if record.decision else ""
         print(
             f"  {rank:2d}. ({comparison.i}, {comparison.j})"
-            f" weight={comparison.weight:.2f} sim={similarity:.2f}"
+            f" weight={comparison.weight:.2f} sim={record.similarity:.2f}"
             f" {marker}"
         )
     found = resolver.matches

@@ -24,11 +24,11 @@ Full control - the composable pipeline::
         .blocking("token", purge=True, filter_ratio=0.8)
         .meta("ARCS")
         .method("PPS", k_max=20)
-        .matcher("jaccard", threshold=0.75)
+        .match("jaccard", params={"jaccard": {"threshold": 0.75}})
         .fit("cora")
     )
-    for comparison in resolver.stream():
-        ...                                   # pairs, best first
+    for record in resolver.decisions():
+        ...                                   # decided pairs, best first
     curve = resolver.evaluate()               # the paper's protocol
 
 Components (methods, blocking schemes, weighting schemes, matchers) are
@@ -118,10 +118,8 @@ from repro.pipeline import (
     BudgetConfig,
     DecisionRecord,
     ERPipeline,
-    EvaluationReport,
     IncrementalConfig,
     MatchConfig,
-    MatcherConfig,
     MetaBlockingConfig,
     MethodConfig,
     ParallelConfig,
@@ -156,12 +154,10 @@ __all__ = [
     "ResolutionResult",
     "resolve",
     "DecisionRecord",
-    "EvaluationReport",
     "PipelineConfig",
     "BlockingConfig",
     "MetaBlockingConfig",
     "MethodConfig",
-    "MatcherConfig",
     "MatchConfig",
     "BudgetConfig",
     "IncrementalConfig",

@@ -48,7 +48,7 @@ class DecisionQuality:
 
     ``decided`` is how many comparisons received a decision (matches and
     non-matches); ``by_tier`` maps cascade tier names to how many of
-    those each tier decided (empty for a single-matcher run).
+    those each tier decided (empty without a cascade).
     """
 
     precision: float

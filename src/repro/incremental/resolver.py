@@ -203,11 +203,11 @@ class IncrementalResolver(Resolver):
         ``decide=True`` additionally routes every returned comparison
         through the session's matching cascade and returns
         :class:`~repro.pipeline.resolver.DecisionRecord` tuples instead
-        of bare comparisons (requires a ``.match(...)`` or
-        ``.matcher(...)`` stage).  Ingested decisions join the session's
-        confirmed matches; probe decisions stay read-only (only the
-        cascade's tier counters advance).  In a served session a spent
-        expensive-tier call budget raises
+        of bare comparisons (requires a ``.match(...)`` stage).
+        Ingested decisions join the session's confirmed matches; probe
+        decisions stay read-only (only the cascade's tier counters
+        advance).  In a served session a spent expensive-tier call
+        budget raises
         :class:`~repro.errors.BudgetExceeded` (reason
         ``"expensive-calls"``).
         """
@@ -303,8 +303,6 @@ class IncrementalResolver(Resolver):
         """Ingestion emissions, admitted and booked as one chunk."""
         if self._started_at is None:
             self._started_at = time.perf_counter()
-        if self.matcher is None and self.config.matcher is not None:
-            self.matcher = self._build_matcher()
         return self._admit(ranked)
 
     # -- full re-ranking (the batch bridge) -----------------------------------

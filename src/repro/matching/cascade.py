@@ -25,9 +25,9 @@ Per-tier counters (evaluated / decided / escalated / matched /
 cost_seconds) are exposed through :meth:`MatcherCascade.stats`, so the
 "which tier pays off" question is answered by the run itself.
 
-A plain :class:`~repro.matching.match_functions.MatchFunction` keeps
-working unchanged: :meth:`MatcherCascade.from_matcher` wraps it as a
-single-tier cascade that decides everything at the matcher's threshold.
+A single :class:`~repro.matching.match_functions.MatchFunction` is the
+one-tier cascade ``MatcherCascade([matcher])``, which decides everything
+at the matcher's threshold.
 
 >>> cascade = MatcherCascade()
 >>> from repro.core.profiles import EntityProfile
@@ -373,18 +373,6 @@ class MatcherCascade(MatchFunction):
         self._stats: list[TierStats] = [
             TierStats(tier.name) for tier in resolved
         ]
-
-    @classmethod
-    def from_matcher(cls, matcher: MatchFunction) -> "MatcherCascade":
-        """Wrap a plain match function as a single-tier cascade.
-
-        The migration path for pre-cascade callables: the tier decides
-        every comparison at the matcher's own threshold, so the wrapped
-        cascade's decisions equal ``matcher(a, b)`` exactly.
-        """
-        if isinstance(matcher, MatcherCascade):
-            return matcher
-        return cls(tiers=[matcher])
 
     # -- decision -----------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """The unified pipeline API: one composable entrypoint for the stack.
 
 * :class:`ERPipeline` - fluent, registry-backed spec of a run
-  (blocking -> meta-blocking -> progressive method -> matcher -> budgets);
+  (blocking -> meta-blocking -> progressive method -> match cascade -> budgets);
 * :class:`Resolver` - a live session returned by ``pipeline.fit(data)``:
   streaming emission, batch pulls, budget control, evaluation;
 * :func:`resolve` - the one-call quickstart facade.
@@ -13,7 +13,6 @@ from repro.pipeline.config import (
     BudgetConfig,
     IncrementalConfig,
     MatchConfig,
-    MatcherConfig,
     MetaBlockingConfig,
     MethodConfig,
     ParallelConfig,
@@ -24,7 +23,6 @@ from repro.pipeline.config import (
 from repro.pipeline.facade import ResolutionResult, resolve
 from repro.pipeline.resolver import (
     DecisionRecord,
-    EvaluationReport,
     Resolver,
     ResolverProgress,
 )
@@ -36,12 +34,10 @@ __all__ = [
     "ResolutionResult",
     "resolve",
     "DecisionRecord",
-    "EvaluationReport",
     "PipelineConfig",
     "BlockingConfig",
     "MetaBlockingConfig",
     "MethodConfig",
-    "MatcherConfig",
     "MatchConfig",
     "BudgetConfig",
     "IncrementalConfig",

@@ -8,7 +8,7 @@ progressive emission -> matching -> evaluation stack::
         .blocking("token", purge=True, filter_ratio=0.8)
         .meta("ARCS")
         .method("PPS", k_max=20)
-        .matcher("jaccard", threshold=0.75)
+        .match("jaccard", params={"jaccard": {"threshold": 0.75}})
         .budget(comparisons=10_000)
     )
     resolver = pipeline.fit(load_dataset("cora"))
@@ -37,7 +37,6 @@ from repro.pipeline.config import (
     BudgetConfig,
     IncrementalConfig,
     MatchConfig,
-    MatcherConfig,
     MetaBlockingConfig,
     MethodConfig,
     ParallelConfig,
@@ -167,18 +166,6 @@ class ERPipeline:
         """Choose the progressive method; ``params`` go to its constructor."""
         return self._set(method=MethodConfig(name=name, params=params))
 
-    def matcher(self, name: str = "jaccard", **params: Any) -> "ERPipeline":
-        """Attach a match function applied to every streamed pair.
-
-        Owns the match decision, so it is mutually exclusive with the
-        :meth:`match` cascade stage (``.no_match()`` removes that one).
-        """
-        return self._set(matcher=MatcherConfig(name=name, params=params))
-
-    def no_matcher(self) -> "ERPipeline":
-        """Drop the matcher stage (stream pairs without deciding them)."""
-        return self._set(matcher=None)
-
     def match(
         self,
         cascade: Any = None,
@@ -203,9 +190,7 @@ class ERPipeline:
 
         With a match stage, :meth:`~repro.pipeline.resolver.Resolver.decisions`
         / ``resolve_stream(decide=True)`` yield per-comparison decision
-        records and ``clusters()`` returns the transitive closure.  The
-        stage owns the match decision, so it is mutually exclusive with
-        the single-matcher :meth:`matcher` stage.
+        records and ``clusters()`` returns the transitive closure.
 
         >>> from repro import ERPipeline
         >>> spec = ERPipeline().match(thresholds={"jaccard": (0.2, 0.9)})
@@ -505,11 +490,11 @@ class ERPipeline:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         spec = self._config
-        matcher = spec.matcher.name if spec.matcher else None
+        match = spec.match.tiers if spec.match else None
         return (
             f"ERPipeline(blocking={spec.blocking.scheme!r}, "
             f"meta={spec.meta.weighting!r}, method={spec.method.name!r}, "
-            f"matcher={matcher!r})"
+            f"match={match!r})"
         )
 
 

@@ -13,10 +13,9 @@ fields and nothing else: :class:`Stage` derives the dict codec and the
 copy from :func:`dataclasses.fields`, so adding a field to a stage is a
 one-line change (give it a default, and a line in ``__post_init__`` if
 it has a rule).  A stage's *own* rules live in its ``__post_init__``;
-rules that span stages - who owns the match decision, what a parallel
-stage needs, what a live session refuses - live in
-:meth:`PipelineConfig.__post_init__` only, and the builder re-runs them
-on every stage call.
+rules that span stages - what a parallel stage needs, what a live
+session refuses - live in :meth:`PipelineConfig.__post_init__` only,
+and the builder re-runs them on every stage call.
 
 Component ``params`` are passed verbatim to the component constructor;
 keeping them JSON-able keeps the spec serializable (callables such as a
@@ -33,7 +32,6 @@ from repro.errors import ConfigError
 from repro.registry import (
     backends,
     blocking_schemes,
-    matchers,
     normalize,
     progressive_methods,
     pruning_algorithms,
@@ -198,19 +196,8 @@ class MethodConfig(Stage):
 
 
 @dataclass
-class MatcherConfig(Stage):
-    """Stage 4 (optional): the match function applied to emitted pairs."""
-
-    name: str = "jaccard"
-    params: dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.name = matchers.canonical(self.name)
-
-
-@dataclass
 class MatchConfig(Stage):
-    """Stage 5 (optional): the decision cascade applied to emitted pairs.
+    """Stage 4 (optional): the decision cascade applied to emitted pairs.
 
     Describes a :class:`~repro.matching.cascade.MatcherCascade`: the
     ordered ``tiers`` (registry names, or live
@@ -254,9 +241,7 @@ class MatchConfig(Stage):
         """Construct the configured cascade (fit-time entry point).
 
         ``ground_truth`` is injected into an ``oracle`` tier's params
-        when the spec names one without supplying its ground truth -
-        the same convenience :meth:`ERPipeline.fit` applies to a plain
-        oracle matcher stage.
+        when the spec names one without supplying its ground truth.
         """
         from repro.matching.cascade import MatcherCascade
 
@@ -500,7 +485,6 @@ class PipelineConfig(Stage):
     blocking: BlockingConfig = field(default_factory=BlockingConfig)
     meta: MetaBlockingConfig = field(default_factory=MetaBlockingConfig)
     method: MethodConfig = field(default_factory=MethodConfig)
-    matcher: MatcherConfig | None = None
     match: MatchConfig | None = None
     budget: BudgetConfig = field(default_factory=BudgetConfig)
     backend: str = "python"
@@ -509,15 +493,31 @@ class PipelineConfig(Stage):
     storage: StorageConfig | None = None
     service: ServiceConfig | None = None
 
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "PipelineConfig":
+        """Rebuild a spec from its ``to_dict`` form.
+
+        Specs written up to 2.1 carry the retired ``matcher`` stage: a
+        null one is dropped, and a named one is read as the one-tier
+        cascade that decides exactly as it did.
+        """
+        payload = dict(data)
+        matcher = payload.pop("matcher", None)
+        if matcher is not None:
+            if payload.get("match") is not None:
+                raise ConfigError(
+                    "a spec with a matcher stage and a match stage has two "
+                    "owners of the match decision; keep only the match stage"
+                )
+            name = matcher.get("name", "jaccard")
+            payload["match"] = {
+                "tiers": [name],
+                "params": {name: matcher.get("params", {})},
+            }
+        return super().from_dict(payload)
+
     def __post_init__(self) -> None:
         self.backend = backends.canonical(self.backend)
-        if self.matcher is not None and self.match is not None:
-            raise ConfigError(
-                "a .matcher(...) stage and a .match(...) cascade stage "
-                "both own the match decision; configure exactly one "
-                "(.no_matcher() / .no_match() drops the other; a single "
-                "matcher is the one-tier cascade .match(cascade='<name>'))"
-            )
         if self.parallel is not None and self.backend != "numpy-parallel":
             raise ConfigError(
                 f"a parallel stage requires backend 'numpy-parallel', got "

@@ -60,8 +60,6 @@ def resolve(
     budget: int | None = None,
     seconds: float | None = None,
     target_recall: float | None = None,
-    matcher: str | None = None,
-    matcher_params: dict[str, Any] | None = None,
     match: Any = None,
     match_thresholds: dict[str, Any] | None = None,
     expensive: Any = None,
@@ -91,17 +89,15 @@ def resolve(
         Progressive method acronym, any spelling ("PPS", "sa-psn", ...).
     budget, seconds, target_recall:
         Optional stopping rules (comparison count / wall clock / recall).
-    matcher:
-        Optional match function name; without one, match bookkeeping
-        falls back to the ground truth when available.
     match, match_thresholds, expensive, expensive_budget:
         Optional matching *cascade* (see :meth:`ERPipeline.match`):
         ``match=True`` configures the stock
         exact -> jaccard -> edit-distance tiers, a name or sequence of
-        names picks the tiers explicitly.  The stream is then *decided*
-        tier by tier: the result carries ``decisions``, ``clusters``,
-        ``quality`` (with a ground truth) and ``cascade_stats``.
-        Mutually exclusive with ``matcher``.
+        names picks the tiers explicitly (one name is a single
+        matcher).  The stream is then *decided* tier by tier: the result
+        carries ``decisions``, ``clusters``, ``quality`` (with a ground
+        truth) and ``cascade_stats``.  Without a cascade, match
+        bookkeeping falls back to the ground truth when available.
     blocking, purge, filter_ratio, weighting:
         Substrate knobs for the equality-based methods.
     pruning, pruning_params:
@@ -184,12 +180,6 @@ def resolve(
     elif storage_dir is not None:
         raise ValueError(
             "storage_dir given without a storage mode; pass storage='memmap'"
-        )
-    if matcher is not None:
-        pipeline.matcher(matcher, **(matcher_params or {}))
-    elif matcher_params:
-        raise ValueError(
-            "matcher_params given without a matcher; pass e.g. matcher='jaccard'"
         )
     if match is not None and match is not False:
         pipeline.match(

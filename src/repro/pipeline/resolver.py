@@ -2,7 +2,7 @@
 
 ``ERPipeline.fit(data)`` returns a Resolver that owns the configured
 stages end to end: it builds the blocks, instantiates the progressive
-method and the match function, and exposes the emission stream with
+method and the decision cascade, and exposes the emission stream with
 budget control.
 
 The method hands its emission over a ranked chunk at a time; the
@@ -34,9 +34,8 @@ from repro.errors import ConfigError, SessionClosed
 from repro.evaluation.metrics import DecisionQuality, decision_quality
 from repro.evaluation.progressive_recall import RecallCurve, _drive_progressive
 from repro.matching.cascade import MatcherCascade, TierDecision
-from repro.matching.match_functions import MatchFunction
 from repro.progressive.base import ProgressiveMethod
-from repro.registry import matchers, normalize, progressive_methods
+from repro.registry import normalize, progressive_methods
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.datasets.base import ChunkedProfileStore
@@ -58,13 +57,6 @@ class DecisionRecord(NamedTuple):
     decision: bool
     tier: str
     similarity: float
-
-
-class EvaluationReport(NamedTuple):
-    """The ranking curve and the decision quality of one evaluation run."""
-
-    curve: RecallCurve
-    quality: DecisionQuality
 
 
 @dataclass
@@ -158,7 +150,6 @@ class Resolver:
         self._pruned: list[Comparison] | None = None
         self._backend_instance: "object | None" = None
         self.method: ProgressiveMethod | None = None
-        self.matcher: MatchFunction | None = None
         self.cascade: MatcherCascade | None = None
         self._batcher: "Any | None" = None
         self._batcher_built = False
@@ -417,14 +408,6 @@ class Resolver:
         ):
             kwargs.setdefault("key_function", self._psn_key)
         return progressive_methods.build(name, self.store, **kwargs)
-    def _build_matcher(self) -> MatchFunction | None:
-        spec = self.config.matcher
-        if spec is None:
-            return None
-        kwargs = dict(spec.params)
-        if normalize(spec.name) == "ORACLE" and self.ground_truth is not None:
-            kwargs.setdefault("ground_truth", self.ground_truth)
-        return matchers.build(spec.name, **kwargs)
 
     def _build_cascade(self) -> MatcherCascade | None:
         """The configured decision cascade, or ``None`` without a stage.
@@ -450,12 +433,11 @@ class Resolver:
         return self.method is not None and self.method._initialized
 
     def initialize(self) -> "Resolver":
-        """Build blocks, method and matcher; run the method's
+        """Build blocks, method and cascade; run the method's
         initialization phase (idempotent)."""
         self._check_open()
         if self.method is None:
             self.method = self.build_method()
-            self.matcher = self._build_matcher()
             if self.cascade is None:
                 self.cascade = self._build_cascade()
         self.method.initialize()
@@ -519,7 +501,7 @@ class Resolver:
     def _admit(self, piece: list[Comparison]) -> list[Comparison]:
         """The prefix of ``piece``, the session's next comparisons, the
         budgets admit (cut at the cap or after the hit reaching the target
-        recall), booked - item by item only for a ground truth or matcher."""
+        recall), booked - item by item only for a ground truth."""
         if self._budget_reached():
             return []
         budget = self.config.budget
@@ -534,15 +516,11 @@ class Resolver:
                     continue
                 found.add((i, j))
                 self._hit_positions.append(position)
-                if self.matcher is None and self.config.match is None:
+                if self.config.match is None:
                     self._matched_pairs.add((i, j))
                 if target is not None and len(found) / len(truth) >= target:
                     piece = piece[: position - start]
                     break
-        if self.matcher is not None:
-            for i, j, _weight in piece:
-                if self.matcher(self.store[i], self.store[j]):
-                    self._matched_pairs.add((i, j))
         self._emitted = start + len(piece)
         return piece
 
@@ -599,25 +577,18 @@ class Resolver:
 
         Built without touching the method (probe-style consumers must
         not pay a method rebuild); :meth:`initialize` later adopts this
-        instance instead of rebuilding it.  A plain ``.matcher(...)``
-        stage keeps working: it is wrapped as a single-tier cascade
-        deciding at the matcher's own threshold.
+        instance instead of rebuilding it.
         """
         self._check_open()
         if self.cascade is None:
             self.cascade = self._build_cascade()
-        if self.cascade is not None:
-            return self.cascade
-        if self.matcher is None:
-            self.matcher = self._build_matcher()
-        if self.matcher is not None:
-            self.cascade = MatcherCascade.from_matcher(self.matcher)
-            return self.cascade
-        raise ConfigError(
-            "deciding comparisons needs a decision stage; configure "
-            ".match(...) (or a single-matcher .matcher(...) stage) on the "
-            "pipeline"
-        )
+        if self.cascade is None:
+            raise ConfigError(
+                "deciding comparisons needs a decision stage; configure "
+                ".match(...) on the pipeline (one matcher is the one-tier "
+                "cascade .match('<name>'))"
+            )
+        return self.cascade
 
     def _batch_matcher(self) -> "Any | None":
         """The engine's vectorized tier-0/tier-1 evaluator, if usable.
@@ -813,13 +784,10 @@ class Resolver:
             raise ValueError("evaluate_decisions requires a ground truth")
         cascade = self._build_cascade()
         if cascade is None:
-            matcher = self._build_matcher()
-            if matcher is None:
-                raise ConfigError(
-                    "evaluate_decisions needs a decision stage; configure "
-                    ".match(...) or .matcher(...) on the pipeline"
-                )
-            cascade = MatcherCascade.from_matcher(matcher)
+            raise ConfigError(
+                "evaluate_decisions needs a decision stage; configure "
+                ".match(...) on the pipeline"
+            )
         method = self.build_method()
         method.initialize()
         stream = itertools.islice(
@@ -838,7 +806,7 @@ class Resolver:
 
     @property
     def matches(self) -> set[tuple[int, int]]:
-        """Distinct pairs confirmed so far (by the matcher, else oracle)."""
+        """Distinct pairs confirmed so far (by the cascade, else the oracle)."""
         return set(self._matched_pairs)
 
     def progress(self) -> ResolverProgress:
@@ -880,20 +848,14 @@ class Resolver:
         ground_truth: GroundTruth | None = None,
         max_ec_star: float = 30.0,
         stop_at_full_recall: bool = True,
-        decisions: bool = False,
-    ) -> "RecallCurve | EvaluationReport":
+    ) -> RecallCurve:
         """The paper's progressiveness protocol on a fresh emission run.
 
         A new method instance is built from the same config (emission in
         several methods consumes internal structures, so reusing the
         session's stream would bias the curve), then driven with
-        ground-truth decisions up to ``max_ec_star * |D(P)|`` emissions.
-
-        ``decisions=True`` additionally runs the decision protocol
-        (:meth:`evaluate_decisions`) and returns an
-        :class:`EvaluationReport` pairing the :class:`RecallCurve`
-        (PC/PQ-style ranking quality) with the cascade's
-        precision/recall/F1.
+        ground-truth decisions up to ``max_ec_star * |D(P)|`` emissions;
+        :meth:`evaluate_decisions` is the decision counterpart.
         """
         truth = ground_truth if ground_truth is not None else self.ground_truth
         if truth is None:
@@ -903,17 +865,12 @@ class Resolver:
         if self.config.meta.pruning is not None:
             # the protocol drives the *pruned* emission, as stream() does
             stream = _PrunedMethodView(method, self._emitter_for(method))
-        curve = _drive_progressive(
+        return _drive_progressive(
             stream,
             truth,
             max_ec_star=max_ec_star,
             stop_at_full_recall=stop_at_full_recall,
             dataset=self.dataset_name,
-        )
-        if not decisions:
-            return curve
-        return EvaluationReport(
-            curve=curve, quality=self.evaluate_decisions(truth)
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

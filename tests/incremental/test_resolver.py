@@ -216,13 +216,14 @@ def test_ground_truth_recall_is_tracked_across_ingestion():
     assert curve.hit_positions  # ingestion emissions feed the curve
 
 
-def test_matcher_stage_applies_to_ingested_comparisons():
+def test_one_tier_cascade_decides_ingested_comparisons():
     resolver = (
         incremental_pipeline()
-        .matcher("jaccard", threshold=0.5)
+        .match("jaccard", params={"jaccard": {"threshold": 0.5}})
         .fit(RECORDS[:1])
     )
-    resolver.add_profiles(RECORDS[1:3])
+    for record in RECORDS[1:3]:
+        resolver.resolve_one(record, decide=True)
     assert resolver.matches  # near-identical records confirmed
 
 

@@ -9,6 +9,8 @@ non-ASCII and empty text views, oracle cost accounting).
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.ground_truth import GroundTruth
 from repro.core.profiles import EntityProfile
@@ -21,6 +23,7 @@ from repro.matching import (
     MatchFunction,
     OracleMatcher,
 )
+from repro.registry import matchers
 
 
 def profile(pid: int, text: str) -> EntityProfile:
@@ -249,20 +252,34 @@ class TestConfigRefusals:
             MatcherCascade([])
 
 
-class TestMigration:
-    def test_plain_matcher_wraps_as_single_tier_cascade(self):
-        matcher = JaccardMatcher(threshold=0.5)
-        cascade = MatcherCascade.from_matcher(matcher)
-        pairs = [
-            (profile(0, "alpha beta gamma"), profile(1, "alpha beta delta")),
-            (profile(2, "alpha beta"), profile(3, "x y z")),
-        ]
-        for a, b in pairs:
-            assert cascade(a, b) == matcher(a, b)
+#: Attribute values over a small alphabet, so equal, overlapping and
+#: disjoint token sets all come up.
+texts = st.text(alphabet="ab cA,", max_size=12)
+attributes = st.dictionaries(st.sampled_from(["name", "title", "city"]), texts)
 
-    def test_from_matcher_is_idempotent_on_cascades(self):
-        cascade = MatcherCascade()
-        assert MatcherCascade.from_matcher(cascade) is cascade
+
+@st.composite
+def matcher_specs(draw):
+    """A matcher name with the constructor params of one pipeline stage."""
+    name = draw(st.sampled_from(["exact", "jaccard", "edit-distance", "oracle"]))
+    if name == "oracle":
+        linked = draw(st.booleans())
+        return name, {"ground_truth": GroundTruth([(0, 1)] if linked else [(1, 2)])}
+    if name == "exact" or draw(st.booleans()):
+        return name, {}  # exact takes no threshold; the others their default
+    return name, {"threshold": draw(st.floats(0.0, 1.0))}
+
+
+class TestOneTierCascade:
+    @given(matcher_specs(), attributes, attributes)
+    @settings(max_examples=300, deadline=None)
+    def test_one_tier_cascade_decides_as_its_matcher(self, spec, left, right):
+        """A single matcher needs no decision path of its own: the
+        one-tier cascade over it decides every pair as it does."""
+        name, params = spec
+        a, b = EntityProfile(0, left), EntityProfile(1, right)
+        cascade = MatcherCascade([name], params={name: params})
+        assert cascade.decide(a, b).is_match == matchers.build(name, **params)(a, b)
 
     def test_cascade_satisfies_the_match_function_contract(self):
         cascade = MatcherCascade()

@@ -108,17 +108,17 @@ def test_a_budget_spent_at_a_chunk_edge_computes_no_further_chunk(
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_matcher_budget_stop_at_a_chunk_edge(backend, monkeypatch):
+def test_decided_budget_stop_at_a_chunk_edge(backend, monkeypatch):
     monkeypatch.setattr(comparisons, "CHUNK_SIZE", 100)
     resolver = (
         ERPipeline()
         .method("PPS")
         .backend(backend)
         .budget(comparisons=100)
-        .matcher("jaccard", threshold=0.3)
+        .match("jaccard", params={"jaccard": {"threshold": 0.3}})
         .fit(census())
     )
-    assert len(drain(resolver, 10)) == 100
+    assert len(list(resolver.resolve_stream(decide=True, batch_size=10))) == 100
     assert progress_of(resolver) == (100, 41, 44, 103, False)
 
 

@@ -119,13 +119,7 @@ def spec_dicts(draw):
                 "max_pending": draw(st.sampled_from([1, 32])),
                 "snapshot_dir": draw(st.sampled_from([None, "/tmp/snaps"])),
             }
-    decision = draw(st.sampled_from([None, "matcher", "match"]))
-    if decision == "matcher":
-        spec["matcher"] = {
-            "name": draw(st.sampled_from(["jaccard", "edit-distance", "exact"])),
-            "params": draw(params),
-        }
-    elif decision == "match":
+    if draw(st.booleans()):
         spec["match"] = draw(match_stages())
     spec["budget"] = {
         **draw(budgets),
@@ -190,8 +184,9 @@ def test_copy_shares_leaves_and_nothing_else(spec):
     blocks, matcher = object(), object()
     if spec.incremental is None:  # a live session takes no blocking params
         spec.blocking.params["blocks"] = blocks
-    if spec.matcher is not None:
-        spec.matcher.params["inner"] = {"deep": [matcher]}
+    if spec.match is not None:
+        tier = spec.match.tiers[0]
+        spec.match.params[tier] = {"inner": {"deep": [matcher]}}
     pristine = spec.to_dict()
     copied = spec.copy()
     assert copied == spec and copied is not spec
@@ -200,8 +195,8 @@ def test_copy_shares_leaves_and_nothing_else(spec):
     # Leaf param objects are shared, however deep they sit ...
     if spec.incremental is None:
         assert copied.blocking.params["blocks"] is blocks
-    if spec.matcher is not None:
-        assert copied.matcher.params["inner"]["deep"][0] is matcher
+    if spec.match is not None:
+        assert copied.match.params[tier]["inner"]["deep"][0] is matcher
     # ... and every container is the copy's own.
     for container in containers_of(copied):
         if isinstance(container, dict):
@@ -209,6 +204,28 @@ def test_copy_shares_leaves_and_nothing_else(spec):
         else:
             container.append("mutated")
     assert spec.to_dict() == pristine
+
+
+@given(
+    spec_dicts().filter(lambda spec: "match" not in spec),
+    st.sampled_from(["jaccard", "edit-distance", "exact", "oracle"]),
+    params,
+)
+@settings(max_examples=100, deadline=None)
+def test_a_retired_matcher_stage_reads_as_its_one_tier_cascade(spec, name, kwargs):
+    """Specs written up to 2.1 carry ``matcher``: it loads as the
+    one-tier ``match`` stage, and ``to_dict`` never writes it back."""
+    legacy = PipelineConfig.from_dict(
+        {**spec, "matcher": {"name": name, "params": kwargs}}
+    )
+    one_tier = {"tiers": [name], "params": {name: kwargs}}
+    assert legacy == PipelineConfig.from_dict({**spec, "match": one_tier})
+    assert "matcher" not in legacy.to_dict()
+    plain = PipelineConfig.from_dict(spec)
+    assert PipelineConfig.from_dict({**spec, "matcher": None}) == plain
+    both = {**spec, "matcher": {"name": name}, "match": one_tier}
+    with pytest.raises(ConfigError, match="two owners"):
+        PipelineConfig.from_dict(both)
 
 
 @given(specs, st.data())
@@ -245,7 +262,7 @@ def test_no_field_can_be_forgotten(cls):
 
 
 def test_a_null_stage_is_refused_unless_the_stage_is_optional():
-    assert PipelineConfig.from_dict({"matcher": None, "service": None}).matcher is None
+    assert PipelineConfig.from_dict({"match": None, "service": None}).match is None
     with pytest.raises(ConfigError, match="pipeline config key 'blocking'"):
         PipelineConfig.from_dict({"blocking": None})
     with pytest.raises(ConfigError, match="service config key 'session_budget'"):
@@ -279,8 +296,6 @@ calls = st.one_of(
         st.fixed_dictionaries({"name": st.sampled_from(["PPS", "ONLINE", "SA-PSN"])}),
     ),
     st.tuples(st.just("method"), st.just({"name": "PPS", "k_max": 5})),
-    st.tuples(st.just("matcher"), st.just({"name": "jaccard", "threshold": 0.6})),
-    st.tuples(st.just("no_matcher"), st.just({})),
     st.tuples(
         st.just("match"),
         match_stages().map(lambda m: {"cascade": m.pop("tiers"), **m}),

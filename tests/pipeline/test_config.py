@@ -9,7 +9,7 @@ import pytest
 from repro.pipeline.config import (
     BlockingConfig,
     BudgetConfig,
-    MatcherConfig,
+    MatchConfig,
     MetaBlockingConfig,
     MethodConfig,
     PipelineConfig,
@@ -41,12 +41,12 @@ class TestValidation:
 
     def test_unknown_matcher(self):
         with pytest.raises(ValueError, match="unknown match function"):
-            MatcherConfig(name="nope")
+            MatchConfig(tiers=("nope",))
 
     def test_names_canonicalized(self):
         assert MethodConfig(name="sapsn").name == "SA-PSN"
         assert MetaBlockingConfig(weighting="arcs").weighting == "ARCS"
-        assert MatcherConfig(name="JS").name == "jaccard"
+        assert MatchConfig(tiers=("JS",)).tiers == ("jaccard",)
 
     def test_budget_bounds(self):
         with pytest.raises(ValueError, match="comparisons"):
@@ -78,7 +78,9 @@ class TestRoundTrip:
             ),
             meta=MetaBlockingConfig(weighting="CBS"),
             method=MethodConfig(name="PBS", params={"filter_ratio": 0.7}),
-            matcher=MatcherConfig(name="jaccard", params={"threshold": 0.6}),
+            match=MatchConfig(
+                tiers=("jaccard",), params={"jaccard": {"threshold": 0.6}}
+            ),
             budget=BudgetConfig(comparisons=100, target_recall=0.9),
         )
 
@@ -91,10 +93,19 @@ class TestRoundTrip:
         assert rebuilt == spec
         assert rebuilt.to_dict() == spec.to_dict()
 
-    def test_none_matcher_round_trips(self):
+    def test_none_match_round_trips(self):
         spec = PipelineConfig()
-        assert spec.to_dict()["matcher"] is None
+        assert spec.to_dict()["match"] is None
         assert PipelineConfig.from_dict(spec.to_dict()) == spec
+
+    def test_a_retired_matcher_stage_reads_as_the_one_tier_cascade(self):
+        """Specs written up to 2.1 carry a ``matcher`` stage; they still
+        load (tests/pipeline/test_codec.py covers null and refused ones)."""
+        legacy = {"name": "jaccard", "params": {"threshold": 0.6}}
+        spec = PipelineConfig.from_dict({"matcher": legacy})
+        assert spec.match.tiers == ("jaccard",)
+        assert spec.match.params == {"jaccard": {"threshold": 0.6}}
+        assert "matcher" not in spec.to_dict()
 
     def test_partial_dict_uses_defaults(self):
         spec = PipelineConfig.from_dict({"method": {"name": "SA-PSN"}})
@@ -106,3 +117,4 @@ class TestRoundTrip:
             PipelineConfig.from_dict({"blocks": {}})
         with pytest.raises(ValueError, match="unknown budget config keys"):
             PipelineConfig.from_dict({"budget": {"max": 3}})
+

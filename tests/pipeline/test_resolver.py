@@ -88,25 +88,27 @@ class TestStreaming:
         assert resolver.progress().emitted == 0
         assert [c.pair for c in resolver.next_batch(5)] == first
 
-    def test_matcher_confirms_pairs(self, paper_profiles, paper_ground_truth):
-        resolver = (
-            toy_pipeline()
-            .matcher("jaccard", threshold=0.25)
-            .fit(paper_profiles, ground_truth=paper_ground_truth)
-        )
-        list(resolver.stream())
-        assert resolver.matches  # jaccard at 0.25 confirms the near-duplicates
-        assert resolver.progress().matches_confirmed == len(resolver.matches)
-
-    def test_oracle_matcher_gets_ground_truth_injected(
+    def test_one_tier_cascade_confirms_pairs(
         self, paper_profiles, paper_ground_truth
     ):
         resolver = (
             toy_pipeline()
-            .matcher("oracle")
+            .match("jaccard", params={"jaccard": {"threshold": 0.25}})
             .fit(paper_profiles, ground_truth=paper_ground_truth)
         )
-        list(resolver.stream())
+        list(resolver.decisions())
+        assert resolver.matches  # jaccard at 0.25 confirms the near-duplicates
+        assert resolver.progress().matches_confirmed == len(resolver.matches)
+
+    def test_oracle_tier_gets_ground_truth_injected(
+        self, paper_profiles, paper_ground_truth
+    ):
+        resolver = (
+            toy_pipeline()
+            .match("oracle")
+            .fit(paper_profiles, ground_truth=paper_ground_truth)
+        )
+        list(resolver.decisions())
         assert resolver.matches == paper_ground_truth.pairs
 
 
@@ -241,13 +243,11 @@ class TestFit:
         resolver = ERPipeline().method("PPS", blocks=blocks).fit(paper_profiles)
         assert resolver.config.method.params["blocks"] is blocks
 
-    def test_resolve_rejects_orphan_matcher_params(self, paper_profiles):
-        import pytest as _pytest
-
+    def test_resolve_rejects_orphan_cascade_knobs(self, paper_profiles):
         from repro import resolve
 
-        with _pytest.raises(ValueError, match="matcher_params"):
-            resolve(paper_profiles, matcher_params={"threshold": 0.9})
+        with pytest.raises(ValueError, match="cascade knobs"):
+            resolve(paper_profiles, match_thresholds={"jaccard": 0.9})
 
     def test_clone_is_independent(self, paper_profiles):
         base = toy_pipeline()

@@ -91,11 +91,14 @@ def test_emission_progress_is_not_snapshotted(tmp_path):
 def test_a_snapshot_written_by_1x_still_restores():
     """``fixtures/session-1.5`` is what release 1.5.0 saved for
     ``fitted("python")`` (its numpy writer, its manifest - carrying the
-    ``rebuild_threshold`` key retired in 2.0); the digest is the one it
-    streamed."""
+    ``rebuild_threshold`` key retired in 2.0 and the null ``matcher``
+    stage retired after 2.1); the digest is the one it streamed."""
     path = os.path.join(os.path.dirname(__file__), "fixtures", "session-1.5")
-    assert "rebuild_threshold" in read_manifest(path)["config"]["incremental"]
+    config = read_manifest(path)["config"]
+    assert "rebuild_threshold" in config["incremental"]
+    assert "matcher" in config and config["matcher"] is None
     restored = IncrementalResolver.load(path)
+    assert "matcher" not in restored.config.to_dict()
     assert stream_digest(restored.stream()) == "ff40c28097d4f328cf9df0b791bf5e82"
     assert stream_digest(fitted("python").stream()) == stream_digest(
         restored.reset().stream()
