@@ -78,7 +78,6 @@ from repro.core import (
     ERType,
     GroundTruth,
     ProfileStore,
-    Tokenizer,
 )
 from repro.datasets import Dataset, list_datasets, load_dataset
 from repro.errors import (
@@ -183,7 +182,6 @@ __all__ = [
     "ERType",
     "GroundTruth",
     "ProfileStore",
-    "Tokenizer",
     # blocking
     "Block",
     "BlockCollection",

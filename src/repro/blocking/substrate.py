@@ -40,7 +40,7 @@ from repro.blocking.purging import BlockPurging
 from repro.blocking.scheduling import block_scheduling
 from repro.blocking.token_blocking import TokenBlocking
 from repro.core.profiles import ProfileStore
-from repro.core.tokenization import DEFAULT_TOKENIZER, Tokenizer, token_stream
+from repro.core.tokenization import token_stream
 from repro.errors import ConfigError
 from repro.neighborlist.neighbor_list import NeighborList
 
@@ -63,7 +63,6 @@ class SubstrateSpec:
     substrates.  The Neighbor List ignores both ratios by construction.
     """
 
-    tokenizer: Tokenizer = DEFAULT_TOKENIZER
     purge_ratio: float | None = 0.1
     filter_ratio: float | None = 0.8
 
@@ -78,7 +77,6 @@ def method_substrate(
     backend: "Backend",
     store: ProfileStore,
     substrate: "BlockingSubstrate | None",
-    tokenizer: Tokenizer = DEFAULT_TOKENIZER,
     purge_ratio: float | None = 0.1,
     filter_ratio: float | None = 0.8,
 ) -> "BlockingSubstrate":
@@ -92,7 +90,7 @@ def method_substrate(
     """
     if substrate is None:
         built: "BlockingSubstrate" = backend.blocking_substrate(
-            store, SubstrateSpec(tokenizer, purge_ratio, filter_ratio)
+            store, SubstrateSpec(purge_ratio, filter_ratio)
         )
         return built
     if substrate.vectorized != backend.vectorized:
@@ -147,7 +145,7 @@ class ReferenceSubstrate:
         """
         if self._pairs is None:
             self.sweeps += 1
-            self._pairs = list(token_stream(self.store, self.spec.tokenizer))
+            self._pairs = list(token_stream(self.store))
         return self._pairs
 
     # -- derived structures ------------------------------------------------
@@ -155,10 +153,10 @@ class ReferenceSubstrate:
     def blocks(self) -> BlockCollection:
         """The blocked collection after purging/filtering (workflow order).
 
-        Identical to ``token_blocking_workflow(store, tokenizer,
-        purge_ratio, filter_ratio)`` - same classes, same order - but
-        grouping the cached pairs instead of re-tokenizing.  The
-        collection is cached; consumers share its ``Block`` objects.
+        Identical to ``token_blocking_workflow(store, purge_ratio,
+        filter_ratio)`` - same classes, same order - but grouping the
+        cached pairs instead of re-tokenizing.  The collection is
+        cached; consumers share its ``Block`` objects.
         """
         if self._blocks is None:
             collection = TokenBlocking.build_from_pairs(
@@ -216,9 +214,9 @@ class ReferenceSubstrate:
     ) -> NeighborList:
         """The schema-agnostic Neighbor List from the cached pairs.
 
-        Identical to ``NeighborList.schema_agnostic(store, tokenizer,
-        tie_order, seed)``: the full pair stream, no purging and no
-        filtering (count-1 tokens included).
+        Identical to ``NeighborList.schema_agnostic(store, tie_order,
+        seed)``: the full pair stream, no purging and no filtering
+        (count-1 tokens included).
         """
         key = (tie_order, seed)
         cached = self._neighbor_lists.get(key)

@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 
 from repro.blocking.base import Block, BlockCollection
 from repro.core.profiles import ERType, ProfileStore
-from repro.core.tokenization import DEFAULT_TOKENIZER, Tokenizer, suffixes
+from repro.core.tokenization import distinct_profile_tokens, suffixes
 from repro.registry import blocking_schemes
 
 
@@ -97,9 +97,6 @@ class SuffixArraysBlocking:
     ----------
     min_length:
         l_min - the minimum suffix length (SA-PSAB's only parameter).
-    tokenizer:
-        Token extractor; every distinct attribute-value token of a profile
-        is a blocking key.
     max_block_size:
         Optional classic-SAB cap: suffixes indexing more than this many
         profiles are dropped.  ``None`` (the default) reproduces the
@@ -110,13 +107,11 @@ class SuffixArraysBlocking:
     def __init__(
         self,
         min_length: int = 3,
-        tokenizer: Tokenizer = DEFAULT_TOKENIZER,
         max_block_size: int | None = None,
     ) -> None:
         if min_length < 1:
             raise ValueError("min_length must be positive")
         self.min_length = min_length
-        self.tokenizer = tokenizer
         self.max_block_size = max_block_size
 
     # -- construction ----------------------------------------------------------
@@ -124,7 +119,7 @@ class SuffixArraysBlocking:
     def _suffix_buckets(self, store: ProfileStore) -> dict[str, list[int]]:
         buckets: dict[str, dict[int, None]] = {}
         for profile in store:
-            for token in self.tokenizer.distinct_profile_tokens(profile):
+            for token in distinct_profile_tokens(profile):
                 for suffix in suffixes(token, self.min_length):
                     buckets.setdefault(suffix, {}).setdefault(profile.profile_id)
         return {suffix: list(ids) for suffix, ids in buckets.items()}

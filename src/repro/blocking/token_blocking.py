@@ -14,26 +14,17 @@ from typing import Iterable
 
 from repro.blocking.base import Block, BlockCollection
 from repro.core.profiles import ERType, ProfileStore
-from repro.core.tokenization import DEFAULT_TOKENIZER, Tokenizer, token_stream
+from repro.core.tokenization import token_stream
 from repro.registry import blocking_schemes
 
 
 class TokenBlocking:
-    """Builds token blocks from a profile store.
-
-    Parameters
-    ----------
-    tokenizer:
-        Controls how attribute values decompose into tokens.
-    """
-
-    def __init__(self, tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> None:
-        self.tokenizer = tokenizer
+    """Builds token blocks from a profile store."""
 
     def build(self, store: ProfileStore) -> BlockCollection:
         """One block per token shared by >= 2 profiles (cross-source for
         Clean-clean), in deterministic (alphabetical) key order."""
-        return self.build_from_pairs(token_stream(store, self.tokenizer), store)
+        return self.build_from_pairs(token_stream(store), store)
 
     @staticmethod
     def build_from_pairs(

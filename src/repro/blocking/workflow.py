@@ -21,7 +21,6 @@ from repro.blocking.base import BlockCollection, drop_singleton_blocks
 from repro.blocking.filtering import BlockFiltering
 from repro.blocking.purging import BlockPurging
 from repro.core.profiles import ProfileStore
-from repro.core.tokenization import DEFAULT_TOKENIZER, Tokenizer
 from repro.registry import blocking_schemes
 
 
@@ -51,7 +50,6 @@ def blocking_workflow(
 
 def token_blocking_workflow(
     store: ProfileStore,
-    tokenizer: Tokenizer = DEFAULT_TOKENIZER,
     purge_ratio: float | None = 0.1,
     filter_ratio: float | None = 0.8,
 ) -> BlockCollection:
@@ -61,8 +59,6 @@ def token_blocking_workflow(
     ----------
     store:
         The profile collection(s) to block.
-    tokenizer:
-        Attribute-value tokenizer shared by all steps.
     purge_ratio:
         Block Purging threshold (paper: 0.1).  ``None`` skips the step.
     filter_ratio:
@@ -78,5 +74,4 @@ def token_blocking_workflow(
         scheme="token",
         purge_ratio=purge_ratio,
         filter_ratio=filter_ratio,
-        tokenizer=tokenizer,
     )

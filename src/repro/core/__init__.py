@@ -3,12 +3,7 @@
 from repro.core.comparisons import Comparison, ComparisonList, SortedStack
 from repro.core.ground_truth import GroundTruth, normalize_pair
 from repro.core.profiles import EntityProfile, ERType, ProfileStore
-from repro.core.tokenization import (
-    DEFAULT_TOKENIZER,
-    Tokenizer,
-    suffixes,
-    token_stream,
-)
+from repro.core.tokenization import suffixes, token_stream
 
 __all__ = [
     "Comparison",
@@ -19,8 +14,6 @@ __all__ = [
     "EntityProfile",
     "ERType",
     "ProfileStore",
-    "Tokenizer",
-    "DEFAULT_TOKENIZER",
     "token_stream",
     "suffixes",
 ]

@@ -41,7 +41,6 @@ import numpy as np  # noqa: E402  (guarded optional dependency)
 
 from repro.core.comparisons import Comparison  # noqa: E402
 from repro.core.profiles import ProfileStore  # noqa: E402
-from repro.core.tokenization import DEFAULT_TOKENIZER  # noqa: E402
 from repro.engine.csr import multi_arange  # noqa: E402
 from repro.engine.storage import collector  # noqa: E402
 from repro.matching.cascade import MatcherCascade, TierDecision  # noqa: E402
@@ -101,7 +100,7 @@ class CascadeBatchMatcher:
 
     Wraps a :class:`~repro.matching.cascade.MatcherCascade` whose leading
     tiers are the stock normalized-equality / Jaccard implementations
-    over the default tokenizer (``cascade.batchable_prefix()``); those
+    (``cascade.batchable_prefix()``); those
     tiers are evaluated off the substrate's cached token rows, and only
     the undecided residue escalates through the cascade's own loop -
     decisions, similarities and tier counters all match the pure-Python
@@ -121,10 +120,6 @@ class CascadeBatchMatcher:
         self.cascade = cascade
         self.store = store
         self.prefix = cascade.batchable_prefix()
-        if substrate.spec.tokenizer is not DEFAULT_TOKENIZER:
-            # The substrate's rows intern a different token view; the
-            # batch algebra would compute a different similarity.
-            self.prefix = 0
         self._payload: dict[str, Any] | None = None
 
     @property

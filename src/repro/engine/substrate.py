@@ -11,16 +11,14 @@ with no ``Block``-object intermediate:
    id is its rank in the sorted vocabulary, so the CSR postings are one
    sort of packed ``(token id, profile)`` keys - never a dict-of-lists,
    never a sort of names.  The sweep works on the UTF-8 bytes of a
-   range's values joined by spaces: the ``[A-Za-z0-9]`` byte class
-   marks the token runs, uint8 arithmetic and masks apply the
-   Tokenizer's lowercase, ``min_length`` and ``keep_numeric``, and
+   range's values joined by spaces: uint8 arithmetic lowercases the
+   bytes, the ``[A-Za-z0-9]`` byte class marks the token runs, and
    tokens packed into zero-padded 64-bit words are interned by sorting
    the words read big-endian, with no Python object per token.  This is
-   exactly ``Tokenizer.tokens`` for every ``str``: the pattern's class
-   is ASCII and every byte of a non-ASCII character is >= 0x80, so the
-   byte runs are the pattern's matches, and on ``[A-Za-z0-9]+`` tokens
-   byte order is ``str`` order.  A Tokenizer subclass is refused, as
-   the sweep would not run its overrides.
+   exactly :func:`repro.core.tokenization.tokens` for every ``str``:
+   the pattern's class is ASCII and every byte of a non-ASCII character
+   is >= 0x80, so the byte runs are the pattern's matches, and on
+   ``[a-z0-9]+`` tokens byte order is ``str`` order.
 2. **Vectorized Block Purging / Block Filtering** - the paper's two
    pruning steps (drop blocks with more than ``purge_ratio`` of the
    profiles; keep each profile in ``ceil(filter_ratio * |B_i|)`` of its
@@ -55,9 +53,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.blocking.substrate import SubstrateSpec, check_order
 from repro.core.profiles import ERType, ProfileStore
-from repro.core.tokenization import Tokenizer
 from repro.engine import require_numpy
-from repro.errors import ConfigError
 
 require_numpy("repro.engine.substrate")
 
@@ -114,16 +110,13 @@ def _token_word(
     return word
 
 
-def _alpha(text: np.ndarray) -> np.ndarray:
-    """Which bytes are ``[A-Za-z]``.  In uint8 arithmetic ``b - lo``
-    wraps below ``lo``, so ``b - lo < size`` is ``lo <= b < lo + size``."""
-    return (text | np.uint8(0x20)) - np.uint8(ord("a")) < 26
-
-
 def _alnum(text: np.ndarray) -> np.ndarray:
     """Which bytes are ``[A-Za-z0-9]``, the token pattern's class (item 1
-    above says why its byte runs are the pattern's matches)."""
-    return _alpha(text) | (text - np.uint8(ord("0")) < 10)
+    above says why its byte runs are the pattern's matches).  In uint8
+    arithmetic ``b - lo`` wraps below ``lo``, so ``b - lo < size`` is
+    ``lo <= b < lo + size``."""
+    alpha = (text | np.uint8(0x20)) - np.uint8(ord("a")) < 26
+    return alpha | (text - np.uint8(ord("0")) < 10)
 
 
 def _lower(text: np.ndarray) -> np.ndarray:
@@ -220,7 +213,6 @@ def tokenize_range(
     """
     lo, hi = shard
     store = payload["store"]
-    tokenizer = payload["tokenizer"]
     profiles = list(map(store.__getitem__, range(lo, hi)))
     sources = np.fromiter(map(attrgetter("source"), profiles), np.int64, hi - lo)
     pairs = list(map(attrgetter("pairs"), profiles))
@@ -238,22 +230,13 @@ def tokenize_range(
     text = np.zeros(8 * (len(encoded) // 8 + 2), dtype=np.uint8)
     text[1 : len(encoded) + 1] = np.frombuffer(encoded, dtype=np.uint8)
     del encoded
-    if tokenizer.lowercase:
-        text = _lower(text)
-
-    # Token runs, then the Tokenizer's min_length and keep_numeric.
+    text = _lower(text)
     alnum = _alnum(text)
     edges = np.flatnonzero(alnum[1:] != alnum[:-1])
     del alnum
     starts = edges[0::2] + 1
     lengths = edges[1::2] - edges[0::2]
     del edges
-    keep = lengths >= tokenizer.min_length
-    if not tokenizer.keep_numeric:
-        # Runs are apart, so each reduction sees one run's letters.
-        keep &= np.logical_or.reduceat(_alpha(text), starts)
-    starts, lengths = starts[keep], lengths[keep]
-    del keep
     # Owners: the tokens' character offsets (a UTF-8 continuation byte
     # starts no character) against the profile ends.
     continuation = np.flatnonzero((text & 0xC0) == 0x80)
@@ -300,14 +283,6 @@ class ArraySubstrate:
         storage: ArrayStore | None = None,
         fanout: Fanout = INLINE,
     ) -> None:
-        if type(spec.tokenizer) is not Tokenizer:
-            # The sweep reads the three Tokenizer fields and never calls
-            # a method: an override would be silently ignored.
-            raise ConfigError(
-                f"the array backends tokenize with Tokenizer's fields only"
-                f" and cannot run a {type(spec.tokenizer).__name__}: use "
-                'backend="python" for a custom tokenizer'
-            )
         self.store = store
         self.spec = spec
         self.fanout = fanout
@@ -360,7 +335,7 @@ class ArraySubstrate:
             len(self.store),
             budget=None if self.storage is None else self.TOKENIZE_FLUSH_PROFILES,
         )
-        payload = {"store": self.store, "tokenizer": self.spec.tokenizer}
+        payload = {"store": self.store}
         pair_tokens = collector(self.storage, np.int64)
         pair_profiles = collector(self.storage, np.int64)
         packed = [np.empty(0, dtype="<u8")]

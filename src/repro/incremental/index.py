@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.blocking.base import Block, BlockCollection
 from repro.core.profiles import EntityProfile, ERType, ProfileStore
-from repro.core.tokenization import DEFAULT_TOKENIZER, Tokenizer
+from repro.core.tokenization import distinct_profile_tokens
 
 
 class IncrementalTokenIndex:
@@ -46,13 +46,10 @@ class IncrementalTokenIndex:
     store:
         The (usually mutable) profile store; profiles already present are
         indexed immediately.
-    tokenizer:
-        The schema-agnostic blocking-key tokenizer (shared default).
     """
 
     __slots__ = (
         "store",
-        "tokenizer",
         "postings",
         "generation",
         "_source_counts",
@@ -62,11 +59,8 @@ class IncrementalTokenIndex:
         "_probe",
     )
 
-    def __init__(
-        self, store: ProfileStore, tokenizer: Tokenizer = DEFAULT_TOKENIZER
-    ) -> None:
+    def __init__(self, store: ProfileStore) -> None:
         self.store = store
-        self.tokenizer = tokenizer
         #: token -> profile ids, in ingestion (= ascending id) order.
         self.postings: dict[str, list[int]] = {}
         #: Bumped once per mutation batch; consumers cache against it.
@@ -91,7 +85,7 @@ class IncrementalTokenIndex:
     def _index_profile(self, profile: EntityProfile) -> list[str]:
         """Index one profile; returns the tokens that became blocks."""
         profile_id = profile.profile_id
-        tokens = tuple(sorted(self.tokenizer.distinct_profile_tokens(profile)))
+        tokens = tuple(sorted(distinct_profile_tokens(profile)))
         self._profile_tokens[profile_id] = tokens
         source = profile.source
         transitioned: list[str] = []
@@ -374,7 +368,6 @@ class IncrementalTokenIndex:
         tokens: Sequence[str],
         indptr: Sequence[int],
         flat_ids: Sequence[int],
-        tokenizer: Tokenizer = DEFAULT_TOKENIZER,
         generation: int = 0,
     ) -> "IncrementalTokenIndex":
         """Rebuild an index from its CSR snapshot without re-tokenizing.
@@ -386,19 +379,26 @@ class IncrementalTokenIndex:
         (the export order), which makes each profile's accumulated token
         list alphabetical, exactly as :meth:`_index_profile` builds it;
         profile ids inside each posting keep their saved ingestion
-        order.  The result is state-identical to the index the snapshot
-        was taken from, so a restored session streams bit-identically.
+        order, which must be ascending (probe rollback relies on it).
+        The result is state-identical to the index the snapshot was
+        taken from, so a restored session streams bit-identically.
         """
-        if len(indptr) != len(tokens) + 1 or (
-            len(indptr) > 0 and indptr[-1] != len(flat_ids)
+        if len(indptr) != len(tokens) + 1:
+            raise ValueError(
+                f"postings_indptr: {len(indptr)} offsets for "
+                f"{len(tokens)} tokens (expected {len(tokens) + 1})"
+            )
+        if (
+            indptr[0] != 0
+            or indptr[-1] != len(flat_ids)
+            or any(b < a for a, b in zip(indptr, indptr[1:]))
         ):
             raise ValueError(
-                f"inconsistent postings CSR: {len(tokens)} tokens, "
-                f"{len(indptr)} offsets, {len(flat_ids)} posting entries"
+                "postings_indptr: offsets must start at 0, never decrease "
+                f"and end at {len(flat_ids)} (the postings_ids length)"
             )
         index = cls.__new__(cls)
         index.store = store
-        index.tokenizer = tokenizer
         index.postings = {}
         index.generation = generation
         index._source_counts = {}
@@ -420,6 +420,11 @@ class IncrementalTokenIndex:
                 )
             previous = token
             ids = [int(i) for i in flat_ids[indptr[position] : indptr[position + 1]]]
+            if any(b <= a for a, b in zip(ids, ids[1:])):
+                raise ValueError(
+                    f"postings_ids: the posting of {token!r} is not "
+                    f"strictly ascending: {ids}"
+                )
             index.postings[token] = ids
             counts = [0, 0]
             for profile_id in ids:

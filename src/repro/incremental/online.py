@@ -33,7 +33,6 @@ from repro.blocking.base import BlockCollection
 from repro.blocking.substrate import method_substrate
 from repro.core.comparisons import Comparison, comparison_chunks
 from repro.core.profiles import ProfileStore
-from repro.core.tokenization import DEFAULT_TOKENIZER, Tokenizer
 from repro.engine import get_backend
 from repro.metablocking.profile_index import ProfileIndex
 from repro.metablocking.weights import WeightingScheme, make_scheme
@@ -58,7 +57,7 @@ class OnlineRanked(ProgressiveMethod):
         Pre-built redundancy-positive blocks; when None the Token
         Blocking workflow builds them (``purge_ratio``/``filter_ratio``
         knobs below).
-    tokenizer, purge_ratio, filter_ratio:
+    purge_ratio, filter_ratio:
         Workflow knobs (ignored when ``blocks`` or ``substrate`` is given).
     substrate:
         A pre-built session :class:`~repro.contracts.BlockingSubstrate`
@@ -79,7 +78,6 @@ class OnlineRanked(ProgressiveMethod):
         store: ProfileStore,
         weighting: str = "ARCS",
         blocks: BlockCollection | None = None,
-        tokenizer: Tokenizer = DEFAULT_TOKENIZER,
         purge_ratio: float | None = 0.1,
         filter_ratio: float | None = 0.8,
         backend: str = "python",
@@ -93,10 +91,9 @@ class OnlineRanked(ProgressiveMethod):
             None
             if blocks is not None
             else method_substrate(
-                self.backend, store, substrate, tokenizer, purge_ratio, filter_ratio
+                self.backend, store, substrate, purge_ratio, filter_ratio
             )
         )
-        self.tokenizer = tokenizer
         self.purge_ratio = purge_ratio
         self.filter_ratio = filter_ratio
         self.profile_index: ProfileIndex | None = None

@@ -44,7 +44,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 from repro.core.comparisons import Comparison
 from repro.core.ground_truth import GroundTruth
 from repro.core.profiles import EntityProfile, ProfileStore
-from repro.core.tokenization import DEFAULT_TOKENIZER
 from repro.incremental.index import IncrementalTokenIndex
 from repro.incremental.store import MutableProfileStore
 from repro.incremental.weights import IncrementalWeighter
@@ -133,11 +132,7 @@ class IncrementalResolver(Resolver):
         #: mutate and roll back the shared index) and close.
         #: An RLock because resolve_one(ingest=True) nests add_profiles.
         self._lock = threading.RLock()
-        self._index = (
-            index
-            if index is not None
-            else IncrementalTokenIndex(store, tokenizer=DEFAULT_TOKENIZER)
-        )
+        self._index = index if index is not None else IncrementalTokenIndex(store)
         self._weighter = IncrementalWeighter(
             self._index,
             weighting=config.meta.weighting,

@@ -482,27 +482,13 @@ class MatcherCascade(MatchFunction):
 
         The engine evaluates normalized equality and Jaccard straight
         off the substrate's interned token postings; that is only valid
-        for the stock tier implementations over the default tokenizer
-        (anything else computes a different similarity).  Returns 0, 1
-        or 2.
+        for the stock tier implementations (a subclass may compute a
+        different similarity).  Returns 0, 1 or 2.
         """
-        from repro.core.tokenization import DEFAULT_TOKENIZER
-
-        if not self.tiers:
+        if not self.tiers or type(self.tiers[0].matcher) is not ExactMatcher:
             return 0
-        first = self.tiers[0].matcher
-        if not (
-            type(first) is ExactMatcher
-            and first.tokenizer is DEFAULT_TOKENIZER
-        ):
-            return 0
-        if len(self.tiers) > 1:
-            second = self.tiers[1].matcher
-            if (
-                type(second) is JaccardMatcher
-                and second.tokenizer is DEFAULT_TOKENIZER
-            ):
-                return 2
+        if len(self.tiers) > 1 and type(self.tiers[1].matcher) is JaccardMatcher:
+            return 2
         return 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -17,7 +17,7 @@ from typing import Any
 
 from repro.core.ground_truth import GroundTruth
 from repro.core.profiles import EntityProfile
-from repro.core.tokenization import DEFAULT_TOKENIZER, Tokenizer
+from repro.core.tokenization import profile_tokens
 from repro.matching.edit_distance import edit_similarity
 from repro.matching.jaccard import jaccard
 from repro.registry import matchers
@@ -49,14 +49,11 @@ class ExactMatcher(MatchFunction):
 
     name = "exact"
 
-    def __init__(self, tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> None:
+    def __init__(self) -> None:
         self.threshold = 1.0
-        self.tokenizer = tokenizer
 
     def similarity(self, a: EntityProfile, b: EntityProfile) -> float:
-        equal = frozenset(self.tokenizer.profile_tokens(a)) == frozenset(
-            self.tokenizer.profile_tokens(b)
-        )
+        equal = frozenset(profile_tokens(a)) == frozenset(profile_tokens(b))
         return 1.0 if equal else 0.0
 
     def __call__(self, a: EntityProfile, b: EntityProfile) -> bool:
@@ -91,18 +88,13 @@ class JaccardMatcher(MatchFunction):
 
     name = "JS"
 
-    def __init__(
-        self, threshold: float = 0.5, tokenizer: Tokenizer = DEFAULT_TOKENIZER
-    ) -> None:
+    def __init__(self, threshold: float = 0.5) -> None:
         if not 0.0 <= threshold <= 1.0:
             raise ValueError("threshold must be in [0, 1]")
         self.threshold = threshold
-        self.tokenizer = tokenizer
 
     def similarity(self, a: EntityProfile, b: EntityProfile) -> float:
-        return jaccard(
-            self.tokenizer.profile_tokens(a), self.tokenizer.profile_tokens(b)
-        )
+        return jaccard(profile_tokens(a), profile_tokens(b))
 
     def __call__(self, a: EntityProfile, b: EntityProfile) -> bool:
         return self.similarity(a, b) >= self.threshold

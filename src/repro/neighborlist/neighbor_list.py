@@ -20,7 +20,7 @@ import random
 from typing import Iterable, Sequence
 
 from repro.core.profiles import ProfileStore
-from repro.core.tokenization import DEFAULT_TOKENIZER, Tokenizer, token_stream
+from repro.core.tokenization import token_stream
 
 _TIE_ORDERS = ("insertion", "random")
 
@@ -82,14 +82,11 @@ class NeighborList:
     def schema_agnostic(
         cls,
         store: ProfileStore,
-        tokenizer: Tokenizer = DEFAULT_TOKENIZER,
         tie_order: str = "insertion",
         seed: int | None = 0,
     ) -> "NeighborList":
         """The schema-agnostic Neighbor List: one entry per profile token."""
-        return cls.from_key_pairs(
-            token_stream(store, tokenizer), tie_order=tie_order, seed=seed
-        )
+        return cls.from_key_pairs(token_stream(store), tie_order=tie_order, seed=seed)
 
     # -- inspection ----------------------------------------------------------
 

@@ -113,7 +113,7 @@ class Stage:
         Stages and containers (``params`` dicts, tier tuples) are
         copied; leaf values are shared - deliberately, so a heavy
         runtime object passed as a param (a pre-built ``blocks``
-        collection, a tokenizer) is reused rather than deep-copied.
+        collection) is reused rather than deep-copied.
         """
         return type(self)(
             **{f.name: _rebuilt(getattr(self, f.name), False) for f in fields(self)}

@@ -392,7 +392,7 @@ class Resolver:
         # knobs or backend in the method params opt the method out - its
         # private build must honor them, and the shared substrate would not.
         if progressive_methods.accepts(name, "substrate") and not (
-            {"substrate", "blocks", "backend", "tokenizer", "purge_ratio", "filter_ratio"}
+            {"substrate", "blocks", "backend", "purge_ratio", "filter_ratio"}
             & set(self.config.method.params)
         ):
             substrate = self._session_substrate()

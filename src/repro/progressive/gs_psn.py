@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro.core.comparisons import Comparison, ComparisonList, comparison_chunks
 from repro.core.profiles import ProfileStore
-from repro.core.tokenization import DEFAULT_TOKENIZER, Tokenizer
 from repro.neighborlist.rcf import NeighborWeighting
 from repro.progressive.base import register_method
 from repro.progressive.ls_psn import _SimilarityBase
@@ -50,8 +49,6 @@ class GSPSN(_SimilarityBase):
     max_window:
         w_max - the window range bound.  The paper uses 20 for the
         structured datasets and 200 for the large heterogeneous ones.
-    tokenizer:
-        Attribute-value tokenizer providing the blocking keys.
     weighting:
         Co-occurrence weighting scheme name or instance (default RCF).
     tie_order, seed:
@@ -70,7 +67,6 @@ class GSPSN(_SimilarityBase):
         self,
         store: ProfileStore,
         max_window: int = 20,
-        tokenizer: Tokenizer = DEFAULT_TOKENIZER,
         weighting: str | NeighborWeighting = "RCF",
         tie_order: str = "random",
         seed: int | None = 0,
@@ -79,9 +75,7 @@ class GSPSN(_SimilarityBase):
     ) -> None:
         if max_window < 1:
             raise ValueError("max_window must be positive")
-        super().__init__(
-            store, tokenizer, weighting, tie_order, seed, backend, substrate
-        )
+        super().__init__(store, weighting, tie_order, seed, backend, substrate)
         self.max_window = max_window
         self._comparisons: ComparisonList | None = None
         self._window_arrays: tuple | None = None

@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 from repro.blocking.substrate import method_substrate
 from repro.core.comparisons import Comparison, ComparisonList
 from repro.core.profiles import ERType, ProfileStore
-from repro.core.tokenization import DEFAULT_TOKENIZER, Tokenizer
 from repro.neighborlist.neighbor_list import NeighborList
 from repro.neighborlist.position_index import PositionIndex
 from repro.engine import get_backend
@@ -42,7 +41,6 @@ class _SimilarityBase(ProgressiveMethod):
     def __init__(
         self,
         store: ProfileStore,
-        tokenizer: Tokenizer = DEFAULT_TOKENIZER,
         weighting: str | NeighborWeighting = "RCF",
         tie_order: str = "random",
         seed: int | None = 0,
@@ -50,7 +48,6 @@ class _SimilarityBase(ProgressiveMethod):
         substrate: "BlockingSubstrate | None" = None,
     ) -> None:
         super().__init__(store)
-        self.tokenizer = tokenizer
         self.weighting = (
             weighting
             if isinstance(weighting, NeighborWeighting)
@@ -62,7 +59,7 @@ class _SimilarityBase(ProgressiveMethod):
         # The Neighbor List comes from the substrate's cached tokenization
         # sweep (by design it sees the unpurged, unfiltered pair stream -
         # the substrate's ratios never apply to it).
-        self._substrate = method_substrate(self.backend, store, substrate, tokenizer)
+        self._substrate = method_substrate(self.backend, store, substrate)
         self.neighbor_list: NeighborList | None = None
         self.position_index: PositionIndex | None = None
         self._scan_ids: list[int] = []
@@ -138,8 +135,6 @@ class LSPSN(_SimilarityBase):
     ----------
     store:
         The profiles to resolve.
-    tokenizer:
-        Attribute-value tokenizer providing the blocking keys.
     weighting:
         Co-occurrence weighting scheme name or instance (default RCF).
     tie_order, seed:
@@ -160,7 +155,6 @@ class LSPSN(_SimilarityBase):
     def __init__(
         self,
         store: ProfileStore,
-        tokenizer: Tokenizer = DEFAULT_TOKENIZER,
         weighting: str | NeighborWeighting = "RCF",
         tie_order: str = "random",
         seed: int | None = 0,
@@ -170,9 +164,7 @@ class LSPSN(_SimilarityBase):
     ) -> None:
         if max_window is not None and max_window < 1:
             raise ValueError("max_window must be positive")
-        super().__init__(
-            store, tokenizer, weighting, tie_order, seed, backend, substrate
-        )
+        super().__init__(store, weighting, tie_order, seed, backend, substrate)
         self.max_window = max_window
 
     def _setup(self) -> None:

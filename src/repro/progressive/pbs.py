@@ -26,7 +26,6 @@ from repro.blocking.scheduling import block_scheduling
 from repro.blocking.substrate import method_substrate
 from repro.core.comparisons import Comparison, ComparisonList
 from repro.core.profiles import ProfileStore
-from repro.core.tokenization import DEFAULT_TOKENIZER, Tokenizer
 from repro.engine import get_backend
 from repro.metablocking.profile_index import ProfileIndex
 from repro.metablocking.weights import WeightingScheme, make_scheme
@@ -51,8 +50,6 @@ class PBS(ProgressiveMethod):
     blocks:
         Pre-built redundancy-positive blocks; when None the paper's Token
         Blocking workflow (purging 10%, filtering 80%) is applied.
-    tokenizer:
-        Tokenizer for the default workflow (ignored when ``blocks`` given).
     purge_ratio, filter_ratio:
         Workflow knobs exposed for the ablation benches.
     substrate:
@@ -74,7 +71,6 @@ class PBS(ProgressiveMethod):
         store: ProfileStore,
         weighting: str = "ARCS",
         blocks: BlockCollection | None = None,
-        tokenizer: Tokenizer = DEFAULT_TOKENIZER,
         purge_ratio: float | None = 0.1,
         filter_ratio: float | None = 0.8,
         backend: "str | Backend" = "python",
@@ -88,10 +84,9 @@ class PBS(ProgressiveMethod):
             None
             if blocks is not None
             else method_substrate(
-                self.backend, store, substrate, tokenizer, purge_ratio, filter_ratio
+                self.backend, store, substrate, purge_ratio, filter_ratio
             )
         )
-        self.tokenizer = tokenizer
         self.purge_ratio = purge_ratio
         self.filter_ratio = filter_ratio
         self.scheduled: BlockCollection | None = None

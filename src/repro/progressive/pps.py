@@ -37,7 +37,6 @@ from repro.blocking.scheduling import block_scheduling
 from repro.blocking.substrate import method_substrate
 from repro.core.comparisons import Comparison, ComparisonList, SortedStack
 from repro.core.profiles import ProfileStore
-from repro.core.tokenization import DEFAULT_TOKENIZER, Tokenizer
 from repro.engine import get_backend
 from repro.metablocking.profile_index import ProfileIndex
 from repro.metablocking.weights import WeightingScheme, make_scheme
@@ -70,7 +69,7 @@ class PPS(ProgressiveMethod):
         Pre-built redundancy-positive blocks; when None the paper's Token
         Blocking workflow (purging 10%, filtering 80%) is applied via the
         backend's blocking substrate (one tokenization sweep).
-    tokenizer, purge_ratio, filter_ratio:
+    purge_ratio, filter_ratio:
         Workflow knobs (ignored when ``blocks`` or ``substrate`` is given).
     substrate:
         A pre-built session :class:`~repro.contracts.BlockingSubstrate`
@@ -98,7 +97,6 @@ class PPS(ProgressiveMethod):
         weighting: str = "ARCS",
         k_max: int | None = None,
         blocks: BlockCollection | None = None,
-        tokenizer: Tokenizer = DEFAULT_TOKENIZER,
         purge_ratio: float | None = 0.1,
         filter_ratio: float | None = 0.8,
         exhaustive: bool = False,
@@ -116,10 +114,9 @@ class PPS(ProgressiveMethod):
             None
             if blocks is not None
             else method_substrate(
-                self.backend, store, substrate, tokenizer, purge_ratio, filter_ratio
+                self.backend, store, substrate, purge_ratio, filter_ratio
             )
         )
-        self.tokenizer = tokenizer
         self.purge_ratio = purge_ratio
         self.filter_ratio = filter_ratio
         self.exhaustive = exhaustive

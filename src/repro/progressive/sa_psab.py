@@ -20,7 +20,6 @@ from typing import Iterator
 from repro.blocking.suffix_arrays import SuffixArraysBlocking, SuffixForest
 from repro.core.comparisons import Comparison
 from repro.core.profiles import ProfileStore
-from repro.core.tokenization import DEFAULT_TOKENIZER, Tokenizer
 from repro.progressive.base import ProgressiveMethod, register_method
 
 
@@ -34,8 +33,6 @@ class SAPSAB(ProgressiveMethod):
         The profiles to resolve.
     min_length:
         l_min - minimum suffix length (the only parameter).
-    tokenizer:
-        Attribute-value tokenizer providing the base keys.
     max_block_size:
         Optional cap on suffix-block size (None reproduces the paper).
     """
@@ -46,13 +43,11 @@ class SAPSAB(ProgressiveMethod):
         self,
         store: ProfileStore,
         min_length: int = 3,
-        tokenizer: Tokenizer = DEFAULT_TOKENIZER,
         max_block_size: int | None = None,
     ) -> None:
         super().__init__(store)
         self.blocker = SuffixArraysBlocking(
             min_length=min_length,
-            tokenizer=tokenizer,
             max_block_size=max_block_size,
         )
         self.forest: SuffixForest | None = None

@@ -19,7 +19,6 @@ from typing import Iterator
 
 from repro.core.comparisons import Comparison
 from repro.core.profiles import ProfileStore
-from repro.core.tokenization import DEFAULT_TOKENIZER, Tokenizer
 from repro.neighborlist.neighbor_list import NeighborList
 from repro.progressive.base import ProgressiveMethod, register_method
 
@@ -32,8 +31,6 @@ class SAPSN(ProgressiveMethod):
     ----------
     store:
         The profiles to resolve.
-    tokenizer:
-        Attribute-value tokenizer providing the blocking keys.
     tie_order, seed:
         Order inside equal-token runs ("insertion" or "random").
     max_window:
@@ -45,13 +42,11 @@ class SAPSN(ProgressiveMethod):
     def __init__(
         self,
         store: ProfileStore,
-        tokenizer: Tokenizer = DEFAULT_TOKENIZER,
         tie_order: str = "random",
         seed: int | None = 0,
         max_window: int | None = None,
     ) -> None:
         super().__init__(store)
-        self.tokenizer = tokenizer
         self.tie_order = tie_order
         self.seed = seed
         self.max_window = max_window
@@ -59,10 +54,7 @@ class SAPSN(ProgressiveMethod):
 
     def _setup(self) -> None:
         self.neighbor_list = NeighborList.schema_agnostic(
-            self.store,
-            tokenizer=self.tokenizer,
-            tie_order=self.tie_order,
-            seed=self.seed,
+            self.store, tie_order=self.tie_order, seed=self.seed
         )
 
     def _emit(self) -> Iterator[Comparison]:

@@ -435,7 +435,8 @@ class SessionManager:
             raise KeyError(f"no session named {name!r}") from None
 
     def names(self) -> list[str]:
-        return sorted(self._sessions)
+        with self._registry_lock:
+            return sorted(self._sessions)
 
     def delete(self, name: str) -> None:
         """Close and forget the named session."""
@@ -450,10 +451,14 @@ class SessionManager:
         session.close()
 
     def metrics(self) -> dict[str, Any]:
-        """Service-wide metrics: per-session views plus totals."""
-        sessions = [
-            self._sessions[name].metrics() for name in self.names()
-        ]
+        """Service-wide metrics: per-session views plus totals.
+
+        The registry is copied under its lock and the views are built
+        after releasing it: a session deleted meanwhile still reports.
+        """
+        with self._registry_lock:
+            registered = sorted(self._sessions.items())
+        sessions = [session.metrics() for _, session in registered]
         return {
             "sessions": sessions,
             "session_count": len(sessions),

@@ -261,13 +261,12 @@ def load_session(path: str) -> "IncrementalResolver":
         tokens = json.load(handle)
     indptr = _read_npy_int64(os.path.join(path, f"{INDPTR}.npy"))
     flat = _read_npy_int64(os.path.join(path, f"{IDS}.npy"))
-    index = IncrementalTokenIndex.restore(
-        store,
-        tokens,
-        indptr[: len(tokens) + 1],
-        flat,
-        generation=int(manifest["generation"]),
-    )
+    try:
+        index = IncrementalTokenIndex.restore(
+            store, tokens, indptr, flat, generation=int(manifest["generation"])
+        )
+    except ValueError as error:
+        raise ValueError(f"snapshot at {path!r}: {error}") from None
     return IncrementalResolver(
         config,
         store,

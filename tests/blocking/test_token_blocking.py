@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from repro.blocking.token_blocking import TokenBlocking
 from repro.core.profiles import ProfileStore
-from repro.core.tokenization import Tokenizer
 
 
 class TestTokenBlocking:
@@ -41,13 +40,6 @@ class TestTokenBlocking:
         assert "epsilon" not in keys
         for block in blocks:
             assert block.left_ids and block.right_ids
-
-    def test_custom_tokenizer(self):
-        store = ProfileStore.from_attribute_maps(
-            [{"a": "ab cde"}, {"a": "ab cde"}]
-        )
-        blocks = TokenBlocking(Tokenizer(min_length=3)).build(store)
-        assert [b.key for b in blocks] == ["cde"]
 
     def test_duplicate_token_in_profile_counted_once(self):
         store = ProfileStore.from_attribute_maps(

@@ -16,14 +16,14 @@ import pytest
 
 from repro.core.ground_truth import GroundTruth
 from repro.core.profiles import EntityProfile, ERType, ProfileStore
-from repro.core.tokenization import Tokenizer
+from repro.core import tokenization
 from repro.engine import HAS_NUMPY
 
 
 class SweepCounter:
     """Profiles tokenized, per path: ``tokenizer`` counts
-    ``Tokenizer.distinct_profile_tokens`` calls (the python backend's
-    sweep), ``kernel`` the profiles that
+    ``repro.core.tokenization.distinct_profile_tokens`` calls (the python
+    backend's sweep, ``token_stream``), ``kernel`` the profiles that
     ``repro.engine.substrate.tokenize_range`` calls covered (the sum of
     ``hi - lo``: the array backends' sweep)."""
 
@@ -46,13 +46,13 @@ class SweepCounter:
 def sweep_counter(monkeypatch) -> SweepCounter:
     """Counts tokenized profiles on every backend (see SweepCounter)."""
     counter = SweepCounter()
-    original = Tokenizer.distinct_profile_tokens
+    original = tokenization.distinct_profile_tokens
 
-    def counting(self, profile):
+    def counting(profile):
         counter.tokenizer += 1
-        return original(self, profile)
+        return original(profile)
 
-    monkeypatch.setattr(Tokenizer, "distinct_profile_tokens", counting)
+    monkeypatch.setattr(tokenization, "distinct_profile_tokens", counting)
     if HAS_NUMPY:
         from repro.engine import substrate
 

@@ -2,50 +2,59 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.profiles import EntityProfile
 from repro.core.tokenization import (
-    DEFAULT_TOKENIZER,
-    Tokenizer,
+    distinct_profile_tokens,
+    profile_tokens,
     suffixes,
     token_stream,
+    tokens,
 )
 
 
 class TestTokenizer:
     def test_splits_on_non_alphanumerics(self):
-        assert DEFAULT_TOKENIZER.tokens("carl-white, NY!") == ["carl", "white", "ny"]
+        assert tokens("carl-white, NY!") == ["carl", "white", "ny"]
 
     def test_uri_decomposition(self):
         """URIs break into prefix and local-name tokens (Section 7.2)."""
-        tokens = DEFAULT_TOKENIZER.tokens("http://dbpedia.org/resource/Berlin")
-        assert tokens == ["http", "dbpedia", "org", "resource", "berlin"]
+        expected = ["http", "dbpedia", "org", "resource", "berlin"]
+        assert tokens("http://dbpedia.org/resource/Berlin") == expected
 
-    def test_lowercase_can_be_disabled(self):
-        tokenizer = Tokenizer(lowercase=False)
-        assert tokenizer.tokens("Carl NY") == ["Carl", "NY"]
-
-    def test_min_length_filter(self):
-        tokenizer = Tokenizer(min_length=3)
-        assert tokenizer.tokens("a bb ccc dddd") == ["ccc", "dddd"]
-
-    def test_numeric_filter(self):
-        tokenizer = Tokenizer(keep_numeric=False)
-        assert tokenizer.tokens("route 66 north") == ["route", "north"]
-        assert DEFAULT_TOKENIZER.tokens("route 66") == ["route", "66"]
+    def test_short_and_numeric_tokens_are_kept(self):
+        assert tokens("route 66 a") == ["route", "66", "a"]
 
     def test_profile_tokens_spans_all_values(self):
         profile = EntityProfile(0, [("a", "x y"), ("b", "y z")])
-        assert DEFAULT_TOKENIZER.profile_tokens(profile) == ["x", "y", "y", "z"]
+        assert profile_tokens(profile) == ["x", "y", "y", "z"]
 
     def test_distinct_profile_tokens_order_preserving(self):
         profile = EntityProfile(0, [("a", "x y"), ("b", "y z x")])
-        assert DEFAULT_TOKENIZER.distinct_profile_tokens(profile) == ["x", "y", "z"]
+        assert distinct_profile_tokens(profile) == ["x", "y", "z"]
 
     def test_empty_value(self):
-        assert DEFAULT_TOKENIZER.tokens("") == []
-        assert DEFAULT_TOKENIZER.tokens("...") == []
+        assert tokens("") == []
+        assert tokens("...") == []
+
+    @given(
+        st.one_of(
+            st.text(),
+            st.text(alphabet=st.characters(max_codepoint=127)),
+            st.text(alphabet="aZ9 .\u212a\u0130\u0131\u017f\xdf"),
+        )
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_equals_the_pattern_lowercased_per_token(self, value):
+        """The ASCII fast path (lowercase the value, then split) is exact:
+        every ``str`` gives the tokens of the per-token definition."""
+        expected = [token.lower() for token in re.findall("[A-Za-z0-9]+", value)]
+        assert tokens(value) == expected
 
 
 class TestTokenStream:

@@ -21,7 +21,6 @@ from repro.blocking.substrate import (  # noqa: E402
 )
 from repro.blocking.workflow import token_blocking_workflow  # noqa: E402
 from repro.core.profiles import ProfileStore  # noqa: E402
-from repro.core.tokenization import Tokenizer  # noqa: E402
 from repro.engine.substrate import ArraySubstrate  # noqa: E402
 from repro.metablocking.profile_index import ProfileIndex  # noqa: E402
 from repro.neighborlist.neighbor_list import NeighborList  # noqa: E402
@@ -254,18 +253,3 @@ class TestTokenizerPaths:
         expected = reference.neighbor_list("insertion", 0)
         assert built.entries == expected.entries
         assert built.keys == expected.keys
-
-    def test_custom_tokenizer_flows_through_spec(self):
-        upper = Tokenizer(lowercase=False)
-        store = ProfileStore.from_attribute_maps(
-            [{"a": "Foo bar"}, {"a": "Foo baz"}, {"a": "foo qux"}]
-        )
-        spec = SubstrateSpec(
-            tokenizer=upper, purge_ratio=None, filter_ratio=None
-        )
-        substrate = ArraySubstrate(store, spec)
-        expected = token_blocking_workflow(
-            store, tokenizer=upper, purge_ratio=None, filter_ratio=None
-        )
-        assert block_signature(substrate.blocks()) == block_signature(expected)
-        assert [block.key for block in substrate.blocks().blocks] == ["Foo"]

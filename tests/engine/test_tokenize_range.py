@@ -2,8 +2,8 @@
 
 ``tokenize_range`` finds, lowercases and interns tokens from the UTF-8
 bytes of a range's values, a token's id being its rank in the range's
-alphabetical vocabulary; ``Tokenizer.distinct_profile_tokens`` is the
-reference it must equal for every ``str``: non-ASCII characters whose
+alphabetical vocabulary; ``tokenization.distinct_profile_tokens`` is
+the reference it must equal for every ``str``: non-ASCII characters whose
 lowercase is ASCII (the Kelvin sign, dotted capital I), combining marks,
 lone surrogates, NULs, empty values, tokens sharing prefixes and around
 the 8-byte word boundaries, and repeats within and across values.
@@ -22,7 +22,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from repro.blocking.substrate import SubstrateSpec  # noqa: E402
 from repro.core.profiles import EntityProfile, ERType, ProfileStore  # noqa: E402
-from repro.core.tokenization import Tokenizer  # noqa: E402
+from repro.core.tokenization import distinct_profile_tokens  # noqa: E402
 from repro.engine.fanout import Fanout  # noqa: E402
 from repro.engine.storage import ArrayStore  # noqa: E402
 from repro.engine.substrate import (  # noqa: E402
@@ -30,14 +30,6 @@ from repro.engine.substrate import (  # noqa: E402
     decode_names,
     tokenize_range,
 )
-from repro.errors import ConfigError  # noqa: E402
-
-TOKENIZERS = [
-    Tokenizer(min_length, lowercase, keep_numeric)
-    for min_length, lowercase, keep_numeric in itertools.product(
-        (1, 3), (True, False), (True, False)
-    )
-]
 
 #: Whole tokens: shared prefixes; an 8-byte token beside 9-, 16- and
 #: 17-byte tokens with the same first word; 41 and 500 bytes (two that
@@ -80,27 +72,20 @@ stores = st.lists(st.lists(values, max_size=4), max_size=9).map(
 
 
 def reference(
-    store: ProfileStore, tokenizer: Tokenizer, lo: int, hi: int
+    store: ProfileStore, lo: int, hi: int
 ) -> tuple[list[str], list[list[int]]]:
     """The reference's distinct tokens of profiles ``[lo, hi)``: the
     sorted vocabulary and each profile's sorted ids into it."""
-    rows = [
-        tokenizer.distinct_profile_tokens(store[profile_id])
-        for profile_id in range(lo, hi)
-    ]
+    rows = [distinct_profile_tokens(store[profile_id]) for profile_id in range(lo, hi)]
     vocabulary = sorted(set(itertools.chain.from_iterable(rows)))
     ids = {token: token_id for token_id, token in enumerate(vocabulary)}
     return vocabulary, [sorted(ids[token] for token in row) for row in rows]
 
 
-def kernel(
-    store: ProfileStore, tokenizer: Tokenizer, lo: int, hi: int
-) -> tuple[list[str], list[list[int]]]:
+def kernel(store: ProfileStore, lo: int, hi: int) -> tuple[list[str], list[list[int]]]:
     """The kernel's output in the reference's terms, after checking
     its shape: lengths, dtypes, ids inside the vocabulary, sources."""
-    (packed, lengths), ids, counts, sources = tokenize_range(
-        {"store": store, "tokenizer": tokenizer}, (lo, hi)
-    )
+    (packed, lengths), ids, counts, sources = tokenize_range({"store": store}, (lo, hi))
     assert ids.dtype == counts.dtype == sources.dtype == np.int64
     names = decode_names(packed)
     assert lengths.tolist() == list(map(len, names))
@@ -135,58 +120,38 @@ def sweep(substrate: ArraySubstrate) -> tuple[list[str], list[int], list[int]]:
 def test_kernel_equals_the_reference_tokenizer(store, data):
     lo = data.draw(st.integers(0, len(store)))
     hi = data.draw(st.integers(lo, len(store)))
-    for tokenizer in TOKENIZERS:
-        assert kernel(store, tokenizer, lo, hi) == reference(
-            store, tokenizer, lo, hi
-        )
+    assert kernel(store, lo, hi) == reference(store, lo, hi)
 
 
 def test_an_empty_range_has_an_empty_vocabulary():
     store = ProfileStore.from_attribute_maps([{"a": "Carl White"}])
     for lo in (0, 1):
-        assert kernel(store, Tokenizer(), lo, lo) == ([], [])
+        assert kernel(store, lo, lo) == ([], [])
 
 
 @given(stores)
 @settings(max_examples=40, deadline=None)
 def test_multi_range_sweeps_equal_the_one_range_sweep(store):
-    for tokenizer in (Tokenizer(), Tokenizer(3, False, False)):
-        spec = SubstrateSpec(tokenizer)
-        whole = sweep(ArraySubstrate(store, spec))
-        names, rows = reference(store, tokenizer, 0, len(store))
-        assert whole == (
-            names,
-            list(itertools.chain.from_iterable(rows)),
-            np.repeat(np.arange(len(store)), list(map(len, rows))).tolist(),
-        )
-        for size in (1, 2, 7):
-            assert sweep(ArraySubstrate(store, spec, fanout=Cut(size))) == whole
-            storage = ArrayStore()
-            try:
-                spilled = ArraySubstrate(store, spec, storage=storage)
-                spilled.TOKENIZE_FLUSH_PROFILES = size
-                assert sweep(spilled) == whole
-            finally:
-                storage.close()
+    spec = SubstrateSpec()
+    whole = sweep(ArraySubstrate(store, spec))
+    names, rows = reference(store, 0, len(store))
+    assert whole == (
+        names,
+        list(itertools.chain.from_iterable(rows)),
+        np.repeat(np.arange(len(store)), list(map(len, rows))).tolist(),
+    )
+    for size in (1, 2, 7):
+        assert sweep(ArraySubstrate(store, spec, fanout=Cut(size))) == whole
+        storage = ArrayStore()
+        try:
+            spilled = ArraySubstrate(store, spec, storage=storage)
+            spilled.TOKENIZE_FLUSH_PROFILES = size
+            assert sweep(spilled) == whole
+        finally:
+            storage.close()
 
 
 def test_fixture_stores_sweep_like_the_reference(dirty_dataset, clean_clean_store):
     for store in (dirty_dataset.store, clean_clean_store):
-        for tokenizer in TOKENIZERS:
-            assert kernel(store, tokenizer, 0, len(store)) == reference(
-                store, tokenizer, 0, len(store)
-            )
+        assert kernel(store, 0, len(store)) == reference(store, 0, len(store))
 
-
-def test_a_tokenizer_subclass_is_refused():
-    """The sweep reads the three fields only: an overridden ``tokens``
-    would be ignored, so the array backends refuse any subclass."""
-
-    class Stemming(Tokenizer):
-        def tokens(self, value: str) -> list[str]:
-            return [token.rstrip("s") for token in super().tokens(value)]
-
-    store = ProfileStore.from_attribute_maps([{"a": "cats dogs"}])
-    with pytest.raises(ConfigError, match='backend="python"'):
-        ArraySubstrate(store, SubstrateSpec(Stemming()))
-    ArraySubstrate(store, SubstrateSpec(Tokenizer(min_length=2)))

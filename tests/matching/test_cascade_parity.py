@@ -176,8 +176,8 @@ class TestZeroRetokenization:
         assert sweep_counter.profiles("numpy") == len(resolver.store)
 
     def test_python_reference_also_stays_single_sweep(self, sweep_counter):
-        # The pure loop tokenizes through the matchers' own tokenizer
-        # calls; assert it decides the same number of comparisons as
+        # The pure loop tokenizes through the matchers' own
+        # ``profile_tokens`` calls; assert it decides the same number of comparisons as
         # emitted, i.e. no comparison is silently dropped.
         records = dirty_records()
         resolver = decide_pipeline("python").fit(records)

@@ -4,8 +4,8 @@ The session substrate is the only component allowed to touch the store's
 attribute values; every consumer (method initialization, graph pruning,
 block introspection) derives from its cached sweep.  The regression
 tests count the profiles each backend's sweep tokenizes (the shared
-``sweep_counter`` fixture: ``Tokenizer.distinct_profile_tokens`` calls
-on python, profiles covered by ``tokenize_range`` calls on the array
+``sweep_counter`` fixture: ``tokenization.distinct_profile_tokens``
+calls on python, profiles covered by ``tokenize_range`` calls on the array
 backends) - exactly ``len(store)`` means exactly one sweep.
 """
 

@@ -17,6 +17,7 @@ from repro.service import (
 )
 
 from .conftest import PROBE, RECORDS, service_pipeline
+from .test_snapshot import corrupt_snapshot
 
 
 def run(coro):
@@ -196,6 +197,27 @@ def test_client_snapshot_paths_are_sandboxed(manager, tmp_path):
             "POST", "/sessions/s/snapshot", {"path": inside}
         )
         assert status == 200, body
+
+    run(exercise())
+
+
+def test_restoring_a_corrupt_snapshot_answers_400(manager):
+    """A snapshot whose postings fail the restore checks is refused
+    with 400, and no session is left registered under the name."""
+    app = ServiceApp(manager)
+
+    async def exercise():
+        await app.handle("POST", "/sessions", {"name": "s", "records": RECORDS})
+        status, body = await app.handle(
+            "POST", "/sessions/s/snapshot", {"path": "saved"}
+        )
+        assert status == 200, body
+        corrupt_snapshot(body["path"], "posting out of order")
+        status, body = await app.handle(
+            "POST", "/sessions", {"name": "r", "restore": True, "path": "saved"}
+        )
+        assert status == 400 and "postings_ids" in body["error"], body
+        assert manager.names() == ["s"]
 
     run(exercise())
 

@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from repro.errors import BudgetExceeded, ConfigError, SessionClosed
+from repro.service import ServiceApp
 from repro.service.session import SessionManager, _percentile
 
 from .conftest import PROBE, RECORDS, service_pipeline
@@ -228,6 +229,30 @@ def test_metrics_shape(pipeline, tmp_path):
         totals = manager.metrics()
         assert totals["session_count"] == 1
         assert totals["comparisons_served"] == view["comparisons_served"]
+
+
+def test_metrics_survive_a_session_deleted_meanwhile(pipeline):
+    """A delete landing while ``metrics()`` builds its views (HTTP runs
+    delete on a pool thread) must not fail the service-wide call: the
+    first session's view deletes the second before it returns."""
+    with SessionManager(pipeline) as manager:
+        first = manager.create("a", RECORDS[:2])
+        manager.create("b", RECORDS[2:4])
+        view = first.metrics
+
+        def deleting_view():
+            if "b" in manager.names():
+                manager.delete("b")
+            return view()
+
+        first.metrics = deleting_view
+        totals = manager.metrics()
+        assert [v["name"] for v in totals["sessions"]] == ["a", "b"]
+        assert manager.names() == ["a"]
+        manager.create("b", RECORDS[2:4])
+        status, body = run(ServiceApp(manager).handle("GET", "/metrics", None))
+        assert status == 200, body
+        assert manager.names() == ["a"]
 
 
 def test_percentile_nearest_rank():

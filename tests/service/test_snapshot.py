@@ -10,6 +10,8 @@ import pytest
 from repro.errors import SessionClosed
 from repro.incremental.resolver import IncrementalResolver
 from repro.service.snapshot import (
+    IDS,
+    INDPTR,
     SNAPSHOT_FORMAT,
     _read_npy_int64,
     _write_npy_int64,
@@ -165,6 +167,54 @@ def test_load_rejects_profile_count_mismatch(tmp_path):
     with open(os.path.join(path, "profiles.jsonl"), "a") as handle:
         handle.write(json.dumps([0, [["extra", "row"]]]) + "\n")
     with pytest.raises(ValueError, match="profiles"):
+        IncrementalResolver.load(path)
+
+
+def _swap_first_distinct_offsets(indptr):
+    """Swap two unequal interior offsets, first and last kept."""
+    k = next(k for k in range(1, len(indptr) - 2) if indptr[k] != indptr[k + 1])
+    indptr[k], indptr[k + 1] = indptr[k + 1], indptr[k]
+
+
+def _swap_ids_of_a_posting(ids, indptr):
+    """Swap the first two ids of the first posting holding two or more."""
+    k = next(indptr[k] for k in range(len(indptr) - 1) if indptr[k + 1] - indptr[k] > 1)
+    ids[k], ids[k + 1] = ids[k + 1], ids[k]
+
+
+def _negate_an_offset(indptr):
+    indptr[1] = -1
+
+
+CORRUPTIONS = {
+    "swapped offsets": (INDPTR, _swap_first_distinct_offsets),
+    "negative offset": (INDPTR, _negate_an_offset),
+    "extra trailing offset": (INDPTR, lambda indptr: indptr.append(indptr[-1])),
+    "posting out of order": (IDS, _swap_ids_of_a_posting),
+}
+
+
+def corrupt_snapshot(path: str, corruption: str) -> None:
+    """Rewrite one postings array of the snapshot at ``path``."""
+    name, edit = CORRUPTIONS[corruption]
+    files = {key: os.path.join(path, f"{key}.npy") for key in (INDPTR, IDS)}
+    arrays = {key: list(_read_npy_int64(file)) for key, file in files.items()}
+    if name == IDS:
+        edit(arrays[IDS], arrays[INDPTR])
+    else:
+        edit(arrays[INDPTR])
+    _write_npy_int64(files[name], arrays[name])
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_load_rejects_a_corrupt_postings_array(tmp_path, corruption):
+    """Each corruption names its file; none restores a wrong index."""
+    session = service_pipeline().fit(RECORDS[:4])
+    path = session.save(str(tmp_path / "s"))
+    session.close()
+    corrupt_snapshot(path, corruption)
+    name, _ = CORRUPTIONS[corruption]
+    with pytest.raises(ValueError, match=name):
         IncrementalResolver.load(path)
 
 
