@@ -208,6 +208,5 @@ class CascadeBatchMatcher:
                 self.store[comparison.i],
                 self.store[comparison.j],
                 start=len(similarities),
-                presimilarities=[float(s[index]) for s in similarities],
             )
         return [decision for decision in decisions if decision is not None]

@@ -44,9 +44,8 @@ class BudgetExceeded(ReproError):
     Over-budget work is *refused*, never queued: the caller decides
     whether to retry, shed load or open a fresh session.  ``reason``
     is a short machine-readable token (e.g. ``"queue-full"``,
-    ``"session-comparisons"``, ``"expensive-calls"`` when a matching
-    cascade's expensive-tier call budget is spent) the HTTP layer
-    forwards alongside the 429 status.
+    ``"session-comparisons"``) the HTTP layer forwards alongside the
+    429 status.
     """
 
     def __init__(self, message: str, reason: str = "budget") -> None:

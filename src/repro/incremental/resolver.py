@@ -201,10 +201,7 @@ class IncrementalResolver(Resolver):
         of bare comparisons (requires a ``.match(...)`` stage).
         Ingested decisions join the session's confirmed matches; probe
         decisions stay read-only (only the cascade's tier counters
-        advance).  In a served session a spent expensive-tier call
-        budget raises
-        :class:`~repro.errors.BudgetExceeded` (reason
-        ``"expensive-calls"``).
+        advance).
         """
         cascade = self._decision_cascade() if decide else None
         if ingest:

@@ -171,8 +171,6 @@ class ERPipeline:
         cascade: Any = None,
         *,
         thresholds: Mapping[str, Any] | None = None,
-        expensive: Any = None,
-        expensive_budget: int | None = None,
         params: Mapping[str, Mapping[str, Any]] | None = None,
         enabled: bool = True,
     ) -> "ERPipeline":
@@ -181,11 +179,10 @@ class ERPipeline:
         ``cascade`` is the escalation order: ``None`` for the stock
         ``exact -> jaccard -> edit-distance`` tiers, a single registry
         name or :class:`~repro.matching.MatchFunction` for a one-tier
-        cascade, or a sequence mixing both.  ``thresholds`` maps tier
-        names to a float (the tier decides everything at that
-        threshold) or a ``(reject, accept)`` confidence band;
-        ``expensive``/``expensive_budget`` add the optional final
-        arbiter behind a call budget; ``params`` are per-tier
+        cascade, or a sequence mixing both - cheapest first, so a
+        costly matcher goes last.  ``thresholds`` maps tier names to a
+        float (the tier decides everything at that threshold) or a
+        ``(reject, accept)`` confidence band; ``params`` are per-tier
         constructor kwargs.  ``enabled=False`` removes the stage.
 
         With a match stage, :meth:`~repro.pipeline.resolver.Resolver.decisions`
@@ -216,8 +213,6 @@ class ERPipeline:
             match=MatchConfig(
                 tiers=tiers,
                 thresholds=dict(thresholds or {}),
-                expensive=expensive,
-                expensive_budget=expensive_budget,
                 params=dict(params or {}),
             )
         )

@@ -203,20 +203,16 @@ class MatchConfig(Stage):
     ordered ``tiers`` (registry names, or live
     :class:`~repro.matching.MatchFunction` instances for custom tiers),
     per-tier ``thresholds`` (a float collapses the band, a
-    ``(reject, accept)`` pair sets the undecided margin), the optional
-    ``expensive`` hook (a registry name, a match function, or any
-    ``(a, b) -> float`` callable) with its call ``expensive_budget``,
-    and per-tier constructor ``params``.
+    ``(reject, accept)`` pair sets the undecided margin) and per-tier
+    constructor ``params``.
 
-    Instance tiers and callable hooks make the spec non-JSON-able (the
-    same trade-off as a PSN ``key_function``); name-based specs
-    round-trip through ``to_dict``/``from_dict`` unchanged.
+    Instance tiers make the spec non-JSON-able (the same trade-off as a
+    PSN ``key_function``); name-based specs round-trip through
+    ``to_dict``/``from_dict`` unchanged.
     """
 
     tiers: tuple[Any, ...] = ("exact", "jaccard", "edit-distance")
     thresholds: dict[str, Any] = field(default_factory=dict)
-    expensive: Any = None
-    expensive_budget: int | None = None
     params: dict[str, dict[str, Any]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -225,19 +221,11 @@ class MatchConfig(Stage):
         # The rules are the cascade's own (one statement, shared with
         # MatcherCascade); the spec keeps the normalized form, so a band
         # that went through JSON as a list is a tuple again.
-        self.tiers, self.thresholds, self.expensive, self.params = (
-            check_cascade_spec(
-                self.tiers,
-                self.thresholds,
-                self.expensive,
-                self.expensive_budget,
-                self.params,
-            )
+        self.tiers, self.thresholds, self.params = check_cascade_spec(
+            self.tiers, self.thresholds, self.params
         )
 
-    def build(
-        self, ground_truth: Any = None, exhausted: str = "fallback"
-    ) -> Any:
+    def build(self, ground_truth: Any = None) -> Any:
         """Construct the configured cascade (fit-time entry point).
 
         ``ground_truth`` is injected into an ``oracle`` tier's params
@@ -250,14 +238,7 @@ class MatchConfig(Stage):
             params.setdefault("oracle", {}).setdefault(
                 "ground_truth", ground_truth
             )
-        return MatcherCascade(
-            self.tiers,
-            thresholds=self.thresholds,
-            expensive=self.expensive,
-            expensive_budget=self.expensive_budget,
-            exhausted=exhausted,
-            params=params,
-        )
+        return MatcherCascade(self.tiers, thresholds=self.thresholds, params=params)
 
 
 @dataclass
@@ -499,9 +480,22 @@ class PipelineConfig(Stage):
 
         Specs written up to 2.1 carry the retired ``matcher`` stage: a
         null one is dropped, and a named one is read as the one-tier
-        cascade that decides exactly as it did.
+        cascade that decides exactly as it did.  Their ``match`` stage
+        carries the retired ``expensive`` / ``expensive_budget`` keys:
+        null ones are dropped, and a set one is refused (the hook is
+        gone; a costly matcher is the cascade's last tier).
         """
         payload = dict(data)
+        match = payload.get("match")
+        if isinstance(match, Mapping):
+            match = payload["match"] = dict(match)
+            for key in ("expensive", "expensive_budget"):
+                if match.pop(key, None) is not None:
+                    raise ConfigError(
+                        f"match.{key} was removed: place a costly matcher "
+                        "last in match.tiers (see 'Removed since 2.1, sixth "
+                        "round' in docs/migration.md)"
+                    )
         matcher = payload.pop("matcher", None)
         if matcher is not None:
             if payload.get("match") is not None:

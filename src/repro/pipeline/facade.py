@@ -17,6 +17,7 @@ from typing import Any
 
 from repro.core.comparisons import Comparison
 from repro.core.ground_truth import GroundTruth
+from repro.errors import ConfigError
 from repro.evaluation.metrics import DecisionQuality
 from repro.evaluation.progressive_recall import RecallCurve
 from repro.pipeline.builder import ERPipeline
@@ -62,8 +63,6 @@ def resolve(
     target_recall: float | None = None,
     match: Any = None,
     match_thresholds: dict[str, Any] | None = None,
-    expensive: Any = None,
-    expensive_budget: int | None = None,
     blocking: str = "token",
     purge: bool | float | None = True,
     filter_ratio: bool | float | None = 0.8,
@@ -89,7 +88,7 @@ def resolve(
         Progressive method acronym, any spelling ("PPS", "sa-psn", ...).
     budget, seconds, target_recall:
         Optional stopping rules (comparison count / wall clock / recall).
-    match, match_thresholds, expensive, expensive_budget:
+    match, match_thresholds:
         Optional matching *cascade* (see :meth:`ERPipeline.match`):
         ``match=True`` configures the stock
         exact -> jaccard -> edit-distance tiers, a name or sequence of
@@ -178,19 +177,14 @@ def resolve(
     if storage is not None:
         pipeline.storage(storage, dir=storage_dir)
     elif storage_dir is not None:
-        raise ValueError(
+        raise ConfigError(
             "storage_dir given without a storage mode; pass storage='memmap'"
         )
     if match is not None and match is not False:
-        pipeline.match(
-            None if match is True else match,
-            thresholds=match_thresholds,
-            expensive=expensive,
-            expensive_budget=expensive_budget,
-        )
-    elif match_thresholds or expensive is not None or expensive_budget is not None:
-        raise ValueError(
-            "cascade knobs given without a cascade; pass e.g. match=True"
+        pipeline.match(None if match is True else match, thresholds=match_thresholds)
+    elif match_thresholds:
+        raise ConfigError(
+            "match_thresholds given without a cascade; pass e.g. match=True"
         )
     resolver = pipeline.fit(data, ground_truth=ground_truth)
 

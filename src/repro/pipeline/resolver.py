@@ -410,20 +410,11 @@ class Resolver:
         return progressive_methods.build(name, self.store, **kwargs)
 
     def _build_cascade(self) -> MatcherCascade | None:
-        """The configured decision cascade, or ``None`` without a stage.
-
-        A served session gets the strict expensive-budget mode: a spent
-        call budget *rejects* (``BudgetExceeded`` reason
-        ``"expensive-calls"``) instead of deciding at the previous
-        tier - the admission-control contract of :mod:`repro.service`.
-        """
+        """The configured decision cascade, or ``None`` without a stage."""
         spec = self.config.match
         if spec is None:
             return None
-        exhausted = "error" if self.config.service is not None else "fallback"
-        cascade: MatcherCascade = spec.build(
-            ground_truth=self.ground_truth, exhausted=exhausted
-        )
+        cascade: MatcherCascade = spec.build(ground_truth=self.ground_truth)
         return cascade
 
     # -- lifecycle -----------------------------------------------------------
@@ -643,8 +634,6 @@ class Resolver:
         else:
             if profile_of is None:
                 profile_of = self.store.__getitem__
-            # Lazy: a cascade that raises mid-list (a spent expensive-tier
-            # budget in a served session) keeps the decisions before it.
             verdicts = (
                 cascade.decide(profile_of(c.i), profile_of(c.j))
                 for c in comparisons

@@ -230,26 +230,13 @@ class ServiceSession:
 
         ``decide=True`` runs the session's matching cascade over every
         scored pair and returns
-        :class:`~repro.pipeline.resolver.DecisionRecord` lists.  Served
-        sessions run the cascade in strict budget mode: a spent
-        expensive-tier call budget *rejects* the request
-        (:class:`~repro.errors.BudgetExceeded`, reason
-        ``"expensive-calls"``) like any other admission failure.
+        :class:`~repro.pipeline.resolver.DecisionRecord` lists.
         """
         items = list(records)
 
         def work() -> "list[list[Any]]":
             started = time.monotonic()
-            try:
-                scored = self.resolver.resolve_many(
-                    items, sources=sources, decide=decide
-                )
-            except BudgetExceeded:
-                # The cascade's expensive-tier admission: counted with
-                # the service rejections, surfaced with its own reason.
-                with self._stats_lock:
-                    self._metrics.rejected += 1
-                raise
+            scored = self.resolver.resolve_many(items, sources=sources, decide=decide)
             capped = [self._truncate(ranked) for ranked in scored]
             with self._stats_lock:
                 self._metrics.record_probe(

@@ -227,6 +227,34 @@ def test_one_tier_cascade_decides_ingested_comparisons():
     assert resolver.matches  # near-identical records confirmed
 
 
+#: A first batch of two records, and a reworded copy of record 0 that
+#: arrives in a later batch.
+FIRST_BATCH = [
+    {"name": "carl white", "profession": "tailor", "city": "ny"},
+    {"name": "ellen green", "profession": "teacher", "city": "la"},
+]
+REWORDED = {"about": "Tailor Carl White", "livesIn": "NY"}
+
+
+def test_a_later_batch_is_matched_against_an_earlier_one():
+    """Cross-batch identity: a decided ingest is matched against a
+    record of the first batch, and clusters() closes over the pair.
+    Block Purging is off because at its default it leaves a
+    three-record corpus no block (Block Filtering is batch-only)."""
+    resolver = (
+        ERPipeline()
+        .blocking("token", purge=None, filter_ratio=None)
+        .method("PPS")
+        .match()
+        .incremental()
+        .fit(FIRST_BATCH)
+    )
+    [record] = resolver.resolve_one(REWORDED, decide=True)
+    assert record.comparison.pair == (0, 2)
+    assert (record.tier, record.decision) == ("exact", True)
+    assert resolver.clusters() == [[0, 2]]
+
+
 def test_stream_reranks_current_corpus_after_ingestion():
     resolver = incremental_pipeline().fit(RECORDS[:4])
     first = list(resolver.stream())

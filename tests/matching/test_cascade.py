@@ -1,8 +1,8 @@
 """Unit tests for the cost-escalation matching cascade.
 
 The pure-Python decision layer: tier bands, short-circuiting,
-escalation accounting, the expensive hook and its call budget, plus
-the matcher edge cases the cascade leans on (threshold boundaries,
+escalation accounting, a costly matcher as the last tier, plus the
+matcher edge cases the cascade leans on (threshold boundaries,
 non-ASCII and empty text views, oracle cost accounting).
 """
 
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.ground_truth import GroundTruth
 from repro.core.profiles import EntityProfile
-from repro.errors import BudgetExceeded, ConfigError
+from repro.errors import ConfigError
 from repro.matching import (
     EditDistanceMatcher,
     ExactMatcher,
@@ -175,60 +175,6 @@ class TestCascadeEscalation:
         total = sum(t["decided"] for t in cascade.stats()["tiers"])
         assert total == len(pairs)
 
-    def test_reset_stats_zeroes_the_budget_too(self):
-        cascade = MatcherCascade(
-            ["exact"], expensive=lambda a, b: 1.0, expensive_budget=1
-        )
-        cascade.decide(profile(0, "a"), profile(1, "b"))
-        assert cascade.expensive_calls == 1
-        cascade.reset_stats()
-        assert cascade.expensive_calls == 0
-        assert all(
-            t["evaluated"] == 0 for t in cascade.stats()["tiers"]
-        )
-
-
-class TestExpensiveBudget:
-    def hook(self, a, b):
-        return 1.0
-
-    def test_budget_limits_hook_invocations(self):
-        cascade = MatcherCascade(
-            ["exact"], expensive=self.hook, expensive_budget=2
-        )
-        for k in range(4):
-            cascade.decide(profile(2 * k, f"a{k}"), profile(2 * k + 1, f"b{k}"))
-        assert cascade.expensive_calls == 2
-        assert cascade.budget_fallbacks == 2
-
-    def test_fallback_decides_at_previous_tier(self):
-        cascade = MatcherCascade(
-            ["exact"], expensive=self.hook, expensive_budget=0
-        )
-        decision = cascade.decide(profile(0, "a"), profile(1, "b"))
-        # Unequal pair, hook never admitted: decided against at tier 0.
-        assert decision.is_match is False
-        assert decision.tier == "exact"
-
-    def test_error_mode_raises_with_the_admission_reason(self):
-        cascade = MatcherCascade(
-            ["exact"],
-            expensive=self.hook,
-            expensive_budget=0,
-            exhausted="error",
-        )
-        with pytest.raises(BudgetExceeded) as err:
-            cascade.decide(profile(0, "a"), profile(1, "b"))
-        assert err.value.reason == "expensive-calls"
-
-    def test_budget_without_hook_is_refused(self):
-        with pytest.raises(ConfigError):
-            MatcherCascade(expensive_budget=3)
-
-    def test_unknown_exhausted_mode_is_refused(self):
-        with pytest.raises(ConfigError):
-            MatcherCascade(exhausted="shrug")
-
 
 class TestConfigRefusals:
     def test_unknown_threshold_key_is_refused(self):
@@ -251,11 +197,47 @@ class TestConfigRefusals:
         with pytest.raises(ConfigError):
             MatcherCascade([])
 
+    def test_a_resolved_tier_record_is_not_an_input_tier(self):
+        resolved = MatcherCascade(["exact"]).tiers[0]
+        with pytest.raises(ConfigError, match="MatchFunction instances"):
+            MatcherCascade([resolved])
+
 
 #: Attribute values over a small alphabet, so equal, overlapping and
 #: disjoint token sets all come up.
 texts = st.text(alphabet="ab cA,", max_size=12)
 attributes = st.dictionaries(st.sampled_from(["name", "title", "city"]), texts)
+unit = st.floats(0.0, 1.0)
+
+
+class TestCostlyLastTier:
+    @given(
+        st.lists(st.tuples(attributes, attributes), min_size=1, max_size=20),
+        st.tuples(unit, unit).map(sorted),
+        unit,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_last_tier_runs_only_on_the_escalated_residue(
+        self, pairs, band, score
+    ):
+        """Cheap first, expensive last: a costly matcher placed last is
+        called once per pair the banded jaccard tier escalates, and
+        every decision it makes is labelled with its own tier."""
+        costly = CountingMatcher("costly", score=score)
+        cascade = MatcherCascade(
+            ["exact", "jaccard", costly], thresholds={"jaccard": tuple(band)}
+        )
+        for position, (left, right) in enumerate(pairs):
+            calls = costly.calls
+            decision = cascade.decide(
+                EntityProfile(2 * position, left),
+                EntityProfile(2 * position + 1, right),
+            )
+            assert (decision.tier == "costly") == (costly.calls == calls + 1)
+            assert costly.calls - calls <= 1
+        _, jaccard, last = cascade.stats()["tiers"]
+        assert costly.calls == jaccard["escalated"] == last["evaluated"]
+        assert last["decided"] == costly.calls
 
 
 @st.composite

@@ -211,13 +211,8 @@ class TestSpecValidationHoles:
             PipelineConfig.from_dict(
                 {"match": {"tiers": ["jaccard"], "thresholds": {"jaccard": [0.2, 1]}}}
             )
-        # The expensive hook is the final tier when there is one ...
-        with pytest.raises(ConfigError, match="final tier"):
-            ERPipeline().match(
-                expensive="jaccard", thresholds={"expensive": (0.2, 0.8)}
-            )
-        # ... and then the last named tier may keep its band.
-        ERPipeline().match("jaccard", thresholds=band, expensive="edit-distance")
+        # A tier that is not the last keeps its band.
+        ERPipeline().match(["jaccard", "edit-distance"], thresholds=band)
 
     @pytest.mark.parametrize("live", ["serve", "incremental"])
     @pytest.mark.parametrize("text", sorted(BATCH_ONLY))

@@ -60,20 +60,16 @@ def match_stages(draw):
             unique=True,
         )
     )
-    expensive = draw(st.sampled_from([None, "jaccard", "edit-distance"]))
-    final = "expensive" if expensive else tiers[-1]
     thresholds = {}
-    for name in [*tiers, *(["expensive"] if expensive else [])]:
+    for name in tiers:
         kind = draw(st.sampled_from(["none", "float", "band"]))
-        if kind == "float" or (kind == "band" and name == final):
+        if kind == "float" or (kind == "band" and name == tiers[-1]):
             thresholds[name] = draw(unit)
         elif kind == "band":
             thresholds[name] = sorted(draw(st.tuples(unit, unit)))
     return {
         "tiers": tiers,
         "thresholds": thresholds,
-        "expensive": expensive,
-        "expensive_budget": draw(counts) if expensive else None,
         "params": {
             name: {"threshold": draw(unit)}
             for name in draw(st.lists(st.sampled_from(tiers), unique=True))
@@ -226,6 +222,24 @@ def test_a_retired_matcher_stage_reads_as_its_one_tier_cascade(spec, name, kwarg
     both = {**spec, "matcher": {"name": name}, "match": one_tier}
     with pytest.raises(ConfigError, match="two owners"):
         PipelineConfig.from_dict(both)
+
+
+@given(spec_dicts().filter(lambda spec: "match" in spec))
+@settings(max_examples=100, deadline=None)
+def test_retired_hook_keys_are_dropped_when_null(spec):
+    """Every 2.x spec with a match stage wrote ``expensive`` and
+    ``expensive_budget`` as null: such a spec loads as it did."""
+    retired = {"expensive": None, "expensive_budget": None}
+    legacy = {**spec, "match": {**spec["match"], **retired}}
+    assert PipelineConfig.from_dict(legacy) == PipelineConfig.from_dict(spec)
+
+
+@pytest.mark.parametrize(
+    "match", [{"expensive": "edit-distance"}, {"expensive_budget": 3}]
+)
+def test_a_set_retired_hook_key_is_refused(match):
+    with pytest.raises(ConfigError, match="sixth round"):
+        PipelineConfig.from_dict({"match": match})
 
 
 @given(specs, st.data())

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.ground_truth import GroundTruth
+from repro.errors import ConfigError
 from repro.pipeline import ERPipeline
 
 
@@ -246,8 +247,10 @@ class TestFit:
     def test_resolve_rejects_orphan_cascade_knobs(self, paper_profiles):
         from repro import resolve
 
-        with pytest.raises(ValueError, match="cascade knobs"):
+        with pytest.raises(ConfigError, match="without a cascade"):
             resolve(paper_profiles, match_thresholds={"jaccard": 0.9})
+        with pytest.raises(ConfigError, match="without a storage mode"):
+            resolve(paper_profiles, storage_dir="scratch")
 
     def test_clone_is_independent(self, paper_profiles):
         base = toy_pipeline()

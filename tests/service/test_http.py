@@ -17,7 +17,7 @@ from repro.service import (
 )
 
 from .conftest import PROBE, RECORDS, service_pipeline
-from .test_snapshot import corrupt_snapshot
+from .test_snapshot import corrupt_snapshot, put_match_keys
 
 
 def run(coro):
@@ -222,6 +222,27 @@ def test_restoring_a_corrupt_snapshot_answers_400(manager):
     run(exercise())
 
 
+def test_restoring_a_snapshot_that_sets_the_retired_hook_answers_400(manager):
+    """A manifest whose match stage sets the removed ``expensive`` hook
+    is refused with 400, and no session is registered under the name."""
+    app = ServiceApp(manager)
+
+    async def exercise():
+        await app.handle("POST", "/sessions", {"name": "s", "records": RECORDS})
+        status, body = await app.handle(
+            "POST", "/sessions/s/snapshot", {"path": "saved"}
+        )
+        assert status == 200, body
+        put_match_keys(body["path"], expensive="edit-distance")
+        status, body = await app.handle(
+            "POST", "/sessions", {"name": "r", "restore": True, "path": "saved"}
+        )
+        assert status == 400 and "sixth round" in body["error"], body
+        assert manager.names() == ["s"]
+
+    run(exercise())
+
+
 def test_client_paths_require_a_snapshot_dir(pipeline):
     """No snapshot_dir configured -> client-supplied paths are refused."""
     with SessionManager(pipeline) as bare:
@@ -260,6 +281,35 @@ def test_http_client_against_real_server(manager):
                     await client.session_metrics("ghost")
         finally:
             await server.stop()
+
+    run(exercise())
+
+
+def test_a_later_batch_is_matched_against_an_earlier_one_over_http():
+    """Cross-batch identity in a served session (the python path is
+    pinned in tests/incremental/test_resolver.py): a decided probe of a
+    reworded copy of record 0 is confirmed against it at tier exact,
+    and ingesting the copy emits that pair."""
+    first_batch = [
+        {"name": "carl white", "profession": "tailor", "city": "ny"},
+        {"name": "ellen green", "profession": "teacher", "city": "la"},
+    ]
+    reworded = {"about": "Tailor Carl White", "livesIn": "NY"}
+
+    async def exercise():
+        with SessionManager(service_pipeline().match()) as manager:
+            server = await ServiceServer(manager).start()
+            try:
+                async with HTTPClient("127.0.0.1", server.port) as client:
+                    await client.create_session("s", first_batch)
+                    [decided] = await client.probe("s", [reworded], decide=True)
+                    assert [row[:2] + row[3:5] for row in decided] == [
+                        [0, 2, True, "exact"]
+                    ]
+                    emitted = await client.ingest("s", [reworded])
+                    assert [row[:2] for row in emitted] == [[0, 2]]
+            finally:
+                await server.stop()
 
     run(exercise())
 

@@ -12,6 +12,7 @@ from repro.incremental.resolver import IncrementalResolver
 from repro.service.snapshot import (
     IDS,
     INDPTR,
+    MANIFEST,
     SNAPSHOT_FORMAT,
     _read_npy_int64,
     _write_npy_int64,
@@ -19,7 +20,7 @@ from repro.service.snapshot import (
     stream_digest,
 )
 
-from .conftest import RECORDS, service_pipeline
+from .conftest import PROBE, RECORDS, service_pipeline
 
 BACKENDS = ["python", "numpy"]
 
@@ -105,6 +106,31 @@ def test_a_snapshot_written_by_1x_still_restores():
     assert stream_digest(fitted("python").stream()) == stream_digest(
         restored.reset().stream()
     )
+
+
+def put_match_keys(path: str, **keys) -> None:
+    """Write ``keys`` into the match stage of the manifest at ``path``."""
+    manifest = read_manifest(path)
+    manifest["config"]["match"] = {**(manifest["config"]["match"] or {}), **keys}
+    with open(os.path.join(path, MANIFEST), "w") as handle:
+        json.dump(manifest, handle)
+
+
+def test_a_match_stage_with_the_retired_null_hook_keys_still_restores(tmp_path):
+    """Every 2.x manifest with a match stage carries ``expensive`` and
+    ``expensive_budget`` as null: it restores and decides as before."""
+    session = service_pipeline().match().fit(RECORDS[:4])
+    assert session.resolve_one(RECORDS[4], decide=True)
+    path = session.save(str(tmp_path / "s"))
+    put_match_keys(path, expensive=None, expensive_budget=None)
+    restored = IncrementalResolver.load(path)
+    assert restored.config == session.config
+    probe = session.resolve_one(PROBE, ingest=False, decide=True)
+    assert probe and restored.resolve_one(PROBE, ingest=False, decide=True) == probe
+    ingest = session.resolve_one(RECORDS[5], decide=True)
+    assert ingest and restored.resolve_one(RECORDS[5], decide=True) == ingest
+    session.close()
+    restored.close()
 
 
 def test_manifest_contents(tmp_path):
