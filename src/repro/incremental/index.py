@@ -341,116 +341,6 @@ class IncrementalTokenIndex:
 
         yield from self._pairs_for(profile_id, include, purge_limit)
 
-    # -- snapshot / restore ---------------------------------------------------
-
-    def postings_csr(self) -> tuple[list[str], list[int], list[int]]:
-        """The postings as CSR: sorted tokens, offsets, flat profile ids.
-
-        The snapshot export (see :mod:`repro.service.snapshot`): tokens
-        alphabetically, each token's posting ids in ingestion order -
-        ``flat[indptr[t]:indptr[t + 1]]`` is token ``t``'s posting.
-        Everything else the index maintains (qualification, block
-        counts, source counts) is derivable from this plus the store,
-        which is what :meth:`restore` does.
-        """
-        tokens = sorted(self.postings)
-        indptr = [0]
-        flat: list[int] = []
-        for token in tokens:
-            flat.extend(self.postings[token])
-            indptr.append(len(flat))
-        return tokens, indptr, flat
-
-    @classmethod
-    def restore(
-        cls,
-        store: ProfileStore,
-        tokens: Sequence[str],
-        indptr: Sequence[int],
-        flat_ids: Sequence[int],
-        generation: int = 0,
-    ) -> "IncrementalTokenIndex":
-        """Rebuild an index from its CSR snapshot without re-tokenizing.
-
-        The inverse of :meth:`postings_csr` over the same ``store``:
-        postings come straight from the arrays, and the derived state -
-        per-profile token tuples, source counts, qualification, block
-        counts - is recomputed in one pass.  ``tokens`` must be sorted
-        (the export order), which makes each profile's accumulated token
-        list alphabetical, exactly as :meth:`_index_profile` builds it;
-        profile ids inside each posting keep their saved ingestion
-        order, which must be ascending (probe rollback relies on it).
-        The result is state-identical to the index the snapshot was
-        taken from, so a restored session streams bit-identically.
-        """
-        if len(indptr) != len(tokens) + 1:
-            raise ValueError(
-                f"postings_indptr: {len(indptr)} offsets for "
-                f"{len(tokens)} tokens (expected {len(tokens) + 1})"
-            )
-        if (
-            indptr[0] != 0
-            or indptr[-1] != len(flat_ids)
-            or any(b < a for a, b in zip(indptr, indptr[1:]))
-        ):
-            raise ValueError(
-                "postings_indptr: offsets must start at 0, never decrease "
-                f"and end at {len(flat_ids)} (the postings_ids length)"
-            )
-        index = cls.__new__(cls)
-        index.store = store
-        index.postings = {}
-        index.generation = generation
-        index._source_counts = {}
-        index._profile_tokens = {}
-        index._block_counts = {}
-        index._blocks = set()
-        index._probe = None
-        # Every stored profile gets an entry (zero-token ones included),
-        # keyed in ingestion order - the invariant _index_profile keeps.
-        profile_tokens: dict[int, list[str]] = {
-            profile.profile_id: [] for profile in store
-        }
-        previous = None
-        for position, token in enumerate(tokens):
-            if previous is not None and not token > previous:
-                raise ValueError(
-                    f"snapshot tokens must be strictly sorted; "
-                    f"{token!r} follows {previous!r}"
-                )
-            previous = token
-            ids = [int(i) for i in flat_ids[indptr[position] : indptr[position + 1]]]
-            if any(b <= a for a, b in zip(ids, ids[1:])):
-                raise ValueError(
-                    f"postings_ids: the posting of {token!r} is not "
-                    f"strictly ascending: {ids}"
-                )
-            index.postings[token] = ids
-            counts = [0, 0]
-            for profile_id in ids:
-                try:
-                    profile_tokens[profile_id].append(token)
-                except KeyError:
-                    raise ValueError(
-                        f"posting of {token!r} references profile "
-                        f"{profile_id}, which the store does not hold"
-                    ) from None
-                source = store.source_of(profile_id)
-                if source < 2:
-                    counts[source] += 1
-            index._source_counts[token] = counts
-            if index._qualifies(token):
-                index._blocks.add(token)
-                for profile_id in ids:
-                    index._block_counts[profile_id] = (
-                        index._block_counts.get(profile_id, 0) + 1
-                    )
-        index._profile_tokens = {
-            profile_id: tuple(accumulated)
-            for profile_id, accumulated in profile_tokens.items()
-        }
-        return index
-
     # -- bridge back to the batch substrate -----------------------------------
 
     def snapshot_blocks(

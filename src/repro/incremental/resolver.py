@@ -98,16 +98,8 @@ class IncrementalResolver(Resolver):
         ground_truth: GroundTruth | None = None,
         dataset_name: str = "",
         psn_key: Callable | None = None,
-        index: IncrementalTokenIndex | None = None,
     ) -> None:
         store = MutableProfileStore.from_store(store)
-        if index is not None and index.store is not store:
-            # A pre-built index (the snapshot-restore path) must already
-            # be bound to the exact mutable store this session will
-            # ingest into, or the two drift apart on the first arrival.
-            raise ValueError(
-                "a pre-built index must share the session's mutable store"
-            )
         super().__init__(
             config,
             store,
@@ -132,7 +124,7 @@ class IncrementalResolver(Resolver):
         #: mutate and roll back the shared index) and close.
         #: An RLock because resolve_one(ingest=True) nests add_profiles.
         self._lock = threading.RLock()
-        self._index = index if index is not None else IncrementalTokenIndex(store)
+        self._index = IncrementalTokenIndex(store)
         self._weighter = IncrementalWeighter(
             self._index,
             weighting=config.meta.weighting,
@@ -378,9 +370,9 @@ class IncrementalResolver(Resolver):
     def save(self, path: str) -> str:
         """Persist the session state under the directory ``path``.
 
-        Writes profiles, config and the delta-maintained token index
-        (as ``.npy`` CSR arrays) so that :meth:`load` rebuilds a session
-        that streams bit-identically without re-tokenizing the corpus.
+        Writes the profiles and the pipeline spec so that :meth:`load`
+        rebuilds a session that streams bit-identically (the token index
+        is re-derived from the profiles).
         Emission-side state (budgets consumed, the position of a
         half-drained stream) is deliberately *not* captured: a restored
         session starts a fresh stream over the saved corpus, exactly
@@ -396,8 +388,8 @@ class IncrementalResolver(Resolver):
     def load(cls, path: str) -> "IncrementalResolver":
         """Rebuild a saved session from :meth:`save`'s directory.
 
-        The postings come back from the snapshot arrays (no
-        re-tokenization); the restored session's ``stream()`` is
+        The token index is rebuilt from the profiles, as ``fit`` builds
+        it, and keeps the saved generation; the restored ``stream()`` is
         bit-identical to a fresh ``stream()`` of the saved one, and it
         accepts further ingests/probes exactly like the original.
         """

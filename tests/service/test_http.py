@@ -17,7 +17,12 @@ from repro.service import (
 )
 
 from .conftest import PROBE, RECORDS, service_pipeline
-from .test_snapshot import corrupt_snapshot, put_match_keys
+from .test_snapshot import (
+    MALFORMED_MANIFESTS,
+    cut_profiles,
+    edit_manifest,
+    put_match_keys,
+)
 
 
 def run(coro):
@@ -202,8 +207,8 @@ def test_client_snapshot_paths_are_sandboxed(manager, tmp_path):
 
 
 def test_restoring_a_corrupt_snapshot_answers_400(manager):
-    """A snapshot whose postings fail the restore checks is refused
-    with 400, and no session is left registered under the name."""
+    """A snapshot whose profile line is torn is refused with 400 naming
+    the file, and no session is left registered under the name."""
     app = ServiceApp(manager)
 
     async def exercise():
@@ -212,12 +217,56 @@ def test_restoring_a_corrupt_snapshot_answers_400(manager):
             "POST", "/sessions/s/snapshot", {"path": "saved"}
         )
         assert status == 200, body
-        corrupt_snapshot(body["path"], "posting out of order")
+        cut_profiles(body["path"], "mid-line")
         status, body = await app.handle(
             "POST", "/sessions", {"name": "r", "restore": True, "path": "saved"}
         )
-        assert status == 400 and "postings_ids" in body["error"], body
+        assert status == 400 and "profiles.jsonl line" in body["error"], body
         assert manager.names() == ["s"]
+
+    run(exercise())
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+def test_restoring_a_malformed_manifest_answers_400(manager, case):
+    """A manifest missing a required key, or naming an unknown ER type,
+    is refused with 400 (not the unknown-session 404), no session kept."""
+    app = ServiceApp(manager)
+
+    async def exercise():
+        await app.handle("POST", "/sessions", {"name": "s", "records": RECORDS})
+        status, body = await app.handle(
+            "POST", "/sessions/s/snapshot", {"path": "saved"}
+        )
+        assert status == 200, body
+        key, value = MALFORMED_MANIFESTS[case]
+        edit_manifest(body["path"], key, value)
+        status, body = await app.handle(
+            "POST", "/sessions", {"name": "r", "restore": True, "path": "saved"}
+        )
+        assert status == 400 and key in body["error"], body
+        assert manager.names() == ["s"]
+
+    run(exercise())
+
+
+def test_a_restored_session_reports_the_saved_generation(manager):
+    """``/sessions/{name}`` metrics do not go backwards over a restore."""
+    app = ServiceApp(manager)
+
+    async def exercise():
+        await app.handle("POST", "/sessions", {"name": "s", "records": RECORDS[:2]})
+        for record in RECORDS[2:4]:
+            await app.handle("POST", "/sessions/s/ingest", {"records": [record]})
+        await app.handle("POST", "/sessions/s/snapshot", {"path": "saved"})
+        await app.handle(
+            "POST", "/sessions", {"name": "r", "restore": True, "path": "saved"}
+        )
+        _, saved = await app.handle("GET", "/sessions/s", None)
+        _, restored = await app.handle("GET", "/sessions/r", None)
+        assert saved["generation"] == 2
+        assert restored["generation"] == saved["generation"]
+        assert manager.get("r").resolver.index.generation == 2
 
     run(exercise())
 

@@ -10,12 +10,9 @@ import pytest
 from repro.errors import SessionClosed
 from repro.incremental.resolver import IncrementalResolver
 from repro.service.snapshot import (
-    IDS,
-    INDPTR,
     MANIFEST,
+    PROFILES,
     SNAPSHOT_FORMAT,
-    _read_npy_int64,
-    _write_npy_int64,
     read_manifest,
     stream_digest,
 )
@@ -93,9 +90,11 @@ def test_emission_progress_is_not_snapshotted(tmp_path):
 
 def test_a_snapshot_written_by_1x_still_restores():
     """``fixtures/session-1.5`` is what release 1.5.0 saved for
-    ``fitted("python")`` (its numpy writer, its manifest - carrying the
+    ``fitted("python")`` (format 1, its manifest carrying the
     ``rebuild_threshold`` key retired in 2.0 and the null ``matcher``
-    stage retired after 2.1); the digest is the one it streamed."""
+    stage retired after 2.1).  The fixture's postings arrays are now
+    ignored: re-tokenizing its profiles reproduces the digest 1.5
+    streamed."""
     path = os.path.join(os.path.dirname(__file__), "fixtures", "session-1.5")
     config = read_manifest(path)["config"]
     assert "rebuild_threshold" in config["incremental"]
@@ -167,7 +166,8 @@ def test_torn_resave_leaves_no_stale_manifest(tmp_path, monkeypatch):
     def crash(*args, **kwargs):
         raise OSError("disk full")
 
-    monkeypatch.setattr(snapshot_module, "_write_arrays", crash)
+    # Crash at the last step: the staged manifest never lands.
+    monkeypatch.setattr(snapshot_module.os, "replace", crash)
     session.add_profiles([{"name": "carla white", "city": "ny"}])
     with pytest.raises(OSError, match="disk full"):
         session.save(path)
@@ -185,6 +185,9 @@ def test_read_manifest_rejects_non_snapshots(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps({"format": "nope/9"}))
     with pytest.raises(ValueError, match="unsupported snapshot format"):
         read_manifest(str(tmp_path))
+    (tmp_path / "manifest.json").write_text(json.dumps(["not", "an", "object"]))
+    with pytest.raises(ValueError, match="unsupported snapshot format None"):
+        read_manifest(str(tmp_path))
 
 
 def test_load_rejects_profile_count_mismatch(tmp_path):
@@ -196,52 +199,91 @@ def test_load_rejects_profile_count_mismatch(tmp_path):
         IncrementalResolver.load(path)
 
 
-def _swap_first_distinct_offsets(indptr):
-    """Swap two unequal interior offsets, first and last kept."""
-    k = next(k for k in range(1, len(indptr) - 2) if indptr[k] != indptr[k + 1])
-    indptr[k], indptr[k + 1] = indptr[k + 1], indptr[k]
+def cut_profiles(path: str, cut: str) -> None:
+    """Truncate (or delete) the snapshot's ``profiles.jsonl``."""
+    file = os.path.join(path, PROFILES)
+    if cut == "missing":
+        os.remove(file)
+        return
+    with open(file, "rb") as handle:
+        data = handle.read()
+    ends = {
+        "mid-line": len(data) - 5,
+        "at a line boundary": data.rindex(b"\n", 0, len(data) - 1) + 1,
+        "empty file": 0,
+    }
+    with open(file, "wb") as handle:
+        handle.write(data[: ends[cut]])
 
 
-def _swap_ids_of_a_posting(ids, indptr):
-    """Swap the first two ids of the first posting holding two or more."""
-    k = next(indptr[k] for k in range(len(indptr) - 1) if indptr[k + 1] - indptr[k] > 1)
-    ids[k], ids[k + 1] = ids[k + 1], ids[k]
+@pytest.mark.parametrize(
+    "cut", ["mid-line", "at a line boundary", "empty file", "missing"]
+)
+def test_load_rejects_a_truncated_profiles_file(tmp_path, cut):
+    """Every cut names ``profiles.jsonl``; none restores a shorter corpus."""
+    session = service_pipeline().fit(RECORDS)
+    path = session.save(str(tmp_path / "s"))
+    session.close()
+    cut_profiles(path, cut)
+    with pytest.raises(ValueError, match="profiles.jsonl"):
+        IncrementalResolver.load(path)
 
 
-def _negate_an_offset(indptr):
-    indptr[1] = -1
+def test_a_torn_profile_line_names_its_line(tmp_path):
+    path = fitted("python").save(str(tmp_path / "s"))
+    cut_profiles(path, "mid-line")
+    with pytest.raises(ValueError, match=f"profiles.jsonl line {len(RECORDS)}:"):
+        IncrementalResolver.load(path)
+    with open(os.path.join(path, PROFILES), "w") as handle:
+        handle.write("[0]\n")
+    with pytest.raises(ValueError, match="profiles.jsonl line 1: not enough"):
+        IncrementalResolver.load(path)
 
 
-CORRUPTIONS = {
-    "swapped offsets": (INDPTR, _swap_first_distinct_offsets),
-    "negative offset": (INDPTR, _negate_an_offset),
-    "extra trailing offset": (INDPTR, lambda indptr: indptr.append(indptr[-1])),
-    "posting out of order": (IDS, _swap_ids_of_a_posting),
+def edit_manifest(path: str, key: str, value=None) -> None:
+    """Set ``key`` in the manifest at ``path``; ``None`` removes it."""
+    manifest = read_manifest(path)
+    if value is None:
+        del manifest[key]
+    else:
+        manifest[key] = value
+    with open(os.path.join(path, MANIFEST), "w") as handle:
+        json.dump(manifest, handle)
+
+
+MALFORMED_MANIFESTS = {
+    "no config": ("config", None),
+    "no profiles": ("profiles", None),
+    "no generation": ("generation", None),
+    "unknown er_type": ("er_type", "NOPE"),
 }
 
 
-def corrupt_snapshot(path: str, corruption: str) -> None:
-    """Rewrite one postings array of the snapshot at ``path``."""
-    name, edit = CORRUPTIONS[corruption]
-    files = {key: os.path.join(path, f"{key}.npy") for key in (INDPTR, IDS)}
-    arrays = {key: list(_read_npy_int64(file)) for key, file in files.items()}
-    if name == IDS:
-        edit(arrays[IDS], arrays[INDPTR])
-    else:
-        edit(arrays[INDPTR])
-    _write_npy_int64(files[name], arrays[name])
-
-
-@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
-def test_load_rejects_a_corrupt_postings_array(tmp_path, corruption):
-    """Each corruption names its file; none restores a wrong index."""
-    session = service_pipeline().fit(RECORDS[:4])
-    path = session.save(str(tmp_path / "s"))
-    session.close()
-    corrupt_snapshot(path, corruption)
-    name, _ = CORRUPTIONS[corruption]
-    with pytest.raises(ValueError, match=name):
+@pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+def test_load_rejects_a_malformed_manifest(tmp_path, case):
+    """The error names the snapshot and the key; it is no ``KeyError``."""
+    path = fitted("python").save(str(tmp_path / "s"))
+    key, value = MALFORMED_MANIFESTS[case]
+    edit_manifest(path, key, value)
+    with pytest.raises(ValueError, match=key) as caught:
         IncrementalResolver.load(path)
+    assert path in str(caught.value)
+
+
+def test_a_fresh_save_writes_the_manifest_and_the_profiles_only(tmp_path):
+    path = fitted("python").save(str(tmp_path / "s"))
+    assert sorted(os.listdir(path)) == sorted([MANIFEST, PROFILES])
+    assert read_manifest(path)["format"] == SNAPSHOT_FORMAT == "repro-session/2"
+
+
+def test_a_restored_index_keeps_the_saved_generation(tmp_path):
+    session = fitted("python")
+    session.add_profiles([{"name": "carla white", "city": "ny"}])
+    assert session.index.generation == 2  # fit, then two ingests
+    restored = IncrementalResolver.load(session.save(str(tmp_path / "s")))
+    assert restored.index.generation == session.index.generation
+    restored.add_profiles([{"name": "dora white", "city": "la"}])
+    assert restored.index.generation == session.index.generation + 1
 
 
 def test_save_on_closed_session_raises(tmp_path):
@@ -249,59 +291,3 @@ def test_save_on_closed_session_raises(tmp_path):
     session.close()
     with pytest.raises(SessionClosed):
         session.save(str(tmp_path / "s"))
-
-
-# -- the stdlib .npy codec -----------------------------------------------------
-
-
-@pytest.mark.parametrize("values", [[], [0], [1, 2, 3, 2**40, -5]])
-def test_stdlib_npy_round_trip(tmp_path, values):
-    path = str(tmp_path / "a.npy")
-    _write_npy_int64(path, values)
-    assert list(_read_npy_int64(path)) == values
-
-
-@pytest.mark.parametrize("values", [[3, 1, 4, 1, 5, 9, 2**50], []])
-def test_stdlib_npy_files_are_numpy_compatible(tmp_path, values):
-    """Both writers produce byte-identical files; both readers agree."""
-    np = pytest.importorskip("numpy")
-    ours = tmp_path / "ours.npy"
-    theirs = tmp_path / "theirs.npy"
-    _write_npy_int64(str(ours), values)
-    np.save(str(theirs), np.asarray(values, dtype=np.int64))
-    assert ours.read_bytes() == theirs.read_bytes()
-    assert np.load(str(ours)).tolist() == values
-    assert list(_read_npy_int64(str(theirs))) == values
-
-
-def test_stdlib_npy_reader_rejects_other_dtypes(tmp_path):
-    from repro.service.snapshot import _npy_header
-
-    path = tmp_path / "floats.npy"
-    path.write_bytes(_npy_header(0).replace(b"<i8", b"<f8"))
-    with pytest.raises(ValueError, match="expected a C-order"):
-        _read_npy_int64(str(path))
-
-
-def test_stdlib_npy_reader_rejects_other_shapes_and_short_files(tmp_path):
-    from repro.service.snapshot import _npy_header
-
-    matrix = tmp_path / "matrix.npy"
-    matrix.write_bytes(_npy_header(4).replace(b"(4,), ", b"(2,2),"))
-    with pytest.raises(ValueError, match="one dimension"):
-        _read_npy_int64(str(matrix))
-    whole = tmp_path / "whole.npy"
-    _write_npy_int64(str(whole), [1, 2, 3])
-    data = whole.read_bytes()
-    for cut in (len(data) - 3, len(data) - 8, 70, 9, 7):
-        torn = tmp_path / f"torn{cut}.npy"
-        torn.write_bytes(data[:cut])
-        with pytest.raises(ValueError):
-            _read_npy_int64(str(torn))
-
-
-def test_stdlib_npy_reader_rejects_non_npy_files(tmp_path):
-    path = tmp_path / "notes.txt"
-    path.write_bytes(b"just some text, long enough to cover the magic")
-    with pytest.raises(ValueError, match="not a .npy file"):
-        _read_npy_int64(str(path))
