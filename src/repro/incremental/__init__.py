@@ -5,8 +5,9 @@ corpus *live*.  Profiles ingested after ``fit()`` are resolved against
 everything already indexed, with delta updates to every derived
 structure instead of rebuilds:
 
-* :class:`MutableProfileStore` - append-only profile ingestion with a
-  listener feed (:mod:`repro.incremental.store`);
+* :class:`MutableProfileStore` - append-only profile ingestion; it
+  holds a read-only probe for the length of the call
+  (:mod:`repro.incremental.store`);
 * :class:`IncrementalTokenIndex` - the Token Blocking substrate under
   ingestion: postings, block qualification, per-profile block counts,
   all maintained by deltas (:mod:`repro.incremental.index`);

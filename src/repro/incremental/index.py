@@ -56,7 +56,6 @@ class IncrementalTokenIndex:
         "_profile_tokens",
         "_block_counts",
         "_blocks",
-        "_probe",
     )
 
     def __init__(self, store: ProfileStore) -> None:
@@ -69,8 +68,6 @@ class IncrementalTokenIndex:
         self._profile_tokens: dict[int, tuple[str, ...]] = {}
         self._block_counts: dict[int, int] = {}
         self._blocks: set[str] = set()
-        #: The active probe as (profile_id, source), if any.
-        self._probe: tuple[int, int] | None = None
         for profile in store:
             self._index_profile(profile)
 
@@ -165,24 +162,6 @@ class IncrementalTokenIndex:
         """Ids of all indexed profiles, in ingestion order."""
         return list(self._profile_tokens)
 
-    def source_of(self, profile_id: int) -> int:
-        """Source id of a profile - stored or the active probe."""
-        if self._probe is not None and profile_id == self._probe[0]:
-            return self._probe[1]
-        return self.store.source_of(profile_id)
-
-    def valid_pair(self, i: int, j: int) -> bool:
-        """Task validity of a pair of *indexed* profiles.
-
-        Unlike ``store.valid_comparison`` this also covers an active
-        probe profile, which is indexed but not stored.
-        """
-        if i == j:
-            return False
-        if self.store.er_type is not ERType.CLEAN_CLEAN:
-            return True
-        return self.source_of(i) != self.source_of(j)
-
     def pair_tokens(
         self, i: int, j: int, purge_limit: float | None = None
     ) -> list[str]:
@@ -201,80 +180,64 @@ class IncrementalTokenIndex:
 
     # -- candidate generation -------------------------------------------------
 
-    def _pairs_for(
-        self,
-        profile_id: int,
-        include,
-        purge_limit: float | None,
-    ) -> Iterator[tuple[int, int, list[str]]]:
-        """One profile's candidate comparisons, shared tokens alphabetical.
-
-        The single accumulation loop behind :meth:`candidate_pairs` and
-        :meth:`probe_pairs` - the two must stay bit-identical for the
-        ingest/probe parity contract, so only the neighbor predicate
-        (``include``) differs.  Pairs are yielded in first-encounter
-        order, each owned by its smaller id.
-        """
-        shared: dict[int, list[str]] = {}
-        order: list[int] = []
-        for token in self._profile_tokens.get(profile_id, ()):
-            if token not in self._blocks:
-                continue
-            posting = self.postings[token]
-            if purge_limit is not None and len(posting) > purge_limit:
-                continue
-            for neighbor in posting:
-                if neighbor == profile_id or not include(neighbor):
-                    continue
-                tokens = shared.get(neighbor)
-                if tokens is None:
-                    shared[neighbor] = [token]
-                    order.append(neighbor)
-                else:
-                    tokens.append(token)
-        for neighbor in order:
-            i, j = (
-                (neighbor, profile_id)
-                if neighbor < profile_id
-                else (profile_id, neighbor)
-            )
-            yield i, j, shared[neighbor]
-
     def candidate_pairs(
         self,
         new_ids: Sequence[int],
         purge_limit: float | None = None,
     ) -> Iterator[tuple[int, int, list[str]]]:
-        """Comparisons introduced by a freshly ingested batch.
+        """Comparisons introduced by freshly indexed profiles.
 
-        Yields ``(i, j, shared_tokens)`` for every valid comparison that
-        involves at least one profile of ``new_ids``, exactly once, with
-        the shared qualifying tokens in alphabetical order.  Pairs whose
-        profiles were both present before the batch are *not* yielded -
-        their comparison was emitted when the later of the two arrived.
+        Yields ``(i, j, shared_tokens)`` with ``i < j`` for every valid
+        comparison that involves at least one profile of ``new_ids``,
+        exactly once, with the shared qualifying tokens in alphabetical
+        order.  Pairs whose profiles were both present before the batch
+        are *not* yielded - their comparison was emitted when the later
+        of the two arrived.  A read-only probe is a one-profile batch of
+        the profile its store holds for the call.
         """
         new_set = set(new_ids)
-        store = self.store
+        profiles = self.store.profiles
+        clean_clean = self.store.er_type is ERType.CLEAN_CLEAN
         for profile_id in sorted(new_set):
-
-            def include(neighbor: int, profile_id: int = profile_id) -> bool:
-                # A pair of two new profiles is owned by the larger id,
-                # so it is yielded exactly once.
-                if neighbor in new_set and neighbor > profile_id:
-                    return False
-                return store.valid_comparison(profile_id, neighbor)
-
-            yield from self._pairs_for(profile_id, include, purge_limit)
+            source = profiles[profile_id].source
+            shared: dict[int, list[str]] = {}
+            for token in self._profile_tokens.get(profile_id, ()):
+                if token not in self._blocks:
+                    continue
+                posting = self.postings[token]
+                if purge_limit is not None and len(posting) > purge_limit:
+                    continue
+                for neighbor in posting:
+                    # A pair of two new profiles is owned by the larger
+                    # id, so it is yielded once; Clean-clean pairs cross
+                    # sources.
+                    if (
+                        neighbor == profile_id
+                        or (neighbor > profile_id and neighbor in new_set)
+                        or (clean_clean and profiles[neighbor].source == source)
+                    ):
+                        continue
+                    tokens = shared.get(neighbor)
+                    if tokens is None:
+                        shared[neighbor] = [token]
+                    else:
+                        tokens.append(token)
+            for neighbor, tokens in shared.items():
+                if neighbor < profile_id:
+                    yield neighbor, profile_id, tokens
+                else:
+                    yield profile_id, neighbor, tokens
 
     # -- read-only probes -----------------------------------------------------
 
     def probe_enter(self, profile: EntityProfile) -> list[str]:
         """Temporarily index a probe profile (exact as-if-ingested stats).
 
-        The probe must carry the next dense id (``len(store)``) so its
-        posting entries land at the end of every touched list, which is
-        what makes :meth:`probe_exit` an exact rollback.  Returns the
-        journal (tokens that became blocks) to hand back to
+        The probe must be the store's last profile (held there by
+        :meth:`~repro.incremental.store.MutableProfileStore.holding`),
+        so its posting entries land at the end of every touched list,
+        which is what makes :meth:`probe_exit` an exact rollback.
+        Returns the journal (tokens that became blocks) to hand back to
         :meth:`probe_exit`.
 
         ``generation`` is deliberately *not* bumped: a probe leaves the
@@ -288,11 +251,7 @@ class IncrementalTokenIndex:
             raise ValueError(
                 f"probe id {profile.profile_id} is already indexed"
             )
-        if self._probe is not None:  # pragma: no cover - misuse guard
-            raise RuntimeError("a probe is already active")
-        transitioned = self._index_profile(profile)
-        self._probe = (profile.profile_id, profile.source)
-        return transitioned
+        return self._index_profile(profile)
 
     def probe_exit(self, profile: EntityProfile, journal: list[str]) -> None:
         """Roll back :meth:`probe_enter` exactly (postings, counts, blocks)."""
@@ -318,28 +277,6 @@ class IncrementalTokenIndex:
                     self._block_counts.pop(member, None)
                 else:
                     self._block_counts[member] = remaining
-        self._probe = None
-
-    def probe_pairs(
-        self,
-        profile_id: int,
-        source: int,
-        purge_limit: float | None = None,
-    ) -> Iterator[tuple[int, int, list[str]]]:
-        """Candidate comparisons of one (possibly probe) profile.
-
-        Like :meth:`candidate_pairs` for a single id, but comparison
-        validity is checked against the given ``source`` instead of the
-        store (the probe may not be stored).
-        """
-        clean_clean = self.store.er_type is ERType.CLEAN_CLEAN
-
-        def include(neighbor: int) -> bool:
-            return not (
-                clean_clean and self.store.source_of(neighbor) == source
-            )
-
-        yield from self._pairs_for(profile_id, include, purge_limit)
 
     # -- bridge back to the batch substrate -----------------------------------
 

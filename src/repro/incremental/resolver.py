@@ -10,8 +10,9 @@ working; on top of it profiles can be *ingested* after ``fit``:
   batch* - only pairs involving a new profile - ranked best-first by the
   configured weighting scheme;
 * :meth:`resolve_one` is the single-record form; with ``ingest=False``
-  it is a read-only probe that scores a record against the corpus with
-  exact as-if-ingested statistics and rolls the index back;
+  it is a read-only probe: the record joins the store and the index for
+  the length of the call - exact as-if-ingested statistics - and both
+  are rolled back;
 * :meth:`stream` (inherited) re-ranks the *current* corpus: it lazily
   rebuilds the ONLINE method over a snapshot of the live index whenever
   a previous ingestion made the last build stale - on the numpy backend
@@ -31,15 +32,15 @@ pair set of one batch ONLINE fit over the union, and a final
 Incremental sessions use the ONLINE emission model; the configured
 progressive method (``.method(...)``) only applies to batch sessions.
 Block Filtering - a batch-global re-ranking - is likewise batch-only;
-Block Purging is available as a query-time bound via
-``.incremental(purge=...)``.
+the ``.blocking(purge=...)`` ratio applies as a query-time bound
+against the live corpus size.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from repro.core.comparisons import Comparison
 from repro.core.ground_truth import GroundTruth
@@ -51,35 +52,8 @@ from repro.pipeline.resolver import DecisionRecord, Resolver
 from repro.progressive.base import ProgressiveMethod
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.matching.cascade import MatcherCascade
     from repro.pipeline.config import PipelineConfig
-
-
-def score_probe(
-    index: IncrementalTokenIndex,
-    weighter: IncrementalWeighter,
-    probe: EntityProfile,
-) -> list[Comparison]:
-    """Score one read-only probe with exact as-if-ingested statistics.
-
-    The shared body of :meth:`IncrementalResolver.resolve_one`
-    (``ingest=False``) and :meth:`IncrementalResolver.resolve_many`: the
-    index is temporarily updated and rolled back, so corpus statistics
-    see the probe while it is scored and forget it afterwards.  Mutates
-    (and restores) the given index/weighter - callers hold the session
-    lock.
-    """
-    weighter.size_offset = 1  # as-if corpus size for purging
-    journal = index.probe_enter(probe)
-    weighter.invalidate()  # stats must see the probe...
-    try:
-        candidates = index.probe_pairs(
-            probe.profile_id, probe.source, weighter.purge_limit()
-        )
-        return weighter.score(candidates)
-    finally:
-        index.probe_exit(probe, journal)
-        weighter.invalidate()  # ...and forget it afterwards
-        weighter.size_offset = 0
 
 
 class IncrementalResolver(Resolver):
@@ -87,8 +61,8 @@ class IncrementalResolver(Resolver):
 
     Built by :meth:`repro.pipeline.ERPipeline.fit` when the pipeline has
     an ``.incremental()`` stage; not usually constructed directly.  The
-    profile store is upgraded to a :class:`MutableProfileStore` and every
-    derived structure subscribes to its ingestion feed.
+    profile store is upgraded to a :class:`MutableProfileStore`; every
+    ingest goes through the session, which indexes what it appended.
     """
 
     def __init__(
@@ -107,40 +81,28 @@ class IncrementalResolver(Resolver):
             dataset_name=dataset_name,
             psn_key=psn_key,
         )
-        spec = config.incremental
-        assert spec is not None, "IncrementalResolver requires .incremental()"
+        assert config.incremental is not None, (
+            "IncrementalResolver requires .incremental()"
+        )
         # What a live session refuses (other blocking schemes, methods,
         # pruning) was settled when the spec was constructed:
         # repro.pipeline.config.check_live_stage.
-        # Purging precedence: the session knob, else the blocking
-        # stage's ratio (applied query-time against the live corpus
-        # size).  Filtering is batch-global and has no counterpart.
-        purge_ratio = (
-            spec.purge_ratio
-            if spec.purge_ratio is not None
-            else config.blocking.purge_ratio
-        )
-        #: Serializes index mutation - ingest, probes (which temporarily
-        #: mutate and roll back the shared index) and close.
+        #: Serializes store and index mutation - ingest, probes (which
+        #: hold and roll back a profile in both) and close.
         #: An RLock because resolve_one(ingest=True) nests add_profiles.
         self._lock = threading.RLock()
         self._index = IncrementalTokenIndex(store)
         self._weighter = IncrementalWeighter(
             self._index,
             weighting=config.meta.weighting,
-            purge_ratio=purge_ratio,
+            # Applied query-time against the live corpus size; Block
+            # Filtering is batch-global and has no counterpart.
+            purge_ratio=config.blocking.purge_ratio,
         )
         self._stream_generation = -1
-        store.subscribe(self._on_ingest)
-
-    # -- ingestion feed -------------------------------------------------------
-
-    def _on_ingest(self, profiles: Sequence[EntityProfile]) -> None:
-        """Store listener: keep every derived structure consistent."""
-        self._index.add_profiles(profiles)
-        # A drained stream is no longer drained: the arrivals add
-        # comparisons, and the next stream()/next_batch() re-ranks.
-        self._exhausted = False
+        #: Stored profiles, never counting a probe in flight: the count
+        #: a reader without the session lock may rely on.
+        self.corpus_size = len(store)
 
     # -- online resolution ----------------------------------------------------
 
@@ -165,6 +127,11 @@ class IncrementalResolver(Resolver):
             profiles = store.add_profiles(items, sources=sources)
             if not profiles:
                 return []
+            self.corpus_size = len(store)
+            self._index.add_profiles(profiles)
+            # A drained stream is no longer drained: the arrivals add
+            # comparisons, and the next stream()/next_batch() re-ranks.
+            self._exhausted = False
             candidates = self._index.candidate_pairs(
                 [profile.profile_id for profile in profiles],
                 self._weighter.purge_limit(),
@@ -183,9 +150,9 @@ class IncrementalResolver(Resolver):
         With ``ingest=True`` (default) the record joins the corpus and
         its ranked comparisons are emitted - the singleton form of
         :meth:`add_profiles`.  With ``ingest=False`` the call is a
-        read-only probe: the record is scored with exact as-if-ingested
-        statistics (the index is temporarily updated and rolled back),
-        nothing is stored, emitted or counted against budgets.
+        read-only probe: the record is scored as the ingest would score
+        it, then the store and the index are rolled back; nothing is
+        kept, emitted or counted against budgets.
 
         ``decide=True`` additionally routes every returned comparison
         through the session's matching cascade and returns
@@ -206,23 +173,7 @@ class IncrementalResolver(Resolver):
                 return self._decide(emitted, cascade)
         with self._lock:
             self._check_open()
-            probe = self._coerce_probe(item, source)
-            scored = score_probe(self._index, self._weighter, probe)
-            if not decide:
-                return scored
-            return self._decide_probe(scored, probe, cascade)
-
-    def _decide_probe(
-        self, scored: list[Comparison], probe: EntityProfile, cascade
-    ) -> list[DecisionRecord]:
-        """Decide probe pairs read-only (the probe is not in the store)."""
-        probe_id = probe.profile_id
-        return self._decide(
-            scored,
-            cascade,
-            profile_of=lambda pid: probe if pid == probe_id else self.store[pid],
-            record=False,
-        )
+            return self._probe(self._coerce_probe(item, source), cascade)
 
     def resolve_many(
         self,
@@ -261,16 +212,35 @@ class IncrementalResolver(Resolver):
                 )
                 for position, item in enumerate(item_list)
             ]
-            scored_lists = [
-                score_probe(self._index, self._weighter, probe)
-                for probe in probes
-            ]
-            if not decide:
-                return scored_lists
-            return [
-                self._decide_probe(scored, probe, cascade)
-                for scored, probe in zip(scored_lists, probes)
-            ]
+            return [self._probe(probe, cascade) for probe in probes]
+
+    def _probe(
+        self, probe: EntityProfile, cascade: MatcherCascade | None
+    ) -> "list[Comparison] | list[DecisionRecord]":
+        """Score - and with a cascade, decide - one read-only probe.
+
+        For the length of the call the probe is a stored and indexed
+        profile like any other, so it is scored exactly as its ingest
+        would be; the store and the index are rolled back afterwards,
+        on an exception too.  Decisions advance only the cascade's tier
+        counters.  Callers hold the session lock.
+        """
+        store: MutableProfileStore = self.store  # type: ignore[assignment]
+        with store.holding(probe):
+            journal = self._index.probe_enter(probe)
+            self._weighter.invalidate()  # statistics must see the probe...
+            try:
+                scored = self._weighter.score(
+                    self._index.candidate_pairs(
+                        [probe.profile_id], self._weighter.purge_limit()
+                    )
+                )
+                if cascade is None:
+                    return scored
+                return self._decide(scored, cascade, record=False)
+            finally:
+                self._index.probe_exit(probe, journal)
+                self._weighter.invalidate()  # ...and forget it afterwards
 
     def _coerce_probe(
         self,

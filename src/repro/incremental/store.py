@@ -4,8 +4,9 @@ Batch ER assumes the corpus is fixed before ``fit()``; a production
 resolver sees profiles *arrive*.  :class:`MutableProfileStore` keeps the
 :class:`~repro.core.profiles.ProfileStore` contract (dense ids, task
 semantics, statistics) while allowing appends after construction, and
-notifies subscribed listeners - the incremental indexes - after every
-batch so derived structures stay consistent by construction.
+holds a read-only probe as its last profile for the length of one call
+(:meth:`~MutableProfileStore.holding`), so a probe is scored as exactly
+the stored profile it would become.
 
 Ids are always assigned by the store.  Ingested records never choose
 their own id: an :class:`~repro.core.profiles.EntityProfile` whose
@@ -16,15 +17,13 @@ dense ``store[i].profile_id == i`` invariant the flat indexes rely on.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.profiles import EntityProfile, ERType, ProfileStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.datasets.base import ChunkedProfileStore
-
-#: A store listener: called with the freshly appended profiles.
-IngestListener = Callable[[Sequence[EntityProfile]], None]
 
 
 class MutableProfileStore(ProfileStore):
@@ -35,8 +34,8 @@ class MutableProfileStore(ProfileStore):
 
     * :meth:`add` / :meth:`add_profiles` append records with
       store-assigned dense ids;
-    * :meth:`subscribe` registers listeners (incremental indexes) that
-      are notified once per ingested batch.
+    * :meth:`holding` stores a read-only probe for the length of a
+      ``with`` block and restores the store exactly afterwards.
 
     Examples
     --------
@@ -48,7 +47,7 @@ class MutableProfileStore(ProfileStore):
     [EntityProfile(id=1, source=0, name='Karl White'), EntityProfile(id=2, source=0, name='Ellen')]
     """
 
-    __slots__ = ("_listeners",)
+    __slots__ = ()
 
     def __init__(
         self,
@@ -56,7 +55,6 @@ class MutableProfileStore(ProfileStore):
         er_type: ERType = ERType.DIRTY,
     ) -> None:
         super().__init__(profiles, er_type)
-        self._listeners: list[IngestListener] = []
 
     # -- construction ---------------------------------------------------------
 
@@ -73,49 +71,6 @@ class MutableProfileStore(ProfileStore):
         if isinstance(store, cls):
             return store
         return cls(list(store), store.er_type)
-
-    # -- subscriptions --------------------------------------------------------
-
-    def subscribe(self, listener: IngestListener) -> IngestListener:
-        """Register a callback invoked with each ingested batch.
-
-        Listeners run synchronously, in subscription order, after the
-        profiles are appended - so inside a listener the store already
-        contains the new profiles.  Returns the listener (decorator-
-        friendly).
-        """
-        self._listeners.append(listener)
-        return listener
-
-    def unsubscribe(self, listener: IngestListener) -> None:
-        """Drop a previously subscribed listener (no-op when absent)."""
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            pass
-
-    # -- pickling -------------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        """Pickle without listeners.
-
-        Listeners are session-local callbacks (typically bound methods
-        of a live resolver holding a lock, emitters and budgets); a
-        shipped copy - e.g. the store a ``numpy-parallel`` tokenization
-        sweep sends to spawned workers - starts with none, so it
-        pickles at all and can never reach back into the originating
-        session.
-        """
-        return {
-            "profiles": self.profiles,
-            "er_type": self.er_type,
-            "_source_counts": self._source_counts,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._listeners = []
 
     # -- ingestion ------------------------------------------------------------
 
@@ -169,8 +124,7 @@ class MutableProfileStore(ProfileStore):
         """Ingest a batch of records; returns the stored profiles in order.
 
         The whole batch is validated before anything is appended, so a
-        bad record leaves the store untouched.  Listeners are notified
-        once, with the full batch; an empty batch is a no-op.
+        bad record leaves the store untouched; an empty batch is a no-op.
         """
         items = list(items)
         if sources is None:
@@ -191,6 +145,32 @@ class MutableProfileStore(ProfileStore):
             self._source_counts[profile.source] = (
                 self._source_counts.get(profile.source, 0) + 1
             )
-        for listener in self._listeners:
-            listener(appended)
         return appended
+
+    @contextmanager
+    def holding(self, profile: EntityProfile) -> Iterator[None]:
+        """Store ``profile`` for the length of a ``with`` block.
+
+        The read-only probe window: inside it the probe is a stored
+        profile like any other (``len``, ``store[i]``, ``source_size``
+        and ``valid_comparison`` all see it); on exit, on an exception
+        too, the profile list and the source counts are restored
+        exactly.  The profile must carry the next dense id.
+        """
+        if profile.profile_id != len(self.profiles):
+            raise ValueError(
+                f"a held profile needs the next id {len(self.profiles)}, "
+                f"got {profile.profile_id}"
+            )
+        counts = self._source_counts
+        before = counts.get(profile.source)
+        self.profiles.append(profile)
+        counts[profile.source] = (before or 0) + 1
+        try:
+            yield
+        finally:
+            self.profiles.pop()
+            if before is None:
+                del counts[profile.source]
+            else:
+                counts[profile.source] = before

@@ -48,7 +48,6 @@ class IncrementalWeighter:
         "index",
         "scheme",
         "purge_ratio",
-        "size_offset",
         "_cached_generation",
         "_block_count",
         "_degrees",
@@ -62,9 +61,6 @@ class IncrementalWeighter:
     ) -> None:
         self.index = index
         self.purge_ratio = purge_ratio
-        #: Added to the corpus size when evaluating the purge bound -
-        #: lets a read-only probe use exact as-if-ingested statistics.
-        self.size_offset = 0
         self._cached_generation = -1
         self._block_count: int | None = None
         self._degrees: tuple[dict[int, int], int] | None = None
@@ -75,7 +71,7 @@ class IncrementalWeighter:
         """The current Block Purging size bound (None when disabled)."""
         if self.purge_ratio is None:
             return None
-        return self.purge_ratio * (len(self.index.store) + self.size_offset)
+        return self.purge_ratio * len(self.index.store)
 
     def invalidate(self) -> None:
         """Drop all cached statistics (needed around index probes, which
@@ -122,6 +118,7 @@ class IncrementalWeighter:
         if self._degrees is not None:
             return self._degrees
         index = self.index
+        valid = index.store.valid_comparison
         limit = self.purge_limit()
         degrees: dict[int, int] = {}
         total = 0
@@ -134,12 +131,7 @@ class IncrementalWeighter:
                 if limit is not None and len(posting) > limit:
                     continue
                 neighbors.update(posting)
-            neighbors.discard(profile_id)
-            # index.valid_pair (not store.valid_comparison): an active
-            # probe is indexed but not stored.
-            count = sum(
-                1 for neighbor in neighbors if index.valid_pair(profile_id, neighbor)
-            )
+            count = sum(1 for neighbor in neighbors if valid(profile_id, neighbor))
             if count:
                 degrees[profile_id] = count
                 total += count

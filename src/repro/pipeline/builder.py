@@ -339,12 +339,7 @@ class ERPipeline:
             return self._set(storage=None)
         return self._set(storage=StorageConfig(mode=mode, dir=dir))
 
-    def incremental(
-        self,
-        enabled: bool = True,
-        *,
-        purge: float | None = None,
-    ) -> "ERPipeline":
+    def incremental(self, enabled: bool = True) -> "ERPipeline":
         """Make ``fit`` return a live, ingestible session.
 
         With this stage, :meth:`fit` returns an
@@ -355,9 +350,9 @@ class ERPipeline:
         weighting scheme.  Works on both backends; see
         :mod:`repro.incremental` for the batch-parity contract.
 
-        ``purge`` is the query-time Block Purging ratio - ``None``
-        (default) inherits the ``.blocking(...)`` stage's ``purge``
-        ratio.  ``enabled=False`` removes the stage.
+        The ``.blocking(...)`` stage's ``purge`` ratio is applied as a
+        query-time bound against the live corpus size.
+        ``enabled=False`` removes the stage.
 
         Incremental candidate generation is the live Token Blocking
         index and emission is the ONLINE (globally ranked) model: a
@@ -369,7 +364,7 @@ class ERPipeline:
         apply to incremental sessions.
         """
         return self._set(
-            incremental=IncrementalConfig(purge_ratio=purge) if enabled else None
+            incremental=IncrementalConfig() if enabled else None
         )
 
     def serve(

@@ -293,17 +293,11 @@ class IncrementalConfig(Stage):
     :meth:`add_profiles` / :meth:`resolve_one` emit the comparisons each
     arrival introduces (see :mod:`repro.incremental`).
 
-    ``purge_ratio`` is the query-time Block Purging bound evaluated
-    against the current corpus size; ``None`` inherits the blocking
-    stage's ``purge_ratio`` (so disable purging via
-    ``.blocking("token", purge=None)``).  Block Filtering is
-    batch-global and does not apply to incremental sessions.
+    The stage has no fields: the blocking stage's ``purge_ratio`` is the
+    session's query-time Block Purging bound, evaluated against the
+    current corpus size.  Block Filtering is batch-global and does not
+    apply to incremental sessions.
     """
-
-    purge_ratio: float | None = None
-
-    def __post_init__(self) -> None:
-        _check_ratio("purge_ratio", self.purge_ratio)
 
 
 @dataclass
@@ -483,9 +477,19 @@ class PipelineConfig(Stage):
         cascade that decides exactly as it did.  Their ``match`` stage
         carries the retired ``expensive`` / ``expensive_budget`` keys:
         null ones are dropped, and a set one is refused (the hook is
-        gone; a costly matcher is the cascade's last tier).
+        gone; a costly matcher is the cascade's last tier).  Their
+        ``incremental`` stage carries the retired ``purge_ratio``: a null
+        one is dropped, and a set one is read as ``blocking.purge_ratio``,
+        the ratio the live session applied.
         """
         payload = dict(data)
+        incremental = payload.get("incremental")
+        if isinstance(incremental, Mapping) and "purge_ratio" in incremental:
+            incremental = payload["incremental"] = dict(incremental)
+            ratio = incremental.pop("purge_ratio")
+            if ratio is not None:
+                blocking = dict(payload.get("blocking") or {})
+                payload["blocking"] = {**blocking, "purge_ratio": ratio}
         match = payload.get("match")
         if isinstance(match, Mapping):
             match = payload["match"] = dict(match)

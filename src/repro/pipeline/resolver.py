@@ -29,7 +29,7 @@ from repro.blocking.base import BlockCollection
 from repro.blocking.workflow import blocking_workflow
 from repro.core.comparisons import Comparison
 from repro.core.ground_truth import GroundTruth
-from repro.core.profiles import EntityProfile, ProfileStore
+from repro.core.profiles import ProfileStore
 from repro.errors import ConfigError, SessionClosed
 from repro.evaluation.metrics import DecisionQuality, decision_quality
 from repro.evaluation.progressive_recall import RecallCurve, _drive_progressive
@@ -615,14 +615,11 @@ class Resolver:
         comparisons: list[Comparison],
         cascade: MatcherCascade,
         *,
-        profile_of: "Callable[[int], EntityProfile] | None" = None,
         record: bool = True,
         batcher: "Any | None" = None,
     ) -> list[DecisionRecord]:
         """Decide each comparison - the one decide loop of every session.
 
-        ``profile_of`` resolves a pair's ids to profiles (default: the
-        store; a read-only probe substitutes its unstored profile).
         With ``record`` the decisions count towards the session and
         matches join its confirmed pairs; without it only the cascade's
         own tier counters advance.  A ``batcher`` evaluates the cheap
@@ -632,12 +629,8 @@ class Resolver:
         if batcher is not None:
             verdicts = batcher.decide_batch(comparisons)
         else:
-            if profile_of is None:
-                profile_of = self.store.__getitem__
-            verdicts = (
-                cascade.decide(profile_of(c.i), profile_of(c.j))
-                for c in comparisons
-            )
+            store = self.store
+            verdicts = (cascade.decide(store[c.i], store[c.j]) for c in comparisons)
         records: list[DecisionRecord] = []
         for comparison, verdict in zip(comparisons, verdicts):
             if record:

@@ -173,7 +173,7 @@ class ServiceApp:
             session = await self.manager.offload(
                 lambda: self.manager.create(name, records)
             )
-        return {"created": name, "profiles": len(session.resolver.store)}
+        return {"created": name, "profiles": session.resolver.corpus_size}
 
     def _client_path(self, path: Any) -> str | None:
         """Sandbox a client-supplied snapshot path under ``snapshot_dir``.

@@ -297,7 +297,7 @@ class ServiceSession:
             return {
                 "name": self.name,
                 "closed": self.resolver.closed,
-                "profiles": len(self.resolver.store),
+                "profiles": self.resolver.corpus_size,
                 "generation": self.resolver.index.generation,
                 "age_seconds": time.monotonic() - self._created,
                 "queue_depth": self._pending,

@@ -27,7 +27,6 @@ import contextlib
 import json
 import os
 import time
-from dataclasses import fields
 from typing import TYPE_CHECKING, Iterable
 
 from repro.core.comparisons import Comparison
@@ -115,7 +114,8 @@ def save_session(resolver: "IncrementalResolver", path: str) -> str:
 def read_manifest(path: str) -> dict:
     """Load and check a snapshot directory's manifest.
 
-    A missing required key or an unknown ER type is refused here, naming
+    A missing required key, a profile count or generation that is not a
+    non-negative integer, or an unknown ER type is refused here, naming
     the snapshot and the key, before anything is rebuilt.
     """
     try:
@@ -134,6 +134,13 @@ def read_manifest(path: str) -> dict:
     for key in REQUIRED_KEYS:
         if key not in manifest:
             raise ValueError(f"snapshot manifest at {path!r} lacks {key!r}")
+    for key in ("profiles", "generation"):
+        value = manifest[key]
+        if type(value) is not int or value < 0:
+            raise ValueError(
+                f"snapshot manifest at {path!r}: {key!r} must be a "
+                f"non-negative integer, got {value!r}"
+            )
     if manifest["er_type"] not in ERType.__members__:
         raise ValueError(
             f"snapshot manifest at {path!r}: unknown 'er_type' "
@@ -154,19 +161,19 @@ def load_session(path: str) -> "IncrementalResolver":
     """
     from repro.incremental.resolver import IncrementalResolver
     from repro.incremental.store import MutableProfileStore
-    from repro.pipeline.config import IncrementalConfig, PipelineConfig
+    from repro.pipeline.config import PipelineConfig
 
     manifest = read_manifest(path)
     spec = dict(manifest["config"])
     if spec.get("incremental"):
-        # A manifest written by 1.x carries a stage knob retired since;
-        # a saved session must keep restoring, so only the fields the
-        # stage still has are read (user specs reject unknown keys).
-        known = {field.name for field in fields(IncrementalConfig)}
+        # A manifest written by 1.x carries the stage's rebuild_threshold,
+        # retired in 2.0: a saved session must keep restoring, while
+        # user specs reject the key.  (The retired purge_ratio is read
+        # by PipelineConfig.from_dict, for specs and manifests alike.)
         spec["incremental"] = {
             key: value
             for key, value in spec["incremental"].items()
-            if key in known
+            if key != "rebuild_threshold"
         }
     config = PipelineConfig.from_dict(spec)
     file = os.path.join(path, PROFILES)
@@ -195,5 +202,5 @@ def load_session(path: str) -> "IncrementalResolver":
         MutableProfileStore(profiles, ERType[manifest["er_type"]]),
         dataset_name=manifest.get("dataset_name", ""),
     )
-    resolver.index.generation = int(manifest["generation"])
+    resolver.index.generation = manifest["generation"]
     return resolver

@@ -131,11 +131,12 @@ def test_probe_enter_exit_is_an_exact_rollback():
     from repro.core.profiles import EntityProfile
 
     probe = EntityProfile(len(store), {"n": "alpha beta delta"})
-    journal = index.probe_enter(probe)
-    assert index.is_block("beta")  # as-if-ingested statistics visible
-    pairs = {(i, j) for i, j, _ in index.probe_pairs(probe.profile_id, 0)}
-    assert pairs == {(0, 2), (1, 2)}
-    index.probe_exit(probe, journal)
+    with store.holding(probe):
+        journal = index.probe_enter(probe)
+        assert index.is_block("beta")  # as-if-ingested statistics visible
+        pairs = {(i, j) for i, j, _ in index.candidate_pairs([probe.profile_id])}
+        assert pairs == {(0, 2), (1, 2)}
+        index.probe_exit(probe, journal)
     after = (
         {t: list(ids) for t, ids in index.postings.items()},
         index.block_count(),

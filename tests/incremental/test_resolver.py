@@ -22,11 +22,11 @@ RECORDS = [
 ]
 
 
-def incremental_pipeline(**kwargs) -> ERPipeline:
+def incremental_pipeline() -> ERPipeline:
     return (
         ERPipeline()
         .blocking("token", purge=None, filter_ratio=None)
-        .incremental(**kwargs)
+        .incremental()
     )
 
 
@@ -286,12 +286,31 @@ def test_duplicate_id_ingestion_is_safe():
 
 
 def test_spec_round_trip_preserves_incremental_stage():
-    pipeline = incremental_pipeline(purge=0.3)
-    spec = pipeline.to_dict()
-    assert spec["incremental"] == {"purge_ratio": 0.3}
+    spec = incremental_pipeline().to_dict()
+    assert spec["incremental"] == {}
     rebuilt = ERPipeline.from_dict(spec)
-    assert rebuilt.config.incremental == IncrementalConfig(0.3)
+    assert rebuilt.config.incremental == IncrementalConfig()
     assert isinstance(rebuilt.fit([]), IncrementalResolver)
+
+
+@pytest.mark.parametrize("blocking", [None, 0.2])
+def test_the_retired_incremental_purge_ratio_is_read_as_the_blocking_one(
+    blocking,
+):
+    """Specs up to 2.1 could set the live session's purge ratio on the
+    incremental stage, over the blocking stage's: a set one becomes the
+    blocking ratio, a null one leaves the blocking ratio in force."""
+    spec = incremental_pipeline().to_dict()
+    spec["blocking"]["purge_ratio"] = blocking
+    spec["incremental"] = {"purge_ratio": 0.3}
+    config = PipelineConfig.from_dict(spec)
+    assert config.blocking.purge_ratio == 0.3
+    assert config.incremental == IncrementalConfig()
+    spec["incremental"] = {"purge_ratio": None}
+    assert PipelineConfig.from_dict(spec).blocking.purge_ratio == blocking
+    spec["incremental"] = {"purge_ratio": 0.3}
+    del spec["blocking"]
+    assert PipelineConfig.from_dict(spec).blocking.purge_ratio == 0.3
 
 
 def test_incremental_stage_can_be_disabled_again():

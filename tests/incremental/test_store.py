@@ -1,6 +1,8 @@
-"""MutableProfileStore: ingestion, dense ids, sources, listeners."""
+"""MutableProfileStore: ingestion, dense ids, sources, held probes."""
 
 from __future__ import annotations
+
+import pickle
 
 import pytest
 
@@ -44,32 +46,52 @@ def test_duplicate_ids_are_reassigned_not_overwritten():
     assert all(store[i].profile_id == i for i in range(len(store)))
 
 
-def test_empty_batch_is_a_noop_and_notifies_nobody():
+def test_empty_batch_is_a_noop():
     store = MutableProfileStore()
-    seen: list[list[EntityProfile]] = []
-    store.subscribe(lambda batch: seen.append(list(batch)))
     assert store.add_profiles([]) == []
-    assert seen == []
+    assert len(store) == 0
 
 
-def test_listeners_see_each_batch_after_append():
-    store = MutableProfileStore()
-    sizes_at_notify: list[int] = []
-    store.subscribe(lambda batch: sizes_at_notify.append(len(store)))
-    store.add({"name": "a"})
-    store.add_profiles([{"name": "b"}, {"name": "c"}])
-    assert sizes_at_notify == [1, 3]  # store already contains the batch
+@pytest.mark.parametrize("source", [0, 1])
+def test_holding_stores_a_profile_for_the_block_only(source):
+    store = MutableProfileStore([], ERType.CLEAN_CLEAN)
+    store.add_profiles([{"n": "a"}, {"n": "b"}], sources=[0, 0])
+    counts = dict(store._source_counts)
+    probe = EntityProfile(len(store), {"n": "c"}, source)
+    with store.holding(probe):
+        assert len(store) == 3 and store[2] is probe
+        assert store.source_size(source) == counts.get(source, 0) + 1
+        assert store.valid_comparison(0, 2) == (source == 1)
+    assert len(store) == 2
+    assert store._source_counts == counts
+    assert list(store._source_counts) == list(counts)  # same key order
+    with pytest.raises(RuntimeError, match="boom"):
+        with store.holding(probe):
+            raise RuntimeError("boom")
+    assert len(store) == 2 and store._source_counts == counts
 
 
-def test_unsubscribe_stops_notifications():
-    store = MutableProfileStore()
-    seen: list[int] = []
-    listener = store.subscribe(lambda batch: seen.append(len(batch)))
-    store.add({"name": "a"})
-    store.unsubscribe(listener)
-    store.unsubscribe(listener)  # absent: no-op
-    store.add({"name": "b"})
-    assert seen == [1]
+def test_holding_needs_the_next_dense_id():
+    store = MutableProfileStore([EntityProfile(0, {"n": "a"})])
+    with pytest.raises(ValueError, match="next id 1"):
+        with store.holding(EntityProfile(0, {"n": "b"})):
+            pass  # pragma: no cover - refused on entry
+    assert len(store) == 1
+
+
+def test_a_live_store_pickles_round_trip_after_an_ingest():
+    """Without listeners the slotted store pickles by default (the
+    numpy-parallel sweep ships it to spawned workers)."""
+    from repro import ERPipeline
+
+    session = ERPipeline().blocking("token", purge=None).incremental().fit([])
+    session.add_profiles([{"n": "a b"}, {"n": "b c"}], sources=[0, 0])
+    copy = pickle.loads(pickle.dumps(session.store))
+    assert type(copy) is MutableProfileStore
+    assert copy.profiles == session.store.profiles
+    assert copy.er_type is session.store.er_type
+    assert copy.source_size(0) == 2
+    assert copy.add({"n": "d"}).profile_id == 2
 
 
 def test_clean_clean_rejects_bad_sources_before_appending():

@@ -61,7 +61,8 @@ def test_block_count_is_scanned_only_for_schemes_that_read_it(
     session = (
         ERPipeline()
         .meta(weighting)
-        .incremental(purge=0.5)
+        .blocking(purge=0.5)
+        .incremental()
         .fit(MutableProfileStore(profiles[:40], dirty_store.er_type))
     )
     operations = 0

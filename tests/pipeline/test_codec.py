@@ -105,7 +105,7 @@ def spec_dicts(draw):
     else:
         spec["blocking"] = {"purge_ratio": draw(ratios), "filter_ratio": draw(ratios)}
         spec["method"] = {"name": draw(st.sampled_from(["PPS", "ONLINE"]))}
-        spec["incremental"] = {"purge_ratio": draw(ratios)}
+        spec["incremental"] = {}
         if live == "service":
             if draw(st.booleans()):
                 del spec["incremental"]  # a service stage implies it
@@ -336,7 +336,7 @@ calls = st.one_of(
     ),
     st.tuples(
         st.just("incremental"),
-        st.fixed_dictionaries({"enabled": st.booleans(), "purge": ratios}),
+        st.fixed_dictionaries({"enabled": st.booleans()}),
     ),
     st.tuples(
         st.just("serve"),

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
 import pytest
 
 from repro.errors import BudgetExceeded, ConfigError, SessionClosed
+from repro.matching import JaccardMatcher
 from repro.service import (
     HTTPClient,
     InProcessClient,
@@ -267,6 +269,52 @@ def test_a_restored_session_reports_the_saved_generation(manager):
         assert saved["generation"] == 2
         assert restored["generation"] == saved["generation"]
         assert manager.get("r").resolver.index.generation == 2
+
+    run(exercise())
+
+
+class GatedTier(JaccardMatcher):
+    """A last tier that holds every decided probe open until released."""
+
+    name = "gated"
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def similarity(self, a, b):
+        self.entered.set()
+        assert self.release.wait(10)
+        return super().similarity(a, b)
+
+
+def test_session_profiles_never_count_a_probe_in_flight():
+    """A probe is stored for the length of its call; ``/sessions/{name}``
+    is read on the event loop without the session lock, and reports the
+    ingested corpus only."""
+    tier = GatedTier()
+
+    async def exercise():
+        with SessionManager(service_pipeline().match(tier)) as manager:
+            app = ServiceApp(manager)
+            await app.handle("POST", "/sessions", {"name": "s", "records": RECORDS})
+            probe = asyncio.ensure_future(
+                app.handle(
+                    "POST", "/sessions/s/probe", {"records": [PROBE], "decide": True}
+                )
+            )
+            while not tier.entered.is_set():
+                await asyncio.sleep(0.001)
+            # the probe is held in the store right now...
+            assert len(manager.get("s").resolver.store) == len(RECORDS) + 1
+            status, body = await app.handle("GET", "/sessions/s", None)
+            tier.release.set()
+            assert (status, body["profiles"]) == (200, len(RECORDS))
+            status, decided = await probe
+            assert status == 200 and decided["results"][0], decided
+            _, body = await app.handle("GET", "/sessions/s", None)
+            assert body["profiles"] == len(RECORDS)
 
     run(exercise())
 

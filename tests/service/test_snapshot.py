@@ -107,6 +107,21 @@ def test_a_snapshot_written_by_1x_still_restores():
     )
 
 
+def test_a_session_with_the_retired_incremental_purge_still_restores():
+    """``fixtures/session-2.1-purge`` is what 2.1 saved for
+    ``.blocking("token", purge=None, filter_ratio=None)
+    .incremental(purge=0.5)`` over ``RECORDS`` (four at fit, two
+    ingested).  The retired ``incremental.purge_ratio`` is read as the
+    blocking ratio, so it restores to the digest 2.1 streamed - not the
+    unpurged one of session-1.5."""
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "session-2.1-purge")
+    assert read_manifest(path)["config"]["incremental"] == {"purge_ratio": 0.5}
+    restored = IncrementalResolver.load(path)
+    assert restored.config.blocking.purge_ratio == 0.5
+    assert restored.config.to_dict()["incremental"] == {}
+    assert stream_digest(restored.stream()) == "63f98c5815e2549731d9e92a6c529de4"
+
+
 def put_match_keys(path: str, **keys) -> None:
     """Write ``keys`` into the match stage of the manifest at ``path``."""
     manifest = read_manifest(path)
@@ -256,6 +271,13 @@ MALFORMED_MANIFESTS = {
     "no profiles": ("profiles", None),
     "no generation": ("generation", None),
     "unknown er_type": ("er_type", "NOPE"),
+    # counts must be non-negative ints: a string count used to be
+    # refused as "holds 6 profiles, manifest says 6", a bad generation
+    # failed in int() unnamed, and true restored as generation 1
+    "string profiles": ("profiles", str(len(RECORDS))),
+    "string generation": ("generation", "x"),
+    "boolean generation": ("generation", True),
+    "negative generation": ("generation", -1),
 }
 
 
