@@ -10,11 +10,9 @@ structure instead of rebuilds:
   (:mod:`repro.incremental.store`);
 * :class:`IncrementalTokenIndex` - the Token Blocking substrate under
   ingestion: postings, block qualification, per-profile block counts,
-  all maintained by deltas (:mod:`repro.incremental.index`);
-* :class:`IncrementalWeighter` - the live statistics view the shared
-  Meta-blocking weighting schemes are evaluated against; the one scorer
-  of arrivals and probes on every backend
-  (:mod:`repro.incremental.weights`);
+  all maintained by deltas, and the live statistics the shared
+  Meta-blocking weighting schemes read; the one scorer of arrivals and
+  probes on every backend (:mod:`repro.incremental.index`);
 * :class:`OnlineRanked` - the ``"ONLINE"`` progressive method: global
   best-first ranking, the batch anchor of the parity property
   (:mod:`repro.incremental.online`);
@@ -32,12 +30,10 @@ from repro.incremental.index import IncrementalTokenIndex
 from repro.incremental.online import OnlineRanked
 from repro.incremental.resolver import IncrementalResolver
 from repro.incremental.store import MutableProfileStore
-from repro.incremental.weights import IncrementalWeighter
 
 __all__ = [
     "MutableProfileStore",
     "IncrementalTokenIndex",
-    "IncrementalWeighter",
     "OnlineRanked",
     "IncrementalResolver",
 ]

@@ -17,8 +17,8 @@ reproduces chunk by chunk:
 To make that parity exact, blocks are indexed in deterministic
 alphabetical key order (Token Blocking's native order) rather than by
 cardinality scheduling: per-pair weight accumulation then follows
-ascending alphabetical block ids - the same order the incremental
-weighter uses - so floating-point sums agree to the last bit.
+ascending alphabetical block ids - the same order the live index
+scores in - so floating-point sums agree to the last bit.
 
 The emission materializes all candidate pairs before ranking (a global
 sort is the point); for budgeted exploratory runs on large corpora
@@ -104,7 +104,7 @@ class OnlineRanked(ProgressiveMethod):
 
     def _setup(self) -> None:
         # Alphabetical key order, not cardinality scheduling: block ids
-        # must match the incremental weighter's accumulation order.
+        # must match the live index's accumulation order.
         if self._substrate is not None:
             # Served (and cached) by the substrate; the postings are
             # already in key order, so the array path never materializes

@@ -18,8 +18,8 @@ working; on top of it profiles can be *ingested* after ``fit``:
   a previous ingestion made the last build stale - on the numpy backend
   this is where the CSR arrays are re-materialized.
 
-Arrivals and probes are scored by the pure-Python
-:class:`~repro.incremental.weights.IncrementalWeighter` on every
+Arrivals and probes are scored in pure Python by the live
+:class:`~repro.incremental.index.IncrementalTokenIndex` on every
 backend (a per-arrival candidate list never amortized an array refresh;
 measurements in docs/incremental.md); only the full re-ranking runs on
 the configured engine.
@@ -47,7 +47,6 @@ from repro.core.ground_truth import GroundTruth
 from repro.core.profiles import EntityProfile, ProfileStore
 from repro.incremental.index import IncrementalTokenIndex
 from repro.incremental.store import MutableProfileStore
-from repro.incremental.weights import IncrementalWeighter
 from repro.pipeline.resolver import DecisionRecord, Resolver
 from repro.progressive.base import ProgressiveMethod
 
@@ -91,13 +90,10 @@ class IncrementalResolver(Resolver):
         #: hold and roll back a profile in both) and close.
         #: An RLock because resolve_one(ingest=True) nests add_profiles.
         self._lock = threading.RLock()
-        self._index = IncrementalTokenIndex(store)
-        self._weighter = IncrementalWeighter(
-            self._index,
-            weighting=config.meta.weighting,
-            # Applied query-time against the live corpus size; Block
-            # Filtering is batch-global and has no counterpart.
-            purge_ratio=config.blocking.purge_ratio,
+        # Purging applies query-time against the live corpus size; Block
+        # Filtering is batch-global and has no counterpart.
+        self._index = IncrementalTokenIndex(
+            store, config.meta.weighting, config.blocking.purge_ratio
         )
         self._stream_generation = -1
         #: Stored profiles, never counting a probe in flight: the count
@@ -133,10 +129,9 @@ class IncrementalResolver(Resolver):
             # comparisons, and the next stream()/next_batch() re-ranks.
             self._exhausted = False
             candidates = self._index.candidate_pairs(
-                [profile.profile_id for profile in profiles],
-                self._weighter.purge_limit(),
+                [profile.profile_id for profile in profiles]
             )
-            return self._emit_ranked(self._weighter.score(candidates))
+            return self._emit_ranked(self._index.score(candidates))
 
     def resolve_one(
         self,
@@ -173,7 +168,7 @@ class IncrementalResolver(Resolver):
                 return self._decide(emitted, cascade)
         with self._lock:
             self._check_open()
-            return self._probe(self._coerce_probe(item, source), cascade)
+            return self._probe(self._coerce_probe(item, source), cascade, None)
 
     def resolve_many(
         self,
@@ -182,6 +177,8 @@ class IncrementalResolver(Resolver):
         ],
         sources: Iterable[int] | None = None,
         decide: bool = False,
+        *,
+        limit: int | None = None,
     ) -> "list[list[Comparison]] | list[list[DecisionRecord]]":
         """Read-only probes for a whole batch, under one lock hold.
 
@@ -194,7 +191,9 @@ class IncrementalResolver(Resolver):
 
         ``decide=True`` routes every scored pair through the session's
         matching cascade and returns lists of
-        :class:`~repro.pipeline.resolver.DecisionRecord`.
+        :class:`~repro.pipeline.resolver.DecisionRecord`.  ``limit``
+        keeps only the best ``limit`` pairs of each probe, before any is
+        decided.
         """
         source_list = None if sources is None else list(sources)
         item_list = list(items)
@@ -212,35 +211,30 @@ class IncrementalResolver(Resolver):
                 )
                 for position, item in enumerate(item_list)
             ]
-            return [self._probe(probe, cascade) for probe in probes]
+            return [self._probe(probe, cascade, limit) for probe in probes]
 
     def _probe(
-        self, probe: EntityProfile, cascade: MatcherCascade | None
+        self,
+        probe: EntityProfile,
+        cascade: MatcherCascade | None,
+        limit: int | None,
     ) -> "list[Comparison] | list[DecisionRecord]":
         """Score - and with a cascade, decide - one read-only probe.
 
         For the length of the call the probe is a stored and indexed
         profile like any other, so it is scored exactly as its ingest
-        would be; the store and the index are rolled back afterwards,
-        on an exception too.  Decisions advance only the cascade's tier
+        would be, and its best ``limit`` pairs (all when None) are kept;
+        the store and the index are rolled back afterwards, on an
+        exception too.  Decisions advance only the cascade's tier
         counters.  Callers hold the session lock.
         """
-        store: MutableProfileStore = self.store  # type: ignore[assignment]
-        with store.holding(probe):
-            journal = self._index.probe_enter(probe)
-            self._weighter.invalidate()  # statistics must see the probe...
-            try:
-                scored = self._weighter.score(
-                    self._index.candidate_pairs(
-                        [probe.profile_id], self._weighter.purge_limit()
-                    )
-                )
-                if cascade is None:
-                    return scored
-                return self._decide(scored, cascade, record=False)
-            finally:
-                self._index.probe_exit(probe, journal)
-                self._weighter.invalidate()  # ...and forget it afterwards
+        with self._index.holding(probe):
+            scored = self._index.score(
+                self._index.candidate_pairs([probe.profile_id])
+            )[:limit]
+            if cascade is None:
+                return scored
+            return self._decide(scored, cascade, record=False)
 
     def _coerce_probe(
         self,
@@ -264,7 +258,7 @@ class IncrementalResolver(Resolver):
     @property
     def blocks(self):
         """A batch view of the live index (rebuilt on access)."""
-        return self._index.snapshot_blocks(self._weighter.purge_limit())
+        return self._index.snapshot_blocks()
 
     def build_method(self) -> ProgressiveMethod:
         """The ONLINE method over a snapshot of the live index.

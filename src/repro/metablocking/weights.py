@@ -38,7 +38,7 @@ class BlockStatistics(Protocol):
     Two providers implement it: the batch
     :class:`~repro.metablocking.profile_index.ProfileIndex` (blocks keyed
     by scheduled id) and the live
-    :class:`~repro.incremental.weights.IncrementalWeighter` (blocks keyed
+    :class:`~repro.incremental.index.IncrementalTokenIndex` (blocks keyed
     by token, purge-aware).  The formulas below are written once against
     it, so the batch and the incremental path cannot drift apart.
     """

@@ -30,8 +30,9 @@ reason                    trigger
 ========================  ====================================================
 
 ``request_budget.comparisons`` is not a rejection but a cap: each
-probe's (or ingest's) result list is truncated to the best-ranked
-``comparisons`` entries.
+probe's (or ingest's) result list keeps only the best-ranked
+``comparisons`` entries; a decided probe decides only the pairs it
+keeps.
 """
 
 from __future__ import annotations
@@ -169,10 +170,6 @@ class ServiceSession:
                 )
             self._pending += 1
 
-    def _truncate(self, ranked: list[_T]) -> list[_T]:
-        cap = self.config.request_budget.comparisons
-        return ranked if cap is None else ranked[:cap]
-
     async def _run(self, work: Callable[[], _T]) -> _T:
         """Admit, then run ``work`` on the pool; always settle counters."""
         self._admit()
@@ -212,7 +209,8 @@ class ServiceSession:
         items = list(records)
 
         def work() -> list[Comparison]:
-            ranked = self._truncate(self.resolver.add_profiles(items, sources))
+            cap = self.config.request_budget.comparisons
+            ranked = self.resolver.add_profiles(items, sources)[:cap]
             with self._stats_lock:
                 self._metrics.ingests += 1
                 self._metrics.comparisons_served += len(ranked)
@@ -228,16 +226,20 @@ class ServiceSession:
     ) -> "list[list[Any]]":
         """Read-only probes for a batch (``resolve_many``).
 
-        ``decide=True`` runs the session's matching cascade over every
-        scored pair and returns
+        ``decide=True`` runs the session's matching cascade over the
+        pairs the request cap keeps and returns
         :class:`~repro.pipeline.resolver.DecisionRecord` lists.
         """
         items = list(records)
 
         def work() -> "list[list[Any]]":
             started = time.monotonic()
-            scored = self.resolver.resolve_many(items, sources=sources, decide=decide)
-            capped = [self._truncate(ranked) for ranked in scored]
+            capped = self.resolver.resolve_many(
+                items,
+                sources=sources,
+                decide=decide,
+                limit=self.config.request_budget.comparisons,
+            )
             with self._stats_lock:
                 self._metrics.record_probe(
                     time.monotonic() - started,

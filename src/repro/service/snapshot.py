@@ -71,28 +71,16 @@ def save_session(resolver: "IncrementalResolver", path: str) -> str:
     """Write ``resolver``'s state as a snapshot directory at ``path``.
 
     Called through :meth:`IncrementalResolver.save` (which holds the
-    session lock, so the state written is a consistent cut).  Existing
-    snapshot files at ``path`` are overwritten; any previous manifest is
-    removed *first* and the new one is written last (atomically), so a
-    directory with a readable manifest is always a complete snapshot -
-    a save torn by a crash leaves no manifest, never a stale one over
-    mixed old/new data files.
+    session lock, so the state written is a consistent cut).  Both files
+    are staged as ``.tmp`` siblings first, so a save that fails while
+    writing (a full disk) leaves the previous snapshot restorable.  Only
+    then is the old manifest removed, the profiles replaced and the new
+    manifest moved in last, so a directory with a readable manifest is
+    always a complete snapshot - never a stale manifest over new data.
+    The staged files are removed on failure.
     """
     os.makedirs(path, exist_ok=True)
-    with contextlib.suppress(FileNotFoundError):
-        # Invalidate the old snapshot before touching its data files: a
-        # crash mid-save must not leave the previous (valid-looking)
-        # manifest describing a hybrid of old and new files.
-        os.remove(os.path.join(path, MANIFEST))
     store = resolver.store
-    with open(os.path.join(path, PROFILES), "w") as handle:
-        for profile in store:
-            json.dump(
-                [profile.source, [list(pair) for pair in profile.pairs]],
-                handle,
-                separators=(",", ":"),
-            )
-            handle.write("\n")
     manifest = {
         "format": SNAPSHOT_FORMAT,
         "config": resolver.config.to_dict(),
@@ -102,12 +90,28 @@ def save_session(resolver: "IncrementalResolver", path: str) -> str:
         "generation": resolver.index.generation,
         "created_unix": time.time(),
     }
+    profiles_path = os.path.join(path, PROFILES)
     manifest_path = os.path.join(path, MANIFEST)
-    staging = manifest_path + ".tmp"
-    with open(staging, "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(staging, manifest_path)
+    try:
+        with open(profiles_path + ".tmp", "w") as handle:
+            for profile in store:
+                json.dump(
+                    [profile.source, [list(pair) for pair in profile.pairs]],
+                    handle,
+                    separators=(",", ":"),
+                )
+                handle.write("\n")
+        with open(manifest_path + ".tmp", "w") as handle:
+            json.dump(manifest, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(manifest_path)
+        os.replace(profiles_path + ".tmp", profiles_path)
+        os.replace(manifest_path + ".tmp", manifest_path)
+    finally:
+        for staged in (profiles_path + ".tmp", manifest_path + ".tmp"):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(staged)
     return path
 
 

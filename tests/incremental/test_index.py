@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.blocking.workflow import token_blocking_workflow
-from repro.core.profiles import ERType
+from repro.core.profiles import EntityProfile, ERType
 from repro.incremental.index import IncrementalTokenIndex
 from repro.incremental.store import MutableProfileStore
 
@@ -16,11 +16,8 @@ def make_store(records, er_type=ERType.DIRTY, sources=None):
     return store
 
 
-def snapshot_as_dict(index, purge_limit=None):
-    return {
-        block.key: tuple(block.ids)
-        for block in index.snapshot_blocks(purge_limit)
-    }
+def snapshot_as_dict(index):
+    return {block.key: tuple(block.ids) for block in index.snapshot_blocks()}
 
 
 def batch_blocks_as_dict(store):
@@ -35,7 +32,7 @@ def test_qualification_needs_two_profiles():
     index = IncrementalTokenIndex(store)
     assert index.block_count() == 0
     store.add({"n": "alpha gamma"})
-    index.add_profile(store[1])
+    index.add_profiles([store[1]])
     assert index.is_block("alpha")
     assert not index.is_block("beta")
     assert index.block_count() == 1
@@ -50,7 +47,7 @@ def test_clean_clean_qualification_needs_both_sources():
     index = IncrementalTokenIndex(store)
     assert not index.is_block("alpha")  # two profiles, one source
     store.add({"n": "alpha"}, source=1)
-    index.add_profile(store[2])
+    index.add_profiles([store[2]])
     assert index.is_block("alpha")
     assert index.cardinality("alpha") == 2  # 2 left x 1 right
 
@@ -72,20 +69,23 @@ def test_snapshot_matches_batch_after_incremental_growth():
     store = make_store(records[:3])
     index = IncrementalTokenIndex(store)
     for record in records[3:]:
-        index.add_profile(store.add(record))
+        index.add_profiles([store.add(record)])
     assert snapshot_as_dict(index) == batch_blocks_as_dict(store)
 
 
-def test_purge_limit_drops_stopword_tokens_at_query_time():
+def test_purge_ratio_drops_stopword_tokens_at_query_time():
     records = [{"n": f"unique{i} common"} for i in range(6)]
     store = make_store(records)
     index = IncrementalTokenIndex(store)
+    # a bound below the stop word's posting size (5 < 6) excludes it
+    purged = IncrementalTokenIndex(store, purge_ratio=5 / 6)
+    assert purged.purge_limit() == pytest.approx(5)
     assert "common" in snapshot_as_dict(index)
-    # a bound below the stop word's posting size excludes it
-    purged = snapshot_as_dict(index, purge_limit=5)
-    assert "common" not in purged
-    assert index.block_count(5) == index.block_count() - 1
-    assert index.blocks_of_count(0, 5) == index.blocks_of_count(0) - 1
+    assert "common" not in snapshot_as_dict(purged)
+    assert purged.block_count() == index.block_count() - 1
+    assert purged.blocks_of_count(0) == index.blocks_of_count(0) - 1
+    assert not list(purged.candidate_pairs([5]))
+    assert list(index.candidate_pairs([5]))
 
 
 def test_candidate_pairs_cover_exactly_new_pairs():
@@ -103,7 +103,7 @@ def test_candidate_pair_tokens_are_alphabetical():
     store = make_store([{"n": "zeta alpha mid"}])
     index = IncrementalTokenIndex(store)
     new = store.add({"n": "zeta alpha mid extra"})
-    index.add_profile(new)
+    index.add_profiles([new])
     [(i, j, tokens)] = list(index.candidate_pairs([1]))
     assert (i, j) == (0, 1)
     assert tokens == sorted(tokens) == ["alpha", "mid", "zeta"]
@@ -120,32 +120,36 @@ def test_candidate_pairs_respect_clean_clean_validity():
     assert pairs == {(1, 2)}  # same-source (0, 2) is invalid
 
 
-def test_probe_enter_exit_is_an_exact_rollback():
+def test_holding_is_an_exact_rollback():
     store = make_store([{"n": "alpha beta"}, {"n": "alpha gamma"}])
     index = IncrementalTokenIndex(store)
-    before = (
-        {t: list(ids) for t, ids in index.postings.items()},
-        index.block_count(),
-        {i: index.blocks_of_count(i) for i in range(len(store))},
-    )
-    from repro.core.profiles import EntityProfile
 
+    def state():
+        return (
+            len(store),
+            {t: list(ids) for t, ids in index.postings.items()},
+            index.block_count(),
+            {i: index.blocks_of_count(i) for i in range(len(store) + 1)},
+        )
+
+    before = state()
     probe = EntityProfile(len(store), {"n": "alpha beta delta"})
-    with store.holding(probe):
-        journal = index.probe_enter(probe)
-        assert index.is_block("beta")  # as-if-ingested statistics visible
+    with index.holding(probe):
+        assert len(store) == 3  # the probe is stored...
+        assert index.is_block("beta")  # ...with as-if-ingested statistics
+        assert index.block_count() == 2
         pairs = {(i, j) for i, j, _ in index.candidate_pairs([probe.profile_id])}
         assert pairs == {(0, 2), (1, 2)}
-        index.probe_exit(probe, journal)
-    after = (
-        {t: list(ids) for t, ids in index.postings.items()},
-        index.block_count(),
-        {i: index.blocks_of_count(i) for i in range(len(store))},
-    )
-    assert after == before
+    assert state() == before
     assert not index.is_block("beta")
-    with pytest.raises(ValueError, match="already indexed"):
-        index.probe_enter(EntityProfile(0, {"n": "x"}))
+    with pytest.raises(RuntimeError, match="tier failed"):
+        with index.holding(probe):
+            raise RuntimeError("tier failed")
+    assert state() == before
+    with pytest.raises(ValueError, match="next id"):
+        with index.holding(EntityProfile(0, {"n": "x"})):
+            pass  # pragma: no cover - refused on entry
+    assert state() == before
 
 
 def test_generation_bumps_once_per_batch():

@@ -1,13 +1,13 @@
-"""IncrementalWeighter: one definition of the schemes, lazily fed."""
+"""The live index's scheme: one definition of the formulas, lazily fed."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import ERPipeline
+from repro.core.profiles import EntityProfile
 from repro.incremental.index import IncrementalTokenIndex
 from repro.incremental.store import MutableProfileStore
-from repro.incremental.weights import IncrementalWeighter
 from repro.metablocking.profile_index import ProfileIndex
 from repro.metablocking.weights import make_scheme
 
@@ -24,21 +24,43 @@ def test_live_weight_is_the_batch_scheme_over_a_snapshot(
     bit, what the batch scheme computes over the same blocks."""
     source = request.getfixturevalue(f"{er_type}_store")
     store = MutableProfileStore(source.profiles, source.er_type)
-    index = IncrementalTokenIndex(store)
-    weighter = IncrementalWeighter(index, weighting, purge_ratio)
-    limit = weighter.purge_limit()
-    batch = make_scheme(weighting, ProfileIndex(index.snapshot_blocks(limit)))
-    pairs = [
-        (i, j)
-        for i, j, _ in index.candidate_pairs(range(0, len(store), 7), limit)
-    ]
+    index = IncrementalTokenIndex(store, weighting, purge_ratio)
+    batch = make_scheme(weighting, ProfileIndex(index.snapshot_blocks()))
+    pairs = [(i, j) for i, j, _ in index.candidate_pairs(range(0, len(store), 7))]
     assert pairs
     for i, j in pairs:
-        assert weighter.pair_weight(i, j) == batch.weight(i, j)
+        assert index.scheme.weight(i, j) == batch.weight(i, j)
     # a pair sharing no block weighs nothing on either side
     store.add_profiles([{"x": "zzzunseen"}], sources=[0])
     index.add_profiles(store.profiles[-1:])
-    assert weighter.pair_weight(0, len(store) - 1) == 0.0
+    assert index.scheme.weight(0, len(store) - 1) == 0.0
+
+
+@pytest.mark.parametrize("er_type", ["dirty", "clean_clean"])
+@pytest.mark.parametrize("weighting", ["ECBS", "EJS"])
+def test_held_probe_statistics_are_a_snapshot_with_the_probe(
+    request, weighting, er_type
+):
+    """Inside ``holding`` the corpus-wide statistics (|B|, degrees) see
+    the probe, and after it they are a fresh index's again: the cache
+    is dropped on both sides of the probe without the caller's help."""
+    source = request.getfixturevalue(f"{er_type}_store")
+    profiles = source.profiles
+    store = MutableProfileStore(profiles[:-1], source.er_type)
+    index = IncrementalTokenIndex(store, weighting, 0.2)
+    probe = EntityProfile(len(store), profiles[-1].pairs, profiles[-1].source)
+    pairs = [(i, j) for i, j, _ in index.candidate_pairs(range(0, len(store), 7))]
+    before = [index.scheme.weight(i, j) for i, j in pairs]  # fills the cache
+    with index.holding(probe):
+        batch = make_scheme(weighting, ProfileIndex(index.snapshot_blocks()))
+        held = pairs + [(i, j) for i, j, _ in index.candidate_pairs([probe.profile_id])]
+        assert [index.scheme.weight(i, j) for i, j in held] == [
+            batch.weight(i, j) for i, j in held
+        ]
+        assert [index.scheme.weight(i, j) for i, j in pairs] != before
+    fresh = IncrementalTokenIndex(store, weighting, 0.2)
+    after = [index.scheme.weight(i, j) for i, j in pairs]
+    assert after == [fresh.scheme.weight(i, j) for i, j in pairs] == before
 
 
 @pytest.mark.parametrize("weighting", SCHEMES)
@@ -48,13 +70,14 @@ def test_block_count_is_scanned_only_for_schemes_that_read_it(
     """Regression: |B| under purging is an O(|B|) scan; it used to run
     on every generation change and after every probe, whatever the
     scheme.  Now only a formula that reads |B| triggers it, at most once
-    per generation or probe."""
+    per ingest or probe: a scan is a cache miss, not a call."""
     scans = []
     original = IncrementalTokenIndex.block_count
 
-    def counting(self, purge_limit=None):
-        scans.append(purge_limit)
-        return original(self, purge_limit)
+    def counting(self):
+        if self._block_count is None:
+            scans.append(self.generation)
+        return original(self)
 
     monkeypatch.setattr(IncrementalTokenIndex, "block_count", counting)
     profiles = dirty_store.profiles

@@ -185,6 +185,22 @@ def test_request_comparisons_cap_truncates_not_rejects():
         run(exercise())
 
 
+def test_capped_decided_probe_decides_only_what_it_returns():
+    """The request cap applies before the cascade: a probe capped at one
+    pair evaluates one pair per tier, and returns the record the
+    uncapped probe ranks first."""
+    with SessionManager(service_pipeline().match()) as manager:
+        uncapped = run(manager.create("s", RECORDS).probe([PROBE], decide=True))
+    with SessionManager(service_pipeline(request_comparisons=1).match()) as manager:
+        session = manager.create("s", RECORDS)
+        capped = run(session.probe([PROBE], decide=True))
+        tiers = session.resolver.cascade_stats()["tiers"]
+    assert capped == [uncapped[0][:1]]
+    assert capped[0][0].comparison.pair == (5, 6)
+    assert len(uncapped[0]) > 1
+    assert [tier["evaluated"] for tier in tiers] == [1, 1, 1]
+
+
 def test_session_budget_counts_served_comparisons():
     with SessionManager(service_pipeline(session_comparisons=3)) as manager:
         session = manager.create("s", RECORDS)

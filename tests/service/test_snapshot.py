@@ -167,29 +167,59 @@ def test_save_returns_path_and_overwrites(tmp_path):
     assert read_manifest(path)["profiles"] == len(RECORDS) + 1
 
 
-def test_torn_resave_leaves_no_stale_manifest(tmp_path, monkeypatch):
-    """A crash mid-overwrite must not leave the old manifest describing
-    a mix of old and new data files: the old manifest goes first, the
-    new one lands last (atomically)."""
+def test_failed_resave_keeps_the_previous_snapshot(tmp_path, monkeypatch):
+    """A crash while the new files are staged (a full disk) leaves the
+    previous snapshot restorable, with its saved stream digest, and no
+    staged file behind."""
     import repro.service.snapshot as snapshot_module
 
     session = fitted("python")
-    path = str(tmp_path / "s")
-    session.save(path)
-    assert read_manifest(path)["profiles"] == len(RECORDS)
+    path = session.save(str(tmp_path / "s"))
+    saved = stream_digest(IncrementalResolver.load(path).stream())
+    dump = snapshot_module.json.dump
+    calls = []
 
-    def crash(*args, **kwargs):
-        raise OSError("disk full")
+    def crash_on_third_record(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return dump(*args, **kwargs)
 
-    # Crash at the last step: the staged manifest never lands.
-    monkeypatch.setattr(snapshot_module.os, "replace", crash)
+    monkeypatch.setattr(snapshot_module.json, "dump", crash_on_third_record)
     session.add_profiles([{"name": "carla white", "city": "ny"}])
     with pytest.raises(OSError, match="disk full"):
         session.save(path)
+    monkeypatch.undo()
+    assert sorted(os.listdir(path)) == [MANIFEST, PROFILES]
+    assert read_manifest(path)["profiles"] == len(RECORDS)
+    assert stream_digest(IncrementalResolver.load(path).stream()) == saved
+    session.save(path)  # a clean retry writes the new snapshot
+    assert read_manifest(path)["profiles"] == len(RECORDS) + 1
+
+
+def test_torn_manifest_replace_leaves_no_stale_manifest(tmp_path, monkeypatch):
+    """A crash at the last step - the staged manifest never lands - must
+    not leave the old manifest describing the new profiles file."""
+    import repro.service.snapshot as snapshot_module
+
+    session = fitted("python")
+    path = session.save(str(tmp_path / "s"))
+    replace = snapshot_module.os.replace
+
+    def crash_on_manifest(source, target):
+        if target.endswith(MANIFEST):
+            raise OSError("disk full")
+        return replace(source, target)
+
+    monkeypatch.setattr(snapshot_module.os, "replace", crash_on_manifest)
+    session.add_profiles([{"name": "carla white", "city": "ny"}])
+    with pytest.raises(OSError, match="disk full"):
+        session.save(path)
+    monkeypatch.undo()
     # The torn save is detectably incomplete, not silently hybrid.
+    assert sorted(os.listdir(path)) == [PROFILES]
     with pytest.raises(ValueError, match="not a session snapshot"):
         read_manifest(path)
-    monkeypatch.undo()
     session.save(path)  # a clean retry heals the snapshot
     assert read_manifest(path)["profiles"] == len(RECORDS) + 1
 
