@@ -10,9 +10,11 @@ working; on top of it profiles can be *ingested* after ``fit``:
   batch* - only pairs involving a new profile - ranked best-first by the
   configured weighting scheme;
 * :meth:`resolve_one` is the single-record form; with ``ingest=False``
-  it is a read-only probe: the record joins the store and the index for
-  the length of the call - exact as-if-ingested statistics - and both
-  are rolled back;
+  it is a read-only probe (:meth:`resolve_many` for a batch): an ingest
+  that is rolled back - exact as-if-ingested statistics, nothing kept;
+* with a ``.match(...)`` stage every ingest and probe is decided and
+  returns :class:`~repro.pipeline.resolver.DecisionRecord` tuples; an
+  ingest's matches join the session's confirmed pairs;
 * :meth:`stream` (inherited) re-ranks the *current* corpus: it lazily
   rebuilds the ONLINE method over a snapshot of the live index whenever
   a previous ingestion made the last build stale - on the numpy backend
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, TypeAlias
 
 from repro.core.comparisons import Comparison
 from repro.core.ground_truth import GroundTruth
@@ -51,8 +53,11 @@ from repro.pipeline.resolver import DecisionRecord, Resolver
 from repro.progressive.base import ProgressiveMethod
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.matching.cascade import MatcherCascade
     from repro.pipeline.config import PipelineConfig
+
+#: What an ingest or a probe returns: its ranked comparisons, or with a
+#: ``.match(...)`` stage their decision records.
+Resolved: TypeAlias = "list[Comparison] | list[DecisionRecord]"
 
 
 class IncrementalResolver(Resolver):
@@ -88,8 +93,7 @@ class IncrementalResolver(Resolver):
         # repro.pipeline.config.check_live_stage.
         #: Serializes store and index mutation - ingest, probes (which
         #: hold and roll back a profile in both) and close.
-        #: An RLock because resolve_one(ingest=True) nests add_profiles.
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         # Purging applies query-time against the live corpus size; Block
         # Filtering is batch-global and has no counterpart.
         self._index = IncrementalTokenIndex(
@@ -108,14 +112,15 @@ class IncrementalResolver(Resolver):
             "EntityProfile | Mapping[str, object] | Iterable[tuple[str, object]]"
         ],
         sources: Iterable[int] | None = None,
-    ) -> list[Comparison]:
+    ) -> Resolved:
         """Ingest a batch and emit its new comparisons, ranked best-first.
 
         Only comparisons involving at least one profile of the batch are
         emitted (pairs between pre-existing profiles were emitted when
         the later of the two arrived).  Emissions run through the
         session's budget and recall bookkeeping exactly like streamed
-        ones; an empty batch emits nothing.
+        ones; an empty batch emits nothing.  A ``.match(...)`` stage
+        decides every emission and keeps its matches.
         """
         with self._lock:
             self._check_open()
@@ -128,47 +133,27 @@ class IncrementalResolver(Resolver):
             # A drained stream is no longer drained: the arrivals add
             # comparisons, and the next stream()/next_batch() re-ranks.
             self._exhausted = False
-            candidates = self._index.candidate_pairs(
-                [profile.profile_id for profile in profiles]
-            )
-            return self._emit_ranked(self._index.score(candidates))
+            if self._started_at is None:
+                self._started_at = time.perf_counter()
+            return self._resolve([p.profile_id for p in profiles], commit=True)
 
     def resolve_one(
         self,
         item: "EntityProfile | Mapping[str, object] | Iterable[tuple[str, object]]",
         source: int | None = None,
         ingest: bool = True,
-        decide: bool = False,
-    ) -> "list[Comparison] | list[DecisionRecord]":
+    ) -> Resolved:
         """Resolve a single record against the current corpus.
 
-        With ``ingest=True`` (default) the record joins the corpus and
-        its ranked comparisons are emitted - the singleton form of
-        :meth:`add_profiles`.  With ``ingest=False`` the call is a
-        read-only probe: the record is scored as the ingest would score
-        it, then the store and the index are rolled back; nothing is
-        kept, emitted or counted against budgets.
-
-        ``decide=True`` additionally routes every returned comparison
-        through the session's matching cascade and returns
-        :class:`~repro.pipeline.resolver.DecisionRecord` tuples instead
-        of bare comparisons (requires a ``.match(...)`` stage).
-        Ingested decisions join the session's confirmed matches; probe
-        decisions stay read-only (only the cascade's tier counters
-        advance).
+        With ``ingest=True`` (default) the record joins the corpus: the
+        singleton form of :meth:`add_profiles`.  With ``ingest=False``
+        the call is a read-only probe, the singleton form of
+        :meth:`resolve_many`.
         """
-        cascade = self._decision_cascade() if decide else None
+        sources = None if source is None else [source]
         if ingest:
-            emitted = self.add_profiles(
-                [item], sources=None if source is None else [source]
-            )
-            if not decide:
-                return emitted
-            with self._lock:
-                return self._decide(emitted, cascade)
-        with self._lock:
-            self._check_open()
-            return self._probe(self._coerce_probe(item, source), cascade, None)
+            return self.add_profiles([item], sources=sources)
+        return self.resolve_many([item], sources=sources)[0]
 
     def resolve_many(
         self,
@@ -176,82 +161,66 @@ class IncrementalResolver(Resolver):
             "EntityProfile | Mapping[str, object] | Iterable[tuple[str, object]]"
         ],
         sources: Iterable[int] | None = None,
-        decide: bool = False,
         *,
         limit: int | None = None,
-    ) -> "list[list[Comparison]] | list[list[DecisionRecord]]":
+    ) -> list[Resolved]:
         """Read-only probes for a whole batch, under one lock hold.
 
-        Equivalent to ``[resolve_one(item, ingest=False) for item in
-        items]``: every item is scored against the *current* corpus with
-        exact as-if-ingested statistics, nothing is stored, emitted or
-        counted against budgets - the bulk query path for serving
+        Each probe is a rolled-back ingest: for its scoring the record
+        is a stored and indexed profile like any other - exact
+        as-if-ingested statistics - then the store and the index are
+        restored exactly, on an exception too.  Nothing is kept, emitted
+        or counted against budgets - the bulk query path for serving
         lookups against a live index.  The whole batch is validated
+        (the ingest's coercion, with the id an ingest would assign)
         before the first probe is scored, and no ingest can interleave.
 
-        ``decide=True`` routes every scored pair through the session's
-        matching cascade and returns lists of
-        :class:`~repro.pipeline.resolver.DecisionRecord`.  ``limit``
-        keeps only the best ``limit`` pairs of each probe, before any is
-        decided.
+        ``limit`` keeps only the best ``limit`` pairs of each probe.
+        With a ``.match(...)`` stage the kept pairs are decided and
+        returned as :class:`~repro.pipeline.resolver.DecisionRecord`
+        lists; only the cascade's tier counters advance.
         """
-        source_list = None if sources is None else list(sources)
         item_list = list(items)
-        if source_list is not None and len(source_list) != len(item_list):
+        source_list: list[int | None] = [None] * len(item_list)
+        if sources is not None:
+            source_list = list(sources)
+        if len(source_list) != len(item_list):
             raise ValueError(
                 f"sources has {len(source_list)} entries for "
                 f"{len(item_list)} items"
             )
         with self._lock:
             self._check_open()
-            cascade = self._decision_cascade() if decide else None
+            store: MutableProfileStore = self.store  # type: ignore[assignment]
             probes = [
-                self._coerce_probe(
-                    item, None if source_list is None else source_list[position]
-                )
-                for position, item in enumerate(item_list)
+                store._coerce(len(store), item, source)
+                for item, source in zip(item_list, source_list)
             ]
-            return [self._probe(probe, cascade, limit) for probe in probes]
+            results: list[Resolved] = []
+            for probe in probes:
+                with self._index.holding(probe):
+                    results.append(
+                        self._resolve([probe.profile_id], commit=False, limit=limit)
+                    )
+            return results
 
-    def _probe(
-        self,
-        probe: EntityProfile,
-        cascade: MatcherCascade | None,
-        limit: int | None,
-    ) -> "list[Comparison] | list[DecisionRecord]":
-        """Score - and with a cascade, decide - one read-only probe.
+    def _resolve(
+        self, ids: list[int], *, commit: bool, limit: int | None = None
+    ) -> Resolved:
+        """Rank the pairs the stored profiles ``ids`` introduce and, with
+        a match stage, decide them: the one path of ingests and probes.
 
-        For the length of the call the probe is a stored and indexed
-        profile like any other, so it is scored exactly as its ingest
-        would be, and its best ``limit`` pairs (all when None) are kept;
-        the store and the index are rolled back afterwards, on an
-        exception too.  Decisions advance only the cascade's tier
-        counters.  Callers hold the session lock.
+        A commit (an ingest) is admitted and booked by the budgets and
+        its decisions count towards the session; otherwise (a probe,
+        which the caller rolls back) the best ``limit`` pairs are kept
+        and only the cascade's tier counters advance.  Callers hold the
+        session lock.
         """
-        with self._index.holding(probe):
-            scored = self._index.score(
-                self._index.candidate_pairs([probe.profile_id])
-            )[:limit]
-            if cascade is None:
-                return scored
-            return self._decide(scored, cascade, record=False)
-
-    def _coerce_probe(
-        self,
-        item: "EntityProfile | Mapping[str, object] | Iterable[tuple[str, object]]",
-        source: int | None,
-    ) -> EntityProfile:
-        # The store's ingestion coercion (id re-assignment, source
-        # override, source validation) with the id a real ingest would
-        # get, so probe and ingest accept exactly the same input.
-        store: MutableProfileStore = self.store  # type: ignore[assignment]
-        return store._coerce(len(store), item, source)
-
-    def _emit_ranked(self, ranked: list[Comparison]) -> list[Comparison]:
-        """Ingestion emissions, admitted and booked as one chunk."""
-        if self._started_at is None:
-            self._started_at = time.perf_counter()
-        return self._admit(ranked)
+        ranked = self._index.score(self._index.candidate_pairs(ids))
+        kept = self._admit(ranked) if commit else ranked[:limit]
+        if self.config.match is None:
+            return kept
+        return self._decide(kept, self._decision_cascade(), record=commit)
 
     # -- full re-ranking (the batch bridge) -----------------------------------
 
@@ -334,13 +303,14 @@ class IncrementalResolver(Resolver):
     def save(self, path: str) -> str:
         """Persist the session state under the directory ``path``.
 
-        Writes the profiles and the pipeline spec so that :meth:`load`
+        Writes the profiles, the pipeline spec and the decisions (the
+        decided count and the confirmed matches) so that :meth:`load`
         rebuilds a session that streams bit-identically (the token index
-        is re-derived from the profiles).
+        is re-derived from the profiles) and keeps its matches.
         Emission-side state (budgets consumed, the position of a
         half-drained stream) is deliberately *not* captured: a restored
-        session starts a fresh stream over the saved corpus, exactly
-        like the saved session's own ``reset()``.  Returns ``path``.
+        session starts a fresh stream over the saved corpus.  Returns
+        ``path``.
         """
         from repro.service.snapshot import save_session
 
@@ -354,8 +324,9 @@ class IncrementalResolver(Resolver):
 
         The token index is rebuilt from the profiles, as ``fit`` builds
         it, and keeps the saved generation; the restored ``stream()`` is
-        bit-identical to a fresh ``stream()`` of the saved one, and it
-        accepts further ingests/probes exactly like the original.
+        bit-identical to a fresh ``stream()`` of the saved one, its
+        :attr:`matches` are the saved ones, and it accepts further
+        ingests/probes exactly like the original.
         """
         from repro.service.snapshot import load_session
 

@@ -108,13 +108,10 @@ class _BaseClient:
         name: str,
         records: list[Any],
         sources: list[int] | None = None,
-        decide: bool = False,
     ) -> list[list[list[Any]]]:
         body: dict[str, Any] = {"records": records}
         if sources is not None:
             body["sources"] = sources
-        if decide:
-            body["decide"] = True
         response = await self._call("POST", f"/sessions/{name}/probe", body)
         return response["results"]
 

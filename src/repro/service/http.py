@@ -15,8 +15,7 @@ POST   ``/sessions``                      create (``{"name", "records"?}``)
 GET    ``/sessions/{name}``               one session's metrics
 DELETE ``/sessions/{name}``               close and forget the session
 POST   ``/sessions/{name}/ingest``        ``{"records", "sources"?}``
-POST   ``/sessions/{name}/probe``         ``{"records", "sources"?,
-                                          "decide"?}``
+POST   ``/sessions/{name}/probe``         ``{"records", "sources"?}``
 POST   ``/sessions/{name}/stream``        ``{"limit"}`` - next batch of the
                                           globally ranked stream
 POST   ``/sessions/{name}/snapshot``      ``{"path"?}``
@@ -28,9 +27,10 @@ resolve inside it - socket clients can never point the process at
 arbitrary filesystem locations.  Free-form paths remain available to
 trusted in-process callers through :class:`SessionManager` directly.
 
-Comparisons travel as ``[i, j, weight]`` triples; decided probe results
-(``"decide": true``) as ``[i, j, weight, decision, tier, similarity]``
-rows.  Errors map onto
+Comparisons travel as ``[i, j, weight]`` triples; a session with a
+``.match(...)`` stage decides every ingest and probe, and those results
+travel as ``[i, j, weight, decision, tier, similarity]`` rows.  A body
+carrying the retired ``"decide"`` key is refused.  Errors map onto
 status codes by *type*, and the body always carries ``{"error": ...}``
 (:class:`~repro.errors.BudgetExceeded` adds its machine-readable
 ``"reason"`` token):
@@ -54,8 +54,8 @@ import json
 import os
 from typing import Any
 
-from repro.core.comparisons import Comparison
 from repro.errors import BudgetExceeded, ConfigError, SessionClosed
+from repro.pipeline.resolver import DecisionRecord
 from repro.service.session import SessionManager
 
 #: Largest accepted request body (a blunt guard against unbounded reads).
@@ -78,22 +78,12 @@ _STATUS_TEXT = {
 }
 
 
-def _triples(ranked: list[Comparison]) -> list[list[Any]]:
-    return [[c.i, c.j, c.weight] for c in ranked]
-
-
-def _decided(records: list[Any]) -> list[list[Any]]:
-    """Decision records as ``[i, j, weight, decision, tier, similarity]``."""
+def _rows(results: list[Any]) -> list[list[Any]]:
+    """Comparisons as ``[i, j, weight]``, decision records as
+    ``[i, j, weight, decision, tier, similarity]``."""
     return [
-        [
-            r.comparison.i,
-            r.comparison.j,
-            r.comparison.weight,
-            r.decision,
-            r.tier,
-            r.similarity,
-        ]
-        for r in records
+        [*row.comparison, *row[1:]] if isinstance(row, DecisionRecord) else [*row]
+        for row in results
     ]
 
 
@@ -213,29 +203,24 @@ class ServiceApp:
         self, name: str, action: str, body: dict[str, Any]
     ) -> dict[str, Any]:
         session = self.manager.get(name)
+        if "decide" in body:
+            raise ConfigError(
+                "the 'decide' key was removed: a .match(...) stage decides "
+                "every ingest and probe (see 'Removed since 2.1, tenth "
+                "round' in docs/migration.md)"
+            )
         if action == "ingest":
-            ranked = await session.ingest(
-                _records(body), sources=body.get("sources")
-            )
-            return {"comparisons": _triples(ranked)}
+            ranked = await session.ingest(_records(body), body.get("sources"))
+            return {"comparisons": _rows(ranked)}
         if action == "probe":
-            decide = body.get("decide", False)
-            if not isinstance(decide, bool):
-                raise ConfigError(f"'decide' must be a bool, got {decide!r}")
-            scored = await session.probe(
-                _records(body),
-                sources=body.get("sources"),
-                decide=decide,
-            )
-            if decide:
-                return {"results": [_decided(ranked) for ranked in scored]}
-            return {"results": [_triples(ranked) for ranked in scored]}
+            scored = await session.probe(_records(body), body.get("sources"))
+            return {"results": [_rows(ranked) for ranked in scored]}
         if action == "stream":
             limit = body.get("limit", 100)
             if not isinstance(limit, int) or limit < 0:
                 raise ConfigError(f"'limit' must be an int >= 0, got {limit!r}")
             batch = await session.stream(limit)
-            return {"comparisons": _triples(batch)}
+            return {"comparisons": _rows(batch)}
         if action == "snapshot":
             return await session.snapshot(self._client_path(body.get("path")))
         raise KeyError(f"no session action {action!r}")

@@ -30,9 +30,9 @@ reason                    trigger
 ========================  ====================================================
 
 ``request_budget.comparisons`` is not a rejection but a cap: each
-probe's (or ingest's) result list keeps only the best-ranked
-``comparisons`` entries; a decided probe decides only the pairs it
-keeps.
+probe's (or ingest's) result list keeps the best-ranked ``comparisons``
+entries.  A probe decides only what it keeps; an ingest decides every
+pair it admits, so a session's matches never depend on the cap.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from typing import (
 from repro.core.comparisons import Comparison
 from repro.core.profiles import EntityProfile
 from repro.errors import BudgetExceeded, ConfigError, SessionClosed
-from repro.incremental.resolver import IncrementalResolver
+from repro.incremental.resolver import IncrementalResolver, Resolved
 from repro.pipeline.builder import ERPipeline
 from repro.pipeline.config import ServiceConfig
 from repro.service.snapshot import read_manifest
@@ -92,13 +92,6 @@ class SessionMetrics:
     snapshots: int = 0
     last_snapshot_unix: float | None = None
     probe_latencies: list[float] = field(default_factory=list)
-
-    def record_probe(self, seconds: float, served: int) -> None:
-        self.probes += 1
-        self.comparisons_served += served
-        self.probe_latencies.append(seconds)
-        if len(self.probe_latencies) > _LATENCY_WINDOW:
-            del self.probe_latencies[: -_LATENCY_WINDOW]
 
 
 class ServiceSession:
@@ -204,11 +197,11 @@ class ServiceSession:
         self,
         records: Iterable[Record],
         sources: Iterable[int] | None = None,
-    ) -> list[Comparison]:
-        """Ingest a batch; returns its new comparisons, ranked, capped."""
+    ) -> Resolved:
+        """Ingest a batch; returns what ``add_profiles`` returns, capped."""
         items = list(records)
 
-        def work() -> list[Comparison]:
+        def work() -> Resolved:
             cap = self.config.request_budget.comparisons
             ranked = self.resolver.add_profiles(items, sources)[:cap]
             with self._stats_lock:
@@ -222,29 +215,24 @@ class ServiceSession:
         self,
         records: Iterable[Record],
         sources: Iterable[int] | None = None,
-        decide: bool = False,
-    ) -> "list[list[Any]]":
-        """Read-only probes for a batch (``resolve_many``).
-
-        ``decide=True`` runs the session's matching cascade over the
-        pairs the request cap keeps and returns
-        :class:`~repro.pipeline.resolver.DecisionRecord` lists.
-        """
+    ) -> list[Resolved]:
+        """Read-only probes for a batch (``resolve_many``), each capped
+        before a match stage decides it."""
         items = list(records)
 
-        def work() -> "list[list[Any]]":
+        def work() -> list[Resolved]:
             started = time.monotonic()
             capped = self.resolver.resolve_many(
                 items,
                 sources=sources,
-                decide=decide,
                 limit=self.config.request_budget.comparisons,
             )
             with self._stats_lock:
-                self._metrics.record_probe(
-                    time.monotonic() - started,
-                    sum(len(ranked) for ranked in capped),
-                )
+                stats = self._metrics
+                stats.probes += 1
+                stats.comparisons_served += sum(map(len, capped))
+                stats.probe_latencies.append(time.monotonic() - started)
+                del stats.probe_latencies[: -_LATENCY_WINDOW]
             return capped
 
         return await self._run(work)

@@ -3,8 +3,9 @@
 A snapshot is a plain directory of two files:
 
 * ``manifest.json`` - format tag, the pipeline spec (``to_dict`` form),
-  ER type, the profile count, the index generation and the creation
-  time;
+  ER type, the profile count, the index generation, the creation time
+  and the session's decisions: the ``decided`` count and the confirmed
+  ``matches`` as sorted ``[i, j]`` pairs;
 * ``profiles.jsonl`` - one ``[source, [[name, value], ...]]`` record per
   line; the line number *is* the dense profile id.
 
@@ -12,13 +13,14 @@ The token index is not stored: a profile's blocking keys are a pure
 function of its values, so restoring rebuilds the index from the
 profiles exactly as ``fit`` does, and the restored session streams
 bit-identically to the saved one - the digest contract
-:func:`stream_digest` makes checkable.  Format-1 directories, which
-also carried the postings, still restore; their extra files are
-ignored.
+:func:`stream_digest` makes checkable.  A restored session keeps the
+saved matches, so its ``clusters()`` and ``progress().matches_confirmed``
+are the saved session's.  Formats 1 (which also carried the postings;
+its extra files are ignored) and 2 still restore, with no matches.
 
 Emission-side state (budgets consumed, half-drained streams) is *not*
-part of a snapshot: a restored session starts fresh over the saved
-corpus, like ``reset()`` on the original.
+part of a snapshot: a restored session starts a fresh stream over the
+saved corpus.
 """
 
 from __future__ import annotations
@@ -36,11 +38,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.incremental.resolver import IncrementalResolver
 
 #: Snapshot format tag; bumped on any layout change.
-SNAPSHOT_FORMAT = "repro-session/2"
-#: Formats :func:`read_manifest` accepts (format 1 adds files it ignores).
-READABLE_FORMATS = ("repro-session/1", SNAPSHOT_FORMAT)
+SNAPSHOT_FORMAT = "repro-session/3"
+#: Formats :func:`read_manifest` accepts (1 and 2 restore with no matches).
+READABLE_FORMATS = ("repro-session/1", "repro-session/2", SNAPSHOT_FORMAT)
 #: Manifest keys a restore cannot do without.
-REQUIRED_KEYS = ("config", "er_type", "generation", "profiles")
+REQUIRED_KEYS = ("config", "er_type", "generation", "profiles", "decided", "matches")
 
 MANIFEST = "manifest.json"
 PROFILES = "profiles.jsonl"
@@ -89,6 +91,8 @@ def save_session(resolver: "IncrementalResolver", path: str) -> str:
         "profiles": len(store),
         "generation": resolver.index.generation,
         "created_unix": time.time(),
+        "decided": resolver._decided,
+        "matches": sorted(resolver.matches),
     }
     profiles_path = os.path.join(path, PROFILES)
     manifest_path = os.path.join(path, MANIFEST)
@@ -118,9 +122,11 @@ def save_session(resolver: "IncrementalResolver", path: str) -> str:
 def read_manifest(path: str) -> dict:
     """Load and check a snapshot directory's manifest.
 
-    A missing required key, a profile count or generation that is not a
-    non-negative integer, or an unknown ER type is refused here, naming
-    the snapshot and the key, before anything is rebuilt.
+    A missing required key, a profile count, generation or decided
+    count that is not a non-negative integer, a match that is not a
+    pair of profile ids ``0 <= i < j < profiles``, or an unknown ER type
+    is refused here, naming the snapshot and the key, before anything
+    is rebuilt.
     """
     try:
         with open(os.path.join(path, MANIFEST)) as handle:
@@ -135,15 +141,28 @@ def read_manifest(path: str) -> dict:
             f"unsupported snapshot format {found!r} at "
             f"{path!r} (expected one of {READABLE_FORMATS})"
         )
+    if found != SNAPSHOT_FORMAT:
+        manifest = {"decided": 0, "matches": [], **manifest}
     for key in REQUIRED_KEYS:
         if key not in manifest:
             raise ValueError(f"snapshot manifest at {path!r} lacks {key!r}")
-    for key in ("profiles", "generation"):
+    for key in ("profiles", "generation", "decided"):
         value = manifest[key]
         if type(value) is not int or value < 0:
             raise ValueError(
                 f"snapshot manifest at {path!r}: {key!r} must be a "
                 f"non-negative integer, got {value!r}"
+            )
+    matches, profiles = manifest["matches"], manifest["profiles"]
+    for pair in matches if type(matches) is list else [matches]:
+        if not (
+            type(pair) is list
+            and [type(end) for end in pair] == [int, int]
+            and 0 <= pair[0] < pair[1] < profiles
+        ):
+            raise ValueError(
+                f"snapshot manifest at {path!r}: 'matches' must list [i, j] "
+                f"ids with 0 <= i < j < {profiles}, got {pair!r}"
             )
     if manifest["er_type"] not in ERType.__members__:
         raise ValueError(
@@ -161,7 +180,7 @@ def load_session(path: str) -> "IncrementalResolver":
     resolver is built over it the way ``fit`` builds one, re-tokenizing
     into a new token index - ready to stream (bit-identically to the
     saved session) and to ingest further profiles.  The index carries on
-    from the saved generation.
+    from the saved generation, and the session from the saved decisions.
     """
     from repro.incremental.resolver import IncrementalResolver
     from repro.incremental.store import MutableProfileStore
@@ -207,4 +226,6 @@ def load_session(path: str) -> "IncrementalResolver":
         dataset_name=manifest.get("dataset_name", ""),
     )
     resolver.index.generation = manifest["generation"]
+    resolver._decided = manifest["decided"]
+    resolver._matched_pairs.update((i, j) for i, j in manifest["matches"])
     return resolver

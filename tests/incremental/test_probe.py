@@ -2,7 +2,8 @@
 
 For the length of one probe the record is a stored and indexed profile
 like any other; afterwards the store and the index are exactly as they
-were - Dirty or Clean-clean, decided or not, and when a tier raises.
+were - Dirty or Clean-clean, with a match stage or without, and when a
+tier raises.
 """
 
 from __future__ import annotations
@@ -69,18 +70,18 @@ def state(resolver):
     )
 
 
-@pytest.mark.parametrize("decide", [False, True])
+@pytest.mark.parametrize("matched", [False, True])
 @pytest.mark.parametrize("er_type", [ERType.DIRTY, ERType.CLEAN_CLEAN])
-def test_a_probe_leaves_the_store_and_the_index_as_they_were(er_type, decide):
-    resolver = session(er_type, FlakyTier() if decide else None)
+def test_a_probe_leaves_the_store_and_the_index_as_they_were(er_type, matched):
+    resolver = session(er_type, FlakyTier() if matched else None)
     before = state(resolver)
+    matches = resolver.matches
     for source in (0, 1):
-        assert resolver.resolve_one(
-            PROBE, source=source, ingest=False, decide=decide
-        )
+        assert resolver.resolve_one(PROBE, source=source, ingest=False)
         assert state(resolver) == before
-    assert resolver.resolve_many([PROBE, RECORDS[0]], sources=[1, 0], decide=decide)
+    assert resolver.resolve_many([PROBE, RECORDS[0]], sources=[1, 0])
     assert state(resolver) == before
+    assert resolver.matches == matches
     assert resolver.corpus_size == len(RECORDS)
 
 
@@ -91,13 +92,10 @@ def test_a_tier_raising_inside_a_decided_probe_leaves_no_trace(er_type):
     before = state(resolver)
     tier.failing = True
     with pytest.raises(RuntimeError, match="tier failed"):
-        resolver.resolve_one(PROBE, source=1, ingest=False, decide=True)
+        resolver.resolve_one(PROBE, source=1, ingest=False)
     assert state(resolver) == before
     tier.failing = False
     fresh = session(er_type, FlakyTier())
-    assert resolver.resolve_one(
-        PROBE, source=1, ingest=False, decide=True
-    ) == fresh.resolve_one(PROBE, source=1, ingest=False, decide=True)
     assert resolver.resolve_one(PROBE, source=1, ingest=False) == (
         fresh.resolve_one(PROBE, source=1, ingest=False)
     )

@@ -223,7 +223,7 @@ def test_one_tier_cascade_decides_ingested_comparisons():
         .fit(RECORDS[:1])
     )
     for record in RECORDS[1:3]:
-        resolver.resolve_one(record, decide=True)
+        resolver.resolve_one(record)
     assert resolver.matches  # near-identical records confirmed
 
 
@@ -237,8 +237,8 @@ REWORDED = {"about": "Tailor Carl White", "livesIn": "NY"}
 
 
 def test_a_later_batch_is_matched_against_an_earlier_one():
-    """Cross-batch identity: a decided ingest is matched against a
-    record of the first batch, and clusters() closes over the pair.
+    """Cross-batch identity: an ingest is matched against a record of
+    the first batch, and clusters() closes over the pair.
     Block Purging is off because at its default it leaves a
     three-record corpus no block (Block Filtering is batch-only)."""
     resolver = (
@@ -249,7 +249,7 @@ def test_a_later_batch_is_matched_against_an_earlier_one():
         .incremental()
         .fit(FIRST_BATCH)
     )
-    [record] = resolver.resolve_one(REWORDED, decide=True)
+    [record] = resolver.resolve_one(REWORDED)
     assert record.comparison.pair == (0, 2)
     assert (record.tier, record.decision) == ("exact", True)
     assert resolver.clusters() == [[0, 2]]

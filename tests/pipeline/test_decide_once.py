@@ -79,8 +79,8 @@ def test_streaming_matches_nothing(backend, counting):
 
 def test_live_decisions_match_each_comparison_once(counting):
     resolver = pipeline().incremental().fit(RECORDS[:2])
-    ingested = [resolver.resolve_one(record, decide=True) for record in RECORDS[2:4]]
-    probed = resolver.resolve_many(RECORDS[4:], decide=True)
+    ingested = [resolver.resolve_one(record) for record in RECORDS[2:4]]
+    probed = resolver.resolve_many(RECORDS[4:])
     decided = sum(map(len, ingested + probed))
     assert decided and counting.calls == decided
 

@@ -138,6 +138,27 @@ class TestEvaluation:
         list(resolver.stream())  # consume the session
         assert resolver.evaluate() == baseline
 
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_evaluate_decisions_grades_a_drained_session_alike(self, backend):
+        """With no target recall a fresh decided run is the drained
+        session's: the same precision, recall, F1 and tier counts,
+        whichever path (the numpy batcher or the tier loop) decided."""
+        if backend == "numpy":
+            pytest.importorskip("numpy")
+        from repro.datasets import load_dataset
+
+        resolver = (
+            ERPipeline()
+            .backend(backend)
+            .budget(comparisons=2000)
+            .match()
+            .fit(load_dataset("cddb", scale=0.1))
+        )
+        assert sum(1 for _ in resolver.decisions()) == 2000
+        quality = resolver.decision_quality()
+        assert quality.true_positives > 0
+        assert resolver.evaluate_decisions() == quality
+
 
 class TestFit:
     def test_fit_dataset_by_name(self):

@@ -136,6 +136,26 @@ def test_probe_ignores_the_retired_workers_key(manager):
     run(exercise())
 
 
+def test_the_retired_decide_key_answers_400(manager):
+    """A body carrying ``"decide"`` is refused, pointing at the
+    migration guide - never silently ignored."""
+    app = ServiceApp(manager)
+
+    async def exercise():
+        await app.handle("POST", "/sessions", {"name": "s", "records": RECORDS})
+        for action in ("probe", "ingest"):
+            for decide in (True, False):
+                status, body = await app.handle(
+                    "POST",
+                    f"/sessions/s/{action}",
+                    {"records": [PROBE], "decide": decide},
+                )
+                assert status == 400 and "migration.md" in body["error"], body
+        assert manager.get("s").resolver.corpus_size == len(RECORDS)
+
+    run(exercise())
+
+
 # -- the in-process client -----------------------------------------------------
 
 
@@ -289,6 +309,30 @@ class GatedTier(JaccardMatcher):
         return super().similarity(a, b)
 
 
+def test_a_restored_session_keeps_the_saved_matches(tmp_path):
+    """``POST /sessions`` restore: the restored session's matches,
+    clusters and confirmed-match count are the live session's."""
+
+    async def exercise():
+        pipeline = service_pipeline(snapshot_dir=str(tmp_path)).match()
+        with SessionManager(pipeline) as manager:
+            app = ServiceApp(manager)
+            await app.handle("POST", "/sessions", {"name": "s", "records": RECORDS})
+            duplicates = {"records": [RECORDS[0], RECORDS[3]]}
+            await app.handle("POST", "/sessions/s/ingest", duplicates)
+            await app.handle("POST", "/sessions/s/snapshot", {"path": "saved"})
+            status, body = await app.handle(
+                "POST", "/sessions", {"name": "r", "restore": True, "path": "saved"}
+            )
+            assert status == 200, body
+            live, back = (manager.get(name).resolver for name in "sr")
+            assert back.matches == live.matches == {(0, 6), (1, 6), (3, 7)}
+            assert back.clusters() == live.clusters()
+            assert back.progress().matches_confirmed == 3
+
+    run(exercise())
+
+
 def test_session_profiles_never_count_a_probe_in_flight():
     """A probe is stored for the length of its call; ``/sessions/{name}``
     is read on the event loop without the session lock, and reports the
@@ -300,11 +344,11 @@ def test_session_profiles_never_count_a_probe_in_flight():
             app = ServiceApp(manager)
             await app.handle("POST", "/sessions", {"name": "s", "records": RECORDS})
             probe = asyncio.ensure_future(
-                app.handle(
-                    "POST", "/sessions/s/probe", {"records": [PROBE], "decide": True}
-                )
+                app.handle("POST", "/sessions/s/probe", {"records": [PROBE]})
             )
             while not tier.entered.is_set():
+                # a probe that fails before the tier surfaces here
+                assert not probe.done(), await probe
                 await asyncio.sleep(0.001)
             # the probe is held in the store right now...
             assert len(manager.get("s").resolver.store) == len(RECORDS) + 1
@@ -384,9 +428,10 @@ def test_http_client_against_real_server(manager):
 
 def test_a_later_batch_is_matched_against_an_earlier_one_over_http():
     """Cross-batch identity in a served session (the python path is
-    pinned in tests/incremental/test_resolver.py): a decided probe of a
-    reworded copy of record 0 is confirmed against it at tier exact,
-    and ingesting the copy emits that pair."""
+    pinned in tests/incremental/test_resolver.py): a probe of a reworded
+    copy of record 0 is confirmed against it at tier exact and keeps
+    nothing; ingesting the copy decides the same pair and clusters()
+    grows by it."""
     first_batch = [
         {"name": "carl white", "profession": "tailor", "city": "ny"},
         {"name": "ellen green", "profession": "teacher", "city": "la"},
@@ -399,12 +444,15 @@ def test_a_later_batch_is_matched_against_an_earlier_one_over_http():
             try:
                 async with HTTPClient("127.0.0.1", server.port) as client:
                     await client.create_session("s", first_batch)
-                    [decided] = await client.probe("s", [reworded], decide=True)
-                    assert [row[:2] + row[3:5] for row in decided] == [
+                    resolver = manager.get("s").resolver
+                    [probed] = await client.probe("s", [reworded])
+                    assert [row[:2] + row[3:5] for row in probed] == [
                         [0, 2, True, "exact"]
                     ]
+                    assert resolver.clusters() == []
                     emitted = await client.ingest("s", [reworded])
-                    assert [row[:2] for row in emitted] == [[0, 2]]
+                    assert emitted == probed
+                    assert resolver.clusters() == [[0, 2]]
             finally:
                 await server.stop()
 

@@ -190,15 +190,29 @@ def test_capped_decided_probe_decides_only_what_it_returns():
     pair evaluates one pair per tier, and returns the record the
     uncapped probe ranks first."""
     with SessionManager(service_pipeline().match()) as manager:
-        uncapped = run(manager.create("s", RECORDS).probe([PROBE], decide=True))
+        uncapped = run(manager.create("s", RECORDS).probe([PROBE]))
     with SessionManager(service_pipeline(request_comparisons=1).match()) as manager:
         session = manager.create("s", RECORDS)
-        capped = run(session.probe([PROBE], decide=True))
+        capped = run(session.probe([PROBE]))
         tiers = session.resolver.cascade_stats()["tiers"]
     assert capped == [uncapped[0][:1]]
     assert capped[0][0].comparison.pair == (5, 6)
     assert len(uncapped[0]) > 1
     assert [tier["evaluated"] for tier in tiers] == [1, 1, 1]
+
+
+def test_a_capped_ingest_still_records_every_admitted_match():
+    """The request cap trims only an ingest's response: every admitted
+    pair is decided, so the session's matches do not depend on the cap.
+    The duplicates of records 0 and 3 make three matches; the capped
+    response shows one of them."""
+    duplicates = [RECORDS[0], RECORDS[3]]
+    with SessionManager(service_pipeline(request_comparisons=1).match()) as manager:
+        session = manager.create("s", RECORDS)
+        (shown,) = run(session.ingest(duplicates))
+        assert shown.decision
+        assert session.resolver.matches == {(0, 6), (1, 6), (3, 7)}
+        assert session.resolver.progress().emitted > 1
 
 
 def test_session_budget_counts_served_comparisons():

@@ -102,6 +102,7 @@ def test_a_snapshot_written_by_1x_still_restores():
     restored = IncrementalResolver.load(path)
     assert "matcher" not in restored.config.to_dict()
     assert stream_digest(restored.stream()) == "ff40c28097d4f328cf9df0b791bf5e82"
+    assert restored.matches == set() and restored.progress().matches_confirmed == 0
     assert stream_digest(fitted("python").stream()) == stream_digest(
         restored.reset().stream()
     )
@@ -120,6 +121,42 @@ def test_a_session_with_the_retired_incremental_purge_still_restores():
     assert restored.config.blocking.purge_ratio == 0.5
     assert restored.config.to_dict()["incremental"] == {}
     assert stream_digest(restored.stream()) == "63f98c5815e2549731d9e92a6c529de4"
+    assert restored.matches == set() and restored.clusters() == []
+
+
+def decided_session():
+    """A deciding session whose ingest of duplicates of records 0 and 3
+    confirms three matches (record 1 is record 0 reworded)."""
+    session = service_pipeline().match().fit(RECORDS)
+    session.add_profiles([RECORDS[0], RECORDS[3]])
+    return session
+
+
+def test_a_restored_session_keeps_its_matches(tmp_path):
+    session = decided_session()
+    restored = IncrementalResolver.load(session.save(str(tmp_path / "s")))
+    assert restored.matches == session.matches == {(0, 6), (1, 6), (3, 7)}
+    assert restored.clusters() == session.clusters() == [[0, 1, 6], [3, 7]]
+    assert restored.progress().matches_confirmed == 3
+    assert restored._decided == session._decided > 3
+    restored.add_profiles([RECORDS[5]])  # ingests keep deciding on top
+    assert restored.clusters() == [[0, 1, 6], [3, 7], [5, 8]]
+
+
+def test_a_format_3_snapshot_restores_its_matches():
+    """``fixtures/session-3-matches`` is ``decided_session()`` saved in
+    format 3: it restores the saved decisions and the saved stream."""
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "session-3-matches")
+    assert read_manifest(path)["format"] == "repro-session/3"
+    restored = IncrementalResolver.load(path)
+    live = decided_session()
+    assert restored.matches == live.matches
+    assert restored.clusters() == live.clusters()
+    assert restored.progress().matches_confirmed == 3
+    assert stream_digest(restored.stream()) == "e094abc3928c99c74a986a3a97ffa563"
+    assert stream_digest(live.reset().stream()) == stream_digest(
+        restored.reset().stream()
+    )
 
 
 def put_match_keys(path: str, **keys) -> None:
@@ -134,15 +171,15 @@ def test_a_match_stage_with_the_retired_null_hook_keys_still_restores(tmp_path):
     """Every 2.x manifest with a match stage carries ``expensive`` and
     ``expensive_budget`` as null: it restores and decides as before."""
     session = service_pipeline().match().fit(RECORDS[:4])
-    assert session.resolve_one(RECORDS[4], decide=True)
+    assert session.resolve_one(RECORDS[4])
     path = session.save(str(tmp_path / "s"))
     put_match_keys(path, expensive=None, expensive_budget=None)
     restored = IncrementalResolver.load(path)
     assert restored.config == session.config
-    probe = session.resolve_one(PROBE, ingest=False, decide=True)
-    assert probe and restored.resolve_one(PROBE, ingest=False, decide=True) == probe
-    ingest = session.resolve_one(RECORDS[5], decide=True)
-    assert ingest and restored.resolve_one(RECORDS[5], decide=True) == ingest
+    probe = session.resolve_one(PROBE, ingest=False)
+    assert probe and restored.resolve_one(PROBE, ingest=False) == probe
+    ingest = session.resolve_one(RECORDS[5])
+    assert ingest and restored.resolve_one(RECORDS[5]) == ingest
     session.close()
     restored.close()
 
@@ -308,6 +345,16 @@ MALFORMED_MANIFESTS = {
     "string generation": ("generation", "x"),
     "boolean generation": ("generation", True),
     "negative generation": ("generation", -1),
+    # the decisions of format 3
+    "no decided": ("decided", None),
+    "no matches": ("matches", None),
+    "string decided": ("decided", "2"),
+    "negative decided": ("decided", -1),
+    "matches not a list": ("matches", {"0": 1}),
+    "reversed match": ("matches", [[1, 0]]),
+    "match past the corpus": ("matches", [[0, len(RECORDS)]]),
+    "match of three ids": ("matches", [[0, 1, 2]]),
+    "boolean match id": ("matches", [[False, 1]]),
 }
 
 
@@ -325,7 +372,7 @@ def test_load_rejects_a_malformed_manifest(tmp_path, case):
 def test_a_fresh_save_writes_the_manifest_and_the_profiles_only(tmp_path):
     path = fitted("python").save(str(tmp_path / "s"))
     assert sorted(os.listdir(path)) == sorted([MANIFEST, PROFILES])
-    assert read_manifest(path)["format"] == SNAPSHOT_FORMAT == "repro-session/2"
+    assert read_manifest(path)["format"] == SNAPSHOT_FORMAT == "repro-session/3"
 
 
 def test_a_restored_index_keeps_the_saved_generation(tmp_path):
