@@ -59,11 +59,6 @@ provably emits the same pair set as one batch fit (docs/incremental.md).
 
 from repro.blocking import (
     Block,
-    BlockCollection,
-    BlockFiltering,
-    BlockPurging,
-    KeyFunction,
-    StandardBlocking,
     SuffixArraysBlocking,
     TokenBlocking,
     block_scheduling,
@@ -79,55 +74,34 @@ from repro.core import (
     GroundTruth,
     ProfileStore,
 )
-from repro.datasets import Dataset, list_datasets, load_dataset
+from repro.datasets import Dataset, load_dataset
 from repro.errors import (
     BudgetExceeded,
     ConfigError,
     ReproError,
     SessionClosed,
 )
-from repro.evaluation import (
-    RecallCurve,
-    evaluate_blocking,
-    measure_initialization,
-    timed_run,
-)
-from repro.incremental import (
-    IncrementalResolver,
-    MutableProfileStore,
-    OnlineRanked,
-)
-from repro.evaluation.metrics import DecisionQuality, decision_quality
+from repro.evaluation import RecallCurve, decision_quality, evaluate_blocking
+from repro.incremental import IncrementalResolver, MutableProfileStore
 from repro.matching import (
-    EditDistanceMatcher,
     ExactMatcher,
     JaccardMatcher,
     MatcherCascade,
-    OracleMatcher,
     TierDecision,
-    available_matchers,
     jaccard,
     levenshtein,
-    make_matcher,
 )
-from repro.metablocking import ProfileIndex, build_blocking_graph, make_scheme
-from repro.neighborlist import NeighborList, PositionIndex, RCFWeighting
+from repro.metablocking import ProfileIndex, make_scheme
+from repro.neighborlist import NeighborList, PositionIndex
 from repro.pipeline import (
-    BlockingConfig,
     BudgetConfig,
-    DecisionRecord,
     ERPipeline,
     IncrementalConfig,
     MatchConfig,
-    MetaBlockingConfig,
-    MethodConfig,
     ParallelConfig,
     PipelineConfig,
     ResolutionResult,
     Resolver,
-    ResolverProgress,
-    ServiceConfig,
-    StorageConfig,
     resolve,
 )
 from repro.progressive import (
@@ -138,10 +112,8 @@ from repro.progressive import (
     PSN,
     SAPSAB,
     SAPSN,
-    ProgressiveMethod,
-    available_methods,
 )
-from repro.registry import ComponentRegistry, get_registry
+from repro.registry import ComponentRegistry
 
 __version__ = "2.1.0"
 
@@ -149,20 +121,13 @@ __all__ = [
     # pipeline API
     "ERPipeline",
     "Resolver",
-    "ResolverProgress",
     "ResolutionResult",
     "resolve",
-    "DecisionRecord",
     "PipelineConfig",
-    "BlockingConfig",
-    "MetaBlockingConfig",
-    "MethodConfig",
     "MatchConfig",
     "BudgetConfig",
     "IncrementalConfig",
     "ParallelConfig",
-    "StorageConfig",
-    "ServiceConfig",
     # errors
     "ReproError",
     "ConfigError",
@@ -171,10 +136,8 @@ __all__ = [
     # incremental / online resolution
     "IncrementalResolver",
     "MutableProfileStore",
-    "OnlineRanked",
     # registry
     "ComponentRegistry",
-    "get_registry",
     # core
     "Comparison",
     "ComparisonList",
@@ -184,11 +147,6 @@ __all__ = [
     "ProfileStore",
     # blocking
     "Block",
-    "BlockCollection",
-    "BlockFiltering",
-    "BlockPurging",
-    "KeyFunction",
-    "StandardBlocking",
     "SuffixArraysBlocking",
     "TokenBlocking",
     "block_scheduling",
@@ -197,15 +155,11 @@ __all__ = [
     "token_blocking_workflow",
     # meta-blocking
     "ProfileIndex",
-    "build_blocking_graph",
     "make_scheme",
     # neighbor lists
     "NeighborList",
     "PositionIndex",
-    "RCFWeighting",
     # progressive methods
-    "ProgressiveMethod",
-    "available_methods",
     "PSN",
     "SAPSN",
     "SAPSAB",
@@ -214,26 +168,18 @@ __all__ = [
     "PBS",
     "PPS",
     # matching
-    "EditDistanceMatcher",
     "ExactMatcher",
     "JaccardMatcher",
     "MatcherCascade",
-    "OracleMatcher",
     "TierDecision",
-    "available_matchers",
-    "make_matcher",
     "jaccard",
     "levenshtein",
-    "DecisionQuality",
     "decision_quality",
     # datasets
     "Dataset",
-    "list_datasets",
     "load_dataset",
     # evaluation
     "RecallCurve",
     "evaluate_blocking",
-    "measure_initialization",
-    "timed_run",
     "__version__",
 ]

@@ -6,7 +6,6 @@ from repro.blocking.purging import BlockPurging
 from repro.blocking.scheduling import block_scheduling, block_weight
 from repro.blocking.standard_blocking import (
     KeyFunction,
-    StandardBlocking,
     keyed_profiles,
     soundex,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "block_scheduling",
     "block_weight",
     "KeyFunction",
-    "StandardBlocking",
     "keyed_profiles",
     "soundex",
     "SuffixArraysBlocking",

@@ -12,7 +12,7 @@ The paper's notation: ``|b|`` is block size, ``||b||`` its cardinality,
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.core.comparisons import Comparison
 from repro.core.profiles import ERType, ProfileStore
@@ -112,18 +112,6 @@ class BlockCollection:
         """||B|| - total comparisons entailed by the collection."""
         return sum(self.cardinalities())
 
-    def mean_block_size(self) -> float:
-        """Average |b| over the collection."""
-        if not self.blocks:
-            return 0.0
-        return sum(block.size for block in self.blocks) / len(self.blocks)
-
-    def comparisons(self) -> Iterator[Comparison]:
-        """Every comparison of every block, in block order, with repeats."""
-        er_type = self.store.er_type
-        for block in self.blocks:
-            yield from block.comparisons(er_type)
-
     def distinct_pairs(self) -> set[tuple[int, int]]:
         """The deduplicated candidate pair set (batch ER's search space)."""
         er_type = self.store.er_type
@@ -134,13 +122,6 @@ class BlockCollection:
         return pairs
 
     # -- transformation --------------------------------------------------------
-
-    def filtered(self, predicate: Callable[[Block], bool]) -> "BlockCollection":
-        """A new collection with only the blocks satisfying ``predicate``."""
-        return BlockCollection(
-            (block for block in self.blocks if predicate(block)),
-            self.store,
-        )
 
     def assign_block_ids(self) -> None:
         """Stamp each block with its current position (used after scheduling)."""

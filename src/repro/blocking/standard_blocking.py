@@ -1,4 +1,4 @@
-"""Schema-based Standard Blocking [19] and blocking-key definitions.
+"""Schema-based blocking keys for the PSN baseline.
 
 The schema-based baseline (PSN) needs one blocking key per profile derived
 from selected attributes - e.g. the census configuration from the paper's
@@ -8,16 +8,17 @@ zipcodes".  This module provides:
 * :class:`KeyFunction` - composable schema-based key builders, including a
   Soundex encoder (the classic Russell/odell variant used by record-linkage
   toolkits such as FEBRL, which the paper points to for its keys);
-* :class:`StandardBlocking` - one block per distinct key value.
+* :func:`keyed_profiles` - the ``(key, profile_id)`` pairs PSN sorts.
+
+The schema-agnostic methods need no keys: their blocks come from Token
+Blocking or Suffix Arrays.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.blocking.base import Block, BlockCollection
-from repro.core.profiles import EntityProfile, ERType, ProfileStore
-from repro.registry import blocking_schemes
+from repro.core.profiles import EntityProfile, ProfileStore
 
 _SOUNDEX_CODES = {
     **dict.fromkeys("bfpv", "1"),
@@ -94,46 +95,14 @@ class KeyFunction:
         return KeyFunction(lambda p: "".join(part(p) for part in parts), label)
 
 
-class StandardBlocking:
-    """Schema-based Standard Blocking: one block per distinct key value.
-
-    Profiles whose key is empty are left unindexed (they would otherwise
-    all collide in one junk block).
-    """
-
-    def __init__(self, key_function: Callable[[EntityProfile], str]) -> None:
-        self.key_function = key_function
-
-    def build(self, store: ProfileStore) -> BlockCollection:
-        """Group profiles by key; keep blocks yielding >= 1 comparison."""
-        buckets: dict[str, list[int]] = {}
-        for profile in store:
-            key = self.key_function(profile)
-            if not key:
-                continue
-            buckets.setdefault(key, []).append(profile.profile_id)
-
-        cross_source = store.er_type is ERType.CLEAN_CLEAN
-        blocks: list[Block] = []
-        for key in sorted(buckets):
-            ids = buckets[key]
-            if len(ids) < 2:
-                continue
-            block = Block(key, ids, store)
-            if cross_source and (not block.left_ids or not block.right_ids):
-                continue
-            blocks.append(block)
-        return BlockCollection(blocks, store)
-
-
 def keyed_profiles(
     store: ProfileStore,
     key_function: Callable[[EntityProfile], str],
 ) -> list[tuple[str, int]]:
     """(key, profile_id) pairs for schema-based sorted-neighborhood methods.
 
-    Profiles with empty keys are skipped, mirroring
-    :class:`StandardBlocking`.
+    Profiles with empty keys are skipped (they would otherwise all sort
+    together as one junk run).
     """
     pairs = []
     for profile in store:
@@ -141,8 +110,3 @@ def keyed_profiles(
         if key:
             pairs.append((key, profile.profile_id))
     return pairs
-
-
-blocking_schemes.register(
-    "standard", StandardBlocking, aliases=("standard-blocking", "key")
-)

@@ -15,8 +15,6 @@ before blocks of shorter ones, and within a layer smaller blocks first.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
-
 from repro.blocking.base import Block, BlockCollection
 from repro.core.profiles import ERType, ProfileStore
 from repro.core.tokenization import distinct_profile_tokens, suffixes
@@ -61,9 +59,6 @@ class SuffixForest:
         for node in nodes.values():
             node.children.sort(key=lambda n: n.suffix)
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
     def leaves_first_order(self, er_type: ERType) -> list[SuffixNode]:
         """Nodes ordered for progressive processing (Section 4.2).
 
@@ -79,15 +74,6 @@ class SuffixForest:
                 node.suffix,
             ),
         )
-
-    def layers(self) -> dict[int, list[SuffixNode]]:
-        """Nodes grouped by depth (suffix length)."""
-        grouped: dict[int, list[SuffixNode]] = {}
-        for node in self.nodes.values():
-            grouped.setdefault(node.depth, []).append(node)
-        for layer in grouped.values():
-            layer.sort(key=lambda n: n.suffix)
-        return grouped
 
 
 class SuffixArraysBlocking:
@@ -144,32 +130,6 @@ class SuffixArraysBlocking:
         forest = self.build_forest(store)
         ordered = forest.leaves_first_order(store.er_type)
         return BlockCollection((node.block for node in ordered), store)
-
-
-def forest_statistics(
-    forest: SuffixForest, er_type: ERType
-) -> dict[str, float]:
-    """Summary statistics of a forest (used by tests and benchmarks)."""
-    if not forest.nodes:
-        return {"nodes": 0, "roots": 0, "max_depth": 0, "comparisons": 0}
-    depths: Sequence[int] = [node.depth for node in forest.nodes.values()]
-    comparisons = sum(
-        node.block.cardinality(er_type) for node in forest.nodes.values()
-    )
-    return {
-        "nodes": len(forest.nodes),
-        "roots": len(forest.roots),
-        "max_depth": max(depths),
-        "comparisons": comparisons,
-    }
-
-
-def iter_forest_blocks(
-    forest: SuffixForest, er_type: ERType
-) -> Iterator[Block]:
-    """Blocks in progressive order (convenience wrapper)."""
-    for node in forest.leaves_first_order(er_type):
-        yield node.block
 
 
 blocking_schemes.register(

@@ -34,8 +34,8 @@ def blocking_workflow(
     """Any registered blocking scheme -> Purging -> Filtering.
 
     The generalized form of :func:`token_blocking_workflow`: the block
-    builder is resolved from the shared registry ("token", "standard",
-    "suffix", or any user-registered scheme exposing ``build(store)``),
+    builder is resolved from the shared registry ("token", "suffix", or
+    any user-registered scheme exposing ``build(store)``),
     then the paper's purge/filter steps apply uniformly.  ``None``
     disables a step; ``scheme_kwargs`` go to the builder's constructor.
     """

@@ -143,28 +143,11 @@ class ComparisonList:
             self._items.sort(key=lambda c: (-c.weight, c.i, c.j))
             self._sorted = True
 
-    def remove_first(self) -> Comparison:
-        """Pop and return the highest-weighted comparison."""
-        self._ensure_sorted()
-        if not self._items:
-            raise IndexError("ComparisonList is empty")
-        return self._items.pop(0)
-
     def drain(self) -> Iterator[Comparison]:
         """Yield all comparisons from best to worst, emptying the list."""
         self._ensure_sorted()
         items, self._items = self._items, []
         yield from items
-
-    def peek(self) -> Comparison:
-        """The highest-weighted comparison without removing it."""
-        self._ensure_sorted()
-        if not self._items:
-            raise IndexError("ComparisonList is empty")
-        return self._items[0]
-
-    def is_empty(self) -> bool:
-        return not self._items
 
     def __len__(self) -> int:
         return len(self._items)

@@ -180,12 +180,6 @@ ParallelBackend` with a live pool) override it.  Idempotent.
             f"backend {self.name!r} has no vectorized PSN core"
         )
 
-    def ranked_edges(self, graph: Any) -> Any:
-        """Every distinct graph edge ranked by ``(-weight, i, j)``."""
-        raise NotImplementedError(
-            f"backend {self.name!r} has no vectorized edge ranking"
-        )
-
     def pruned_edges(self, graph: Any, algorithm: str, k: int | None) -> Any:
         """Meta-blocking pruning: the retained edges of ``graph`` under
         ``algorithm`` (canonical name), ranked by ``(-weight, i, j)``."""
@@ -307,12 +301,6 @@ class NumpyBackend(Backend):
         from repro.engine.similarity import ArrayPSNCore
 
         return ArrayPSNCore(neighbor_list, substrate, weighting, fanout=self.fanout())
-
-    def ranked_edges(self, graph: Any) -> Any:
-        self.require()
-        from repro.engine.topk import ranked_edges
-
-        return ranked_edges(graph)
 
     def pruned_edges(self, graph: Any, algorithm: str, k: int | None) -> Any:
         self.require()

@@ -8,8 +8,9 @@ reference emission streams bit for bit (see the module docstring of
 
 * :class:`ArrayPPSCore` - Algorithms 5-6 (Section 5.2.2): duplication
   likelihoods and per-profile best comparisons fall out of per-row array
-  reductions over the graph's rows; the emission phase replaces the
-  SortedStack with :func:`repro.engine.topk.top_k_pairs`.
+  reductions over the graph's rows; the emission phase ranks a range of
+  the Sorted Profile List at a time in place of the per-profile
+  SortedStack (:func:`pps_schedule`).
 * :class:`ArrayPBSCore` - Algorithms 3-4 (Section 5.2.1): a block's
   comparisons are weighted when the block is scheduled.  The block axis
   is walked in ranges of about ``RANGE_BUDGET`` comparisons;
@@ -23,15 +24,15 @@ reference emission streams bit for bit (see the module docstring of
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator
 
 from repro.core import comparisons
-from repro.core.comparisons import Comparison, comparison_chunks, to_comparisons
+from repro.core.comparisons import Comparison, comparison_chunks
 from repro.engine import require_numpy
 from repro.engine.csr import ArrayProfileIndex, multi_arange
 from repro.engine.fanout import INLINE, Fanout
 from repro.engine.segments import first_k_per_run, run_heads
-from repro.engine.topk import rank_pairs, top_k_pairs
+from repro.engine.topk import rank_pairs
 from repro.engine.weights import ArrayBlockingGraph, common_block_weights
 
 require_numpy("repro.engine.equality")
@@ -193,7 +194,7 @@ class ArrayPPSCore:
         The ranges :func:`pps_schedule` runs over, and who runs them.
     """
 
-    __slots__ = ("index", "graph", "k_max", "fanout", "_checked", "_schedule", "_top")
+    __slots__ = ("index", "graph", "k_max", "fanout", "_schedule", "_top")
 
     #: Graph-row entries per range of the Sorted Profile List, ranked
     #: when a pull reaches it: a budget that ends early never ranks the
@@ -217,7 +218,6 @@ class ArrayPPSCore:
             aggregate = int(self.index.block_cardinalities.sum())
             k_max = max(10, min(50, round(2 * aggregate / population)))
         self.k_max = k_max
-        self._checked = np.zeros(self.index.n_profiles, dtype=bool)
         #: The Sorted Profile List's ids; the initial Comparison List (top
         #: comparisons) as ranked ``(i, j, weight)``, ``None`` once emitted.
         self._schedule = np.empty(0, dtype=np.int64)
@@ -285,34 +285,6 @@ class ArrayPPSCore:
         return list(zip(self._schedule.tolist(), likelihoods[by_likelihood].tolist()))
 
     # -- emission phase (Algorithm 6) ----------------------------------------
-
-    def sync_checked(self, checked: Iterable[int]) -> None:
-        """Mirror a ``checkedEntities`` set into the boolean mask.
-
-        Always rebuilt from scratch: the hot emission path ranks the
-        schedule a range at a time in :meth:`chunks` and never passes
-        through here, so per-call O(|checked|) is only paid by direct
-        :meth:`PPS.profile_comparisons` API use - and rebuilding keeps
-        arbitrary in-place set mutations (add/discard between calls)
-        correct.
-        """
-        self._checked[:] = False
-        checked = list(checked)
-        if checked:
-            self._checked[np.asarray(checked, dtype=np.int64)] = True
-
-    def profile_topk(self, profile_id: int, k: int) -> list[Comparison]:
-        """The k best unchecked comparisons of one scheduled profile,
-        in emission order (replaces the SortedStack drain)."""
-        neighbors, weights = self.graph.row(profile_id)
-        keep = ~self._checked[neighbors]
-        neighbors, weights = neighbors[keep], weights[keep]
-        if neighbors.size == 0:
-            return []
-        i = np.minimum(profile_id, neighbors)
-        j = np.maximum(profile_id, neighbors)
-        order = top_k_pairs(i, j, weights, k)
-        return to_comparisons(i[order], j[order], weights[order])
 
     def chunks(self, k: int, exhaustive: bool) -> Iterator[list[Comparison]]:
         """Algorithm 6 as ranked chunks: the initial Comparison List
@@ -430,16 +402,6 @@ class ArrayPBSCore:
         # Every range probes: complete the payload before a fan-out ships it.
         graph.probing_payload()
 
-    def _chunks(
-        self, ranges: Sequence[tuple[int, int]]
-    ) -> Iterator[list[Comparison]]:
-        """The new comparisons of ``ranges`` as chunks: blocks in
-        scheduling order, best-first inside each.  A range is weighted
-        by the pull that reaches it (``chain`` asks for the next one
-        only then)."""
-        parts = self.fanout.run(new_block_pairs, self.graph.payload, ranges)
-        return itertools.chain.from_iterable(map(self._ranked, parts))
-
     def _ranked(
         self, part: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     ) -> Iterator[list[Comparison]]:
@@ -450,17 +412,13 @@ class ArrayPBSCore:
         order = np.lexsort((j, i, -weights, block))
         return comparison_chunks(i[order], j[order], weights[order])
 
-    def block_comparisons(self, block_id: int) -> list[Comparison]:
-        """New (non-repeated) weighted comparisons of one block, in
-        emission order: the one-block range of the same kernel."""
-        chunks = self._chunks([(block_id, block_id + 1)])
-        return list(itertools.chain.from_iterable(chunks))
-
     def chunks(self) -> Iterator[list[Comparison]]:
-        """All blocks in scheduling order, best-first inside each."""
+        """All blocks in scheduling order, best-first inside each.  A
+        range is weighted by the pull that reaches it (``chain`` asks
+        for the next one only then)."""
         index = self.index
-        return self._chunks(
-            self.fanout.ranges(
-                index.block_count(), index.block_cardinalities, self.RANGE_BUDGET
-            )
+        ranges = self.fanout.ranges(
+            index.block_count(), index.block_cardinalities, self.RANGE_BUDGET
         )
+        parts = self.fanout.run(new_block_pairs, self.graph.payload, ranges)
+        return itertools.chain.from_iterable(map(self._ranked, parts))

@@ -132,11 +132,13 @@ def wep_threshold(weights: np.ndarray) -> float:
 
 def pruned_mask(
     graph: "ArrayBlockingGraph",
+    edges: EdgeArrays,
     algorithm: str,
     k: int | None = None,
     fanout: Fanout = INLINE,
 ) -> np.ndarray:
-    """Boolean retention mask over ``graph.edges()`` for ``algorithm``.
+    """Boolean retention mask over ``edges`` (``graph.edges()``) for
+    ``algorithm``.
 
     ``algorithm`` must be a canonical name (``WEP``/``CEP``/``WNP``/
     ``CNP``/``RWNP``/``RCNP`` - resolve spellings through
@@ -145,7 +147,7 @@ def pruned_mask(
     range of ``fanout``; the global scalar aggregates (the WEP mean, the
     CEP budget threshold) are one sequential pass either way.
     """
-    i, j, weights = graph.edges()
+    i, j, weights = edges
     m = int(i.size)
     if m == 0:
         return np.zeros(0, dtype=bool)
@@ -212,5 +214,5 @@ def prune_array_graph(
         # top_k_pairs already returns the ranked selection directly.
         selected = top_k_pairs(i, j, weights, require_k(algorithm, k))
         return i[selected], j[selected], weights[selected]
-    mask = pruned_mask(graph, algorithm, k, fanout)
+    mask = pruned_mask(graph, (i, j, weights), algorithm, k, fanout)
     return rank_pairs(i[mask], j[mask], weights[mask])

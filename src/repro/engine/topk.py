@@ -1,25 +1,18 @@
-"""Exact top-k comparison selection via ``argpartition``.
+"""Pair ranking and exact top-k comparison selection via ``argpartition``.
 
-The reference PPS emission pushes every scored neighbor through a bounded
-binary heap (:class:`repro.core.comparisons.SortedStack`); the array
-backend replaces the per-pair heap traffic with one ``np.partition``
-threshold plus a sort of just the survivors.
+The reference cardinality pruning keeps the k best pairs with
+``heapq.nlargest``; the array kernels replace the per-pair heap traffic
+with one ``np.partition`` threshold plus a sort of just the survivors.
 
 The selection is *exact* under the emission total order
 ``(-weight, i, j)``: strictly-above-threshold pairs are all kept, and
-boundary ties are resolved by ascending ``(i, j)`` - precisely the set a
-``SortedStack`` bounded at k retains, in the order ``drain_descending``
-returns it.
+boundary ties are resolved by ascending ``(i, j)`` - precisely the set
+``nlargest`` keeps, in the order it returns it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.engine import require_numpy
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.weights import ArrayBlockingGraph
 
 require_numpy("repro.engine.topk")
 
@@ -62,19 +55,6 @@ def rank_pairs(
     fan-out pass.
     """
     return rank_slice(None, (i, j, weights))
-
-
-def ranked_edges(
-    graph: "ArrayBlockingGraph",
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every distinct edge of an ``ArrayBlockingGraph``, ranked.
-
-    The graph's upper-triangle edge set (each valid pair once, owned by
-    its smaller id - matching the reference enumeration, and key-sorted
-    by construction) ordered by ``(-weight, i, j)``.  This is the whole
-    emission of the ONLINE method on the array backends.
-    """
-    return rank_pairs(*graph.edges())
 
 
 def top_k_pairs(

@@ -357,8 +357,6 @@ class ArrayBlockingGraph:
         "raw",
         "weights",
         "first_event_index",
-        "_edge_keys",
-        "_edge_weights",
     )
 
     #: Co-occurrence events expanded per range when the rows spill to
@@ -397,8 +395,6 @@ class ArrayBlockingGraph:
             "cardinalities": index.block_cardinalities,
             "contributions": self.scheme.block_contributions(),
         }
-        self._edge_keys: np.ndarray | None = None
-        self._edge_weights: np.ndarray | None = None
 
     def __getattr__(self, name: str) -> Any:
         # Reached only while a slot is still empty: the first read of a
@@ -524,35 +520,15 @@ class ArrayBlockingGraph:
         self.scheme.prepare(self)
         return self.scheme.finalize_all(i, j, raw)
 
-    # -- row access ----------------------------------------------------------
+    # -- pair access ---------------------------------------------------------
 
-    def row(self, profile_id: int) -> tuple[np.ndarray, np.ndarray]:
-        """(neighbors ascending, finalized weights) of one profile."""
-        start, end = self.indptr[profile_id], self.indptr[profile_id + 1]
-        return self.neighbors[start:end], self.weights[start:end]
-
-    # -- pair lookup ---------------------------------------------------------
-
-    def _ensure_edge_lookup(self) -> None:
-        if self._edge_keys is not None:
-            return
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every distinct valid pair once (``i < j``) with its weight:
+        row-major over ascending rows, hence key-sorted."""
         n = self.index.n_profiles
         owners = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
         upper = self.neighbors > owners  # each edge once, from its min side
-        self._edge_keys = owners[upper] * n + self.neighbors[upper]
-        self._edge_weights = self.weights[upper]
-
-    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every distinct valid pair once (``i < j``) with its weight.
-
-        Derived from the cached edge lookup, so a graph serving both
-        whole-graph emission and per-pair queries builds the extraction
-        only once.  Keys are row-major over ascending rows, hence sorted.
-        """
-        self._ensure_edge_lookup()
-        assert self._edge_keys is not None and self._edge_weights is not None
-        n = self.index.n_profiles
-        return self._edge_keys // n, self._edge_keys % n, self._edge_weights
+        return owners[upper], self.neighbors[upper], self.weights[upper]
 
     def weight(self, i: int, j: int) -> float:
         """Edge weight of one pair, 0.0 when no block is shared (scalar

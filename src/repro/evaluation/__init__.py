@@ -10,11 +10,10 @@ from repro.evaluation.progressive_recall import (
     RecallCurve,
     ideal_auc,
 )
-from repro.evaluation.report import format_curve, format_table, sparkline
+from repro.evaluation.report import format_table, sparkline
 from repro.evaluation.timing import (
     TimedRun,
     cascade_cost_model,
-    measure_initialization,
     timed_run,
 )
 
@@ -25,11 +24,9 @@ __all__ = [
     "evaluate_blocking",
     "RecallCurve",
     "ideal_auc",
-    "format_curve",
     "format_table",
     "sparkline",
     "TimedRun",
     "cascade_cost_model",
-    "measure_initialization",
     "timed_run",
 ]

@@ -29,14 +29,6 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_curve(
-    label: str, points: Sequence[tuple[float, float]], precision: int = 3
-) -> str:
-    """One curve as ``label: (x, y) (x, y) ...`` - a printable data series."""
-    series = " ".join(f"({x:g}, {y:.{precision}f})" for x, y in points)
-    return f"{label}: {series}"
-
-
 def sparkline(values: Sequence[float], width: int = 40) -> str:
     """ASCII sparkline of a recall curve (resampled to ``width`` columns)."""
     if not values:

@@ -44,16 +44,6 @@ class TimedRun:
     # (seconds since start of emission, recall) checkpoints:
     recall_timeline: list[tuple[float, float]] = field(default_factory=list)
 
-    def recall_at_time(self, seconds: float) -> float:
-        """Recall achieved within ``seconds`` of emission time."""
-        best = 0.0
-        for timestamp, recall in self.recall_timeline:
-            if timestamp <= seconds:
-                best = recall
-            else:
-                break
-        return best
-
 
 def cascade_cost_model(cost_model: MatchFunction) -> MatchFunction:
     """Wrap a timing cost model in the cascade's exact short-circuit.
@@ -69,14 +59,6 @@ def cascade_cost_model(cost_model: MatchFunction) -> MatchFunction:
     from repro.matching.match_functions import ExactMatcher
 
     return MatcherCascade([ExactMatcher(), cost_model])
-
-
-def measure_initialization(method: ProgressiveMethod) -> float:
-    """Seconds spent in the initialization phase plus the first emission."""
-    start = time.perf_counter()
-    method.initialize()
-    method.next_comparison()
-    return time.perf_counter() - start
 
 
 def timed_run(

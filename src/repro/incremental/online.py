@@ -134,7 +134,9 @@ class OnlineRanked(ProgressiveMethod):
     def _chunks(self) -> Iterator[list[Comparison]]:
         if self._graph is None:
             return super()._chunks()
-        return comparison_chunks(*self.backend.ranked_edges(self._graph))
+        from repro.engine.topk import rank_pairs
+
+        return comparison_chunks(*rank_pairs(*self._graph.edges()))
 
     def _emit(self) -> Iterator[Comparison]:
         assert self.profile_index is not None and self.scheme is not None

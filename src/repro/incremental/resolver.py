@@ -264,12 +264,18 @@ class IncrementalResolver(Resolver):
 
         Marks the method the base ``reset`` rebuilds as fresh for the
         current index generation, so the next ``stream()`` does not
-        discard it and rebuild a second time.
+        discard it and rebuild a second time.  The confirmed matches and
+        the decided count stay, as a ``save``/``load`` keeps them: they
+        are what the session's ingests decided, which no stream
+        re-derives.
         """
         with self._lock:
             self._check_open()
             self._stream_generation = self._index.generation
+            matches, decided = set(self._matched_pairs), self._decided
             super().reset()
+            self._matched_pairs.update(matches)
+            self._decided = decided
         return self
 
     def next_batch(self, n: int) -> list[Comparison]:

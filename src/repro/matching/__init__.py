@@ -15,8 +15,6 @@ from repro.matching.match_functions import (
     JaccardMatcher,
     MatchFunction,
     OracleMatcher,
-    available_matchers,
-    make_matcher,
 )
 
 __all__ = [
@@ -34,6 +32,4 @@ __all__ = [
     "OracleMatcher",
     "TierDecision",
     "TierStats",
-    "available_matchers",
-    "make_matcher",
 ]

@@ -13,7 +13,6 @@ but takes the *decision* from the ground truth (Section 7.3, footnote 10);
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any
 
 from repro.core.ground_truth import GroundTruth
 from repro.core.profiles import EntityProfile
@@ -132,18 +131,3 @@ matchers.register("exact", ExactMatcher)
 matchers.register("edit-distance", EditDistanceMatcher, aliases=("ED",))
 matchers.register("jaccard", JaccardMatcher, aliases=("JS",))
 matchers.register("oracle", OracleMatcher)
-
-
-def available_matchers() -> list[str]:
-    """Names of all registered match functions."""
-    return matchers.names()
-
-
-def make_matcher(name: str, **kwargs: Any) -> MatchFunction:
-    """Instantiate a match function by registry name.
-
-    >>> make_matcher("jaccard", threshold=0.75).threshold
-    0.75
-    """
-    matcher: MatchFunction = matchers.build(name, **kwargs)
-    return matcher

@@ -23,7 +23,6 @@ from repro.metablocking.weights import (
     EJS,
     JS,
     WeightingScheme,
-    available_schemes,
     make_scheme,
 )
 
@@ -46,6 +45,5 @@ __all__ = [
     "EJS",
     "JS",
     "WeightingScheme",
-    "available_schemes",
     "make_scheme",
 ]

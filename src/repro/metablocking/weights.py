@@ -167,11 +167,6 @@ for _scheme in (ARCS, CBS, ECBS, JS, EJS):
 del _scheme
 
 
-def available_schemes() -> list[str]:
-    """Names of all registered weighting schemes."""
-    return weighting_schemes.names()
-
-
 def make_scheme(name: str, index: BlockStatistics) -> WeightingScheme:
     """Instantiate a scheme by name (spelling-insensitive)."""
     return weighting_schemes.build(name, index)

@@ -90,15 +90,5 @@ class NeighborList:
 
     # -- inspection ----------------------------------------------------------
 
-    def runs(self) -> list[tuple[str, list[int]]]:
-        """(key, profile ids) for each equal-key run, in list order."""
-        out: list[tuple[str, list[int]]] = []
-        for position, key in enumerate(self.keys):
-            if out and out[-1][0] == key:
-                out[-1][1].append(self.entries[position])
-            else:
-                out.append((key, [self.entries[position]]))
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"NeighborList({len(self.entries)} positions)"

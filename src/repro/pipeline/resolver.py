@@ -545,9 +545,6 @@ class Resolver:
         while piece := self._take(1):
             yield piece[0]
 
-    def __iter__(self) -> Iterator[Comparison]:
-        return self.stream()
-
     def next_batch(self, n: int) -> list[Comparison]:
         """The next ``n`` comparisons (fewer at budget/stream end)."""
         self._check_open()

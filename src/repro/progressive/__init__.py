@@ -13,11 +13,7 @@ PPS       equality     Progressive Profile Scheduling (Section 5.2.2)
 ========  ===========  ====================================================
 """
 
-from repro.progressive.base import (
-    ProgressiveMethod,
-    available_methods,
-    register_method,
-)
+from repro.progressive.base import ProgressiveMethod, register_method
 from repro.progressive.gs_psn import GSPSN
 from repro.progressive.ls_psn import LSPSN
 from repro.progressive.pbs import PBS
@@ -28,7 +24,6 @@ from repro.progressive.sa_psn import SAPSN
 
 __all__ = [
     "ProgressiveMethod",
-    "available_methods",
     "register_method",
     "PSN",
     "SAPSN",

@@ -113,8 +113,3 @@ def register_method(name: str) -> Callable[[type], type]:
         return cls
 
     return decorator
-
-
-def available_methods() -> list[str]:
-    """Canonical (paper-spelling) acronyms of all registered methods."""
-    return progressive_methods.names()

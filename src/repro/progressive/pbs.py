@@ -27,6 +27,7 @@ from repro.blocking.substrate import method_substrate
 from repro.core.comparisons import Comparison, ComparisonList
 from repro.core.profiles import ProfileStore
 from repro.engine import get_backend
+from repro.errors import ConfigError
 from repro.metablocking.profile_index import ProfileIndex
 from repro.metablocking.weights import WeightingScheme, make_scheme
 from repro.progressive.base import ProgressiveMethod, register_method
@@ -133,8 +134,15 @@ class PBS(ProgressiveMethod):
         Algorithm 3 lines 4-12: LeCoBI filters repeats; survivors get the
         Blocking Graph edge weight of their pair.  ``block_id`` is a
         position in the schedule; anything outside it raises
-        ``IndexError`` on every backend.
+        ``IndexError``.  A step of the reference emission, so
+        ``backend="python"`` only (an array backend weights a range of
+        blocks at a time).
         """
+        if self._core is not None:
+            raise ConfigError(
+                "block_comparisons is a step of the reference emission: "
+                'use backend="python"'
+            )
         assert self.profile_index is not None and self.scheme is not None
         block_count = self.profile_index.block_count()
         if not 0 <= block_id < block_count:
@@ -142,8 +150,6 @@ class PBS(ProgressiveMethod):
                 f"block id {block_id} out of range: the schedule holds "
                 f"blocks 0 <= id < {block_count}"
             )
-        if self._core is not None:
-            return ComparisonList(self._core.block_comparisons(block_id))
         assert self.scheduled is not None
         block = self.scheduled[block_id]
         er_type = self.store.er_type

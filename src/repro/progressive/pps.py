@@ -38,6 +38,7 @@ from repro.blocking.substrate import method_substrate
 from repro.core.comparisons import Comparison, ComparisonList, SortedStack
 from repro.core.profiles import ProfileStore
 from repro.engine import get_backend
+from repro.errors import ConfigError
 from repro.metablocking.profile_index import ProfileIndex
 from repro.metablocking.weights import WeightingScheme, make_scheme
 from repro.progressive.base import ProgressiveMethod, register_method
@@ -239,12 +240,15 @@ class PPS(ProgressiveMethod):
     def profile_comparisons(
         self, profile_id: int, checked: set[int]
     ) -> list[Comparison]:
-        """The K_max best comparisons of one scheduled profile."""
-        assert self.k_max is not None
+        """The K_max best comparisons of one scheduled profile: a step
+        of the reference emission, so ``backend="python"`` only (an
+        array backend ranks the schedule a range at a time)."""
         if self._core is not None:
-            self._core.sync_checked(checked)
-            return self._core.profile_topk(profile_id, self.k_max)
-        assert self.scheme is not None
+            raise ConfigError(
+                "profile_comparisons is a step of the reference emission: "
+                'use backend="python"'
+            )
+        assert self.k_max is not None and self.scheme is not None
         raw_weights = self._neighborhood_weights(profile_id, skip=checked)
         stack = SortedStack()
         for neighbor, raw in raw_weights.items():

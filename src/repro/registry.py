@@ -211,14 +211,6 @@ class ComponentRegistry:
         self._ensure_loaded()
         return sorted(entry.name for entry in self._entries.values())
 
-    def describe(self) -> dict[str, str]:
-        """Canonical name -> constructor signature, for all components."""
-        self._ensure_loaded()
-        return {
-            entry.name: f"{entry.name}{entry.signature()}"
-            for key, entry in sorted(self._entries.items())
-        }
-
     def __contains__(self, name: str) -> bool:
         try:
             self._resolve_key(name)
@@ -250,7 +242,7 @@ def _load_progressive_methods() -> None:
 
 
 def _load_blocking_schemes() -> None:
-    import repro.blocking  # noqa: F401  (registers token/standard/suffix)
+    import repro.blocking  # noqa: F401  (registers token/suffix)
 
 
 def _load_weighting_schemes() -> None:
@@ -284,22 +276,3 @@ pruning_algorithms = ComponentRegistry(
 )
 matchers = ComponentRegistry("match function", loader=_load_matchers)
 backends = ComponentRegistry("backend", loader=_load_backends)
-
-_REGISTRIES: dict[str, ComponentRegistry] = {
-    "method": progressive_methods,
-    "blocking": blocking_schemes,
-    "weighting": weighting_schemes,
-    "pruning": pruning_algorithms,
-    "matcher": matchers,
-    "backend": backends,
-}
-
-
-def get_registry(kind: str) -> ComponentRegistry:
-    """The stock registry for ``kind`` (method/blocking/weighting/matcher)."""
-    try:
-        return _REGISTRIES[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown registry kind {kind!r}; available: {sorted(_REGISTRIES)}"
-        ) from None

@@ -285,10 +285,6 @@ class ServiceServer:
             await self._server.wait_closed()
             self._server = None
 
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        await self._server.serve_forever()
-
     # -- the wire -------------------------------------------------------------
 
     async def _serve_connection(

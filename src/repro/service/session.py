@@ -249,7 +249,8 @@ class ServiceSession:
         return await self._run(work)
 
     async def snapshot(self, path: str | None = None) -> dict[str, Any]:
-        """Persist the session; returns the written manifest."""
+        """Persist the session; returns the written manifest without
+        its ``matches``, so the answer does not grow with them."""
         if path is None:
             if self.config.snapshot_dir is None:
                 raise ConfigError(
@@ -261,6 +262,7 @@ class ServiceSession:
 
         def work() -> dict[str, Any]:
             manifest = read_manifest(self.resolver.save(path))
+            del manifest["matches"]
             with self._stats_lock:
                 self._metrics.snapshots += 1
                 self._metrics.last_snapshot_unix = manifest["created_unix"]
@@ -446,10 +448,6 @@ class SessionManager:
         }
 
     # -- teardown -------------------------------------------------------------
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     def _check_open(self) -> None:
         if self._closed:

@@ -106,7 +106,7 @@ def save_session(resolver: "IncrementalResolver", path: str) -> str:
                 )
                 handle.write("\n")
         with open(manifest_path + ".tmp", "w") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
+            json.dump(manifest, handle, sort_keys=True)
             handle.write("\n")
         with contextlib.suppress(FileNotFoundError):
             os.remove(manifest_path)

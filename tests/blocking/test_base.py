@@ -48,21 +48,17 @@ class TestBlockCollection:
         )
         assert blocks.aggregate_cardinality() == 3 + 1
 
-    def test_mean_block_size(self):
-        store = dirty_store()
-        blocks = BlockCollection(
-            [Block("a", [0, 1, 2], store), Block("b", [3, 4], store)], store
-        )
-        assert blocks.mean_block_size() == 2.5
-        assert BlockCollection([], store).mean_block_size() == 0.0
-
     def test_comparisons_include_repeats_across_blocks(self):
+        """Each block enumerates its own pairs, so a pair two blocks share
+        comes once per block; ``distinct_pairs`` is the deduplicated set."""
         store = dirty_store()
         blocks = BlockCollection(
             [Block("a", [0, 1], store), Block("b", [0, 1], store)], store
         )
-        pairs = [c.pair for c in blocks.comparisons()]
+        pairs = [c.pair for block in blocks for c in block.comparisons(store.er_type)]
         assert pairs == [(0, 1), (0, 1)]
+        assert blocks.aggregate_cardinality() == len(pairs)
+        assert blocks.distinct_pairs() == {(0, 1)}
 
     def test_distinct_pairs_deduplicates(self):
         store = dirty_store()
@@ -70,14 +66,6 @@ class TestBlockCollection:
             [Block("a", [0, 1], store), Block("b", [0, 1, 2], store)], store
         )
         assert blocks.distinct_pairs() == {(0, 1), (0, 2), (1, 2)}
-
-    def test_filtered(self):
-        store = dirty_store()
-        blocks = BlockCollection(
-            [Block("a", [0, 1], store), Block("b", [0, 1, 2], store)], store
-        )
-        small = blocks.filtered(lambda b: b.size < 3)
-        assert [b.key for b in small] == ["a"]
 
     def test_assign_block_ids(self):
         store = dirty_store()

@@ -1,4 +1,4 @@
-"""Unit tests for schema-based Standard Blocking, keys and Soundex."""
+"""Unit tests for the schema-based blocking keys PSN sorts, and Soundex."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.blocking.standard_blocking import (
     KeyFunction,
-    StandardBlocking,
     keyed_profiles,
     soundex,
 )
@@ -65,22 +64,6 @@ class TestKeyFunction:
     def test_missing_attribute_gives_empty_component(self):
         profile = EntityProfile(0, {"a": "x"})
         assert KeyFunction.attribute("missing")(profile) == ""
-
-
-class TestStandardBlocking:
-    def test_groups_by_key_value(self):
-        store = ProfileStore.from_attribute_maps(
-            [{"city": "ny"}, {"city": "ny"}, {"city": "la"}]
-        )
-        blocks = StandardBlocking(KeyFunction.attribute("city")).build(store)
-        assert [b.key for b in blocks] == ["ny"]
-        assert set(blocks[0].ids) == {0, 1}
-
-    def test_empty_keys_are_unindexed(self):
-        store = ProfileStore.from_attribute_maps([{"a": "x"}, {"a": "x"}, {"b": "y"}])
-        blocks = StandardBlocking(KeyFunction.attribute("a")).build(store)
-        ids = {pid for b in blocks for pid in b.ids}
-        assert 2 not in ids
 
 
 class TestKeyedProfiles:

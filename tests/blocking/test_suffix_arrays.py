@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.blocking.suffix_arrays import SuffixArraysBlocking, forest_statistics
+from repro.blocking.suffix_arrays import SuffixArraysBlocking
 from repro.core.profiles import ERType, ProfileStore
 
 
@@ -36,10 +36,14 @@ class TestSuffixForest:
         assert order == ["ain", "oin", "in"]  # depth 3 before depth 2
 
     def test_layers_grouping(self):
+        """A node's layer is its suffix length: Figure 5 has two layers."""
         forest = SuffixArraysBlocking(min_length=2).build_forest(coin_store())
-        layers = forest.layers()
+        layers: dict[int, list[str]] = {}
+        for node in forest.leaves_first_order(ERType.DIRTY):
+            layers.setdefault(node.depth, []).append(node.suffix)
         assert sorted(layers) == [2, 3]
-        assert [n.suffix for n in layers[3]] == ["ain", "oin"]
+        assert sorted(layers[3]) == ["ain", "oin"]
+        assert layers[2] == ["in"]
 
     def test_max_block_size_cap(self):
         blocker = SuffixArraysBlocking(min_length=2, max_block_size=2)
@@ -47,16 +51,19 @@ class TestSuffixForest:
         assert "in" not in forest.nodes  # 4 profiles > cap
 
     def test_forest_statistics(self):
+        """Figure 5's forest: three nodes under one root, three layers deep,
+        and its blocks hold 1 + 1 + 6 comparisons."""
         forest = SuffixArraysBlocking(min_length=2).build_forest(coin_store())
-        stats = forest_statistics(forest, ERType.DIRTY)
-        assert stats["nodes"] == 3
-        assert stats["roots"] == 1
-        assert stats["max_depth"] == 3
-        assert stats["comparisons"] == 1 + 1 + 6
+        nodes = forest.leaves_first_order(ERType.DIRTY)
+        assert len(nodes) == len(forest.nodes) == 3
+        assert len(forest.roots) == 1
+        assert max(node.depth for node in nodes) == 3
+        assert [node.block.cardinality(ERType.DIRTY) for node in nodes] == [1, 1, 6]
 
     def test_empty_forest_statistics(self):
         forest = SuffixArraysBlocking(min_length=2).build_forest(ProfileStore([]))
-        assert forest_statistics(forest, ERType.DIRTY)["nodes"] == 0
+        assert forest.nodes == {}
+        assert forest.roots == []
 
 
 class TestSuffixArraysBlocking:

@@ -73,23 +73,19 @@ class TestChunkBuilders:
 
 class TestComparisonList:
     def test_remove_first_returns_highest_weight(self):
+        """``drain()`` hands the best comparison out first (it replaced
+        the one-at-a-time ``remove_first``)."""
         clist = ComparisonList()
         clist.add(Comparison(0, 1, 0.2))
         clist.add(Comparison(2, 3, 0.9))
         clist.add(Comparison(4, 5, 0.5))
-        assert clist.remove_first().pair == (2, 3)
-        assert clist.remove_first().pair == (4, 5)
-        assert clist.remove_first().pair == (0, 1)
-
-    def test_remove_first_on_empty_raises(self):
-        with pytest.raises(IndexError):
-            ComparisonList().remove_first()
+        assert [c.pair for c in clist.drain()] == [(2, 3), (4, 5), (0, 1)]
 
     def test_tie_break_is_deterministic(self):
         clist = ComparisonList()
         clist.add(Comparison(4, 5, 0.5))
         clist.add(Comparison(0, 1, 0.5))
-        assert clist.remove_first().pair == (0, 1)
+        assert [c.pair for c in clist.drain()] == [(0, 1), (4, 5)]
 
     def test_drain_empties_in_descending_order(self):
         clist = ComparisonList(
@@ -97,13 +93,13 @@ class TestComparisonList:
         )
         weights = [c.weight for c in clist.drain()]
         assert weights == [0.9, 0.5, 0.1]
-        assert clist.is_empty()
+        assert len(clist) == 0
 
     def test_add_after_sort_resorts(self):
         clist = ComparisonList([Comparison(0, 1, 0.5)])
-        assert clist.peek().weight == 0.5
+        assert [c.weight for c in clist] == [0.5]
         clist.add(Comparison(2, 3, 0.8))
-        assert clist.remove_first().weight == 0.8
+        assert [c.weight for c in clist.drain()] == [0.8, 0.5]
 
     def test_len_and_iter(self):
         clist = ComparisonList([Comparison(0, 1, 0.5), Comparison(1, 2, 0.6)])
@@ -111,10 +107,6 @@ class TestComparisonList:
         assert [c.weight for c in clist] == [0.6, 0.5]
         # Iteration does not consume.
         assert len(clist) == 2
-
-    def test_peek_on_empty_raises(self):
-        with pytest.raises(IndexError):
-            ComparisonList().peek()
 
 
 class TestSortedStack:

@@ -13,6 +13,8 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro.errors import ConfigError  # noqa: E402
+from repro.neighborlist.rcf import NeighborWeighting  # noqa: E402
 from repro.pipeline import ERPipeline, resolve  # noqa: E402
 from repro.registry import progressive_methods  # noqa: E402
 
@@ -42,6 +44,23 @@ def assert_streams_match(a, b):
     np.testing.assert_allclose(
         [c.weight for c in a], [c.weight for c in b], rtol=1e-12, atol=0.0
     )
+
+
+class CountedRCF(NeighborWeighting):
+    """RCF through ``index.appearance_count``, not a subclass of the
+    stock schemes: the numpy core applies it pair by pair."""
+
+    name = "counted-RCF"
+
+    def __init__(self) -> None:
+        self.indexes: set[str] = set()
+
+    def weight(self, frequency, i, j, index):
+        self.indexes.add(type(index).__name__)
+        appearances = index.appearance_count(i) + index.appearance_count(j)
+        if appearances <= frequency:
+            return float(frequency)
+        return frequency / (appearances - frequency)
 
 
 class TestEqualityMethodParity:
@@ -101,31 +120,42 @@ class TestEqualityMethodParity:
         assert_streams_match(*both_streams("PPS", dirty_dataset.store, k_max=3))
 
     def test_pps_profile_comparisons_tracks_set_mutation(self, dirty_dataset):
-        """Direct profile_comparisons calls must honor arbitrary in-place
-        mutations of the checked set, including same-size swaps
-        (regression: the numpy mask used to cache on set identity+size)."""
-        methods = {
-            backend: build("PPS", dirty_dataset.store, backend=backend)
-            for backend in ("python", "numpy")
-        }
-        for method in methods.values():
-            method.initialize()
-        pid = methods["python"].sorted_profile_list[0][0]
+        """The reference step honors arbitrary in-place mutations of the
+        checked set, including same-size swaps: a mutated set answers as
+        a fresh set of the same members does (the array twin that cached
+        on set identity and size is gone; the step is python only)."""
+        method = build("PPS", dirty_dataset.store, backend="python")
+        method.initialize()
+        pid = method.sorted_profile_list[0][0]
         neighbors = [
-            c.j if c.i == pid else c.i
-            for c in methods["python"].profile_comparisons(pid, {pid})
+            c.j if c.i == pid else c.i for c in method.profile_comparisons(pid, {pid})
         ]
         assert len(neighbors) >= 2
         checked = {pid, neighbors[0]}
-        for method in methods.values():
-            method.profile_comparisons(pid, checked)
+        before = method.profile_comparisons(pid, checked)
+        assert neighbors[0] not in {c.i for c in before} | {c.j for c in before}
         # Same object, same size, different membership.
         checked.discard(neighbors[0])
         checked.add(neighbors[1])
-        assert_streams_match(
-            methods["python"].profile_comparisons(pid, checked),
-            methods["numpy"].profile_comparisons(pid, checked),
-        )
+        after = method.profile_comparisons(pid, checked)
+        assert after == method.profile_comparisons(pid, set(checked))
+        assert neighbors[0] in {c.i for c in after} | {c.j for c in after}
+        assert neighbors[1] not in {c.i for c in after} | {c.j for c in after}
+
+    @pytest.mark.parametrize(
+        "name,step,arguments",
+        [("PPS", "profile_comparisons", (0, {0})), ("PBS", "block_comparisons", (0,))],
+    )
+    def test_the_reference_steps_refuse_an_array_backend(
+        self, dirty_dataset, name, step, arguments
+    ):
+        """One step of the reference emission has no array twin: the
+        array stream is ``chunks()``, so the step names the backend that
+        runs it."""
+        method = build(name, dirty_dataset.store, backend="numpy")
+        method.initialize()
+        with pytest.raises(ConfigError, match='backend="python"'):
+            getattr(method, step)(*arguments)
 
     def test_standalone_ejs_scheme_via_backend_seam(self, dirty_dataset):
         """An EJS graph must weigh a pair before any of its rows exist
@@ -189,7 +219,6 @@ class TestSimilarityMethodParity:
     def test_custom_weighting_instance_falls_back(self, clean_clean_store):
         """A user-supplied NeighborWeighting still works on the engine
         (vectorized counting, per-pair weighting)."""
-        from repro.neighborlist.rcf import NeighborWeighting
 
         class Halved(NeighborWeighting):
             name = "halved"
@@ -204,6 +233,29 @@ class TestSimilarityMethodParity:
             "GS-PSN", clean_clean_store, backend="numpy", weighting=Halved()
         )
         assert_streams_match(list(iter(python_m)), list(iter(numpy_m)))
+
+    @pytest.mark.parametrize("name", ["LS-PSN", "GS-PSN"])
+    def test_custom_weighting_reads_the_core_appearance_count(
+        self, clean_clean_store, name
+    ):
+        """A custom weighting's index on the engine is the PSN core,
+        whose ``appearance_count(i)`` is ``PositionIndex``'s
+        (docs/migration.md, second round), so RCF recomputed from it
+        streams alike on both backends."""
+        streams, indexes = [], set()
+        for backend in ("python", "numpy"):
+            weighting = CountedRCF()
+            method = build(
+                name,
+                clean_clean_store,
+                backend=backend,
+                weighting=weighting,
+                max_window=6,
+            )
+            streams.append(list(method))
+            indexes |= weighting.indexes
+        assert streams[0] and indexes == {"PositionIndex", "ArrayPSNCore"}
+        assert_streams_match(*streams)
 
 
 class TestPipelineBackendParity:

@@ -6,13 +6,16 @@ reference path decides both with per-pair list merges.  Hypothesis
 builds small stores over a six-token alphabet - so that profiles share
 many, few and no blocks, blocks of one profile or of one source exist,
 and a failing case shrinks to something readable - and the two must
-agree bit for bit, block by block, in emission order, under all five
+agree bit for bit - the core's whole stream against the reference's
+blocks drained one after another, in emission order - under all five
 weighting schemes; and the kernel over *any* cut of the block axis must
 concatenate to the kernel over the whole axis, which is what lets PBS
 stream it a range at a time.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import pytest
 
@@ -80,17 +83,18 @@ def test_kernel_equals_the_reference_block_by_block(scheduled):
     for graph in graphs:
         name = graph.scheme.name
         scheme = make_scheme(name, reference_index)
-        core = ArrayPBSCore(index, graph)
+        expected: list[Comparison] = []
         for block in scheduled:
-            expected = ComparisonList(
-                Comparison(c.i, c.j, scheme.weight(c.i, c.j))
-                for c in block.comparisons(er_type)
-                if reference_index.is_first_encounter(c.i, c.j, block.block_id)
+            expected.extend(
+                ComparisonList(
+                    Comparison(c.i, c.j, scheme.weight(c.i, c.j))
+                    for c in block.comparisons(er_type)
+                    if reference_index.is_first_encounter(c.i, c.j, block.block_id)
+                ).drain()
             )
-            # Comparison is a tuple: == on it is exact, floats included.
-            assert core.block_comparisons(block.block_id) == list(
-                expected.drain()
-            ), (name, block.block_id)
+        stream = itertools.chain.from_iterable(ArrayPBSCore(index, graph).chunks())
+        # Comparison is a tuple: == on it is exact, floats included.
+        assert list(stream) == expected, name
 
 
 @given(scheduled_blocks(), st.data())

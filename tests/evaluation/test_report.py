@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.evaluation.report import format_curve, format_table, sparkline
+from repro.evaluation.report import format_table, sparkline
 
 
 class TestFormatTable:
@@ -22,12 +22,6 @@ class TestFormatTable:
         table = format_table(["m"], [["a-very-long-value"]])
         header, sep, row = table.splitlines()
         assert len(sep) == len(row.rstrip()) == len("a-very-long-value")
-
-
-class TestFormatCurve:
-    def test_series_rendering(self):
-        text = format_curve("PPS", [(1, 0.5), (2, 0.75)])
-        assert text == "PPS: (1, 0.500) (2, 0.750)"
 
 
 class TestSparkline:

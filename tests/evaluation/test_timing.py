@@ -2,20 +2,10 @@
 
 from __future__ import annotations
 
-import math
-
-from repro.evaluation.timing import TimedRun, measure_initialization, timed_run
+from repro.evaluation.timing import timed_run
 from repro.matching.match_functions import JaccardMatcher, OracleMatcher
 from repro.progressive.pps import PPS
 from repro.progressive.sa_psn import SAPSN
-
-
-class TestMeasureInitialization:
-    def test_returns_positive_seconds(self, paper_profiles):
-        method = SAPSN(paper_profiles)
-        seconds = measure_initialization(method)
-        assert seconds > 0
-        assert method._initialized
 
 
 class TestTimedRun:
@@ -73,20 +63,4 @@ class TestTimedRun:
             checkpoint_every=50,
         )
         assert 0 < run.matches_found < run.total_matches
-        assert run.recall_at_time(math.inf) == run.matches_found / run.total_matches
-
-
-class TestRecallAtTime:
-    def test_lookup(self):
-        run = TimedRun(
-            method="m",
-            initialization_seconds=0.1,
-            comparison_seconds=0.001,
-            emitted=10,
-            matches_found=2,
-            total_matches=2,
-            recall_timeline=[(0.5, 0.5), (1.0, 1.0)],
-        )
-        assert run.recall_at_time(0.4) == 0.0
-        assert run.recall_at_time(0.7) == 0.5
-        assert run.recall_at_time(2.0) == 1.0
+        assert run.recall_timeline[-1][1] == run.matches_found / run.total_matches

@@ -10,7 +10,8 @@ from repro.blocking.base import Block, BlockCollection
 from repro.blocking.scheduling import block_scheduling
 from repro.core.profiles import ProfileStore
 from repro.metablocking.profile_index import ProfileIndex
-from repro.metablocking.weights import available_schemes, make_scheme
+from repro.metablocking.weights import make_scheme
+from repro.registry import weighting_schemes
 
 
 @pytest.fixture()
@@ -79,7 +80,7 @@ class TestEJS:
 
 class TestSchemeRegistry:
     def test_available(self):
-        assert available_schemes() == ["ARCS", "CBS", "ECBS", "EJS", "JS"]
+        assert weighting_schemes.names() == ["ARCS", "CBS", "ECBS", "EJS", "JS"]
 
     def test_case_insensitive(self, index):
         assert make_scheme("arcs", index).name == "ARCS"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.core.profiles import ProfileStore
@@ -64,6 +66,14 @@ class TestSchemaAgnostic:
 
 class TestRuns:
     def test_runs_group_equal_keys(self):
-        nl = NeighborList([0, 1, 2, 3], ["k1", "k1", "k2", "k3"])
-        runs = nl.runs()
+        """Sorting the keys puts every run of equal keys in one stretch."""
+        nl = NeighborList.from_key_pairs(
+            [("k2", 2), ("k1", 0), ("k3", 3), ("k1", 1)], tie_order="insertion"
+        )
+        runs = [
+            (key, [pid for _, pid in group])
+            for key, group in itertools.groupby(
+                zip(nl.keys, nl.entries), key=lambda pair: pair[0]
+            )
+        ]
         assert runs == [("k1", [0, 1]), ("k2", [2]), ("k3", [3])]

@@ -192,7 +192,7 @@ class TestZeroBudgets:
 
 #: (what the live session refuses, the builder call that configures it)
 BATCH_ONLY = {
-    "no incremental counterpart": lambda p: p.blocking("standard"),
+    "no incremental counterpart": lambda p: p.blocking("suffix"),
     "batch sessions": lambda p: p.method("SA-PSN"),
     "do not support Meta-blocking": lambda p: p.meta(pruning="WEP"),
 }

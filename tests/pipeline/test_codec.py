@@ -86,7 +86,7 @@ def spec_dicts(draw):
     spec = {}
     if live is None:
         spec["blocking"] = {
-            "scheme": draw(st.sampled_from(["token", "standard", "suffix"])),
+            "scheme": draw(st.sampled_from(["token", "suffix"])),
             "purge_ratio": draw(ratios),
             "filter_ratio": draw(ratios),
             "params": draw(params),
@@ -290,7 +290,7 @@ calls = st.one_of(
         st.just("blocking"),
         st.fixed_dictionaries(
             {
-                "scheme": st.sampled_from(["token", "standard"]),
+                "scheme": st.sampled_from(["token", "suffix"]),
                 "purge": st.sampled_from([True, None, 0.3]),
                 "filter_ratio": st.sampled_from([0.8, False]),
             }

@@ -21,6 +21,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown blocking scheme"):
             BlockingConfig(scheme="nope")
 
+    @pytest.mark.parametrize("spelling", ["standard", "standard-blocking", "key"])
+    def test_schema_based_standard_blocking_is_not_a_scheme(self, spelling):
+        """The methods are schema-agnostic: the key-based scheme and its
+        spellings are refused with the schemes there are."""
+        with pytest.raises(
+            ValueError, match=r"unknown blocking scheme .*\['suffix', 'token'\]"
+        ):
+            BlockingConfig(scheme=spelling)
+
     def test_bad_ratios(self):
         with pytest.raises(ValueError, match="purge_ratio"):
             BlockingConfig(purge_ratio=1.5)

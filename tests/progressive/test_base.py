@@ -6,10 +6,7 @@ import pytest
 
 from repro.core.comparisons import Comparison
 from repro.core.profiles import ProfileStore
-from repro.progressive.base import (
-    ProgressiveMethod,
-    available_methods,
-)
+from repro.progressive.base import ProgressiveMethod
 from repro.registry import progressive_methods
 
 
@@ -63,7 +60,7 @@ class TestProtocol:
 class TestRegistry:
     def test_all_paper_methods_registered(self):
         expected = {"PSN", "SA-PSN", "SA-PSAB", "LS-PSN", "GS-PSN", "PBS", "PPS"}
-        assert expected <= set(available_methods())
+        assert expected <= set(progressive_methods.names())
 
     def test_build_by_acronym_with_dash(self, store):
         method = progressive_methods.build("sa-psn", store)

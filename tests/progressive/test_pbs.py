@@ -6,6 +6,7 @@ import pytest
 
 from repro.blocking.token_blocking import TokenBlocking
 from repro.core.profiles import ProfileStore
+from repro.errors import ConfigError
 from repro.progressive.pbs import PBS
 
 
@@ -49,9 +50,11 @@ class TestPBS:
     def test_block_id_outside_the_schedule_raises(
         self, paper_profiles, backend, block_id
     ):
-        """Both backends refuse the same ids with the same message (the
-        python path used to wrap -1 around to the last block, the numpy
-        path to return an empty list)."""
+        """No backend answers an id outside the schedule.  The python
+        step refuses it with its bounds (it used to wrap -1 around to the
+        last block); an array backend, whose stream is ``chunks()``,
+        refuses the step itself, for every id (it used to return an
+        empty list)."""
         if backend == "numpy":
             pytest.importorskip("numpy")
         blocks = TokenBlocking().build(paper_profiles)
@@ -59,6 +62,11 @@ class TestPBS:
         method.initialize()
         count = method.profile_index.block_count()
         assert count == len(blocks) > 0
+        if backend == "numpy":
+            for block_id_ in (block_id(count), count - 1):
+                with pytest.raises(ConfigError, match='backend="python"'):
+                    method.block_comparisons(block_id_)
+            return
         with pytest.raises(IndexError, match=rf"0 <= id < {count}\b"):
             method.block_comparisons(block_id(count))
         assert len(method.block_comparisons(count - 1)) > 0

@@ -59,7 +59,7 @@ def test_service_config_from_dict_rejects_unknown_keys():
 
 def test_serve_refuses_batch_only_stages_at_config_time():
     with pytest.raises(ConfigError, match="blocking"):
-        ERPipeline().blocking("standard").serve()
+        ERPipeline().blocking("suffix").serve()
     with pytest.raises(ConfigError, match="ONLINE"):
         ERPipeline().method("SA-PSN").serve()
     with pytest.raises(ConfigError, match="pruning"):

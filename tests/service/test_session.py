@@ -10,6 +10,7 @@ import pytest
 from repro.errors import BudgetExceeded, ConfigError, SessionClosed
 from repro.service import ServiceApp
 from repro.service.session import SessionManager, _percentile
+from repro.service.snapshot import read_manifest
 
 from .conftest import PROBE, RECORDS, service_pipeline
 
@@ -103,6 +104,16 @@ def test_restore_round_trip(tmp_path):
         manager.delete("s")
         restored = manager.restore("s")
         assert [c.pair for c in restored.resolver.stream()] == live
+
+
+def test_a_snapshot_answer_leaves_the_matches_in_the_file(tmp_path):
+    with SessionManager(service_pipeline().match()) as manager:
+        session = manager.create("s", RECORDS)
+        run(session.ingest([RECORDS[0], RECORDS[3]]))
+        answer = run(session.snapshot(str(tmp_path / "s")))
+        assert "matches" not in answer
+        assert answer["decided"] == session.resolver._decided > 0
+        assert len(read_manifest(answer["path"])["matches"]) == 3
 
 
 def test_restore_without_snapshot_dir_needs_a_path(pipeline):

@@ -143,6 +143,32 @@ def test_a_restored_session_keeps_its_matches(tmp_path):
     assert restored.clusters() == [[0, 1, 6], [3, 7], [5, 8]]
 
 
+def test_a_live_reset_keeps_what_the_session_decided(tmp_path):
+    """``reset()`` restarts the stream, not the ingests' decisions: the
+    reset session reads as the same session saved and loaded."""
+    session = decided_session()
+    restored = IncrementalResolver.load(session.save(str(tmp_path / "s")))
+    session.reset()
+    assert session.matches == restored.matches == {(0, 6), (1, 6), (3, 7)}
+    assert session.clusters() == restored.clusters() == [[0, 1, 6], [3, 7]]
+    assert (
+        session.progress().matches_confirmed
+        == restored.progress().matches_confirmed
+        == 3
+    )
+    assert session._decided == restored._decided
+
+
+def test_the_manifest_is_one_line_whatever_the_matches(tmp_path):
+    lines = {}
+    for name, session in (("none", fitted("python")), ("three", decided_session())):
+        path = session.save(str(tmp_path / name))
+        with open(os.path.join(path, MANIFEST)) as handle:
+            lines[name] = handle.read().count("\n")
+        assert len(read_manifest(path)["matches"]) == len(session.matches)
+    assert lines == {"none": 1, "three": 1}
+
+
 def test_a_format_3_snapshot_restores_its_matches():
     """``fixtures/session-3-matches`` is ``decided_session()`` saved in
     format 3: it restores the saved decisions and the saved stream."""

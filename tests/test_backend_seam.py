@@ -22,7 +22,6 @@ SEAM = (
     "pps_core",
     "pbs_core",
     "psn_core",
-    "ranked_edges",
     "pruned_edges",
 )
 
@@ -34,7 +33,7 @@ def _parameters(function) -> list[tuple[str, object]]:
     ]
 
 
-def test_base_declares_exactly_the_eight_seam_methods():
+def test_base_declares_exactly_the_seven_seam_methods():
     declared = {
         name
         for name, value in vars(Backend).items()

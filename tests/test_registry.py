@@ -5,15 +5,24 @@ from __future__ import annotations
 import pytest
 
 from repro.registry import (
-    _REGISTRIES,
     ComponentRegistry,
+    backends,
     blocking_schemes,
-    get_registry,
     matchers,
     normalize,
     progressive_methods,
+    pruning_algorithms,
     weighting_schemes,
 )
+
+STOCK = {
+    "backend": backends,
+    "blocking": blocking_schemes,
+    "matcher": matchers,
+    "method": progressive_methods,
+    "pruning": pruning_algorithms,
+    "weighting": weighting_schemes,
+}
 
 
 class TestNormalize:
@@ -78,7 +87,10 @@ class TestComponentRegistry:
         assert len(registry) == 0
 
     def test_describe_contains_signature(self, registry):
-        assert "size" in registry.describe()["My-Widget"]
+        """A registration describes its factory's constructor signature
+        (``entry(name).signature()`` replaced ``describe()``)."""
+        assert registry.names() == ["My-Widget"]
+        assert "size" in registry.entry("mw").signature()
 
     def test_bare_decorator_form(self):
         registry = ComponentRegistry("thing")
@@ -111,7 +123,7 @@ class TestStockRegistries:
         assert weighting_schemes.names() == ["ARCS", "CBS", "ECBS", "EJS", "JS"]
 
     def test_blocking_schemes_present(self):
-        assert {"standard", "suffix", "token"} <= set(blocking_schemes.names())
+        assert blocking_schemes.names() == ["suffix", "token"]
 
     def test_matchers_present_with_paper_aliases(self):
         assert matchers.canonical("JS") == "jaccard"
@@ -119,8 +131,6 @@ class TestStockRegistries:
         assert "oracle" in matchers
 
     def test_pruning_algorithms_present(self):
-        from repro.registry import pruning_algorithms
-
         assert pruning_algorithms.names() == [
             "CEP",
             "CNP",
@@ -136,20 +146,10 @@ class TestStockRegistries:
 
     def test_every_backend_builds_the_seam_base_class(self):
         from repro.engine import Backend
-        from repro.registry import backends
 
         assert {"python", "numpy", "numpy-parallel"} <= set(backends.names())
         for name in backends.names():
             assert isinstance(backends.build(name), Backend), name
-
-    def test_get_registry(self):
-        assert get_registry("method") is progressive_methods
-        assert get_registry("weighting") is weighting_schemes
-        from repro.registry import pruning_algorithms
-
-        assert get_registry("pruning") is pruning_algorithms
-        with pytest.raises(ValueError, match="unknown registry kind"):
-            get_registry("nope")
 
     def test_user_extension_round_trip(self):
         from repro.matching.match_functions import JaccardMatcher
@@ -188,9 +188,9 @@ def registration_drift(registry: ComponentRegistry) -> list[str]:
     return drift
 
 
-@pytest.mark.parametrize("kind", sorted(_REGISTRIES))
+@pytest.mark.parametrize("kind", sorted(STOCK))
 def test_registration_records_match_their_factories(kind):
-    assert registration_drift(_REGISTRIES[kind]) == []
+    assert registration_drift(STOCK[kind]) == []
 
 
 def test_registration_drift_is_caught():
