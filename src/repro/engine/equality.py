@@ -194,7 +194,9 @@ class ArrayPPSCore:
         The ranges :func:`pps_schedule` runs over, and who runs them.
     """
 
-    __slots__ = ("index", "graph", "k_max", "fanout", "_schedule", "_top")
+    __slots__ = (
+        "index", "graph", "k_max", "fanout", "_schedule", "_likelihoods", "_top"
+    )
 
     #: Graph-row entries per range of the Sorted Profile List, ranked
     #: when a pull reaches it: a budget that ends early never ranks the
@@ -218,15 +220,17 @@ class ArrayPPSCore:
             aggregate = int(self.index.block_cardinalities.sum())
             k_max = max(10, min(50, round(2 * aggregate / population)))
         self.k_max = k_max
-        #: The Sorted Profile List's ids; the initial Comparison List (top
-        #: comparisons) as ranked ``(i, j, weight)``, ``None`` once emitted.
+        #: The Sorted Profile List's ids and likelihoods; the initial
+        #: Comparison List (top comparisons) as ranked ``(i, j, weight)``,
+        #: ``None`` once emitted.
         self._schedule = np.empty(0, dtype=np.int64)
+        self._likelihoods = np.empty(0, dtype=np.float64)
         self._top: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # -- initialization phase (Algorithm 5) ----------------------------------
 
-    def init_lists(self) -> list[tuple[int, float]]:
-        """Build both initial lists; return the Sorted Profile List.
+    def init_lists(self) -> None:
+        """Build both initial lists, the Sorted Profile List as arrays.
 
         Per profile: duplication likelihood = mean finalized edge weight
         (summed in first-encounter order, matching the reference dict
@@ -240,22 +244,15 @@ class ArrayPPSCore:
         row_lengths = np.diff(graph.indptr)
         present = np.nonzero(row_lengths)[0]
         if present.size == 0:
-            return []
+            return
         owners = np.repeat(np.arange(n, dtype=np.int64), row_lengths)
 
-        # Likelihoods: reorder each row into encounter order, then one
-        # bincount accumulates every row left-to-right (bit-identical to
-        # the reference's dict-iteration sum).  The first-event indexes
-        # are distinct and owner-major, so scattering each entry to its
-        # index and reading the slots in order is that order.
-        first_events = np.asarray(graph.first_event_index)
-        slot = np.full(int(first_events.max()) + 1, -1, dtype=np.int64)
-        slot[first_events] = np.arange(first_events.size, dtype=np.int64)
-        encounter = slot[slot >= 0]
-        del slot
-        sums = np.bincount(
-            owners[encounter], weights=graph.weights[encounter], minlength=n
-        )
+        # Likelihoods: read each row in encounter order, then one bincount
+        # accumulates every row left-to-right (bit-identical to the
+        # reference's dict-iteration sum).  The encounter order permutes
+        # entries inside their own rows only, so their owners stay put.
+        encounter = np.asarray(graph.encounter)
+        sums = np.bincount(owners, weights=graph.weights[encounter], minlength=n)
         likelihoods = sums[present] / row_lengths[present]
 
         # Best comparison per profile: row maxima via one reduceat, then
@@ -268,6 +265,7 @@ class ArrayPPSCore:
         is_tie = graph.weights == dense_max[owners]
         ties = encounter[is_tie[encounter]]
         best = ties[run_heads(owners[ties])]  # one entry per present profile, ascending
+        del owners, encounter, is_tie, ties  # nothing E-sized outlives the passes
         best_neighbors = graph.neighbors[best]
         best_weights = graph.weights[best]
         pair_i = np.minimum(present, best_neighbors)
@@ -275,6 +273,7 @@ class ArrayPPSCore:
 
         by_likelihood = np.lexsort((present, -likelihoods))
         self._schedule = present[by_likelihood]
+        self._likelihoods = likelihoods[by_likelihood]
 
         # Two profiles can name the same best pair (with last-ulp
         # different weights under ECBS/EJS): keep its highest weight.
@@ -282,7 +281,11 @@ class ArrayPPSCore:
         by_pair = np.lexsort((-best_weights, keys))
         kept = by_pair[run_heads(keys[by_pair])]
         self._top = rank_pairs(pair_i[kept], pair_j[kept], best_weights[kept])
-        return list(zip(self._schedule.tolist(), likelihoods[by_likelihood].tolist()))
+
+    def sorted_profile_list(self) -> list[tuple[int, float]]:
+        """``(profile id, duplication likelihood)`` in schedule order,
+        built from the two arrays :meth:`init_lists` keeps."""
+        return list(zip(self._schedule.tolist(), self._likelihoods.tolist()))
 
     # -- emission phase (Algorithm 6) ----------------------------------------
 

@@ -12,12 +12,14 @@ the one-range case.
 
 A :class:`Fanout` decides the rest - *which* ranges and *who* runs
 them.  This one is the engine's own: one inline range, or - when the
-caller names a ``budget`` because its outputs spill to disk, or because
+caller names a ``budget`` because its outputs spill to disk, because
 the ranges are a progressive schedule (PBS's blocks, PPS's Sorted
-Profile List) - inline mass cuts of about that size, consumed one at a
-time so resident memory stays bounded and no range is computed before
-it is asked for.  :mod:`repro.parallel` supplies the other:
-mass-balanced ranges over a worker pool.
+Profile List), or because a pass's transients must stay bounded (the
+Blocking Graph's rows, ``EVENT_BUDGET`` events a range) - inline mass
+cuts of about that size, consumed one at a time so resident memory
+stays bounded and no range is computed before it is asked for.
+:mod:`repro.parallel` supplies the other: mass-balanced ranges over a
+worker pool.
 
 Ranking scored pairs is deliberately *not* a pass here
 (:func:`repro.engine.topk.rank_pairs` is one stable sort in the caller):

@@ -160,7 +160,8 @@ class ChunkList:
     """The in-RAM twin of :class:`SpillWriter`: chunks, concatenated.
 
     A stream of one chunk finishes into that chunk itself - the
-    whole-axis pass pays no concatenation copy.
+    whole-axis pass pays no concatenation copy - and a longer one lets
+    go of its chunks, so they do not outlive the concatenation.
     """
 
     def __init__(self, dtype: Any) -> None:
@@ -171,11 +172,12 @@ class ChunkList:
         self._chunks.append(np.asarray(chunk, dtype=self.dtype))
 
     def finish(self) -> np.ndarray:
-        if not self._chunks:
+        chunks, self._chunks = self._chunks, []
+        if not chunks:
             return np.empty(0, dtype=self.dtype)
-        if len(self._chunks) == 1:
-            return self._chunks[0]
-        return np.concatenate(self._chunks)
+        if len(chunks) == 1:
+            return chunks[0]
+        return np.concatenate(chunks)
 
 
 def collector(storage: ArrayStore | None, dtype: Any) -> "SpillWriter | ChunkList":

@@ -225,9 +225,10 @@ def graph_rows(payload: dict[str, Any], shard: tuple[int, int]) -> dict[str, Any
     global event stream, an edge's owner lives in exactly one range, and
     ``np.bincount`` over the grouped ranks accumulates each edge's
     contributions in exactly the reference dict order (bit-identical
-    sums).  ``first`` holds first-encounter positions local to the
-    range's valid-event stream; the assembly offsets them by the
-    preceding ranges' ``valid_count`` to recover the global indexes.
+    sums).  ``encounter`` lists the range's edges (positions in its
+    rows) in the order the event stream first meets them - each row's
+    dict-insertion order; the assembly offsets it by the preceding
+    ranges' edge count.
     """
     lo, hi = shard
     n = payload["n"]
@@ -263,12 +264,13 @@ def graph_rows(payload: dict[str, Any], shard: tuple[int, int]) -> dict[str, Any
     unique_keys = sorted_keys[heads]
     ranks = np.empty(keys.size, dtype=np.int64)
     ranks[order] = np.cumsum(heads) - 1
+    is_first = np.zeros(keys.size, dtype=bool)
+    is_first[order[heads]] = True
     return {
         "row_lengths": np.bincount(unique_keys // n, minlength=hi)[lo:],
         "neighbors": unique_keys % n,
         "raw": np.bincount(ranks, weights=contribution, minlength=unique_keys.size),
-        "first": order[heads],
-        "valid_count": int(owners.size),
+        "encounter": ranks[is_first],
     }
 
 
@@ -325,12 +327,13 @@ class ArrayBlockingGraph:
 
     ``indptr``/``neighbors`` give each profile's valid co-occurring
     neighbors ascending; ``raw``/``weights`` the accumulated and
-    finalized edge weights; ``first_event_index`` the global event-stream
-    index at which each edge was *first encountered*.  Events stream
-    owner-major with blocks ascending - the dict-insertion order the
-    reference implementation iterates - so sorting a profile's edges by
-    ``first_event_index`` replays that order, which PPS's likelihood
-    sums and tie-breaks rely on.
+    finalized edge weights; ``encounter`` every edge's position in the
+    rows, in the order the event stream *first meets* the edges.
+    Events stream owner-major with blocks ascending - the dict-insertion
+    order the reference implementation iterates - so ``encounter`` only
+    permutes entries inside their own rows, and reading a row through it
+    replays that order, which PPS's likelihood sums and tie-breaks rely
+    on.
 
     Construction only records what the rows are built from.  The rows
     are a cache filled by the first read of any of those attributes
@@ -356,13 +359,14 @@ class ArrayBlockingGraph:
         "neighbors",
         "raw",
         "weights",
-        "first_event_index",
+        "encounter",
     )
 
-    #: Co-occurrence events expanded per range when the rows spill to
-    #: disk; caps the transient expansion arrays at a few tens of MB
-    #: regardless of n.
-    EVENT_BUDGET = 1 << 21
+    #: Co-occurrence events expanded per owner range of the rows, in RAM
+    #: and on disk alike: caps a range's transient expansion arrays at a
+    #: few tens of MB regardless of n (the rows themselves are the only
+    #: thing that grows with |E|).
+    EVENT_BUDGET = 1 << 18
 
     #: Slots of the membership pre-filter per profile -> block incidence
     #: (rounded up to a power of two in total): at most one missed probe
@@ -401,7 +405,7 @@ class ArrayBlockingGraph:
         # row attribute builds the rows.
         if name == "weights":
             self._finalize_rows()
-        elif name in ("indptr", "neighbors", "raw", "first_event_index"):
+        elif name in ("indptr", "neighbors", "raw", "encounter"):
             self._build_rows()
         else:
             raise AttributeError(name)
@@ -459,37 +463,34 @@ class ArrayBlockingGraph:
     def _build_rows(self) -> None:
         """Assemble the raw rows from :func:`graph_rows` over owner ranges.
 
-        In RAM the fan-out's ranges are balanced on incidence counts
-        (the inline fan-out returns the whole axis); with storage they
-        are cut by event mass - sized so one range's expansion stays a
-        few tens of MB - and each range's rows spill before the next is
-        built.  Finalization needs the *whole* graph (EJS degrees) and
-        runs afterwards, elementwise over the assembled rows.
+        The inline fan-out cuts the owner axis by event mass, so one
+        range's expansion stays under ``EVENT_BUDGET`` events (a few
+        tens of MB) in RAM and on disk alike; a pooled one balances the
+        same masses over its shards.  Each range's rows are collected -
+        or spilled - before the next is built.  Finalization needs the
+        *whole* graph (EJS degrees) and runs afterwards, elementwise over
+        the assembled rows.
         """
-        index = self.index
+        n = self.index.n_profiles
         fanout = self.fanout
-        n = index.n_profiles
-        if self.storage is None:
-            ranges = fanout.ranges(n, np.diff(index.pb_indptr))
-        else:
-            ranges = fanout.ranges(n, self._owner_event_mass(), self.EVENT_BUDGET)
+        ranges = fanout.ranges(n, self._owner_event_mass(), self.EVENT_BUDGET)
         neighbors = collector(self.storage, np.int64)
         raw = collector(self.storage, np.float64)
-        first = collector(self.storage, np.int64)
+        encounter = collector(self.storage, np.int64)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        offset = 0
+        edges = 0
         rows = fanout.run(graph_rows, self.payload, ranges)
         for (lo, hi), result in zip(ranges, rows):
             indptr[lo + 1 : hi + 1] = result["row_lengths"]
             neighbors.append(result["neighbors"])
             raw.append(result["raw"])
-            first.append(result["first"] + offset if offset else result["first"])
-            offset += result["valid_count"]
+            encounter.append(result["encounter"] + edges)
+            edges += result["neighbors"].size
         np.cumsum(indptr, out=indptr)
         self.indptr = indptr
         self.neighbors = neighbors.finish()
         self.raw = raw.finish()
-        self.first_event_index = first.finish()
+        self.encounter = encounter.finish()
 
     def _finalize_rows(self) -> None:
         """Elementwise normalization of the raw rows, owner range by

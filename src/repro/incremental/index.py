@@ -368,10 +368,6 @@ class IncrementalTokenIndex:
         collection.assign_block_ids()
         return collection
 
-    def __len__(self) -> int:
-        """Number of distinct tokens seen (qualifying or not)."""
-        return len(self.postings)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"IncrementalTokenIndex({len(self.postings)} tokens, "

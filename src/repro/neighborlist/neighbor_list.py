@@ -44,9 +44,6 @@ class NeighborList:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __getitem__(self, position: int) -> int:
-        return self.entries[position]
-
     # -- constructors ------------------------------------------------------
 
     @classmethod

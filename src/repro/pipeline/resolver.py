@@ -419,10 +419,6 @@ class Resolver:
 
     # -- lifecycle -----------------------------------------------------------
 
-    @property
-    def initialized(self) -> bool:
-        return self.method is not None and self.method._initialized
-
     def initialize(self) -> "Resolver":
         """Build blocks, method and cascade; run the method's
         initialization phase (idempotent)."""
@@ -853,7 +849,8 @@ class Resolver:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "initialized" if self.initialized else "fresh"
+        initialized = self.method is not None and self.method._initialized
+        state = "initialized" if initialized else "fresh"
         return (
             f"Resolver({self.config.method.name}, {state}, "
             f"|P|={len(self.store)}, emitted={self._emitted})"

@@ -123,9 +123,18 @@ class PPS(ProgressiveMethod):
         self.exhaustive = exhaustive
         self.profile_index: ProfileIndex | None = None
         self.scheme: WeightingScheme | None = None
-        self.sorted_profile_list: list[tuple[int, float]] = []
+        self._profile_list: list[tuple[int, float]] = []
         self._initial_comparisons: ComparisonList | None = None
         self._core: "ArrayPPSCore | None" = None
+
+    @property
+    def sorted_profile_list(self) -> list[tuple[int, float]]:
+        """The Sorted Profile List: ``(profile id, duplication
+        likelihood)``, best first.  On an array backend it is built on
+        read from the core's two arrays, so no resolve builds it."""
+        if self._core is None:
+            return self._profile_list
+        return self._core.sorted_profile_list()
 
     # -- shared neighborhood scan ---------------------------------------------
 
@@ -207,7 +216,7 @@ class PPS(ProgressiveMethod):
 
         # Highest duplication likelihood first; ties by id for determinism.
         profile_list.sort(key=lambda item: (-item[1], item[0]))
-        self.sorted_profile_list = profile_list
+        self._profile_list = profile_list
 
         initial = ComparisonList()
         initial.extend(
@@ -233,7 +242,7 @@ class PPS(ProgressiveMethod):
         # ``weight`` stays) take the reference structures' slots.
         self.profile_index = core.index  # type: ignore[assignment]
         self.scheme = core.graph  # type: ignore[assignment]
-        self.sorted_profile_list = core.init_lists()
+        core.init_lists()
 
     # -- emission phase (Algorithm 6) ---------------------------------------------
 

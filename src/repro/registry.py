@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 
 def normalize(name: str) -> str:
@@ -217,9 +217,6 @@ class ComponentRegistry:
         except ValueError:
             return False
         return True
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names())
 
     def __len__(self) -> int:
         self._ensure_loaded()

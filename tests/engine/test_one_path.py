@@ -9,10 +9,12 @@ calls the very same kernels, in the same sequence, with four ranges
 that partition it - and both emit the same stream; every kernel a pool
 can be sent pickles by reference, as a worker unpickles it.  (Ranking
 scored pairs is not such a pass: it is one stable sort in the caller on
-every backend.)  The two exceptions are PBS's block axis and PPS's Sorted
-Profile List, which the inline fan-out cuts by budget because those
-ranges *are* the progressive schedule: the last section counts that a
-PBS pull weights a prefix of the blocks and builds no graph.
+every backend.)  The three exceptions are cut by budget on the inline
+fan-out: PBS's block axis and PPS's Sorted Profile List, because those
+ranges *are* the progressive schedule (the last section counts that a
+PBS pull weights a prefix of the blocks and builds no graph), and the
+Blocking Graph's owner axis, whose ranges bound the transients of a
+row build at ``EVENT_BUDGET`` events.
 """
 
 from __future__ import annotations
@@ -35,10 +37,12 @@ import repro.engine  # noqa: E402
 from repro.blocking.substrate import SubstrateSpec  # noqa: E402
 from repro.blocking.workflow import token_blocking_workflow  # noqa: E402
 from repro.datasets.registry import load_dataset  # noqa: E402
+from repro.datasets.synthetic import generate_synthetic  # noqa: E402
 from repro.engine import NumpyBackend  # noqa: E402
 from repro.engine.equality import ArrayPBSCore, ArrayPPSCore  # noqa: E402
 from repro.engine.fanout import Fanout  # noqa: E402
 from repro.engine.matching import CascadeBatchMatcher  # noqa: E402
+from repro.engine.weights import ArrayBlockingGraph  # noqa: E402
 from repro.matching.cascade import MatcherCascade  # noqa: E402
 from repro.metablocking.pruning import prune  # noqa: E402
 from repro.parallel.backend import ParallelBackend  # noqa: E402
@@ -206,8 +210,8 @@ EXPECTED_KERNELS = {
 
 #: Kernels whose axis the inline fan-out cuts by budget: the ranges of
 #: PBS's block axis and of PPS's Sorted Profile List are the progressive
-#: schedule, not a memory bound.
-BUDGET_CUT = {"new_block_pairs", "pps_schedule"}
+#: schedule, those of the graph rows a memory bound.
+BUDGET_CUT = {"new_block_pairs", "pps_schedule", "graph_rows"}
 
 
 def tiles(shards, hi):
@@ -227,6 +231,7 @@ def test_numpy_is_the_one_range_case(
     # Small enough that the fixtures' scheduled axes span several ranges.
     monkeypatch.setattr(ArrayPBSCore, "RANGE_BUDGET", 100)
     monkeypatch.setattr(ArrayPPSCore, "RANGE_BUDGET", 100)
+    monkeypatch.setattr(ArrayBlockingGraph, "EVENT_BUDGET", 100)
     for store in (dirty_dataset.store, clean_clean_store):
         whole_backend = NumpyBackend()
         whole = recorded(whole_backend)
@@ -299,12 +304,16 @@ def test_pbs_pull_weights_a_prefix_and_builds_no_graph(
     ran = [shard for name, shard in fanout.executed if name == "new_block_pairs"]
     # The kernel ran on the first ranges of the schedule and stopped.
     assert tiles(ran, ran[-1][1]) and ran[-1][1] < block_count
-    # EJS's degrees are whole-graph quantities: one pass over the rows,
-    # through this fan-out - not a second, throwaway graph's.  Every
-    # other scheme builds no row at all.
+    # EJS's degrees are whole-graph quantities: one pass over the rows
+    # (its ranges tile the owner axis once, in order), through this
+    # fan-out - not a second, throwaway graph's.  Every other scheme
+    # builds no row at all.
     through_fanout = [shard for name, shard in fanout.executed if name == "graph_rows"]
     assert row_builds == through_fanout
-    assert row_builds == ([(0, len(movies_store))] if weighting == "EJS" else [])
+    if weighting == "EJS":
+        assert tiles(row_builds, len(movies_store))
+    else:
+        assert row_builds == []
     if row_builds:
         assert len(method.scheme.neighbors) // 2 == MOVIES_EDGES
 
@@ -329,6 +338,31 @@ def test_pbs_pull_memory_is_bounded_by_the_range(movies_store):
     assert peak - held < 512 * ArrayPBSCore.RANGE_BUDGET
     # ...and all of PBS to a fraction of a quarter of the rows alone.
     assert peak < 24 * MOVIES_EDGES // 4
+
+
+def test_pps_initialize_memory_is_bounded_by_the_range():
+    store = generate_synthetic(n_profiles=60_000, seed=0).store
+    backend = NumpyBackend()
+    substrate = backend.blocking_substrate(store, SubstrateSpec())
+    index = backend.profile_index(substrate)
+    events = ArrayBlockingGraph(index, "ARCS")._owner_event_mass().sum()
+    assert events > 4 * ArrayBlockingGraph.EVENT_BUDGET  # several ranges
+    tracemalloc.start()
+    try:
+        method = PPS(store, backend=backend, substrate=substrate)
+        method.initialize()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    graph = method.scheme
+    rows = sum(
+        getattr(graph, name).nbytes
+        for name in ("indptr", "neighbors", "raw", "weights")
+    )
+    # Past what initialization keeps, it held one range's expansion (under
+    # 90 bytes per co-occurrence event) and rows-sized passes - not an
+    # expansion of every event at once.
+    assert peak - held < 96 * ArrayBlockingGraph.EVENT_BUDGET + rows
 
 
 def test_memmap_pbs_spills_no_pair_arrays(movies_store, tmp_path):

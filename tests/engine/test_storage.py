@@ -30,8 +30,10 @@ from repro.engine.storage import (  # noqa: E402
 )
 from repro.engine.substrate import ArraySubstrate  # noqa: E402
 from repro.engine.weights import ArrayBlockingGraph  # noqa: E402
+from repro.progressive import PPS  # noqa: E402
 
 SCHEMES = ["ARCS", "CBS", "ECBS", "JS", "EJS"]
+ROW_NAMES = ["indptr", "neighbors", "raw", "weights", "encounter"]
 
 
 class TestArrayStore:
@@ -250,7 +252,31 @@ class TestMemmapParity:
         np.testing.assert_array_equal(
             np.asarray(disk.weights), np.asarray(ram.weights)
         )
+        np.testing.assert_array_equal(
+            np.asarray(disk.encounter), np.asarray(ram.encounter)
+        )
         scratch.close()
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_ram_graph_build_chunks_are_exact(self, store, scheme, monkeypatch):
+        """The RAM rows are cut by ``EVENT_BUDGET`` too: many ranges, the
+        default and one range give the same rows and the same PPS stream."""
+        spec = SubstrateSpec(purge_ratio=None, filter_ratio=None)
+        index = ArraySubstrate(store, spec).profile_index("schedule")
+        events = int(ArrayBlockingGraph(index, scheme)._owner_event_mass().sum())
+        builds = []
+        for budget in (64, ArrayBlockingGraph.EVENT_BUDGET, events + 1):
+            monkeypatch.setattr(ArrayBlockingGraph, "EVENT_BUDGET", budget)
+            graph = ArrayBlockingGraph(index, scheme)
+            rows = [getattr(graph, name) for name in ROW_NAMES]
+            method = PPS(store, weighting=scheme, backend="numpy")
+            builds.append((rows, [(c.i, c.j, c.weight) for c in method]))
+        one_rows, one_stream = builds[-1]
+        assert one_stream
+        for rows, stream in builds[:-1]:
+            for name, cut, whole in zip(ROW_NAMES, rows, one_rows):
+                np.testing.assert_array_equal(cut, whole, err_msg=f"{scheme}:{name}")
+            assert stream == one_stream
 
     def test_position_index_stays_resident(self, store, tmp_path):
         # memmap storage covers the Profile Index and Blocking Graph

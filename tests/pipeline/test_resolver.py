@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.ground_truth import GroundTruth
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SessionClosed
 from repro.pipeline import ERPipeline
 
 
@@ -174,6 +174,14 @@ class TestFit:
         ]
         resolver = toy_pipeline().fit(records, GroundTruth([(0, 1)], closed=False))
         assert len(resolver.store) == 3
+
+    def test_with_block_closes_the_resolver(self, paper_profiles):
+        with toy_pipeline().fit(paper_profiles) as resolver:
+            assert resolver.next_batch(2)
+            assert not resolver.closed
+        assert resolver.closed
+        with pytest.raises(SessionClosed):
+            resolver.next_batch(1)
 
     def test_fit_rejects_garbage(self):
         with pytest.raises(TypeError, match="fit expects"):
