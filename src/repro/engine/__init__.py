@@ -180,9 +180,10 @@ ParallelBackend` with a live pool) override it.  Idempotent.
             f"backend {self.name!r} has no vectorized PSN core"
         )
 
-    def pruned_edges(self, graph: Any, algorithm: str, k: int | None) -> Any:
+    def pruned_edges(self, graph: Any, algorithm: str, k: int) -> Any:
         """Meta-blocking pruning: the retained edges of ``graph`` under
-        ``algorithm`` (canonical name), ranked by ``(-weight, i, j)``."""
+        ``algorithm`` (canonical name; ``k`` is the CNP/RCNP per-node
+        budget), ranked by ``(-weight, i, j)``."""
         raise NotImplementedError(
             f"backend {self.name!r} has no vectorized pruning kernels"
         )
@@ -302,7 +303,7 @@ class NumpyBackend(Backend):
 
         return ArrayPSNCore(neighbor_list, substrate, weighting, fanout=self.fanout())
 
-    def pruned_edges(self, graph: Any, algorithm: str, k: int | None) -> Any:
+    def pruned_edges(self, graph: Any, algorithm: str, k: int) -> Any:
         self.require()
         from repro.engine.pruning import prune_array_graph
 

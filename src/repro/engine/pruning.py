@@ -1,21 +1,19 @@
 """Vectorized Meta-blocking pruning over an :class:`ArrayBlockingGraph`.
 
-Array kernels for the six pruning algorithms of
-:mod:`repro.metablocking.pruning` (WEP/CEP/WNP/CNP + the reciprocal
-node-pruning variants).  Each kernel reduces to
+Array kernels for the four node-pruning algorithms of
+:mod:`repro.metablocking.pruning` (WNP/CNP + their reciprocal
+variants).  Each kernel reduces to
 
-* a boolean *retention mask* over the graph's canonical edge extraction
-  (:func:`pruned_mask`), and
+* a boolean *retention mask* over the graph's canonical edge extraction,
+  and
 * one ranking pass of the survivors under the system-wide emission order
-  ``(-weight, i, j)`` (:func:`prune_array_graph`).
+  ``(-weight, i, j)`` (both in :func:`prune_array_graph`).
 
 Bit-exactness with the reference implementation is engineered, not
 hoped for:
 
 * edge weights come from :meth:`ArrayBlockingGraph.edges`, already
   parity-proven against the reference ``scheme.weight(i, j)``;
-* the WEP mean accumulates sequentially over edges ascending ``(i, j)``
-  (``np.cumsum``), matching the reference's left-to-right sum;
 * WNP node thresholds accumulate each node's *canonical* edge weights in
   ascending-neighbor order through one ``np.bincount`` over
   ``(owner, neighbor)``-sorted directed entries - the same sequential
@@ -24,8 +22,8 @@ hoped for:
   differ in the last ulp from ``finalize(i, j)`` for the
   logarithm-discounted schemes (ECBS/EJS), so the kernels scatter the
   upper-triangle weights to both endpoints instead of reading rows;
-* CEP/CNP tie-breaks follow the exact ``(-weight, i, j)`` total order
-  (``np.lexsort`` / :func:`repro.engine.topk.top_k_pairs`).
+* CNP tie-breaks follow the exact ``(-weight, i, j)`` total order
+  (``np.lexsort``).
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from repro.engine import require_numpy
 from repro.engine.fanout import INLINE, Fanout
 from repro.engine.segments import first_k_per_run
 from repro.engine.storage import collector
-from repro.engine.topk import rank_pairs, top_k_pairs
+from repro.engine.topk import rank_pairs
 
 require_numpy("repro.engine.pruning")
 
@@ -120,48 +118,30 @@ def node_topk(payload: dict[str, Any], shard: tuple[int, int]) -> np.ndarray:
     return np.asarray(payload["edge_ids"][start:stop])[selected]
 
 
-def wep_threshold(weights: np.ndarray) -> float:
-    """The WEP global mean, accumulated sequentially in input order.
-
-    Callers pass weights ascending ``(i, j)``; ``np.cumsum`` adds left
-    to right, reproducing the reference ``sum()`` bit for bit (where
-    ``np.sum``'s pairwise summation would not).
-    """
-    return float(np.cumsum(weights)[-1]) / weights.size
-
-
-def pruned_mask(
+def prune_array_graph(
     graph: "ArrayBlockingGraph",
-    edges: EdgeArrays,
     algorithm: str,
-    k: int | None = None,
+    k: int,
     fanout: Fanout = INLINE,
-) -> np.ndarray:
-    """Boolean retention mask over ``edges`` (``graph.edges()``) for
-    ``algorithm``.
+) -> EdgeArrays:
+    """Retained edges of ``graph`` under ``algorithm``, ranked.
 
-    ``algorithm`` must be a canonical name (``WEP``/``CEP``/``WNP``/
-    ``CNP``/``RWNP``/``RCNP`` - resolve spellings through
-    :data:`repro.registry.pruning_algorithms` first); the cardinality
-    algorithms require an explicit ``k``.  Node statistics run per owner
-    range of ``fanout``; the global scalar aggregates (the WEP mean, the
-    CEP budget threshold) are one sequential pass either way.
+    ``algorithm`` must be a canonical name (``WNP``/``CNP``/``RWNP``/
+    ``RCNP`` - resolve spellings through
+    :data:`repro.registry.pruning_algorithms` first); ``k`` is the
+    per-node budget of CNP/RCNP.  Node statistics run per owner range of
+    ``fanout``.  The output triple is ordered by ``(-weight, i, j)`` -
+    the same stream the reference implementation returns as a
+    ``Comparison`` list, bit for bit.
     """
-    i, j, weights = edges
-    m = int(i.size)
-    if m == 0:
-        return np.zeros(0, dtype=bool)
-    if algorithm == "WEP":
-        return weights >= wep_threshold(weights)
-    if algorithm == "CEP":
-        mask = np.zeros(m, dtype=bool)
-        mask[top_k_pairs(i, j, weights, require_k(algorithm, k))] = True
-        return mask
     if algorithm not in ("WNP", "RWNP", "CNP", "RCNP"):
         raise ValueError(
             f"no array kernel for pruning algorithm {algorithm!r}; "
-            "expected one of WEP, CEP, WNP, CNP, RWNP, RCNP"
+            "expected one of WNP, CNP, RWNP, RCNP"
         )
+    i, j, weights = graph.edges()
+    if i.size == 0:
+        return i, j, weights
     n = graph.index.n_profiles
     payload = directed_payload(i, j, weights, n)
     counts = np.diff(payload["owner_indptr"])
@@ -174,45 +154,16 @@ def pruned_mask(
         np.divide(sums.finish(), counts, out=thresholds, where=counts > 0)
         clears_i = weights >= thresholds[i]
         clears_j = weights >= thresholds[j]
-        return clears_i | clears_j if algorithm == "WNP" else clears_i & clears_j
-    payload.update(
-        tie_i=i[payload["edge_ids"]],
-        tie_j=j[payload["edge_ids"]],
-        k=require_k(algorithm, k),
-    )
-    selected = collector(None, np.int64)
-    for part in fanout.run(node_topk, payload, ranges):
-        selected.append(part)
-    votes = np.zeros(m, dtype=np.int64)
-    np.add.at(votes, selected.finish(), 1)  # integer votes: any scatter order gives the same sums
-    return votes >= 1 if algorithm == "CNP" else votes == 2
-
-
-def require_k(algorithm: str, k: int | None) -> int:
-    if k is None:
-        raise ValueError(
-            f"{algorithm} needs an explicit cardinality budget k "
-            "(the dispatcher computes the literature default)"
+        mask = clears_i | clears_j if algorithm == "WNP" else clears_i & clears_j
+    else:
+        payload.update(
+            tie_i=i[payload["edge_ids"]], tie_j=j[payload["edge_ids"]], k=k
         )
-    return int(k)
-
-
-def prune_array_graph(
-    graph: "ArrayBlockingGraph",
-    algorithm: str,
-    k: int | None = None,
-    fanout: Fanout = INLINE,
-) -> EdgeArrays:
-    """Retained edges of ``graph`` under ``algorithm``, ranked.
-
-    The output triple is ordered by ``(-weight, i, j)`` - the same
-    stream the reference implementation returns as a ``Comparison``
-    list, bit for bit.
-    """
-    i, j, weights = graph.edges()
-    if algorithm == "CEP":
-        # top_k_pairs already returns the ranked selection directly.
-        selected = top_k_pairs(i, j, weights, require_k(algorithm, k))
-        return i[selected], j[selected], weights[selected]
-    mask = pruned_mask(graph, (i, j, weights), algorithm, k, fanout)
+        selected = collector(None, np.int64)
+        for part in fanout.run(node_topk, payload, ranges):
+            selected.append(part)
+        votes = np.zeros(i.size, dtype=np.int64)
+        # integer votes: any scatter order gives the same sums
+        np.add.at(votes, selected.finish(), 1)
+        mask = votes >= 1 if algorithm == "CNP" else votes == 2
     return rank_pairs(i[mask], j[mask], weights[mask])

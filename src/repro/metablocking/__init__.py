@@ -7,13 +7,10 @@ from repro.metablocking.blocking_graph import (
 )
 from repro.metablocking.profile_index import ProfileIndex
 from repro.metablocking.pruning import (
-    available_pruning_algorithms,
-    cardinality_edge_pruning,
     cardinality_node_pruning,
     prune,
     reciprocal_cardinality_node_pruning,
     reciprocal_weighted_node_pruning,
-    weighted_edge_pruning,
     weighted_node_pruning,
 )
 from repro.metablocking.weights import (
@@ -31,13 +28,10 @@ __all__ = [
     "edge_count",
     "iter_edges",
     "ProfileIndex",
-    "available_pruning_algorithms",
-    "cardinality_edge_pruning",
     "cardinality_node_pruning",
     "prune",
     "reciprocal_cardinality_node_pruning",
     "reciprocal_weighted_node_pruning",
-    "weighted_edge_pruning",
     "weighted_node_pruning",
     "ARCS",
     "CBS",

@@ -133,34 +133,24 @@ class ERPipeline:
         )
 
     def meta(
-        self,
-        weighting: str = "ARCS",
-        *,
-        pruning: str | None = None,
-        **params: Any,
+        self, weighting: str = "ARCS", *, pruning: str | None = None
     ) -> "ERPipeline":
         """Configure Blocking Graph edge weighting and optional pruning.
 
         ``weighting`` selects the edge-weighting scheme the equality
         methods rank by.  ``pruning`` names a Meta-blocking pruning
-        algorithm (``"WEP"``/``"CEP"``/``"WNP"``/``"CNP"`` or the
-        reciprocal ``"RWNP"``/``"RCNP"``, any spelling); when set, the
-        session's emission is restricted to the retained edges of the
-        pruned Blocking Graph (see
+        algorithm (``"WNP"``/``"CNP"`` or the reciprocal
+        ``"RWNP"``/``"RCNP"``, any spelling); when set, the session's
+        emission is restricted to the retained edges of the pruned
+        Blocking Graph (see
         :meth:`~repro.pipeline.resolver.Resolver.pruned_comparisons`).
-        Extra ``params`` go to the algorithm - currently ``k``, the
-        cardinality budget of CEP/CNP/RCNP.
 
         >>> from repro import ERPipeline
-        >>> spec = ERPipeline().meta("ARCS", pruning="cnp", k=3).to_dict()
+        >>> spec = ERPipeline().meta("ARCS", pruning="cnp").to_dict()
         >>> spec["meta"]
-        {'weighting': 'ARCS', 'pruning': 'CNP', 'params': {'k': 3}}
+        {'weighting': 'ARCS', 'pruning': 'CNP'}
         """
-        return self._set(
-            meta=MetaBlockingConfig(
-                weighting=weighting, pruning=pruning, params=params
-            )
-        )
+        return self._set(meta=MetaBlockingConfig(weighting=weighting, pruning=pruning))
 
     def method(self, name: str = "PPS", **params: Any) -> "ERPipeline":
         """Choose the progressive method; ``params`` go to its constructor."""

@@ -40,6 +40,9 @@ from repro.registry import (
 
 _StageT = TypeVar("_StageT", bound="Stage")
 
+#: Where a spec written for the retired pruning knobs learns what to do.
+_PRUNING_MIGRATION = "see 'Removed since 2.1, thirteenth round' in docs/migration.md"
+
 
 def _rebuilt(value: Any, plain: bool) -> Any:
     """``value`` with every container under it rebuilt and every leaf
@@ -147,41 +150,25 @@ class MetaBlockingConfig(Stage):
     ``weighting`` is used by the equality-based methods
     (similarity-based methods configure their neighbor weighting through
     :class:`MethodConfig` params instead).  ``pruning`` names a
-    Meta-blocking pruning algorithm (WEP/CEP/WNP/CNP/RWNP/RCNP); when
-    set, emission is restricted to the retained edges of the pruned
-    Blocking Graph.  ``params`` go to the pruning algorithm (currently
-    ``k``, the cardinality budget of CEP/CNP/RCNP).
+    Meta-blocking pruning algorithm (WNP/CNP/RWNP/RCNP); when set,
+    emission is restricted to the retained edges of the pruned Blocking
+    Graph.
     """
 
     weighting: str = "ARCS"
     pruning: str | None = None
-    params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.weighting = weighting_schemes.canonical(self.weighting)
         if self.pruning is None:
-            if self.params:
-                raise ConfigError(
-                    f"meta-blocking params {sorted(self.params)} given "
-                    "without a pruning algorithm"
-                )
             return
-        entry = pruning_algorithms.entry(self.pruning)
-        self.pruning = entry.name
-        unknown = sorted(set(self.params) - {"k"})
-        if unknown:
+        if self.pruning not in pruning_algorithms:
             raise ConfigError(
-                f"unknown pruning params {unknown}; allowed: ['k']"
+                f"unknown pruning algorithm {self.pruning!r}; available: "
+                f"{pruning_algorithms.names()} (edge pruning was removed: "
+                f"{_PRUNING_MIGRATION})"
             )
-        if "k" in self.params:
-            k = self.params["k"]
-            if not entry.metadata.get("takes_k", False):
-                raise ConfigError(
-                    f"pruning algorithm {entry.name!r} takes no cardinality "
-                    "budget; k applies to CEP, CNP and RCNP only"
-                )
-            if k is not None and (not isinstance(k, int) or k < 1):
-                raise ConfigError(f"pruning budget k must be an int >= 1, got {k!r}")
+        self.pruning = pruning_algorithms.canonical(self.pruning)
 
 
 @dataclass
@@ -480,9 +467,19 @@ class PipelineConfig(Stage):
         gone; a costly matcher is the cascade's last tier).  Their
         ``incremental`` stage carries the retired ``purge_ratio``: a null
         one is dropped, and a set one is read as ``blocking.purge_ratio``,
-        the ratio the live session applied.
+        the ratio the live session applied.  Their ``meta`` stage carries
+        the retired ``params``: an empty one is dropped, and a set one is
+        refused (CNP and RCNP always use the literature budget).
         """
         payload = dict(data)
+        meta = payload.get("meta")
+        if isinstance(meta, Mapping):
+            meta = payload["meta"] = dict(meta)
+            if meta.pop("params", None):
+                raise ConfigError(
+                    "meta.params was removed: CNP and RCNP always use the "
+                    f"literature budget ({_PRUNING_MIGRATION})"
+                )
         incremental = payload.get("incremental")
         if isinstance(incremental, Mapping) and "purge_ratio" in incremental:
             incremental = payload["incremental"] = dict(incremental)

@@ -68,7 +68,6 @@ def resolve(
     filter_ratio: bool | float | None = 0.8,
     weighting: str = "ARCS",
     pruning: str | None = None,
-    pruning_params: dict[str, Any] | None = None,
     backend: str | None = None,
     workers: int | None = None,
     shards: int | None = None,
@@ -99,12 +98,10 @@ def resolve(
         bookkeeping falls back to the ground truth when available.
     blocking, purge, filter_ratio, weighting:
         Substrate knobs for the equality-based methods.
-    pruning, pruning_params:
-        Optional Meta-blocking graph pruning (``"WEP"``/``"CEP"``/
-        ``"WNP"``/``"CNP"``/``"RWNP"``/``"RCNP"``): emission is
-        restricted to the retained edges of the pruned Blocking Graph.
-        ``pruning_params`` go to the algorithm (e.g. ``{"k": 5}`` for
-        the cardinality budgets).
+    pruning:
+        Optional Meta-blocking graph pruning (``"WNP"``/``"CNP"``/
+        ``"RWNP"``/``"RCNP"``): emission is restricted to the retained
+        edges of the pruned Blocking Graph.
     backend:
         Execution backend for backend-aware methods: ``"python"``
         (the default, reference), ``"numpy"`` (CSR/array engine,
@@ -158,7 +155,7 @@ def resolve(
     pipeline = (
         ERPipeline()
         .blocking(blocking, purge=purge, filter_ratio=filter_ratio)
-        .meta(weighting, pruning=pruning, **(pruning_params or {}))
+        .meta(weighting, pruning=pruning)
         .method(method, **method_params)
         .budget(
             comparisons=budget, seconds=seconds, target_recall=target_recall

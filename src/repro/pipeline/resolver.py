@@ -337,7 +337,6 @@ class Resolver:
                 algorithm=meta.pruning,
                 scheme_name=meta.weighting,
                 backend=self._method_backend(),
-                **meta.params,
             )
         return self._pruned
 

@@ -31,7 +31,7 @@ lookup, so ``import repro.registry`` alone stays cheap and cycle-free.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 
@@ -54,7 +54,6 @@ class _Entry:
     name: str
     factory: Callable[..., Any]
     aliases: tuple[str, ...] = ()
-    metadata: dict[str, Any] = field(default_factory=dict)
 
     def signature(self) -> str:
         """Human-readable constructor signature of the factory."""
@@ -107,7 +106,6 @@ class ComponentRegistry:
         factory: Callable[..., Any] | None = None,
         *,
         aliases: tuple[str, ...] | list[str] = (),
-        **metadata: Any,
     ) -> Callable[..., Any]:
         """Register a component; usable directly or as a class decorator.
 
@@ -134,7 +132,7 @@ class ComponentRegistry:
 
         def _add(obj: Callable[..., Any]) -> Callable[..., Any]:
             display = name or getattr(obj, "name", None) or obj.__name__
-            entry = _Entry(display, obj, tuple(aliases), dict(metadata))
+            entry = _Entry(display, obj, tuple(aliases))
             key = normalize(display)
             self._entries[key] = entry
             for alias in entry.aliases:
@@ -247,7 +245,7 @@ def _load_weighting_schemes() -> None:
 
 
 def _load_pruning_algorithms() -> None:
-    import repro.metablocking.pruning  # noqa: F401  (registers WEP..RCNP)
+    import repro.metablocking.pruning  # noqa: F401  (registers WNP..RCNP)
 
 
 def _load_matchers() -> None:

@@ -323,6 +323,9 @@ def test_pbs_pull_memory_is_bounded_by_the_range(movies_store):
     substrate = backend.blocking_substrate(movies_store, SubstrateSpec())
     index = backend.profile_index(substrate)
     assert index.block_cardinalities.sum() > 100 * ArrayPBSCore.RANGE_BUDGET
+    # A pull's np.unique imports numpy.ma on its first call (~1 MB of
+    # module objects, once per process): import it before the window.
+    import numpy.ma  # noqa: F401
     tracemalloc.start()
     try:
         method = PBS(movies_store, backend=backend, substrate=substrate)

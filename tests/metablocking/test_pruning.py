@@ -1,7 +1,7 @@
 """Unit tests for the batch Meta-blocking pruning algorithms.
 
-Covers the reference semantics of all six algorithms (WEP/CEP/WNP/CNP +
-the reciprocal variants), Clean-clean ER, degenerate inputs, and the
+Covers the reference semantics of all four algorithms (WNP/CNP + the
+reciprocal variants), Clean-clean ER, degenerate inputs, and the
 three-backend parity matrix: every pruning algorithm x weighting scheme
 x ER type must emit the *bit-identical* retained stream on ``python``,
 ``numpy`` and ``numpy-parallel`` (shards 1/2/3/7).
@@ -17,17 +17,16 @@ from repro.blocking.base import Block, BlockCollection
 from repro.blocking.token_blocking import TokenBlocking
 from repro.blocking.workflow import token_blocking_workflow
 from repro.core.profiles import ProfileStore
+from repro.engine import get_backend
 from repro.metablocking.pruning import (
-    cardinality_edge_pruning,
     cardinality_node_pruning,
     prune,
     reciprocal_cardinality_node_pruning,
     reciprocal_weighted_node_pruning,
-    weighted_edge_pruning,
     weighted_node_pruning,
 )
 
-ALL_ALGORITHMS = ("WEP", "CEP", "WNP", "CNP", "RWNP", "RCNP")
+ALL_ALGORITHMS = ("WNP", "CNP", "RWNP", "RCNP")
 GRAPH_SCHEMES = ("ARCS", "CBS", "ECBS", "JS", "EJS")
 SHARD_COUNTS = (1, 2, 3, 7)
 
@@ -60,35 +59,6 @@ def varied_clean_clean() -> ProfileStore:
         dict(item, extra=words[k % 12]) for k, item in enumerate(left[:25])
     ] + [record(k + 100, 2 + k % 3) for k in range(15)]
     return ProfileStore.clean_clean(left, right)
-
-
-class TestWeightedEdgePruning:
-    def test_keeps_above_mean_edges(self, paper_blocks):
-        kept = weighted_edge_pruning(paper_blocks)
-        pairs = {c.pair for c in kept}
-        # The strong duplicate edges clear the global mean (~0.42).
-        assert (0, 1) in pairs and (3, 4) in pairs
-        # 'white'-only edges (0.07) fall below it.
-        assert (0, 3) not in pairs
-
-    def test_sorted_descending(self, paper_blocks):
-        kept = weighted_edge_pruning(paper_blocks)
-        weights = [c.weight for c in kept]
-        assert weights == sorted(weights, reverse=True)
-
-    def test_empty_blocks(self, paper_profiles):
-        assert weighted_edge_pruning(BlockCollection([], paper_profiles)) == []
-
-
-class TestCardinalityEdgePruning:
-    def test_explicit_budget(self, paper_blocks):
-        kept = cardinality_edge_pruning(paper_blocks, k=2)
-        assert [c.pair for c in kept] == [(3, 4), (0, 1)]
-
-    def test_default_budget_is_half_assignments(self, paper_blocks):
-        assignments = sum(b.size for b in paper_blocks)
-        kept = cardinality_edge_pruning(paper_blocks)
-        assert len(kept) == min(assignments // 2, 15)
 
 
 class TestWeightedNodePruning:
@@ -165,7 +135,7 @@ class TestCleanCleanPruning:
 
     def test_tiny_clean_clean_matches_lead(self, tiny_clean_clean):
         blocks = TokenBlocking().build(tiny_clean_clean)
-        kept = weighted_edge_pruning(blocks)
+        kept = weighted_node_pruning(blocks)
         assert {(0, 3), (1, 4)} <= {c.pair for c in kept}
 
 
@@ -183,15 +153,8 @@ class TestDegenerateInputs:
         # weight; the weight-based algorithms keep all three edges.
         pairs = [c.pair for c in kept]
         assert pairs == sorted(pairs)
-        if algorithm in ("WEP", "WNP", "RWNP"):
+        if algorithm in ("WNP", "RWNP"):
             assert pairs == [(0, 1), (0, 2), (1, 2)]
-
-    def test_all_tied_weights_at_cep_boundary(self, paper_profiles):
-        """Ties at the budget boundary resolve by ascending (i, j)."""
-        block = Block("white", (0, 1, 2, 3), paper_profiles)
-        blocks = BlockCollection([block], paper_profiles)
-        kept = cardinality_edge_pruning(blocks, "CBS", k=3)
-        assert [c.pair for c in kept] == [(0, 1), (0, 2), (0, 3)]
 
     def test_all_tied_weights_at_cnp_boundary(self, paper_profiles):
         """Per-node top-k under ties keeps each node's smallest pairs."""
@@ -204,10 +167,6 @@ class TestDegenerateInputs:
         reciprocal = reciprocal_cardinality_node_pruning(blocks, "CBS", k=1)
         # Only (0, 1) is the top choice of both its endpoints.
         assert [c.pair for c in reciprocal] == [(0, 1)]
-
-    def test_k_rejected_for_weight_based_algorithms(self, paper_blocks):
-        with pytest.raises(ValueError, match="takes no cardinality budget"):
-            prune(paper_blocks, "WEP", k=3)
 
 
 class TestThreeBackendParity:
@@ -259,17 +218,46 @@ class TestThreeBackendParity:
         self.assert_parity(clean_blocks, algorithm, scheme)
 
     def test_explicit_k_parity(self, dirty_blocks):
+        """The kernels' per-node top-k equals the reference at budgets
+        other than the literature default the dispatcher passes."""
+        from repro.blocking.scheduling import block_scheduling
+        from repro.core.comparisons import to_comparisons
         from repro.parallel.backend import ParallelBackend
 
-        for k in (1, 3):
-            reference = prune(dirty_blocks, "CNP", "ARCS", k=k)
-            vectorized = prune(dirty_blocks, "CNP", "ARCS", k=k, backend="numpy")
-            sharded = prune(
-                dirty_blocks,
-                "CNP",
-                "ARCS",
-                k=k,
-                backend=ParallelBackend(workers=0, shards=3),
-            )
-            assert vectorized == reference
-            assert sharded == reference
+        for backend in (ParallelBackend(workers=0, shards=3), "numpy"):
+            resolved = get_backend(backend)
+            index = resolved.profile_index(block_scheduling(dirty_blocks))
+            graph = resolved.blocking_graph(index, "ARCS")
+            for k in (1, 3):
+                reference = cardinality_node_pruning(dirty_blocks, "ARCS", k=k)
+                kept = to_comparisons(*resolved.pruned_edges(graph, "CNP", k))
+                assert kept == reference, f"{backend} diverged at k={k}"
+
+
+class TestKeptStreams:
+    """The retained streams of the four algorithms on cora (ARCS), where
+    pruning changes the stream, as ``stream_digest`` read them before
+    the edge-pruning algorithms and the budget knob were removed."""
+
+    DIGESTS = {
+        "WNP": (9775, "c854ed96de9851936b3c0dedebab44c3"),
+        "CNP": (4019, "beb6c2369460f0d1d3e16aa5ae5cf524"),
+        "RWNP": (5770, "13d408e2c2323f6440cdf81757c982ed"),
+        "RCNP": (1813, "1670da7e3ee4268361316b2dceca8721"),
+    }
+
+    @pytest.fixture(scope="class")
+    def cora_blocks(self):
+        from repro.datasets.registry import load_dataset
+
+        return token_blocking_workflow(load_dataset("cora", scale=0.5).store)
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
+    def test_digest_is_pinned(self, cora_blocks, algorithm, backend):
+        from repro.service.snapshot import stream_digest
+
+        if backend == "numpy":
+            pytest.importorskip("numpy")
+        kept = prune(cora_blocks, algorithm, "ARCS", backend=backend)
+        assert (len(kept), stream_digest(kept)) == self.DIGESTS[algorithm]

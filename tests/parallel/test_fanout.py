@@ -10,7 +10,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.engine.topk import rank_pairs, sort_pairs_descending  # noqa: E402
+from repro.engine.topk import rank_pairs  # noqa: E402
 from repro.parallel.fanout import PoolFanout, balanced_ranges  # noqa: E402
 from repro.parallel.pool import WorkerPool  # noqa: E402
 
@@ -125,7 +125,7 @@ def test_rank_pairs_equals_global_lexsort(size):
     """The ranking is never sharded: one stable sort of key-sorted
     pairs *is* the ``(-weight, i, j)`` order, ties included."""
     i, j, weights = random_scored_pairs(np.random.default_rng(size), size)
-    order = sort_pairs_descending(i, j, weights)
+    order = np.lexsort((j, i, -weights))
     for got, want in zip(
         rank_pairs(i, j, weights), (i[order], j[order], weights[order]), strict=True
     ):

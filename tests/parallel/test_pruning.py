@@ -46,25 +46,9 @@ def test_more_shards_than_profiles():
     assert sharded == baseline and baseline
 
 
-def test_cardinality_budget_required_at_the_seam(dirty_blocks):
-    """The sharded seam mirrors the sequential one: a missing k is a
-    clear ValueError, not a bare TypeError."""
-    from repro.blocking.scheduling import block_scheduling
-    from repro.engine import get_backend
-
-    backend = ParallelBackend(workers=0, shards=2)
-    index = backend.profile_index(block_scheduling(dirty_blocks))
-    graph = backend.blocking_graph(index, "ARCS")
-    for algorithm in ("CEP", "CNP", "RCNP"):
-        with pytest.raises(ValueError, match="cardinality budget"):
-            backend.pruned_edges(graph, algorithm, None)
-        with pytest.raises(ValueError, match="cardinality budget"):
-            get_backend("numpy").pruned_edges(graph, algorithm, None)
-
-
 def test_single_profile_prunes_to_nothing():
     store = ProfileStore.from_attribute_maps([{"name": "Carl White"}])
     blocks = token_blocking_workflow(store, purge_ratio=None)
     backend = ParallelBackend(workers=0, shards=4)
-    assert prune(blocks, "WEP", "ARCS", backend=backend) == []
-    assert prune(blocks, "CEP", "ARCS", backend=backend) == []
+    assert prune(blocks, "WNP", "ARCS", backend=backend) == []
+    assert prune(blocks, "CNP", "ARCS", backend=backend) == []

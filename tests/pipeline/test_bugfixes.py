@@ -194,7 +194,7 @@ class TestZeroBudgets:
 BATCH_ONLY = {
     "no incremental counterpart": lambda p: p.blocking("suffix"),
     "batch sessions": lambda p: p.method("SA-PSN"),
-    "do not support Meta-blocking": lambda p: p.meta(pruning="WEP"),
+    "do not support Meta-blocking": lambda p: p.meta(pruning="WNP"),
 }
 
 

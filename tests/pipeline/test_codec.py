@@ -95,12 +95,9 @@ def spec_dicts(draw):
             "name": draw(st.sampled_from(["PPS", "PBS", "ONLINE", "SA-PSN", "GS-PSN"])),
             "params": draw(params),
         }
-        pruning = draw(st.sampled_from([None, *pruning_algorithms.names()]))
-        takes_k = pruning and pruning_algorithms.entry(pruning).metadata["takes_k"]
         spec["meta"] = {
             "weighting": draw(st.sampled_from(["ARCS", "CBS", "ECBS", "JS", "EJS"])),
-            "pruning": pruning,
-            "params": {"k": draw(st.sampled_from([None, 1, 7]))} if takes_k else {},
+            "pruning": draw(st.sampled_from([None, *pruning_algorithms.names()])),
         }
     else:
         spec["blocking"] = {"purge_ratio": draw(ratios), "filter_ratio": draw(ratios)}
@@ -301,7 +298,7 @@ calls = st.one_of(
         st.fixed_dictionaries(
             {
                 "weighting": st.sampled_from(["ARCS", "JS"]),
-                "pruning": st.sampled_from([None, "WEP", "CNP"]),
+                "pruning": st.sampled_from([None, "WNP", "CNP"]),
             }
         ),
     ),

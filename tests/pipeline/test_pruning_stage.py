@@ -1,17 +1,24 @@
 """The pipeline surface of Meta-blocking pruning.
 
-``.meta(weighting=, pruning=, **params)`` / ``resolve(..., pruning=)``
-must validate against the pruning registry, round-trip through specs,
-and restrict the session's emission to the retained edges of the pruned
-Blocking Graph.
+``.meta(weighting=, pruning=)`` / ``resolve(..., pruning=)`` must
+validate against the pruning registry, round-trip through specs, refuse
+the retired budget knob and edge-pruning algorithms, and restrict the
+session's emission to the retained edges of the pruned Blocking Graph.
 """
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+from repro.errors import ConfigError
+from repro.incremental.resolver import IncrementalResolver
 from repro.pipeline import ERPipeline, resolve
 from repro.pipeline.config import MetaBlockingConfig, PipelineConfig
+from repro.service.snapshot import read_manifest
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "service", "fixtures")
 
 
 @pytest.fixture()
@@ -28,40 +35,20 @@ def records():
 
 class TestSpecValidation:
     def test_pruning_canonicalized_any_spelling(self):
-        config = MetaBlockingConfig(pruning="weighted_edge_pruning")
-        assert config.pruning == "WEP"
+        config = MetaBlockingConfig(pruning="weighted_node_pruning")
+        assert config.pruning == "WNP"
         assert ERPipeline().meta(pruning="rcnp").config.meta.pruning == "RCNP"
 
     def test_unknown_pruning_algorithm(self):
         with pytest.raises(ValueError, match="unknown pruning algorithm"):
             ERPipeline().meta("ARCS", pruning="nope")
 
-    def test_params_without_pruning_rejected(self):
-        with pytest.raises(ValueError, match="without a pruning algorithm"):
-            ERPipeline().meta("ARCS", k=3)
-
-    def test_k_on_weight_based_algorithm_rejected(self):
-        with pytest.raises(ValueError, match="takes no cardinality budget"):
-            ERPipeline().meta("ARCS", pruning="WNP", k=3)
-
-    def test_bad_k_rejected(self):
-        with pytest.raises(ValueError, match="k must be an int >= 1"):
-            ERPipeline().meta("ARCS", pruning="CNP", k=0)
-
-    def test_unknown_pruning_param_rejected(self):
-        with pytest.raises(ValueError, match="unknown pruning params"):
-            ERPipeline().meta("ARCS", pruning="CNP", budget=3)
-
     def test_round_trip(self):
-        spec = ERPipeline().meta("CBS", pruning="cep", k=7).to_dict()
-        assert spec["meta"] == {
-            "weighting": "CBS",
-            "pruning": "CEP",
-            "params": {"k": 7},
-        }
+        spec = ERPipeline().meta("CBS", pruning="cnp").to_dict()
+        assert spec["meta"] == {"weighting": "CBS", "pruning": "CNP"}
         rebuilt = ERPipeline.from_dict(spec)
         assert rebuilt.config.meta == MetaBlockingConfig(
-            weighting="CBS", pruning="CEP", params={"k": 7}
+            weighting="CBS", pruning="CNP"
         )
         assert rebuilt.to_dict() == spec
 
@@ -69,6 +56,54 @@ class TestSpecValidation:
         spec = PipelineConfig().to_dict()
         assert spec["meta"]["pruning"] is None
         assert PipelineConfig.from_dict(spec) == PipelineConfig()
+
+
+class TestRetiredKnobs:
+    """The cardinality budget is no knob and edge pruning is gone; specs
+    written before still load when they never set either."""
+
+    @pytest.mark.parametrize(
+        "fixture", ["session-1.5", "session-2.1-purge", "session-3-matches"]
+    )
+    def test_committed_manifests_drop_their_empty_params(self, fixture):
+        """Every saved session wrote ``"params": {}``; it still restores
+        (tests/service/test_snapshot.py pins the restored streams)."""
+        path = os.path.join(FIXTURES, fixture)
+        assert read_manifest(path)["config"]["meta"]["params"] == {}
+        restored = IncrementalResolver.load(path)
+        assert restored.config.to_dict()["meta"] == {
+            "weighting": "ARCS",
+            "pruning": None,
+        }
+
+    def test_params_without_pruning_rejected(self):
+        with pytest.raises(ConfigError, match="thirteenth round"):
+            PipelineConfig.from_dict({"meta": {"weighting": "ARCS", "params": {"k": 3}}})
+
+    def test_an_empty_params_key_is_dropped(self):
+        legacy = {"meta": {"weighting": "JS", "pruning": "CNP", "params": {}}}
+        modern = {"meta": {"weighting": "JS", "pruning": "CNP"}}
+        assert PipelineConfig.from_dict(legacy) == PipelineConfig.from_dict(modern)
+
+    @pytest.mark.parametrize("params", [{"k": 3}, {"k": None}, {"budget": 3}])
+    def test_a_set_params_key_is_refused(self, params):
+        with pytest.raises(ConfigError, match="thirteenth round"):
+            PipelineConfig.from_dict({"meta": {"pruning": "CNP", "params": params}})
+
+    @pytest.mark.parametrize(
+        "name", ["WEP", "cep", "weighted-edge-pruning", "cardinality_edge_pruning"]
+    )
+    def test_edge_pruning_is_refused(self, name):
+        with pytest.raises(ConfigError, match="thirteenth round"):
+            PipelineConfig.from_dict({"meta": {"pruning": name}})
+        with pytest.raises(ConfigError, match="thirteenth round"):
+            ERPipeline().meta("ARCS", pruning=name)
+
+    def test_no_budget_argument_is_taken(self, records):
+        with pytest.raises(TypeError, match="'k'"):
+            ERPipeline().meta("ARCS", pruning="CNP", k=3)
+        with pytest.raises(TypeError, match="pruning_params"):
+            resolve(records, pruning="CNP", pruning_params={"k": 3})
 
 
 class TestPrunedEmission:
@@ -95,7 +130,7 @@ class TestPrunedEmission:
             ERPipeline().blocking("token", purge=None).meta("ARCS").method("PPS")
         )
         unpruned = [c.pair for c in base.fit(records).stream()]
-        pruned_spec = base.clone().meta("ARCS", pruning="CNP", k=2)
+        pruned_spec = base.clone().meta("ARCS", pruning="CNP")
         resolver = pruned_spec.fit(records)
         retained = {c.pair for c in resolver.pruned_comparisons()}
         assert [c.pair for c in resolver.stream()] == [
@@ -106,7 +141,7 @@ class TestPrunedEmission:
         resolver = (
             ERPipeline()
             .blocking("token", purge=None)
-            .meta("ARCS", pruning="WEP")
+            .meta("ARCS", pruning="RWNP")
             .method("ONLINE")
             .budget(comparisons=2)
             .fit(records)
@@ -117,7 +152,7 @@ class TestPrunedEmission:
         resolver = (
             ERPipeline()
             .blocking("token", purge=None)
-            .meta("ARCS", pruning="WEP")
+            .meta("ARCS", pruning="RWNP")
             .method("ONLINE")
             .fit(records)
         )
@@ -129,7 +164,7 @@ class TestPrunedEmission:
         resolver = (
             ERPipeline()
             .blocking("token", purge=None)
-            .meta("ARCS", pruning="CNP", k=1)
+            .meta("ARCS", pruning="CNP")
             .method("ONLINE")
             .fit(records, ground_truth=paper_ground_truth)
         )
@@ -138,7 +173,7 @@ class TestPrunedEmission:
         assert curve.emitted <= len(retained)
 
     def test_resolve_pruning_kwarg(self, records):
-        result = resolve(records, method="ONLINE", purge=None, pruning="WEP")
+        result = resolve(records, method="ONLINE", purge=None, pruning="RWNP")
         retained = {c.pair for c in result.resolver.pruned_comparisons()}
         assert result.pairs and {c.pair for c in result.pairs} <= retained
 
@@ -146,22 +181,11 @@ class TestPrunedEmission:
         pipeline = (
             ERPipeline()
             .blocking("token", purge=None)
-            .meta("ARCS", pruning="WEP")
+            .meta("ARCS", pruning="RWNP")
             .method("ONLINE")
         )
         with pytest.raises(ValueError, match="do not support Meta-blocking"):
             pipeline.incremental()
-
-    def test_resolve_pruning_params(self, records):
-        result = resolve(
-            records,
-            method="ONLINE",
-            purge=None,
-            pruning="CEP",
-            pruning_params={"k": 3},
-        )
-        assert len(result.resolver.pruned_comparisons()) == 3
-        assert len(result.pairs) == 3
 
 
 class TestPrunedEmissionNumpyBackends:
@@ -185,7 +209,7 @@ class TestPrunedEmissionNumpyBackends:
         base = (
             ERPipeline()
             .blocking("token", purge=None)
-            .meta("ARCS", pruning="CNP", k=2)
+            .meta("ARCS", pruning="CNP")
             .method("ONLINE")
         )
         sequential = [

@@ -63,7 +63,7 @@ def test_serve_refuses_batch_only_stages_at_config_time():
     with pytest.raises(ConfigError, match="ONLINE"):
         ERPipeline().method("SA-PSN").serve()
     with pytest.raises(ConfigError, match="pruning"):
-        ERPipeline().meta("ARCS", pruning="WEP").serve()
+        ERPipeline().meta("ARCS", pruning="WNP").serve()
 
 
 def test_serve_refusals_also_fire_through_from_dict():

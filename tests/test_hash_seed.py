@@ -4,7 +4,7 @@
 emission that walks a set of strings, follows ``PYTHONHASHSEED``.  This
 file is also the script: run as ``__main__`` it resolves every registered
 method on every available backend (Dirty and Clean-clean corpora), every
-weighting scheme on PBS and PPS, every pruning algorithm and the matching
+weighting scheme and every pruning algorithm on PBS and PPS, and the matching
 cascade, and prints one JSON object of all cells.  Two interpreters with
 different hash seeds must print the same JSON; each cell is its own test,
 so a divergence names the cell.
@@ -53,8 +53,9 @@ def plan():
                 yield (f"{method} {weighting} {backend}", "dirty",
                        {"method": method, "weighting": weighting, "backend": backend})
         for pruning in pruning_algorithms.names():
-            yield (f"PBS {pruning} {backend}", "dirty",
-                   {"method": "PBS", "pruning": pruning, "backend": backend})
+            for method in ("PBS", "PPS"):
+                yield (f"{method} {pruning} {backend}", "dirty",
+                       {"method": method, "pruning": pruning, "backend": backend})
         yield f"cascade {backend}", "dirty", {"match": True, "backend": backend}
 
 

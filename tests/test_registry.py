@@ -131,18 +131,9 @@ class TestStockRegistries:
         assert "oracle" in matchers
 
     def test_pruning_algorithms_present(self):
-        assert pruning_algorithms.names() == [
-            "CEP",
-            "CNP",
-            "RCNP",
-            "RWNP",
-            "WEP",
-            "WNP",
-        ]
-        assert pruning_algorithms.canonical("weighted-edge-pruning") == "WEP"
+        assert pruning_algorithms.names() == ["CNP", "RCNP", "RWNP", "WNP"]
+        assert pruning_algorithms.canonical("weighted-node-pruning") == "WNP"
         assert pruning_algorithms.canonical("reciprocal_wnp") == "RWNP"
-        assert pruning_algorithms.entry("cnp").metadata["takes_k"] is True
-        assert pruning_algorithms.entry("wep").metadata["takes_k"] is False
 
     def test_every_backend_builds_the_seam_base_class(self):
         from repro.engine import Backend
@@ -166,9 +157,7 @@ def registration_drift(registry: ComponentRegistry) -> list[str]:
 
     An alias onto the entry's own name is dead weight; one onto another
     entry's name is unreachable (exact entries win), and one onto
-    another entry's alias hides the first registration.  The pruning
-    dispatcher forwards ``k`` exactly when ``takes_k`` is set, so the
-    flag must match the factory's parameters.
+    another entry's alias hides the first registration.
     """
     names = {normalize(name): name for name in registry.names()}
     owners: dict[str, str] = {}
@@ -183,8 +172,6 @@ def registration_drift(registry: ComponentRegistry) -> list[str]:
                 drift.append(f"{name}: alias {alias!r} is the name of {names[key]!r}")
             elif owners.setdefault(key, name) != name:
                 drift.append(f"{name}: alias {alias!r} is an alias of {owners[key]!r}")
-        if bool(entry.metadata.get("takes_k")) != registry.accepts(name, "k"):
-            drift.append(f"{name}: takes_k does not match {entry.signature()}")
     return drift
 
 
@@ -195,12 +182,10 @@ def test_registration_records_match_their_factories(kind):
 
 def test_registration_drift_is_caught():
     registry = ComponentRegistry("widget")
-    registry.register("one", lambda k=1: k, aliases=("ONE", "two", "uno"))
-    registry.register("two", lambda: 2, aliases=("uno",), takes_k=True)
+    registry.register("one", lambda: 1, aliases=("ONE", "two", "uno"))
+    registry.register("two", lambda: 2, aliases=("uno",))
     assert registration_drift(registry) == [
         "one: alias 'ONE' is its own name",
         "one: alias 'two' is the name of 'two'",
-        "one: takes_k does not match (k=1)",
         "two: alias 'uno' is an alias of 'one'",
-        "two: takes_k does not match ()",
     ]
