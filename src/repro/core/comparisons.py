@@ -91,20 +91,32 @@ def chunked(comparisons: Iterable[Comparison]) -> Iterator[list[Comparison]]:
         yield chunk
 
 
-def to_comparisons(i: Any, j: Any, weights: Any) -> list[Comparison]:
+def to_comparisons(i: Any, j: Any, weights: Any, ids: Any) -> list[Comparison]:
     """Comparisons from parallel ``(i, j, weight)`` arrays, in one
     C-level pass (``tuple.__new__`` skips the class's Python ``__new__``)
-    with the collector paused."""
+    with the collector paused.
+
+    They share their fields, so a held comparison costs its tuple alone:
+    ids are read from ``ids``, the session's object array of every
+    profile id, and equal weights (by bit pattern, so ``-0.0`` and NaN
+    payloads stay as they are) are one ``float`` within the chunk.
+    """
+    import numpy as np  # the array engine's callers already loaded it
+
+    bits, inverse = np.unique(weights.view(np.int64), return_inverse=True)
     with _collector_paused():
-        rows = zip(i.tolist(), j.tolist(), weights.tolist())
+        shared = bits.view(weights.dtype).astype(object)[inverse]
+        rows = zip(ids[i].tolist(), ids[j].tolist(), shared.tolist())
         return list(map(tuple.__new__, repeat(Comparison), rows))
 
 
-def comparison_chunks(i: Any, j: Any, weights: Any) -> Iterator[list[Comparison]]:
+def comparison_chunks(
+    i: Any, j: Any, weights: Any, ids: Any
+) -> Iterator[list[Comparison]]:
     """Ranked parallel arrays as chunks, each built when asked for."""
     for lo in range(0, len(weights), CHUNK_SIZE):
         hi = lo + CHUNK_SIZE
-        yield to_comparisons(i[lo:hi], j[lo:hi], weights[lo:hi])
+        yield to_comparisons(i[lo:hi], j[lo:hi], weights[lo:hi], ids)
 
 
 class ComparisonList:

@@ -134,6 +134,7 @@ class ArrayProfileIndex:
         "bp_indptr",
         "bp_indices",
         "sources",
+        "_ids",
         "__weakref__",
     )
 
@@ -226,6 +227,17 @@ class ArrayProfileIndex:
         counts = np.bincount(self.bp_indices, minlength=self.n_profiles)
         self.pb_indptr = np.zeros(self.n_profiles + 1, dtype=np.int64)
         np.cumsum(counts, out=self.pb_indptr[1:])
+
+    @property
+    def ids(self) -> np.ndarray:
+        """Every profile id as one Python ``int`` (an object array, 40 B
+        a profile, built on first use): the comparisons emitted over
+        this index share their ids.  Never part of a pooled payload."""
+        try:
+            return self._ids
+        except AttributeError:
+            self._ids: np.ndarray = np.arange(self.n_profiles).astype(object)
+            return self._ids
 
     # -- statistics ----------------------------------------------------------
 

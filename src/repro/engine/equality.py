@@ -298,10 +298,10 @@ class ArrayPPSCore:
         A range's short last chunk is topped up from the next range, so
         every schedule chunk but the last holds ``CHUNK_SIZE``."""
         initial, self._top = self._top, None
-        n = self.index.n_profiles
+        n, ids = self.index.n_profiles, self.index.ids
         emitted = [np.empty(0, dtype=np.int64)]
         if initial is not None:
-            yield from comparison_chunks(*initial)
+            yield from comparison_chunks(*initial, ids)
             if exhaustive:
                 emitted.append(initial[0] * n + initial[1])
         del initial  # nothing of it is resident while the schedule runs
@@ -312,9 +312,9 @@ class ArrayPPSCore:
                 emitted.append(part[0] * n + part[1])
             i, j, weight = (np.concatenate(pair) for pair in zip(short, part))
             whole = weight.size - weight.size % comparisons.CHUNK_SIZE
-            yield from comparison_chunks(i[:whole], j[:whole], weight[:whole])
+            yield from comparison_chunks(i[:whole], j[:whole], weight[:whole], ids)
             short = (i[whole:], j[whole:], weight[whole:])
-        yield from comparison_chunks(*short)
+        yield from comparison_chunks(*short, ids)
         if exhaustive:
             yield from self.exhaustive_tail(np.concatenate(emitted))
 
@@ -364,7 +364,9 @@ class ArrayPPSCore:
             pairs = i * n + j
             fresh = seen[np.searchsorted(seen, pairs)] != pairs
             i, j, raw = i[fresh], j[fresh], raw[fresh]
-            yield from comparison_chunks(i, j, self.graph.finalize(i, j, raw))
+            yield from comparison_chunks(
+                i, j, self.graph.finalize(i, j, raw), index.ids
+            )
 
 
 class ArrayPBSCore:
@@ -413,7 +415,7 @@ class ArrayPBSCore:
         block, i, j, raw = part
         weights = self.graph.finalize(i, j, raw)
         order = np.lexsort((j, i, -weights, block))
-        return comparison_chunks(i[order], j[order], weights[order])
+        return comparison_chunks(i[order], j[order], weights[order], self.index.ids)
 
     def chunks(self) -> Iterator[list[Comparison]]:
         """All blocks in scheduling order, best-first inside each.  A

@@ -105,6 +105,7 @@ class ArrayPSNCore:
         "weighting",
         "fanout",
         "n_profiles",
+        "ids",
         "_payload",
         "_appearances",
     )
@@ -120,6 +121,8 @@ class ArrayPSNCore:
         self.weighting = weighting
         self.fanout = fanout
         self.n_profiles = len(substrate.store)
+        # Every profile id as one Python int, shared by the comparisons.
+        self.ids = np.arange(self.n_profiles).astype(object)
         # One payload object for the whole core: a pooled fan-out ships
         # it once and every window of an LS-PSN run reuses it.
         self._payload: dict[str, Any] = {
@@ -191,4 +194,4 @@ class ArrayPSNCore:
 
     def window_comparisons(self, distances: Sequence[int]) -> list[Comparison]:
         """Weighted comparisons of one window range, best first."""
-        return to_comparisons(*self.window_arrays(distances))
+        return to_comparisons(*self.window_arrays(distances), self.ids)

@@ -136,7 +136,8 @@ class OnlineRanked(ProgressiveMethod):
             return super()._chunks()
         from repro.engine.topk import rank_pairs
 
-        return comparison_chunks(*rank_pairs(*self._graph.edges()))
+        ranked = rank_pairs(*self._graph.edges())
+        return comparison_chunks(*ranked, self._graph.index.ids)
 
     def _emit(self) -> Iterator[Comparison]:
         assert self.profile_index is not None and self.scheme is not None

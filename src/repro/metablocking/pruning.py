@@ -247,5 +247,5 @@ def prune(
     index = resolved.profile_index(scheduled)
     graph = resolved.blocking_graph(index, scheme_name)
     return to_comparisons(
-        *resolved.pruned_edges(graph, entry.name, default_cnp_k(blocks))
+        *resolved.pruned_edges(graph, entry.name, default_cnp_k(blocks)), index.ids
     )

@@ -103,7 +103,9 @@ class GSPSN(_SimilarityBase):
         # path's destructive ComparisonList.drain: a second iteration
         # yields nothing on either backend.
         arrays, self._window_arrays = self._window_arrays, None
-        return iter(()) if arrays is None else comparison_chunks(*arrays)
+        if arrays is None:
+            return iter(())
+        return comparison_chunks(*arrays, self._core.ids)
 
     def _emit(self) -> Iterator[Comparison]:
         assert self._comparisons is not None

@@ -4,6 +4,7 @@ SortedStack."""
 from __future__ import annotations
 
 import gc
+import struct
 
 import pytest
 
@@ -68,7 +69,62 @@ class TestChunkBuilders:
         np = pytest.importorskip("numpy")
         i = np.arange(BUILT, dtype=np.int64)
         weights = np.full(BUILT, 0.5)
-        assert full_collections(lambda: comparison_chunks(i, i + 1, weights)) == 0
+        ids = np.arange(BUILT + 1).astype(object)
+        assert full_collections(lambda: comparison_chunks(i, i + 1, weights, ids)) == 0
+
+
+def bits(weight):
+    return struct.pack("<d", weight)
+
+
+class TestSharedFields:
+    """The array builder shares its fields: ids come from the session's
+    table, equal-bit weights are one ``float`` a chunk - and the
+    comparisons equal the plain build, weights bit for bit."""
+
+    N = 1000
+    #: 0.0, -0.0, a NaN with a payload, the smallest subnormal, 0.5.
+    WEIGHT_BITS = [0, 1 << 63, 0x7FF8_0000_0000_0001, 1, 0x3FE0_0000_0000_0000]
+
+    def arrays(self, size):
+        np = pytest.importorskip("numpy")
+        picks = np.arange(size)
+        i = np.array([0, 256, 257, self.N - 1])[picks % 4]
+        j = np.array([257, self.N - 1, 0, 256])[picks % 4]
+        weight_bits = np.array(self.WEIGHT_BITS, dtype=np.uint64)
+        weights = weight_bits[picks % len(self.WEIGHT_BITS)].view(np.float64)
+        return i, j, weights, np.arange(self.N).astype(object)
+
+    def test_equals_the_plain_build_bit_for_bit(self):
+        i, j, weights, ids = self.arrays(2 * CHUNK_SIZE + 7)
+        shared = [c for chunk in comparison_chunks(i, j, weights, ids) for c in chunk]
+        plain = list(zip(i.tolist(), j.tolist(), weights.tolist()))
+        assert len(shared) == len(plain)
+        for comparison, (pi, pj, pw) in zip(shared, plain):
+            assert type(comparison) is Comparison
+            assert (comparison.i, comparison.j) == (pi, pj)
+            assert bits(comparison.weight) == bits(pw)
+
+    def test_ids_are_one_object_across_chunks(self):
+        i, j, weights, ids = self.arrays(2 * CHUNK_SIZE)
+        first, second = comparison_chunks(i, j, weights, ids)
+        for profile in (0, 256, 257, self.N - 1):
+            held = [c.i for c in first + second if c.i == profile]
+            held += [c.j for c in first + second if c.j == profile]
+            assert len({id(value) for value in held}) == 1
+
+    def test_equal_bit_weights_are_one_object_in_a_chunk(self):
+        i, j, weights, ids = self.arrays(CHUNK_SIZE)
+        (chunk,) = comparison_chunks(i, j, weights, ids)
+        by_bits = {}
+        for comparison in chunk:
+            by_bits.setdefault(bits(comparison.weight), set()).add(
+                id(comparison.weight)
+            )
+        assert len(by_bits) == len(self.WEIGHT_BITS)
+        assert all(len(objects) == 1 for objects in by_bits.values())
+        # 0.0 == -0.0, but they are two objects with their own signs.
+        assert by_bits[bits(0.0)] != by_bits[bits(-0.0)]
 
 
 class TestComparisonList:

@@ -418,3 +418,32 @@ def test_pooled_exhaustive_tail_ships_the_probes_it_reads(dirty_dataset):
     finally:
         pooled.close()
     assert stream == list(PPS(store, k_max=1, exhaustive=True, backend="numpy"))
+
+
+@pytest.mark.parametrize(
+    "method, load",
+    [
+        (PBS, lambda: load_dataset("movies", scale=0.02).store),
+        (PPS, lambda: generate_synthetic(n_profiles=5_000, seed=0).store),
+    ],
+    ids=["PBS-movies", "PPS-synthetic"],
+)
+def test_a_held_comparison_costs_its_tuple(method, load):
+    """A drained stream, every chunk kept: past the first pull (which
+    builds the session's id table), a comparison holds its tuple and its
+    list slot (72 B), not two ints and a float of its own (~160 B)."""
+    method = method(load(), backend=NumpyBackend())
+    import numpy.ma  # noqa: F401  (np.unique's first call imports it)
+
+    tracemalloc.start()
+    try:
+        chunks = method.chunks()
+        kept = [next(chunks)]
+        held, _ = tracemalloc.get_traced_memory()
+        kept.extend(chunks)
+        grown, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    emitted = sum(map(len, kept[1:]))
+    assert emitted > 30_000
+    assert (grown - held) / emitted < 96

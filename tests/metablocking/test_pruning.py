@@ -230,7 +230,8 @@ class TestThreeBackendParity:
             graph = resolved.blocking_graph(index, "ARCS")
             for k in (1, 3):
                 reference = cardinality_node_pruning(dirty_blocks, "ARCS", k=k)
-                kept = to_comparisons(*resolved.pruned_edges(graph, "CNP", k))
+                edges = resolved.pruned_edges(graph, "CNP", k)
+                kept = to_comparisons(*edges, index.ids)
                 assert kept == reference, f"{backend} diverged at k={k}"
 
 

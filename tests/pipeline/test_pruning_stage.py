@@ -12,10 +12,13 @@ import os
 
 import pytest
 
+from repro.datasets.registry import load_dataset
 from repro.errors import ConfigError
 from repro.incremental.resolver import IncrementalResolver
+from repro.metablocking.pruning import weighted_node_pruning
 from repro.pipeline import ERPipeline, resolve
 from repro.pipeline.config import MetaBlockingConfig, PipelineConfig
+from repro.registry import pruning_algorithms
 from repro.service.snapshot import read_manifest
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "service", "fixtures")
@@ -223,3 +226,55 @@ class TestPrunedEmissionNumpyBackends:
             .stream()
         ]
         assert sharded == sequential
+
+
+class TestCustomAlgorithm:
+    """An algorithm registered by name runs in ``.meta(pruning=...)`` and
+    ``resolve()`` on the python backend (docs/metablocking.md)."""
+
+    @pytest.fixture()
+    def my_prune(self):
+        """Keeps the 50 best WNP edges; unregistered afterwards."""
+
+        def top_50(blocks, scheme_name):
+            return weighted_node_pruning(blocks, scheme_name)[:50]
+
+        pruning_algorithms.register("MY-PRUNE", top_50)
+        try:
+            yield top_50
+        finally:
+            pruning_algorithms.unregister("MY-PRUNE")
+
+    @pytest.fixture(scope="class")
+    def restaurant(self):
+        return load_dataset("restaurant")
+
+    @pytest.mark.parametrize("method, repeats", [("PBS", 1), ("PPS", 2)])
+    def test_streams_only_the_retained_edges(
+        self, my_prune, restaurant, method, repeats
+    ):
+        resolver = (
+            ERPipeline()
+            .meta("ARCS", pruning="my-prune")
+            .method(method)
+            .backend("python")
+            .fit(restaurant)
+        )
+        retained = [c.pair for c in my_prune(resolver.blocks, "ARCS")]
+        assert len(retained) == 50
+        assert [c.pair for c in resolver.pruned_comparisons()] == retained
+        pairs = [c.pair for c in resolver.stream()]
+        # PBS emits every kept pair once; PPS twice (its initial
+        # Comparison List, then its schedule).
+        assert sorted(pairs) == sorted(retained * repeats)
+
+    def test_resolve_takes_the_name(self, my_prune, restaurant):
+        result = resolve(restaurant, method="PBS", pruning="MY-PRUNE")
+        retained = {c.pair for c in my_prune(result.resolver.blocks, "ARCS")}
+        assert {c.pair for c in result.pairs} == retained
+
+    def test_numpy_refuses_it(self, my_prune, restaurant):
+        pytest.importorskip("numpy")
+        pipeline = ERPipeline().meta("ARCS", pruning="MY-PRUNE").method("PBS")
+        with pytest.raises(NotImplementedError, match="backend='python'"):
+            list(pipeline.backend("numpy").fit(restaurant).stream())
