@@ -48,6 +48,7 @@ from __future__ import annotations
 import importlib.util
 from typing import Any, cast
 
+from repro.errors import ConfigError
 from repro.registry import backends
 
 #: Whether numpy is importable in this environment (checked without
@@ -64,9 +65,10 @@ STORAGE_MODES: tuple[str, ...] = ("ram", "memmap")
 
 
 def check_storage_mode(mode: str) -> str:
-    """Validate a ``storage=`` mode, returning it unchanged."""
+    """Validate a ``storage=`` mode, returning it unchanged (an unknown
+    one is a :class:`~repro.errors.ConfigError`)."""
     if mode not in STORAGE_MODES:
-        raise ValueError(
+        raise ConfigError(
             f"unknown storage mode {mode!r}: expected one of {STORAGE_MODES}"
         )
     return mode
@@ -215,7 +217,7 @@ class NumpyBackend(Backend):
     ) -> None:
         self.storage = check_storage_mode(storage)
         self.storage_dir = storage_dir
-        self._array_store: Any = None
+        self._scratch: Any = None
 
     @property
     def available(self) -> bool:
@@ -230,19 +232,17 @@ class NumpyBackend(Backend):
         return self
 
     def array_store(self) -> Any:
-        """The instance's scratch :class:`~repro.engine.storage.ArrayStore`.
+        """Where the instance's engine arrays live: the shared
+        :data:`~repro.engine.storage.RAM` store, or under ``"memmap"``
+        the instance's scratch :class:`~repro.engine.storage.ArrayStore`
+        (created on first use)."""
+        from repro.engine.storage import RAM, ArrayStore
 
-        ``None`` in RAM mode - the engine structures treat a missing
-        store as "build plain ndarrays", which keeps the default path
-        byte-for-byte identical to the pre-storage engine.
-        """
-        if self.storage != "memmap":
-            return None
-        if self._array_store is None:
-            from repro.engine.storage import ArrayStore
-
-            self._array_store = ArrayStore(dir=self.storage_dir)
-        return self._array_store
+        if self.storage == "ram":
+            return RAM
+        if self._scratch is None:
+            self._scratch = ArrayStore(dir=self.storage_dir)
+        return self._scratch
 
     def fanout(self) -> Any:
         """Which ranges each engine pass is cut into, and who runs them
@@ -252,9 +252,9 @@ class NumpyBackend(Backend):
         return INLINE
 
     def close(self) -> None:
-        store, self._array_store = self._array_store, None
-        if store is not None:
-            store.close()
+        scratch, self._scratch = self._scratch, None
+        if scratch is not None:
+            scratch.close()
 
     def blocking_substrate(self, store: Any, spec: Any) -> Any:
         self.require()

@@ -23,11 +23,7 @@ require_numpy("repro.engine.csr")
 
 import numpy as np  # noqa: E402  (guarded optional dependency)
 
-from repro.engine.storage import (  # noqa: E402
-    DEFAULT_CHUNK,
-    ArrayStore,
-    stable_group_scatter,
-)
+from repro.engine.storage import RAM, Store  # noqa: E402
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.blocking.base import BlockCollection
@@ -56,19 +52,9 @@ def multi_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.cumsum(deltas)
 
 
-def packed_sort(major: np.ndarray, minor: np.ndarray, factor: int) -> np.ndarray:
-    """``minor`` in ``(major, minor)`` order, from one sort of the packed
-    keys ``major * factor + minor`` (``0 <= minor < factor``, keys below
-    2**63): where each major's minors come ascending, what a stable sort
-    by ``major`` returns, at a fraction of its cost."""
-    packed = major * factor
-    packed += minor
-    packed.sort()
-    return packed % factor
-
-
-def _mass_cuts(sizes: np.ndarray, budget: int) -> list[int]:
-    """Row-range boundaries of ~``budget`` total elements each.
+def _mass_cuts(sizes: np.ndarray, budget: int | None) -> list[int]:
+    """Row-range boundaries of ~``budget`` total elements each (one
+    range when ``budget`` is ``None``).
 
     Each boundary is the first row whose cumulative size reaches the
     next budget multiple, so a slab exceeds the budget by at most one
@@ -77,6 +63,8 @@ def _mass_cuts(sizes: np.ndarray, budget: int) -> list[int]:
     row_count = len(sizes)
     if row_count == 0:
         return [0]
+    if budget is None:
+        return [0, row_count]
     ends = np.cumsum(sizes)
     total = int(ends[-1])
     if total == 0:
@@ -93,22 +81,19 @@ def gather_rows(
     values: np.ndarray,
     starts: np.ndarray,
     sizes: np.ndarray,
-    storage: ArrayStore | None = None,
-    chunk: int = DEFAULT_CHUNK,
+    storage: Store = RAM,
 ) -> np.ndarray:
-    """``values[multi_arange(starts, sizes)]``, optionally spilled.
+    """``values[multi_arange(starts, sizes)]``, into ``storage``.
 
-    The CSR row gather used by the substrate's block reordering.  With
-    ``storage``, rows are gathered slab by slab (~``chunk`` elements)
-    into a :class:`~repro.engine.storage.SpillWriter`, so peak resident
+    The CSR row gather used by the substrate's block reordering: rows
+    are gathered slab by slab (~``storage.chunk`` elements, the whole
+    axis in RAM) into the store's writer, so on disk peak resident
     memory is O(chunk) instead of O(total gathered).
     """
     starts = np.asarray(starts, dtype=np.int64)
     sizes = np.asarray(sizes, dtype=np.int64)
-    if storage is None:
-        return values[multi_arange(starts, sizes)]
     writer = storage.writer(values.dtype)
-    bounds = _mass_cuts(sizes, chunk)
+    bounds = _mass_cuts(sizes, storage.chunk)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         writer.append(values[multi_arange(starts[lo:hi], sizes[lo:hi])])
     return writer.finish()
@@ -178,14 +163,13 @@ class ArrayProfileIndex:
         bp_indices: np.ndarray,
         block_cardinalities: np.ndarray,
         sources: np.ndarray,
-        storage: ArrayStore | None = None,
+        storage: Store = RAM,
     ) -> "ArrayProfileIndex":
         """Build straight from block -> profile CSR arrays.
 
         The array-native substrate's entry point: no ``Block`` objects
-        are touched.  With ``storage``, the
-        profile -> blocks transpose is built out-of-core into memmap
-        arrays (the inputs are expected to be memmap-backed already).
+        are touched.  The profile -> blocks transpose is built by
+        ``storage`` (out-of-core into memmap arrays on disk).
         """
         self = cls.__new__(cls)
         self.store = store  # type: ignore[assignment]
@@ -197,36 +181,13 @@ class ArrayProfileIndex:
         self.sources = np.asarray(sources, dtype=np.int64)
         return self
 
-    def _build_pb(self, storage: ArrayStore | None = None) -> None:
+    def _build_pb(self, storage: Store = RAM) -> None:
         # Transpose to the profile -> blocks CSR, each profile's block
         # list ascending - the property the LeCoBI merge and the
         # weighting accumulation order both rely on.
-        if storage is not None:
-            # Out-of-core: the same grouping via a stable counting sort,
-            # with the entry -> block-id map derived chunk by chunk from
-            # the indptr instead of one O(entries) np.repeat.
-            bp_indptr = self.bp_indptr
-
-            def block_of_entry(lo: int, hi: int) -> np.ndarray:
-                positions = np.arange(lo, hi, dtype=np.int64)
-                return (
-                    np.searchsorted(bp_indptr, positions, side="right") - 1
-                )
-
-            self.pb_indptr, (self.pb_indices,) = stable_group_scatter(
-                self.bp_indices,
-                [block_of_entry],
-                self.n_profiles,
-                int(self.bp_indices.size),
-                store=storage,
-            )
-            return
-        sizes = np.diff(self.bp_indptr)
-        owners = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-        self.pb_indices = packed_sort(self.bp_indices, owners, len(sizes))
-        counts = np.bincount(self.bp_indices, minlength=self.n_profiles)
-        self.pb_indptr = np.zeros(self.n_profiles + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.pb_indptr[1:])
+        self.pb_indptr, self.pb_indices = storage.transpose(
+            self.bp_indptr, self.bp_indices, self.n_profiles
+        )
 
     @property
     def ids(self) -> np.ndarray:

@@ -15,7 +15,8 @@ them.  This one is the engine's own: one inline range, or - when the
 caller names a ``budget`` because its outputs spill to disk, because
 the ranges are a progressive schedule (PBS's blocks, PPS's Sorted
 Profile List), or because a pass's transients must stay bounded (the
-Blocking Graph's rows, ``EVENT_BUDGET`` events a range) - inline mass
+sweep's ``TOKENIZE_FLUSH_PROFILES`` profiles, the Blocking Graph's
+rows' ``EVENT_BUDGET`` events a range) - inline mass
 cuts of about that size, consumed one at a time so resident memory
 stays bounded and no range is computed before it is asked for.
 :mod:`repro.parallel` supplies the other: mass-balanced ranges over a

@@ -42,7 +42,7 @@ import numpy as np  # noqa: E402  (guarded optional dependency)
 from repro.core.comparisons import Comparison  # noqa: E402
 from repro.core.profiles import ProfileStore  # noqa: E402
 from repro.engine.csr import multi_arange  # noqa: E402
-from repro.engine.storage import collector  # noqa: E402
+from repro.engine.storage import RAM  # noqa: E402
 from repro.matching.cascade import MatcherCascade, TierDecision  # noqa: E402
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -142,8 +142,8 @@ class CascadeBatchMatcher:
             (left[lo:hi], right[lo:hi])
             for lo, hi in fanout.ranges(int(left.size))
         ]
-        equal = collector(None, bool)
-        jaccard = collector(None, np.float64)
+        equal = RAM.writer(bool)
+        jaccard = RAM.writer(np.float64)
         for part_equal, part_jaccard in fanout.run(
             pair_overlap, self._payload, shards
         ):

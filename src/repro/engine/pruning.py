@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Any
 from repro.engine import require_numpy
 from repro.engine.fanout import INLINE, Fanout
 from repro.engine.segments import first_k_per_run
-from repro.engine.storage import collector
+from repro.engine.storage import RAM
 from repro.engine.topk import rank_pairs
 
 require_numpy("repro.engine.pruning")
@@ -147,7 +147,7 @@ def prune_array_graph(
     counts = np.diff(payload["owner_indptr"])
     ranges = fanout.ranges(n, counts)
     if algorithm in ("WNP", "RWNP"):
-        sums = collector(None, np.float64)
+        sums = RAM.writer(np.float64)
         for part in fanout.run(node_weight_sums, payload, ranges):
             sums.append(part)
         thresholds = np.zeros(n, dtype=np.float64)
@@ -159,7 +159,7 @@ def prune_array_graph(
         payload.update(
             tie_i=i[payload["edge_ids"]], tie_j=j[payload["edge_ids"]], k=k
         )
-        selected = collector(None, np.int64)
+        selected = RAM.writer(np.int64)
         for part in fanout.run(node_topk, payload, ranges):
             selected.append(part)
         votes = np.zeros(i.size, dtype=np.int64)

@@ -1,29 +1,25 @@
-"""Disk-backed scratch arrays: the ``storage="memmap"`` substrate.
+"""Where the engine's arrays live: :data:`RAM` or an :class:`ArrayStore`.
 
 Every CSR structure in the engine is a handful of flat int64/float64
-arrays, so "serve the indexes from disk" reduces to one primitive: an
-:class:`ArrayStore` that hands out writable ``np.memmap`` arrays inside
-a private scratch directory whose lifetime is tied to the owning backend
-instance (explicit :meth:`ArrayStore.close`, or garbage collection via
-``weakref.finalize`` - the same discipline
-:class:`repro.parallel.pool.WorkerPool` applies to its payload tempdir).
+arrays, and every pass that builds one asks its store - never a mode -
+for its allocator (``empty``, ``zeros``, ``materialize``, and
+``writer``, the sink of a pass assembled range by range), for
+``chunk``, the budget of a bounded pass (``None``, the whole axis, in
+RAM), and for the one CSR ``transpose``.
 
-Two build-side helpers make the *construction* of those arrays
-bounded-RAM as well:
-
-* :class:`SpillWriter` - append-only chunk spilling for streams whose
-  length is unknown up front (the tokenization sweep), finished into a
-  single memmap array - :func:`collector` hands a pass assembled range
-  by range either one of these or its in-RAM twin;
-* :func:`stable_group_scatter` - an out-of-core counting sort that
-  groups values by integer key while preserving input order within each
-  group.  It is bit-identical to the in-RAM idiom used throughout the
-  engine (``values[np.argsort(keys, kind="stable")]``): a stable sort
-  by key orders elements by ``(key, original position)``; processing
-  fixed-size chunks in input order with a stable within-chunk sort
-  appends each key's elements in ascending original position, which is
-  the same order.  Resident memory is O(chunk + n_groups) instead of
-  O(n log n) sort workspace over the whole stream.
+:data:`RAM` hands out plain ndarrays and transposes by one sort of
+packed ``(column, row)`` keys.  An :class:`ArrayStore`
+(``storage="memmap"``) hands out ``np.memmap`` arrays in a private
+scratch directory tied to the owning backend instance (explicit
+:meth:`ArrayStore.close`, or garbage collection via ``weakref.finalize``,
+as :class:`repro.parallel.pool.WorkerPool` does for its payload
+tempdir), spills through a :class:`SpillWriter` and transposes with
+:func:`stable_group_scatter`, an out-of-core counting sort holding
+O(chunk + n_groups) elements.  Both transposes equal the stable argsort
+by column bit for bit: a stable sort orders entries by ``(key, original
+position)``; the scatter appends each key's entries chunk by chunk in
+input order, and a CSR's entries are row-major, so the packed sort's
+ascending rows are that order too.
 
 Memory math and usage live in docs/scale.md.
 """
@@ -38,7 +34,7 @@ from typing import Any, Sequence
 
 from repro.engine import require_numpy
 
-require_numpy("disk-backed storage (repro.engine.storage)")
+require_numpy("array storage (repro.engine.storage)")
 
 import numpy as np  # noqa: E402  (guarded optional dependency)
 
@@ -50,17 +46,71 @@ from repro.engine.segments import run_heads  # noqa: E402
 DEFAULT_CHUNK = 1 << 20
 
 
+class RamStore:
+    """The in-RAM store (stateless, shared as :data:`RAM`): plain
+    ndarrays and whole-axis passes.  On a whole axis in RAM, the packed
+    sort of :meth:`transpose` is several times faster than the counting
+    scatter."""
+
+    #: A bounded pass runs over the whole axis at once.
+    chunk: int | None = None
+
+    def empty(self, shape: Any, dtype: Any) -> np.ndarray:
+        return np.empty(shape, dtype=dtype)
+
+    def zeros(self, shape: Any, dtype: Any) -> np.ndarray:
+        return np.zeros(shape, dtype=dtype)
+
+    def materialize(self, array: Any) -> np.ndarray:
+        return np.asarray(array)
+
+    def writer(self, dtype: Any) -> "ChunkList":
+        return ChunkList(dtype)
+
+    def transpose(
+        self, indptr: np.ndarray, columns: Any, width: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The column -> rows CSR of the row -> columns CSR
+        ``(indptr, columns)``, rows ascending within each column.
+
+        ``columns`` is an array-like or a ``(lo, hi) -> chunk`` callable
+        of column ids in ``[0, width)``.  One sort of the packed keys
+        ``column * rows + row`` (below 2**63 for every store this engine
+        builds) orders the entries as the stable argsort by column does.
+        """
+        rows = max(len(indptr) - 1, 1)
+        keys = np.asarray(_slice(columns, 0, int(indptr[-1])), dtype=np.int64)
+        counts = np.bincount(keys, minlength=width)
+        packed = keys * rows
+        del keys
+        packed += np.repeat(
+            np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr)
+        )
+        packed.sort()
+        packed %= rows
+        out = np.zeros(width + 1, dtype=np.int64)
+        np.cumsum(counts, out=out[1:])
+        return out, packed
+
+
+#: The shared in-RAM store, every engine structure's default.
+RAM = RamStore()
+
+
 class ArrayStore:
     """A scratch directory of memmap-backed arrays with one lifetime.
 
-    Arrays are created with :meth:`empty` (shaped, uninitialized),
-    :meth:`materialize` (copy of an existing array) or :meth:`writer`
-    (append-only spill).  All files live in one lazily-created
-    ``repro-storage-*`` temp directory which is removed by
-    :meth:`close` - or, failing that, by a ``weakref.finalize`` when
+    Arrays are created with :meth:`empty` (shaped),
+    :meth:`zeros`, :meth:`materialize` (copy of an existing array) or
+    :meth:`writer` (append-only spill).  All files live in one
+    lazily-created ``repro-storage-*`` temp directory which is removed
+    by :meth:`close` - or, failing that, by a ``weakref.finalize`` when
     the store is garbage collected, so dropping the owning backend or
     Resolver never leaks scratch files.
     """
+
+    #: Elements a bounded pass holds resident at a time.
+    chunk: int = DEFAULT_CHUNK
 
     def __init__(self, dir: str | None = None) -> None:
         self._parent = dir
@@ -93,7 +143,8 @@ class ArrayStore:
         )
 
     def empty(self, shape: Any, dtype: Any) -> np.ndarray:
-        """A writable, uninitialized memmap array (``.npy`` format)."""
+        """A writable memmap array (``.npy`` format): a fresh file, so it
+        reads as zeros."""
         if not isinstance(shape, tuple):
             shape = (int(shape),)
         return np.lib.format.open_memmap(
@@ -102,6 +153,9 @@ class ArrayStore:
             dtype=np.dtype(dtype),
             shape=shape,
         )
+
+    #: A fresh memmap file is all zero bytes.
+    zeros = empty
 
     def materialize(self, array: Any) -> np.ndarray:
         """A memmap copy of ``array`` (same shape, dtype and contents)."""
@@ -114,6 +168,28 @@ class ArrayStore:
         """An append-only :class:`SpillWriter` for ``dtype`` elements."""
         return SpillWriter(self, dtype)
 
+    def transpose(
+        self, indptr: np.ndarray, columns: Any, width: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`RamStore.transpose` out-of-core: the rows grouped by
+        column with :func:`stable_group_scatter` into this store, each
+        entry's row derived chunk by chunk from ``indptr`` instead of
+        one O(entries) ``np.repeat``."""
+
+        def row_of_entry(lo: int, hi: int) -> np.ndarray:
+            positions = np.arange(lo, hi, dtype=np.int64)
+            return np.searchsorted(indptr, positions, side="right") - 1
+
+        out, (rows,) = stable_group_scatter(
+            columns,
+            [row_of_entry],
+            width,
+            int(indptr[-1]),
+            store=self,
+            chunk=self.chunk,
+        )
+        return out, rows
+
     def close(self) -> None:
         """Remove the scratch directory; idempotent.
 
@@ -125,6 +201,10 @@ class ArrayStore:
         self._tempdir = None
         if finalizer is not None:
             finalizer()
+
+
+#: Either store: what every engine pass allocates from.
+Store = RamStore | ArrayStore
 
 
 class SpillWriter:
@@ -180,11 +260,6 @@ class ChunkList:
         return np.concatenate(chunks)
 
 
-def collector(storage: ArrayStore | None, dtype: Any) -> "SpillWriter | ChunkList":
-    """The RAM-or-spill sink of a pass assembled range by range."""
-    return ChunkList(dtype) if storage is None else storage.writer(dtype)
-
-
 def _slice(source: Any, lo: int, hi: int) -> np.ndarray:
     """One chunk of an array-like or of a ``(lo, hi) -> chunk`` callable.
 
@@ -214,7 +289,7 @@ def stable_group_scatter(
     n_groups: int,
     total: int,
     *,
-    store: ArrayStore | None = None,
+    store: Store = RAM,
     chunk: int = DEFAULT_CHUNK,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Group ``values`` by ``keys``, input order preserved per group.
@@ -231,7 +306,7 @@ def stable_group_scatter(
     may be an array-like or a ``(lo, hi) -> chunk`` callable; value
     dtypes are probed with an empty slice, so callables must return
     typed arrays for empty ranges too.  Outputs are allocated from
-    ``store`` when given (memmap), otherwise as plain ndarrays.
+    ``store``.
 
     Returns ``(indptr, grouped)`` with ``indptr`` of length
     ``n_groups + 1`` delimiting each key's run.
@@ -239,14 +314,7 @@ def stable_group_scatter(
     counts = group_sizes(keys, n_groups, total, chunk)
     indptr = np.zeros(n_groups + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    grouped: list[np.ndarray] = []
-    for source in values:
-        dtype = _slice(source, 0, 0).dtype
-        grouped.append(
-            np.empty(total, dtype=dtype)
-            if store is None
-            else store.empty(total, dtype)
-        )
+    grouped = [store.empty(total, _slice(source, 0, 0).dtype) for source in values]
     cursor = indptr[:-1].copy()
     for lo in range(0, total, chunk):
         hi = min(lo + chunk, total)

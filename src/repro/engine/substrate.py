@@ -40,8 +40,9 @@ int64 sizes, and the filter quota uses ``np.ceil`` on the same float64
 products ``math.ceil`` sees.
 
 The sweep itself is the range kernel :func:`tokenize_range`; the
-owning backend's fan-out decides whether it runs once over the whole
-store, in bounded inline ranges (storage) or sharded over a worker pool.
+owning backend's fan-out decides whether it runs in bounded inline
+ranges or sharded over a worker pool, and the store (RAM or memmap)
+where its outputs and the grouped CSRs live.
 """
 
 from __future__ import annotations
@@ -59,18 +60,10 @@ require_numpy("repro.engine.substrate")
 
 import numpy as np  # noqa: E402  (guarded optional dependency)
 
-from repro.engine.csr import (  # noqa: E402
-    ArrayProfileIndex,
-    gather_rows,
-    packed_sort,
-)
+from repro.engine.csr import ArrayProfileIndex, gather_rows  # noqa: E402
 from repro.engine.fanout import INLINE, Fanout  # noqa: E402
 from repro.engine.segments import run_heads  # noqa: E402
-from repro.engine.storage import (  # noqa: E402
-    ArrayStore,
-    collector,
-    stable_group_scatter,
-)
+from repro.engine.storage import RAM, Store  # noqa: E402
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.blocking.base import BlockCollection
@@ -271,8 +264,8 @@ class ArraySubstrate:
     #: directly from the postings.
     vectorized = True
 
-    #: Profiles tokenized per inline range when storage is active - large
-    #: enough to amortize array conversion, small enough that the
+    #: Profiles tokenized per inline range - large enough to amortize
+    #: array conversion, small enough that a range's transients and the
     #: resident token-id buffers stay in the tens of megabytes.
     TOKENIZE_FLUSH_PROFILES = 65536
 
@@ -280,26 +273,25 @@ class ArraySubstrate:
         self,
         store: ProfileStore,
         spec: SubstrateSpec,
-        storage: ArrayStore | None = None,
+        storage: Store = RAM,
         fanout: Fanout = INLINE,
     ) -> None:
         self.store = store
         self.spec = spec
         self.fanout = fanout
-        #: Scratch ArrayStore of the owning backend instance; ``None``
-        #: keeps the original all-RAM behavior byte for byte.  With a
-        #: store, the sweep's pair arrays, the postings and the final
-        #: blocks are built into (and served from) memmap scratch, and
-        #: the grouping sorts run out-of-core.
+        #: Where the sweep's pair slots, the postings and the final
+        #: blocks are built (and served from): :data:`RAM`, or the
+        #: owning backend's memmap scratch, whose grouping passes run
+        #: out-of-core.
         self.storage = storage
         self.sweeps = 0
         # The single sweep: the vocabulary (packed, lengths), each pair
-        # slot's alphabetical id, the (slot, profile) pair arrays and
-        # every profile's source.
+        # slot's alphabetical id, every pair's slot as a profile-major
+        # CSR and every profile's source.
         self._vocabulary: tuple[np.ndarray, np.ndarray] | None = None
         self._rank: np.ndarray | None = None
         self._pair_tokens: np.ndarray | None = None
-        self._pair_profiles: np.ndarray | None = None
+        self._pair_indptr: np.ndarray | None = None
         self._sources: np.ndarray | None = None
         self._names: list[str] | None = None
         # Alphabetical CSR postings over ALL tokens (Neighbor List view).
@@ -317,8 +309,8 @@ class ArraySubstrate:
     # -- the single sweep --------------------------------------------------
 
     def _sweep(self) -> None:
-        """The sweep: vocabulary, ``rank``, (slot, profile) pair arrays
-        and sources, once.
+        """The sweep: vocabulary, ``rank``, the pair slots with their
+        per-profile ``_pair_indptr``, and sources, once.
 
         :func:`tokenize_range` interns each range alphabetically; a
         pair's slot is its range-local id offset by the earlier ranges'
@@ -326,18 +318,16 @@ class ArraySubstrate:
         gives the store's vocabulary and ``rank``, slot -> global id.
         ``rank`` keeps each range's order, so ``rank[pair slots]`` still
         ascends within every profile, and ranges are contiguous and
-        ascending, so the collected pair arrays are profile-major.
+        ascending, so the collected pair slots are profile-major.
         """
         if self._pair_tokens is not None:
             return
         self.sweeps += 1
-        ranges = self.fanout.ranges(
-            len(self.store),
-            budget=None if self.storage is None else self.TOKENIZE_FLUSH_PROFILES,
-        )
+        n = len(self.store)
+        ranges = self.fanout.ranges(n, budget=self.TOKENIZE_FLUSH_PROFILES)
         payload = {"store": self.store}
-        pair_tokens = collector(self.storage, np.int64)
-        pair_profiles = collector(self.storage, np.int64)
+        pair_tokens = self.storage.writer(np.int64)
+        pair_indptr = np.zeros(n + 1, dtype=np.int64)
         packed = [np.empty(0, dtype="<u8")]
         lengths = [np.empty(0, dtype=np.int64)]
         sources = [np.empty(0, dtype=np.int64)]
@@ -348,9 +338,7 @@ class ArraySubstrate:
         ):
             tokens += slots
             pair_tokens.append(tokens)
-            pair_profiles.append(
-                np.repeat(np.arange(lo, hi, dtype=np.int64), counts)
-            )
+            pair_indptr[lo + 1 : hi + 1] = counts
             packed.append(words)
             lengths.append(sizes)
             sources.append(range_sources)
@@ -365,7 +353,7 @@ class ArraySubstrate:
             words, 8 * (np.cumsum(widths) - widths), sizes
         )
         self._pair_tokens = pair_tokens.finish()
-        self._pair_profiles = pair_profiles.finish()
+        self._pair_indptr = np.cumsum(pair_indptr, out=pair_indptr)
         self._sources = np.concatenate(sources)
 
     def sources(self) -> np.ndarray:
@@ -393,12 +381,11 @@ class ArraySubstrate:
         """
         if self._token_rows is None:
             self._sweep()
-            assert self._rank is not None and self._pair_profiles is not None
-            n = len(self.store)
-            counts = np.bincount(np.asarray(self._pair_profiles), minlength=n)
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            self._token_rows = (indptr, self._rank[np.asarray(self._pair_tokens)])
+            assert self._rank is not None and self._pair_indptr is not None
+            self._token_rows = (
+                self._pair_indptr,
+                self._rank[np.asarray(self._pair_tokens)],
+            )
         return self._token_rows
 
     # -- CSR postings over all tokens --------------------------------------
@@ -406,10 +393,11 @@ class ArraySubstrate:
     def _all_postings(self) -> tuple[np.ndarray, np.ndarray]:
         """Alphabetical CSR postings over every token, row ``t`` for id ``t``.
 
-        One sort of the pairs' packed ``(token id, profile)`` keys:
-        tokens come out in sorted-key order (the reference's
-        ``sorted(buckets)``), profiles within a token ascending - the
-        pair order, which is the reference's bucket append order.
+        The transpose of the profile -> token ids CSR: tokens come out
+        in sorted-key order (the reference's ``sorted(buckets)``),
+        profiles within a token ascending - the pair order, which is the
+        reference's bucket append order.  Ids are ranked chunk by chunk,
+        so a memmap store never holds every pair's id at once.
         """
         if self._postings is None:
             self._sweep()
@@ -417,33 +405,16 @@ class ArraySubstrate:
                 self._vocabulary is not None
                 and self._rank is not None
                 and self._pair_tokens is not None
-                and self._pair_profiles is not None
+                and self._pair_indptr is not None
             )
-            rank = self._rank
-            token_count = len(self._vocabulary[1])
-            if self.storage is not None:
-                # Spill-to-disk postings argsort: the stable grouping
-                # runs as an out-of-core counting sort over chunk-wise
-                # derived ranks - bit-identical to the argsort below.
-                pair_tokens = self._pair_tokens
+            rank, pair_tokens = self._rank, self._pair_tokens
 
-                def rank_chunk(lo: int, hi: int) -> np.ndarray:
-                    return rank[np.asarray(pair_tokens[lo:hi])]
+            def token_ids(lo: int, hi: int) -> np.ndarray:
+                return rank[np.asarray(pair_tokens[lo:hi])]
 
-                indptr, (profiles,) = stable_group_scatter(
-                    rank_chunk,
-                    [self._pair_profiles],
-                    token_count,
-                    int(self._pair_tokens.size),
-                    store=self.storage,
-                )
-            else:
-                pair_rank = rank[self._pair_tokens]
-                profiles = packed_sort(pair_rank, self._pair_profiles, len(self.store))
-                sizes = np.bincount(pair_rank, minlength=token_count)
-                indptr = np.zeros(token_count + 1, dtype=np.int64)
-                np.cumsum(sizes, out=indptr[1:])
-            self._postings = (indptr, profiles)
+            self._postings = self.storage.transpose(
+                self._pair_indptr, token_ids, len(self._vocabulary[1])
+            )
         return self._postings
 
     # -- vectorized purge / filter ------------------------------------------
@@ -493,11 +464,9 @@ class ArraySubstrate:
                 b_profiles, b_tokens, b_sizes, b_left = self._filter(
                     b_profiles, b_tokens, b_sizes, b_left
                 )
-                if self.storage is not None:
-                    # The filter's masked rebuild produced a RAM array;
-                    # the final blocks are session-lived, so park them
-                    # back on disk.
-                    b_profiles = self.storage.materialize(b_profiles)
+                # The filter's masked rebuild is a RAM array; the final
+                # blocks are session-lived, so they go to the store.
+                b_profiles = self.storage.materialize(b_profiles)
 
             if b_left is not None:
                 cardinalities = b_left * (b_sizes - b_left)

@@ -45,7 +45,7 @@ from repro.engine import require_numpy
 from repro.engine.csr import ArrayProfileIndex, multi_arange
 from repro.engine.fanout import INLINE, Fanout
 from repro.engine.segments import run_heads, stable_groups
-from repro.engine.storage import DEFAULT_CHUNK, ArrayStore, collector
+from repro.engine.storage import RAM, Store
 from repro.registry import weighting_schemes
 
 require_numpy("repro.engine.weights")
@@ -377,7 +377,7 @@ class ArrayBlockingGraph:
         self,
         index: ArrayProfileIndex,
         scheme: ArrayWeighting | str,
-        storage: ArrayStore | None = None,
+        storage: Store = RAM,
         fanout: Fanout = INLINE,
     ) -> None:
         self.index = index
@@ -433,16 +433,11 @@ class ArrayBlockingGraph:
         index = self.index
         block_count = index.block_count()
         counts = np.diff(index.pb_indptr)
-        budget = None if self.storage is None else DEFAULT_CHUNK
-        keys = collector(self.storage, np.int64)
+        keys = self.storage.writer(np.int64)
         # A power-of-two size: the slot of a key is its low bits.
         slots = 1 << (self.FILTER_SLOTS * int(index.pb_indptr[-1])).bit_length()
-        if self.storage is None:
-            table = np.zeros(slots, dtype=bool)
-        else:
-            table = self.storage.empty(slots, bool)
-            table[:] = False
-        for lo, hi in INLINE.ranges(index.n_profiles, counts, budget):
+        table = self.storage.zeros(slots, bool)
+        for lo, hi in INLINE.ranges(index.n_profiles, counts, self.storage.chunk):
             start, stop = int(index.pb_indptr[lo]), int(index.pb_indptr[hi])
             owners = np.repeat(np.arange(lo, hi, dtype=np.int64), counts[lo:hi])
             chunk = owners * block_count + np.asarray(index.pb_indices[start:stop])
@@ -474,9 +469,9 @@ class ArrayBlockingGraph:
         n = self.index.n_profiles
         fanout = self.fanout
         ranges = fanout.ranges(n, self._owner_event_mass(), self.EVENT_BUDGET)
-        neighbors = collector(self.storage, np.int64)
-        raw = collector(self.storage, np.float64)
-        encounter = collector(self.storage, np.int64)
+        neighbors = self.storage.writer(np.int64)
+        raw = self.storage.writer(np.float64)
+        encounter = self.storage.writer(np.int64)
         indptr = np.zeros(n + 1, dtype=np.int64)
         edges = 0
         rows = fanout.run(graph_rows, self.payload, ranges)
@@ -494,12 +489,12 @@ class ArrayBlockingGraph:
 
     def _finalize_rows(self) -> None:
         """Elementwise normalization of the raw rows, owner range by
-        owner range (one range in RAM, ~``DEFAULT_CHUNK`` edges each
-        when the weights spill)."""
+        owner range of ~``storage.chunk`` edges (one range in RAM)."""
         row_lengths = np.diff(self.indptr)
-        budget = None if self.storage is None else DEFAULT_CHUNK
-        weights = collector(self.storage, np.float64)
-        for lo, hi in INLINE.ranges(self.index.n_profiles, row_lengths, budget):
+        weights = self.storage.writer(np.float64)
+        for lo, hi in INLINE.ranges(
+            self.index.n_profiles, row_lengths, self.storage.chunk
+        ):
             start, stop = int(self.indptr[lo]), int(self.indptr[hi])
             owners = np.repeat(np.arange(lo, hi, dtype=np.int64), row_lengths[lo:hi])
             weights.append(

@@ -175,10 +175,10 @@ class Resolver:
 
     def _storage_kwargs(self) -> "dict[str, Any]":
         """Constructor kwargs carrying the spec's storage stage, if any."""
-        storage = self.config.storage
-        if storage is None or storage.mode == "ram":
+        stage = self.config.storage
+        if stage is None or stage.mode == "ram":
             return {}
-        return {"storage": storage.mode, "storage_dir": storage.dir}
+        return {"storage": stage.mode, "storage_dir": stage.dir}
 
     def _method_backend(self) -> "str | object":
         """What to hand a method's ``backend=``: the spec's name, or - for

@@ -40,6 +40,12 @@ def pair_ids(substrate):
     return substrate._rank[substrate._pair_tokens]
 
 
+def pair_profiles(substrate):
+    """Every ``(profile, token)`` pair's profile, from the sweep's CSR."""
+    counts = np.diff(substrate._pair_indptr)
+    return np.repeat(np.arange(len(counts)), counts)
+
+
 def stable_postings(substrate):
     """Profiles grouped by token name, in ``sorted(names)`` order, pair
     order kept."""
@@ -47,12 +53,12 @@ def stable_postings(substrate):
     rank = np.empty(len(names), dtype=np.int64)
     rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
     order = np.argsort(rank[pair_ids(substrate)], kind="stable")
-    return substrate._pair_profiles[order]
+    return pair_profiles(substrate)[order]
 
 
 def stable_token_rows(substrate):
     """Each profile's token ids, ascending: the ``(profile, token)`` lexsort."""
-    tokens, profiles = pair_ids(substrate), substrate._pair_profiles
+    tokens, profiles = pair_ids(substrate), pair_profiles(substrate)
     return tokens[np.lexsort((tokens, profiles))]
 
 

@@ -1,9 +1,10 @@
-"""Disk-backed storage: ArrayStore lifecycle, out-of-core sort, parity.
+"""Array storage: the two stores, ArrayStore lifecycle, out-of-core sort, parity.
 
 Three layers are pinned here:
 
-* the scratch-array primitives (:class:`ArrayStore`, :class:`SpillWriter`,
-  :func:`stable_group_scatter`) against their in-RAM references;
+* the store primitives (:data:`RAM` and :class:`ArrayStore`'s
+  ``zeros`` and ``transpose``, :class:`SpillWriter`,
+  :func:`stable_group_scatter`) against their stable-sort references;
 * bit-identical CSR structures between ``storage="ram"`` and
   ``storage="memmap"`` on the numpy backend;
 * the temp-file lifecycle: scratch directories are reclaimed on
@@ -14,16 +15,20 @@ Three layers are pinned here:
 from __future__ import annotations
 
 import gc
+import itertools
 import os
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy")
 
 from repro.blocking.substrate import SubstrateSpec  # noqa: E402
 from repro.engine import NumpyBackend  # noqa: E402
 from repro.engine.storage import (  # noqa: E402
+    RAM,
     ArrayStore,
     group_sizes,
     stable_group_scatter,
@@ -182,6 +187,59 @@ class TestStableGroupScatter:
             group_sizes(keys, 13, keys.size, chunk=50),
             np.bincount(keys, minlength=13),
         )
+
+
+@st.composite
+def csrs(draw):
+    """``(indptr, columns, width)``: rows of column ids in ``[0, width)``,
+    empty rows, no entries at all and unused columns included."""
+    width = draw(st.integers(0, 8))
+    row = st.lists(st.integers(0, width - 1), max_size=6) if width else st.just([])
+    rows = draw(st.lists(row, max_size=8))
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=indptr[1:])
+    columns = np.asarray(list(itertools.chain(*rows)), dtype=np.int64)
+    return indptr, columns, width
+
+
+def stable_transpose(indptr, columns, width):
+    """The column -> rows CSR by a stable argsort by column."""
+    owners = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    out = np.zeros(width + 1, dtype=np.int64)
+    np.cumsum(np.bincount(columns, minlength=width), out=out[1:])
+    return out, owners[np.argsort(columns, kind="stable")]
+
+
+class TestStores:
+    @given(csrs(), st.booleans(), st.integers(1, 5))
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_transpose_is_the_stable_argsort(self, tmp_path, csr, call, chunk):
+        indptr, columns, width = csr
+        expected = stable_transpose(indptr, columns, width)
+        source = (lambda lo, hi: columns[lo:hi]) if call else columns
+        disk = ArrayStore(dir=str(tmp_path))
+        disk.chunk = chunk  # several scatter chunks on small inputs
+        try:
+            for store in (RAM, disk):
+                out, rows = store.transpose(indptr, source, width)
+                np.testing.assert_array_equal(out, expected[0])
+                np.testing.assert_array_equal(np.asarray(rows), expected[1])
+        finally:
+            disk.close()
+
+    def test_zeros_read_as_zeros(self, tmp_path):
+        disk = ArrayStore(dir=str(tmp_path))
+        for store in (RAM, disk):
+            for dtype in (bool, np.int64, np.float64):
+                array = store.zeros(7, dtype)
+                assert array.dtype == dtype
+                assert not np.asarray(array).any()
+        assert isinstance(disk.zeros(3, bool), np.memmap)
+        disk.close()
 
 
 @pytest.fixture(params=["dirty", "clean_clean"])
@@ -350,7 +408,7 @@ class TestLifecycle:
 
         singleton = get_backend("numpy")
         assert singleton.storage == "ram"
-        assert singleton.array_store() is None
+        assert singleton.array_store() is RAM
 
 
 def _crashing_task(payload, shard_arg):

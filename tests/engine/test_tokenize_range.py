@@ -12,6 +12,7 @@ the 8-byte word boundaries, and repeats within and across values.
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -23,6 +24,7 @@ from hypothesis import strategies as st  # noqa: E402
 from repro.blocking.substrate import SubstrateSpec  # noqa: E402
 from repro.core.profiles import EntityProfile, ERType, ProfileStore  # noqa: E402
 from repro.core.tokenization import distinct_profile_tokens  # noqa: E402
+from repro.datasets.synthetic import generate_synthetic  # noqa: E402
 from repro.engine.fanout import Fanout  # noqa: E402
 from repro.engine.storage import ArrayStore  # noqa: E402
 from repro.engine.substrate import (  # noqa: E402
@@ -108,10 +110,11 @@ class Cut(Fanout):
 def sweep(substrate: ArraySubstrate) -> tuple[list[str], list[int], list[int]]:
     """Decoded vocabulary, ranked pair ids and pair profiles of a sweep."""
     substrate._sweep()
+    counts = np.diff(substrate._pair_indptr)
     return (
         decode_names(substrate._vocabulary[0]),
         substrate._rank[np.asarray(substrate._pair_tokens)].tolist(),
-        np.asarray(substrate._pair_profiles).tolist(),
+        np.repeat(np.arange(len(counts)), counts).tolist(),
     )
 
 
@@ -144,9 +147,13 @@ def test_multi_range_sweeps_equal_the_one_range_sweep(store):
         assert sweep(ArraySubstrate(store, spec, fanout=Cut(size))) == whole
         storage = ArrayStore()
         try:
-            spilled = ArraySubstrate(store, spec, storage=storage)
-            spilled.TOKENIZE_FLUSH_PROFILES = size
-            assert sweep(spilled) == whole
+            # Both stores cut the sweep at TOKENIZE_FLUSH_PROFILES.
+            for substrate in (
+                ArraySubstrate(store, spec),
+                ArraySubstrate(store, spec, storage=storage),
+            ):
+                substrate.TOKENIZE_FLUSH_PROFILES = size
+                assert sweep(substrate) == whole
         finally:
             storage.close()
 
@@ -155,3 +162,21 @@ def test_fixture_stores_sweep_like_the_reference(dirty_dataset, clean_clean_stor
     for store in (dirty_dataset.store, clean_clean_store):
         assert kernel(store, 0, len(store)) == reference(store, 0, len(store))
 
+
+def test_the_sweep_holds_under_24_bytes_a_pair():
+    """What a finished sweep keeps - each ``(profile, token)`` pair's
+    slot, the per-profile ``_pair_indptr``, the vocabulary, ``rank`` and
+    the sources - stays under 24 B a pair on a 40,000-profile synthetic
+    store (~19.7 B): the slots are the one per-pair array it keeps."""
+    import numpy.ma  # noqa: F401  (np.unique's first call imports it)
+
+    data = generate_synthetic(n_profiles=40_000, seed=7)
+    store = ProfileStore(list(data.store), data.store.er_type)
+    substrate = ArraySubstrate(store, SubstrateSpec())
+    tracemalloc.start()
+    try:
+        substrate._sweep()
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held / substrate._pair_tokens.size < 24

@@ -52,7 +52,7 @@ class TestShardedParity:
         # same profile-major pair arrays.
         assert sharded._token_names() == base._token_names()
         assert np.array_equal(sharded.token_rows()[1], base.token_rows()[1])
-        assert np.array_equal(sharded._pair_profiles, base._pair_profiles)
+        assert np.array_equal(sharded._pair_indptr, base._pair_indptr)
         assert sharded.sweeps == 1
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.ground_truth import GroundTruth
 from repro.errors import ConfigError, SessionClosed
-from repro.pipeline import ERPipeline
+from repro.pipeline import ERPipeline, resolve
 
 
 def toy_pipeline() -> ERPipeline:
@@ -280,6 +280,19 @@ class TestFit:
             resolve(paper_profiles, match_thresholds={"jaccard": 0.9})
         with pytest.raises(ConfigError, match="without a storage mode"):
             resolve(paper_profiles, storage_dir="scratch")
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda data: ERPipeline().storage("disk"),
+            lambda data: ERPipeline.from_dict({"storage": {"mode": "disk"}}),
+            lambda data: resolve(data, storage="disk"),
+        ],
+        ids=["builder", "from_dict", "resolve"],
+    )
+    def test_unknown_storage_mode_is_a_config_error(self, paper_profiles, entry):
+        with pytest.raises(ConfigError, match="unknown storage mode 'disk'"):
+            entry(paper_profiles)
 
     def test_clone_is_independent(self, paper_profiles):
         base = toy_pipeline()
