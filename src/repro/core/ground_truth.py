@@ -10,6 +10,7 @@ consistent via union-find transitive closure.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, Iterator
 
 
@@ -20,30 +21,37 @@ def normalize_pair(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
-class _UnionFind:
-    """Minimal union-find over dense integer ids with path compression."""
+def clusters_of(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """The transitive closure of ``pairs`` as clusters: the connected
+    components of the graph the pairs span, each a sorted id tuple, sorted.
 
-    __slots__ = ("parent",)
+    One union-find pass with path compression; the closure is
+    order-independent, so ``pairs`` may come in any order.
 
-    def __init__(self) -> None:
-        self.parent: dict[int, int] = {}
+    >>> clusters_of([(4, 5), (2, 1), (1, 3)])
+    ((1, 2, 3), (4, 5))
+    """
+    parent: dict[int, int] = {}
 
-    def find(self, x: int) -> int:
-        parent = self.parent
-        if x not in parent:
-            parent[x] = x
-            return x
-        root = x
+    def find(node: int) -> int:
+        if node not in parent:
+            parent[node] = node
+            return node
+        root = node
         while parent[root] != root:
             root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
+        while parent[node] != root:
+            parent[node], node = root, parent[node]
         return root
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+    for i, j in pairs:
+        root_i, root_j = find(i), find(j)
+        if root_i != root_j:
+            parent[max(root_i, root_j)] = min(root_i, root_j)
+    members: dict[int, list[int]] = {}
+    for node in parent:  # compression rewrites values only, never keys
+        members.setdefault(find(node), []).append(node)
+    return tuple(sorted(tuple(sorted(group)) for group in members.values()))
 
 
 class GroundTruth:
@@ -65,49 +73,20 @@ class GroundTruth:
 
     def __init__(self, pairs: Iterable[tuple[int, int]], closed: bool = True) -> None:
         seed_pairs = {normalize_pair(i, j) for i, j in pairs}
-        if closed:
-            uf = _UnionFind()
-            for i, j in seed_pairs:  # the closure is order-independent; clusters are sorted below
-                uf.union(i, j)
-            members: dict[int, list[int]] = {}
-            for node in {p for pair in seed_pairs for p in pair}:  # groups are sorted below
-                members.setdefault(uf.find(node), []).append(node)
-            clusters = [tuple(sorted(group)) for group in members.values()]
-            closed_pairs: set[tuple[int, int]] = set()
-            for group in clusters:
-                for a_index in range(len(group)):
-                    for b_index in range(a_index + 1, len(group)):
-                        closed_pairs.add((group[a_index], group[b_index]))
-            self._pairs = frozenset(closed_pairs)
-            self._clusters = tuple(sorted(clusters))
-        else:
-            self._pairs = frozenset(seed_pairs)
-            self._clusters = self._clusters_from_pairs(seed_pairs)
-
-    @staticmethod
-    def _clusters_from_pairs(
-        pairs: set[tuple[int, int]],
-    ) -> tuple[tuple[int, ...], ...]:
-        uf = _UnionFind()
-        for i, j in pairs:  # the closure is order-independent; clusters are sorted below
-            uf.union(i, j)
-        members: dict[int, list[int]] = {}
-        for node in {p for pair in pairs for p in pair}:  # groups are sorted below
-            members.setdefault(uf.find(node), []).append(node)
-        return tuple(sorted(tuple(sorted(group)) for group in members.values()))
+        self._clusters = clusters_of(seed_pairs)
+        if closed:  # every pair inside a cluster; clusters are sorted tuples
+            seed_pairs = {p for group in self._clusters for p in combinations(group, 2)}
+        self._pairs = frozenset(seed_pairs)
 
     # -- construction helpers --------------------------------------------------
 
     @classmethod
     def from_clusters(cls, clusters: Iterable[Iterable[int]]) -> "GroundTruth":
         """Build from explicit equivalence clusters."""
-        pairs: list[tuple[int, int]] = []
-        for cluster in clusters:
-            ids = sorted(set(cluster))
-            for a_index in range(len(ids)):
-                for b_index in range(a_index + 1, len(ids)):
-                    pairs.append((ids[a_index], ids[b_index]))
-        return cls(pairs, closed=False)
+        return cls(
+            (p for cluster in clusters for p in combinations(sorted(set(cluster)), 2)),
+            closed=False,
+        )
 
     # -- queries ---------------------------------------------------------------
 

@@ -10,6 +10,12 @@ normalized against the ideal method's area:
 
 Repeated emissions count against the budget (that is precisely the cost of
 the naive methods); a match counts as found at its *first* emission.
+
+This module holds the curve and its areas.  The run that produces one is
+:meth:`repro.pipeline.Resolver.evaluate`: a fork of the session streams
+under the budget ``max_ec_star * |D(P)|`` and a target recall of 1, and
+its session bookkeeping - the emission index of each first hit - is the
+curve.
 """
 
 from __future__ import annotations
@@ -17,9 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
-
-from repro.core.ground_truth import GroundTruth
-from repro.progressive.base import ProgressiveMethod
 
 
 @dataclass
@@ -111,43 +114,3 @@ def ideal_auc(total_matches: int, ec_star: float) -> float:
         total += budget - position
     return total / (total_matches**2)
 
-
-def _drive_progressive(
-    method: ProgressiveMethod,
-    ground_truth: GroundTruth,
-    max_ec_star: float = 30.0,
-    stop_at_full_recall: bool = True,
-    dataset: str = "",
-) -> RecallCurve:
-    """Drive a progressive method and record its recall curve.
-
-    The protocol body of :meth:`repro.pipeline.Resolver.evaluate`.  The
-    method is (lazily) initialized, then emissions are consumed up to a
-    budget of ``max_ec_star * |D(P)|`` comparisons.  Match decisions come
-    from the ground truth - the paper's protocol for the progressiveness
-    experiments, which isolates emission order from match-function quality.
-
-    With ``stop_at_full_recall`` the run ends as soon as every match is
-    found (the curve is flat afterwards, so no information is lost).
-    """
-    total_matches = len(ground_truth)
-    budget = int(math.ceil(max_ec_star * total_matches))
-    curve = RecallCurve(
-        method=method.name, total_matches=total_matches, dataset=dataset
-    )
-    found: set[tuple[int, int]] = set()
-    emitted = 0
-    for comparison in method:
-        if emitted >= budget:
-            break
-        emitted += 1
-        pair = comparison.pair
-        if pair not in found and ground_truth.is_match(*pair):
-            found.add(pair)
-            curve.hit_positions.append(emitted)
-            if stop_at_full_recall and len(found) == total_matches:
-                break
-    else:  # the stream ran dry before the budget or full recall ended the run
-        curve.exhausted = True
-    curve.emitted = emitted
-    return curve

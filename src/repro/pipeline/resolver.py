@@ -19,7 +19,9 @@ at most.
 
 from __future__ import annotations
 
-import itertools
+import copy
+import dataclasses
+import math
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -28,12 +30,13 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple
 from repro.blocking.base import BlockCollection
 from repro.blocking.workflow import blocking_workflow
 from repro.core.comparisons import Comparison
-from repro.core.ground_truth import GroundTruth
+from repro.core.ground_truth import GroundTruth, clusters_of
 from repro.core.profiles import ProfileStore
 from repro.errors import ConfigError, SessionClosed
 from repro.evaluation.metrics import DecisionQuality, decision_quality
-from repro.evaluation.progressive_recall import RecallCurve, _drive_progressive
+from repro.evaluation.progressive_recall import RecallCurve
 from repro.matching.cascade import MatcherCascade, TierDecision
+from repro.pipeline.config import BudgetConfig
 from repro.progressive.base import ProgressiveMethod
 from repro.registry import normalize, progressive_methods
 
@@ -57,6 +60,17 @@ class DecisionRecord(NamedTuple):
     decision: bool
     tier: str
     similarity: float
+
+
+@dataclass
+class _Built:
+    """What a session builds at most once.  Its forks hold the same
+    instance, so what a fork builds is the session's too: one sweep."""
+
+    backend: "object | None" = None
+    substrate: "object | None" = None
+    blocks: BlockCollection | None = None
+    pruned: list[Comparison] | None = None
 
 
 @dataclass
@@ -145,28 +159,48 @@ class Resolver:
         self.ground_truth = ground_truth
         self.dataset_name = dataset_name
         self._psn_key = psn_key
-        self._blocks: BlockCollection | None = None
-        self._substrate: "object | None" = None
-        self._pruned: list[Comparison] | None = None
-        self._backend_instance: "object | None" = None
+        self._built = _Built()
         self.method: ProgressiveMethod | None = None
         self.cascade: MatcherCascade | None = None
-        self._batcher: "Any | None" = None
-        self._batcher_built = False
-        self._decided = 0
+        self._closed = False
+        self._restart()
+
+    def _restart(self) -> None:
+        """Set the emission state to a fresh session's: nothing emitted,
+        decided or found, no pending chunk or record, no emitter (the
+        next :meth:`initialize` makes one from the method)."""
         self._emitter: Iterator[list[Comparison]] | None = None
         #: The pending chunk and the offset of its next comparison.
         self._chunk: list[Comparison] = []
         self._offset = 0
         #: Decided records ``resolve_stream(decide=True)`` has not handed out.
         self._records: deque[DecisionRecord] = deque()
+        self._batcher: "Any | None" = None
+        self._batcher_built = False
+        self._decided = 0
         self._emitted = 0
         self._exhausted = False
-        self._closed = False
         self._started_at: float | None = None
         self._matched_pairs: set[tuple[int, int]] = set()
         self._true_found: set[tuple[int, int]] = set()
         self._hit_positions: list[int] = []
+
+    def _fork(self, ground_truth: GroundTruth | None, **stages: Any) -> "Resolver":
+        """A restarted copy of this session with ``stages`` of its spec
+        replaced, for a run that must not touch this one.
+
+        The fork shares what the session builds once - its backend
+        instance, substrate, blocks and pruned edges, and a live
+        session's index and lock - and builds its own method, cascade
+        and emission state.  It never closes what it shares and books
+        nothing on this session.
+        """
+        fork = copy.copy(self)
+        fork.config = dataclasses.replace(self.config, **stages)
+        fork.ground_truth = ground_truth
+        fork.method = fork.cascade = None
+        fork._restart()
+        return fork
 
     # -- construction of the staged components -------------------------------
 
@@ -196,8 +230,9 @@ class Resolver:
         backend has no array structures, so a storage stage leaves it
         untouched (same stream either way).
         """
-        if self._backend_instance is not None:
-            return self._backend_instance
+        built = self._built
+        if built.backend is not None:
+            return built.backend
         spec = self.config.parallel
         storage_kwargs = self._storage_kwargs()
         if self.config.backend == "numpy-parallel" and (
@@ -207,13 +242,13 @@ class Resolver:
 
             # The stage's fields are the backend's knobs, name for name.
             knobs = {} if spec is None else spec.to_dict()
-            self._backend_instance = ParallelBackend(**knobs, **storage_kwargs)
-            return self._backend_instance
+            built.backend = ParallelBackend(**knobs, **storage_kwargs)
+            return built.backend
         if self.config.backend == "numpy" and storage_kwargs:
             from repro.engine import NumpyBackend
 
-            self._backend_instance = NumpyBackend(**storage_kwargs)
-            return self._backend_instance
+            built.backend = NumpyBackend(**storage_kwargs)
+            return built.backend
         return self.config.backend
 
     @property
@@ -243,10 +278,10 @@ class Resolver:
         :class:`~repro.errors.SessionClosed`.
         """
         self._closed = True
-        backend, self._backend_instance = self._backend_instance, None
+        backend, self._built.backend = self._built.backend, None
         if backend is not None:
             backend.close()  # type: ignore[attr-defined]
-        self._substrate = None
+        self._built.substrate = None
         self._batcher = None
 
     def __enter__(self) -> "Resolver":
@@ -282,29 +317,30 @@ class Resolver:
         spec = self._substrate_spec()
         if spec is None:
             return None
-        if self._substrate is None:
+        if self._built.substrate is None:
             from repro.engine import get_backend
 
             backend = get_backend(self._method_backend()).require()
-            self._substrate = backend.blocking_substrate(self.store, spec)
-        return self._substrate
+            self._built.substrate = backend.blocking_substrate(self.store, spec)
+        return self._built.substrate
 
     def _ensure_blocks(self) -> BlockCollection:
         """Build (once) and return the blocking-stage output."""
-        if self._blocks is None:
+        built = self._built
+        if built.blocks is None:
             substrate = self._session_substrate()
             if substrate is not None:
-                self._blocks = substrate.blocks()
+                built.blocks = substrate.blocks()
             else:
                 blocking = self.config.blocking
-                self._blocks = blocking_workflow(
+                built.blocks = blocking_workflow(
                     self.store,
                     scheme=blocking.scheme,
                     purge_ratio=blocking.purge_ratio,
                     filter_ratio=blocking.filter_ratio,
                     **blocking.params,
                 )
-        return self._blocks
+        return built.blocks
 
     @property
     def blocks(self) -> BlockCollection | None:
@@ -314,9 +350,9 @@ class Resolver:
         Built on first access.  On the default token workflow the blocks
         materialize from the session's shared blocking substrate, so
         reading this property costs no extra tokenization sweep."""
-        if self._blocks is None and self._method_wants_blocks():
+        if self._built.blocks is None and self._method_wants_blocks():
             self._ensure_blocks()
-        return self._blocks
+        return self._built.blocks
 
     def pruned_comparisons(self) -> "list[Comparison] | None":
         """The retained edges of the pruned Blocking Graph, ranked.
@@ -329,16 +365,16 @@ class Resolver:
         meta = self.config.meta
         if meta.pruning is None:
             return None
-        if self._pruned is None:
+        if self._built.pruned is None:
             from repro.metablocking.pruning import prune
 
-            self._pruned = prune(
+            self._built.pruned = prune(
                 self._ensure_blocks(),
                 algorithm=meta.pruning,
                 scheme_name=meta.weighting,
                 backend=self._method_backend(),
             )
-        return self._pruned
+        return self._built.pruned
 
     def _emitter_for(self, method: ProgressiveMethod) -> Iterator[list[Comparison]]:
         """The method's chunks, pruned when the spec asks for it.
@@ -445,18 +481,7 @@ class Resolver:
             self.method = self.build_method()
             self.method.initialize()
             self.cascade = self._build_cascade()
-            self._emitter = self._emitter_for(self.method)
-        self._chunk, self._offset = [], 0
-        self._records.clear()
-        self._batcher = None
-        self._batcher_built = False
-        self._decided = 0
-        self._emitted = 0
-        self._exhausted = False
-        self._started_at = None
-        self._matched_pairs.clear()
-        self._true_found.clear()
-        self._hit_positions.clear()
+        self._restart()
         return self
 
     # -- budget control --------------------------------------------------------
@@ -691,31 +716,11 @@ class Resolver:
         ``include_singletons`` appends one-profile clusters for every
         store profile no match touched.
         """
-        parent: dict[int, int] = {}
-
-        def find(node: int) -> int:
-            root = node
-            while parent.get(root, root) != root:
-                root = parent[root]
-            while parent.get(node, node) != node:
-                parent[node], node = root, parent[node]
-            return root
-
-        members: set[int] = set()
-        for i, j in sorted(self._matched_pairs):
-            members.update((i, j))
-            root_i, root_j = find(i), find(j)
-            if root_i != root_j:
-                parent[max(root_i, root_j)] = min(root_i, root_j)
-        groups: dict[int, list[int]] = {}
-        for node in sorted(members):
-            groups.setdefault(find(node), []).append(node)
-        result = [sorted(group) for group in groups.values()]
+        result = [list(cluster) for cluster in clusters_of(self._matched_pairs)]
         if include_singletons:
+            members = {pid for cluster in result for pid in cluster}
             result.extend(
-                [pid]
-                for pid in range(len(self.store))
-                if pid not in members
+                [pid] for pid in range(len(self.store)) if pid not in members
             )
         return sorted(result)
 
@@ -747,34 +752,20 @@ class Resolver:
     ) -> DecisionQuality:
         """Decision-based precision/recall/F1 on a fresh emission run.
 
-        Mirrors :meth:`evaluate`'s protocol: a new method instance and a
-        new cascade are built from the same spec and the full (pruned,
-        comparison-budgeted) stream is decided through the pure-Python
-        tier loop - this session's own emitter and counters are left
-        untouched.
+        Mirrors :meth:`evaluate`'s protocol: a fork of this session -
+        its own method and cascade, this session's substrate - decides
+        its whole (pruned) stream under the spec's comparison budget
+        and is graded by :meth:`decision_quality`.  This session's
+        emitter, counters and matches are left untouched.
         """
         truth = ground_truth if ground_truth is not None else self.ground_truth
         if truth is None:
             raise ValueError("evaluate_decisions requires a ground truth")
-        cascade = self._build_cascade()
-        if cascade is None:
-            raise ConfigError(
-                "evaluate_decisions needs a decision stage; configure "
-                ".match(...) on the pipeline"
-            )
-        method = self.build_method()
-        method.initialize()
-        stream = itertools.islice(
-            itertools.chain.from_iterable(self._emitter_for(method)),
-            self.config.budget.comparisons,
-        )
-        records = self._decide(list(stream), cascade, record=False)
-        return decision_quality(
-            {record.comparison.pair for record in records if record.decision},
-            truth,
-            decided=len(records),
-            by_tier=_by_tier(cascade),
-        )
+        budget = BudgetConfig(comparisons=self.config.budget.comparisons)
+        fork = self._fork(self.ground_truth, budget=budget)
+        for _ in fork.decisions():
+            pass
+        return fork.decision_quality(truth)
 
     # -- results ------------------------------------------------------------
 
@@ -804,12 +795,14 @@ class Resolver:
         """Recall curve of the comparisons streamed so far.
 
         Requires a ground truth; positions refer to this session's
-        emission counter.
+        emission counter.  Labelled with the built method's name (a live
+        session streams ``"ONLINE"``), the spec's before the first build.
         """
         if self.ground_truth is None:
             raise ValueError("partial_curve requires a ground truth")
+        method = self.config.method.name if self.method is None else self.method.name
         return RecallCurve(
-            method=self.config.method.name,
+            method=method,
             total_matches=len(self.ground_truth),
             hit_positions=list(self._hit_positions),
             emitted=self._emitted,
@@ -818,34 +811,29 @@ class Resolver:
         )
 
     def evaluate(
-        self,
-        ground_truth: GroundTruth | None = None,
-        max_ec_star: float = 30.0,
-        stop_at_full_recall: bool = True,
+        self, ground_truth: GroundTruth | None = None, max_ec_star: float = 30.0
     ) -> RecallCurve:
         """The paper's progressiveness protocol on a fresh emission run.
 
-        A new method instance is built from the same config (emission in
-        several methods consumes internal structures, so reusing the
-        session's stream would bias the curve), then driven with
-        ground-truth decisions up to ``max_ec_star * |D(P)|`` emissions;
-        :meth:`evaluate_decisions` is the decision counterpart.
+        A fork of this session (emission in several methods consumes
+        internal structures, so reusing the session's stream would bias
+        the curve) streams under a budget of ``max_ec_star * |D(P)|``
+        comparisons and a target recall of 1 - the run ends at full
+        recall, where the curve goes flat - booking ground-truth hits;
+        its :meth:`partial_curve` is the result.  This session is left
+        untouched; :meth:`evaluate_decisions` is the decision
+        counterpart.
         """
         truth = ground_truth if ground_truth is not None else self.ground_truth
         if truth is None:
             raise ValueError("evaluate requires a ground truth")
-        method = self.build_method()
-        stream = method
-        if self.config.meta.pruning is not None:
-            # the protocol drives the *pruned* emission, as stream() does
-            stream = _PrunedMethodView(method, self._emitter_for(method))
-        return _drive_progressive(
-            stream,
-            truth,
-            max_ec_star=max_ec_star,
-            stop_at_full_recall=stop_at_full_recall,
-            dataset=self.dataset_name,
+        budget = BudgetConfig(
+            comparisons=math.ceil(max_ec_star * len(truth)), target_recall=1.0
         )
+        fork = self._fork(truth, budget=budget, match=None)
+        while fork.next_batch(DECISION_BATCH):
+            pass
+        return fork.partial_curve()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         initialized = self.method is not None and self.method._initialized
@@ -861,17 +849,3 @@ def _by_tier(cascade: MatcherCascade | None) -> dict[str, int]:
     if cascade is None:
         return {}
     return {stats["name"]: stats["decided"] for stats in cascade.stats()["tiers"]}
-
-
-class _PrunedMethodView:
-    """A method stream restricted to the pruned graph, for the
-    evaluation protocol (which only reads ``name`` and iterates)."""
-
-    def __init__(
-        self, method: ProgressiveMethod, chunks: Iterator[list[Comparison]]
-    ) -> None:
-        self.name = method.name
-        self._chunks = chunks
-
-    def __iter__(self) -> Iterator[Comparison]:
-        return itertools.chain.from_iterable(self._chunks)

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.core.ground_truth import GroundTruth, normalize_pair
+from repro.core.ground_truth import GroundTruth, clusters_of, normalize_pair
 
 
 class TestNormalizePair:
@@ -76,3 +78,49 @@ class TestGroundTruth:
         truth = GroundTruth([(i, i + 1) for i in range(49)])
         assert len(truth) == 49 * 50 // 2
         assert len(truth.clusters) == 1
+
+
+def components(pairs):
+    """The connected components of ``pairs`` by graph search: the oracle."""
+    neighbours: dict[int, set[int]] = {}
+    for i, j in pairs:
+        neighbours.setdefault(i, set()).add(j)
+        neighbours.setdefault(j, set()).add(i)
+    seen: set[int] = set()
+    found = []
+    for start in sorted(neighbours):
+        if start in seen:
+            continue
+        frontier, group = [start], set()
+        while frontier:
+            node = frontier.pop()
+            if node not in group:
+                group.add(node)
+                frontier.extend(neighbours[node] - group)
+        seen |= group
+        found.append(tuple(sorted(group)))
+    return tuple(sorted(found))
+
+
+PAIRS = st.lists(
+    st.tuples(st.integers(0, 25), st.integers(0, 25)).filter(lambda p: p[0] != p[1]),
+    max_size=40,
+)
+
+
+@given(PAIRS)
+def test_clusters_of_is_the_connected_components(pairs):
+    assert clusters_of(pairs) == components(pairs)
+    assert clusters_of(reversed(pairs)) == components(pairs)
+
+
+@given(PAIRS, st.booleans())
+def test_ground_truth_clusters_close_its_pairs(pairs, closed):
+    truth = GroundTruth(pairs, closed=closed)
+    assert truth.clusters == components(pairs)
+    if closed:
+        assert truth.pairs == {
+            (a, b) for group in truth.clusters for a in group for b in group if a < b
+        }
+    else:
+        assert truth.pairs == {normalize_pair(i, j) for i, j in pairs}

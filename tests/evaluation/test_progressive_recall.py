@@ -1,18 +1,20 @@
-"""Unit tests for recall curves and AUC* computation."""
+"""Recall curves, AUC* and the protocol run behind ``Resolver.evaluate()``."""
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from repro import ERPipeline
 from repro.core.comparisons import Comparison
 from repro.core.ground_truth import GroundTruth
 from repro.core.profiles import ProfileStore
-from repro.evaluation.progressive_recall import (
-    RecallCurve,
-    _drive_progressive,
-    ideal_auc,
-)
+from repro.datasets import Dataset, load_dataset
+from repro.engine import HAS_NUMPY
+from repro.evaluation.progressive_recall import RecallCurve, ideal_auc
 from repro.progressive.base import ProgressiveMethod
+from repro.registry import progressive_methods
 
 
 class Scripted(ProgressiveMethod):
@@ -28,7 +30,8 @@ class Scripted(ProgressiveMethod):
         pass
 
     def _emit(self):
-        yield from self.script
+        # a spec's params keep plain tuples, so the script may hold them
+        return (Comparison(*comparison) for comparison in self.script)
 
 
 def make_store(n: int = 10) -> ProfileStore:
@@ -91,52 +94,115 @@ class TestIdealAuc:
 
 
 class TestRunProgressive:
-    """The protocol driver behind ``Resolver.evaluate()``."""
+    """The paper's protocol as ``Resolver.evaluate()`` runs it: a match
+    counts at its first emission, the run stops at ``max_ec_star * |D|``
+    comparisons or at full recall, whichever comes first."""
 
-    def test_counts_first_detection_only(self):
-        store = make_store()
-        truth = GroundTruth([(0, 1)])
+    @pytest.fixture()
+    def scripted(self):
+        """Registers ``Scripted`` as ``SCRIPTED``; unregistered afterwards."""
+        progressive_methods.register("SCRIPTED", Scripted)
+        try:
+            yield
+        finally:
+            progressive_methods.unregister("SCRIPTED")
+
+    @staticmethod
+    def evaluate(script, truth, name="", **kwargs) -> RecallCurve:
+        """``evaluate()`` on a session emitting ``script``'s ``(i, j,
+        weight)`` tuples in order."""
+        data = Dataset(name, make_store(), truth)
+        resolver = ERPipeline().method("SCRIPTED", script=script).fit(data)
+        return resolver.evaluate(**kwargs)
+
+    def test_counts_first_detection_only(self, scripted):
+        truth = GroundTruth([(0, 1), (4, 5)], closed=False)
         script = [
-            Comparison(0, 1, 1.0),
-            Comparison(0, 1, 0.9),  # repeated emission
-            Comparison(2, 3, 0.8),
+            (0, 1, 1.0),
+            (0, 1, 0.9),  # repeated emission
+            (2, 3, 0.8),
         ]
-        curve = _drive_progressive(
-            Scripted(store, script), truth, stop_at_full_recall=False
-        )
+        curve = self.evaluate(script, truth)
         assert curve.hit_positions == [1]
         assert curve.emitted == 3
+        assert curve.exhausted
 
-    def test_budget_truncates(self):
-        store = make_store()
+    def test_budget_truncates(self, scripted):
         truth = GroundTruth([(0, 1), (2, 3)], closed=False)
-        script = [Comparison(4, 5, 1.0)] * 10 + [Comparison(0, 1, 0.5)]
-        curve = _drive_progressive(Scripted(store, script), truth, max_ec_star=2.0)
+        script = [(4, 5, 1.0)] * 10 + [(0, 1, 0.5)]
+        curve = self.evaluate(script, truth, max_ec_star=2.0)
         assert curve.emitted == 4  # 2 * |DP|
         assert curve.final_recall() == 0.0
         assert not curve.exhausted
 
-    def test_stop_at_full_recall(self):
-        store = make_store()
+    def test_full_recall_ends_the_run(self, scripted):
         truth = GroundTruth([(0, 1)])
-        script = [Comparison(0, 1, 1.0)] + [Comparison(2, 3, 0.5)] * 100
-        curve = _drive_progressive(Scripted(store, script), truth, max_ec_star=500)
+        script = [(0, 1, 1.0)] + [(2, 3, 0.5)] * 100
+        curve = self.evaluate(script, truth, max_ec_star=500)
         assert curve.emitted == 1
         assert not curve.exhausted
 
-    def test_stream_ending_before_the_budget_is_exhausted(self):
-        store = make_store()
+    def test_stream_ending_before_the_budget_is_exhausted(self, scripted):
         truth = GroundTruth([(0, 1), (2, 3)], closed=False)
-        script = [Comparison(0, 1, 1.0), Comparison(4, 5, 0.5)]
-        curve = _drive_progressive(Scripted(store, script), truth, max_ec_star=5.0)
+        script = [(0, 1, 1.0), (4, 5, 0.5)]
+        curve = self.evaluate(script, truth, max_ec_star=5.0)
         assert curve.emitted == 2
         assert curve.exhausted
 
-    def test_dataset_label_recorded(self):
-        store = make_store()
+    def test_dataset_label_recorded(self, scripted):
         truth = GroundTruth([(0, 1)])
-        curve = _drive_progressive(
-            Scripted(store, [Comparison(0, 1, 1.0)]), truth, dataset="census"
-        )
+        curve = self.evaluate([(0, 1, 1.0)], truth, name="census")
         assert curve.dataset == "census"
         assert curve.method == "scripted"
+
+    def test_a_stream_as_long_as_the_budget_is_not_exhausted(self, scripted):
+        """One rule for every reading: a run that stops at its budget is
+        not exhausted, even when the stream would have ended there."""
+        truth = GroundTruth([(0, 1), (2, 3)], closed=False)
+        script = [(4, 5, 1.0)] * 3 + [(0, 1, 0.5)]
+        data = Dataset("", make_store(), truth)
+        pipeline = ERPipeline().method("SCRIPTED", script=script)
+        curve = pipeline.fit(data).evaluate(max_ec_star=2.0)
+        session = pipeline.budget(comparisons=4).fit(data)
+        assert len(session.next_batch(10)) == 4
+        assert curve.emitted == session.partial_curve().emitted == 4
+        assert curve.hit_positions == session.partial_curve().hit_positions
+        assert not curve.exhausted
+        assert not session.partial_curve().exhausted
+        assert not session.progress().exhausted
+
+
+#: ``evaluate(max_ec_star=5)`` on cora at scale 0.1: (method, pruning)
+#: -> (md5 of ``repr(hit_positions)``, first 12 hex digits; emitted).
+#: Both backends emit the same stream, so one row serves both.
+PINNED_CURVES = {
+    ("PPS", None): ("695b09bf9efa", 673),
+    ("PBS", None): ("b9a0fc35252c", 587),
+    ("LS-PSN", None): ("bf2efa2d7427", 8590),
+    ("GS-PSN", None): ("88da9eb5424c", 6914),
+    ("SA-PSN", None): ("9ba56ba4b5c9", 8590),
+    ("SA-PSAB", None): ("590c9ef947d6", 8590),
+    ("ONLINE", None): ("3b7b43d8563e", 587),
+    ("PBS", "CNP"): ("e515c6826d0d", 281),
+    ("PPS", "WNP"): ("3243e414056f", 304),
+}
+
+
+@pytest.fixture(scope="module")
+def cora():
+    return load_dataset("cora", scale=0.1)
+
+
+@pytest.mark.parametrize(
+    "backend", ["python", pytest.param("numpy", marks=pytest.mark.skipif(
+        not HAS_NUMPY, reason="the numpy backend needs numpy"))]
+)
+@pytest.mark.parametrize("method, pruning", list(PINNED_CURVES))
+def test_pinned_curves(cora, method, pruning, backend):
+    pipeline = ERPipeline().method(method).backend(backend)
+    if pruning is not None:
+        pipeline = pipeline.meta(pruning=pruning)
+    curve = pipeline.fit(cora).evaluate(max_ec_star=5)
+    digest = hashlib.md5(repr(curve.hit_positions).encode()).hexdigest()[:12]
+    assert (digest, curve.emitted) == PINNED_CURVES[method, pruning]
+    assert curve.method == method

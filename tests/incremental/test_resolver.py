@@ -276,6 +276,17 @@ def test_evaluate_runs_the_batch_protocol_on_the_live_corpus():
     assert curve.final_recall() == 1.0
 
 
+def test_a_live_curve_is_labelled_with_the_method_it_streams():
+    from repro.datasets import load_dataset
+
+    resolver = ERPipeline().incremental().fit(load_dataset("cora", scale=0.1))
+    assert resolver.partial_curve().method == "PPS"  # the spec's, unbuilt
+    resolver.next_batch(100)
+    assert resolver.method.name == "ONLINE"
+    assert resolver.partial_curve().method == "ONLINE"
+    assert resolver.evaluate(max_ec_star=1).method == "ONLINE"
+
+
 def test_duplicate_id_ingestion_is_safe():
     resolver = incremental_pipeline().fit(RECORDS[:2])
     clone = resolver.store[0]

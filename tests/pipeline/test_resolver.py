@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+
 import pytest
 
 from repro.core.ground_truth import GroundTruth
@@ -158,6 +161,53 @@ class TestEvaluation:
         quality = resolver.decision_quality()
         assert quality.true_positives > 0
         assert resolver.evaluate_decisions() == quality
+
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_evaluations_leave_a_half_consumed_session_untouched(self, backend):
+        """``evaluate()`` and ``evaluate_decisions()`` run on a fork: the
+        session's progress, matches, pending records and stream position
+        are as they were, and its one tokenization sweep stays one."""
+        if backend == "numpy":
+            pytest.importorskip("numpy")
+        from repro.datasets import load_dataset
+
+        data = load_dataset("cddb", scale=0.1)
+        pipeline = ERPipeline().backend(backend).budget(comparisons=600).match()
+        expected = list(pipeline.fit(data).decisions())
+        resolver = pipeline.fit(data)
+        head = list(itertools.islice(resolver.decisions(), 200))
+
+        def state():
+            progress = dataclasses.replace(
+                resolver.progress(), elapsed_seconds=None
+            )
+            return progress, resolver.matches, resolver.cascade_stats()
+
+        before = state()
+        assert before[1]
+        resolver.evaluate(max_ec_star=2)
+        resolver.evaluate_decisions()
+        assert state() == before
+        assert head + list(resolver.decisions()) == expected
+        assert resolver._session_substrate().sweeps == 1
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_evaluations_share_the_session_sweep(self, backend):
+        if backend == "numpy":
+            pytest.importorskip("numpy")
+        from repro.datasets import load_dataset
+
+        resolver = (
+            ERPipeline().backend(backend).budget(comparisons=300).match()
+            .fit(load_dataset("cddb", scale=0.1))
+        )
+        resolver.evaluate(max_ec_star=2)
+        resolver.evaluate_decisions()
+        assert sum(1 for _ in resolver.stream()) == 300
+        substrate = resolver._session_substrate()
+        assert resolver.method._substrate is substrate
+        assert substrate.sweeps == 1
 
 
 class TestFit:

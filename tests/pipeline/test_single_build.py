@@ -181,5 +181,5 @@ class TestSubstrateOptOut:
         # The method builds privately (its knob differs from the stage's);
         # the session substrate must not be injected underneath it.
         assert resolver.method._substrate is not None
-        assert resolver.method._substrate is not resolver._substrate
+        assert resolver.method._substrate is not resolver._built.substrate
         assert resolver.method._substrate.spec.purge_ratio == 0.5
