@@ -54,8 +54,10 @@ def pps_schedule(
     owner segment at K_max reproduces the per-profile SortedStack
     drains end to end, without any per-profile Python work.
 
-    Returns ``(i, j, weight)``.  Ranges are consecutive in rank, so
-    their outputs concatenated in range order *are* the emission.
+    Returns ``(i, j, weight)``, the pairs ``int64`` (each pairs an
+    ``int64`` schedule id with a 32-bit row neighbor).  Ranges are
+    consecutive in rank, so their outputs concatenated in range order
+    *are* the emission.
     """
     lo, hi = shard
     indptr = payload["indptr"]
@@ -235,39 +237,51 @@ class ArrayPPSCore:
         Per profile: duplication likelihood = mean finalized edge weight
         (summed in first-encounter order, matching the reference dict
         iteration) and the single best comparison (max weight, ties to
-        the first-encountered neighbor).  Both fall out of two global
-        array passes over the graph rows, and both lists are ranked in
-        arrays - no per-profile loop.
+        the first-encountered neighbor).  Both fall out of array passes
+        over owner ranges of at most ``EVENT_BUDGET`` row entries, and
+        both lists are ranked in arrays - no per-profile loop.  The
+        encounter order permutes entries inside their own rows only, so
+        a range reads its own slice of the rows and nothing E-sized is
+        allocated.
         """
         graph = self.graph
         n = self.index.n_profiles
-        row_lengths = np.diff(graph.indptr)
+        indptr = graph.indptr
+        row_lengths = np.diff(indptr)
         present = np.nonzero(row_lengths)[0]
         if present.size == 0:
             return
-        owners = np.repeat(np.arange(n, dtype=np.int64), row_lengths)
+        sums = np.zeros(n, dtype=np.float64)
+        best = np.zeros(n, dtype=np.int64)  # row entry of each best comparison
+        for lo, hi in INLINE.ranges(n, row_lengths, graph.EVENT_BUDGET):
+            start, stop = int(indptr[lo]), int(indptr[hi])
+            lengths = row_lengths[lo:hi]
+            owners = np.repeat(np.arange(hi - lo), lengths)
+            encounter = np.asarray(graph.encounter[start:stop]) - start
+            weights = np.asarray(graph.weights[start:stop])
 
-        # Likelihoods: read each row in encounter order, then one bincount
-        # accumulates every row left-to-right (bit-identical to the
-        # reference's dict-iteration sum).  The encounter order permutes
-        # entries inside their own rows only, so their owners stay put.
-        encounter = np.asarray(graph.encounter)
-        sums = np.bincount(owners, weights=graph.weights[encounter], minlength=n)
+            # Likelihoods: read each row in encounter order; one bincount
+            # accumulates every row left to right (bit-identical to the
+            # reference's dict-iteration sum).
+            sums[lo:hi] = np.bincount(
+                owners, weights=weights[encounter], minlength=hi - lo
+            )
+
+            # Best comparison: row maxima via one reduceat, then the
+            # earliest-encountered entry among the row's ties - the
+            # reference's running max with strict improvement keeps
+            # exactly that neighbor.
+            rows = np.nonzero(lengths)[0]
+            row_max = np.zeros(hi - lo, dtype=np.float64)
+            row_max[rows] = np.maximum.reduceat(weights, indptr[lo + rows] - start)
+            ties = encounter[(weights == row_max[owners])[encounter]]
+            heads = ties[run_heads(owners[ties])]
+            best[lo + owners[heads]] = heads + start
         likelihoods = sums[present] / row_lengths[present]
-
-        # Best comparison per profile: row maxima via one reduceat, then
-        # the earliest-encountered entry among the per-row ties - the
-        # reference's running-max with strict improvement keeps exactly
-        # that neighbor.
-        row_max = np.maximum.reduceat(graph.weights, graph.indptr[present])
-        dense_max = np.empty(n, dtype=np.float64)
-        dense_max[present] = row_max
-        is_tie = graph.weights == dense_max[owners]
-        ties = encounter[is_tie[encounter]]
-        best = ties[run_heads(owners[ties])]  # one entry per present profile, ascending
-        del owners, encounter, is_tie, ties  # nothing E-sized outlives the passes
-        best_neighbors = graph.neighbors[best]
-        best_weights = graph.weights[best]
+        best_neighbors = graph.neighbors[best[present]]
+        best_weights = graph.weights[best[present]]
+        # Pairs leave the graph as int64 (``present`` is), so the keys
+        # below never wrap.
         pair_i = np.minimum(present, best_neighbors)
         pair_j = np.maximum(present, best_neighbors)
 

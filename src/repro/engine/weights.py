@@ -215,6 +215,17 @@ def make_array_scheme(name: str, index: ArrayProfileIndex) -> ArrayWeighting:
     return cls(index)
 
 
+def row_dtype(n: int, events: int) -> np.dtype:
+    """The dtype of the graph rows' id arrays, ``neighbors`` and ``encounter``.
+
+    A neighbor is below ``n`` and an encounter position below |E|, which
+    the ``events`` a build expands bound from above (every edge entry is
+    met by at least one event): ``int32`` while both stay below
+    ``2**31``, half the bytes of an edge's ids, and ``int64`` past it.
+    """
+    return np.dtype(np.int32 if max(n, events) < 1 << 31 else np.int64)
+
+
 def graph_rows(payload: dict[str, Any], shard: tuple[int, int]) -> dict[str, Any]:
     """Range kernel: the Blocking-Graph rows of the owners in ``[lo, hi)``.
 
@@ -328,7 +339,11 @@ class ArrayBlockingGraph:
     ``indptr``/``neighbors`` give each profile's valid co-occurring
     neighbors ascending; ``raw``/``weights`` the accumulated and
     finalized edge weights; ``encounter`` every edge's position in the
-    rows, in the order the event stream *first meets* the edges.
+    rows, in the order the event stream *first meets* the edges.  The
+    two id arrays are stored at :func:`row_dtype` (``int32`` below
+    ``2**31`` profiles and events); whatever leaves the graph as pairs
+    - :meth:`edges`, the PPS schedule and best comparisons - is
+    ``int64``, so no caller packs ``i * n + j`` in 32 bits.
     Events stream owner-major with blocks ascending - the dict-insertion
     order the reference implementation iterates - so ``encounter`` only
     permutes entries inside their own rows, and reading a row through it
@@ -363,10 +378,11 @@ class ArrayBlockingGraph:
     )
 
     #: Co-occurrence events expanded per owner range of the rows, in RAM
-    #: and on disk alike: caps a range's transient expansion arrays at a
-    #: few tens of MB regardless of n (the rows themselves are the only
-    #: thing that grows with |E|).
-    EVENT_BUDGET = 1 << 18
+    #: and on disk alike, and row entries per range of PPS's
+    #: initialization: caps a range's transient arrays at about ten MB
+    #: regardless of n (the rows themselves are the only thing that grows
+    #: with |E|).
+    EVENT_BUDGET = 1 << 17
 
     #: Slots of the membership pre-filter per profile -> block incidence
     #: (rounded up to a power of two in total): at most one missed probe
@@ -459,19 +475,21 @@ class ArrayBlockingGraph:
         """Assemble the raw rows from :func:`graph_rows` over owner ranges.
 
         The inline fan-out cuts the owner axis by event mass, so one
-        range's expansion stays under ``EVENT_BUDGET`` events (a few
-        tens of MB) in RAM and on disk alike; a pooled one balances the
-        same masses over its shards.  Each range's rows are collected -
-        or spilled - before the next is built.  Finalization needs the
+        range's expansion stays under ``EVENT_BUDGET`` events (about ten
+        MB) in RAM and on disk alike; a pooled one balances the same
+        masses over its shards.  Each range's rows are collected - or
+        spilled, ids at :func:`row_dtype` - before the next is built.  Finalization needs the
         *whole* graph (EJS degrees) and runs afterwards, elementwise over
         the assembled rows.
         """
         n = self.index.n_profiles
         fanout = self.fanout
-        ranges = fanout.ranges(n, self._owner_event_mass(), self.EVENT_BUDGET)
-        neighbors = self.storage.writer(np.int64)
+        masses = self._owner_event_mass()
+        ranges = fanout.ranges(n, masses, self.EVENT_BUDGET)
+        ids = row_dtype(n, int(masses.sum()))
+        neighbors = self.storage.writer(ids)
         raw = self.storage.writer(np.float64)
-        encounter = self.storage.writer(np.int64)
+        encounter = self.storage.writer(ids)
         indptr = np.zeros(n + 1, dtype=np.int64)
         edges = 0
         rows = fanout.run(graph_rows, self.payload, ranges)
@@ -496,7 +514,9 @@ class ArrayBlockingGraph:
             self.index.n_profiles, row_lengths, self.storage.chunk
         ):
             start, stop = int(self.indptr[lo]), int(self.indptr[hi])
-            owners = np.repeat(np.arange(lo, hi, dtype=np.int64), row_lengths[lo:hi])
+            owners = np.repeat(
+                np.arange(lo, hi, dtype=self.neighbors.dtype), row_lengths[lo:hi]
+            )
             weights.append(
                 self.finalize(
                     owners,
@@ -520,11 +540,15 @@ class ArrayBlockingGraph:
 
     def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every distinct valid pair once (``i < j``) with its weight:
-        row-major over ascending rows, hence key-sorted."""
+        row-major over ascending rows, hence key-sorted.  The pairs
+        leave the graph as ``int64``."""
         n = self.index.n_profiles
-        owners = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
+        owners = np.repeat(
+            np.arange(n, dtype=self.neighbors.dtype), np.diff(self.indptr)
+        )
         upper = self.neighbors > owners  # each edge once, from its min side
-        return owners[upper], self.neighbors[upper], self.weights[upper]
+        i, j = (ids[upper].astype(np.int64) for ids in (owners, self.neighbors))
+        return i, j, self.weights[upper]
 
     def weight(self, i: int, j: int) -> float:
         """Edge weight of one pair, 0.0 when no block is shared (scalar

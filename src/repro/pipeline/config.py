@@ -53,8 +53,11 @@ def _rebuilt(value: Any, plain: bool) -> Any:
     if isinstance(value, dict):
         return {key: _rebuilt(item, plain) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
-        kind = list if plain else type(value)
-        return kind(_rebuilt(item, plain) for item in value)
+        items = [_rebuilt(item, plain) for item in value]
+        if plain:
+            return items
+        # A NamedTuple takes its fields positionally, not one iterable.
+        return type(value)(*items) if hasattr(value, "_fields") else type(value)(items)
     return value
 
 

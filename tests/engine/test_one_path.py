@@ -368,6 +368,28 @@ def test_pps_initialize_memory_is_bounded_by_the_range():
     assert peak - held < 96 * ArrayBlockingGraph.EVENT_BUDGET + rows
 
 
+def test_pps_init_lists_holds_one_range_of_the_rows(movies_store):
+    """Over the rows it reads, PPS's initialization holds one owner range
+    of ``EVENT_BUDGET`` entries and O(n) lists - no E-sized owners,
+    encounter-ordered weights or tie mask."""
+    backend = NumpyBackend()
+    substrate = backend.blocking_substrate(movies_store, SubstrateSpec())
+    index = backend.profile_index(substrate)
+    graph = ArrayBlockingGraph(index, "ARCS")
+    entries = graph.weights.size  # builds the rows before the window
+    core = ArrayPPSCore(index, graph, None)
+    tracemalloc.start()
+    try:
+        held, _ = tracemalloc.get_traced_memory()
+        core.init_lists()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = 40 * ArrayBlockingGraph.EVENT_BUDGET + 256 * index.n_profiles
+    assert bound < 8 * entries // 4  # a bound an E-sized int64 pass breaks
+    assert peak - held < bound
+
+
 def test_memmap_pbs_spills_no_pair_arrays(movies_store, tmp_path):
     def scratch_bytes():
         return sum(

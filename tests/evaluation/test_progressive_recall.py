@@ -149,6 +149,23 @@ class TestRunProgressive:
         assert curve.emitted == 2
         assert curve.exhausted
 
+    def test_named_tuple_params_survive_the_copy(self, scripted):
+        """``fit()`` copies the stage params; a ``NamedTuple`` in them is
+        rebuilt field by field and keeps its type (the JSON form is a
+        list)."""
+        truth = GroundTruth([(0, 1)])
+        script = [Comparison(0, 1, 1.0), Comparison(2, 3, 0.5)]
+        pipeline = ERPipeline().method("SCRIPTED", script=script)
+        resolver = pipeline.fit(Dataset("", make_store(), truth))
+        copied = resolver.config.method.params["script"]
+        assert copied == script and copied is not script
+        assert all(type(item) is Comparison for item in copied)
+        assert pipeline.to_dict()["method"]["params"]["script"] == [
+            [0, 1, 1.0],
+            [2, 3, 0.5],
+        ]
+        assert self.evaluate(script, truth).hit_positions == [1]
+
     def test_dataset_label_recorded(self, scripted):
         truth = GroundTruth([(0, 1)])
         curve = self.evaluate([(0, 1, 1.0)], truth, name="census")
